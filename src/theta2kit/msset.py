@@ -18,7 +18,17 @@ Ref = tuple  # (generator id, Word)
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration would exceed its search-space guard."""
+    """Raised when an enumeration would exceed its search-space guard.
+
+    operation names the enumeration, dimension the dimension it was
+    working on (None where it has none) and steps the steps it used.
+    """
+
+    def __init__(self, message, operation=None, dimension=None, steps=None):
+        super().__init__(message)
+        self.operation = operation
+        self.dimension = dimension
+        self.steps = steps
 
 
 def normal_word(word) -> bool:
@@ -121,8 +131,8 @@ class MarkedSSet:
         return self.gens_at(0)
 
 
-def validate_msset(X: MarkedSSet):
-    """Exhaustive invariant check; returns a Report with witnesses."""
+def _structure_problems(X: MarkedSSet):
+    """Generators, face counts, face targets and marks that are malformed."""
     problems = []
     for n, ids in X.gens.items():
         if n < 0 or n > X.bound:
@@ -146,6 +156,12 @@ def validate_msset(X: MarkedSSet):
             problems.append(f"marked id {g} is not a generator")
         elif X._dim[g] == 0:
             problems.append(f"marked id {g} has dimension 0")
+    return problems
+
+
+def validate_msset(X: MarkedSSet):
+    """Exhaustive invariant check; returns a Report with witnesses."""
+    problems = _structure_problems(X)
     if not problems:
         for n, ids in X.gens.items():
             if n < 2:
@@ -396,24 +412,15 @@ def product(X: MarkedSSet, Y: MarkedSSet) -> MarkedSSet:
 
 def product_map(f: MSSetMap, g: MSSetMap) -> MSSetMap:
     """The induced map f x g between the products."""
-    P, _ = product_with_index(f.source, g.source)
+    P, pindex = product_with_index(f.source, g.source)
     Q, qindex = product_with_index(f.target, g.target)
-    assignment = {}
-    for n in sorted(P.gens):
-        for gid in P.gens_at(n):
-            rx, ry = _decode_pair(gid)
-            assignment[gid] = qindex[(f.apply(rx), g.apply(ry))]
+    # each generator is the reference of exactly one pair
+    assignment = {
+        gid: qindex[(f.apply(rx), g.apply(ry))]
+        for (rx, ry), (gid, w) in pindex.items()
+        if not w
+    }
     return MSSetMap(P, Q, assignment)
-
-
-def _decode_pair(gid):
-    body = gid[1:-1]
-    left, right = body.split("*")
-    gx, wxs = left.rsplit("|", 1)
-    gy, wys = right.rsplit("|", 1)
-    wx = tuple(int(t) for t in wxs.split(".") if t)
-    wy = tuple(int(t) for t in wys.split(".") if t)
-    return (gx, wx), (gy, wy)
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +554,21 @@ def _candidates(Y, n, expected_faces, need_marked, guard):
 
 
 class _Guard:
-    def __init__(self, limit):
+    def __init__(self, limit, operation=None):
         self.limit = limit
         self.count = 0
+        self.operation = operation
+        self.dimension = None
 
     def step(self, k=1):
         self.count += k
         if self.count > self.limit:
+            where = f" in {self.operation}" if self.operation else ""
+            if self.dimension is not None:
+                where += f" at dimension {self.dimension}"
             raise ResourceLimitError(
-                f"search-space guard exceeded ({self.limit} steps)"
+                f"search-space guard exceeded ({self.limit} steps){where}",
+                self.operation, self.dimension, self.count,
             )
 
 
@@ -564,7 +577,7 @@ def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
     top = max((n for n in X.gens if X.gens_at(n)), default=0)
     if top > Y.bound:
         raise ValueError("X has generators above the bound of Y")
-    guard = _Guard(limit)
+    guard = _Guard(limit, "enumerate_maps")
     order = [(n, g) for n in sorted(X.gens) for g in X.gens_at(n)]
     results = []
     assignment = {}
@@ -620,7 +633,7 @@ def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
         return None
     if X.marked_counts()[: bound + 1] != Y.marked_counts()[: bound + 1]:
         return None
-    guard = _Guard(limit)
+    guard = _Guard(limit, "find_iso")
     order = [(n, g) for n in range(bound + 1) for g in X.gens_at(n)]
     if not order:
         return MSSetMap(X, Y, {})
@@ -672,7 +685,7 @@ def map_by_vertices(X: MarkedSSet, Y: MarkedSSet, vertex_images):
     Raises if some generator has no candidate or more than one.
     """
     assignment = {v: (vertex_images[v], ()) for v in X.gens_at(0)}
-    guard = _Guard(2_000_000)
+    guard = _Guard(2_000_000, "map_by_vertices")
     for n in sorted(X.gens):
         if n == 0:
             continue
@@ -706,14 +719,30 @@ def msset_to_json(X: MarkedSSet) -> dict:
 
 
 def msset_from_json(data: dict) -> MarkedSSet:
+    """Load schema msset/1; raises ValueError on malformed data."""
+    if not isinstance(data, dict):
+        raise ValueError("msset/1: expected a JSON object")
     if data.get("schema") != "msset/1":
         raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    gens = {int(n): tuple(ids) for n, ids in data["gens"].items()}
-    faces = {
-        g: tuple((f["gen"], tuple(f["word"])) for f in fs)
-        for g, fs in data["faces"].items()
-    }
-    return MarkedSSet(data["bound"], gens, faces, frozenset(data["marked"]))
+    missing = [k for k in ("bound", "gens", "faces", "marked") if k not in data]
+    if missing:
+        raise ValueError(f"msset/1: missing key(s) {', '.join(missing)}")
+    if not isinstance(data["bound"], int):
+        raise ValueError("msset/1: bound must be an integer")
+    try:
+        gens = {int(n): tuple(ids) for n, ids in data["gens"].items()}
+        faces = {
+            g: tuple((f["gen"], tuple(f["word"])) for f in fs)
+            for g, fs in data["faces"].items()
+        }
+        X = MarkedSSet(data["bound"], gens, faces, frozenset(data["marked"]))
+        problems = _structure_problems(X)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"msset/1: malformed data: {e!r}") from e
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ValueError(f"msset/1: {problems[0]}{more}")
+    return X
 
 
 def msset_dumps(X: MarkedSSet) -> str:

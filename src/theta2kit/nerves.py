@@ -10,9 +10,9 @@ underlying simplicial set.
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 
-from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, _Guard, from_raw
+from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, _Guard, degenerate
 from .twocat import Fin2Category, TwoFunctor
 
 # raw simplex: (verts, edges, tris) with edges indexed by pairs i<j and
@@ -44,179 +44,191 @@ def _tidx(n):
     return {p: t for t, p in enumerate(_triples(n))}
 
 
-class _RawOps:
-    """Simplicial operators on raw nerve simplices of a fixed 2-category."""
+def _getter(positions):
+    """A function picking the given positions of a sequence, as a tuple."""
+    if not positions:
+        return lambda seq: ()
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda seq: (seq[p],)
+    return operator.itemgetter(*positions)
+
+
+@functools.lru_cache(maxsize=None)
+def _face_getters(n, i):
+    """Getters taking the vertices, edges and triangles of a raw
+    n-simplex to those of its face d_i."""
+    keep = [a for a in range(n + 1) if a != i]
+    pidx, tidx = _pidx(n), _tidx(n)
+    return (
+        _getter(keep),
+        _getter([pidx[(keep[a], keep[b])] for a, b in _pairs(n - 1)]),
+        _getter([tidx[(keep[a], keep[b], keep[c])] for a, b, c in _triples(n - 1)]),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _degeneracy_test(n, i):
+    """How x == s_i d_{i+1} x reads on the positions of a raw n-simplex x.
+
+    s_i d_{i+1} renames vertex i+1 to i.  Given x_i == x_{i+1} and the
+    unit as edge (i, i+1), which the caller checks first, x is s_i d_{i+1} x
+    iff
+    - each collapsed triangle (i, i+1, c) or (a, i, i+1) is the identity
+      2-cell on its long edge (i, c) or (a, i); by the unit laws its
+      ends then force edge (i+1, c) == (i, c) and (a, i+1) == (a, i), so
+      edges need no check;
+    - every other triangle equals the one it is renamed to.
+    Returns a getter sending x's triangles to those of s_i d_{i+1} x, with
+    collapsed positions sent to themselves, and the collapsed triangles
+    as (position, a, c, long edge position).
+    """
+    r = [i if a == i + 1 else a for a in range(n + 1)]
+    pidx, tidx = _pidx(n), _tidx(n)
+    tris, collapsed = [], []
+    for t, (a, b, c) in enumerate(_triples(n)):
+        if len({r[a], r[b], r[c]}) == 3:
+            tris.append(tidx[(r[a], r[b], r[c])])
+        else:
+            tris.append(t)
+            collapsed.append((t, a, c, pidx[(r[a], r[c])]))
+    return _getter(tris), tuple(collapsed)
+
+
+@functools.lru_cache(maxsize=None)
+def _merge_getters(n):
+    """Getters assembling the edges and triangles of a raw n-simplex from
+    those of its base d_n followed by the new edges (i, n), ordered by i,
+    and the new triangles (i, j, n), ordered as the pairs (i, j)."""
+    pidx, tidx = _pidx(n - 1), _tidx(n - 1)
+    ne, nt = len(pidx), len(tidx)
+    return (
+        _getter([pidx[(a, b)] if b < n else ne + a for a, b in _pairs(n)]),
+        _getter([
+            tidx[(a, b, c)] if c < n else nt + pidx[(a, b)]
+            for a, b, c in _triples(n)
+        ]),
+    )
+
+
+class _Tables:
+    """The composition data nerve extension reads, as plain dicts."""
 
     def __init__(self, D: Fin2Category):
-        self.D = D
-
-    def _identity_two(self, x, y, f):
-        return self.D.hom_at(x, y).identity[f]
-
-    def face(self, raw, n, i):
-        verts, edges, tris = raw
-        keep = [a for a in range(n + 1) if a != i]
-        nverts = tuple(verts[a] for a in keep)
-        pidx = _pidx(n)
-        tidx = _tidx(n)
-        nedges = tuple(
-            edges[pidx[(keep[a], keep[b])]] for a, b in _pairs(n - 1)
-        )
-        ntris = tuple(
-            tris[tidx[(keep[a], keep[b], keep[c])]]
-            for a, b, c in _triples(n - 1)
-        )
-        return (nverts, nedges, ntris)
-
-    def degenerate(self, raw, n, p):
-        verts, edges, tris = raw
-        sig = tuple(a if a <= p else a - 1 for a in range(n + 2))
-        nverts = tuple(verts[s] for s in sig)
-        pidx = _pidx(n)
-        tidx = _tidx(n)
-        nedges = []
-        for a, b in _pairs(n + 1):
-            sa, sb = sig[a], sig[b]
-            if sa == sb:
-                nedges.append(self.D.unit1[verts[sa]])
-            else:
-                nedges.append(edges[pidx[(sa, sb)]])
-        ntris = []
-        for a, b, c in _triples(n + 1):
-            sa, sb, sc = sig[a], sig[b], sig[c]
-            if sa < sb < sc:
-                ntris.append(tris[tidx[(sa, sb, sc)]])
-            else:
-                # a collapsed edge: the triangle is the identity 2-cell
-                # on its long edge
-                if sa == sb:
-                    f = edges[pidx[(sb, sc)]] if sb != sc else self.D.unit1[verts[sa]]
-                else:
-                    f = edges[pidx[(sa, sb)]]
-                ntris.append(self._identity_two(nverts[a], nverts[c], f))
-        return (nverts, tuple(nedges), tuple(ntris))
+        self.objects = sorted(D.objects)
+        self.ones = {k: H.objects for k, H in D.hom.items()}
+        self.then = {k: H.compose for k, H in D.hom.items()}
+        self.ident = {k: H.identity for k, H in D.hom.items()}
+        self.hc1 = D.hcompose1
+        self.hc2 = D.hcompose2
+        # (x, y) -> {(source 1-cell, target 1-cell): [2-cells]}
+        self.two_cells = {}
+        for k, H in D.hom.items():
+            idx = {}
+            for m, ends in H.morphisms.items():
+                idx.setdefault(ends, []).append(m)
+            self.two_cells[k] = idx
 
 
-def _hom2_index(D, x, y, cache):
-    idx = cache.get((x, y))
-    if idx is None:
-        H = D.hom_at(x, y)
-        idx = {}
-        for m, (src, tgt) in H.morphisms.items():
-            idx.setdefault((src, tgt), []).append(m)
-        cache[(x, y)] = idx
-    return idx
-
-
-def _extend(D: Fin2Category, base, n, guard, hom2_cache):
+def _extend(tabs: _Tables, base, n, step):
     """All n-simplices extending the (n-1)-simplex base by a last vertex.
 
     Edges f_i: x_i -> x_n are chosen for i descending from n-1, and the
-    triangles phi_{ijn} over an edge are chosen (with cocycle pruning)
-    as soon as the edge is fixed, so dead branches die early.
+    triangles phi_{ijn} over an edge are chosen as soon as the edge is
+    fixed, so dead branches die early.  Choosing phi_{ijn} closes the
+    cocycle relation on (i, m, j, n) for every i < m < j, and on no
+    other quadruple; those relations are checked at once.
     """
     verts, edges, tris = base
     out = []
-    pidx = _pidx(n - 1)
-    tidx = _tidx(n - 1)
+    pidx, tidx = _pidx(n - 1), _tidx(n - 1)
+    merge_e, merge_t = _merge_getters(n)
+    ones, then, ident = tabs.ones, tabs.then, tabs.ident
+    hc1, hc2, two_cells = tabs.hc1, tabs.hc2, tabs.two_cells
 
-    for xn in sorted(D.objects):
-        if any(D.hom_at(verts[i], xn) is None for i in range(n)):
+    for xn in tabs.objects:
+        if any((v, xn) not in ones for v in verts):
             continue
+        new_e = [None] * n
+        new_t = [None] * len(pidx)
 
-        def emit(new_edges, new_tris):
-            all_edges = tuple(
-                edges[pidx[(i, j)]] if j < n else new_edges[i]
-                for i, j in _pairs(n)
-            )
-            all_tris = tuple(
-                tris[tidx[(i, j, k)]] if k < n else new_tris[(i, j)]
-                for i, j, k in _triples(n)
-            )
-            out.append((tuple(verts) + (xn,), all_edges, all_tris))
-
-        def pick_tris(i, j, new_edges, new_tris):
-            # triangles over vertex i, with third vertex j ascending
-            if j == n:
-                if i == 0:
-                    emit(new_edges, new_tris)
-                else:
-                    pick_edge(i - 1, new_edges, new_tris)
+        def pick_tris(i, j):
+            # the triangle phi_{ijn} over vertex i, then the next one
+            xi, xj = verts[i], verts[j]
+            tgt = hc1[(xi, xj, xn)][(edges[pidx[(i, j)]], new_e[j])]
+            cands = two_cells[(xi, xn)].get((new_e[i], tgt))
+            if not cands:
                 return
-            fij = edges[pidx[(i, j)]]
-            tgt = D.hc1(verts[i], verts[j], xn, fij, new_edges[j])
-            idx = _hom2_index(D, verts[i], xn, hom2_cache)
-            for phi in idx.get((new_edges[i], tgt), ()):
-                guard.step()
-                new_tris[(i, j)] = phi
-                if _relations_ok(D, verts, xn, edges, tris, pidx, tidx,
-                                 new_edges, new_tris, (i, j), n):
-                    pick_tris(i, j + 1, new_edges, new_tris)
-                del new_tris[(i, j)]
+            then_in = then[(xi, xn)]
+            id_fjn = ident[(xj, xn)][new_e[j]]
+            # (lhs, beta) per m: phi_{ijn} passes iff phi ; beta == lhs
+            checks = []
+            for m in range(i + 1, j):
+                xm = verts[m]
+                lhs = then_in[(
+                    new_t[pidx[(i, m)]],
+                    hc2[(xi, xm, xn)][(ident[(xi, xm)][edges[pidx[(i, m)]]],
+                                       new_t[pidx[(m, j)]])],
+                )]
+                beta = hc2[(xi, xj, xn)][(tris[tidx[(i, m, j)]], id_fjn)]
+                checks.append((lhs, beta))
+            slot = pidx[(i, j)]
+            step(len(cands))
+            for phi in cands:
+                for lhs, beta in checks:
+                    if then_in[(phi, beta)] != lhs:
+                        break
+                else:
+                    new_t[slot] = phi
+                    if j + 1 < n:
+                        pick_tris(i, j + 1)
+                    elif i:
+                        pick_edge(i - 1)
+                    else:
+                        emit()
 
-        def pick_edge(i, new_edges, new_tris):
-            for f in D.hom_at(verts[i], xn).objects:
-                guard.step()
-                new_edges[i] = f
-                pick_tris(i, i + 1, new_edges, new_tris)
-                del new_edges[i]
+        def pick_edge(i):
+            fs = ones[(verts[i], xn)]
+            step(len(fs))
+            for f in fs:
+                new_e[i] = f
+                if i + 1 < n:
+                    pick_tris(i, i + 1)
+                elif i:
+                    pick_edge(i - 1)
+                else:
+                    emit()
 
-        if n == 1:
-            for f in D.hom_at(verts[0], xn).objects:
-                guard.step()
-                emit({0: f}, {})
-        else:
-            pick_edge(n - 1, {}, {})
+        def emit():
+            out.append((
+                verts + (xn,),
+                merge_e(edges + tuple(new_e)),
+                merge_t(tris + tuple(new_t)),
+            ))
+
+        pick_edge(n - 1)
     return out
-
-
-def _relations_ok(D, verts, xn, edges, tris, pidx, tidx, new_edges, new_tris,
-                  last, n):
-    """Check cocycle relations on quadruples (i,j,k,n) made complete by last."""
-    for i, j, k in _triples(n - 1):
-        needed = [(i, j), (j, k), (i, k)]
-        if last not in needed or any(p not in new_tris for p in needed):
-            continue
-        xi, xj, xk = verts[i], verts[j], verts[k]
-        fij = edges[pidx[(i, j)]]
-        fjk = edges[pidx[(j, k)]]
-        fkn = new_edges[k]
-        H_in = D.hom_at(xi, xn)
-        Hij = D.hom_at(xi, xj)
-        Hkn = D.hom_at(xk, xn)
-        id_fij = Hij.identity[fij]
-        id_fkn = Hkn.identity[fkn]
-        lhs = H_in.then(
-            new_tris[(i, j)],
-            D.hc2(xi, xj, xn, id_fij, new_tris[(j, k)]),
-        )
-        rhs = H_in.then(
-            new_tris[(i, k)],
-            D.hc2(xi, xk, xn, tris[tidx[(i, j, k)]], id_fkn),
-        )
-        if lhs != rhs:
-            return False
-    return True
 
 
 _nerve_cache = {}
 
 
 def _raw_nerve(D: Fin2Category, bound: int, limit=5_000_000):
+    """Every raw simplex (degenerate ones included) per dimension."""
     key = (D.signature(), bound)
     if key in _nerve_cache:
         return _nerve_cache[key]
-    guard = _Guard(limit)
-    ops = _RawOps(D)
-    hom2_cache = {}
-    by_dim = {0: [((x,), (), ()) for x in sorted(D.objects)]}
+    guard = _Guard(limit, "nerve")
+    tabs = _Tables(D)
+    by_dim = {0: [((x,), (), ()) for x in tabs.objects]}
     for n in range(1, bound + 1):
+        guard.dimension = n
         layer = []
         for base in by_dim[n - 1]:
-            layer.extend(_extend(D, base, n, guard, hom2_cache))
+            layer.extend(_extend(tabs, base, n, guard.step))
         by_dim[n] = layer
-    _nerve_cache[key] = (by_dim, ops)
-    return by_dim, ops
+    _nerve_cache[key] = by_dim
+    return by_dim
 
 
 def _key_fn(raw, n):
@@ -224,9 +236,62 @@ def _key_fn(raw, n):
     return ";".join([",".join(verts), ",".join(edges), ",".join(tris)])
 
 
+def _build(D: Fin2Category, by_dim, bound, marked_fn):
+    """The marked nerve of a raw nerve, and its raw -> reference index.
+
+    Gives what msset.from_raw gives with the generic raw face and
+    degeneracy operators (the tests compare the two).  Faces are read
+    through position maps cached per (n, i), never rebuilt.  x = s_i y
+    needs x_i == x_{i+1} joined by the unit 1-cell, so only such i are
+    tried, and each is then confirmed exactly on all positions.
+    """
+    unit1 = D.unit1
+    ident = {k: H.identity for k, H in D.hom.items()}
+    normal = {}
+    gens, faces, marked, seen = {}, {}, set(), set()
+    for n in range(bound + 1):
+        face_at = [_face_getters(n, i) for i in range(n + 1)]
+        tests = [
+            (i, _pidx(n)[(i, i + 1)], *_degeneracy_test(n, i), face_at[i + 1])
+            for i in range(n)
+        ]
+        ids = []
+        for x in by_dim.get(n, ()):
+            verts, edges, tris = x
+            for i, unit_pos, same_t, collapsed, (fv, fe, ft) in tests:
+                v = verts[i]
+                if (
+                    v == verts[i + 1]
+                    and edges[unit_pos] == unit1[v]
+                    and same_t(tris) == tris
+                    and all(
+                        tris[t] == ident[(verts[a], verts[c])][edges[p]]
+                        for t, a, c, p in collapsed
+                    )
+                ):
+                    y = (fv(verts), fe(edges), ft(tris))
+                    normal[x] = degenerate(normal[y], i)
+                    break
+            else:
+                gid = _key_fn(x, n)
+                if gid in seen:
+                    raise ValueError(f"duplicate generator id {gid}")
+                seen.add(gid)
+                ids.append(gid)
+                if n >= 1:
+                    faces[gid] = tuple(
+                        normal[(fv(verts), fe(edges), ft(tris))]
+                        for fv, fe, ft in face_at
+                    )
+                    if marked_fn(x, n):
+                        marked.add(gid)
+                normal[x] = (gid, ())
+        gens[n] = tuple(sorted(ids))
+    return MarkedSSet(bound, gens, faces, frozenset(marked)), normal
+
+
 def _nerve(D: Fin2Category, marked_fn, bound, limit):
-    by_dim, ops = _raw_nerve(D, bound, limit)
-    return from_raw(bound, by_dim, ops.face, ops.degenerate, marked_fn, _key_fn)
+    return _build(D, _raw_nerve(D, bound, limit), bound, marked_fn)
 
 
 def _phi_of_2simplex(raw):
@@ -298,18 +363,11 @@ def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000)
     builders = {"rs": _rs_marked, "scaled": _scaled_marked,
                 "duskin": lambda D: (lambda raw, n: False)}
     mk = builders[variant]
-    X, _ = _nerve(F.source, mk(F.source), bound, limit)
+    X, xindex = _nerve(F.source, mk(F.source), bound, limit)
     Y, yindex = _nerve(F.target, mk(F.target), bound, limit)
-    xraws, _ = _raw_nerve(F.source, bound, limit)
-    raw_of = {}
-    _, xindex = _nerve(F.source, mk(F.source), bound, limit)
-    for n, raws in xraws.items():
-        for raw in raws:
-            ref = xindex[raw]
-            if not ref[1]:
-                raw_of.setdefault(ref[0], raw)
+    # each generator is the reference of exactly one raw simplex
     assignment = {
-        g: yindex[_apply_raw(F, raw)] for g, raw in raw_of.items()
+        g: yindex[_apply_raw(F, raw)] for raw, (g, w) in xindex.items() if not w
     }
     return MSSetMap(X, Y, assignment)
 
@@ -324,7 +382,8 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     The tuples satisfy d_i sigma_j = d_{j-1} sigma_i for i < j; every
     actual boundary of an n-simplex appears among them.
     """
-    guard = _Guard(limit)
+    guard = _Guard(limit, "compatible_boundaries")
+    guard.dimension = n
     cells = X.all_simplices(n - 1)
     faces = {s: tuple(X.face(s, i) for i in range(n)) for s in cells}
     # the first j faces of sigma_j are forced: d_i sigma_j = d_{j-1}

@@ -353,7 +353,11 @@ def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
         img = tgt_keyed[j][src_fs[i][t].compose(G).key()]
         nu = tuple(lam[v] for v in mu)
         out[(i, t, mu)] = canon[(j, img, nu)]
-    assert set(out.values()) <= set(tgt_classes)
+    stray = set(out.values()) - set(tgt_classes)
+    if stray:
+        raise RuntimeError(
+            f"evaluate_map: images outside the target's classes: {sorted(stray)[:3]}"
+        )
     return out
 
 

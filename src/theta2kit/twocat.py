@@ -289,7 +289,7 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
         return [Functor(C, D, {}, {})]
     if not D.objects and C.objects:
         return []
-    guard = _Guard(limit)
+    guard = _Guard(limit, "enumerate_functors")
     atoms = _atoms(C)
     factor = _factorizations(C, atoms)
     hom_cache = {}
@@ -872,7 +872,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     otherwise a full-table search with horizontal-composition filtering
     is used.
     """
-    guard = _Guard(limit)
+    guard = _Guard(limit, "enumerate_two_functors")
     if D.segments is not None:
         return _enumerate_free(D, E, guard)
     return _enumerate_full(D, E, guard)

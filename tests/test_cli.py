@@ -88,6 +88,16 @@ def test_suspend_missing_file_exits_2(tmp_path, capsys):
     assert main(["suspend", "--input", str(tmp_path / "absent.json")]) == 2
 
 
+def test_suspend_malformed_file_exits_2(tmp_path, capsys):
+    # exit code 1 would claim a failed verification
+    data = M.msset_to_json(M.standard_simplex(1, bound=3))
+    del data["gens"]
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps(data))
+    assert main(["suspend", "--input", str(src)]) == 2
+    assert "gens" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # lmap command
 

@@ -150,13 +150,14 @@ def test_product_with_point_is_identity_shaped():
 def test_product_marking_is_componentwise():
     T = M.standard_simplex(1, "edge_marked")
     S = M.standard_simplex(1, "sharp")
-    P = M.product(T, S)
+    P, index = M.product_with_index(T, S)
     marked_edges = [g for g in P.gens_at(1) if g in P.marked]
     # every nondegenerate edge projects to a marked edge in both factors
     # here (the marked edge or a degenerate one), so all five are marked
     assert len(marked_edges) == 5
+    pair_of = {g: pair for pair, (g, w) in index.items() if not w}
     for g in P.gens_at(1):
-        rx, ry = M._decode_pair(g)
+        rx, ry = pair_of[g]
         assert (g in P.marked) == (T.is_marked(rx) and S.is_marked(ry))
 
 
@@ -165,6 +166,15 @@ def test_product_map_tracks_projections():
     f = M.MSSetMap(X, X, {"0": ("0", ()), "1": ("0", ()), "01": ("0", (0,))})
     pf = M.product_map(f, M.identity_map(X))
     assert M.validate_map(pf).ok
+
+
+def test_product_map_of_a_product():
+    # generator ids of a product of products hold several '*'
+    X = M.standard_simplex(1)
+    P = M.product(X, X)
+    f = M.product_map(M.identity_map(P), M.identity_map(X))
+    assert M.validate_map(f).ok
+    assert f == M.identity_map(M.product(P, X))
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +313,38 @@ def test_json_rejects_unknown_schema():
     data["schema"] = "other/9"
     with pytest.raises(ValueError):
         M.msset_from_json(data)
+
+
+def _json_of_triangle():
+    return M.msset_to_json(M.standard_simplex(2, bound=3))
+
+
+@pytest.mark.parametrize("key", ["bound", "gens", "faces", "marked"])
+def test_json_rejects_missing_key(key):
+    data = _json_of_triangle()
+    del data[key]
+    with pytest.raises(ValueError, match=key):
+        M.msset_from_json(data)
+
+
+def test_json_rejects_face_of_unknown_generator():
+    data = _json_of_triangle()
+    data["faces"]["012"][1]["gen"] = "nowhere"
+    with pytest.raises(ValueError, match="unknown generator nowhere"):
+        M.msset_from_json(data)
+
+
+def test_json_rejects_wrong_number_of_faces():
+    data = _json_of_triangle()
+    data["faces"]["012"].pop()
+    with pytest.raises(ValueError, match="expected 3 faces"):
+        M.msset_from_json(data)
+
+
+def test_json_rejects_malformed_values():
+    data = _json_of_triangle()
+    data["faces"]["01"] = [{"gen": "0"}, {"gen": "1"}]
+    with pytest.raises(ValueError):
+        M.msset_from_json(data)
+    with pytest.raises(ValueError):
+        M.msset_from_json([])

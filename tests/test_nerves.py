@@ -1,6 +1,8 @@
 import itertools
 import math
 
+import pytest
+
 from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import twocat as T
@@ -110,7 +112,186 @@ def test_suspended_category_nerve_contains_shifted_nerve():
 
 
 # ---------------------------------------------------------------------------
+# nerves._build against the generic from_raw
+
+
+def _z2_suspension():
+    # hom(bot, top) has one 1-cell and a non-identity endo 2-cell t, so
+    # simplices with a unit edge can still be nondegenerate
+    C = T.FinCategory(
+        ("*",), {"e": ("*", "*"), "t": ("*", "*")}, {"*": "e"},
+        {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"},
+    )
+    assert T.validate_category(C).ok
+    return T.suspend_category(C)
+
+
+class _RawOps:
+    """The generic simplicial operators on raw nerve simplices of D, for
+    from_raw: the oracle of nerves._build."""
+
+    def __init__(self, D):
+        self.D = D
+
+    def _identity_two(self, x, y, f):
+        return self.D.hom_at(x, y).identity[f]
+
+    def face(self, raw, n, i):
+        verts, edges, tris = raw
+        keep = [a for a in range(n + 1) if a != i]
+        nverts = tuple(verts[a] for a in keep)
+        pidx = N._pidx(n)
+        tidx = N._tidx(n)
+        nedges = tuple(
+            edges[pidx[(keep[a], keep[b])]] for a, b in N._pairs(n - 1)
+        )
+        ntris = tuple(
+            tris[tidx[(keep[a], keep[b], keep[c])]]
+            for a, b, c in N._triples(n - 1)
+        )
+        return (nverts, nedges, ntris)
+
+    def degenerate(self, raw, n, p):
+        verts, edges, tris = raw
+        sig = tuple(a if a <= p else a - 1 for a in range(n + 2))
+        nverts = tuple(verts[s] for s in sig)
+        pidx = N._pidx(n)
+        tidx = N._tidx(n)
+        nedges = []
+        for a, b in N._pairs(n + 1):
+            sa, sb = sig[a], sig[b]
+            if sa == sb:
+                nedges.append(self.D.unit1[verts[sa]])
+            else:
+                nedges.append(edges[pidx[(sa, sb)]])
+        ntris = []
+        for a, b, c in N._triples(n + 1):
+            sa, sb, sc = sig[a], sig[b], sig[c]
+            if sa < sb < sc:
+                ntris.append(tris[tidx[(sa, sb, sc)]])
+            else:
+                # a collapsed edge: the triangle is the identity 2-cell
+                # on its long edge
+                if sa == sb:
+                    f = edges[pidx[(sb, sc)]] if sb != sc else self.D.unit1[verts[sa]]
+                else:
+                    f = edges[pidx[(sa, sb)]]
+                ntris.append(self._identity_two(nverts[a], nverts[c], f))
+        return (nverts, tuple(nedges), tuple(ntris))
+
+
+def _oracle_cases():
+    shapes = [T.Theta2Shape(0, ())]
+    for m in (1, 2):
+        for ks in itertools.product(range(3), repeat=m):
+            shapes.append(T.Theta2Shape(m, ks))
+    cases = [pytest.param(T.theta2_object(s), id=str(s)) for s in shapes]
+    cases += [
+        pytest.param(_z2_suspension(), id="Sigma Z/2"),
+        pytest.param(T.suspend_category(T.free_iso()), id="Sigma I"),
+        pytest.param(T.as_two_category(T.free_iso()), id="I"),
+    ]
+    return cases
+
+
+MARKINGS = {
+    "duskin": lambda D: (lambda raw, n: False),
+    "rs": N._rs_marked,
+    "scaled": N._scaled_marked,
+}
+
+
+@pytest.mark.parametrize("D", _oracle_cases())
+def test_build_matches_from_raw(D):
+    bound = 4
+    by_dim = N._raw_nerve(D, bound)
+    ops = _RawOps(D)
+    for marking, mk in MARKINGS.items():
+        X, index = N._build(D, by_dim, bound, mk(D))
+        Y, oracle = M.from_raw(
+            bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn
+        )
+        assert X.gens == Y.gens, marking
+        assert X.faces == Y.faces, marking
+        assert X.marked == Y.marked, marking
+        assert index == oracle, marking
+
+
+def _raw_without_cocycle(D, bound):
+    """Every raw simplex of D with the cocycle relations dropped.  The set
+    is still closed under faces and degeneracies, so from_raw takes it."""
+    by_dim = {}
+    for n in range(bound + 1):
+        pairs, layer = N._pairs(n), []
+        for verts in itertools.product(sorted(D.objects), repeat=n + 1):
+            homs = [D.one_cells(verts[i], verts[j]) for i, j in pairs]
+            for edges in itertools.product(*homs):
+                e = dict(zip(pairs, edges))
+                choices = []
+                for i, j, k in N._triples(n):
+                    ends = (e[(i, k)],
+                            D.hc1(verts[i], verts[j], verts[k], e[(i, j)], e[(j, k)]))
+                    H = D.hom_at(verts[i], verts[k])
+                    choices.append([m for m, st in H.morphisms.items() if st == ends])
+                layer.extend((verts, edges, tris)
+                             for tris in itertools.product(*choices))
+        by_dim[n] = layer
+    return by_dim
+
+
+def test_build_matches_from_raw_without_cocycle():
+    # here a unit edge and identity collapsed triangles do not force the
+    # other triangles to agree, so _build must compare every position
+    D = _z2_suspension()
+    by_dim = _raw_without_cocycle(D, 4)
+    assert len(by_dim[4]) > len(N._raw_nerve(D, 4)[4])
+    ops = _RawOps(D)
+    X, index = N._build(D, by_dim, 4, N._rs_marked(D))
+    Y, oracle = M.from_raw(4, by_dim, ops.face, ops.degenerate,
+                           N._rs_marked(D), N._key_fn)
+    assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
+    assert index == oracle
+
+
+def test_cocycle_condition_on_suspended_group():
+    # an n-simplex of Sigma G with k vertices at bot and l = n+1-k at top
+    # is a functor [k-1] x [l-1] -> BG, and there are |G|^(kl-1) of those:
+    # the cocycle relations are exactly functoriality on the grid
+    X = N.duskin_nerve(_z2_suspension(), bound=5)
+    for n in range(6):
+        mixed = sum(2 ** (k * (n + 1 - k) - 1) for k in range(1, n + 1))
+        assert len(X.all_simplices(n)) == 2 + mixed, n
+
+
+def test_nerve_guard_names_operation_dimension_and_steps(monkeypatch):
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    # dimension 1 of C2 takes 4 steps: one per 1-cell out of each vertex
+    with pytest.raises(M.ResourceLimitError) as info:
+        N.duskin_nerve(T.cell(2), bound=3, limit=3)
+    e = info.value
+    assert (e.operation, e.dimension, e.steps) == ("nerve", 1, 4)
+    assert "in nerve at dimension 1" in str(e)
+    with pytest.raises(M.ResourceLimitError) as info:
+        N.duskin_nerve(T.cell(2), bound=3, limit=4)
+    assert (info.value.dimension, info.value.steps) == (2, 5)
+
+
+# ---------------------------------------------------------------------------
 # functoriality
+
+
+def test_nerve_map_builds_each_nerve_once(monkeypatch):
+    built = []
+    build = N._build
+
+    def counting(D, *args):
+        built.append(D)
+        return build(D, *args)
+
+    monkeypatch.setattr(N, "_build", counting)
+    F = T.enumerate_two_functors(T.cell(1), T.cell(2))[0]
+    N.nerve_map(F, bound=3)
+    assert built == [F.source, F.target]
 
 
 def test_nerve_map_identity():

@@ -85,6 +85,20 @@ def test_evaluate_map_of_spine_is_injective_on_probe():
     assert len(set(out.values())) == len(out)
 
 
+def test_evaluate_map_checks_its_images(monkeypatch):
+    # the check must hold under python -O, so it may not be an assert
+    P = TH.vertical_segal(2)
+    evaluate = TH.evaluate
+
+    def drop_target_classes(W, theta, ell=0, limit=5_000_000):
+        classes = evaluate(W, theta, ell, limit)
+        return classes if W is P.source else []
+
+    monkeypatch.setattr(TH, "evaluate", drop_target_classes)
+    with pytest.raises(RuntimeError, match="outside the target"):
+        TH.evaluate_map(P, EDGE)
+
+
 # ---------------------------------------------------------------------------
 # degenerate cofibration conventions
 
