@@ -299,8 +299,14 @@ def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
 # standard simplices
 
 
-def _simplex_key(verts, n):
-    return "".join(str(v) for v in verts)
+def _simplex_key(verts):
+    """The id of the simplex of a standard simplex with these vertices.
+
+    Vertices 0..9 are written as digits, so Delta[ell] for ell <= 9 has
+    ids such as "013"; a larger vertex v is written "(v)", which keeps
+    the ids of every Delta[ell] distinct.
+    """
+    return "".join(str(v) if v < 10 else f"({v})" for v in verts)
 
 
 def standard_simplex(ell, variant="flat", horn=None, bound=None):
@@ -341,11 +347,11 @@ def standard_simplex(ell, variant="flat", horn=None, bound=None):
     for n, vlist in grouped.items():
         ids = []
         for verts in vlist:
-            gid = _simplex_key(verts, n)
+            gid = _simplex_key(verts)
             ids.append(gid)
             if n >= 1:
                 faces[gid] = tuple(
-                    (_simplex_key(verts[:i] + verts[i + 1 :], n - 1), ())
+                    (_simplex_key(verts[:i] + verts[i + 1 :]), ())
                     for i in range(n + 1)
                 )
                 if variant == "sharp":
@@ -718,15 +724,20 @@ def msset_to_json(X: MarkedSSet) -> dict:
     }
 
 
+def _check_json(data, schema, keys):
+    """Reject data that is not a JSON object of the schema with every key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{schema}: expected a JSON object")
+    if data.get("schema") != schema:
+        raise ValueError(f"unexpected schema {data.get('schema')!r}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"{schema}: missing key(s) {', '.join(missing)}")
+
+
 def msset_from_json(data: dict) -> MarkedSSet:
     """Load schema msset/1; raises ValueError on malformed data."""
-    if not isinstance(data, dict):
-        raise ValueError("msset/1: expected a JSON object")
-    if data.get("schema") != "msset/1":
-        raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    missing = [k for k in ("bound", "gens", "faces", "marked") if k not in data]
-    if missing:
-        raise ValueError(f"msset/1: missing key(s) {', '.join(missing)}")
+    _check_json(data, "msset/1", ("bound", "gens", "faces", "marked"))
     if not isinstance(data["bound"], int):
         raise ValueError("msset/1: bound must be an integer")
     try:

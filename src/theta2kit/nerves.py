@@ -9,6 +9,7 @@ underlying simplicial set.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 
@@ -123,11 +124,15 @@ class _Tables:
         self.hc2 = D.hcompose2
         # (x, y) -> {(source 1-cell, target 1-cell): [2-cells]}
         self.two_cells = {}
+        # (x, y) -> whether hom(x, y) is thin: at most one 2-cell between
+        # two 1-cells, as in every product of ordinals
+        self.thin = {}
         for k, H in D.hom.items():
             idx = {}
             for m, ends in H.morphisms.items():
                 idx.setdefault(ends, []).append(m)
             self.two_cells[k] = idx
+            self.thin[k] = all(len(ms) == 1 for ms in idx.values())
 
 
 def _extend(tabs: _Tables, base, n, step):
@@ -138,13 +143,19 @@ def _extend(tabs: _Tables, base, n, step):
     fixed, so dead branches die early.  Choosing phi_{ijn} closes the
     cocycle relation on (i, m, j, n) for every i < m < j, and on no
     other quadruple; those relations are checked at once.
+
+    Both sides of such a relation are parallel 2-cells of hom(x_i, x_n).
+    So when that hom is thin, the relations hold whatever is chosen:
+    there each phi_{ijn} is the one 2-cell f_in => f_jn . f_ij, if any,
+    and all of them are read off in one loop per edge f_in, unchecked.
+    The simplices and their order are those of the checked search.
     """
     verts, edges, tris = base
     out = []
     pidx, tidx = _pidx(n - 1), _tidx(n - 1)
     merge_e, merge_t = _merge_getters(n)
     ones, then, ident = tabs.ones, tabs.then, tabs.ident
-    hc1, hc2, two_cells = tabs.hc1, tabs.hc2, tabs.two_cells
+    hc1, hc2, two_cells, thin = tabs.hc1, tabs.hc2, tabs.two_cells, tabs.thin
 
     for xn in tabs.objects:
         if any((v, xn) not in ones for v in verts):
@@ -188,8 +199,33 @@ def _extend(tabs: _Tables, base, n, step):
                         emit()
 
         def pick_edge(i):
-            fs = ones[(verts[i], xn)]
+            xi = verts[i]
+            fs = ones[(xi, xn)]
             step(len(fs))
+            if thin[(xi, xn)]:
+                cells = two_cells[(xi, xn)]
+                # per triangle (i, j, n): its slot, f_ij and hc1 into x_n
+                slots = [
+                    (pidx[(i, j)], edges[pidx[(i, j)]], hc1[(xi, verts[j], xn)], j)
+                    for j in range(i + 1, n)
+                ]
+                for f in fs:
+                    new_e[i] = f
+                    tried = 0
+                    for slot, fij, comp, j in slots:
+                        phi = cells.get((f, comp[(fij, new_e[j])]))
+                        if phi is None:
+                            break
+                        new_t[slot] = phi[0]
+                        tried += 1
+                    step(tried)
+                    if tried < len(slots):
+                        continue
+                    if i:
+                        pick_edge(i - 1)
+                    else:
+                        emit()
+                return
             for f in fs:
                 new_e[i] = f
                 if i + 1 < n:
@@ -376,6 +412,16 @@ def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000)
 # coskeletality
 
 
+def _face_tuples(X: MarkedSSet, cells, n):
+    """The n+1 faces of each given n-simplex: a generator's are read from
+    X.faces, a degenerate simplex's are computed once here."""
+    faces = X.faces
+    return [
+        faces[g] if not w else tuple(X.face((g, w), i) for i in range(n + 1))
+        for g, w in cells
+    ]
+
+
 def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     """All (n+1)-tuples of (n-1)-simplices matching like a boundary.
 
@@ -385,38 +431,45 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     guard = _Guard(limit, "compatible_boundaries")
     guard.dimension = n
     cells = X.all_simplices(n - 1)
-    faces = {s: tuple(X.face(s, i) for i in range(n)) for s in cells}
+    # faces as interned integer ids, so that pool keys hash fast
+    ids = {}
+    faces = [
+        tuple([ids.setdefault(r, len(ids)) for r in fs])
+        for fs in _face_tuples(X, cells, n - 1)
+    ]
     # the first j faces of sigma_j are forced: d_i sigma_j = d_{j-1}
     # sigma_i, so index the cells by face prefixes for exact pool lookup
     by_prefix = [{} for _ in range(n + 1)]
-    for s in cells:
-        fs = faces[s]
+    for s, fs in zip(cells, faces):
         for k in range(n + 1):
-            by_prefix[k].setdefault(fs[:k], []).append(s)
+            by_prefix[k].setdefault(fs[:k], []).append((s, fs))
     results = []
-    chosen = []
+    chosen, chosen_faces = [], []
 
-    def extend(j):
-        if j == n + 1:
-            results.append(tuple(chosen))
+    def extend(j, pool):
+        # pool: the cells, with their faces, that sigma_j may be
+        guard.step(len(pool))
+        if j == n:
+            results.extend((*chosen, s) for s, _ in pool)
             return
-        key = tuple(faces[chosen[i]][j - 1] for i in range(min(j, n)))
-        for s in by_prefix[len(key)].get(key, ()):
-            guard.step()
-            chosen.append(s)
-            extend(j + 1)
-            chosen.pop()
+        # sigma_{j+1} has the faces d_j sigma_0, ..., d_j sigma_j first
+        index, face_j = by_prefix[j + 1], operator.itemgetter(j)
+        for s, fs in pool:
+            chosen_faces.append(fs)
+            following = index.get(tuple(map(face_j, chosen_faces)))
+            if following:
+                chosen.append(s)
+                extend(j + 1, following)
+                chosen.pop()
+            chosen_faces.pop()
 
-    extend(0)
+    extend(0, by_prefix[0].get((), []))
     return results
 
 
 def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
     """For each compatible boundary in dimension n, its number of fillers."""
-    index = {}
-    for x in X.all_simplices(n):
-        key = tuple(X.face(x, i) for i in range(n + 1))
-        index[key] = index.get(key, 0) + 1
+    index = collections.Counter(_face_tuples(X, X.all_simplices(n), n))
     return [
         (b, index.get(b, 0)) for b in compatible_boundaries(X, n, limit)
     ]

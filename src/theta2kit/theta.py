@@ -22,7 +22,7 @@ from .msset import (
     product_map,
     standard_simplex,
 )
-from .msset import _UnionFind
+from .msset import _check_json, _simplex_key, _UnionFind
 from .nerves import nerve_map, rs_nerve
 from .twocat import (
     Fin2Category,
@@ -30,10 +30,12 @@ from .twocat import (
     Theta2Shape,
     TwoFunctor,
     _enc,
+    _json_key,
     _mid,
     chain_count,
     enumerate_two_functors,
     theta2_object,
+    validate_two_functor,
 )
 
 
@@ -368,8 +370,7 @@ def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
 def _simplex_ref(vertex_seq):
     """Reference of the simplex with the given monotone vertex sequence
     inside a standard simplex."""
-    distinct = sorted(set(vertex_seq))
-    gid = "".join(str(v) for v in distinct)
+    gid = _simplex_key(sorted(set(vertex_seq)))
     word = tuple(
         p for p in range(len(vertex_seq) - 2, -1, -1)
         if vertex_seq[p] == vertex_seq[p + 1]
@@ -383,9 +384,11 @@ def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
     Y = standard_simplex(l_dst, variant, bound=bound)
     assignment = {}
     for n in sorted(X.gens):
-        for g in X.gens_at(n):
-            verts = tuple(int(c) for c in g)
-            assignment[g] = _simplex_ref(tuple(images[v] for v in verts))
+        ids = set(X.gens_at(n))
+        for verts in itertools.combinations(range(l_src + 1), n + 1):
+            g = _simplex_key(verts)
+            if g in ids:
+                assignment[g] = _simplex_ref(tuple(images[v] for v in verts))
     return MSSetMap(X, Y, assignment)
 
 
@@ -511,14 +514,26 @@ def parse_shape(text: str) -> Theta2Shape:
     return Theta2Shape(m, ks)
 
 
-def _functor_from_json(data) -> TwoFunctor:
-    src = theta2_object(parse_shape(data["source"]))
-    dst = theta2_object(parse_shape(data["target"]))
+def _functor_from_json(data, src_shape, dst_shape) -> TwoFunctor:
+    if (parse_shape(data["source"]), parse_shape(data["target"])) != (
+        src_shape, dst_shape
+    ):
+        raise ValueError(
+            f"functor {data['source']} -> {data['target']} does not join "
+            f"{src_shape} and {dst_shape}"
+        )
     hom_maps = {
-        tuple(k.split("|")): (dict(v["one"]), dict(v["two"]))
+        _json_key(k, 2): (dict(v["one"]), dict(v["two"]))
         for k, v in data["hom"].items()
     }
-    return TwoFunctor.from_tables(src, dst, dict(data["on_objects"]), hom_maps)
+    F = TwoFunctor.from_tables(
+        theta2_object(src_shape), theta2_object(dst_shape),
+        dict(data["on_objects"]), hom_maps,
+    )
+    report = validate_two_functor(F)
+    if not report.ok:
+        raise ValueError(f"not a 2-functor: {report.violations[0]}")
+    return F
 
 
 def presentation_to_json(W: Theta2Presentation) -> dict:
@@ -542,14 +557,19 @@ def presentation_to_json(W: Theta2Presentation) -> dict:
 
 
 def presentation_from_json(data: dict) -> Theta2Presentation:
-    if data.get("schema") != "theta/1":
-        raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    cells = tuple(
-        BoxCell(parse_shape(c["shape"]), c["level"]) for c in data["cells"]
-    )
-    arrows = tuple(
-        (a["src"], a["dst"], _functor_from_json(a["functor"]),
-         tuple(a["level_map"]))
-        for a in data["arrows"]
-    )
-    return Theta2Presentation(cells, arrows)
+    """Load schema theta/1; raises ValueError on malformed data."""
+    _check_json(data, "theta/1", ("cells", "arrows"))
+    try:
+        cells = tuple(
+            BoxCell(parse_shape(c["shape"]), c["level"]) for c in data["cells"]
+        )
+        arrows = []
+        for a in data["arrows"]:
+            i, j = a["src"], a["dst"]
+            if not (0 <= i < len(cells) and 0 <= j < len(cells)):
+                raise ValueError("arrow endpoint out of range")
+            F = _functor_from_json(a["functor"], cells[i].shape, cells[j].shape)
+            arrows.append((i, j, F, tuple(a["level_map"])))
+        return Theta2Presentation(cells, tuple(arrows))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"theta/1: malformed data: {e!r}") from e

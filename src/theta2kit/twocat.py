@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .msset import Report, ResourceLimitError, _Guard
+from .msset import Report, ResourceLimitError, _check_json, _Guard
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +138,10 @@ def free_iso() -> FinCategory:
                 compose[(u, v)] = v
             elif v == identity[t2]:
                 compose[(u, v)] = u
+            elif s1 == t2:
+                compose[(u, v)] = identity[s1]
             else:
-                compose[(u, v)] = identity[s1] if s1 == t2 else None
-    assert None not in compose.values()
+                raise RuntimeError(f"free_iso: no composite of {u} and {v}")
     return FinCategory(objects, morphisms, identity, compose)
 
 
@@ -1001,12 +1002,24 @@ def category_to_json(C: FinCategory) -> dict:
 
 
 def category_from_json(data: dict) -> FinCategory:
-    return FinCategory(
-        tuple(data["objects"]),
-        {f: tuple(v) for f, v in data["morphisms"].items()},
-        dict(data["identity"]),
-        {(f, g): h for f, g, h in data["compose"]},
-    )
+    """Load a category; raises ValueError on malformed data."""
+    try:
+        return FinCategory(
+            tuple(data["objects"]),
+            {f: tuple(v) for f, v in data["morphisms"].items()},
+            dict(data["identity"]),
+            {(f, g): h for f, g, h in data["compose"]},
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"category: malformed data: {e!r}") from e
+
+
+def _json_key(text: str, parts: int) -> tuple:
+    """Split a key such as "x|y" into exactly parts object names."""
+    names = tuple(text.split("|"))
+    if len(names) != parts:
+        raise ValueError(f"key {text!r} does not name {parts} objects")
+    return names
 
 
 def two_category_to_json(D: Fin2Category) -> dict:
@@ -1029,19 +1042,22 @@ def two_category_to_json(D: Fin2Category) -> dict:
 
 
 def two_category_from_json(data: dict) -> Fin2Category:
-    if data.get("schema") != "twocat/1":
-        raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    hom = {
-        tuple(k.split("|")): category_from_json(v) for k, v in data["hom"].items()
-    }
-    hcompose1 = {
-        tuple(k.split("|")): {(f, g): h for f, g, h in triples}
-        for k, triples in data["hcompose1"].items()
-    }
-    hcompose2 = {
-        tuple(k.split("|")): {(a, b): c for a, b, c in triples}
-        for k, triples in data["hcompose2"].items()
-    }
-    return Fin2Category(
-        tuple(data["objects"]), hom, hcompose1, hcompose2, dict(data["unit1"])
-    )
+    """Load schema twocat/1; raises ValueError on malformed data."""
+    _check_json(data, "twocat/1", ("objects", "hom", "hcompose1", "hcompose2", "unit1"))
+    try:
+        hom = {
+            _json_key(k, 2): category_from_json(v) for k, v in data["hom"].items()
+        }
+        hcompose1 = {
+            _json_key(k, 3): {(f, g): h for f, g, h in triples}
+            for k, triples in data["hcompose1"].items()
+        }
+        hcompose2 = {
+            _json_key(k, 3): {(a, b): c for a, b, c in triples}
+            for k, triples in data["hcompose2"].items()
+        }
+        return Fin2Category(
+            tuple(data["objects"]), hom, hcompose1, hcompose2, dict(data["unit1"])
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"twocat/1: malformed data: {e!r}") from e

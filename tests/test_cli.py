@@ -136,6 +136,14 @@ def test_lmap_of_presentation_file(tmp_path, capsys):
     assert M.find_iso(X, M.standard_simplex(1, bound=3)) is not None
 
 
+def test_lmap_of_malformed_presentation_exits_2(tmp_path, capsys):
+    # exit code 1 would claim a failed verification
+    pres = tmp_path / "w.json"
+    pres.write_text(json.dumps({"schema": "theta/1"}))
+    assert main(["lmap", "--presentation", str(pres), "--bound", "3"]) == 2
+    assert "cells" in capsys.readouterr().err
+
+
 def test_lmap_without_kind_or_presentation_exits_2(capsys):
     assert main(["lmap"]) == 2
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import json
 
 import pytest
@@ -98,6 +99,20 @@ def test_edge_marked_and_eq3():
     assert set(E.marked) == {"02", "13", "012", "013", "023", "123", "0123"}
     with pytest.raises(ValueError):
         M.standard_simplex(2, "eq3")
+
+
+@pytest.mark.parametrize("ell", [9, 10, 12, 14])
+def test_standard_simplex_ids_unique_past_nine(ell):
+    # digit-string ids made edge (0,12) and triangle (0,1,2) both "012"
+    X = M.standard_simplex(ell, bound=2)
+    assert M.validate_msset(X).ok
+    assert X.counts() == tuple(math.comb(ell + 1, n + 1) for n in range(3))
+
+
+def test_standard_simplex_ids_below_ten_are_digit_strings():
+    X = M.standard_simplex(12, bound=2)
+    assert "012" in X.gens_at(2) and "0(12)" in X.gens_at(1)
+    assert M.standard_simplex(9, bound=2).gens_at(1)[-1] == "89"
 
 
 def test_all_simplices_of_delta1():

@@ -217,6 +217,67 @@ def test_build_matches_from_raw(D):
         assert index == oracle, marking
 
 
+def _raw_nerve_checked(D, bound, monkeypatch):
+    """The raw nerve with every hom treated as non-thin, so that every
+    triangle goes through the checked search."""
+    init = N._Tables.__init__
+
+    def checked(self, D):
+        init(self, D)
+        self.thin = dict.fromkeys(self.thin, False)
+
+    with monkeypatch.context() as m:
+        m.setattr(N._Tables, "__init__", checked)
+        m.setattr(N, "_nerve_cache", {})
+        return N._raw_nerve(D, bound)
+
+
+@pytest.mark.parametrize("D", _oracle_cases())
+def test_thin_extension_matches_checked(D, monkeypatch):
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    assert N._raw_nerve(D, 4) == _raw_nerve_checked(D, 4, monkeypatch)
+
+
+def test_thin_flags_of_suspended_group():
+    # hom(bot, top) holds two parallel 2-cells, the endo-homs are [0],
+    # so one nerve of Sigma Z/2 runs both the thin and the checked path
+    thin = N._Tables(_z2_suspension()).thin
+    assert thin == {("bot", "top"): False, ("bot", "bot"): True,
+                    ("top", "top"): True}
+
+
+def _guard_steps(D, bound, monkeypatch, checked=False):
+    guards = []
+
+    class Recording(M._Guard):
+        def __init__(self, *args):
+            super().__init__(*args)
+            guards.append(self)
+
+    monkeypatch.setattr(N, "_Guard", Recording)
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    if checked:
+        _raw_nerve_checked(D, bound, monkeypatch)
+    else:
+        N._raw_nerve(D, bound)
+    return guards[-1].count
+
+
+@pytest.mark.parametrize("D", [
+    pytest.param(T.theta2_object(T.Theta2Shape(2, (1, 2))), id="[2|1,2]"),
+    pytest.param(_z2_suspension(), id="Sigma Z/2"),
+])
+def test_thin_extension_guard(D, monkeypatch):
+    # the thin path counts every triangle it tries, as the checked path does
+    steps = _guard_steps(D, 3, monkeypatch)
+    assert steps == _guard_steps(D, 3, monkeypatch, checked=True)
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    with pytest.raises(M.ResourceLimitError) as info:
+        N._raw_nerve(D, 3, limit=steps - 1)
+    e = info.value
+    assert (e.operation, e.dimension, e.steps) == ("nerve", 3, steps)
+
+
 def _raw_without_cocycle(D, bound):
     """Every raw simplex of D with the cocycle relations dropped.  The set
     is still closed under faces and degeneracies, so from_raw takes it."""
@@ -344,6 +405,54 @@ def test_duskin_nerve_is_3_coskeletal_on_grid():
         for n in (4, 5):
             for boundary, count in N.filler_counts(X, n):
                 assert count == 1, (shape, n, boundary)
+
+
+def _matching(X, b):
+    """Whether the simplices b satisfy d_i b_j = d_{j-1} b_i for i < j."""
+    return all(X.face(b[j], i) == X.face(b[i], j - 1)
+               for j in range(len(b)) for i in range(j))
+
+
+def _fillers_by_definition(X, n):
+    """Every (n+1)-tuple of (n-1)-simplices, in lexicographic order, that
+    matches like a boundary, with its number of fillers."""
+    cells = X.all_simplices(n - 1)
+    fillers = [tuple(X.face(x, i) for i in range(n + 1))
+               for x in X.all_simplices(n)]
+    return [
+        (b, fillers.count(b))
+        for b in itertools.product(cells, repeat=n + 1)
+        if _matching(X, b)
+    ]
+
+
+@pytest.mark.parametrize("D, most", [
+    pytest.param(T.cell(2), 1, id="C2"),
+    # the two parallel 2-cells of Sigma Z/2 fill the same boundary
+    pytest.param(_z2_suspension(), 2, id="Sigma Z/2"),
+])
+def test_filler_counts_by_definition(D, most):
+    X = N.duskin_nerve(D, bound=3)
+    for n in (2, 3):
+        assert N.filler_counts(X, n) == _fillers_by_definition(X, n), n
+    assert max(c for _, c in N.filler_counts(X, 2)) == most
+
+
+def test_compatible_boundaries_guard():
+    # one step per candidate sigma_j tried: per compatible prefix
+    # (sigma_0, ..., sigma_j), j <= n
+    X, n = N.duskin_nerve(_z2_suspension(), bound=3), 3
+    cells = X.all_simplices(n - 1)
+    steps = sum(
+        _matching(X, b)
+        for j in range(n + 1)
+        for b in itertools.product(cells, repeat=j + 1)
+    )
+    N.compatible_boundaries(X, n, limit=steps)
+    with pytest.raises(M.ResourceLimitError) as info:
+        N.compatible_boundaries(X, n, limit=steps - 1)
+    e = info.value
+    assert (e.operation, e.dimension, e.steps) == ("compatible_boundaries", n, steps)
 
 
 def test_classical_nerve_fills_from_dimension_two():

@@ -234,8 +234,43 @@ def test_presentation_json_round_trip():
             assert F == G
 
 
+def test_simplex_map_past_nine():
+    # ids of Delta[10] and Delta[11] are not one digit per vertex
+    images = (0, 1, 1, 2, 4, 5, 6, 7, 8, 9, 11)
+    f = TH.simplex_map(10, 11, images, bound=3)
+    assert M.validate_map(f).ok
+    assert f.assignment["9(10)"] == ("9(11)", ())
+    assert f.assignment["12"] == ("1", (0,))
+
+
 def test_presentation_json_rejects_bad_schema():
     data = TH.presentation_to_json(TH.representable(POINT))
     data["schema"] = "theta/0"
+    with pytest.raises(ValueError):
+        TH.presentation_from_json(data)
+
+
+def _functor(d):
+    return d["arrows"][0]["functor"]
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda d: d.pop("cells"), id="no cells"),
+    pytest.param(lambda d: d.pop("arrows"), id="no arrows"),
+    pytest.param(lambda d: d.update(cells=5), id="cells not a list"),
+    pytest.param(lambda d: d["cells"][0].pop("level"), id="no level"),
+    pytest.param(lambda d: d["cells"][0].update(shape="[2|"), id="bad shape"),
+    pytest.param(lambda d: d["arrows"][0].pop("functor"), id="no functor"),
+    pytest.param(lambda d: d["arrows"][0].update(src=7), id="src out of range"),
+    pytest.param(lambda d: d["arrows"][0].update(dst="0"), id="dst a string"),
+    pytest.param(lambda d: _functor(d).update(target="[0]"), id="wrong target"),
+    pytest.param(lambda d: _functor(d)["on_objects"].update({"1": "0"}),
+                 id="not a 2-functor"),
+    pytest.param(lambda d: _functor(d)["hom"].update({"0": {"one": {}, "two": {}}}),
+                 id="hom key of one object"),
+])
+def test_presentation_json_rejects_malformed_data(damage):
+    data = TH.presentation_to_json(TH.vertical_segal(2).source)
+    damage(data)
     with pytest.raises(ValueError):
         TH.presentation_from_json(data)

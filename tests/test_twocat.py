@@ -251,3 +251,24 @@ def test_two_category_json_rejects_bad_schema():
     data["schema"] = "nope/0"
     with pytest.raises(ValueError):
         T.two_category_from_json(data)
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda d: d.pop("hom"), id="no hom"),
+    pytest.param(lambda d: d.pop("unit1"), id="no unit1"),
+    pytest.param(lambda d: d.update(hom=[]), id="hom not an object"),
+    pytest.param(lambda d: d["hom"].update({"0": d["hom"]["0|1"]}),
+                 id="hom key of one object"),
+    pytest.param(lambda d: d["hom"]["0|1"].pop("compose"), id="no compose"),
+    pytest.param(lambda d: d["hom"]["0|1"].update(compose=[["a", "b"]]),
+                 id="compose pair"),
+    pytest.param(lambda d: d["hcompose1"].update({"0|1": []}),
+                 id="hcompose1 key of two objects"),
+    pytest.param(lambda d: d["hcompose2"]["0|0|1"].append([1]),
+                 id="hcompose2 entry of one cell"),
+])
+def test_two_category_json_rejects_malformed_data(damage):
+    data = T.two_category_to_json(T.cell(2))
+    damage(data)
+    with pytest.raises(ValueError):
+        T.two_category_from_json(data)
