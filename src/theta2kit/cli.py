@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -200,9 +201,7 @@ def suite_hom_bijection(args) -> VerifySuiteReport:
     max_j = getattr(args, "max_j", 3)
     shapes = [twocat.Theta2Shape(0, ())]
     for m in range(1, max_m + 1):
-        import itertools as it
-
-        for ks in it.product(range(max_k + 1), repeat=m):
+        for ks in itertools.product(range(max_k + 1), repeat=m):
             shapes.append(twocat.Theta2Shape(m, ks))
     for shape in shapes:
         for i in range(max_m + 1):
@@ -273,11 +272,9 @@ def suite_simplicial_identities(args) -> VerifySuiteReport:
 
 def suite_l_representables(args) -> VerifySuiteReport:
     rep = VerifySuiteReport("l-representables")
-    import itertools as it
-
     shapes = [twocat.Theta2Shape(0, ())]
     for m in (1, 2):
-        for ks in it.product(range(3), repeat=m):
+        for ks in itertools.product(range(3), repeat=m):
             shapes.append(twocat.Theta2Shape(m, ks))
     for shape in shapes:
         L = theta.apply_L(theta.representable(shape), bound=4)

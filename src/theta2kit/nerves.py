@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import operator
 
 from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, _Guard, degenerate
@@ -426,11 +427,19 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     """All (n+1)-tuples of (n-1)-simplices matching like a boundary.
 
     The tuples satisfy d_i sigma_j = d_{j-1} sigma_i for i < j; every
-    actual boundary of an n-simplex appears among them.
+    actual boundary of an n-simplex appears among them. Raises ValueError
+    for n < 1.
     """
+    if n < 1:
+        raise ValueError(f"boundaries need dimension at least 1, not {n}")
     guard = _Guard(limit, "compatible_boundaries")
     guard.dimension = n
     cells = X.all_simplices(n - 1)
+    if n == 1:
+        # vertices have no faces, so every ordered pair of them matches;
+        # one step per prefix, as below
+        guard.step(len(cells) * (1 + len(cells)))
+        return list(itertools.product(cells, repeat=2))
     # faces as interned integer ids, so that pool keys hash fast
     ids = {}
     faces = [
@@ -469,7 +478,6 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
 
 def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
     """For each compatible boundary in dimension n, its number of fillers."""
+    boundaries = compatible_boundaries(X, n, limit)
     index = collections.Counter(_face_tuples(X, X.all_simplices(n), n))
-    return [
-        (b, index.get(b, 0)) for b in compatible_boundaries(X, n, limit)
-    ]
+    return [(b, index.get(b, 0)) for b in boundaries]

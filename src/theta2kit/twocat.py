@@ -157,25 +157,36 @@ def _mid(a, b) -> str:
     return f"{_enc(a)}>{_enc(b)}"
 
 
+def _poset(ks):
+    """The tables of the poset [k_1] x ... x [k_r], each id formatted once.
+
+    Returns (cells, names, mids, category). The cells are the coordinate
+    tuples in itertools.product order; names[x] is the id of cell x and
+    mids[x] maps the index y of each cell above x, in the same order, to
+    the id of the morphism x -> y.
+    """
+    cells = list(itertools.product(*(range(k + 1) for k in ks)))
+    index = {t: x for x, t in enumerate(cells)}
+    names = [_enc(t) for t in cells]
+    mids = []
+    for a, name in zip(cells, names):
+        above = itertools.product(*(range(p, k + 1) for p, k in zip(a, ks)))
+        mids.append({y: name + ">" + names[y] for y in map(index.__getitem__, above)})
+    morphisms = {
+        f: (names[x], names[y]) for x, row in enumerate(mids) for y, f in row.items()
+    }
+    identity = {name: mids[x][x] for x, name in enumerate(names)}
+    compose = {}
+    for row in mids:
+        for y, f in row.items():
+            for z, g in mids[y].items():
+                compose[(f, g)] = row[z]
+    return cells, names, mids, FinCategory(tuple(names), morphisms, identity, compose)
+
+
 def product_poset(ks) -> FinCategory:
     """The poset [k_1] x ... x [k_r] as a category; r = 0 gives [0]."""
-    cells = list(itertools.product(*(range(k + 1) for k in ks)))
-    objects = tuple(_enc(t) for t in cells)
-    morphisms = {}
-    identity = {}
-    pairs = []
-    for a in cells:
-        for b in cells:
-            if all(x <= y for x, y in zip(a, b)):
-                morphisms[_mid(a, b)] = (_enc(a), _enc(b))
-                pairs.append((a, b))
-        identity[_enc(a)] = _mid(a, a)
-    compose = {}
-    for a, b in pairs:
-        for b2, c in pairs:
-            if b == b2:
-                compose[(_mid(a, b), _mid(b, c))] = _mid(a, c)
-    return FinCategory(objects, morphisms, identity, compose)
+    return _poset(ks)[3]
 
 
 def chain_count(C: FinCategory, j: int) -> int:
@@ -184,12 +195,11 @@ def chain_count(C: FinCategory, j: int) -> int:
         return len(C.objects)
     weights = {f: 1 for f in C.morphisms}
     for _ in range(j - 1):
-        nxt = {g: 0 for g in C.morphisms}
-        for g in C.morphisms:
-            for f in C.morphisms:
-                if C.tgt(f) == C.src(g):
-                    nxt[g] += weights[f]
-        weights = nxt
+        # chains of the current length ending at each object
+        ending = {}
+        for f, (_, b) in C.morphisms.items():
+            ending[b] = ending.get(b, 0) + weights[f]
+        weights = {g: ending.get(a, 0) for g, (a, _) in C.morphisms.items()}
     return sum(weights.values())
 
 
@@ -284,6 +294,11 @@ def _factorizations(C: FinCategory, atoms):
     return factor
 
 
+def _thin(homs) -> bool:
+    """Whether each (source, target) pair has at most one morphism."""
+    return all(len(fs) <= 1 for fs in homs.values())
+
+
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     """The complete, canonically ordered list of functors C -> D."""
     if not C.objects:
@@ -293,38 +308,58 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     guard = _Guard(limit, "enumerate_functors")
     atoms = _atoms(C)
     factor = _factorizations(C, atoms)
-    hom_cache = {}
+    # D's morphisms by (source, target), each list in sorted order
+    homs = {}
+    for f in sorted(D.morphisms):
+        homs.setdefault(D.morphisms[f], []).append(f)
 
     def hom(a, b):
-        if (a, b) not in hom_cache:
-            hom_cache[(a, b)] = D.hom(a, b)
-        return hom_cache[(a, b)]
+        return homs.get((a, b), [])
 
+    # The composite morphisms of C in the order in which a recursive
+    # evaluation over C.morphisms would first reach them, each after its
+    # factors, so every mor_map keeps that insertion order.
+    composites = []
+    seen = {C.identity[x] for x in C.objects} | set(atoms)
+
+    def visit(f):
+        if f not in seen:
+            g, h = factor[f]
+            visit(g)
+            visit(h)
+            seen.add(f)
+            composites.append((f, g, h))
+
+    for f in C.morphisms:
+        visit(f)
+    identities = [(C.identity[x], x) for x in C.objects]
+    # In a thin D both sides of a relation f;g = h have the same endpoints,
+    # so they are equal; only a D that is not thin needs the check.
+    relations = [] if _thin(homs) else [
+        (f, g, C.then(f, g))
+        for f in C.morphisms
+        for g in C.morphisms
+        if C.tgt(f) == C.src(g)
+    ]
     objs = sorted(C.objects)
+    targets = sorted(D.objects)
+    # the atoms whose hom must be nonempty once x is mapped
+    atom_ends = {
+        x: [C.morphisms[f] for f in atoms if x in C.morphisms[f]] for x in objs
+    }
     results = []
 
     def derive(obj_map, atom_map):
         mor_map = {}
-        for x in C.objects:
-            mor_map[C.identity[x]] = D.identity[obj_map[x]]
+        for i, x in identities:
+            mor_map[i] = D.identity[obj_map[x]]
         for f in atoms:
             mor_map[f] = atom_map[f]
-
-        def image(f):
-            if f in mor_map:
-                return mor_map[f]
-            g, h = factor[f]
-            mor_map[f] = D.then(image(g), image(h))
-            return mor_map[f]
-
-        for f in C.morphisms:
-            image(f)
-        for f in C.morphisms:
-            for g in C.morphisms:
-                if C.tgt(f) != C.src(g):
-                    continue
-                if mor_map[C.then(f, g)] != D.then(mor_map[f], mor_map[g]):
-                    return None
+        for f, g, h in composites:
+            mor_map[f] = D.compose[(mor_map[g], mor_map[h])]
+        for f, g, h in relations:
+            if mor_map[h] != D.compose[(mor_map[f], mor_map[g])]:
+                return None
         return mor_map
 
     def assign_atoms(obj_map, k, atom_map):
@@ -346,13 +381,14 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
             assign_atoms(obj_map, 0, {})
             return
         x = objs[k]
-        for y in sorted(D.objects):
+        for y in targets:
             guard.step()
             obj_map[x] = y
+            # atoms away from x were checked when their last end was mapped
             ok = all(
-                hom(obj_map[C.src(f)], obj_map[C.tgt(f)])
-                for f in atoms
-                if C.src(f) in obj_map and C.tgt(f) in obj_map
+                hom(obj_map[a], obj_map[b])
+                for a, b in atom_ends[x]
+                if a in obj_map and b in obj_map
             )
             if ok:
                 assign_objects(k + 1, obj_map)
@@ -568,50 +604,51 @@ def theta2_object(shape: Theta2Shape) -> Fin2Category:
     """The pasting 2-category [m|k_1,...,k_m] with product-poset homs."""
     m, ks = shape.m, shape.ks
     objects = tuple(str(i) for i in range(m + 1))
+    posets = {}
     hom = {}
-    tuples = {}
     for i in range(m + 1):
         for j in range(i, m + 1):
-            hom[(str(i), str(j))] = product_poset(ks[i:j])
-            tuples[(i, j)] = list(
-                itertools.product(*(range(k + 1) for k in ks[i:j]))
-            )
+            posets[(i, j)] = _poset(ks[i:j])
+            hom[(objects[i], objects[j])] = posets[(i, j)][3]
+    # hom(i, l) is hom(i, j) x hom(j, l): cell a + b of hom(i, l) has the
+    # index x * width + y, where x, y index a, b and width = |hom(j, l)|
     hcompose1, hcompose2 = {}, {}
     for i in range(m + 1):
         for j in range(i, m + 1):
+            _, names_ij, mids_ij, _ = posets[(i, j)]
             for l in range(j, m + 1):
-                key = (str(i), str(j), str(l))
+                _, names_jl, mids_jl, _ = posets[(j, l)]
+                _, names_il, mids_il, _ = posets[(i, l)]
+                width = len(names_jl)
                 t1, t2 = {}, {}
-                for a in tuples[(i, j)]:
-                    for b in tuples[(j, l)]:
-                        t1[(_enc(a), _enc(b))] = _enc(a + b)
-                for a in tuples[(i, j)]:
-                    for a2 in tuples[(i, j)]:
-                        if not all(p <= q for p, q in zip(a, a2)):
-                            continue
-                        for b in tuples[(j, l)]:
-                            for b2 in tuples[(j, l)]:
-                                if not all(p <= q for p, q in zip(b, b2)):
-                                    continue
-                                t2[(_mid(a, a2), _mid(b, b2))] = _mid(a + b, a2 + b2)
+                for x, f in enumerate(names_ij):
+                    for y, g in enumerate(names_jl, x * width):
+                        t1[(f, g)] = names_il[y]
+                for x, row in enumerate(mids_ij):
+                    for x2, alpha in row.items():
+                        for y, col in enumerate(mids_jl, x * width):
+                            out = mids_il[y]
+                            for y2, beta in col.items():
+                                t2[(alpha, beta)] = out[x2 * width + y2]
+                key = (objects[i], objects[j], objects[l])
                 hcompose1[key] = t1
                 hcompose2[key] = t2
-    unit1 = {str(i): _enc(()) for i in range(m + 1)}
-    segments = tuple((str(i), str(i + 1)) for i in range(m))
+    unit1 = {x: _enc(()) for x in objects}
+    segments = tuple((objects[i], objects[i + 1]) for i in range(m))
     one_decomp, two_decomp = {}, {}
     for i in range(m + 1):
         for j in range(i, m + 1):
-            for a in tuples[(i, j)]:
-                one_decomp[(str(i), str(j), _enc(a))] = tuple(
-                    ((str(i + t), str(i + t + 1)), _enc((a[t],)))
-                    for t in range(j - i)
+            cells, names, mids, _ = posets[(i, j)]
+            # the segment hom (t, t + 1) is [k_t], its cell (v,) has index v
+            segs = [(segments[t], posets[(t, t + 1)]) for t in range(i, j)]
+            for a, name, row in zip(cells, names, mids):
+                one_decomp[(objects[i], objects[j], name)] = tuple(
+                    (seg, p[1][v]) for v, (seg, p) in zip(a, segs)
                 )
-                for b in tuples[(i, j)]:
-                    if all(p <= q for p, q in zip(a, b)):
-                        two_decomp[(str(i), str(j), _mid(a, b))] = tuple(
-                            ((str(i + t), str(i + t + 1)), _mid((a[t],), (b[t],)))
-                            for t in range(j - i)
-                        )
+                for y, f in row.items():
+                    two_decomp[(objects[i], objects[j], f)] = tuple(
+                        (seg, p[2][v][w]) for v, w, (seg, p) in zip(a, cells[y], segs)
+                    )
     return Fin2Category(
         objects,
         hom,
@@ -884,6 +921,7 @@ def _enumerate_free(D, E, guard):
     eobjs = sorted(E.objects)
     results = []
     seg_homs = {pair: D.hom_at(*pair) for pair in D.segments}
+    seg_functors = {}  # (pair, fx, fy) -> the functors seg_homs[pair] -> E(fx, fy)
 
     def assign(k, on_objects):
         if k == len(objs):
@@ -893,7 +931,12 @@ def _enumerate_free(D, E, guard):
                 He = E.hom_at(fx, fy)
                 if He is None:
                     return
-                fns = enumerate_functors(seg_homs[pair], He, guard.limit)
+                key = (pair, fx, fy)
+                if key not in seg_functors:
+                    seg_functors[key] = enumerate_functors(
+                        seg_homs[pair], He, guard.limit
+                    )
+                fns = seg_functors[key]
                 guard.step(len(fns))
                 if not fns:
                     return

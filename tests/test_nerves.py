@@ -395,16 +395,8 @@ def test_nerve_map_composes():
 # coskeletality
 
 
-def test_duskin_nerve_is_3_coskeletal_on_grid():
-    shapes = [T.Theta2Shape(0, ())]
-    for m in (1, 2):
-        for ks in itertools.product(range(3), repeat=m):
-            shapes.append(T.Theta2Shape(m, ks))
-    for shape in shapes:
-        X = N.duskin_nerve(T.theta2_object(shape), bound=5)
-        for n in (4, 5):
-            for boundary, count in N.filler_counts(X, n):
-                assert count == 1, (shape, n, boundary)
+# 3-coskeletality of the Duskin nerves of the m, k <= 2 grid at bound 5 is
+# checked in test_acceptance.py.
 
 
 def _matching(X, b):
@@ -453,6 +445,36 @@ def test_compatible_boundaries_guard():
         N.compatible_boundaries(X, n, limit=steps - 1)
     e = info.value
     assert (e.operation, e.dimension, e.steps) == ("compatible_boundaries", n, steps)
+
+
+@pytest.mark.parametrize("D", [
+    pytest.param(T.cell(1), id="C1"),
+    pytest.param(T.cell(2), id="C2"),
+    pytest.param(_z2_suspension(), id="Sigma Z/2"),
+])
+def test_filler_counts_in_dimension_one(D):
+    # vertices have no faces to match, so every ordered pair of vertices
+    # is a compatible boundary; its fillers are the edges (d_0 e, d_1 e)
+    X = N.duskin_nerve(D, bound=2)
+    vertices = X.all_simplices(0)
+    edges = [(X.face(e, 0), X.face(e, 1)) for e in X.all_simplices(1)]
+    want = [(b, edges.count(b)) for b in itertools.product(vertices, repeat=2)]
+    assert N.filler_counts(X, 1) == want
+    assert N.compatible_boundaries(X, 1) == [b for b, _ in want]
+    # one guard step per prefix (sigma_0) and (sigma_0, sigma_1)
+    steps = len(vertices) + len(vertices) ** 2
+    N.compatible_boundaries(X, 1, limit=steps)
+    with pytest.raises(M.ResourceLimitError):
+        N.compatible_boundaries(X, 1, limit=steps - 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_filler_counts_reject_dimension_below_one(n):
+    X = N.duskin_nerve(T.cell(1), bound=2)
+    with pytest.raises(ValueError):
+        N.filler_counts(X, n)
+    with pytest.raises(ValueError):
+        N.compatible_boundaries(X, n)
 
 
 def test_classical_nerve_fills_from_dimension_two():
