@@ -365,9 +365,14 @@ def standard_simplex(ell, variant="flat", horn=None, bound=None):
     return MarkedSSet(bound, gens, faces, frozenset(marked))
 
 
+def _top_dim(X: MarkedSSet) -> int:
+    """The highest dimension with a generator (0 for an empty X)."""
+    return max((n for n in X.gens if X.gens_at(n)), default=0)
+
+
 def rebound(X: MarkedSSet, bound: int) -> MarkedSSet:
     """The same marked simplicial set with a different dimension bound."""
-    top = max((n for n in X.gens if X.gens_at(n)), default=0)
+    top = _top_dim(X)
     if top > bound:
         raise ValueError(f"generators in dimension {top} exceed bound {bound}")
     gens = {n: X.gens_at(n) for n in range(bound + 1)}
@@ -420,13 +425,18 @@ def product_map(f: MSSetMap, g: MSSetMap) -> MSSetMap:
     """The induced map f x g between the products."""
     P, pindex = product_with_index(f.source, g.source)
     Q, qindex = product_with_index(f.target, g.target)
+    return MSSetMap(P, Q, _product_assignment(pindex, qindex, f, g))
+
+
+def _product_assignment(pindex, qindex, f: MSSetMap, g: MSSetMap):
+    """The generator assignment of f x g, read off the pair -> reference
+    indices of the source and target products."""
     # each generator is the reference of exactly one pair
-    assignment = {
+    return {
         gid: qindex[(f.apply(rx), g.apply(ry))]
         for (rx, ry), (gid, w) in pindex.items()
         if not w
     }
-    return MSSetMap(P, Q, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +556,36 @@ def pushout(f: MSSetMap, g: MSSetMap):
 # maps: enumeration, mono/iso
 
 
-def _candidates(Y, n, expected_faces, need_marked, guard):
-    out = []
-    for ref in Y.all_simplices(n):
-        guard.step()
-        if need_marked and not Y.is_marked(ref):
-            continue
+def _group_by_faces(Y: MarkedSSet, n, refs):
+    """The n-simplices refs grouped by their tuple of faces; each group
+    keeps the order of refs."""
+    groups = {}
+    for ref in refs:
+        key = tuple(Y.face(ref, i) for i in range(n + 1)) if n else ()
+        groups.setdefault(key, []).append(ref)
+    return groups
+
+
+class _FaceIndex:
+    """Every simplex of Y per dimension, degenerate ones included, sorted
+    and grouped by faces; a dimension is indexed on its first lookup."""
+
+    def __init__(self, Y: MarkedSSet):
+        self.Y = Y
+        self._dims = {}
+
+    def candidates(self, n, expected_faces, need_marked, guard):
+        """The sorted n-simplices with the expected faces (any faces for
+        None), only marked ones if need_marked."""
+        if n not in self._dims:
+            refs = sorted(self.Y.all_simplices(n))
+            self._dims[n] = refs, _group_by_faces(self.Y, n, refs)
+        refs, groups = self._dims[n]
+        # as many steps as a scan of every n-simplex
+        guard.step(len(refs))
         if expected_faces is not None:
-            if any(Y.face(ref, i) != expected_faces[i] for i in range(n + 1)):
-                continue
-        out.append(ref)
-    return sorted(out)
+            refs = groups.get(tuple(expected_faces), ())
+        return [r for r in refs if not need_marked or self.Y.is_marked(r)]
 
 
 class _Guard:
@@ -580,10 +609,10 @@ class _Guard:
 
 def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
     """All marking-preserving maps X -> Y, canonically ordered."""
-    top = max((n for n in X.gens if X.gens_at(n)), default=0)
-    if top > Y.bound:
+    if _top_dim(X) > Y.bound:
         raise ValueError("X has generators above the bound of Y")
     guard = _Guard(limit, "enumerate_maps")
+    index = _FaceIndex(Y)
     order = [(n, g) for n in sorted(X.gens) for g in X.gens_at(n)]
     results = []
     assignment = {}
@@ -600,7 +629,7 @@ def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
                 MSSetMap(X, Y, assignment).apply(X.face((g, ()), i))
                 for i in range(n + 1)
             ]
-        for ref in _candidates(Y, n, expected, g in X.marked, guard):
+        for ref in index.candidates(n, expected, g in X.marked, guard):
             assignment[g] = ref
             extend(k + 1)
             del assignment[g]
@@ -624,8 +653,8 @@ def is_iso(f: MSSetMap) -> bool:
         if len(f.source.gens_at(n)) != len(f.target.gens_at(n)):
             return False
         for g in f.source.gens_at(n):
-            img = f.assignment[g]
-            if img[1]:
+            img = f.assignment.get(g)
+            if img is None or img[1]:
                 return False
             if (g in f.source.marked) != (img[0] in f.target.marked):
                 return False
@@ -633,8 +662,13 @@ def is_iso(f: MSSetMap) -> bool:
 
 
 def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
-    """Search for an isomorphism of marked simplicial sets; None if absent."""
+    """Search for an isomorphism of marked simplicial sets; None if absent.
+
+    Raises ValueError if X or Y has a generator above the common bound.
+    """
     bound = min(X.bound, Y.bound)
+    if max(_top_dim(X), _top_dim(Y)) > bound:
+        raise ValueError(f"find_iso: generators above the common bound {bound}")
     if X.counts()[: bound + 1] != Y.counts()[: bound + 1]:
         return None
     if X.marked_counts()[: bound + 1] != Y.marked_counts()[: bound + 1]:
@@ -644,19 +678,22 @@ def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
     if not order:
         return MSSetMap(X, Y, {})
     assignment = {}
+    partial = MSSetMap(X, Y, assignment)
     used = set()
+    by_faces = [
+        _group_by_faces(Y, n, [(h, ()) for h in Y.gens_at(n)])
+        for n in range(bound + 1)
+    ]
 
     def candidates(k):
         n, g = order[k]
         if n == 0:
             return list(Y.gens_at(0))
-        partial = MSSetMap(X, Y, assignment)
-        expected = [partial.apply(X.face((g, ()), i)) for i in range(n + 1)]
+        expected = tuple(partial.apply(r) for r in X.faces[g])
+        marked = g in X.marked
         return [
-            h
-            for h in Y.gens_at(n)
-            if list(Y.faces[h]) == expected
-            and (g in X.marked) == (h in Y.marked)
+            h for h, _ in by_faces[n].get(expected, ())
+            if (h in Y.marked) == marked
         ]
 
     # explicit-stack backtracking: nerves can have thousands of
@@ -692,13 +729,14 @@ def map_by_vertices(X: MarkedSSet, Y: MarkedSSet, vertex_images):
     """
     assignment = {v: (vertex_images[v], ()) for v in X.gens_at(0)}
     guard = _Guard(2_000_000, "map_by_vertices")
+    index = _FaceIndex(Y)
     for n in sorted(X.gens):
         if n == 0:
             continue
         for g in X.gens_at(n):
             partial = MSSetMap(X, Y, assignment)
             expected = [partial.apply(X.face((g, ()), i)) for i in range(n + 1)]
-            cands = _candidates(Y, n, expected, g in X.marked, guard)
+            cands = index.candidates(n, expected, g in X.marked, guard)
             if len(cands) != 1:
                 raise ValueError(
                     f"{g}: expected a unique extension, found {len(cands)}"

@@ -402,11 +402,16 @@ def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000)
     mk = builders[variant]
     X, xindex = _nerve(F.source, mk(F.source), bound, limit)
     Y, yindex = _nerve(F.target, mk(F.target), bound, limit)
+    return MSSetMap(X, Y, _nerve_assignment(F, xindex, yindex))
+
+
+def _nerve_assignment(F: TwoFunctor, xindex, yindex):
+    """The generator assignment of the map induced by F, read off the
+    raw -> reference indices of its source and target nerves."""
     # each generator is the reference of exactly one raw simplex
-    assignment = {
+    return {
         g: yindex[_apply_raw(F, raw)] for raw, (g, w) in xindex.items() if not w
     }
-    return MSSetMap(X, Y, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .msset import (
     DEFAULT_BOUND,
@@ -18,12 +19,11 @@ from .msset import (
     MSSetMap,
     colimit,
     enumerate_maps,
-    product,
-    product_map,
+    product_with_index,
     standard_simplex,
 )
-from .msset import _check_json, _simplex_key, _UnionFind
-from .nerves import nerve_map, rs_nerve
+from .msset import _check_json, _product_assignment, _simplex_key, _UnionFind
+from .nerves import _nerve_assignment, rs_nerve_with_index
 from .twocat import (
     Fin2Category,
     Functor,
@@ -380,6 +380,15 @@ def _simplex_ref(vertex_seq):
 
 def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
     """Map of standard simplices induced by monotone vertex images."""
+    images = tuple(images)
+    if len(images) != l_src + 1:
+        raise ValueError(
+            f"simplex_map: expected {l_src + 1} vertex images, got {len(images)}"
+        )
+    if any(a > b for a, b in zip(images, images[1:])):
+        raise ValueError(f"simplex_map: vertex images {images} not monotone")
+    if any(not 0 <= v <= l_dst for v in images):
+        raise ValueError(f"simplex_map: vertex images {images} outside 0..{l_dst}")
     X = standard_simplex(l_src, variant, bound=bound)
     Y = standard_simplex(l_dst, variant, bound=bound)
     assignment = {}
@@ -392,44 +401,67 @@ def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
     return MSSetMap(X, Y, assignment)
 
 
-def _box_nerve(cell: BoxCell, bound):
-    return product(
-        rs_nerve(theta2_object(cell.shape), bound),
-        standard_simplex(cell.level, "sharp", bound=bound),
+class _Block(NamedTuple):
+    """The L block of a box cell: the nerve of its shape and the product
+    with the sharp simplex on its level, each with its raw index."""
+
+    nerve: MarkedSSet
+    nerve_index: dict
+    product: MarkedSSet
+    product_index: dict
+
+
+def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
+    """cell's block, built on first use and kept in blocks, a dict that
+    lives for one call."""
+    if cell not in blocks:
+        X, xindex = rs_nerve_with_index(theta2_object(cell.shape), bound)
+        S = standard_simplex(cell.level, "sharp", bound=bound)
+        blocks[cell] = _Block(X, xindex, *product_with_index(X, S))
+    return blocks[cell]
+
+
+def _block_map(blocks: dict, G: TwoFunctor, lam, src: BoxCell, dst: BoxCell,
+               bound) -> MSSetMap:
+    """The map of blocks induced by the shape functor G and the level
+    map lam, read off the indices of both blocks."""
+    a, b = _block(blocks, src, bound), _block(blocks, dst, bound)
+    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, a.nerve_index, b.nerve_index))
+    sf = simplex_map(src.level, dst.level, lam, "sharp", bound)
+    return MSSetMap(
+        a.product, b.product,
+        _product_assignment(a.product_index, b.product_index, nf, sf),
     )
 
 
-def _box_map(G: TwoFunctor, lam, l_src, l_dst, bound) -> MSSetMap:
-    nf = nerve_map(G, "rs", bound)
-    sf = simplex_map(l_src, l_dst, lam, "sharp", bound)
-    return product_map(nf, sf)
+def _L_diagram(W: Theta2Presentation, blocks: dict, bound):
+    """The nodes and arrows whose colimit is L(W)."""
+    nodes = [_block(blocks, cell, bound).product for cell in W.cells]
+    arrows = [
+        (i, j, _block_map(blocks, G, lam, W.cells[i], W.cells[j], bound))
+        for i, j, G, lam in W.arrows
+    ]
+    return nodes, arrows
 
 
 def apply_L(W: Theta2Presentation, bound=DEFAULT_BOUND):
     """L of a presentation: colimit of nerve-times-simplex blocks."""
-    colim, _ = _apply_L_with_legs(W, bound)
-    return colim
-
-
-def _apply_L_with_legs(W: Theta2Presentation, bound):
-    nodes = [_box_nerve(cell, bound) for cell in W.cells]
-    arrows = []
-    for i, j, G, lam in W.arrows:
-        f = _box_map(G, lam, W.cells[i].level, W.cells[j].level, bound)
-        # product_map rebuilds the product objects; re-anchor on ours
-        arrows.append((i, j, MSSetMap(nodes[i], nodes[j], f.assignment)))
-    return colimit(nodes, arrows, bound=bound)
+    nodes, arrows = _L_diagram(W, {}, bound)
+    return colimit(nodes, arrows, bound=bound)[0]
 
 
 def apply_L_map(P: PresentationMap, bound=DEFAULT_BOUND) -> MSSetMap:
-    src, src_legs = _apply_L_with_legs(P.source, bound)
-    tgt, tgt_legs = _apply_L_with_legs(P.target, bound)
-    node_maps = []
-    for i, cell in enumerate(P.source.cells):
-        j, G, lam = P.cell_map[i]
-        node_maps.append(
-            (j, _box_map(G, lam, cell.level, P.target.cells[j].level, bound))
-        )
+    blocks = {}
+    src_diagram = _L_diagram(P.source, blocks, bound)
+    tgt_diagram = _L_diagram(P.target, blocks, bound)
+    node_maps = [
+        (j, _block_map(blocks, G, lam, cell, P.target.cells[j], bound))
+        for cell, (j, G, lam) in zip(P.source.cells, P.cell_map)
+    ]
+    # every index has been read: free them before the colimits
+    del blocks
+    src, src_legs = colimit(*src_diagram, bound=bound)
+    tgt, tgt_legs = colimit(*tgt_diagram, bound=bound)
     assignment = {}
     for i, leg in enumerate(src_legs):
         j, f = node_maps[i]
@@ -448,7 +480,7 @@ def apply_L_map(P: PresentationMap, bound=DEFAULT_BOUND) -> MSSetMap:
 def apply_R_at(X: MarkedSSet, theta: Theta2Shape, ell: int = 0,
                limit=2_000_000):
     """Pointwise right adjoint: maps from the L-image of a box cell."""
-    block = _box_nerve(BoxCell(theta, ell), X.bound)
+    block = _block({}, BoxCell(theta, ell), X.bound).product
     return enumerate_maps(block, X, limit)
 
 

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from theta2kit import msset as M
+from theta2kit import nerves as N
+from theta2kit import theta as TH
+from theta2kit import twocat as T
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +287,253 @@ def test_map_by_vertices_unique_extension():
     assert f.assignment["012"] == ("012", ())
     g = M.map_by_vertices(D2, D2, {"0": "0", "1": "0", "2": "0"})
     assert g.assignment["012"][0] == "0"
+
+
+def test_is_iso_rejects_a_missing_generator():
+    D1 = M.standard_simplex(1)
+    f = M.MSSetMap(D1, D1, {"0": ("0", ()), "1": ("1", ())})
+    assert not M.is_iso(f)
+
+
+def test_find_iso_rejects_generators_above_the_common_bound():
+    # X's generator 012 is above Y's bound, and so outside the search
+    X = M.standard_simplex(2, bound=2)
+    Y = M.standard_simplex(2, "boundary", bound=1)
+    with pytest.raises(ValueError, match="common bound"):
+        M.find_iso(X, Y)
+    with pytest.raises(ValueError, match="common bound"):
+        M.find_iso(Y, X)
+
+
+# ---------------------------------------------------------------------------
+# the face indices of find_iso and enumerate_maps against linear scans
+
+
+def _scan_candidates(Y, n, expected_faces, need_marked, guard):
+    """Every n-simplex of Y scanned for its faces and marking."""
+    out = []
+    for ref in Y.all_simplices(n):
+        guard.step()
+        if need_marked and not Y.is_marked(ref):
+            continue
+        if expected_faces is not None:
+            if any(Y.face(ref, i) != expected_faces[i] for i in range(n + 1)):
+                continue
+        out.append(ref)
+    return sorted(out)
+
+
+class _ScanIndex:
+    def __init__(self, Y):
+        self.Y = Y
+
+    def candidates(self, n, expected_faces, need_marked, guard):
+        return _scan_candidates(self.Y, n, expected_faces, need_marked, guard)
+
+
+def _linear_find_iso(X, Y, limit=2_000_000):
+    """find_iso with every candidate list a scan of Y's generators;
+    returns the map (or None) and the guard's step total."""
+    bound = min(X.bound, Y.bound)
+    if X.counts()[: bound + 1] != Y.counts()[: bound + 1]:
+        return None, 0
+    if X.marked_counts()[: bound + 1] != Y.marked_counts()[: bound + 1]:
+        return None, 0
+    guard = M._Guard(limit, "find_iso")
+    order = [(n, g) for n in range(bound + 1) for g in X.gens_at(n)]
+    if not order:
+        return M.MSSetMap(X, Y, {}), 0
+    assignment = {}
+    used = set()
+
+    def candidates(k):
+        n, g = order[k]
+        if n == 0:
+            return list(Y.gens_at(0))
+        partial = M.MSSetMap(X, Y, assignment)
+        expected = [partial.apply(X.face((g, ()), i)) for i in range(n + 1)]
+        return [
+            h
+            for h in Y.gens_at(n)
+            if list(Y.faces[h]) == expected
+            and (g in X.marked) == (h in Y.marked)
+        ]
+
+    stack = [[candidates(0), 0]]
+    while stack:
+        k = len(stack) - 1
+        g = order[k][1]
+        if g in assignment:
+            used.discard(assignment[g][0])
+            del assignment[g]
+        cands, idx = stack[-1]
+        if idx >= len(cands):
+            stack.pop()
+            continue
+        stack[-1][1] = idx + 1
+        h = cands[idx]
+        guard.step()
+        if h in used:
+            continue
+        assignment[g] = (h, ())
+        used.add(h)
+        if len(stack) == len(order):
+            return M.MSSetMap(X, Y, dict(assignment)), guard.count
+        stack.append([candidates(len(stack)), 0])
+    return None, guard.count
+
+
+def _recording_guards(monkeypatch):
+    """Replace msset._Guard by a subclass that keeps every instance."""
+    guards = []
+
+    class Recording(M._Guard):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            guards.append(self)
+
+    monkeypatch.setattr(M, "_Guard", Recording)
+    return guards
+
+
+def assert_find_iso_matches_scan(X, Y, monkeypatch):
+    """find_iso gives the linear search's map, key order included, and
+    its step total."""
+    expected, steps = _linear_find_iso(X, Y)
+    guards = _recording_guards(monkeypatch)
+    got = M.find_iso(X, Y)
+    monkeypatch.undo()
+    if expected is None:
+        assert got is None
+    else:
+        assert list(got.assignment.items()) == list(expected.assignment.items())
+        assert got.source is X and got.target is Y
+    assert sum(g.count for g in guards) == steps
+    return got
+
+
+def _delta2_marked_at(edge):
+    D2 = M.standard_simplex(2)
+    return M.MarkedSSet(D2.bound, D2.gens, D2.faces, frozenset({edge}))
+
+
+def _square():
+    return M.product(M.standard_simplex(1, "sharp"), M.standard_simplex(1))
+
+
+def test_find_iso_matches_the_linear_search(monkeypatch):
+    D2 = M.standard_simplex(2)
+    sq = _square()
+    flipped = M.product(M.standard_simplex(1), M.standard_simplex(1, "sharp"))
+    cases = [
+        (D2, D2),
+        (sq, sq),
+        (sq, flipped),
+        (M.standard_simplex(3, "eq3", bound=4), M.standard_simplex(3, "eq3", bound=4)),
+        (M.standard_simplex(3, "horn", horn=1), M.standard_simplex(3, "horn", horn=1)),
+    ]
+    for X, Y in cases:
+        assert assert_find_iso_matches_scan(X, Y, monkeypatch) is not None
+
+
+def test_find_iso_matches_the_linear_search_when_only_markings_differ(monkeypatch):
+    # same generator and marked counts, so the search runs and fails
+    X, Y = _delta2_marked_at("01"), _delta2_marked_at("12")
+    assert X.marked_counts() == Y.marked_counts()
+    assert assert_find_iso_matches_scan(X, Y, monkeypatch) is None
+    assert _linear_find_iso(X, Y)[1] > 0
+
+
+def test_find_iso_matches_the_linear_search_on_L_images(monkeypatch):
+    bound = 4
+    for shape in (T.Theta2Shape(0, ()), T.Theta2Shape(1, (1,)),
+                  T.Theta2Shape(1, (2,)), T.Theta2Shape(2, (1, 0))):
+        L = TH.apply_L(TH.representable(shape), bound)
+        R = N.rs_nerve(T.theta2_object(shape), bound)
+        assert assert_find_iso_matches_scan(L, R, monkeypatch) is not None
+    for P, shape in ((TH.vertical_segal(2), T.Theta2Shape(1, (2,))),
+                     (TH.horizontal_segal(2, (1, 0)), T.Theta2Shape(2, (1, 0)))):
+        f = TH.apply_L_map(P, bound)
+        R = N.rs_nerve(T.theta2_object(shape), bound)
+        assert assert_find_iso_matches_scan(f.target, R, monkeypatch) is not None
+    # level 1: the nerve times the sharp interval
+    cone = T.Theta2Shape(1, (1,))
+    L = TH.apply_L(TH.representable(cone, 1), 3)
+    R = M.product(
+        N.rs_nerve(T.theta2_object(cone), 3), M.standard_simplex(1, "sharp", bound=3)
+    )
+    assert assert_find_iso_matches_scan(L, R, monkeypatch) is not None
+
+
+def _probe_faces(Y, n):
+    """Face tuples to look up in dimension n: those of every n-simplex
+    of Y, one no simplex has, and None."""
+    if n == 0:
+        return [None]
+    probes = {
+        tuple(Y.face(ref, i) for i in range(n + 1)) for ref in Y.all_simplices(n)
+    }
+    probes.add((("nowhere", ()),) * (n + 1))
+    return sorted(probes) + [None]
+
+
+def test_face_index_candidates_match_the_scan():
+    for Y in (_square(), M.standard_simplex(3, "eq3"), _delta2_marked_at("01")):
+        index = M._FaceIndex(Y)
+        for n in range(4):
+            for expected in _probe_faces(Y, n):
+                for need_marked in (False, True):
+                    g_scan, g_index = M._Guard(10**9), M._Guard(10**9)
+                    want = _scan_candidates(Y, n, expected, need_marked, g_scan)
+                    got = index.candidates(n, expected, need_marked, g_index)
+                    assert got == want, (n, expected, need_marked)
+                    assert g_index.count == g_scan.count
+
+
+def _maps_and_steps(monkeypatch, run, index_class):
+    monkeypatch.setattr(M, "_FaceIndex", index_class)
+    guards = _recording_guards(monkeypatch)
+    out = run()
+    monkeypatch.undo()
+    return out, [g.count for g in guards]
+
+
+def test_enumerate_maps_matches_the_scan(monkeypatch):
+    sq = _square()
+    cases = [
+        (M.standard_simplex(1), sq),
+        (M.standard_simplex(2), sq),
+        (M.standard_simplex(1, "edge_marked"), sq),
+        (M.standard_simplex(2, "boundary"), M.standard_simplex(2)),
+        (sq, M.standard_simplex(1, "sharp")),
+    ]
+    for X, Y in cases:
+        def run():
+            return [list(f.assignment.items()) for f in M.enumerate_maps(X, Y)]
+
+        new = _maps_and_steps(monkeypatch, run, M._FaceIndex)
+        old = _maps_and_steps(monkeypatch, run, _ScanIndex)
+        assert new == old
+        assert new[0]
+
+
+def test_map_by_vertices_matches_the_scan(monkeypatch):
+    D3 = M.standard_simplex(3)
+    flat_square = M.product(M.standard_simplex(1), M.standard_simplex(1))
+    cases = [
+        (D3, D3, {"0": "0", "1": "1", "2": "2", "3": "3"}),
+        (D3, D3, {"0": "0", "1": "1", "2": "1", "3": "2"}),
+        (D3, D3, {"0": "0", "1": "0", "2": "0", "3": "0"}),
+        # the same vertex ids, so the identity on vertices
+        (flat_square, _square(), {v: v for v in flat_square.gens_at(0)}),
+    ]
+    for X, Y, images in cases:
+        def run():
+            return list(M.map_by_vertices(X, Y, images).assignment.items())
+
+        assert _maps_and_steps(monkeypatch, run, M._FaceIndex) == _maps_and_steps(
+            monkeypatch, run, _ScanIndex
+        )
 
 
 def test_validate_map_reports_dropped_marking():

@@ -168,6 +168,145 @@ def test_L_map_of_horizontal_spine():
 
 
 # ---------------------------------------------------------------------------
+# L's block builder against blocks and block maps built one by one
+
+
+def _old_box_nerve(cell, bound):
+    return M.product(
+        N.rs_nerve(T.theta2_object(cell.shape), bound),
+        M.standard_simplex(cell.level, "sharp", bound=bound),
+    )
+
+
+def _old_box_map(G, lam, l_src, l_dst, bound):
+    """nerve_map followed by product_map, each building its own nerves
+    and products."""
+    X, xindex = N.rs_nerve_with_index(G.source, bound)
+    Y, yindex = N.rs_nerve_with_index(G.target, bound)
+    nf = M.MSSetMap(X, Y, {
+        g: yindex[N._apply_raw(G, raw)] for raw, (g, w) in xindex.items() if not w
+    })
+    sf = TH.simplex_map(l_src, l_dst, lam, "sharp", bound)
+    P, pindex = M.product_with_index(X, sf.source)
+    Q, qindex = M.product_with_index(Y, sf.target)
+    return M.MSSetMap(P, Q, {
+        gid: qindex[(nf.apply(rx), sf.apply(ry))]
+        for (rx, ry), (gid, w) in pindex.items()
+        if not w
+    })
+
+
+def _old_apply_L_with_legs(W, bound):
+    nodes = [_old_box_nerve(cell, bound) for cell in W.cells]
+    arrows = []
+    for i, j, G, lam in W.arrows:
+        f = _old_box_map(G, lam, W.cells[i].level, W.cells[j].level, bound)
+        arrows.append((i, j, M.MSSetMap(nodes[i], nodes[j], f.assignment)))
+    return M.colimit(nodes, arrows, bound=bound)
+
+
+def _old_apply_L_map(P, bound):
+    src, src_legs = _old_apply_L_with_legs(P.source, bound)
+    tgt, tgt_legs = _old_apply_L_with_legs(P.target, bound)
+    assignment = {}
+    for i, cell in enumerate(P.source.cells):
+        j, G, lam = P.cell_map[i]
+        f = _old_box_map(G, lam, cell.level, P.target.cells[j].level, bound)
+        for g, ref in src_legs[i].assignment.items():
+            if not ref[1]:
+                assignment.setdefault(ref[0], tgt_legs[j].apply(f.assignment[g]))
+    return M.MSSetMap(src, tgt, assignment)
+
+
+def assert_same_msset(X, Y):
+    """The same generators, faces and marking, orders included."""
+    assert X.bound == Y.bound
+    assert list(X.gens.items()) == list(Y.gens.items())
+    assert list(X.faces.items()) == list(Y.faces.items())
+    assert X.marked == Y.marked
+
+
+def assert_same_L_map(P, bound=4):
+    f, old = TH.apply_L_map(P, bound), _old_apply_L_map(P, bound)
+    assert_same_msset(f.source, old.source)
+    assert_same_msset(f.target, old.target)
+    assert list(f.assignment.items()) == list(old.assignment.items())
+    return f
+
+
+def _glued_leveled_map():
+    """A point glued to the end (1, 1) of [1|0] x Delta[1], mapped into
+    [1|1] x Delta[1]: level maps (1,) on the arrow and on the point."""
+    glue = TH.shape_functor(POINT, EDGE, [1])
+    source = TH.Theta2Presentation(
+        (TH.BoxCell(POINT, 0), TH.BoxCell(EDGE, 1)), ((0, 1, glue, (1,)),)
+    )
+    bottom = TH.shape_functor(EDGE, CONE, [0, 1], [[(0,)]])
+    cell_map = ((0, TH.shape_functor(POINT, CONE, [1]), (1,)), (0, bottom, (0, 1)))
+    return TH.PresentationMap(source, TH.representable(CONE, 1), cell_map)
+
+
+def _level_collapse_map():
+    """[1|1] x Delta[1] onto [1|1] x Delta[0]: level map (0, 0)."""
+    ident = TH.shape_functor(CONE, CONE, [0, 1], [[(0,), (1,)]])
+    return TH.PresentationMap(
+        TH.representable(CONE, 1), TH.representable(CONE, 0), ((0, ident, (0, 0)),)
+    )
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_block_builder_matches_on_vertical_segal(k):
+    assert_same_L_map(TH.vertical_segal(k))
+
+
+@pytest.mark.parametrize(
+    "m, ks", [(0, ()), (1, (0,)), (1, (1,)), (1, (2,)),
+              (2, (0, 0)), (2, (0, 1)), (2, (1, 0)), (2, (1, 1))]
+)
+def test_block_builder_matches_on_horizontal_segal(m, ks):
+    assert_same_L_map(TH.horizontal_segal(m, ks))
+
+
+@pytest.mark.parametrize("kind", ["horizontal_completeness", "vertical_completeness"])
+def test_block_builder_matches_on_completeness_maps(kind):
+    assert_same_L_map(TH.elementary_cofibration(kind))
+
+
+def test_block_builder_matches_with_level_maps():
+    for P in (_glued_leveled_map(), _level_collapse_map()):
+        f = assert_same_L_map(P)
+        assert M.validate_map(f).ok
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("shape", [POINT, EDGE, CONE, T.Theta2Shape(1, (2,)),
+                                   T.Theta2Shape(2, (1, 0))])
+def test_block_builder_matches_on_representables(shape, level):
+    bound = 4 if level == 0 else 3
+    W = TH.representable(shape, level)
+    assert_same_msset(TH.apply_L(W, bound), _old_apply_L_with_legs(W, bound)[0])
+
+
+def test_block_builder_builds_each_block_once(monkeypatch):
+    built = []
+
+    def counting(name):
+        build = getattr(TH, name)
+
+        def counted(*args):
+            built.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(TH, name, counted)
+
+    counting("rs_nerve_with_index")
+    counting("product_with_index")
+    TH.apply_L_map(TH.vertical_segal(3), bound=4)
+    # one nerve and one product each for [1|1], [1|0] and [1|3]
+    assert sorted(built) == ["product_with_index"] * 3 + ["rs_nerve_with_index"] * 3
+
+
+# ---------------------------------------------------------------------------
 # the pointwise right adjoint
 
 
@@ -193,6 +332,16 @@ def test_R_matches_maps_out_of_L():
             assert len(TH.apply_R_at(X, theta, ell)) == len(
                 M.enumerate_maps(block, X)
             )
+
+
+def test_R_at_matches_maps_out_of_the_old_block():
+    X = M.standard_simplex(2, "sharp")
+    for theta, ell in ((POINT, 1), (EDGE, 0), (EDGE, 1)):
+        old = M.enumerate_maps(_old_box_nerve(TH.BoxCell(theta, ell), X.bound), X)
+        new = TH.apply_R_at(X, theta, ell)
+        assert [list(f.assignment.items()) for f in new] == [
+            list(f.assignment.items()) for f in old
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +390,12 @@ def test_simplex_map_past_nine():
     assert M.validate_map(f).ok
     assert f.assignment["9(10)"] == ("9(11)", ())
     assert f.assignment["12"] == ("1", (0,))
+
+
+def test_simplex_map_rejects_bad_images():
+    for images in ([0], [0, 1, 1], [1, 0], [0, 5], [-1, 0]):
+        with pytest.raises(ValueError, match="simplex_map"):
+            TH.simplex_map(1, 1, images)
 
 
 def test_presentation_json_rejects_bad_schema():
