@@ -556,36 +556,17 @@ def pushout(f: MSSetMap, g: MSSetMap):
 # maps: enumeration, mono/iso
 
 
-def _group_by_faces(Y: MarkedSSet, n, refs):
-    """The n-simplices refs grouped by their tuple of faces; each group
-    keeps the order of refs."""
-    groups = {}
-    for ref in refs:
-        key = tuple(Y.face(ref, i) for i in range(n + 1)) if n else ()
-        groups.setdefault(key, []).append(ref)
-    return groups
-
-
-class _FaceIndex:
-    """Every simplex of Y per dimension, degenerate ones included, sorted
-    and grouped by faces; a dimension is indexed on its first lookup."""
-
-    def __init__(self, Y: MarkedSSet):
-        self.Y = Y
-        self._dims = {}
-
-    def candidates(self, n, expected_faces, need_marked, guard):
-        """The sorted n-simplices with the expected faces (any faces for
-        None), only marked ones if need_marked."""
-        if n not in self._dims:
-            refs = sorted(self.Y.all_simplices(n))
-            self._dims[n] = refs, _group_by_faces(self.Y, n, refs)
-        refs, groups = self._dims[n]
-        # as many steps as a scan of every n-simplex
-        guard.step(len(refs))
+def _candidates(Y, n, expected_faces, need_marked, guard):
+    out = []
+    for ref in Y.all_simplices(n):
+        guard.step()
+        if need_marked and not Y.is_marked(ref):
+            continue
         if expected_faces is not None:
-            refs = groups.get(tuple(expected_faces), ())
-        return [r for r in refs if not need_marked or self.Y.is_marked(r)]
+            if any(Y.face(ref, i) != expected_faces[i] for i in range(n + 1)):
+                continue
+        out.append(ref)
+    return sorted(out)
 
 
 class _Guard:
@@ -612,7 +593,6 @@ def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
     if _top_dim(X) > Y.bound:
         raise ValueError("X has generators above the bound of Y")
     guard = _Guard(limit, "enumerate_maps")
-    index = _FaceIndex(Y)
     order = [(n, g) for n in sorted(X.gens) for g in X.gens_at(n)]
     results = []
     assignment = {}
@@ -629,7 +609,7 @@ def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
                 MSSetMap(X, Y, assignment).apply(X.face((g, ()), i))
                 for i in range(n + 1)
             ]
-        for ref in index.candidates(n, expected, g in X.marked, guard):
+        for ref in _candidates(Y, n, expected, g in X.marked, guard):
             assignment[g] = ref
             extend(k + 1)
             del assignment[g]
@@ -680,10 +660,11 @@ def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
     assignment = {}
     partial = MSSetMap(X, Y, assignment)
     used = set()
-    by_faces = [
-        _group_by_faces(Y, n, [(h, ()) for h in Y.gens_at(n)])
-        for n in range(bound + 1)
-    ]
+    # Y's generators by face tuple, in gens_at order
+    by_faces = {}
+    for n in range(1, bound + 1):
+        for h in Y.gens_at(n):
+            by_faces.setdefault(tuple(Y.faces[h]), []).append(h)
 
     def candidates(k):
         n, g = order[k]
@@ -692,7 +673,7 @@ def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
         expected = tuple(partial.apply(r) for r in X.faces[g])
         marked = g in X.marked
         return [
-            h for h, _ in by_faces[n].get(expected, ())
+            h for h in by_faces.get(expected, ())
             if (h in Y.marked) == marked
         ]
 
@@ -729,14 +710,13 @@ def map_by_vertices(X: MarkedSSet, Y: MarkedSSet, vertex_images):
     """
     assignment = {v: (vertex_images[v], ()) for v in X.gens_at(0)}
     guard = _Guard(2_000_000, "map_by_vertices")
-    index = _FaceIndex(Y)
     for n in sorted(X.gens):
         if n == 0:
             continue
         for g in X.gens_at(n):
             partial = MSSetMap(X, Y, assignment)
             expected = [partial.apply(X.face((g, ()), i)) for i in range(n + 1)]
-            cands = index.candidates(n, expected, g in X.marked, guard)
+            cands = _candidates(Y, n, expected, g in X.marked, guard)
             if len(cands) != 1:
                 raise ValueError(
                     f"{g}: expected a unique extension, found {len(cands)}"

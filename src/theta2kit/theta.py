@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .msset import (
     DEFAULT_BOUND,
@@ -401,7 +400,8 @@ def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
     return MSSetMap(X, Y, assignment)
 
 
-class _Block(NamedTuple):
+@dataclass(frozen=True)
+class _Block:
     """The L block of a box cell: the nerve of its shape and the product
     with the sharp simplex on its level, each with its raw index."""
 

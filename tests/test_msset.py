@@ -306,29 +306,7 @@ def test_find_iso_rejects_generators_above_the_common_bound():
 
 
 # ---------------------------------------------------------------------------
-# the face indices of find_iso and enumerate_maps against linear scans
-
-
-def _scan_candidates(Y, n, expected_faces, need_marked, guard):
-    """Every n-simplex of Y scanned for its faces and marking."""
-    out = []
-    for ref in Y.all_simplices(n):
-        guard.step()
-        if need_marked and not Y.is_marked(ref):
-            continue
-        if expected_faces is not None:
-            if any(Y.face(ref, i) != expected_faces[i] for i in range(n + 1)):
-                continue
-        out.append(ref)
-    return sorted(out)
-
-
-class _ScanIndex:
-    def __init__(self, Y):
-        self.Y = Y
-
-    def candidates(self, n, expected_faces, need_marked, guard):
-        return _scan_candidates(self.Y, n, expected_faces, need_marked, guard)
+# the face index of find_iso against the linear search
 
 
 def _linear_find_iso(X, Y, limit=2_000_000):
@@ -463,77 +441,6 @@ def test_find_iso_matches_the_linear_search_on_L_images(monkeypatch):
         N.rs_nerve(T.theta2_object(cone), 3), M.standard_simplex(1, "sharp", bound=3)
     )
     assert assert_find_iso_matches_scan(L, R, monkeypatch) is not None
-
-
-def _probe_faces(Y, n):
-    """Face tuples to look up in dimension n: those of every n-simplex
-    of Y, one no simplex has, and None."""
-    if n == 0:
-        return [None]
-    probes = {
-        tuple(Y.face(ref, i) for i in range(n + 1)) for ref in Y.all_simplices(n)
-    }
-    probes.add((("nowhere", ()),) * (n + 1))
-    return sorted(probes) + [None]
-
-
-def test_face_index_candidates_match_the_scan():
-    for Y in (_square(), M.standard_simplex(3, "eq3"), _delta2_marked_at("01")):
-        index = M._FaceIndex(Y)
-        for n in range(4):
-            for expected in _probe_faces(Y, n):
-                for need_marked in (False, True):
-                    g_scan, g_index = M._Guard(10**9), M._Guard(10**9)
-                    want = _scan_candidates(Y, n, expected, need_marked, g_scan)
-                    got = index.candidates(n, expected, need_marked, g_index)
-                    assert got == want, (n, expected, need_marked)
-                    assert g_index.count == g_scan.count
-
-
-def _maps_and_steps(monkeypatch, run, index_class):
-    monkeypatch.setattr(M, "_FaceIndex", index_class)
-    guards = _recording_guards(monkeypatch)
-    out = run()
-    monkeypatch.undo()
-    return out, [g.count for g in guards]
-
-
-def test_enumerate_maps_matches_the_scan(monkeypatch):
-    sq = _square()
-    cases = [
-        (M.standard_simplex(1), sq),
-        (M.standard_simplex(2), sq),
-        (M.standard_simplex(1, "edge_marked"), sq),
-        (M.standard_simplex(2, "boundary"), M.standard_simplex(2)),
-        (sq, M.standard_simplex(1, "sharp")),
-    ]
-    for X, Y in cases:
-        def run():
-            return [list(f.assignment.items()) for f in M.enumerate_maps(X, Y)]
-
-        new = _maps_and_steps(monkeypatch, run, M._FaceIndex)
-        old = _maps_and_steps(monkeypatch, run, _ScanIndex)
-        assert new == old
-        assert new[0]
-
-
-def test_map_by_vertices_matches_the_scan(monkeypatch):
-    D3 = M.standard_simplex(3)
-    flat_square = M.product(M.standard_simplex(1), M.standard_simplex(1))
-    cases = [
-        (D3, D3, {"0": "0", "1": "1", "2": "2", "3": "3"}),
-        (D3, D3, {"0": "0", "1": "1", "2": "1", "3": "2"}),
-        (D3, D3, {"0": "0", "1": "0", "2": "0", "3": "0"}),
-        # the same vertex ids, so the identity on vertices
-        (flat_square, _square(), {v: v for v in flat_square.gens_at(0)}),
-    ]
-    for X, Y, images in cases:
-        def run():
-            return list(M.map_by_vertices(X, Y, images).assignment.items())
-
-        assert _maps_and_steps(monkeypatch, run, M._FaceIndex) == _maps_and_steps(
-            monkeypatch, run, _ScanIndex
-        )
 
 
 def test_validate_map_reports_dropped_marking():
