@@ -114,7 +114,12 @@ def _merge_getters(n):
 
 
 class _Tables:
-    """The composition data nerve extension reads, as plain dicts."""
+    """The composition data nerve extension reads, as plain dicts.
+
+    For each thin hom (x, y) it also holds `down[(x, y)]`: per 1-cell c,
+    an int bitmask of the positions in `ones[(x, y)]` of the 1-cells f
+    with a 2-cell f => c.
+    """
 
     def __init__(self, D: Fin2Category):
         self.objects = sorted(D.objects)
@@ -128,12 +133,19 @@ class _Tables:
         # (x, y) -> whether hom(x, y) is thin: at most one 2-cell between
         # two 1-cells, as in every product of ordinals
         self.thin = {}
+        self.down = {}
         for k, H in D.hom.items():
             idx = {}
             for m, ends in H.morphisms.items():
                 idx.setdefault(ends, []).append(m)
             self.two_cells[k] = idx
             self.thin[k] = all(len(ms) == 1 for ms in idx.values())
+            if self.thin[k]:
+                pos = {f: p for p, f in enumerate(H.objects)}
+                down = dict.fromkeys(H.objects, 0)
+                for f, c in idx:
+                    down[c] |= 1 << pos[f]
+                self.down[k] = down
 
 
 def _extend(tabs: _Tables, base, n, step):
@@ -147,9 +159,14 @@ def _extend(tabs: _Tables, base, n, step):
 
     Both sides of such a relation are parallel 2-cells of hom(x_i, x_n).
     So when that hom is thin, the relations hold whatever is chosen:
-    there each phi_{ijn} is the one 2-cell f_in => f_jn . f_ij, if any,
-    and all of them are read off in one loop per edge f_in, unchecked.
-    The simplices and their order are those of the checked search.
+    there each phi_{ijn} is the one 2-cell f_in => c_j, c_j = f_jn . f_ij,
+    if any.  The edges f_in that have all of them are the AND of the
+    down-set masks of the c_j (`_Tables.down`); only those are walked,
+    in `ones` order, and their triangles read off unchecked.  The guard
+    is charged, in one step per edge position, what trying each f on the
+    triangles in turn would cost: the sum over k of the number of f
+    surviving the first k triangles.  The simplices and their order are
+    those of the checked search.
     """
     verts, edges, tris = base
     out = []
@@ -163,6 +180,15 @@ def _extend(tabs: _Tables, base, n, step):
             continue
         new_e = [None] * n
         new_t = [None] * len(pidx)
+        # per edge position i into a thin hom, per triangle (i, j, n): its
+        # slot, f_ij, hc1 into x_n and j; None where hom(x_i, x_n) is not thin
+        thin_slots = [
+            [
+                (pidx[(i, j)], edges[pidx[(i, j)]], hc1[(verts[i], verts[j], xn)], j)
+                for j in range(i + 1, n)
+            ] if thin[(verts[i], xn)] else None
+            for i in range(n)
+        ]
 
         def pick_tris(i, j):
             # the triangle phi_{ijn} over vertex i, then the next one
@@ -203,25 +229,25 @@ def _extend(tabs: _Tables, base, n, step):
             xi = verts[i]
             fs = ones[(xi, xn)]
             step(len(fs))
-            if thin[(xi, xn)]:
+            slots = thin_slots[i]
+            if slots is not None:
+                down = tabs.down[(xi, xn)]
+                mask, tried, targets = (1 << len(fs)) - 1, 0, []
+                for slot, fij, comp, j in slots:
+                    c = comp[(fij, new_e[j])]
+                    mask &= down[c]
+                    if not mask:
+                        break
+                    tried += mask.bit_count()
+                    targets.append((slot, c))
+                step(tried)
                 cells = two_cells[(xi, xn)]
-                # per triangle (i, j, n): its slot, f_ij and hc1 into x_n
-                slots = [
-                    (pidx[(i, j)], edges[pidx[(i, j)]], hc1[(xi, verts[j], xn)], j)
-                    for j in range(i + 1, n)
-                ]
-                for f in fs:
-                    new_e[i] = f
-                    tried = 0
-                    for slot, fij, comp, j in slots:
-                        phi = cells.get((f, comp[(fij, new_e[j])]))
-                        if phi is None:
-                            break
-                        new_t[slot] = phi[0]
-                        tried += 1
-                    step(tried)
-                    if tried < len(slots):
-                        continue
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    f = new_e[i] = fs[low.bit_length() - 1]
+                    for slot, c in targets:
+                        new_t[slot] = cells[(f, c)][0]
                     if i:
                         pick_edge(i - 1)
                     else:
@@ -434,16 +460,26 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     The tuples satisfy d_i sigma_j = d_{j-1} sigma_i for i < j; every
     actual boundary of an n-simplex appears among them. Raises ValueError
     for n < 1.
+
+    The search picks sigma_0, sigma_1, ... depth first, from a pool per
+    sigma_j: the cells whose first j faces are the forced d_{j-1} sigma_i,
+    i < j.  Every candidate in one pool shares the forced faces
+    d_j sigma_0, ..., d_j sigma_{j-1} of sigma_{j+1}, so the cells are
+    indexed by face prefix of length k-1, then by face k-1: the prefix is
+    looked up once per pool (a miss drops the whole pool), and each
+    candidate costs one lookup of its own face d_j.  The guard is charged
+    one step per candidate tried, that is per compatible prefix.
     """
     if n < 1:
         raise ValueError(f"boundaries need dimension at least 1, not {n}")
     guard = _Guard(limit, "compatible_boundaries")
     guard.dimension = n
+    step = guard.step
     cells = X.all_simplices(n - 1)
     if n == 1:
         # vertices have no faces, so every ordered pair of them matches;
         # one step per prefix, as below
-        guard.step(len(cells) * (1 + len(cells)))
+        step(len(cells) * (1 + len(cells)))
         return list(itertools.product(cells, repeat=2))
     # faces as interned integer ids, so that pool keys hash fast
     ids = {}
@@ -451,33 +487,39 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
         tuple([ids.setdefault(r, len(ids)) for r in fs])
         for fs in _face_tuples(X, cells, n - 1)
     ]
-    # the first j faces of sigma_j are forced: d_i sigma_j = d_{j-1}
-    # sigma_i, so index the cells by face prefixes for exact pool lookup
-    by_prefix = [{} for _ in range(n + 1)]
+    # pools[k][fs[:k-1]][fs[k-1]]: the cells, with their faces, whose
+    # first k faces are fs[:k]
+    pools = [None] + [{} for _ in range(n)]
     for s, fs in zip(cells, faces):
-        for k in range(n + 1):
-            by_prefix[k].setdefault(fs[:k], []).append((s, fs))
+        for k in range(1, n + 1):
+            pools[k].setdefault(fs[:k - 1], {}).setdefault(fs[k - 1], []).append((s, fs))
     results = []
     chosen, chosen_faces = [], []
 
     def extend(j, pool):
         # pool: the cells, with their faces, that sigma_j may be
-        guard.step(len(pool))
-        if j == n:
-            results.extend((*chosen, s) for s, _ in pool)
-            return
+        step(len(pool))
         # sigma_{j+1} has the faces d_j sigma_0, ..., d_j sigma_j first
-        index, face_j = by_prefix[j + 1], operator.itemgetter(j)
+        by_face = pools[j + 1].get(tuple([fs[j] for fs in chosen_faces]))
+        if by_face is None:
+            return
+        if j + 1 == n:
+            for s, fs in pool:
+                last = by_face.get(fs[j])
+                if last:
+                    step(len(last))
+                    results.extend([(*chosen, s, t) for t, _ in last])
+            return
         for s, fs in pool:
-            chosen_faces.append(fs)
-            following = index.get(tuple(map(face_j, chosen_faces)))
+            following = by_face.get(fs[j])
             if following:
                 chosen.append(s)
+                chosen_faces.append(fs)
                 extend(j + 1, following)
                 chosen.pop()
-            chosen_faces.pop()
+                chosen_faces.pop()
 
-    extend(0, by_prefix[0].get((), []))
+    extend(0, list(zip(cells, faces)))
     return results
 
 

@@ -48,6 +48,36 @@ class BoxCell:
             raise ValueError("level must be nonnegative")
 
 
+def _fits(D: Fin2Category, shape: Theta2Shape) -> bool:
+    """Whether D has the objects and segment-hom sizes of the pasting
+    2-category of shape, read off D without building the shape: m + 1
+    objects, among them "0" and the ends of the segment homs ("t", "t+1")."""
+    if len(D.objects) != shape.m + 1 or "0" not in D.unit1:
+        return False
+    for t, k in enumerate(shape.ks):
+        H = D.hom.get((str(t), str(t + 1)))
+        if H is None or len(H.objects) != k + 1:
+            return False
+    return True
+
+
+def _check_leg(src: BoxCell, cells, j, F: TwoFunctor, lam):
+    """Raise ValueError unless (F, lam) maps the box cell src to cells[j]:
+    j in range, F joins the two shapes, lam a monotone level map."""
+    if not 0 <= j < len(cells):
+        raise ValueError("arrow endpoint out of range")
+    dst = cells[j]
+    if not (_fits(F.source, src.shape) and _fits(F.target, dst.shape)):
+        raise ValueError(f"2-functor does not join {src.shape} and {dst.shape}")
+    if len(lam) != src.level + 1:
+        raise ValueError("level map has wrong length")
+    if list(lam) != sorted(lam):
+        raise ValueError("level map not monotone")
+    # monotone and of length at least 1: its ends bound its image
+    if lam[0] < 0 or lam[-1] > dst.level:
+        raise ValueError("level map image out of range")
+
+
 @dataclass(frozen=True)
 class Theta2Presentation:
     """A finite colimit diagram of box cells.
@@ -61,14 +91,9 @@ class Theta2Presentation:
 
     def __post_init__(self):
         for i, j, F, lam in self.arrows:
-            if not (0 <= i < len(self.cells) and 0 <= j < len(self.cells)):
+            if not 0 <= i < len(self.cells):
                 raise ValueError("arrow endpoint out of range")
-            if len(lam) != self.cells[i].level + 1:
-                raise ValueError("level map has wrong length")
-            if any(lam[t] > lam[t + 1] for t in range(len(lam) - 1)):
-                raise ValueError("level map not monotone")
-            if any(v < 0 or v > self.cells[j].level for v in lam):
-                raise ValueError("level map image out of range")
+            _check_leg(self.cells[i], self.cells, j, F, lam)
 
 
 def representable(shape: Theta2Shape, level: int = 0) -> Theta2Presentation:
@@ -83,6 +108,12 @@ class PresentationMap:
     source: Theta2Presentation
     target: Theta2Presentation
     cell_map: tuple  # per source cell: (target index, TwoFunctor, level images)
+
+    def __post_init__(self):
+        if len(self.cell_map) != len(self.source.cells):
+            raise ValueError("cell map needs one entry per source cell")
+        for cell, (j, F, lam) in zip(self.source.cells, self.cell_map):
+            _check_leg(cell, self.target.cells, j, F, lam)
 
 
 # ---------------------------------------------------------------------------

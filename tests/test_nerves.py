@@ -238,6 +238,20 @@ def test_thin_extension_matches_checked(D, monkeypatch):
     assert N._raw_nerve(D, 4) == _raw_nerve_checked(D, 4, monkeypatch)
 
 
+def test_thin_extension_matches_checked_on_incomparable_cells(monkeypatch):
+    # hom(bot, top) is the cube [1]^3: its 1-cells have down-sets holding
+    # incomparable cells, so the masks ANDed per edge have several bits
+    D = T.suspend_category(T.product_poset((1, 1, 1)))
+    tabs = N._Tables(D)
+    assert tabs.thin[("bot", "top")]
+    cube = tabs.down[("bot", "top")]
+    assert sorted(m.bit_count() for m in cube.values()) == [1, 2, 2, 2, 4, 4, 4, 8]
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    assert N._raw_nerve(D, 5) == _raw_nerve_checked(D, 5, monkeypatch)
+    assert _guard_steps(D, 5, monkeypatch) == _guard_steps(
+        D, 5, monkeypatch, checked=True)
+
+
 def test_thin_flags_of_suspended_group():
     # hom(bot, top) holds two parallel 2-cells, the endo-homs are [0],
     # so one nerve of Sigma Z/2 runs both the thin and the checked path
@@ -246,7 +260,8 @@ def test_thin_flags_of_suspended_group():
                     ("top", "top"): True}
 
 
-def _guard_steps(D, bound, monkeypatch, checked=False):
+def _record_guards(monkeypatch):
+    """Make nerves record every guard it creates, in the list returned."""
     guards = []
 
     class Recording(M._Guard):
@@ -255,6 +270,11 @@ def _guard_steps(D, bound, monkeypatch, checked=False):
             guards.append(self)
 
     monkeypatch.setattr(N, "_Guard", Recording)
+    return guards
+
+
+def _guard_steps(D, bound, monkeypatch, checked=False):
+    guards = _record_guards(monkeypatch)
     monkeypatch.setattr(N, "_nerve_cache", {})
     if checked:
         _raw_nerve_checked(D, bound, monkeypatch)
@@ -276,6 +296,31 @@ def test_thin_extension_guard(D, monkeypatch):
         N._raw_nerve(D, 3, limit=steps - 1)
     e = info.value
     assert (e.operation, e.dimension, e.steps) == ("nerve", 3, steps)
+
+
+def test_thin_extension_guard_inside_one_batch(monkeypatch):
+    # the thin path charges the triangles of all edges at one position in
+    # one step; a limit inside that step still stops the search there
+    D = T.theta2_object(T.Theta2Shape(2, (2, 2)))
+    widest = max(len(H.objects) for H in D.hom.values())
+    calls = []
+
+    class Recording(M._Guard):
+        def step(self, k):
+            calls.append((self.dimension, self.count, k))
+            super().step(k)
+
+    monkeypatch.setattr(N, "_Guard", Recording)
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    N._raw_nerve(D, 4)
+    # a step larger than any hom is a batch of triangles, not a list of edges
+    dimension, before, k = next(c for c in calls if c[2] > widest)
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    with pytest.raises(M.ResourceLimitError) as info:
+        N._raw_nerve(D, 4, limit=before + 1)
+    e = info.value
+    assert (e.operation, e.dimension, e.steps) == ("nerve", dimension, before + k)
+    assert e.steps > before + 1
 
 
 def _raw_without_cocycle(D, bound):
@@ -475,6 +520,68 @@ def test_filler_counts_reject_dimension_below_one(n):
         N.filler_counts(X, n)
     with pytest.raises(ValueError):
         N.compatible_boundaries(X, n)
+
+
+def _compatible_boundaries_one_level(X, n, limit=5_000_000):
+    """compatible_boundaries with one prefix index per level and one
+    recursive call per pool: the oracle of the two-level pool index.
+    Returns the boundaries and the guard's step total."""
+    guard = M._Guard(limit, "compatible_boundaries")
+    guard.dimension = n
+    cells = X.all_simplices(n - 1)
+    ids = {}
+    faces = [
+        tuple([ids.setdefault(r, len(ids)) for r in fs])
+        for fs in N._face_tuples(X, cells, n - 1)
+    ]
+    by_prefix = [{} for _ in range(n + 1)]
+    for s, fs in zip(cells, faces):
+        for k in range(n + 1):
+            by_prefix[k].setdefault(fs[:k], []).append((s, fs))
+    results = []
+    chosen, chosen_faces = [], []
+
+    def extend(j, pool):
+        guard.step(len(pool))
+        if j == n:
+            results.extend((*chosen, s) for s, _ in pool)
+            return
+        index = by_prefix[j + 1]
+        for s, fs in pool:
+            chosen_faces.append(fs)
+            following = index.get(tuple(f[j] for f in chosen_faces))
+            if following:
+                chosen.append(s)
+                extend(j + 1, following)
+                chosen.pop()
+            chosen_faces.pop()
+
+    extend(0, by_prefix[0].get((), []))
+    return results, guard.count
+
+
+@pytest.mark.parametrize("D, bound", [
+    pytest.param(T.theta2_object(T.Theta2Shape(2, (2, 2))), 4, id="[2|2,2]"),
+    pytest.param(_z2_suspension(), 4, id="Sigma Z/2"),
+    pytest.param(T.cell(2), 4, id="C2"),
+    pytest.param(T.cell(1), 3, id="C1"),
+])
+def test_compatible_boundaries_matches_one_level_oracle(D, bound, monkeypatch):
+    X = N.duskin_nerve(D, bound=bound)
+    guards = _record_guards(monkeypatch)
+    for n in range(2, bound + 1):
+        want, steps = _compatible_boundaries_one_level(X, n)
+        assert N.compatible_boundaries(X, n) == want, n
+        assert guards[-1].count == steps, n
+
+
+def test_compatible_boundaries_guard_totals_on_grid_cell(monkeypatch):
+    # the step totals of [2|2,2] at bound 5 are fixed by the search
+    X = N.duskin_nerve(T.theta2_object(T.Theta2Shape(2, (2, 2))), bound=5)
+    guards = _record_guards(monkeypatch)
+    for n in (4, 5):
+        N.compatible_boundaries(X, n)
+    assert [g.count for g in guards] == [72_084, 894_104]
 
 
 def test_classical_nerve_fills_from_dimension_two():

@@ -5,6 +5,46 @@ import theta2kit
 
 SOURCES = sorted(pathlib.Path(theta2kit.__file__).parent.glob("*.py"))
 
+# module-level containers the library keeps on purpose: the CLI's suite
+# table and the nerve cache
+MODULE_STATE = {"cli.SUITES", "nerves._nerve_cache"}
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                    "Counter", "deque"}
+
+
+def _is_container(node):
+    if isinstance(node, _CONTAINERS):
+        return True
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return name in _CONTAINER_CALLS
+    return False
+
+
+def _module_containers(path):
+    """The names bound at module level of path to a dict, list or set."""
+    out = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            else:
+                pairs = [(target, value)]
+            out += [
+                f"{path.stem}.{ast.unparse(t)}"
+                for t, v in pairs if _is_container(v)
+            ]
+    return out
+
 
 def test_library_has_no_assert():
     # python -O drops assert statements, and with them any check they make
@@ -16,3 +56,18 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_has_no_new_module_state():
+    # tables live on the objects that build them, never in module globals
+    found = [name for path in SOURCES for name in _module_containers(path)]
+    assert sorted(set(found) - MODULE_STATE) == []
+
+
+def test_module_state_check_sees_containers(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "A = {}\nB: list = []\nC, D = set(), 1\nE = collections.defaultdict(int)\n"
+        "F = (1, 2)\nG = frozenset()\ndef f():\n    H = {}\n"
+    )
+    assert _module_containers(path) == ["mod.A", "mod.B", "mod.C", "mod.E"]

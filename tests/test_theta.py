@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from theta2kit import msset as M
@@ -33,6 +35,57 @@ def test_presentation_validates_level_maps():
         TH.Theta2Presentation(cells, ((1, 0, F, (1, 0)),))  # not monotone
     with pytest.raises(ValueError):
         TH.Theta2Presentation(cells, ((0, 2, F, (0, 0)),))  # endpoint
+
+
+def test_presentation_rejects_functor_not_joining_its_cells():
+    # the functor starts at the point, not at [1|0]; apply_L used to fail
+    # deep in the block map with a bare KeyError: '1'
+    cells = (TH.BoxCell(EDGE), TH.BoxCell(CONE))
+    F = TH.shape_functor(POINT, CONE, [0])
+    with pytest.raises(ValueError, match="does not join"):
+        TH.Theta2Presentation(cells, ((0, 1, F, (0,)),))
+    # the right source, the wrong target
+    G = TH.shape_functor(EDGE, EDGE, [0, 1], [[(0,)]])
+    with pytest.raises(ValueError, match="does not join"):
+        TH.Theta2Presentation(cells, ((0, 1, G, (0,)),))
+    # one object, but named "*", not "0"
+    star = T.as_two_category(T.terminal_category())
+    (K,) = T.enumerate_two_functors(star, T.theta2_object(POINT))
+    with pytest.raises(ValueError, match="does not join"):
+        TH.Theta2Presentation((TH.BoxCell(POINT),) * 2, ((0, 1, K, (0,)),))
+    H = TH.shape_functor(EDGE, CONE, [0, 1], [[(0,)]])
+    TH.Theta2Presentation(cells, ((0, 1, H, (0,)),))
+
+
+def test_presentation_map_checks_its_cell_map():
+    W, V = TH.representable(EDGE), TH.representable(CONE, 1)
+    F = TH.shape_functor(EDGE, CONE, [0, 1], [[(1,)]])
+    TH.PresentationMap(W, V, ((0, F, (1,)),))
+    bad = [
+        (),  # no entry for the source cell
+        ((0, F, (1,)), (0, F, (1,))),  # one entry too many
+        ((1, F, (1,)),),  # target index out of range
+        ((0, TH.shape_functor(POINT, CONE, [1]), (1,)),),  # wrong source
+        ((0, F, (0, 1)),),  # level map of the wrong length
+        ((0, F, (2,)),),  # level image out of range
+        ((0, F, (-1,)),),  # negative level image
+    ]
+    for cell_map in bad:
+        with pytest.raises(ValueError):
+            TH.PresentationMap(W, V, cell_map)
+    G = TH.shape_functor(CONE, CONE, [0, 1], [[(0,), (1,)]])
+    with pytest.raises(ValueError):  # not monotone
+        TH.PresentationMap(TH.representable(CONE, 1), V, ((0, G, (1, 0)),))
+
+
+def test_elementary_cofibrations_construct():
+    for k in range(4):
+        TH.vertical_segal(k)
+    for m in range(4):
+        for ks in itertools.product(range(3), repeat=m):
+            TH.horizontal_segal(m, ks)
+    TH.horizontal_completeness()
+    TH.vertical_completeness()
 
 
 def test_shape_functor_rejects_nonmonotone_segment_images():
