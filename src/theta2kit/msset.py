@@ -3,6 +3,10 @@
 Objects are stored by their nondegenerate generators; every other simplex
 is a degeneracy word (in normal form) applied to a generator.  All values
 are immutable after construction and all operations are pure.
+
+Products and colimits never list degenerate simplices: the generators of
+X x Y are the pairs (s_I x, s_J y) with I, J disjoint (Eilenberg-Zilber),
+and a colimit runs union-find on the generators of its nodes.
 """
 
 from __future__ import annotations
@@ -131,6 +135,30 @@ class MarkedSSet:
         return self.gens_at(0)
 
 
+def _face_layer(X: MarkedSSet, refs, n):
+    """The n+1 faces of each n-simplex in refs (n >= 1), in order.
+
+    A degenerate s_j y takes its faces from y's, found for all such y at
+    once one dimension down, by d_i s_j = s_{j-1} d_i (i < j),
+    d_j s_j = d_{j+1} s_j = 1 and d_i s_j = s_j d_{i-1} (i > j + 1).
+    """
+    subs = list(dict.fromkeys((g, w[1:]) for g, w in refs if len(w) > 1))
+    below = dict(zip(subs, _face_layer(X, subs, n - 1))) if subs else {}
+    out = []
+    for g, w in refs:
+        if not w:
+            out.append(X.faces[g])
+            continue
+        j, sub = w[0], (g, w[1:])
+        fs = below[sub] if len(w) > 1 else X.faces.get(g)
+        out.append(tuple([
+            degenerate(fs[i], j - 1) if i < j
+            else sub if i <= j + 1 else degenerate(fs[i - 1], j)
+            for i in range(n + 1)
+        ]))
+    return out
+
+
 def _structure_problems(X: MarkedSSet):
     """Generators, face counts, face targets and marks that are malformed."""
     problems = []
@@ -251,50 +279,6 @@ def validate_map(f: MSSetMap):
     return Report("map", problems)
 
 
-def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
-    """Build a MarkedSSet from a raw dimensionwise presentation.
-
-    by_dim lists every simplex (degenerate ones included) per dimension;
-    face_fn/deg_fn are the raw simplicial operators.  Returns the marked
-    simplicial set together with the raw -> reference index.
-    """
-    normal = {}
-    gens = {}
-    faces = {}
-    marked = set()
-    seen_ids = set()
-    for n in range(bound + 1):
-        gens[n] = []
-        for x in by_dim.get(n, ()):
-            if x in normal:
-                continue
-            hit = None
-            for i in range(n):
-                y = face_fn(x, n, i + 1)
-                if deg_fn(y, n - 1, i) == x:
-                    hit = (i, y)
-                    break
-            if hit is not None:
-                i, y = hit
-                normal[x] = degenerate(normal[y], i)
-            else:
-                gid = key_fn(x, n)
-                if gid in seen_ids:
-                    raise ValueError(f"duplicate generator id {gid}")
-                seen_ids.add(gid)
-                gens[n].append(gid)
-                if n >= 1:
-                    faces[gid] = tuple(
-                        normal[face_fn(x, n, i)] for i in range(n + 1)
-                    )
-                    if marked_fn(x, n):
-                        marked.add(gid)
-                normal[x] = (gid, ())
-        gens[n] = tuple(sorted(gens[n]))
-    X = MarkedSSet(bound, gens, faces, frozenset(marked))
-    return X, normal
-
-
 # ---------------------------------------------------------------------------
 # standard simplices
 
@@ -387,33 +371,70 @@ def empty_msset(bound=DEFAULT_BOUND) -> MarkedSSet:
 # products
 
 
+def _pair_id(rx, ry):
+    (gx, wx), (gy, wy) = rx, ry
+    return f"<{gx}|{'.'.join(map(str, wx))}*{gy}|{'.'.join(map(str, wy))}>"
+
+
+def _pair_ref(rx, ry):
+    """The reference in a product of the pair (rx, ry) of n-simplices.
+
+    A simplex is in the image of s_i iff i is in its normal word, so the
+    pair is s_K of a generator pair, K the indices both words share.
+    """
+    common = set(rx[1]).intersection(ry[1])
+    if not common:
+        return (_pair_id(rx, ry), ())
+
+    def drop(ref):
+        g, w = ref
+        return (g, tuple(i - sum(k < i for k in common) for i in w if i not in common))
+
+    return (_pair_id(drop(rx), drop(ry)), tuple(sorted(common, reverse=True)))
+
+
 def product_with_index(X: MarkedSSet, Y: MarkedSSet):
+    """X x Y, and a dict from each of its generator ids to its pair.
+
+    The nondegenerate n-simplices are the pairs (s_I x, s_J y) with I
+    and J disjoint (Eilenberg-Zilber), listed in all_simplices x
+    all_simplices order.  A pair is marked iff both sides are, and its
+    faces are the pairs of faces, each through _pair_ref, which also
+    gives the reference of any other pair.
+    """
     bound = min(X.bound, Y.bound)
-    by_dim = {
-        n: [
-            (rx, ry)
-            for rx in X.all_simplices(n)
-            for ry in Y.all_simplices(n)
-        ]
-        for n in range(bound + 1)
-    }
-
-    def face_fn(pair, n, i):
-        return (X.face(pair[0], i), Y.face(pair[1], i))
-
-    def deg_fn(pair, n, i):
-        return (degenerate(pair[0], i), degenerate(pair[1], i))
-
-    def marked_fn(pair, n):
-        return X.is_marked(pair[0]) and Y.is_marked(pair[1])
-
-    def key_fn(pair, n):
-        (gx, wx), (gy, wy) = pair
-        wxs = ".".join(map(str, wx))
-        wys = ".".join(map(str, wy))
-        return f"<{gx}|{wxs}*{gy}|{wys}>"
-
-    return from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn)
+    gens, faces, marked, pairs = {}, {}, set(), {}
+    refs = {}  # pair of faces -> its reference
+    for n in range(bound + 1):
+        y_simplices = Y.all_simplices(n)
+        cells = []
+        for k in range(n + 1):
+            partners = [(w, [ry for ry in y_simplices if set(w).isdisjoint(ry[1])])
+                        for w in valid_words(k, n)]
+            cells += [((g, w), ry)
+                      for g in X.gens_at(k) for w, rys in partners for ry in rys]
+        ids = [_pair_id(rx, ry) for rx, ry in cells]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"duplicate generator ids in dimension {n}")
+        pairs.update(zip(ids, cells))
+        gens[n] = tuple(sorted(ids))
+        if n == 0:
+            continue
+        xs = list(dict.fromkeys(rx for rx, _ in cells))
+        ys = list(dict.fromkeys(ry for _, ry in cells))
+        fx = dict(zip(xs, _face_layer(X, xs, n)))
+        fy = dict(zip(ys, _face_layer(Y, ys, n)))
+        for gid, (rx, ry) in zip(ids, cells):
+            fs = []
+            for pair in zip(fx[rx], fy[ry]):
+                ref = refs.get(pair)
+                if ref is None:
+                    ref = refs[pair] = _pair_ref(*pair)
+                fs.append(ref)
+            faces[gid] = tuple(fs)
+            if X.is_marked(rx) and Y.is_marked(ry):
+                marked.add(gid)
+    return MarkedSSet(bound, gens, faces, frozenset(marked)), pairs
 
 
 def product(X: MarkedSSet, Y: MarkedSSet) -> MarkedSSet:
@@ -423,19 +444,15 @@ def product(X: MarkedSSet, Y: MarkedSSet) -> MarkedSSet:
 
 def product_map(f: MSSetMap, g: MSSetMap) -> MSSetMap:
     """The induced map f x g between the products."""
-    P, pindex = product_with_index(f.source, g.source)
-    Q, qindex = product_with_index(f.target, g.target)
-    return MSSetMap(P, Q, _product_assignment(pindex, qindex, f, g))
+    P, pairs = product_with_index(f.source, g.source)
+    return MSSetMap(P, product(f.target, g.target), _product_assignment(pairs, f, g))
 
 
-def _product_assignment(pindex, qindex, f: MSSetMap, g: MSSetMap):
-    """The generator assignment of f x g, read off the pair -> reference
-    indices of the source and target products."""
-    # each generator is the reference of exactly one pair
+def _product_assignment(pairs, f: MSSetMap, g: MSSetMap):
+    """The generator assignment of f x g, read off the generator pairs of
+    its source product."""
     return {
-        gid: qindex[(f.apply(rx), g.apply(ry))]
-        for (rx, ry), (gid, w) in pindex.items()
-        if not w
+        gid: _pair_ref(f.apply(rx), g.apply(ry)) for gid, (rx, ry) in pairs.items()
     }
 
 
@@ -464,83 +481,77 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+def _check_arrows(nodes, arrows):
+    """Raise ValueError unless each arrow joins two nodes and sends each
+    generator of its source node, and nothing else, to a simplex of the
+    same dimension in its target node."""
+    for i, j, f in arrows:
+        if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
+            raise ValueError(f"arrow {i}->{j}: endpoint out of range")
+        src, dst = nodes[i]._dim, nodes[j]._dim
+        stray = sorted(src.keys() ^ f.assignment.keys())
+        if stray:
+            what = "has no image" if stray[0] in src else "is not a generator of its source"
+            raise ValueError(f"arrow {i}->{j}: {stray[0]} {what}")
+        for g, (h, w) in f.assignment.items():
+            if h not in dst:
+                raise ValueError(f"arrow {i}->{j}: image of {g} targets unknown generator {h}")
+            if dst[h] + len(w) != src[g]:
+                raise ValueError(f"arrow {i}->{j}: image of {g} has wrong dimension")
+
+
 def colimit(nodes, arrows, bound=None):
     """Colimit of a finite diagram of marked simplicial sets.
 
     nodes is a list of MarkedSSets; arrows a list of (src index, dst
     index, MSSetMap).  Returns the colimit and the cocone legs.
+
+    Per dimension, union-find joins the (node, generator) pairs that an
+    arrow sends to one another.  A class with a member some arrow sends
+    to a degenerate s_w y is s_w of y's class; every other class is a
+    generator with the least "i#g#" of its members as id, the faces of
+    one member, and a mark iff some member is marked.
     """
     if not nodes:
         raise ValueError("empty diagram")
     if bound is None:
         bound = min(X.bound for X in nodes)
-
-    for i, j, f in arrows:
-        for g, (h, _) in f.assignment.items():
-            if h not in nodes[j]._dim:
-                raise ValueError(
-                    f"arrow {i}->{j}: image of {g} targets unknown generator {h}"
-                )
-
-    uf = {n: _UnionFind() for n in range(bound + 1)}
-    members = {n: {} for n in range(bound + 1)}
+    _check_arrows(nodes, arrows)
+    # per node, its generators' references in the colimit, filled per dimension
+    legs = [
+        MSSetMap(X, None, dict.fromkeys(g for n in range(bound + 1) for g in X.gens_at(n)))
+        for X in nodes
+    ]
+    gens, faces, marked = {}, {}, set()
     for n in range(bound + 1):
-        for i, X in enumerate(nodes):
-            for ref in X.all_simplices(n):
-                uf[n].add((i, ref))
+        uf = _UnionFind()
+        uf.parent = {(i, g): (i, g) for i, X in enumerate(nodes) for g in X.gens_at(n)}
+        lowered = []
         for i, j, f in arrows:
-            for ref in nodes[i].all_simplices(n):
-                img = (j, f.apply(ref))
-                uf[n].add(img)
-                uf[n].union((i, ref), img)
-        for elt in uf[n].parent:
-            members[n].setdefault(uf[n].find(elt), []).append(elt)
-
-    def elt_key(elt):
-        i, (g, w) = elt
-        return f"{i}#{g}#{'.'.join(map(str, w))}"
-
-    canon = {}
-    by_dim = {}
-    for n in range(bound + 1):
-        classes = []
-        for root, elts in members[n].items():
-            cls = min(elt_key(e) for e in elts)
-            for e in elts:
-                canon[(n, e)] = cls
-            classes.append(cls)
-        by_dim[n] = sorted(classes)
-    reps = {}
-    for n in range(bound + 1):
-        for root, elts in members[n].items():
-            cls = canon[(n, elts[0])]
-            reps[(n, cls)] = elts[0]
-
-    def face_fn(cls, n, i):
-        j, ref = reps[(n, cls)]
-        return canon[(n - 1, (j, nodes[j].face(ref, i)))]
-
-    def deg_fn(cls, n, i):
-        j, ref = reps[(n, cls)]
-        return canon[(n + 1, (j, degenerate(ref, i)))]
-
-    def marked_fn(cls, n):
-        j, ref = reps[(n, cls)]
-        root = uf[n].find((j, ref))
-        return any(nodes[i].is_marked(r) for i, r in members[n][root])
-
-    def key_fn(cls, n):
-        return cls
-
-    colim, normal = from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn)
-    legs = []
-    for i, X in enumerate(nodes):
-        assignment = {}
-        for n in range(bound + 1):
-            for g in X.gens_at(n):
-                assignment[g] = normal[canon[(n, (i, (g, ())))]]
-        legs.append(MSSetMap(X, colim, assignment))
-    return colim, legs
+            for g in nodes[i].gens_at(n):
+                h, w = f.assignment[g]
+                if w:
+                    lowered.append(((i, g), legs[j], (h, w)))
+                else:
+                    uf.union((i, g), (j, h))
+        classes = {}
+        for elt in uf.parent:
+            classes.setdefault(uf.find(elt), []).append(elt)
+        for elt, leg, ref in lowered:
+            for i, g in classes.pop(uf.find(elt), ()):
+                legs[i].assignment[g] = leg.apply(ref)
+        named = sorted((min([f"{i}#{g}#" for i, g in elts]), elts) for elts in classes.values())
+        gens[n] = tuple([cid for cid, _ in named])
+        for cid, elts in named:
+            for i, g in elts:
+                legs[i].assignment[g] = (cid, ())
+            if n:
+                i, g = elts[0]
+                faces[cid] = tuple([legs[i].apply(r) for r in nodes[i].faces[g]])
+                if any(g in nodes[i].marked for i, g in elts):
+                    marked.add(cid)
+    colim = MarkedSSet(bound, gens, faces, frozenset(marked))
+    return colim, [MSSetMap(X, colim, leg.assignment) for X, leg in zip(nodes, legs)]
 
 
 def pushout(f: MSSetMap, g: MSSetMap):

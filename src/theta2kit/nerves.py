@@ -14,7 +14,7 @@ import functools
 import itertools
 import operator
 
-from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, _Guard, degenerate
+from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, _face_layer, _Guard, degenerate
 from .twocat import Fin2Category, TwoFunctor
 
 # raw simplex: (verts, edges, tris) with edges indexed by pairs i<j and
@@ -302,11 +302,11 @@ def _key_fn(raw, n):
 def _build(D: Fin2Category, by_dim, bound, marked_fn):
     """The marked nerve of a raw nerve, and its raw -> reference index.
 
-    Gives what msset.from_raw gives with the generic raw face and
-    degeneracy operators (the tests compare the two).  Faces are read
-    through position maps cached per (n, i), never rebuilt.  x = s_i y
-    needs x_i == x_{i+1} joined by the unit 1-cell, so only such i are
-    tried, and each is then confirmed exactly on all positions.
+    Gives what the tests' oracle from_raw gives with the generic raw face
+    and degeneracy operators.  Faces are read through position maps
+    cached per (n, i), never rebuilt.  x = s_i y needs x_i == x_{i+1}
+    joined by the unit 1-cell, so only such i are tried, and each is then
+    confirmed exactly on all positions.
     """
     unit1 = D.unit1
     ident = {k: H.identity for k, H in D.hom.items()}
@@ -444,16 +444,6 @@ def _nerve_assignment(F: TwoFunctor, xindex, yindex):
 # coskeletality
 
 
-def _face_tuples(X: MarkedSSet, cells, n):
-    """The n+1 faces of each given n-simplex: a generator's are read from
-    X.faces, a degenerate simplex's are computed once here."""
-    faces = X.faces
-    return [
-        faces[g] if not w else tuple(X.face((g, w), i) for i in range(n + 1))
-        for g, w in cells
-    ]
-
-
 def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     """All (n+1)-tuples of (n-1)-simplices matching like a boundary.
 
@@ -485,7 +475,7 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     ids = {}
     faces = [
         tuple([ids.setdefault(r, len(ids)) for r in fs])
-        for fs in _face_tuples(X, cells, n - 1)
+        for fs in _face_layer(X, cells, n - 1)
     ]
     # pools[k][fs[:k-1]][fs[k-1]]: the cells, with their faces, whose
     # first k faces are fs[:k]
@@ -526,5 +516,5 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
 def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
     """For each compatible boundary in dimension n, its number of fillers."""
     boundaries = compatible_boundaries(X, n, limit)
-    index = collections.Counter(_face_tuples(X, X.all_simplices(n), n))
+    index = collections.Counter(_face_layer(X, X.all_simplices(n), n))
     return [(b, index.get(b, 0)) for b in boundaries]

@@ -433,13 +433,13 @@ def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
 
 @dataclass(frozen=True)
 class _Block:
-    """The L block of a box cell: the nerve of its shape and the product
-    with the sharp simplex on its level, each with its raw index."""
+    """The L block of a box cell: its shape's nerve with the raw index,
+    and the product with its level's sharp simplex with the pairs."""
 
     nerve: MarkedSSet
     nerve_index: dict
     product: MarkedSSet
-    product_index: dict
+    product_pairs: dict
 
 
 def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
@@ -455,14 +455,11 @@ def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
 def _block_map(blocks: dict, G: TwoFunctor, lam, src: BoxCell, dst: BoxCell,
                bound) -> MSSetMap:
     """The map of blocks induced by the shape functor G and the level
-    map lam, read off the indices of both blocks."""
+    map lam, read off the nerve indices and the source's generator pairs."""
     a, b = _block(blocks, src, bound), _block(blocks, dst, bound)
     nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, a.nerve_index, b.nerve_index))
     sf = simplex_map(src.level, dst.level, lam, "sharp", bound)
-    return MSSetMap(
-        a.product, b.product,
-        _product_assignment(a.product_index, b.product_index, nf, sf),
-    )
+    return MSSetMap(a.product, b.product, _product_assignment(a.product_pairs, nf, sf))
 
 
 def _L_diagram(W: Theta2Presentation, blocks: dict, bound):

@@ -3,12 +3,14 @@ import math
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
+
+from raw_oracles import raw_colimit, raw_product_with_index
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +170,11 @@ def test_product_with_point_is_identity_shaped():
 def test_product_marking_is_componentwise():
     T = M.standard_simplex(1, "edge_marked")
     S = M.standard_simplex(1, "sharp")
-    P, index = M.product_with_index(T, S)
+    P, pair_of = M.product_with_index(T, S)
     marked_edges = [g for g in P.gens_at(1) if g in P.marked]
     # every nondegenerate edge projects to a marked edge in both factors
     # here (the marked edge or a degenerate one), so all five are marked
     assert len(marked_edges) == 5
-    pair_of = {g: pair for pair, (g, w) in index.items() if not w}
     for g in P.gens_at(1):
         rx, ry = pair_of[g]
         assert (g in P.marked) == (T.is_marked(rx) and S.is_marked(ry))
@@ -238,6 +239,129 @@ def test_colimit_rejects_bogus_arrow():
     bad = M.MSSetMap(pt, D1, {"0": ("nope", ())})
     with pytest.raises(ValueError):
         M.colimit([pt, D1], [(0, 1, bad)])
+
+
+def test_colimit_rejects_arrow_endpoint_out_of_range():
+    pt = M.standard_simplex(0)
+    for i, j in ((0, 1), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            M.colimit([pt], [(i, j, M.identity_map(pt))])
+
+
+def test_colimit_rejects_arrow_missing_a_generator():
+    D1 = M.standard_simplex(1)
+    partial = M.MSSetMap(D1, D1, {"0": ("0", ()), "01": ("01", ())})
+    with pytest.raises(ValueError, match="1 has no image"):
+        M.colimit([D1, D1], [(0, 1, partial)])
+
+
+def test_colimit_rejects_image_of_wrong_dimension():
+    # a vertex sent to an edge used to give a colimit with counts (3, 1)
+    pt, D1 = M.standard_simplex(0), M.standard_simplex(1)
+    up = M.MSSetMap(pt, D1, {"0": ("01", ())})
+    with pytest.raises(ValueError, match="wrong dimension"):
+        M.colimit([pt, D1], [(0, 1, up)])
+
+
+def test_colimit_rejects_arrow_from_another_node():
+    # a map out of Delta[1] placed on a Delta[0] node
+    pt, D1 = M.standard_simplex(0), M.standard_simplex(1)
+    with pytest.raises(ValueError, match="not a generator of its source"):
+        M.colimit([pt, D1], [(0, 1, M.identity_map(D1))])
+
+
+# ---------------------------------------------------------------------------
+# products and colimits on generators against the all-simplex oracles
+
+
+def assert_same_msset(X, Y):
+    """The same generators, faces and marking, orders included."""
+    assert X.bound == Y.bound
+    assert list(X.gens.items()) == list(Y.gens.items())
+    assert list(X.faces.items()) == list(Y.faces.items())
+    assert X.marked == Y.marked
+
+
+def assert_same_colimit(nodes, arrows, bound=None):
+    P, legs = M.colimit(nodes, arrows, bound)
+    Q, oracle = raw_colimit(nodes, arrows, bound)
+    assert_same_msset(P, Q)
+    for leg, want in zip(legs, oracle):
+        assert list(leg.assignment.items()) == list(want.assignment.items())
+    return P, legs
+
+
+@st.composite
+def small_mssets(draw, bound=3):
+    """A simplex, horn or boundary of dimension at most 3, with a random
+    set of its positive-dimensional generators marked."""
+    ell = draw(st.integers(0, 3))
+    variant = draw(st.sampled_from(["flat", "boundary", "horn"] if ell else ["flat"]))
+    horn = draw(st.integers(0, ell)) if variant == "horn" else None
+    X = M.standard_simplex(ell, variant, horn=horn, bound=bound)
+    positive = sorted(g for n in range(1, bound + 1) for g in X.gens_at(n))
+    marked = draw(st.sets(st.sampled_from(positive))) if positive else set()
+    return M.MarkedSSet(X.bound, X.gens, X.faces, frozenset(marked))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mssets(), small_mssets())
+def test_product_matches_the_all_pairs_oracle(X, Y):
+    P, pairs = M.product_with_index(X, Y)
+    Q, index = raw_product_with_index(X, Y)
+    assert_same_msset(P, Q)
+    assert list(pairs.items()) == [
+        (gid, pair) for pair, (gid, w) in index.items() if not w
+    ]
+    # the pair lookup normalises every pair, degenerate ones included
+    assert all(M._pair_ref(*pair) == ref for pair, ref in index.items())
+
+
+@st.composite
+def simplex_pushouts(draw, bound=3):
+    """Delta[b] <- Delta[a] -> Delta[c] along monotone vertex maps, which
+    are composites of face inclusions and degeneracy maps, the targets
+    randomly marked."""
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+    source = M.standard_simplex(a, bound=bound)
+    nodes, arrows = [source], []
+    for ell in (b, c):
+        images = sorted(draw(st.lists(st.integers(0, ell), min_size=a + 1, max_size=a + 1)))
+        flat = TH.simplex_map(a, ell, images, "flat", bound)
+        Y = flat.target
+        positive = sorted(g for n in range(1, bound + 1) for g in Y.gens_at(n))
+        marked = draw(st.sets(st.sampled_from(positive))) if positive else set()
+        Y = M.MarkedSSet(Y.bound, Y.gens, Y.faces, frozenset(marked))
+        arrows.append((0, len(nodes), M.MSSetMap(source, Y, flat.assignment)))
+        nodes.append(Y)
+    return nodes, arrows
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplex_pushouts())
+def test_colimit_matches_the_all_simplex_oracle(diagram):
+    nodes, arrows = diagram
+    P, legs = assert_same_colimit(nodes, arrows)
+    assert M.validate_msset(P).ok
+    assert all(M.validate_map(leg).ok for leg in legs)
+    # the legs are jointly surjective on generators
+    hit = {ref[0] for leg in legs for ref in leg.assignment.values() if not ref[1]}
+    assert hit == {g for n in P.gens for g in P.gens_at(n)}
+
+
+def test_colimit_matches_the_oracle_on_the_eq3_pushout():
+    N3 = N.rs_nerve(T.as_two_category(T.ordinal(3)), bound=4)
+    D1 = M.standard_simplex(1, bound=4)
+    D1t = M.standard_simplex(1, "edge_marked", bound=4)
+    incl = M.MSSetMap(D1, D1t, {"0": ("0", ()), "1": ("1", ()), "01": ("01", ())})
+
+    def edge(a, b):
+        return M.map_by_vertices(D1, N3, {"0": f"{a};;", "1": f"{b};;"})
+
+    nodes = [D1, D1, N3, D1t, D1t]
+    arrows = [(0, 2, edge(0, 2)), (0, 3, incl), (1, 2, edge(1, 3)), (1, 4, incl)]
+    P, _ = assert_same_colimit(nodes, arrows)
+    assert M.find_iso(P, M.standard_simplex(3, "eq3", bound=4)) is not None
 
 
 # ---------------------------------------------------------------------------

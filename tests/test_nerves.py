@@ -7,6 +7,8 @@ from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import twocat as T
 
+from raw_oracles import face_tuples, from_raw
+
 
 def _ordinal_2cat(m):
     return T.as_two_category(T.ordinal(m))
@@ -112,7 +114,7 @@ def test_suspended_category_nerve_contains_shifted_nerve():
 
 
 # ---------------------------------------------------------------------------
-# nerves._build against the generic from_raw
+# nerves._build against the generic from_raw oracle
 
 
 def _z2_suspension():
@@ -208,7 +210,7 @@ def test_build_matches_from_raw(D):
     ops = _RawOps(D)
     for marking, mk in MARKINGS.items():
         X, index = N._build(D, by_dim, bound, mk(D))
-        Y, oracle = M.from_raw(
+        Y, oracle = from_raw(
             bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn
         )
         assert X.gens == Y.gens, marking
@@ -353,8 +355,8 @@ def test_build_matches_from_raw_without_cocycle():
     assert len(by_dim[4]) > len(N._raw_nerve(D, 4)[4])
     ops = _RawOps(D)
     X, index = N._build(D, by_dim, 4, N._rs_marked(D))
-    Y, oracle = M.from_raw(4, by_dim, ops.face, ops.degenerate,
-                           N._rs_marked(D), N._key_fn)
+    Y, oracle = from_raw(4, by_dim, ops.face, ops.degenerate,
+                         N._rs_marked(D), N._key_fn)
     assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
     assert index == oracle
 
@@ -532,7 +534,7 @@ def _compatible_boundaries_one_level(X, n, limit=5_000_000):
     ids = {}
     faces = [
         tuple([ids.setdefault(r, len(ids)) for r in fs])
-        for fs in N._face_tuples(X, cells, n - 1)
+        for fs in face_tuples(X, cells, n - 1)
     ]
     by_prefix = [{} for _ in range(n + 1)]
     for s, fs in zip(cells, faces):
@@ -573,6 +575,21 @@ def test_compatible_boundaries_matches_one_level_oracle(D, bound, monkeypatch):
         want, steps = _compatible_boundaries_one_level(X, n)
         assert N.compatible_boundaries(X, n) == want, n
         assert guards[-1].count == steps, n
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: N.duskin_nerve(T.theta2_object(T.Theta2Shape(2, (2, 2))), 4),
+                 id="[2|2,2]"),
+    pytest.param(lambda: N.rs_nerve(_z2_suspension(), 4), id="Sigma Z/2"),
+    pytest.param(lambda: M.product(M.standard_simplex(1), M.standard_simplex(2, "sharp")),
+                 id="Delta[1] x Delta[2]"),
+])
+def test_face_layer_matches_per_simplex_faces(build):
+    # the layer table gives the faces the recursive MarkedSSet.face gives
+    X = build()
+    for n in range(1, X.bound + 1):
+        cells = X.all_simplices(n)
+        assert M._face_layer(X, cells, n) == face_tuples(X, cells, n), n
 
 
 def test_compatible_boundaries_guard_totals_on_grid_cell(monkeypatch):

@@ -71,3 +71,38 @@ def test_module_state_check_sees_containers(tmp_path):
         "F = (1, 2)\nG = frozenset()\ndef f():\n    H = {}\n"
     )
     assert _module_containers(path) == ["mod.A", "mod.B", "mod.C", "mod.E"]
+
+
+def _from_raw_uses(path):
+    """Where path defines, imports or calls from_raw, as 'line:kind'."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            hit, kind = node.name == "from_raw", "def"
+        elif isinstance(node, ast.ImportFrom):
+            hit, kind = any(a.name == "from_raw" for a in node.names), "import"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            hit, kind = name == "from_raw", "call"
+        else:
+            continue
+        if hit:
+            out.append(f"{node.lineno}:{kind}")
+    return out
+
+
+def test_library_has_no_from_raw():
+    # products and colimits are built on generators; the all-simplex
+    # normalisation lives in the tests, as their oracle
+    found = [f"{path.name}:{use}" for path in SOURCES for use in _from_raw_uses(path)]
+    assert found == []
+
+
+def test_from_raw_check_sees_definitions_imports_and_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .msset import from_raw\ndef from_raw(x):\n    return x\n"
+        "Y = msset.from_raw(1)\nZ = from_raw(2)\nW = from_raw\ndef g():\n    raw(3)\n"
+    )
+    assert _from_raw_uses(path) == ["1:import", "2:def", "4:call", "5:call"]

@@ -7,6 +7,8 @@ from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
 
+from raw_oracles import raw_colimit, raw_product_with_index
+
 
 POINT = T.Theta2Shape(0, ())
 EDGE = T.Theta2Shape(1, (0,))
@@ -221,14 +223,15 @@ def test_L_map_of_horizontal_spine():
 
 
 # ---------------------------------------------------------------------------
-# L's block builder against blocks and block maps built one by one
+# L's block builder against blocks and block maps built one by one, and
+# products and colimits through the all-simplex oracles
 
 
 def _old_box_nerve(cell, bound):
-    return M.product(
+    return raw_product_with_index(
         N.rs_nerve(T.theta2_object(cell.shape), bound),
         M.standard_simplex(cell.level, "sharp", bound=bound),
-    )
+    )[0]
 
 
 def _old_box_map(G, lam, l_src, l_dst, bound):
@@ -240,8 +243,8 @@ def _old_box_map(G, lam, l_src, l_dst, bound):
         g: yindex[N._apply_raw(G, raw)] for raw, (g, w) in xindex.items() if not w
     })
     sf = TH.simplex_map(l_src, l_dst, lam, "sharp", bound)
-    P, pindex = M.product_with_index(X, sf.source)
-    Q, qindex = M.product_with_index(Y, sf.target)
+    P, pindex = raw_product_with_index(X, sf.source)
+    Q, qindex = raw_product_with_index(Y, sf.target)
     return M.MSSetMap(P, Q, {
         gid: qindex[(nf.apply(rx), sf.apply(ry))]
         for (rx, ry), (gid, w) in pindex.items()
@@ -255,7 +258,7 @@ def _old_apply_L_with_legs(W, bound):
     for i, j, G, lam in W.arrows:
         f = _old_box_map(G, lam, W.cells[i].level, W.cells[j].level, bound)
         arrows.append((i, j, M.MSSetMap(nodes[i], nodes[j], f.assignment)))
-    return M.colimit(nodes, arrows, bound=bound)
+    return raw_colimit(nodes, arrows, bound=bound)
 
 
 def _old_apply_L_map(P, bound):
@@ -315,6 +318,7 @@ def test_block_builder_matches_on_vertical_segal(k):
 @pytest.mark.parametrize(
     "m, ks", [(0, ()), (1, (0,)), (1, (1,)), (1, (2,)),
               (2, (0, 0)), (2, (0, 1)), (2, (1, 0)), (2, (1, 1))]
+    + [(3, ks) for ks in itertools.product(range(2), repeat=3)]
 )
 def test_block_builder_matches_on_horizontal_segal(m, ks):
     assert_same_L_map(TH.horizontal_segal(m, ks))
@@ -333,7 +337,10 @@ def test_block_builder_matches_with_level_maps():
 
 @pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize("shape", [POINT, EDGE, CONE, T.Theta2Shape(1, (2,)),
-                                   T.Theta2Shape(2, (1, 0))])
+                                   T.Theta2Shape(2, (1, 0))] + [
+    T.Theta2Shape(2, ks) for ks in itertools.product(range(3), repeat=2)
+    if ks != (1, 0)
+])
 def test_block_builder_matches_on_representables(shape, level):
     bound = 4 if level == 0 else 3
     W = TH.representable(shape, level)
