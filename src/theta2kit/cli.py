@@ -199,6 +199,9 @@ def suite_hom_bijection(args) -> VerifySuiteReport:
     max_m = getattr(args, "max_m", 3)
     max_k = getattr(args, "max_k", 2)
     max_j = getattr(args, "max_j", 3)
+    for flag, value in (("--max-m", max_m), ("--max-k", max_k), ("--max-j", max_j)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     shapes = [twocat.Theta2Shape(0, ())]
     for m in range(1, max_m + 1):
         for ks in itertools.product(range(max_k + 1), repeat=m):
@@ -220,7 +223,7 @@ def suite_hom_bijection(args) -> VerifySuiteReport:
                         witness=f"enum={len(fs)} formula={formula}",
                     )
     rep.add(
-        f"all grid cells agree (shapes={len(shapes)}, i<=3, j<=3)",
+        f"all grid cells agree (shapes={len(shapes)}, i<={max_m}, j<={max_j})",
         all(c["ok"] for c in rep.checks) if rep.checks else True,
     )
     return rep

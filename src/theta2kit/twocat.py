@@ -101,8 +101,8 @@ def validate_category(C: FinCategory) -> Report:
 
 def ordinal(m: int) -> FinCategory:
     """The linear order with m+1 elements; m = -1 gives the empty category."""
-    if m < -1:
-        raise ValueError("m must be at least -1")
+    if not isinstance(m, int) or m < -1:
+        raise ValueError(f"ordinal: m must be an int >= -1, got {m!r}")
     objects = tuple(str(i) for i in range(m + 1))
     morphisms = {
         f"{i}>{j}": (str(i), str(j))
@@ -186,11 +186,16 @@ def _poset(ks):
 
 def product_poset(ks) -> FinCategory:
     """The poset [k_1] x ... x [k_r] as a category; r = 0 gives [0]."""
+    ks = tuple(ks)
+    if not all(isinstance(k, int) and k >= 0 for k in ks):
+        raise ValueError(f"product_poset: each k must be an int >= 0, got {ks}")
     return _poset(ks)[3]
 
 
 def chain_count(C: FinCategory, j: int) -> int:
     """Number of composable j-chains (the classical nerve in dimension j)."""
+    if not isinstance(j, int) or j < 0:
+        raise ValueError(f"chain_count: j must be an int >= 0, got {j!r}")
     if j == 0:
         return len(C.objects)
     weights = {f: 1 for f in C.morphisms}
@@ -299,8 +304,70 @@ def _thin(homs) -> bool:
     return all(len(fs) <= 1 for fs in homs.values())
 
 
+def _object_maps(objs, ends, targets, nonempty, guard):
+    """Every map of objs into targets under which each pair (a, b) in ends
+    lands on a nonempty hom, as image tuples in lexicographic order.
+
+    nonempty holds the pairs of targets with a nonempty hom.  Up- and
+    down-set bitmasks over the positions in targets are built from it
+    once; objs[k]'s candidates are the AND of the masks its pairs to
+    objs[:k] select, and only those bits are walked, low to high.  The
+    guard is charged len(targets) in one step per search node: what
+    trying each target in turn would cost.
+    """
+    pos = {y: t for t, y in enumerate(targets)}
+    up, down = [0] * len(targets), [0] * len(targets)
+    loops = 0  # the targets with a nonempty hom to themselves
+    for a, b in nonempty:
+        up[pos[a]] |= 1 << pos[b]
+        down[pos[b]] |= 1 << pos[a]
+        if a == b:
+            loops |= 1 << pos[a]
+    index = {x: k for k, x in enumerate(objs)}
+    # per depth k, (earlier depth, masks) for each pair whose later end is
+    # objs[k]; (None, None) for a pair (objs[k], objs[k])
+    rules = [[] for _ in objs]
+    for a, b in ends:
+        ka, kb = index[a], index[b]
+        if ka == kb:
+            rules[ka].append((None, None))
+        elif ka < kb:
+            rules[kb].append((ka, up))
+        else:
+            rules[ka].append((kb, down))
+    full = (1 << len(targets)) - 1
+    images = [0] * len(objs)
+    out = []
+
+    def place(k):
+        if k == len(objs):
+            out.append(tuple(targets[t] for t in images))
+            return
+        guard.step(len(targets))
+        mask = full
+        for other, masks in rules[k]:
+            mask &= loops if masks is None else masks[images[other]]
+        while mask:
+            low = mask & -mask
+            images[k] = low.bit_length() - 1
+            place(k + 1)
+            mask ^= low
+
+    place(0)
+    return out
+
+
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
-    """The complete, canonically ordered list of functors C -> D."""
+    """The complete, canonically ordered list of functors C -> D.
+
+    Object images come from `_object_maps`, with the ends of C's atoms as
+    the pairs that must land on nonempty homs of D; the masks are built
+    once per call from D's nonempty homs.  When D is thin each atom's
+    image is the one morphism between its ends' images, read off in one
+    guard step of len(atoms), which is what trying the single candidate
+    of each atom in turn would cost.  Otherwise the atoms are tried one
+    by one and every relation f;g = h of C is checked.
+    """
     if not C.objects:
         return [Functor(C, D, {}, {})]
     if not D.objects and C.objects:
@@ -312,9 +379,6 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     homs = {}
     for f in sorted(D.morphisms):
         homs.setdefault(D.morphisms[f], []).append(f)
-
-    def hom(a, b):
-        return homs.get((a, b), [])
 
     # The composite morphisms of C in the order in which a recursive
     # evaluation over C.morphisms would first reach them, each after its
@@ -335,18 +399,15 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     identities = [(C.identity[x], x) for x in C.objects]
     # In a thin D both sides of a relation f;g = h have the same endpoints,
     # so they are equal; only a D that is not thin needs the check.
-    relations = [] if _thin(homs) else [
+    thin = _thin(homs)
+    relations = [] if thin else [
         (f, g, C.then(f, g))
         for f in C.morphisms
         for g in C.morphisms
         if C.tgt(f) == C.src(g)
     ]
     objs = sorted(C.objects)
-    targets = sorted(D.objects)
-    # the atoms whose hom must be nonempty once x is mapped
-    atom_ends = {
-        x: [C.morphisms[f] for f in atoms if x in C.morphisms[f]] for x in objs
-    }
+    atom_ends = [C.morphisms[f] for f in atoms]
     results = []
 
     def derive(obj_map, atom_map):
@@ -364,37 +425,29 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
 
     def assign_atoms(obj_map, k, atom_map):
         if k == len(atoms):
-            mor_map = derive(dict(obj_map), dict(atom_map))
+            mor_map = derive(obj_map, dict(atom_map))
             if mor_map is not None:
                 results.append(Functor(C, D, dict(obj_map), mor_map))
             return
         f = atoms[k]
-        a, b = C.morphisms[f]
-        for g in hom(obj_map[a], obj_map[b]):
+        a, b = atom_ends[k]
+        for g in homs[(obj_map[a], obj_map[b])]:
             guard.step()
             atom_map[f] = g
             assign_atoms(obj_map, k + 1, atom_map)
             del atom_map[f]
 
-    def assign_objects(k, obj_map):
-        if k == len(objs):
+    for images in _object_maps(objs, atom_ends, sorted(D.objects), homs, guard):
+        obj_map = dict(zip(objs, images))
+        if thin:
+            guard.step(len(atoms))
+            atom_map = {
+                f: homs[(obj_map[a], obj_map[b])][0]
+                for f, (a, b) in zip(atoms, atom_ends)
+            }
+            results.append(Functor(C, D, obj_map, derive(obj_map, atom_map)))
+        else:
             assign_atoms(obj_map, 0, {})
-            return
-        x = objs[k]
-        for y in targets:
-            guard.step()
-            obj_map[x] = y
-            # atoms away from x were checked when their last end was mapped
-            ok = all(
-                hom(obj_map[a], obj_map[b])
-                for a, b in atom_ends[x]
-                if a in obj_map and b in obj_map
-            )
-            if ok:
-                assign_objects(k + 1, obj_map)
-            del obj_map[x]
-
-    assign_objects(0, {})
     return results
 
 
@@ -408,7 +461,12 @@ class Theta2Shape:
     ks: tuple
 
     def __post_init__(self):
-        if self.m < 0 or len(self.ks) != self.m or any(k < 0 for k in self.ks):
+        if not (
+            isinstance(self.m, int)
+            and isinstance(self.ks, (tuple, list))
+            and len(self.ks) == self.m >= 0
+            and all(isinstance(k, int) and k >= 0 for k in self.ks)
+        ):
             raise ValueError(f"invalid shape [{self.m}|{self.ks}]")
         object.__setattr__(self, "ks", tuple(self.ks))
 
@@ -601,14 +659,22 @@ def suspend_category(C: FinCategory) -> Fin2Category:
 
 
 def theta2_object(shape: Theta2Shape) -> Fin2Category:
-    """The pasting 2-category [m|k_1,...,k_m] with product-poset homs."""
+    """The pasting 2-category [m|k_1,...,k_m] with product-poset homs.
+
+    hom(i, j) is the poset [k_{i+1}] x ... x [k_j].  Its tables are built
+    once per distinct slice ks[i:j] in a call, so homs with equal slices
+    are one shared FinCategory, as are hom(0, 1) and hom(1, 2) of [2|k,k].
+    """
     m, ks = shape.m, shape.ks
     objects = tuple(str(i) for i in range(m + 1))
+    built = {}  # ks slice -> its _poset tables
     posets = {}
     hom = {}
     for i in range(m + 1):
         for j in range(i, m + 1):
-            posets[(i, j)] = _poset(ks[i:j])
+            if ks[i:j] not in built:
+                built[ks[i:j]] = _poset(ks[i:j])
+            posets[(i, j)] = built[ks[i:j]]
             hom[(objects[i], objects[j])] = posets[(i, j)][3]
     # hom(i, l) is hom(i, j) x hom(j, l): cell a + b of hom(i, l) has the
     # index x * width + y, where x, y index a, b and width = |hom(j, l)|
@@ -917,52 +983,41 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
 
 
 def _enumerate_free(D, E, guard):
-    objs = sorted(D.objects)
-    eobjs = sorted(E.objects)
-    results = []
-    seg_homs = {pair: D.hom_at(*pair) for pair in D.segments}
-    seg_functors = {}  # (pair, fx, fy) -> the functors seg_homs[pair] -> E(fx, fy)
+    """The 2-functors D -> E given by their segment images.
 
-    def assign(k, on_objects):
-        if k == len(objs):
-            choice_lists = []
-            for pair in D.segments:
-                fx, fy = on_objects[pair[0]], on_objects[pair[1]]
-                He = E.hom_at(fx, fy)
-                if He is None:
-                    return
-                key = (pair, fx, fy)
-                if key not in seg_functors:
-                    seg_functors[key] = enumerate_functors(
-                        seg_homs[pair], He, guard.limit
-                    )
-                fns = seg_functors[key]
-                guard.step(len(fns))
-                if not fns:
-                    return
-                choice_lists.append(fns)
+    Object images come from `_object_maps`, with D's segments as the pairs
+    that must land on nonempty homs of E.  The functors from a segment hom
+    to a target hom are enumerated once per call for each distinct pair of
+    FinCategory objects, so segments and targets that share a hom (as
+    theta2_object's equal slices do) share one list.  Each use of a list
+    still charges its length to the guard.
+    """
+    objs = sorted(D.objects)
+    seg_homs = [D.hom_at(*pair) for pair in D.segments]
+    # ids of (segment hom, target hom) -> the functors between them; D and E
+    # hold both homs for the whole call
+    seg_functors = {}
+    results = []
+    for images in _object_maps(objs, D.segments, sorted(E.objects), E.hom, guard):
+        on_objects = dict(zip(objs, images))
+        choice_lists = []
+        for (a, b), H in zip(D.segments, seg_homs):
+            He = E.hom[(on_objects[a], on_objects[b])]
+            key = (id(H), id(He))
+            fns = seg_functors.get(key)
+            if fns is None:
+                fns = seg_functors[key] = enumerate_functors(H, He, guard.limit)
+            guard.step(len(fns))
+            if not fns:
+                break
+            choice_lists.append(fns)
+        else:
             for combo in itertools.product(*choice_lists):
                 guard.step()
                 seg_maps = dict(zip(D.segments, combo))
                 results.append(
                     TwoFunctor.from_segments(D, E, dict(on_objects), seg_maps)
                 )
-            return
-        x = objs[k]
-        for y in eobjs:
-            guard.step()
-            on_objects[x] = y
-            ok = True
-            for a, b in D.segments:
-                if a in on_objects and b in on_objects:
-                    if E.hom_at(on_objects[a], on_objects[b]) is None:
-                        ok = False
-                        break
-            if ok:
-                assign(k + 1, on_objects)
-            del on_objects[x]
-
-    assign(0, {})
     return results
 
 

@@ -170,5 +170,21 @@ def test_verify_hom_bijection_small_grid(capsys):
                  "--max-j", "1"]) == 0
 
 
+def test_verify_hom_bijection_names_the_bounds_it_used(capsys):
+    assert main(["verify", "hom-bijection", "--max-m", "1", "--max-k", "2",
+                 "--max-j", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in data["checks"]] == [
+        "all grid cells agree (shapes=4, i<=1, j<=2)"
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--max-m", "--max-k", "--max-j"])
+def test_verify_hom_bijection_negative_bound_exits_2(flag, capsys):
+    # an empty grid would pass and exit 0
+    assert main(["verify", "hom-bijection", flag, "-1"]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nonesuch"]) == 2

@@ -2,9 +2,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from theta2kit import twocat as T
+from theta2kit.msset import ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +39,22 @@ def test_product_poset():
 def test_chain_count_binomial(m, j):
     # composable j-chains in [m] are monotone maps [j] -> [m]
     assert T.chain_count(T.ordinal(m), j) == math.comb(m + j + 1, j + 1)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: T.chain_count(T.product_poset((1,)), -1), id="j=-1"),
+    pytest.param(lambda: T.chain_count(T.ordinal(2), 1.5), id="j=1.5"),
+    pytest.param(lambda: T.product_poset((-1,)), id="k=-1"),
+    pytest.param(lambda: T.product_poset((1, "2")), id="k='2'"),
+    pytest.param(lambda: T.ordinal(-2), id="m=-2"),
+    pytest.param(lambda: T.ordinal("3"), id="m='3'"),
+    pytest.param(lambda: T.Theta2Shape(1, ("1",)), id="shape ks='1'"),
+    pytest.param(lambda: T.Theta2Shape(1.0, (1,)), id="shape m=1.0"),
+    pytest.param(lambda: T.Theta2Shape(1, 1), id="shape ks=1"),
+])
+def test_bad_arguments_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_chain_count_free_iso():
@@ -153,9 +170,106 @@ def test_thinness():
                             for f in D.morphisms})
 
 
+# ---------------------------------------------------------------------------
+# the one-object-at-a-time search: oracle of the bitmask object search
+
+
+def _enumerate_functors_by_objects(C, D, guard):
+    """enumerate_functors placing objects one at a time, each checked
+    against the homs of the atoms it closes, and atoms always tried one
+    by one."""
+    if not C.objects:
+        return [T.Functor(C, D, {}, {})]
+    if not D.objects and C.objects:
+        return []
+    atoms = T._atoms(C)
+    factor = T._factorizations(C, atoms)
+    homs = {}
+    for f in sorted(D.morphisms):
+        homs.setdefault(D.morphisms[f], []).append(f)
+
+    def hom(a, b):
+        return homs.get((a, b), [])
+
+    composites = []
+    seen = {C.identity[x] for x in C.objects} | set(atoms)
+
+    def visit(f):
+        if f not in seen:
+            g, h = factor[f]
+            visit(g)
+            visit(h)
+            seen.add(f)
+            composites.append((f, g, h))
+
+    for f in C.morphisms:
+        visit(f)
+    identities = [(C.identity[x], x) for x in C.objects]
+    relations = [] if T._thin(homs) else [
+        (f, g, C.then(f, g))
+        for f in C.morphisms
+        for g in C.morphisms
+        if C.tgt(f) == C.src(g)
+    ]
+    objs = sorted(C.objects)
+    targets = sorted(D.objects)
+    atom_ends = {
+        x: [C.morphisms[f] for f in atoms if x in C.morphisms[f]] for x in objs
+    }
+    results = []
+
+    def derive(obj_map, atom_map):
+        mor_map = {}
+        for i, x in identities:
+            mor_map[i] = D.identity[obj_map[x]]
+        for f in atoms:
+            mor_map[f] = atom_map[f]
+        for f, g, h in composites:
+            mor_map[f] = D.compose[(mor_map[g], mor_map[h])]
+        for f, g, h in relations:
+            if mor_map[h] != D.compose[(mor_map[f], mor_map[g])]:
+                return None
+        return mor_map
+
+    def assign_atoms(obj_map, k, atom_map):
+        if k == len(atoms):
+            mor_map = derive(dict(obj_map), dict(atom_map))
+            if mor_map is not None:
+                results.append(T.Functor(C, D, dict(obj_map), mor_map))
+            return
+        f = atoms[k]
+        a, b = C.morphisms[f]
+        for g in hom(obj_map[a], obj_map[b]):
+            guard.step()
+            atom_map[f] = g
+            assign_atoms(obj_map, k + 1, atom_map)
+            del atom_map[f]
+
+    def assign_objects(k, obj_map):
+        if k == len(objs):
+            assign_atoms(obj_map, 0, {})
+            return
+        x = objs[k]
+        for y in targets:
+            guard.step()
+            obj_map[x] = y
+            ok = all(
+                hom(obj_map[a], obj_map[b])
+                for a, b in atom_ends[x]
+                if a in obj_map and b in obj_map
+            )
+            if ok:
+                assign_objects(k + 1, obj_map)
+            del obj_map[x]
+
+    assign_objects(0, {})
+    return results
+
+
 def _enumerate_free_uncached(D, E, guard):
-    """_enumerate_free with enumerate_functors called for every object
-    assignment, as it was before the per-call reuse."""
+    """_enumerate_free placing objects one at a time, with the segment
+    functors from _enumerate_functors_by_objects enumerated again at every
+    object assignment."""
     objs = sorted(D.objects)
     eobjs = sorted(E.objects)
     results = []
@@ -169,7 +283,9 @@ def _enumerate_free_uncached(D, E, guard):
                 He = E.hom_at(fx, fy)
                 if He is None:
                     return
-                fns = T.enumerate_functors(seg_homs[pair], He, guard.limit)
+                fns = _enumerate_functors_by_objects(
+                    seg_homs[pair], He, T._Guard(guard.limit, "enumerate_functors")
+                )
                 guard.step(len(fns))
                 if not fns:
                     return
@@ -199,32 +315,175 @@ def _enumerate_free_uncached(D, E, guard):
     return results
 
 
+class _Recorded(T._Guard):
+    """A _Guard that keeps every instance, to read its count afterwards."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+def _functors_and_steps(C, D):
+    """enumerate_functors(C, D) and the steps its guard used."""
+    _Recorded.made.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_Guard", _Recorded)
+        fs = T.enumerate_functors(C, D)
+    return fs, (_Recorded.made[0].count if _Recorded.made else 0)
+
+
+def _oracle_functors_and_steps(C, D):
+    guard = T._Guard(2_000_000, "enumerate_functors")
+    return _enumerate_functors_by_objects(C, D, guard), guard.count
+
+
+@pytest.mark.parametrize("C, D", [
+    pytest.param(T.ordinal(1), T.ordinal(2), id="[1]->[2]"),
+    pytest.param(T.ordinal(2), T.ordinal(3), id="[2]->[3]"),
+    pytest.param(T.ordinal(3), T.ordinal(1), id="[3]->[1]"),
+    pytest.param(T.ordinal(2), T.ordinal(-1), id="[2]->empty"),
+    pytest.param(T.ordinal(-1), T.ordinal(2), id="empty->[2]"),
+    pytest.param(T.ordinal(2), T.product_poset((1, 2)), id="[2]->[1]x[2]"),
+    pytest.param(T.product_poset((1, 1)), T.product_poset((2, 1)),
+                 id="[1]x[1]->[2]x[1]"),
+    pytest.param(T.ordinal(1), T.free_iso(), id="[1]->I"),
+    pytest.param(T.product_poset((1, 1)), T.free_iso(), id="[1]x[1]->I"),
+    pytest.param(T.free_iso(), T.product_poset((1, 1)), id="I->[1]x[1]"),
+    pytest.param(T.product_poset((1, 1)), _z2(), id="[1]x[1]->Z/2"),
+    pytest.param(T.product_poset((1, 1)), _parallel_pair(), id="[1]x[1]->u,v"),
+    pytest.param(T.ordinal(2), _z2(), id="[2]->Z/2"),
+    pytest.param(_z2(), _z2(), id="Z/2->Z/2"),
+    pytest.param(_parallel_pair(), _parallel_pair(), id="u,v->u,v"),
+])
+def test_enumerate_functors_matches_object_by_object_oracle(C, D):
+    got, steps = _functors_and_steps(C, D)
+    want, want_steps = _oracle_functors_and_steps(C, D)
+    # same functors, same order, same key order in every map, same steps
+    assert _functor_tables(got) == _functor_tables(want)
+    assert steps == want_steps
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+def test_enumerate_functors_between_product_posets_matches_oracle(ks, ls):
+    C, D = T.product_poset(ks), T.product_poset(ls)
+    got, steps = _functors_and_steps(C, D)
+    want, want_steps = _oracle_functors_and_steps(C, D)
+    assert _functor_tables(got) == _functor_tables(want)
+    assert steps == want_steps
+
+
+def test_guard_limit_inside_a_batched_step():
+    # the first object search node charges all 4 targets at once
+    with pytest.raises(ResourceLimitError) as e:
+        T.enumerate_functors(T.ordinal(1), T.ordinal(3), limit=2)
+    assert e.value.operation == "enumerate_functors"
+    assert e.value.steps == 4  # past the limit of 2 in one step
+    # [2] -> [0]: three object nodes of one step, then the two atoms of the
+    # one object map in one step
+    assert len(T.enumerate_functors(T.ordinal(2), T.ordinal(0), limit=5)) == 1
+    with pytest.raises(ResourceLimitError) as e:
+        T.enumerate_functors(T.ordinal(2), T.ordinal(0), limit=4)
+    assert e.value.operation == "enumerate_functors"
+    assert e.value.steps == 5  # past the limit of 4 in one step
+    # the segment search charges its 3 target objects at once
+    with pytest.raises(ResourceLimitError) as e:
+        T.enumerate_two_functors(
+            T.cell(1), T.theta2_object(T.Theta2Shape(2, (0, 0))), limit=1
+        )
+    assert e.value.operation == "enumerate_two_functors"
+    assert e.value.steps == 3  # past the limit of 1 in one step
+
+
+def test_segment_functors_enumerated_once_per_pair_of_homs(monkeypatch):
+    D = T.theta2_object(T.Theta2Shape(2, (2, 2)))
+    E = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
+    calls = []
+    enumerate_functors = T.enumerate_functors
+
+    def counted(C, H, *args):
+        calls.append((id(C), id(H)))
+        return enumerate_functors(C, H, *args)
+
+    monkeypatch.setattr(T, "enumerate_functors", counted)
+    fs = T.enumerate_two_functors(D, E)
+    # both segments of D share one hom [2]; E has four distinct homs, the
+    # posets of (), (2,), (2, 2) and (2, 2, 2), and every one is reached
+    assert D.hom_at("0", "1") is D.hom_at("1", "2")
+    assert len({id(H) for H in E.hom.values()}) == 4
+    assert len(calls) == len(set(calls)) == 4
+    chains = {pair: T.chain_count(H, 2) for pair, H in E.hom.items()}
+    assert len(fs) == sum(
+        chains[(x, y)] * chains[(y, z)]
+        for (x, y) in chains
+        for (y2, z) in chains
+        if y2 == y
+    )
+
+
+def test_theta2_object_shares_homs_of_equal_slices():
+    th = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
+    assert th.hom_at("0", "1") is th.hom_at("1", "2") is th.hom_at("2", "3")
+    assert th.hom_at("0", "2") is th.hom_at("1", "3")
+    assert th.hom_at("0", "0") is th.hom_at("3", "3")
+    assert th.hom_at("0", "1") is not th.hom_at("0", "2")
+    assert T.validate_2cat(th).ok
+
+
+def _two_functor_tables(fs):
+    """Object and segment tables of each 2-functor, as lists, so that key
+    order counts too."""
+    return [
+        (
+            list(F.on_objects.items()),
+            [(pair, _functor_tables([fn])) for pair, fn in F._seg_maps.items()],
+        )
+        for F in fs
+    ]
+
+
 def test_two_functor_enumeration_matches_uncached_checked_oracle(monkeypatch):
-    # the hom-bijection cells [i|j,...,j] -> [m|k_1,...,k_m], i, j <= 2, m <= 3
-    guards = []
-
-    class Recorded(T._Guard):
-        def __init__(self, *args):
-            super().__init__(*args)
-            guards.append(self)
-
-    monkeypatch.setattr(T, "_Guard", Recorded)
+    # the 360 hom-grid cells [i|j,...,j] -> [m|k_1,...,k_m], i, j, k <= 2, m <= 3
+    monkeypatch.setattr(T, "_Guard", _Recorded)
     for shape in _shapes(3, 2):
         E = T.theta2_object(shape)
         for i in range(3):
             for j in range(3):
                 D = T.theta2_object(T.Theta2Shape(i, (j,) * i))
-                guards.clear()
+                _Recorded.made.clear()
                 got = T.enumerate_two_functors(D, E)
-                steps = guards[0].count
+                steps = _Recorded.made[0].count
                 with monkeypatch.context() as checked:
                     checked.setattr(T, "_thin", lambda homs: False)
                     guard = T._Guard(5_000_000, "enumerate_two_functors")
                     want = _enumerate_free_uncached(D, E, guard)
-                assert [F.compact_key() for F in got] == [
-                    F.compact_key() for F in want
-                ], (shape, i, j)
+                assert _two_functor_tables(got) == _two_functor_tables(want), (
+                    shape, i, j
+                )
                 assert steps == guard.count, (shape, i, j)
+
+
+@pytest.mark.parametrize("src, dst", [
+    ((2, (1, 2)), (2, (2, 1))),
+    ((2, (2, 0)), (3, (1, 2, 0))),
+    ((3, (0, 1, 0)), (2, (1, 1))),
+])
+def test_two_functors_from_unequal_segments_match_oracle(src, dst, monkeypatch):
+    # segments with different homs must not share a functor list
+    D, E = T.theta2_object(T.Theta2Shape(*src)), T.theta2_object(T.Theta2Shape(*dst))
+    monkeypatch.setattr(T, "_Guard", _Recorded)
+    _Recorded.made.clear()
+    got = T.enumerate_two_functors(D, E)
+    steps = _Recorded.made[0].count
+    guard = T._Guard(5_000_000, "enumerate_two_functors")
+    want = _enumerate_free_uncached(D, E, guard)
+    assert _two_functor_tables(got) == _two_functor_tables(want)
+    assert steps == guard.count
 
 
 # ---------------------------------------------------------------------------
