@@ -5,6 +5,12 @@ i < j, and 2-cells phi_ijk: f_ik => f_jk . f_ij subject to the cocycle
 relation on every quadruple of indices.  The three marking conventions
 (none / identity 2-simplices / invertible 2-simplices) share the same
 underlying simplicial set.
+
+The raw simplices are built a layer at a time, each n-simplex from its
+base d_n x and one extension of d_0 of that base, so that its faces are
+known as indices into the layer below as it is made (`_extend`);
+`_build` reads the generators, their faces and the degeneracies off
+those indices.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import collections
 import functools
 import itertools
 import operator
+from array import array
 
 from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, _face_layer, _Guard, degenerate
 from .twocat import Fin2Category, TwoFunctor
@@ -57,19 +64,6 @@ def _getter(positions):
 
 
 @functools.lru_cache(maxsize=None)
-def _face_getters(n, i):
-    """Getters taking the vertices, edges and triangles of a raw
-    n-simplex to those of its face d_i."""
-    keep = [a for a in range(n + 1) if a != i]
-    pidx, tidx = _pidx(n), _tidx(n)
-    return (
-        _getter(keep),
-        _getter([pidx[(keep[a], keep[b])] for a, b in _pairs(n - 1)]),
-        _getter([tidx[(keep[a], keep[b], keep[c])] for a, b, c in _triples(n - 1)]),
-    )
-
-
-@functools.lru_cache(maxsize=None)
 def _degeneracy_test(n, i):
     """How x == s_i d_{i+1} x reads on the positions of a raw n-simplex x.
 
@@ -98,19 +92,20 @@ def _degeneracy_test(n, i):
 
 
 @functools.lru_cache(maxsize=None)
-def _merge_getters(n):
-    """Getters assembling the edges and triangles of a raw n-simplex from
-    those of its base d_n followed by the new edges (i, n), ordered by i,
-    and the new triangles (i, j, n), ordered as the pairs (i, j)."""
-    pidx, tidx = _pidx(n - 1), _tidx(n - 1)
-    ne, nt = len(pidx), len(tidx)
-    return (
-        _getter([pidx[(a, b)] if b < n else ne + a for a, b in _pairs(n)]),
-        _getter([
-            tidx[(a, b, c)] if c < n else nt + pidx[(a, b)]
-            for a, b, c in _triples(n)
-        ]),
-    )
+def _merge_getter(n):
+    """A getter taking the triangles of the base d_n x of a raw n-simplex
+    x, followed by x's triangles (0, j, n) ordered by j, to x's triangles
+    (0, j, k) in order.
+
+    The rest of x is read off d_0 x: x's edges are those (0, j) of d_n x,
+    then f_0n, then the edges of d_0 x, and its triangles (a, b, c) with
+    a > 0 are those of d_0 x, all in order.
+    """
+    tidx = _tidx(n - 1)
+    return _getter([
+        tidx[(0, j, k)] if k < n else len(tidx) + j - 1
+        for i, j, k in _triples(n) if i == 0
+    ])
 
 
 class _Tables:
@@ -148,150 +143,188 @@ class _Tables:
                 self.down[k] = down
 
 
-def _extend(tabs: _Tables, base, n, step):
-    """All n-simplices extending the (n-1)-simplex base by a last vertex.
+def _pick_tris(tabs: _Tables, b, y, xn, f, j, chosen, picks):
+    """The checked search for the triangles phi_0jn, phi_0(j+1)n, ... of
+    an n-simplex x with base b = d_n x, face y = d_0 x and f_0n = f, given
+    the phi_0mn for m < j in `chosen`.
 
-    Edges f_i: x_i -> x_n are chosen for i descending from n-1, and the
-    triangles phi_{ijn} over an edge are chosen as soon as the edge is
-    fixed, so dead branches die early.  Choosing phi_{ijn} closes the
-    cocycle relation on (i, m, j, n) for every i < m < j, and on no
-    other quadruple; those relations are checked at once.
-
-    Both sides of such a relation are parallel 2-cells of hom(x_i, x_n).
-    So when that hom is thin, the relations hold whatever is chosen:
-    there each phi_{ijn} is the one 2-cell f_in => c_j, c_j = f_jn . f_ij,
-    if any.  The edges f_in that have all of them are the AND of the
-    down-set masks of the c_j (`_Tables.down`); only those are walked,
-    in `ones` order, and their triangles read off unchecked.  The guard
-    is charged, in one step per edge position, what trying each f on the
-    triangles in turn would cost: the sum over k of the number of f
-    surviving the first k triangles.  The simplices and their order are
-    those of the checked search.
+    Choosing phi_0jn closes the cocycle relation on (0, m, j, n) for every
+    0 < m < j, and on no other quadruple; those relations are checked at
+    once.  Appends each full choice (f, phis) to picks and returns the
+    guard steps: the candidates tried for each triangle.
     """
-    verts, edges, tris = base
-    out = []
+    verts, edges, tris = b
+    n = len(verts)
+    if j == n:
+        picks.append((f, tuple(chosen)))
+        return 0
     pidx, tidx = _pidx(n - 1), _tidx(n - 1)
-    merge_e, merge_t = _merge_getters(n)
-    ones, then, ident = tabs.ones, tabs.then, tabs.ident
-    hc1, hc2, two_cells, thin = tabs.hc1, tabs.hc2, tabs.two_cells, tabs.thin
+    yedges, ytris = y[1], y[2]
+    x0, xj = verts[0], verts[j]
+    fjn = yedges[pidx[(j - 1, n - 1)]]
+    tgt = tabs.hc1[(x0, xj, xn)][(edges[j - 1], fjn)]
+    cands = tabs.two_cells[(x0, xn)].get((f, tgt))
+    if not cands:
+        return 0
+    then_in, ident, hc2 = tabs.then[(x0, xn)], tabs.ident, tabs.hc2
+    id_fjn = ident[(xj, xn)][fjn]
+    # (lhs, beta) per m: phi_0jn passes iff phi ; beta == lhs
+    checks = []
+    for m in range(1, j):
+        xm = verts[m]
+        lhs = then_in[(
+            chosen[m - 1],
+            hc2[(x0, xm, xn)][(ident[(x0, xm)][edges[m - 1]],
+                               ytris[tidx[(m - 1, j - 1, n - 1)]])],
+        )]
+        beta = hc2[(x0, xj, xn)][(tris[tidx[(0, m, j)]], id_fjn)]
+        checks.append((lhs, beta))
+    steps = len(cands)
+    for phi in cands:
+        if all(then_in[(phi, beta)] == lhs for lhs, beta in checks):
+            chosen.append(phi)
+            steps += _pick_tris(tabs, b, y, xn, f, j + 1, chosen, picks)
+            chosen.pop()
+    return steps
 
-    for xn in tabs.objects:
-        if any((v, xn) not in ones for v in verts):
-            continue
-        new_e = [None] * n
-        new_t = [None] * len(pidx)
-        # per edge position i into a thin hom, per triangle (i, j, n): its
-        # slot, f_ij, hc1 into x_n and j; None where hom(x_i, x_n) is not thin
-        thin_slots = [
-            [
-                (pidx[(i, j)], edges[pidx[(i, j)]], hc1[(verts[i], verts[j], xn)], j)
-                for j in range(i + 1, n)
-            ] if thin[(verts[i], xn)] else None
-            for i in range(n)
-        ]
 
-        def pick_tris(i, j):
-            # the triangle phi_{ijn} over vertex i, then the next one
-            xi, xj = verts[i], verts[j]
-            tgt = hc1[(xi, xj, xn)][(edges[pidx[(i, j)]], new_e[j])]
-            cands = two_cells[(xi, xn)].get((new_e[i], tgt))
-            if not cands:
-                return
-            then_in = then[(xi, xn)]
-            id_fjn = ident[(xj, xn)][new_e[j]]
-            # (lhs, beta) per m: phi_{ijn} passes iff phi ; beta == lhs
-            checks = []
-            for m in range(i + 1, j):
-                xm = verts[m]
-                lhs = then_in[(
-                    new_t[pidx[(i, m)]],
-                    hc2[(xi, xm, xn)][(ident[(xi, xm)][edges[pidx[(i, m)]]],
-                                       new_t[pidx[(m, j)]])],
-                )]
-                beta = hc2[(xi, xj, xn)][(tris[tidx[(i, m, j)]], id_fjn)]
-                checks.append((lhs, beta))
-            slot = pidx[(i, j)]
-            step(len(cands))
-            for phi in cands:
-                for lhs, beta in checks:
-                    if then_in[(phi, beta)] != lhs:
-                        break
+def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, top, step):
+    """Layer n of the raw nerve from layer n-1, with each simplex's faces
+    as indices into layer n-1: a flat array holding the n+1 faces of each
+    simplex in turn.  The faces of layer 0 are one 0 per vertex: d_0 of a
+    vertex is the empty simplex, the one simplex of layer -1.
+
+    An n-simplex x is its base b = d_n x, a last vertex x_n and what joins
+    them, and its face y = d_0 x extends d_0 b to the same x_n.  So for
+    each base b (in order), each object x_n and each y in the run of layer
+    n-1 extending d_0 b to x_n (in order), only f_0n and the triangles
+    phi_0jn are chosen.  (The one extension of the empty simplex to x_n is
+    the vertex x_n.)  This gives the simplices, in the same order, that a
+    search picking the edges f_in for i descending from n-1, with the
+    triangles phi_ijn over each edge, gives.
+    - Into a non-thin hom(x_0, x_n), the choice is the checked search
+      `_pick_tris`.
+    - Into a thin one, both sides of each cocycle relation are parallel
+      2-cells of that hom, so the relations hold whatever is chosen: each
+      phi_0jn is the one 2-cell f_0n => c_j, c_j = f_jn . f_0j, if any.
+      The f_0n that have all of them are the AND of the down-set masks of
+      the c_j (`_Tables.down`), walked in `ones` order.
+
+    Faces: d_0 x = y, d_n x = b, and for 0 < i < n, d_i x is the extension
+    of d_i b by d_{i-1} y with the same f_0n and the phi_0jn but phi_0in.
+    So each layer keys its simplices on (base index, d_0 index), then on
+    f_0n, with the phi_0jn added into a non-thin hom; d_i x is one lookup
+    in `prev_keys`.
+
+    Guard: the search above costs, for (b, x_n), what it cost for
+    (d_0 b, x_n) one layer down (`prev_runs` holds that beside the run),
+    plus per y one step per f_0n and, per triangle, the candidates tried;
+    into a thin hom, the number of f_0n that survive the triangles so far.
+    It is 0 when hom(x_0, x_n) is empty.  The cost from one layer down is
+    charged per (b, x_n) and the rest per y, so per-dimension totals are
+    those of the search and a limit stops inside a layer.
+
+    Returns the layer, its faces and, below the top layer, its runs
+    (base index, x_n) -> (start, stop, cost) and its keys.
+    """
+    layer, faces, runs, keys = [], array("I"), {}, {}
+    ones, thin, down, two_cells, hc1 = (
+        tabs.ones, tabs.thin, tabs.down, tabs.two_cells, tabs.hc1)
+    merge_t = _merge_getter(n)
+    pidx = _pidx(n - 1)
+    # the position of edge f_jn, j = 1..n-1, among the edges of y
+    ypos = [pidx[(j - 1, n - 1)] for j in range(1, n)]
+    for bi, b in enumerate(prev):
+        verts, edges, tris = b
+        x0 = verts[0]
+        fb = prev_faces[bi * n:(bi + 1) * n]
+        d0b = fb[0]
+        head = edges[:n - 1]
+        for xn in tabs.objects:
+            fs = ones.get((x0, xn))
+            run = prev_runs.get((d0b, xn))
+            if fs is None or run is None:
+                continue
+            start, stop, cost = run
+            step(cost)
+            first = len(layer)
+            is_thin = thin[(x0, xn)]
+            if is_thin:
+                dn, cells = down[(x0, xn)], two_cells[(x0, xn)]
+                full = (1 << len(fs)) - 1
+                # per triangle (0, j, n): hc1 into x_n, f_0j and f_jn's position
+                slots = [(hc1[(x0, verts[j], xn)], edges[j - 1], ypos[j - 1])
+                         for j in range(1, n)]
+            for yi in range(start, stop):
+                y = prev[yi]
+                yverts, yedges, ytris = y
+                picks = []
+                if is_thin:
+                    mask, tried, cs = full, 0, []
+                    for comp, f0j, p in slots:
+                        c = comp[(f0j, yedges[p])]
+                        mask &= dn[c]
+                        if not mask:
+                            break
+                        tried += mask.bit_count()
+                        cs.append(c)
+                    k = len(fs) + tried
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        f = fs[low.bit_length() - 1]
+                        picks.append((f, tuple([cells[(f, c)][0] for c in cs])))
                 else:
-                    new_t[slot] = phi
-                    if j + 1 < n:
-                        pick_tris(i, j + 1)
-                    elif i:
-                        pick_edge(i - 1)
+                    k = len(fs) + sum(
+                        _pick_tris(tabs, b, y, xn, f, 1, [], picks) for f in fs)
+                step(k)
+                cost += k
+                if not picks:
+                    continue
+                fy = prev_faces[yi * n:(yi + 1) * n]
+                subs = [prev_keys[(fb[i], fy[i - 1])] for i in range(1, n)]
+                xverts = (x0,) + yverts
+                if not top:
+                    sub = keys[(bi, yi)] = {}
+                for f, phis in picks:
+                    if is_thin:
+                        key = f
+                        mid = [s[f] for s in subs]
                     else:
-                        emit()
-
-        def pick_edge(i):
-            xi = verts[i]
-            fs = ones[(xi, xn)]
-            step(len(fs))
-            slots = thin_slots[i]
-            if slots is not None:
-                down = tabs.down[(xi, xn)]
-                mask, tried, targets = (1 << len(fs)) - 1, 0, []
-                for slot, fij, comp, j in slots:
-                    c = comp[(fij, new_e[j])]
-                    mask &= down[c]
-                    if not mask:
-                        break
-                    tried += mask.bit_count()
-                    targets.append((slot, c))
-                step(tried)
-                cells = two_cells[(xi, xn)]
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    f = new_e[i] = fs[low.bit_length() - 1]
-                    for slot, c in targets:
-                        new_t[slot] = cells[(f, c)][0]
-                    if i:
-                        pick_edge(i - 1)
-                    else:
-                        emit()
-                return
-            for f in fs:
-                new_e[i] = f
-                if i + 1 < n:
-                    pick_tris(i, i + 1)
-                elif i:
-                    pick_edge(i - 1)
-                else:
-                    emit()
-
-        def emit():
-            out.append((
-                verts + (xn,),
-                merge_e(edges + tuple(new_e)),
-                merge_t(tris + tuple(new_t)),
-            ))
-
-        pick_edge(n - 1)
-    return out
+                        key = (f, *phis)
+                        mid = [s[key[:i] + key[i + 1:]] for i, s in enumerate(subs, 1)]
+                    if not top:
+                        sub[key] = len(layer)
+                    layer.append((xverts, head + (f,) + yedges,
+                                  merge_t(tris + phis) + ytris))
+                    faces.extend((yi, *mid, bi))
+            if not top:
+                runs[(bi, xn)] = (first, len(layer), cost)
+    return layer, faces, runs, keys
 
 
 _nerve_cache = {}
 
 
 def _raw_nerve(D: Fin2Category, bound: int, limit=5_000_000):
-    """Every raw simplex (degenerate ones included) per dimension."""
+    """Every raw simplex (degenerate ones included) per dimension, and the
+    faces of each as indices into the layer below; see `_extend`."""
     key = (D.signature(), bound)
     if key in _nerve_cache:
         return _nerve_cache[key]
     guard = _Guard(limit, "nerve")
     tabs = _Tables(D)
     by_dim = {0: [((x,), (), ()) for x in tabs.objects]}
+    faces = {0: array("I", [0] * len(tabs.objects))}
+    # the empty simplex extends to each vertex at no cost
+    runs = {(0, x): (t, t + 1, 0) for t, x in enumerate(tabs.objects)}
+    keys = None
     for n in range(1, bound + 1):
         guard.dimension = n
-        layer = []
-        for base in by_dim[n - 1]:
-            layer.extend(_extend(tabs, base, n, guard.step))
-        by_dim[n] = layer
-    _nerve_cache[key] = by_dim
-    return by_dim
+        by_dim[n], faces[n], runs, keys = _extend(
+            tabs, by_dim[n - 1], faces[n - 1], runs, keys, n, n == bound, guard.step)
+    _nerve_cache[key] = by_dim, faces
+    return by_dim, faces
 
 
 def _key_fn(raw, n):
@@ -299,32 +332,35 @@ def _key_fn(raw, n):
     return ";".join([",".join(verts), ",".join(edges), ",".join(tris)])
 
 
-def _build(D: Fin2Category, by_dim, bound, marked_fn):
+def _build(D: Fin2Category, by_dim, faces, bound, marked_fn):
     """The marked nerve of a raw nerve, and its raw -> reference index.
 
-    Gives what the tests' oracle from_raw gives with the generic raw face
-    and degeneracy operators.  Faces are read through position maps
-    cached per (n, i), never rebuilt.  x = s_i y needs x_i == x_{i+1}
-    joined by the unit 1-cell, so only such i are tried, and each is then
-    confirmed exactly on all positions.
+    faces[n] holds the faces of each raw n-simplex as indices into layer
+    n-1, n+1 per simplex in turn, as `_raw_nerve` gives them.  Gives what
+    the tests' oracle from_raw gives with the generic raw face and
+    degeneracy operators.
+    x = s_i z forces d_i x == d_{i+1} x == z, so s_i is tried only where
+    those two indices agree; it is then confirmed exactly on all
+    positions, and x's reference is z's, degenerated.  A generator's
+    faces are the references at its face indices.
     """
     unit1 = D.unit1
     ident = {k: H.identity for k, H in D.hom.items()}
     normal = {}
-    gens, faces, marked, seen = {}, {}, set(), set()
+    gens, gen_faces, marked, seen = {}, {}, set(), set()
+    below = []
     for n in range(bound + 1):
-        face_at = [_face_getters(n, i) for i in range(n + 1)]
-        tests = [
-            (i, _pidx(n)[(i, i + 1)], *_degeneracy_test(n, i), face_at[i + 1])
-            for i in range(n)
-        ]
-        ids = []
-        for x in by_dim.get(n, ()):
+        tests = [(i, _pidx(n)[(i, i + 1)], *_degeneracy_test(n, i)) for i in range(n)]
+        refs, ids = [], []
+        # each simplex's n+1 face indices, as a tuple
+        face_tuples = zip(*[iter(faces.get(n, ()))] * (n + 1))
+        for x, F in zip(by_dim.get(n, ()), face_tuples, strict=True):
             verts, edges, tris = x
-            for i, unit_pos, same_t, collapsed, (fv, fe, ft) in tests:
+            for i, unit_pos, same_t, collapsed in tests:
                 v = verts[i]
                 if (
-                    v == verts[i + 1]
+                    F[i] == F[i + 1]
+                    and v == verts[i + 1]
                     and edges[unit_pos] == unit1[v]
                     and same_t(tris) == tris
                     and all(
@@ -332,8 +368,7 @@ def _build(D: Fin2Category, by_dim, bound, marked_fn):
                         for t, a, c, p in collapsed
                     )
                 ):
-                    y = (fv(verts), fe(edges), ft(tris))
-                    normal[x] = degenerate(normal[y], i)
+                    ref = degenerate(below[F[i + 1]], i)
                     break
             else:
                 gid = _key_fn(x, n)
@@ -342,19 +377,21 @@ def _build(D: Fin2Category, by_dim, bound, marked_fn):
                 seen.add(gid)
                 ids.append(gid)
                 if n >= 1:
-                    faces[gid] = tuple(
-                        normal[(fv(verts), fe(edges), ft(tris))]
-                        for fv, fe, ft in face_at
-                    )
+                    gen_faces[gid] = tuple([below[k] for k in F])
                     if marked_fn(x, n):
                         marked.add(gid)
-                normal[x] = (gid, ())
+                ref = (gid, ())
+            normal[x] = ref
+            refs.append(ref)
+        below = refs
         gens[n] = tuple(sorted(ids))
-    return MarkedSSet(bound, gens, faces, frozenset(marked)), normal
+    return MarkedSSet(bound, gens, gen_faces, frozenset(marked)), normal
 
 
 def _nerve(D: Fin2Category, marked_fn, bound, limit):
-    return _build(D, _raw_nerve(D, bound, limit), bound, marked_fn)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise ValueError(f"a nerve bound must be an int >= 0, not {bound!r}")
+    return _build(D, *_raw_nerve(D, bound, limit), bound, marked_fn)
 
 
 def _phi_of_2simplex(raw):
@@ -425,6 +462,9 @@ def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000)
     """The simplicial map induced on nerves by a 2-functor."""
     builders = {"rs": _rs_marked, "scaled": _scaled_marked,
                 "duskin": lambda D: (lambda raw, n: False)}
+    if variant not in builders:
+        raise ValueError(
+            f"unknown nerve variant {variant!r}; known: rs, scaled, duskin")
     mk = builders[variant]
     X, xindex = _nerve(F.source, mk(F.source), bound, limit)
     Y, yindex = _nerve(F.target, mk(F.target), bound, limit)
@@ -449,7 +489,7 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
 
     The tuples satisfy d_i sigma_j = d_{j-1} sigma_i for i < j; every
     actual boundary of an n-simplex appears among them. Raises ValueError
-    for n < 1.
+    for n < 1 and for n > X.bound + 1, where X has no (n-1)-simplices.
 
     The search picks sigma_0, sigma_1, ... depth first, from a pool per
     sigma_j: the cells whose first j faces are the forced d_{j-1} sigma_i,
@@ -462,6 +502,8 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     """
     if n < 1:
         raise ValueError(f"boundaries need dimension at least 1, not {n}")
+    if n > X.bound + 1:
+        raise ValueError(f"boundaries in dimension {n} exceed bound {X.bound} + 1")
     guard = _Guard(limit, "compatible_boundaries")
     guard.dimension = n
     step = guard.step
@@ -514,7 +556,13 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
 
 
 def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
-    """For each compatible boundary in dimension n, its number of fillers."""
+    """For each compatible boundary in dimension n, its number of fillers.
+
+    Raises ValueError for n < 1 and for n > X.bound, where X holds no
+    n-simplices to count.
+    """
+    if n > X.bound:
+        raise ValueError(f"fillers in dimension {n} exceed bound {X.bound}")
     boundaries = compatible_boundaries(X, n, limit)
     index = collections.Counter(_face_layer(X, X.all_simplices(n), n))
     return [(b, index.get(b, 0)) for b in boundaries]

@@ -9,7 +9,7 @@ while d_0 collapses to a degenerate top simplex.
 
 from __future__ import annotations
 
-from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, degenerate, rebound
+from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, degenerate, empty_msset, rebound
 from .twocat import FinCategory, as_two_category, suspend_category
 from .nerves import _pairs, _triples, rs_nerve_with_index
 
@@ -74,10 +74,14 @@ def suspension_comparison(C: FinCategory, bound=None):
     if not C.objects:
         raise ValueError("the comparison needs a nonempty category")
     target_bound = bound if bound is not None else DEFAULT_BOUND
-    NC, cindex = rs_nerve_with_index(as_two_category(C), target_bound - 1)
-    NC = rebound(NC, target_bound)
     SC = suspend_category(C)
     N, nindex = rs_nerve_with_index(SC, target_bound)
+    if target_bound == 0:
+        # the nerve of C one dimension down has no simplices
+        NC, cindex = empty_msset(0), {}
+    else:
+        NC, cindex = rs_nerve_with_index(as_two_category(C), target_bound - 1)
+        NC = rebound(NC, target_bound)
     SNC = suspend_marked(NC)
 
     # recover the raw nerve simplex behind each generator of NC

@@ -5,9 +5,18 @@ degenerate ones included, to a generator or a degeneracy of one.  The
 product and colimit below feed it every pair of simplices and every
 simplex of every node; the library builds both on generators only, and
 the tests compare the two.
+
+raw_nerve extends each raw nerve simplex by a search over all its new
+edge positions, and raw_face_index finds each simplex's faces by position
+getters and lookup; the library extends from the extensions of d_0 and
+records the faces as it goes.
 """
 
+import functools
+from array import array
+
 from theta2kit.msset import MarkedSSet, MSSetMap, _UnionFind, degenerate
+from theta2kit.nerves import _getter, _pairs, _pidx, _Tables, _tidx, _triples
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
@@ -158,3 +167,196 @@ def face_tuples(X: MarkedSSet, cells, n):
         X.faces[g] if not w else tuple(X.face((g, w), i) for i in range(n + 1))
         for g, w in cells
     ]
+
+
+# ---------------------------------------------------------------------------
+# raw nerves
+
+
+@functools.lru_cache(maxsize=None)
+def face_getters(n, i):
+    """Getters taking the vertices, edges and triangles of a raw
+    n-simplex to those of its face d_i."""
+    keep = [a for a in range(n + 1) if a != i]
+    pidx, tidx = _pidx(n), _tidx(n)
+    return (
+        _getter(keep),
+        _getter([pidx[(keep[a], keep[b])] for a, b in _pairs(n - 1)]),
+        _getter([tidx[(keep[a], keep[b], keep[c])] for a, b, c in _triples(n - 1)]),
+    )
+
+
+def raw_face_index(by_dim):
+    """The faces of each raw simplex as indices into the layer below, laid
+    out as nerves._raw_nerve lays them out, read through face_getters and
+    looked up by value."""
+    faces = {0: array("I", [0] * len(by_dim[0]))}
+    for n in range(1, len(by_dim)):
+        at = {x: t for t, x in enumerate(by_dim[n - 1])}
+        getters = [face_getters(n, i) for i in range(n + 1)]
+        faces[n] = array("I", [
+            at[(fv(v), fe(e), ft(t))]
+            for v, e, t in by_dim[n] for fv, fe, ft in getters
+        ])
+    return faces
+
+
+@functools.lru_cache(maxsize=None)
+def _merge_getters(n):
+    """Getters assembling the edges and triangles of a raw n-simplex from
+    those of its base d_n followed by the new edges (i, n), ordered by i,
+    and the new triangles (i, j, n), ordered as the pairs (i, j)."""
+    pidx, tidx = _pidx(n - 1), _tidx(n - 1)
+    ne, nt = len(pidx), len(tidx)
+    return (
+        _getter([pidx[(a, b)] if b < n else ne + a for a, b in _pairs(n)]),
+        _getter([
+            tidx[(a, b, c)] if c < n else nt + pidx[(a, b)]
+            for a, b, c in _triples(n)
+        ]),
+    )
+
+
+def _extend(tabs: _Tables, base, n, step):
+    """All n-simplices extending the (n-1)-simplex base by a last vertex.
+
+    Edges f_i: x_i -> x_n are chosen for i descending from n-1, and the
+    triangles phi_{ijn} over an edge are chosen as soon as the edge is
+    fixed, so dead branches die early.  Choosing phi_{ijn} closes the
+    cocycle relation on (i, m, j, n) for every i < m < j, and on no
+    other quadruple; those relations are checked at once.
+
+    Both sides of such a relation are parallel 2-cells of hom(x_i, x_n).
+    So when that hom is thin, the relations hold whatever is chosen:
+    there each phi_{ijn} is the one 2-cell f_in => c_j, c_j = f_jn . f_ij,
+    if any.  The edges f_in that have all of them are the AND of the
+    down-set masks of the c_j (`_Tables.down`); only those are walked,
+    in `ones` order, and their triangles read off unchecked.  The guard
+    is charged, in one step per edge position, what trying each f on the
+    triangles in turn would cost: the sum over k of the number of f
+    surviving the first k triangles.
+    """
+    verts, edges, tris = base
+    out = []
+    pidx, tidx = _pidx(n - 1), _tidx(n - 1)
+    merge_e, merge_t = _merge_getters(n)
+    ones, then, ident = tabs.ones, tabs.then, tabs.ident
+    hc1, hc2, two_cells, thin = tabs.hc1, tabs.hc2, tabs.two_cells, tabs.thin
+
+    for xn in tabs.objects:
+        if any((v, xn) not in ones for v in verts):
+            continue
+        new_e = [None] * n
+        new_t = [None] * len(pidx)
+        # per edge position i into a thin hom, per triangle (i, j, n): its
+        # slot, f_ij, hc1 into x_n and j; None where hom(x_i, x_n) is not thin
+        thin_slots = [
+            [
+                (pidx[(i, j)], edges[pidx[(i, j)]], hc1[(verts[i], verts[j], xn)], j)
+                for j in range(i + 1, n)
+            ] if thin[(verts[i], xn)] else None
+            for i in range(n)
+        ]
+
+        def pick_tris(i, j):
+            # the triangle phi_{ijn} over vertex i, then the next one
+            xi, xj = verts[i], verts[j]
+            tgt = hc1[(xi, xj, xn)][(edges[pidx[(i, j)]], new_e[j])]
+            cands = two_cells[(xi, xn)].get((new_e[i], tgt))
+            if not cands:
+                return
+            then_in = then[(xi, xn)]
+            id_fjn = ident[(xj, xn)][new_e[j]]
+            # (lhs, beta) per m: phi_{ijn} passes iff phi ; beta == lhs
+            checks = []
+            for m in range(i + 1, j):
+                xm = verts[m]
+                lhs = then_in[(
+                    new_t[pidx[(i, m)]],
+                    hc2[(xi, xm, xn)][(ident[(xi, xm)][edges[pidx[(i, m)]]],
+                                       new_t[pidx[(m, j)]])],
+                )]
+                beta = hc2[(xi, xj, xn)][(tris[tidx[(i, m, j)]], id_fjn)]
+                checks.append((lhs, beta))
+            slot = pidx[(i, j)]
+            step(len(cands))
+            for phi in cands:
+                for lhs, beta in checks:
+                    if then_in[(phi, beta)] != lhs:
+                        break
+                else:
+                    new_t[slot] = phi
+                    if j + 1 < n:
+                        pick_tris(i, j + 1)
+                    elif i:
+                        pick_edge(i - 1)
+                    else:
+                        emit()
+
+        def pick_edge(i):
+            xi = verts[i]
+            fs = ones[(xi, xn)]
+            step(len(fs))
+            slots = thin_slots[i]
+            if slots is not None:
+                down = tabs.down[(xi, xn)]
+                mask, tried, targets = (1 << len(fs)) - 1, 0, []
+                for slot, fij, comp, j in slots:
+                    c = comp[(fij, new_e[j])]
+                    mask &= down[c]
+                    if not mask:
+                        break
+                    tried += mask.bit_count()
+                    targets.append((slot, c))
+                step(tried)
+                cells = two_cells[(xi, xn)]
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    f = new_e[i] = fs[low.bit_length() - 1]
+                    for slot, c in targets:
+                        new_t[slot] = cells[(f, c)][0]
+                    if i:
+                        pick_edge(i - 1)
+                    else:
+                        emit()
+                return
+            for f in fs:
+                new_e[i] = f
+                if i + 1 < n:
+                    pick_tris(i, i + 1)
+                elif i:
+                    pick_edge(i - 1)
+                else:
+                    emit()
+
+        def emit():
+            out.append((
+                verts + (xn,),
+                merge_e(edges + tuple(new_e)),
+                merge_t(tris + tuple(new_t)),
+            ))
+
+        pick_edge(n - 1)
+    return out
+
+
+def raw_nerve(D, bound, checked=()):
+    """Every raw simplex of D per dimension, each base extended by the
+    search over all its new edge positions, and the guard steps that
+    search takes per dimension.  The homs in `checked` take the checked
+    search even where they are thin."""
+    tabs = _Tables(D)
+    for k in checked:
+        tabs.thin[k] = False
+    by_dim = {0: [((x,), (), ()) for x in tabs.objects]}
+    steps = {}
+    for n in range(1, bound + 1):
+        count = [0]
+
+        def step(k):
+            count[0] += k
+
+        by_dim[n] = [x for base in by_dim[n - 1] for x in _extend(tabs, base, n, step)]
+        steps[n] = count[0]
+    return by_dim, steps

@@ -188,3 +188,10 @@ def test_verify_hom_bijection_negative_bound_exits_2(flag, capsys):
 
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nonesuch"]) == 2
+
+
+@pytest.mark.parametrize("marking", ["rs", "duskin", "scaled"])
+def test_nerve_negative_bound_exits_2(marking, capsys):
+    assert main(["nerve", "--object", "[1|1]", "--marking", marking,
+                 "--bound", "-1"]) == 2
+    assert "bound" in capsys.readouterr().err

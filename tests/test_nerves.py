@@ -1,13 +1,16 @@
+import collections
+import gc
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import twocat as T
 
-from raw_oracles import face_tuples, from_raw
+from raw_oracles import face_tuples, from_raw, raw_face_index, raw_nerve
 
 
 def _ordinal_2cat(m):
@@ -206,10 +209,10 @@ MARKINGS = {
 @pytest.mark.parametrize("D", _oracle_cases())
 def test_build_matches_from_raw(D):
     bound = 4
-    by_dim = N._raw_nerve(D, bound)
+    by_dim, faces = N._raw_nerve(D, bound)
     ops = _RawOps(D)
     for marking, mk in MARKINGS.items():
-        X, index = N._build(D, by_dim, bound, mk(D))
+        X, index = N._build(D, by_dim, faces, bound, mk(D))
         Y, oracle = from_raw(
             bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn
         )
@@ -325,6 +328,97 @@ def test_thin_extension_guard_inside_one_batch(monkeypatch):
     assert e.steps > before + 1
 
 
+# ---------------------------------------------------------------------------
+# extension from d_0 against the search over every edge position
+
+
+def _raw_nerve_with_steps(D, bound, checked=()):
+    """The raw nerve, its faces and the guard steps per dimension, with the
+    homs in `checked` taking the checked search even where they are thin."""
+    init = N._Tables.__init__
+    steps = collections.Counter()
+
+    def forced(self, D):
+        init(self, D)
+        for k in checked:
+            self.thin[k] = False
+
+    class Counting(M._Guard):
+        def step(self, k=1):
+            steps[self.dimension] += k
+            super().step(k)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(N._Tables, "__init__", forced)
+        m.setattr(N, "_Guard", Counting)
+        m.setattr(N, "_nerve_cache", {})
+        by_dim, faces = N._raw_nerve(D, bound)
+    return by_dim, faces, {n: steps[n] for n in range(1, bound + 1)}
+
+
+def _check_against_whole_search(D, bound, checked=()):
+    want, want_steps = raw_nerve(D, bound, checked)
+    by_dim, faces, steps = _raw_nerve_with_steps(D, bound, checked)
+    assert by_dim == want  # layers in order
+    assert steps == want_steps
+    assert faces == raw_face_index(by_dim)
+
+
+def _whole_search_cases():
+    cube = T.suspend_category(T.product_poset((1, 1, 1)))
+    cases = []
+    for checked in (False, True):
+        tag = "checked" if checked else "thin"
+        cases += [pytest.param(*c.values, 4, checked, id=f"{c.id} {tag}")
+                  for c in _oracle_cases()]
+        cases.append(pytest.param(cube, 5, checked, id=f"cube at 5 {tag}"))
+    cases.append(pytest.param(T.theta2_object(T.Theta2Shape(2, (2, 2))), 5, False,
+                              id="[2|2,2] at 5 thin"))
+    return cases
+
+
+@pytest.mark.parametrize("D, bound, checked", _whole_search_cases())
+def test_extension_matches_whole_search(D, bound, checked):
+    _check_against_whole_search(D, bound, tuple(D.hom) if checked else ())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_extension_matches_whole_search_on_random_shapes(data):
+    m = data.draw(st.integers(0, 2))
+    ks = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    D = T.theta2_object(T.Theta2Shape(m, tuple(ks)))
+    checked = data.draw(st.sets(st.sampled_from(sorted(D.hom))))
+    _check_against_whole_search(D, 4, checked)
+
+
+def test_extension_guard_stops_inside_a_layer(monkeypatch):
+    # the cost from one layer down is charged per (base, last vertex) and
+    # the rest per d_0 face, so a limit inside layer 5 stops there
+    D = T.theta2_object(T.Theta2Shape(2, (2, 2)))
+    _, steps = raw_nerve(D, 5)
+    below = sum(steps[n] for n in range(1, 5))
+    limit = below + steps[5] // 2
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    with pytest.raises(M.ResourceLimitError) as info:
+        N._raw_nerve(D, 5, limit=limit)
+    e = info.value
+    assert (e.operation, e.dimension) == ("nerve", 5)
+    assert limit < e.steps < below + steps[5]
+
+
+def test_nerve_build_leaves_no_cyclic_garbage(monkeypatch):
+    D = T.theta2_object(T.Theta2Shape(2, (1, 2)))
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    gc.collect()
+    gc.disable()
+    try:
+        N.duskin_nerve(D, bound=4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _raw_without_cocycle(D, bound):
     """Every raw simplex of D with the cocycle relations dropped.  The set
     is still closed under faces and degeneracies, so from_raw takes it."""
@@ -352,9 +446,9 @@ def test_build_matches_from_raw_without_cocycle():
     # other triangles to agree, so _build must compare every position
     D = _z2_suspension()
     by_dim = _raw_without_cocycle(D, 4)
-    assert len(by_dim[4]) > len(N._raw_nerve(D, 4)[4])
+    assert len(by_dim[4]) > len(N._raw_nerve(D, 4)[0][4])
     ops = _RawOps(D)
-    X, index = N._build(D, by_dim, 4, N._rs_marked(D))
+    X, index = N._build(D, by_dim, raw_face_index(by_dim), 4, N._rs_marked(D))
     Y, oracle = from_raw(4, by_dim, ops.face, ops.degenerate,
                          N._rs_marked(D), N._key_fn)
     assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
@@ -384,6 +478,21 @@ def test_nerve_guard_names_operation_dimension_and_steps(monkeypatch):
     assert (info.value.dimension, info.value.steps) == (2, 5)
 
 
+@pytest.mark.parametrize("bound", [-1, 2.5, True, False, None, "3"])
+def test_nerve_entry_points_reject_bad_bounds(bound):
+    D = T.cell(1)
+    for build in (N.duskin_nerve, N.rs_nerve, N.rs_nerve_with_index, N.scaled_nerve):
+        with pytest.raises(ValueError, match="bound"):
+            build(D, bound=bound)
+    with pytest.raises(ValueError, match="bound"):
+        N.nerve_map(T.identity_two_functor(D), bound=bound)
+
+
+def test_nerve_at_bound_zero_is_the_objects():
+    X = N.duskin_nerve(T.cell(2), bound=0)
+    assert (X.bound, X.counts()) == (0, (2,))
+
+
 # ---------------------------------------------------------------------------
 # functoriality
 
@@ -400,6 +509,13 @@ def test_nerve_map_builds_each_nerve_once(monkeypatch):
     F = T.enumerate_two_functors(T.cell(1), T.cell(2))[0]
     N.nerve_map(F, bound=3)
     assert built == [F.source, F.target]
+
+
+def test_nerve_map_rejects_unknown_variant():
+    F = T.identity_two_functor(T.cell(1))
+    with pytest.raises(ValueError) as info:
+        N.nerve_map(F, variant="bogus")
+    assert all(v in str(info.value) for v in ("rs", "scaled", "duskin"))
 
 
 def test_nerve_map_identity():
@@ -522,6 +638,16 @@ def test_filler_counts_reject_dimension_below_one(n):
         N.filler_counts(X, n)
     with pytest.raises(ValueError):
         N.compatible_boundaries(X, n)
+
+
+def test_filler_counts_reject_dimension_above_bound():
+    X = N.duskin_nerve(T.cell(2), bound=3)
+    with pytest.raises(ValueError):
+        N.filler_counts(X, 4)
+    # a boundary in dimension bound + 1 is made of bound-simplices
+    assert N.compatible_boundaries(X, 4)
+    with pytest.raises(ValueError):
+        N.compatible_boundaries(X, 5)
 
 
 def _compatible_boundaries_one_level(X, n, limit=5_000_000):

@@ -185,3 +185,20 @@ def test_comparison_naturality_squares():
                 lhs = top.compose(comparisons[b])
                 rhs = comparisons[a].compose(bottom)
                 assert lhs.assignment == rhs.assignment, (a, b, F.obj_map)
+
+
+@pytest.mark.parametrize("C", [T.ordinal(0), T.ordinal(2), T.free_iso()])
+def test_comparison_at_bound_zero_is_the_two_vertices(C):
+    # C's nerve one dimension down is empty, and no nerve is built there
+    f = S.suspension_comparison(C, bound=0)
+    assert f.source.bound == f.target.bound == 0
+    assert f.source.gens == {0: ("bot", "top")}
+    assert f.target.counts() == (2,)
+    assert sorted(f.assignment.values()) == [(g, ()) for g in f.target.gens_at(0)]
+    assert M.validate_map(f).ok
+
+
+@pytest.mark.parametrize("bound", [-1, 2.5, True])
+def test_comparison_rejects_bad_bounds(bound):
+    with pytest.raises(ValueError):
+        S.suspension_comparison(T.ordinal(1), bound=bound)
