@@ -32,7 +32,7 @@ from .twocat import (
     theta2_object,
     validate_2cat,
 )
-from .nerves import duskin_nerve, nerve_map, rs_nerve, scaled_nerve
+from .nerves import duskin_nerve, nerve, nerve_map, rs_nerve, scaled_nerve
 from .suspension import suspend_map, suspend_marked, suspension_comparison
 from .theta import (
     BoxCell,

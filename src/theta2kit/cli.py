@@ -74,12 +74,7 @@ def _emit(data: dict, path):
 def cmd_nerve(args) -> int:
     D = parse_object(args.object)
     bound = _bound(args)
-    fn = {
-        "rs": nerves.rs_nerve,
-        "duskin": nerves.duskin_nerve,
-        "scaled": nerves.scaled_nerve,
-    }[args.marking]
-    X = fn(D, bound)
+    X = nerves.nerve(D, args.marking, bound)
     _emit(msset.msset_to_json(X), args.out)
     return 0
 

@@ -333,7 +333,8 @@ def _key_fn(raw, n):
 
 
 def _build(D: Fin2Category, by_dim, faces, bound, marked_fn):
-    """The marked nerve of a raw nerve, and its raw -> reference index.
+    """The marked nerve of a raw nerve, and the reference of each raw
+    simplex, as one list per layer.
 
     faces[n] holds the faces of each raw n-simplex as indices into layer
     n-1, n+1 per simplex in turn, as `_raw_nerve` gives them.  Gives what
@@ -346,9 +347,8 @@ def _build(D: Fin2Category, by_dim, faces, bound, marked_fn):
     """
     unit1 = D.unit1
     ident = {k: H.identity for k, H in D.hom.items()}
-    normal = {}
     gens, gen_faces, marked, seen = {}, {}, set(), set()
-    below = []
+    below, layers = [], []
     for n in range(bound + 1):
         tests = [(i, _pidx(n)[(i, i + 1)], *_degeneracy_test(n, i)) for i in range(n)]
         refs, ids = [], []
@@ -381,67 +381,74 @@ def _build(D: Fin2Category, by_dim, faces, bound, marked_fn):
                     if marked_fn(x, n):
                         marked.add(gid)
                 ref = (gid, ())
-            normal[x] = ref
             refs.append(ref)
         below = refs
+        layers.append(refs)
         gens[n] = tuple(sorted(ids))
-    return MarkedSSet(bound, gens, gen_faces, frozenset(marked)), normal
+    return MarkedSSet(bound, gens, gen_faces, frozenset(marked)), layers
 
 
-def _nerve(D: Fin2Category, marked_fn, bound, limit):
+def _marking(D: Fin2Category, variant):
+    """Whether a nondegenerate raw n-simplex of the nerve of D is marked, as
+    a function of (raw, n).  duskin marks none; rs and scaled mark every
+    simplex above dimension 2, and a 2-simplex whose 2-cell is an
+    identity (rs) or invertible (scaled)."""
+    if variant not in ("rs", "scaled", "duskin"):
+        raise ValueError(
+            f"unknown nerve variant {variant!r}; known: rs, scaled, duskin")
+    if variant == "duskin":
+        return lambda raw, n: False
+
+    def marked_fn(raw, n):
+        if n != 2:
+            return n >= 3
+        verts = raw[0]
+        H = D.hom_at(verts[0], verts[2])
+        # a 2-simplex has one 2-cell, phi_012
+        return (H.is_identity if variant == "rs" else H.is_invertible)(raw[2][0])
+
+    return marked_fn
+
+
+def _nerve(D: Fin2Category, variant, bound, limit):
+    """The marked nerve, the raw nerve and each raw simplex's reference."""
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
         raise ValueError(f"a nerve bound must be an int >= 0, not {bound!r}")
-    return _build(D, *_raw_nerve(D, bound, limit), bound, marked_fn)
+    marked_fn = _marking(D, variant)
+    by_dim, faces = _raw_nerve(D, bound, limit)
+    X, refs = _build(D, by_dim, faces, bound, marked_fn)
+    return X, by_dim, refs
 
 
-def _phi_of_2simplex(raw):
-    return raw[2][0]
+def _index(by_dim, refs):
+    """The raw -> reference index of a nerve, from `_build`'s layers."""
+    return {x: r for n, layer in by_dim.items() for x, r in zip(layer, refs[n])}
+
+
+def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=5_000_000):
+    """The nerve of D with the marking rs, scaled or duskin; see `_marking`."""
+    return _nerve(D, marking, bound, limit)[0]
 
 
 def duskin_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
     """The nerve with no marking beyond degenerate simplices."""
-    return _nerve(D, lambda raw, n: False, bound, limit)[0]
-
-
-def _rs_marked(D):
-    def marked_fn(raw, n):
-        if n >= 3:
-            return True
-        if n == 2:
-            verts = raw[0]
-            H = D.hom_at(verts[0], verts[2])
-            return H.is_identity(_phi_of_2simplex(raw))
-        return False
-
-    return marked_fn
-
-
-def _scaled_marked(D):
-    def marked_fn(raw, n):
-        if n >= 3:
-            return True
-        if n == 2:
-            verts = raw[0]
-            H = D.hom_at(verts[0], verts[2])
-            return H.is_invertible(_phi_of_2simplex(raw))
-        return False
-
-    return marked_fn
+    return nerve(D, "duskin", bound, limit)
 
 
 def rs_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
     """Nerve marked at 2-simplices whose 2-cell is an identity."""
-    return _nerve(D, _rs_marked(D), bound, limit)[0]
+    return nerve(D, "rs", bound, limit)
 
 
 def rs_nerve_with_index(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
     """As rs_nerve, also returning the raw-simplex -> reference index."""
-    return _nerve(D, _rs_marked(D), bound, limit)
+    X, by_dim, refs = _nerve(D, "rs", bound, limit)
+    return X, _index(by_dim, refs)
 
 
 def scaled_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
     """Nerve marked at 2-simplices whose 2-cell is invertible."""
-    return _nerve(D, _scaled_marked(D), bound, limit)[0]
+    return nerve(D, "scaled", bound, limit)
 
 
 def _apply_raw(F: TwoFunctor, raw):
@@ -460,15 +467,9 @@ def _apply_raw(F: TwoFunctor, raw):
 
 def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000):
     """The simplicial map induced on nerves by a 2-functor."""
-    builders = {"rs": _rs_marked, "scaled": _scaled_marked,
-                "duskin": lambda D: (lambda raw, n: False)}
-    if variant not in builders:
-        raise ValueError(
-            f"unknown nerve variant {variant!r}; known: rs, scaled, duskin")
-    mk = builders[variant]
-    X, xindex = _nerve(F.source, mk(F.source), bound, limit)
-    Y, yindex = _nerve(F.target, mk(F.target), bound, limit)
-    return MSSetMap(X, Y, _nerve_assignment(F, xindex, yindex))
+    X, xdim, xrefs = _nerve(F.source, variant, bound, limit)
+    Y, ydim, yrefs = _nerve(F.target, variant, bound, limit)
+    return MSSetMap(X, Y, _nerve_assignment(F, _index(xdim, xrefs), _index(ydim, yrefs)))
 
 
 def _nerve_assignment(F: TwoFunctor, xindex, yindex):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, degenerate, empty_msset, rebound
 from .twocat import FinCategory, as_two_category, suspend_category
-from .nerves import _pairs, _triples, rs_nerve_with_index
+from .nerves import _pairs, _pidx, _triples, rs_nerve_with_index
 
 
 def cone_ref(dim_fn, ref):
@@ -98,7 +98,7 @@ def suspension_comparison(C: FinCategory, bound=None):
         verts, edges, tris = raw
         n = len(verts) - 1
         m = n + 1
-        pidx = {p: t for t, p in enumerate(_pairs(n))}
+        pidx = _pidx(n)
         nverts = ("bot",) + ("top",) * m
         nedges = []
         for i, j in _pairs(m):

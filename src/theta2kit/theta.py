@@ -309,20 +309,19 @@ def _monotone_maps(l_src, l_dst):
     )
 
 
-def evaluate(W: Theta2Presentation, theta: Theta2Shape, ell: int = 0,
-             limit=5_000_000):
-    """The value of the presented Theta_2-set at (theta, [ell]).
+def _classes(W: Theta2Presentation, D: Fin2Category, ell, limit):
+    """The elements of W at (D, [ell]) and their classes.
 
-    Elements are equivalence classes of triples (cell index, functor
-    index, level map), quotiented along the diagram arrows.
+    Elements are triples (cell index, functor index, level map),
+    quotiented along the diagram arrows.  Returns each cell's 2-functors
+    from D, their index by key(), and the map from each element to the
+    least element of its class.
     """
-    D = theta2_object(theta)
-    per_cell = []
-    keyed = []
-    for cell in W.cells:
-        fs = enumerate_two_functors(D, theta2_object(cell.shape), limit)
-        per_cell.append(fs)
-        keyed.append({F.key(): t for t, F in enumerate(fs)})
+    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 0:
+        raise ValueError(f"ell must be an int >= 0, not {ell!r}")
+    per_cell = [enumerate_two_functors(D, theta2_object(cell.shape), limit)
+                for cell in W.cells]
+    keyed = [{F.key(): t for t, F in enumerate(fs)} for fs in per_cell]
     uf = _UnionFind()
     for i, cell in enumerate(W.cells):
         for t in range(len(per_cell[i])):
@@ -332,41 +331,7 @@ def evaluate(W: Theta2Presentation, theta: Theta2Shape, ell: int = 0,
         for t, F in enumerate(per_cell[i]):
             img = keyed[j][F.compose(G).key()]
             for mu in _monotone_maps(ell, W.cells[i].level):
-                nu = tuple(lam[v] for v in mu)
-                uf.add((j, img, nu))
-                uf.union((i, t, mu), (j, img, nu))
-    classes = {}
-    for elt in uf.parent:
-        classes.setdefault(uf.find(elt), []).append(elt)
-    return sorted(min(elts) for elts in classes.values())
-
-
-def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
-                 limit=5_000_000):
-    """The induced function on evaluations, as a dict on class reps."""
-    D = theta2_object(theta)
-    src_classes = evaluate(P.source, theta, ell, limit)
-    tgt_classes = evaluate(P.target, theta, ell, limit)
-
-    tgt_fs = {}
-    tgt_keyed = {}
-    tgt_lookup = {}
-    for j, cell in enumerate(P.target.cells):
-        tgt_fs[j] = enumerate_two_functors(D, theta2_object(cell.shape), limit)
-        tgt_keyed[j] = {F.key(): t for t, F in enumerate(tgt_fs[j])}
-    uf = _UnionFind()
-    for j, cell in enumerate(P.target.cells):
-        for t in range(len(tgt_fs[j])):
-            for mu in _monotone_maps(ell, cell.level):
-                uf.add((j, t, mu))
-    for i, j, G, lam in P.target.arrows:
-        src_list = enumerate_two_functors(D, theta2_object(P.target.cells[i].shape), limit)
-        for t, F in enumerate(src_list):
-            img = tgt_keyed[j][F.compose(G).key()]
-            for mu in _monotone_maps(ell, P.target.cells[i].level):
-                nu = tuple(lam[v] for v in mu)
-                uf.add((j, img, nu))
-                uf.union((i, t, mu), (j, img, nu))
+                uf.union((i, t, mu), (j, img, tuple(lam[v] for v in mu)))
     classes = {}
     for elt in uf.parent:
         classes.setdefault(uf.find(elt), []).append(elt)
@@ -375,21 +340,32 @@ def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
         rep = min(elts)
         for e in elts:
             canon[e] = rep
+    return per_cell, keyed, canon
 
-    src_fs = {}
-    for i, cell in enumerate(P.source.cells):
-        src_fs[i] = enumerate_two_functors(D, theta2_object(cell.shape), limit)
+
+def evaluate(W: Theta2Presentation, theta: Theta2Shape, ell: int = 0,
+             limit=5_000_000):
+    """The value of the presented Theta_2-set at (theta, [ell]): the least
+    element of each class, sorted; see `_classes`."""
+    _, _, canon = _classes(W, theta2_object(theta), ell, limit)
+    return sorted(set(canon.values()))
+
+
+def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
+                 limit=5_000_000):
+    """The induced function on evaluations, as a dict on class reps."""
+    D = theta2_object(theta)
+    src_fs, _, src_canon = _classes(P.source, D, ell, limit)
+    _, tgt_keyed, tgt_canon = _classes(P.target, D, ell, limit)
     out = {}
-    for i, t, mu in src_classes:
+    for i, t, mu in sorted(set(src_canon.values())):
         j, G, lam = P.cell_map[i]
-        img = tgt_keyed[j][src_fs[i][t].compose(G).key()]
-        nu = tuple(lam[v] for v in mu)
-        out[(i, t, mu)] = canon[(j, img, nu)]
-    stray = set(out.values()) - set(tgt_classes)
-    if stray:
-        raise RuntimeError(
-            f"evaluate_map: images outside the target's classes: {sorted(stray)[:3]}"
-        )
+        img = tgt_keyed[j].get(src_fs[i][t].compose(G).key())
+        image = tgt_canon.get((j, img, tuple(lam[v] for v in mu)))
+        if image is None:
+            raise RuntimeError(
+                f"evaluate_map: the image of {(i, t, mu)} is outside the target")
+        out[(i, t, mu)] = image
     return out
 
 

@@ -777,9 +777,9 @@ def as_two_category(C: FinCategory) -> Fin2Category:
 class TwoFunctor:
     """A 2-functor between Fin2Categories.
 
-    Stored either as full hom-functor tables or compactly as images of
-    the generating segments, with the full assignment tables derived on
-    demand through the decomposition metadata of the source.
+    Given either as full hom-functor tables or compactly as images of
+    the generating segments; a segment functor's tables are derived once,
+    on first use, through the decomposition metadata of the source.
     """
 
     def __init__(self, source, target, on_objects, hom_maps=None, seg_maps=None):
@@ -803,75 +803,41 @@ class TwoFunctor:
     @cached_property
     def hom_maps(self):
         """Full tables (x, y) -> (1-cell map, 2-cell map) per nonempty hom."""
-        if self._hom_maps is not None:
+        if self._seg_maps is None:
             return self._hom_maps
-        D, E = self.source, self.target
-        out = {}
-        for (x, y), H in D.hom.items():
-            obj_map = {f: self._derive_one(x, y, f) for f in H.objects}
-            mor_map = {m: self._derive_two(x, y, m) for m in H.morphisms}
-            out[(x, y)] = (obj_map, mor_map)
-        return out
+        D = self.source
+        return {
+            (x, y): (
+                {f: self._fold_one(D.one_decomp[(x, y, f)], x) for f in H.objects},
+                {m: self._fold_two(D.two_decomp[(x, y, m)], x) for m in H.morphisms},
+            )
+            for (x, y), H in D.hom.items()
+        }
 
     def _fold_one(self, pieces, x):
-        E = self.target
-        if not pieces:
-            return E.unit1[self.obj(x)]
+        """The image of a 1-cell out of x: its pieces' images under the
+        segment functors, composed by hc1 (the unit of x if none)."""
+        E, fx = self.target, self.obj(x)
         cur = None
-        cx = None
         for (a, b), atom in pieces:
             g = self._seg_maps[(a, b)].obj_map[atom]
-            if cur is None:
-                cur, cx = g, self.obj(a)
-            else:
-                cur = E.hc1(cx, self.obj(a), self.obj(b), cur, g)
-        return cur
+            cur = g if cur is None else E.hc1(fx, self.obj(a), self.obj(b), cur, g)
+        return E.unit1[fx] if cur is None else cur
 
     def _fold_two(self, pieces, x):
-        E = self.target
-        if not pieces:
-            u = E.unit1[self.obj(x)]
-            return E.hom_at(self.obj(x), self.obj(x)).identity[u]
+        """The image of a 2-cell out of x, as `_fold_one`, composed by hc2."""
+        E, fx = self.target, self.obj(x)
         cur = None
-        cx = None
         for (a, b), atom in pieces:
             g = self._seg_maps[(a, b)].mor_map[atom]
-            if cur is None:
-                cur, cx = g, self.obj(a)
-            else:
-                cur = E.hc2(cx, self.obj(a), self.obj(b), cur, g)
-        return cur
-
-    def _derive_one(self, x, y, f):
-        if self._seg_maps is not None:
-            return self._fold_one(self.source.one_decomp[(x, y, f)], x)
-        return self._hom_maps[(x, y)][0][f]
-
-    def _derive_two(self, x, y, m):
-        if self._seg_maps is not None:
-            return self._fold_two(self.source.two_decomp[(x, y, m)], x)
-        return self._hom_maps[(x, y)][1][m]
+            cur = g if cur is None else E.hc2(fx, self.obj(a), self.obj(b), cur, g)
+        return E.hom_at(fx, fx).identity[E.unit1[fx]] if cur is None else cur
 
     def one(self, x, y, f):
-        if self._hom_maps is not None or "hom_maps" in self.__dict__:
-            return self.hom_maps[(x, y)][0][f]
-        return self._derive_one(x, y, f)
+        return self.hom_maps[(x, y)][0][f]
 
     def two(self, x, y, m):
-        if self._hom_maps is not None or "hom_maps" in self.__dict__:
-            return self.hom_maps[(x, y)][1][m]
-        return self._derive_two(x, y, m)
-
-    def compact_key(self):
-        if self._seg_maps is not None:
-            return (
-                tuple(sorted(self.on_objects.items())),
-                tuple(
-                    (pair, self._seg_maps[pair].key())
-                    for pair in sorted(self._seg_maps)
-                ),
-            )
-        return self.key()
+        return self.hom_maps[(x, y)][1][m]
 
     def key(self):
         return (

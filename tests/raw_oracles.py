@@ -10,6 +10,10 @@ raw_nerve extends each raw nerve simplex by a search over all its new
 edge positions, and raw_face_index finds each simplex's faces by position
 getters and lookup; the library extends from the extensions of d_0 and
 records the faces as it goes.
+
+raw_evaluate and raw_evaluate_map build the classes of a presentation's
+elements once per call to each and enumerate 2-functors again per arrow;
+the library builds them once per presentation in theta._classes.
 """
 
 import functools
@@ -17,6 +21,8 @@ from array import array
 
 from theta2kit.msset import MarkedSSet, MSSetMap, _UnionFind, degenerate
 from theta2kit.nerves import _getter, _pairs, _pidx, _Tables, _tidx, _triples
+from theta2kit.theta import _monotone_maps
+from theta2kit.twocat import enumerate_two_functors, theta2_object
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
@@ -360,3 +366,86 @@ def raw_nerve(D, bound, checked=()):
         by_dim[n] = [x for base in by_dim[n - 1] for x in _extend(tabs, base, n, step)]
         steps[n] = count[0]
     return by_dim, steps
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def raw_evaluate(W, theta, ell=0, limit=5_000_000):
+    """The value of the presented Theta_2-set at (theta, [ell]): the least
+    of each class of triples (cell index, functor index, level map),
+    quotiented along the diagram arrows, sorted."""
+    D = theta2_object(theta)
+    per_cell = []
+    keyed = []
+    for cell in W.cells:
+        fs = enumerate_two_functors(D, theta2_object(cell.shape), limit)
+        per_cell.append(fs)
+        keyed.append({F.key(): t for t, F in enumerate(fs)})
+    uf = _UnionFind()
+    for i, cell in enumerate(W.cells):
+        for t in range(len(per_cell[i])):
+            for mu in _monotone_maps(ell, cell.level):
+                uf.add((i, t, mu))
+    for i, j, G, lam in W.arrows:
+        for t, F in enumerate(per_cell[i]):
+            img = keyed[j][F.compose(G).key()]
+            for mu in _monotone_maps(ell, W.cells[i].level):
+                nu = tuple(lam[v] for v in mu)
+                uf.add((j, img, nu))
+                uf.union((i, t, mu), (j, img, nu))
+    classes = {}
+    for elt in uf.parent:
+        classes.setdefault(uf.find(elt), []).append(elt)
+    return sorted(min(elts) for elts in classes.values())
+
+
+def raw_evaluate_map(P, theta, ell=0, limit=5_000_000):
+    """The induced function on evaluations, as a dict on class reps."""
+    D = theta2_object(theta)
+    src_classes = raw_evaluate(P.source, theta, ell, limit)
+    tgt_classes = raw_evaluate(P.target, theta, ell, limit)
+
+    tgt_fs = {}
+    tgt_keyed = {}
+    for j, cell in enumerate(P.target.cells):
+        tgt_fs[j] = enumerate_two_functors(D, theta2_object(cell.shape), limit)
+        tgt_keyed[j] = {F.key(): t for t, F in enumerate(tgt_fs[j])}
+    uf = _UnionFind()
+    for j, cell in enumerate(P.target.cells):
+        for t in range(len(tgt_fs[j])):
+            for mu in _monotone_maps(ell, cell.level):
+                uf.add((j, t, mu))
+    for i, j, G, lam in P.target.arrows:
+        src_list = enumerate_two_functors(D, theta2_object(P.target.cells[i].shape), limit)
+        for t, F in enumerate(src_list):
+            img = tgt_keyed[j][F.compose(G).key()]
+            for mu in _monotone_maps(ell, P.target.cells[i].level):
+                nu = tuple(lam[v] for v in mu)
+                uf.add((j, img, nu))
+                uf.union((i, t, mu), (j, img, nu))
+    classes = {}
+    for elt in uf.parent:
+        classes.setdefault(uf.find(elt), []).append(elt)
+    canon = {}
+    for elts in classes.values():
+        rep = min(elts)
+        for e in elts:
+            canon[e] = rep
+
+    src_fs = {}
+    for i, cell in enumerate(P.source.cells):
+        src_fs[i] = enumerate_two_functors(D, theta2_object(cell.shape), limit)
+    out = {}
+    for i, t, mu in src_classes:
+        j, G, lam = P.cell_map[i]
+        img = tgt_keyed[j][src_fs[i][t].compose(G).key()]
+        nu = tuple(lam[v] for v in mu)
+        out[(i, t, mu)] = canon[(j, img, nu)]
+    stray = set(out.values()) - set(tgt_classes)
+    if stray:
+        raise RuntimeError(
+            f"evaluate_map: images outside the target's classes: {sorted(stray)[:3]}"
+        )
+    return out

@@ -1,4 +1,5 @@
 import collections
+import functools
 import gc
 import itertools
 import math
@@ -200,9 +201,7 @@ def _oracle_cases():
 
 
 MARKINGS = {
-    "duskin": lambda D: (lambda raw, n: False),
-    "rs": N._rs_marked,
-    "scaled": N._scaled_marked,
+    v: functools.partial(N._marking, variant=v) for v in ("duskin", "rs", "scaled")
 }
 
 
@@ -212,7 +211,8 @@ def test_build_matches_from_raw(D):
     by_dim, faces = N._raw_nerve(D, bound)
     ops = _RawOps(D)
     for marking, mk in MARKINGS.items():
-        X, index = N._build(D, by_dim, faces, bound, mk(D))
+        X, refs = N._build(D, by_dim, faces, bound, mk(D))
+        index = N._index(by_dim, refs)
         Y, oracle = from_raw(
             bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn
         )
@@ -448,9 +448,10 @@ def test_build_matches_from_raw_without_cocycle():
     by_dim = _raw_without_cocycle(D, 4)
     assert len(by_dim[4]) > len(N._raw_nerve(D, 4)[0][4])
     ops = _RawOps(D)
-    X, index = N._build(D, by_dim, raw_face_index(by_dim), 4, N._rs_marked(D))
+    X, refs = N._build(D, by_dim, raw_face_index(by_dim), 4, N._marking(D, "rs"))
+    index = N._index(by_dim, refs)
     Y, oracle = from_raw(4, by_dim, ops.face, ops.degenerate,
-                         N._rs_marked(D), N._key_fn)
+                         N._marking(D, "rs"), N._key_fn)
     assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
     assert index == oracle
 
@@ -511,10 +512,23 @@ def test_nerve_map_builds_each_nerve_once(monkeypatch):
     assert built == [F.source, F.target]
 
 
+@pytest.mark.parametrize("D", _oracle_cases())
+def test_nerve_marking_table_matches_named_builders(D):
+    builders = {"rs": N.rs_nerve, "scaled": N.scaled_nerve, "duskin": N.duskin_nerve}
+    for variant, build in builders.items():
+        X, Y = N.nerve(D, variant, bound=4), build(D, bound=4)
+        assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked), variant
+    X, Y = N.rs_nerve_with_index(D, bound=4)[0], N.nerve(D, bound=4)
+    assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
+
+
 def test_nerve_map_rejects_unknown_variant():
     F = T.identity_two_functor(T.cell(1))
     with pytest.raises(ValueError) as info:
         N.nerve_map(F, variant="bogus")
+    assert all(v in str(info.value) for v in ("rs", "scaled", "duskin"))
+    with pytest.raises(ValueError) as info:
+        N.nerve(F.source, "bogus")
     assert all(v in str(info.value) for v in ("rs", "scaled", "duskin"))
 
 

@@ -7,7 +7,12 @@ from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
 
-from raw_oracles import raw_colimit, raw_product_with_index
+from raw_oracles import (
+    raw_colimit,
+    raw_evaluate,
+    raw_evaluate_map,
+    raw_product_with_index,
+)
 
 
 POINT = T.Theta2Shape(0, ())
@@ -143,15 +148,47 @@ def test_evaluate_map_of_spine_is_injective_on_probe():
 def test_evaluate_map_checks_its_images(monkeypatch):
     # the check must hold under python -O, so it may not be an assert
     P = TH.vertical_segal(2)
-    evaluate = TH.evaluate
+    classes = TH._classes
 
-    def drop_target_classes(W, theta, ell=0, limit=5_000_000):
-        classes = evaluate(W, theta, ell, limit)
-        return classes if W is P.source else []
+    def drop_target_elements(W, D, ell, limit):
+        fs, keyed, canon = classes(W, D, ell, limit)
+        return fs, keyed, (canon if W is P.source else {})
 
-    monkeypatch.setattr(TH, "evaluate", drop_target_classes)
+    monkeypatch.setattr(TH, "_classes", drop_target_elements)
     with pytest.raises(RuntimeError, match="outside the target"):
         TH.evaluate_map(P, EDGE)
+
+
+@pytest.mark.parametrize("ell", [-1, -2, 1.0, True, False, None, "0"])
+def test_evaluation_rejects_bad_ell(ell):
+    # ell = -1 used to give a wrong answer, ell = -2 an itertools error
+    with pytest.raises(ValueError, match="ell"):
+        TH.evaluate(TH.representable(CONE), POINT, ell=ell)
+    with pytest.raises(ValueError, match="ell"):
+        TH.evaluate_map(TH.vertical_segal(2), EDGE, ell=ell)
+
+
+def _evaluation_cases():
+    maps = [pytest.param(TH.vertical_segal(k), id=f"vertical_segal({k})")
+            for k in range(4)]
+    maps += [
+        pytest.param(TH.horizontal_segal(m, ks), id=f"horizontal_segal({m}, {ks})")
+        for m in range(3) for ks in itertools.product((0, 1), repeat=m)
+    ]
+    maps += [pytest.param(TH.horizontal_completeness(), id="horizontal_completeness"),
+             pytest.param(TH.vertical_completeness(), id="vertical_completeness")]
+    return maps
+
+
+@pytest.mark.parametrize("P", _evaluation_cases())
+def test_evaluation_matches_the_oracle(P):
+    for probe in (POINT, EDGE, CONE):
+        for ell in (0, 1):
+            for W in (P.source, P.target):
+                assert TH.evaluate(W, probe, ell) == raw_evaluate(W, probe, ell)
+            got = TH.evaluate_map(P, probe, ell)
+            want = raw_evaluate_map(P, probe, ell)
+            assert list(got.items()) == list(want.items()), (probe, ell)
 
 
 # ---------------------------------------------------------------------------
