@@ -254,6 +254,7 @@ def suite_simplicial_identities(args) -> VerifySuiteReport:
     rep.add(f"{cases} fuzz cases validate (seed={getattr(args, 'seed', 0)})",
             bad == 0)
     # EZ word arithmetic: d_{i} s_i = id and the normal-form round trip
+    bad = 0
     for t in range(cases):
         gdim = rng.randint(0, 3)
         ref = ("g", ())
@@ -262,9 +263,9 @@ def suite_simplicial_identities(args) -> VerifySuiteReport:
             ref = msset.degenerate(ref, rng.randint(0, dims))
             dims += 1
         if not msset.normal_word(ref[1]):
+            bad += 1
             rep.add(f"EZ case {t}", False, witness=str(ref))
-    rep.add(f"{cases} degeneracy words stay in normal form",
-            all(c["ok"] for c in rep.checks))
+    rep.add(f"{cases} degeneracy words stay in normal form", bad == 0)
     return rep
 
 

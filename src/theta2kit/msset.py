@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_BOUND = 5
 
@@ -567,19 +567,6 @@ def pushout(f: MSSetMap, g: MSSetMap):
 # maps: enumeration, mono/iso
 
 
-def _candidates(Y, n, expected_faces, need_marked, guard):
-    out = []
-    for ref in Y.all_simplices(n):
-        guard.step()
-        if need_marked and not Y.is_marked(ref):
-            continue
-        if expected_faces is not None:
-            if any(Y.face(ref, i) != expected_faces[i] for i in range(n + 1)):
-                continue
-        out.append(ref)
-    return sorted(out)
-
-
 class _Guard:
     def __init__(self, limit, operation=None):
         self.limit = limit
@@ -599,34 +586,72 @@ class _Guard:
             )
 
 
+def _search(X: MarkedSSet, Y: MarkedSSet, guard, iso=False, vertices=None):
+    """Yield the maps X -> Y, placing X's generators in dimension order on
+    an explicit stack (a nerve has more generators than recursion frames).
+
+    A generator's candidates are the simplices of Y whose faces are the
+    images of its own, read off an index of Y by face tuple in sorted
+    order.  iso: nondegenerate images of the same marking, none used
+    twice.  vertices: fixed vertex images.  Otherwise a marked generator
+    needs a marked image.  Each candidate tried is one guard step.
+    """
+    order = [(n, g) for n in sorted(X.gens) for g in X.gens_at(n)]
+    if not order:
+        yield MSSetMap(X, Y, {})
+        return
+    index = {}
+    for n in dict.fromkeys(n for n, _ in order):
+        refs = [(h, ()) for h in Y.gens_at(n)] if iso else sorted(Y.all_simplices(n))
+        keys = _face_layer(Y, refs, n) if n else [()] * len(refs)
+        bucket = index[n] = {}
+        for ref, key in zip(refs, keys):
+            bucket.setdefault(tuple(key), []).append(ref)
+    assignment = {}
+    partial = MSSetMap(X, Y, assignment)
+    used = set()
+
+    def candidates(k):
+        n, g = order[k]
+        if n == 0 and vertices is not None:
+            return [(vertices[g], ())]
+        key = tuple([partial.apply(r) for r in X.faces[g]]) if n else ()
+        bucket = index[n].get(key, ())
+        if iso:
+            return [r for r in bucket if (r[0] in Y.marked) == (g in X.marked)]
+        if g in X.marked:
+            return [r for r in bucket if Y.is_marked(r)]
+        return bucket
+
+    stack = [[candidates(0), 0]]
+    while stack:
+        n, g = order[len(stack) - 1]
+        if g in assignment:
+            used.discard(assignment.pop(g))
+        cands, idx = stack[-1]
+        if idx == len(cands):
+            stack.pop()
+            continue
+        stack[-1][1] = idx + 1
+        ref = cands[idx]
+        guard.dimension = n
+        guard.step()
+        if iso:
+            if ref in used:
+                continue
+            used.add(ref)
+        assignment[g] = ref
+        if len(stack) == len(order):
+            yield MSSetMap(X, Y, dict(assignment))
+        else:
+            stack.append([candidates(len(stack)), 0])
+
+
 def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
     """All marking-preserving maps X -> Y, canonically ordered."""
     if _top_dim(X) > Y.bound:
         raise ValueError("X has generators above the bound of Y")
-    guard = _Guard(limit, "enumerate_maps")
-    order = [(n, g) for n in sorted(X.gens) for g in X.gens_at(n)]
-    results = []
-    assignment = {}
-
-    def extend(k):
-        if k == len(order):
-            results.append(MSSetMap(X, Y, dict(assignment)))
-            return
-        n, g = order[k]
-        if n == 0:
-            expected = None
-        else:
-            expected = [
-                MSSetMap(X, Y, assignment).apply(X.face((g, ()), i))
-                for i in range(n + 1)
-            ]
-        for ref in _candidates(Y, n, expected, g in X.marked, guard):
-            assignment[g] = ref
-            extend(k + 1)
-            del assignment[g]
-
-    extend(0)
-    return results
+    return list(_search(X, Y, _Guard(limit, "enumerate_maps")))
 
 
 def is_mono(f: MSSetMap) -> bool:
@@ -664,76 +689,26 @@ def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
         return None
     if X.marked_counts()[: bound + 1] != Y.marked_counts()[: bound + 1]:
         return None
-    guard = _Guard(limit, "find_iso")
-    order = [(n, g) for n in range(bound + 1) for g in X.gens_at(n)]
-    if not order:
-        return MSSetMap(X, Y, {})
-    assignment = {}
-    partial = MSSetMap(X, Y, assignment)
-    used = set()
-    # Y's generators by face tuple, in gens_at order
-    by_faces = {}
-    for n in range(1, bound + 1):
-        for h in Y.gens_at(n):
-            by_faces.setdefault(tuple(Y.faces[h]), []).append(h)
-
-    def candidates(k):
-        n, g = order[k]
-        if n == 0:
-            return list(Y.gens_at(0))
-        expected = tuple(partial.apply(r) for r in X.faces[g])
-        marked = g in X.marked
-        return [
-            h for h in by_faces.get(expected, ())
-            if (h in Y.marked) == marked
-        ]
-
-    # explicit-stack backtracking: nerves can have thousands of
-    # generators, one recursion frame each would overflow
-    stack = [[candidates(0), 0]]
-    while stack:
-        k = len(stack) - 1
-        g = order[k][1]
-        if g in assignment:
-            used.discard(assignment[g][0])
-            del assignment[g]
-        cands, idx = stack[-1]
-        if idx >= len(cands):
-            stack.pop()
-            continue
-        stack[-1][1] = idx + 1
-        h = cands[idx]
-        guard.step()
-        if h in used:
-            continue
-        assignment[g] = (h, ())
-        used.add(h)
-        if len(stack) == len(order):
-            return MSSetMap(X, Y, dict(assignment))
-        stack.append([candidates(len(stack)), 0])
-    return None
+    return next(_search(X, Y, _Guard(limit, "find_iso"), iso=True), None)
 
 
 def map_by_vertices(X: MarkedSSet, Y: MarkedSSet, vertex_images):
     """Extend a vertex assignment to the unique compatible map X -> Y.
 
-    Raises if some generator has no candidate or more than one.
+    Raises ValueError if a vertex of X has no image, an image is not a
+    vertex of Y, or no map or more than one extends the assignment.
     """
-    assignment = {v: (vertex_images[v], ()) for v in X.gens_at(0)}
+    for v in X.gens_at(0):
+        if v not in vertex_images:
+            raise ValueError(f"vertex {v} has no image")
+        if Y._dim.get(vertex_images[v]) != 0:
+            raise ValueError(f"vertex {v}: image {vertex_images[v]} is not a vertex")
     guard = _Guard(2_000_000, "map_by_vertices")
-    for n in sorted(X.gens):
-        if n == 0:
-            continue
-        for g in X.gens_at(n):
-            partial = MSSetMap(X, Y, assignment)
-            expected = [partial.apply(X.face((g, ()), i)) for i in range(n + 1)]
-            cands = _candidates(Y, n, expected, g in X.marked, guard)
-            if len(cands) != 1:
-                raise ValueError(
-                    f"{g}: expected a unique extension, found {len(cands)}"
-                )
-            assignment[g] = cands[0]
-    return MSSetMap(X, Y, assignment)
+    maps = list(itertools.islice(_search(X, Y, guard, vertices=vertex_images), 2))
+    if len(maps) != 1:
+        found = "none" if not maps else "more than one"
+        raise ValueError(f"expected a unique extension of the vertices, found {found}")
+    return maps[0]
 
 
 # ---------------------------------------------------------------------------

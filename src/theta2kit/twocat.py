@@ -8,10 +8,10 @@ g: y -> z lands in hom(x, z).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .msset import Report, ResourceLimitError, _check_json, _Guard
+from .msset import Report, _check_json, _Guard
 
 
 # ---------------------------------------------------------------------------

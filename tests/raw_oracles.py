@@ -14,12 +14,17 @@ records the faces as it goes.
 raw_evaluate and raw_evaluate_map build the classes of a presentation's
 elements once per call to each and enumerate 2-functors again per arrow;
 the library builds them once per presentation in theta._classes.
+
+raw_enumerate_maps recurses once per source generator and
+raw_map_by_vertices places one generator at a time, both scanning every
+simplex of the target for each generator; the library runs one
+explicit-stack search over a face index of the target.
 """
 
 import functools
 from array import array
 
-from theta2kit.msset import MarkedSSet, MSSetMap, _UnionFind, degenerate
+from theta2kit.msset import MarkedSSet, MSSetMap, _Guard, _top_dim, _UnionFind, degenerate
 from theta2kit.nerves import _getter, _pairs, _pidx, _Tables, _tidx, _triples
 from theta2kit.theta import _monotone_maps
 from theta2kit.twocat import enumerate_two_functors, theta2_object
@@ -449,3 +454,72 @@ def raw_evaluate_map(P, theta, ell=0, limit=5_000_000):
             f"evaluate_map: images outside the target's classes: {sorted(stray)[:3]}"
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# map search
+
+
+def _candidates(Y, n, expected_faces, need_marked, guard):
+    out = []
+    for ref in Y.all_simplices(n):
+        guard.step()
+        if need_marked and not Y.is_marked(ref):
+            continue
+        if expected_faces is not None:
+            if any(Y.face(ref, i) != expected_faces[i] for i in range(n + 1)):
+                continue
+        out.append(ref)
+    return sorted(out)
+
+
+def raw_enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
+    """All marking-preserving maps X -> Y, canonically ordered."""
+    if _top_dim(X) > Y.bound:
+        raise ValueError("X has generators above the bound of Y")
+    guard = _Guard(limit, "enumerate_maps")
+    order = [(n, g) for n in sorted(X.gens) for g in X.gens_at(n)]
+    results = []
+    assignment = {}
+
+    def extend(k):
+        if k == len(order):
+            results.append(MSSetMap(X, Y, dict(assignment)))
+            return
+        n, g = order[k]
+        if n == 0:
+            expected = None
+        else:
+            expected = [
+                MSSetMap(X, Y, assignment).apply(X.face((g, ()), i))
+                for i in range(n + 1)
+            ]
+        for ref in _candidates(Y, n, expected, g in X.marked, guard):
+            assignment[g] = ref
+            extend(k + 1)
+            del assignment[g]
+
+    extend(0)
+    return results
+
+
+def raw_map_by_vertices(X: MarkedSSet, Y: MarkedSSet, vertex_images):
+    """Extend a vertex assignment to the unique compatible map X -> Y.
+
+    Raises if some generator has no candidate or more than one.
+    """
+    assignment = {v: (vertex_images[v], ()) for v in X.gens_at(0)}
+    guard = _Guard(2_000_000, "map_by_vertices")
+    for n in sorted(X.gens):
+        if n == 0:
+            continue
+        for g in X.gens_at(n):
+            partial = MSSetMap(X, Y, assignment)
+            expected = [partial.apply(X.face((g, ()), i)) for i in range(n + 1)]
+            cands = _candidates(Y, n, expected, g in X.marked, guard)
+            if len(cands) != 1:
+                raise ValueError(
+                    f"{g}: expected a unique extension, found {len(cands)}"
+                )
+            assignment[g] = cands[0]
+    return MSSetMap(X, Y, assignment)

@@ -165,6 +165,14 @@ def test_verify_simplicial_identities_json(capsys):
     assert data["suite"] == "simplicial-identities"
 
 
+def test_verify_simplicial_identities_ez_check_reads_only_ez_cases(monkeypatch, capsys):
+    monkeypatch.setattr(M, "validate_msset", lambda X: M.Report("msset", ["broken"]))
+    assert main(["verify", "simplicial-identities", "--fuzz", "10", "--json"]) == 1
+    checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["10 fuzz cases validate (seed=0)"] is False
+    assert checks["10 degeneracy words stay in normal form"] is True
+
+
 def test_verify_hom_bijection_small_grid(capsys):
     assert main(["verify", "hom-bijection", "--max-m", "1", "--max-k", "1",
                  "--max-j", "1"]) == 0

@@ -10,7 +10,7 @@ from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
 
-from raw_oracles import raw_colimit, raw_product_with_index
+from raw_oracles import raw_colimit, raw_map_by_vertices, raw_product_with_index
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +413,73 @@ def test_map_by_vertices_unique_extension():
     assert g.assignment["012"][0] == "0"
 
 
+def test_map_by_vertices_rejects_bad_vertex_images():
+    pt, D1 = M.standard_simplex(0), M.standard_simplex(1)
+    with pytest.raises(ValueError, match="vertex 0: image 7 is not a vertex"):
+        M.map_by_vertices(pt, D1, {"0": "7"})
+    with pytest.raises(ValueError, match="vertex 0: image 01 is not a vertex"):
+        M.map_by_vertices(pt, D1, {"0": "01"})
+    with pytest.raises(ValueError, match="vertex 1 has no image"):
+        M.map_by_vertices(D1, D1, {"0": "0"})
+
+
+def _two_edges_from_0_to_2(triangles):
+    """Vertices 0, 1, 2, edges 01, 12 and two edges a, b from 0 to 2, and
+    a triangle with boundary (12, e, 01) for each e in triangles."""
+    edge = {"01": ("0", "1"), "12": ("1", "2"), "a": ("0", "2"), "b": ("0", "2")}
+    faces = {e: ((y, ()), (x, ())) for e, (x, y) in edge.items()}
+    faces.update({f"t{e}": (("12", ()), (e, ()), ("01", ())) for e in triangles})
+    gens = {0: ("0", "1", "2"), 1: tuple(sorted(edge)),
+            2: tuple(sorted(f"t{e}" for e in triangles))}
+    return M.MarkedSSet(2, gens, faces, frozenset())
+
+
+def test_map_by_vertices_fails_only_without_a_unique_extension():
+    D2 = M.standard_simplex(2)
+    identity = {"0": "0", "1": "1", "2": "2"}
+    # the edge 02 has two candidates, and only one bounds a triangle
+    f = M.map_by_vertices(D2, _two_edges_from_0_to_2("a"), identity)
+    assert f.assignment["02"] == ("a", ()) and M.validate_map(f).ok
+    with pytest.raises(ValueError, match="found 2"):
+        raw_map_by_vertices(D2, _two_edges_from_0_to_2("a"), identity)
+    with pytest.raises(ValueError, match="found more than one"):
+        M.map_by_vertices(D2, _two_edges_from_0_to_2("ab"), identity)
+    with pytest.raises(ValueError, match="found none"):
+        M.map_by_vertices(D2, _two_edges_from_0_to_2(""), identity)
+
+
+def test_map_by_vertices_matches_the_oracle_on_its_callers(monkeypatch):
+    import inspect
+
+    import test_acceptance
+    import test_suspension
+    from theta2kit import cli
+
+    calls = []
+    search = M.map_by_vertices
+
+    def recording(X, Y, vertex_images):
+        calls.append((X, Y, dict(vertex_images)))
+        return search(X, Y, vertex_images)
+
+    monkeypatch.setattr(M, "map_by_vertices", recording)
+    cli.suite_eq3_pushout(None)
+    callers = [
+        fn
+        for mod in (test_suspension, test_acceptance)
+        for fn in vars(mod).values()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+        and "map_by_vertices" in inspect.getsource(fn)
+    ]
+    for fn in callers:
+        fn()
+    monkeypatch.undo()
+    assert len(callers) == 6 and len(calls) == 14
+    for X, Y, images in calls:
+        got = M.map_by_vertices(X, Y, images).assignment
+        assert list(got.items()) == list(raw_map_by_vertices(X, Y, images).assignment.items())
+
+
 def test_is_iso_rejects_a_missing_generator():
     D1 = M.standard_simplex(1)
     f = M.MSSetMap(D1, D1, {"0": ("0", ()), "1": ("1", ())})
@@ -427,6 +494,26 @@ def test_find_iso_rejects_generators_above_the_common_bound():
         M.find_iso(X, Y)
     with pytest.raises(ValueError, match="common bound"):
         M.find_iso(Y, X)
+
+
+def test_map_searches_name_the_dimension_they_exceed_the_guard_in():
+    D1 = M.standard_simplex(1)
+    # the vertices 0 -> 0 and 1 -> 0 take the only two steps
+    with pytest.raises(M.ResourceLimitError, match="in enumerate_maps at dimension 1") as info:
+        M.enumerate_maps(D1, D1, limit=2)
+    e = info.value
+    assert (e.operation, e.dimension, e.steps) == ("enumerate_maps", 1, 3)
+    # 1 -> 0 is tried, and skipped as used, before 1 -> 1
+    with pytest.raises(M.ResourceLimitError, match="in find_iso at dimension 0") as info:
+        M.find_iso(D1, D1, limit=2)
+    e = info.value
+    assert (e.operation, e.dimension, e.steps) == ("find_iso", 0, 3)
+    X = N.rs_nerve(T.theta2_object(T.Theta2Shape(1, (1,))), 4)
+    with pytest.raises(M.ResourceLimitError) as info:
+        TH.apply_R_at(X, T.Theta2Shape(2, (2, 2)), 0, limit=1000)
+    e = info.value
+    assert (e.operation, e.steps) == ("enumerate_maps", 1001)
+    assert f"at dimension {e.dimension}" in str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +652,50 @@ def test_find_iso_matches_the_linear_search_on_L_images(monkeypatch):
         N.rs_nerve(T.theta2_object(cone), 3), M.standard_simplex(1, "sharp", bound=3)
     )
     assert assert_find_iso_matches_scan(L, R, monkeypatch) is not None
+
+
+def relabel(X):
+    """X with its generators renamed so that their sort order reverses."""
+    ids = sorted(g for n in X.gens for g in X.gens_at(n))
+    name = {g: f"r{len(ids) - i:04d}" for i, g in enumerate(ids)}
+    return M.MarkedSSet(
+        X.bound,
+        {n: tuple(sorted(name[g] for g in X.gens_at(n))) for n in X.gens},
+        {name[g]: tuple((name[h], w) for h, w in fs) for g, fs in X.faces.items()},
+        frozenset(name[g] for g in X.marked),
+    )
+
+
+@st.composite
+def simplex_variants(draw, max_ell=3, bound=3):
+    ell = draw(st.integers(0, max_ell))
+    variants = ["flat", "sharp", "boundary", "horn"] if ell else ["flat"]
+    variant = draw(st.sampled_from(
+        variants + {1: ["edge_marked"], 3: ["eq3"]}.get(ell, [])))
+    horn = draw(st.integers(0, ell)) if variant == "horn" else None
+    return M.standard_simplex(ell, variant, horn=horn, bound=bound)
+
+
+@st.composite
+def iso_sources(draw):
+    """Simplex variants, products with at most six vertices and pushouts
+    of simplices."""
+    kind = draw(st.sampled_from(["simplex", "product", "pushout"]))
+    if kind == "simplex":
+        return draw(simplex_variants())
+    if kind == "product":
+        return M.product(draw(simplex_variants(1)), draw(simplex_variants(2)))
+    return M.colimit(*draw(simplex_pushouts()))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(iso_sources())
+def test_find_iso_finds_a_relabelling(X):
+    Y = relabel(X)
+    f = M.find_iso(X, Y)
+    assert f is not None
+    assert M.validate_map(f).ok
+    assert M.is_iso(f)
 
 
 def test_validate_map_reports_dropped_marking():

@@ -9,6 +9,7 @@ from theta2kit import twocat as T
 
 from raw_oracles import (
     raw_colimit,
+    raw_enumerate_maps,
     raw_evaluate,
     raw_evaluate_map,
     raw_product_with_index,
@@ -439,6 +440,48 @@ def test_R_at_matches_maps_out_of_the_old_block():
         assert [list(f.assignment.items()) for f in new] == [
             list(f.assignment.items()) for f in old
         ]
+
+
+def test_enumerate_maps_matches_the_recursive_oracle():
+    targets = [
+        M.standard_simplex(1),
+        M.standard_simplex(1, "sharp"),
+        M.standard_simplex(2, "boundary"),
+        M.standard_simplex(2, "sharp"),
+    ]
+    cases = [
+        (TH.apply_L(TH.representable(theta, ell), bound=X.bound), X)
+        for X in targets for theta, ell in ((POINT, 0), (POINT, 1), (EDGE, 0))
+    ]
+    cases += [
+        (_old_box_nerve(TH.BoxCell(theta, ell), 5), targets[3])
+        for theta, ell in ((POINT, 1), (EDGE, 0), (EDGE, 1))
+    ]
+    D1, D2 = M.standard_simplex(1), M.standard_simplex(2)
+    square = M.product(D1, M.standard_simplex(1, "sharp"))
+    cases += [
+        (square, D2),
+        (D1, square),
+        (square, square),
+        (M.product(D1, D1), M.product(D2, M.standard_simplex(0))),
+        (M.standard_simplex(2, "horn", horn=1), D2),
+        (M.standard_simplex(3, "horn", horn=0), D2),
+        (D1, M.standard_simplex(3, "horn", horn=2)),
+        (M.standard_simplex(1, "edge_marked"), M.standard_simplex(3, "eq3")),
+    ]
+    for X, Y in cases:
+        new = [list(f.assignment.items()) for f in M.enumerate_maps(X, Y)]
+        old = [list(f.assignment.items()) for f in raw_enumerate_maps(X, Y)]
+        assert new == old and new
+
+
+def test_R_on_a_nerve_counts_2_functors():
+    # 10 maps from a source of 8 396 generators, deeper than one
+    # recursion frame per generator can reach
+    theta = T.Theta2Shape(2, (2, 2))
+    D = T.theta2_object(T.Theta2Shape(1, (1,)))
+    R = TH.apply_R_at(N.rs_nerve(D, 4), theta, 0)
+    assert len(R) == len(T.enumerate_two_functors(T.theta2_object(theta), D)) == 10
 
 
 # ---------------------------------------------------------------------------
