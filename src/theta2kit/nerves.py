@@ -10,7 +10,9 @@ The raw simplices are built a layer at a time, each n-simplex from its
 base d_n x and one extension of d_0 of that base, so that its faces are
 known as indices into the layer below as it is made (`_extend`);
 `_build` reads the generators, their faces and the degeneracies off
-those indices.
+those indices, dropping each raw simplex once read.  Each process
+caches one built nerve per signature of D, bound and marking, and no raw
+layers; see `nerve` and `rs_nerve_with_index`.
 """
 
 from __future__ import annotations
@@ -309,9 +311,6 @@ _nerve_cache = {}
 def _raw_nerve(D: Fin2Category, bound: int, limit=5_000_000):
     """Every raw simplex (degenerate ones included) per dimension, and the
     faces of each as indices into the layer below; see `_extend`."""
-    key = (D.signature(), bound)
-    if key in _nerve_cache:
-        return _nerve_cache[key]
     guard = _Guard(limit, "nerve")
     tabs = _Tables(D)
     by_dim = {0: [((x,), (), ()) for x in tabs.objects]}
@@ -323,7 +322,6 @@ def _raw_nerve(D: Fin2Category, bound: int, limit=5_000_000):
         guard.dimension = n
         by_dim[n], faces[n], runs, keys = _extend(
             tabs, by_dim[n - 1], faces[n - 1], runs, keys, n, n == bound, guard.step)
-    _nerve_cache[key] = by_dim, faces
     return by_dim, faces
 
 
@@ -332,9 +330,9 @@ def _key_fn(raw, n):
     return ";".join([",".join(verts), ",".join(edges), ",".join(tris)])
 
 
-def _build(D: Fin2Category, by_dim, faces, bound, marked_fn):
-    """The marked nerve of a raw nerve, and the reference of each raw
-    simplex, as one list per layer.
+def _build(D: Fin2Category, by_dim, faces, bound, marked_fn, index=None):
+    """The marked nerve of a raw nerve, dropping each raw simplex once
+    read; fills index, if a dict, with each raw simplex's reference.
 
     faces[n] holds the faces of each raw n-simplex as indices into layer
     n-1, n+1 per simplex in turn, as `_raw_nerve` gives them.  Gives what
@@ -348,13 +346,14 @@ def _build(D: Fin2Category, by_dim, faces, bound, marked_fn):
     unit1 = D.unit1
     ident = {k: H.identity for k, H in D.hom.items()}
     gens, gen_faces, marked, seen = {}, {}, set(), set()
-    below, layers = [], []
+    below = []
     for n in range(bound + 1):
         tests = [(i, _pidx(n)[(i, i + 1)], *_degeneracy_test(n, i)) for i in range(n)]
-        refs, ids = [], []
+        layer, refs, ids = by_dim.pop(n, []), [], []
         # each simplex's n+1 face indices, as a tuple
-        face_tuples = zip(*[iter(faces.get(n, ()))] * (n + 1))
-        for x, F in zip(by_dim.get(n, ()), face_tuples, strict=True):
+        face_tuples = zip(*[iter(faces.pop(n, ()))] * (n + 1))
+        for at, F in zip(range(len(layer)), face_tuples, strict=True):
+            x, layer[at] = layer[at], None
             verts, edges, tris = x
             for i, unit_pos, same_t, collapsed in tests:
                 v = verts[i]
@@ -382,10 +381,11 @@ def _build(D: Fin2Category, by_dim, faces, bound, marked_fn):
                         marked.add(gid)
                 ref = (gid, ())
             refs.append(ref)
+            if index is not None:
+                index[x] = ref
         below = refs
-        layers.append(refs)
         gens[n] = tuple(sorted(ids))
-    return MarkedSSet(bound, gens, gen_faces, frozenset(marked)), layers
+    return MarkedSSet(bound, gens, gen_faces, frozenset(marked))
 
 
 def _marking(D: Fin2Category, variant):
@@ -410,24 +410,22 @@ def _marking(D: Fin2Category, variant):
     return marked_fn
 
 
-def _nerve(D: Fin2Category, variant, bound, limit):
-    """The marked nerve, the raw nerve and each raw simplex's reference."""
+def _nerve(D: Fin2Category, variant, bound, limit, index=None):
+    """The marked nerve, cached unless index is a dict to fill; see `nerve`."""
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
         raise ValueError(f"a nerve bound must be an int >= 0, not {bound!r}")
     marked_fn = _marking(D, variant)
-    by_dim, faces = _raw_nerve(D, bound, limit)
-    X, refs = _build(D, by_dim, faces, bound, marked_fn)
-    return X, by_dim, refs
-
-
-def _index(by_dim, refs):
-    """The raw -> reference index of a nerve, from `_build`'s layers."""
-    return {x: r for n, layer in by_dim.items() for x, r in zip(layer, refs[n])}
+    key = (D.signature(), bound, variant)
+    if index is not None or key not in _nerve_cache:
+        _nerve_cache[key] = _build(D, *_raw_nerve(D, bound, limit), bound, marked_fn, index)
+    return _nerve_cache[key]
 
 
 def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=5_000_000):
-    """The nerve of D with the marking rs, scaled or duskin; see `_marking`."""
-    return _nerve(D, marking, bound, limit)[0]
+    """The nerve of D with the marking rs, scaled or duskin (see `_marking`),
+    built once per signature of D, bound and marking in each process; a
+    cache hit does not run the guard again."""
+    return _nerve(D, marking, bound, limit)
 
 
 def duskin_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
@@ -441,9 +439,10 @@ def rs_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
 
 
 def rs_nerve_with_index(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
-    """As rs_nerve, also returning the raw-simplex -> reference index."""
-    X, by_dim, refs = _nerve(D, "rs", bound, limit)
-    return X, _index(by_dim, refs)
+    """As rs_nerve, also returning the raw-simplex -> reference index; it
+    always builds from scratch, and the nerve built replaces the cached one."""
+    index = {}
+    return _nerve(D, "rs", bound, limit, index), index
 
 
 def scaled_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
@@ -466,10 +465,12 @@ def _apply_raw(F: TwoFunctor, raw):
 
 
 def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000):
-    """The simplicial map induced on nerves by a 2-functor."""
-    X, xdim, xrefs = _nerve(F.source, variant, bound, limit)
-    Y, ydim, yrefs = _nerve(F.target, variant, bound, limit)
-    return MSSetMap(X, Y, _nerve_assignment(F, _index(xdim, xrefs), _index(ydim, yrefs)))
+    """The simplicial map induced on nerves by a 2-functor; both nerves
+    are built from scratch, as in `rs_nerve_with_index`."""
+    xindex, yindex = {}, {}
+    X = _nerve(F.source, variant, bound, limit, xindex)
+    Y = _nerve(F.target, variant, bound, limit, yindex)
+    return MSSetMap(X, Y, _nerve_assignment(F, xindex, yindex))
 
 
 def _nerve_assignment(F: TwoFunctor, xindex, yindex):
@@ -490,7 +491,7 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
 
     The tuples satisfy d_i sigma_j = d_{j-1} sigma_i for i < j; every
     actual boundary of an n-simplex appears among them. Raises ValueError
-    for n < 1 and for n > X.bound + 1, where X has no (n-1)-simplices.
+    for an n that is not an int >= 1 and for n > X.bound + 1.
 
     The search picks sigma_0, sigma_1, ... depth first, from a pool per
     sigma_j: the cells whose first j faces are the forced d_{j-1} sigma_i,
@@ -501,8 +502,8 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     candidate costs one lookup of its own face d_j.  The guard is charged
     one step per candidate tried, that is per compatible prefix.
     """
-    if n < 1:
-        raise ValueError(f"boundaries need dimension at least 1, not {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"boundaries need an int dimension >= 1, not {n!r}")
     if n > X.bound + 1:
         raise ValueError(f"boundaries in dimension {n} exceed bound {X.bound} + 1")
     guard = _Guard(limit, "compatible_boundaries")
@@ -559,11 +560,20 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
 def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
     """For each compatible boundary in dimension n, its number of fillers.
 
-    Raises ValueError for n < 1 and for n > X.bound, where X holds no
-    n-simplices to count.
+    A degenerate filler x = s_j y of b has d_j x = d_{j+1} x = y, so the
+    degenerate fillers of b are the distinct s_j b[j] with b[j] == b[j+1]
+    whose faces are b; the others are the n-generators with faces b.
+    Raises ValueError for an n that is not an int >= 1, and for
+    n > X.bound, where X holds no n-simplices to count.
     """
-    if n > X.bound:
+    # compatible_boundaries rejects an n that is not an int >= 1
+    if isinstance(n, int) and n > X.bound:
         raise ValueError(f"fillers in dimension {n} exceed bound {X.bound}")
     boundaries = compatible_boundaries(X, n, limit)
-    index = collections.Counter(_face_layer(X, X.all_simplices(n), n))
-    return [(b, index.get(b, 0)) for b in boundaries]
+    fillers = collections.Counter(X.faces[g] for g in X.gens_at(n))
+    return [
+        (b, fillers[b] + sum(
+            all(X.face(x, i) == f for i, f in enumerate(b))
+            for x in {degenerate(b[j], j) for j in range(n) if b[j] == b[j + 1]}))
+        for b in boundaries
+    ]

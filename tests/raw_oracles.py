@@ -19,13 +19,20 @@ raw_enumerate_maps recurses once per source generator and
 raw_map_by_vertices places one generator at a time, both scanning every
 simplex of the target for each generator; the library runs one
 explicit-stack search over a face index of the target.
+
+raw_filler_counts counts the fillers of each boundary in a table of the
+faces of every n-simplex, degenerate ones included; the library counts
+the generators' faces and checks only the degeneracies a boundary allows.
 """
 
+import collections
 import functools
 from array import array
 
-from theta2kit.msset import MarkedSSet, MSSetMap, _Guard, _top_dim, _UnionFind, degenerate
-from theta2kit.nerves import _getter, _pairs, _pidx, _Tables, _tidx, _triples
+from theta2kit.msset import (
+    MarkedSSet, MSSetMap, _face_layer, _Guard, _top_dim, _UnionFind, degenerate)
+from theta2kit.nerves import (
+    _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import _monotone_maps
 from theta2kit.twocat import enumerate_two_functors, theta2_object
 
@@ -523,3 +530,10 @@ def raw_map_by_vertices(X: MarkedSSet, Y: MarkedSSet, vertex_images):
                 )
             assignment[g] = cands[0]
     return MSSetMap(X, Y, assignment)
+
+
+def raw_filler_counts(X: MarkedSSet, n, limit=5_000_000):
+    """nerves.filler_counts through a Counter over the faces of every
+    n-simplex of X."""
+    index = collections.Counter(_face_layer(X, X.all_simplices(n), n))
+    return [(b, index.get(b, 0)) for b in compatible_boundaries(X, n, limit)]

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from theta2kit import msset as M
 from theta2kit import nerves as N
+from theta2kit import theta as TH
 from theta2kit import twocat as T
 
-from raw_oracles import face_tuples, from_raw, raw_face_index, raw_nerve
+from raw_oracles import face_tuples, from_raw, raw_face_index, raw_filler_counts, raw_nerve
 
 
 def _ordinal_2cat(m):
@@ -205,14 +206,22 @@ MARKINGS = {
 }
 
 
+def _build_copy(D, by_dim, faces, bound, marked_fn):
+    """nerves._build on its own copy of the raw layers, which it consumes,
+    with the raw -> reference index it fills."""
+    index = {}
+    X = N._build(D, {n: list(layer) for n, layer in by_dim.items()}, dict(faces),
+                 bound, marked_fn, index)
+    return X, index
+
+
 @pytest.mark.parametrize("D", _oracle_cases())
 def test_build_matches_from_raw(D):
     bound = 4
     by_dim, faces = N._raw_nerve(D, bound)
     ops = _RawOps(D)
     for marking, mk in MARKINGS.items():
-        X, refs = N._build(D, by_dim, faces, bound, mk(D))
-        index = N._index(by_dim, refs)
+        X, index = _build_copy(D, by_dim, faces, bound, mk(D))
         Y, oracle = from_raw(
             bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn
         )
@@ -233,13 +242,11 @@ def _raw_nerve_checked(D, bound, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(N._Tables, "__init__", checked)
-        m.setattr(N, "_nerve_cache", {})
         return N._raw_nerve(D, bound)
 
 
 @pytest.mark.parametrize("D", _oracle_cases())
 def test_thin_extension_matches_checked(D, monkeypatch):
-    monkeypatch.setattr(N, "_nerve_cache", {})
     assert N._raw_nerve(D, 4) == _raw_nerve_checked(D, 4, monkeypatch)
 
 
@@ -251,7 +258,6 @@ def test_thin_extension_matches_checked_on_incomparable_cells(monkeypatch):
     assert tabs.thin[("bot", "top")]
     cube = tabs.down[("bot", "top")]
     assert sorted(m.bit_count() for m in cube.values()) == [1, 2, 2, 2, 4, 4, 4, 8]
-    monkeypatch.setattr(N, "_nerve_cache", {})
     assert N._raw_nerve(D, 5) == _raw_nerve_checked(D, 5, monkeypatch)
     assert _guard_steps(D, 5, monkeypatch) == _guard_steps(
         D, 5, monkeypatch, checked=True)
@@ -280,7 +286,6 @@ def _record_guards(monkeypatch):
 
 def _guard_steps(D, bound, monkeypatch, checked=False):
     guards = _record_guards(monkeypatch)
-    monkeypatch.setattr(N, "_nerve_cache", {})
     if checked:
         _raw_nerve_checked(D, bound, monkeypatch)
     else:
@@ -296,7 +301,6 @@ def test_thin_extension_guard(D, monkeypatch):
     # the thin path counts every triangle it tries, as the checked path does
     steps = _guard_steps(D, 3, monkeypatch)
     assert steps == _guard_steps(D, 3, monkeypatch, checked=True)
-    monkeypatch.setattr(N, "_nerve_cache", {})
     with pytest.raises(M.ResourceLimitError) as info:
         N._raw_nerve(D, 3, limit=steps - 1)
     e = info.value
@@ -316,11 +320,9 @@ def test_thin_extension_guard_inside_one_batch(monkeypatch):
             super().step(k)
 
     monkeypatch.setattr(N, "_Guard", Recording)
-    monkeypatch.setattr(N, "_nerve_cache", {})
     N._raw_nerve(D, 4)
     # a step larger than any hom is a batch of triangles, not a list of edges
     dimension, before, k = next(c for c in calls if c[2] > widest)
-    monkeypatch.setattr(N, "_nerve_cache", {})
     with pytest.raises(M.ResourceLimitError) as info:
         N._raw_nerve(D, 4, limit=before + 1)
     e = info.value
@@ -351,7 +353,6 @@ def _raw_nerve_with_steps(D, bound, checked=()):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(N._Tables, "__init__", forced)
         m.setattr(N, "_Guard", Counting)
-        m.setattr(N, "_nerve_cache", {})
         by_dim, faces = N._raw_nerve(D, bound)
     return by_dim, faces, {n: steps[n] for n in range(1, bound + 1)}
 
@@ -399,7 +400,6 @@ def test_extension_guard_stops_inside_a_layer(monkeypatch):
     _, steps = raw_nerve(D, 5)
     below = sum(steps[n] for n in range(1, 5))
     limit = below + steps[5] // 2
-    monkeypatch.setattr(N, "_nerve_cache", {})
     with pytest.raises(M.ResourceLimitError) as info:
         N._raw_nerve(D, 5, limit=limit)
     e = info.value
@@ -448,8 +448,7 @@ def test_build_matches_from_raw_without_cocycle():
     by_dim = _raw_without_cocycle(D, 4)
     assert len(by_dim[4]) > len(N._raw_nerve(D, 4)[0][4])
     ops = _RawOps(D)
-    X, refs = N._build(D, by_dim, raw_face_index(by_dim), 4, N._marking(D, "rs"))
-    index = N._index(by_dim, refs)
+    X, index = _build_copy(D, by_dim, raw_face_index(by_dim), 4, N._marking(D, "rs"))
     Y, oracle = from_raw(4, by_dim, ops.face, ops.degenerate,
                          N._marking(D, "rs"), N._key_fn)
     assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
@@ -498,7 +497,8 @@ def test_nerve_at_bound_zero_is_the_objects():
 # functoriality
 
 
-def test_nerve_map_builds_each_nerve_once(monkeypatch):
+def _record_builds(monkeypatch):
+    """Make nerves record the 2-category of every _build, in the list returned."""
     built = []
     build = N._build
 
@@ -507,9 +507,76 @@ def test_nerve_map_builds_each_nerve_once(monkeypatch):
         return build(D, *args)
 
     monkeypatch.setattr(N, "_build", counting)
+    return built
+
+
+def test_nerve_map_builds_each_nerve_once(monkeypatch):
+    built = _record_builds(monkeypatch)
+    monkeypatch.setattr(N, "_nerve_cache", {})
     F = T.enumerate_two_functors(T.cell(1), T.cell(2))[0]
     N.nerve_map(F, bound=3)
     assert built == [F.source, F.target]
+
+
+# ---------------------------------------------------------------------------
+# the nerve cache
+
+
+def test_nerve_cache_keeps_each_marking_apart(monkeypatch):
+    # Sigma Z/2 has a non-identity invertible 2-cell, so the three
+    # markings differ in dimension 2
+    D = _z2_suspension()
+    want = {}
+    for marking in ("duskin", "rs", "scaled"):
+        monkeypatch.setattr(N, "_nerve_cache", {})
+        want[marking] = N.nerve(D, marking, bound=3).marked_counts()
+    assert len(set(want.values())) == 3
+    for order in itertools.permutations(want):
+        monkeypatch.setattr(N, "_nerve_cache", {})
+        for marking in order * 2:
+            assert N.nerve(D, marking, bound=3).marked_counts() == want[marking], order
+
+
+@pytest.mark.parametrize("first", ["rs_nerve_with_index", "apply_L"])
+def test_rs_nerve_returns_the_nerve_an_indexed_build_left(first, monkeypatch):
+    shape = T.Theta2Shape(2, (1, 0))
+    D = T.theta2_object(shape)
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    indexed = []
+    with_index = N.rs_nerve_with_index
+
+    def recording(*args):
+        X, index = with_index(*args)
+        indexed.append(X)
+        return X, index
+
+    monkeypatch.setattr(TH, "rs_nerve_with_index", recording)
+    if first == "apply_L":
+        TH.apply_L(TH.representable(shape), bound=3)
+    else:
+        recording(D, 3)
+    built = _record_builds(monkeypatch)
+    assert len(indexed) == 1
+    assert N.rs_nerve(D, bound=3) is indexed[0]
+    assert built == []
+
+
+def test_nerve_guard_leaves_no_cache_entry(monkeypatch):
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    for build in (N.duskin_nerve, N.rs_nerve_with_index):
+        with pytest.raises(M.ResourceLimitError):
+            build(T.cell(2), bound=3, limit=3)
+        assert N._nerve_cache == {}
+    # so a second call runs the guard again
+    with pytest.raises(M.ResourceLimitError):
+        N.duskin_nerve(T.cell(2), bound=3, limit=3)
+
+
+def test_nerve_cache_holds_built_nerves_only(monkeypatch):
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    X = N.duskin_nerve(T.theta2_object(T.Theta2Shape(2, (2, 2))), bound=4)
+    assert [v is X for v in N._nerve_cache.values()] == [True]
+    assert all(isinstance(v, M.MarkedSSet) for v in N._nerve_cache.values())
 
 
 @pytest.mark.parametrize("D", _oracle_cases())
@@ -645,13 +712,39 @@ def test_filler_counts_in_dimension_one(D):
         N.compatible_boundaries(X, 1, limit=steps - 1)
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, True, 2.0])
 def test_filler_counts_reject_dimension_below_one(n):
     X = N.duskin_nerve(T.cell(1), bound=2)
     with pytest.raises(ValueError):
         N.filler_counts(X, n)
     with pytest.raises(ValueError):
         N.compatible_boundaries(X, n)
+
+
+@pytest.mark.parametrize("D", _oracle_cases())
+def test_filler_counts_match_raw_oracle(D):
+    X = N.duskin_nerve(D, bound=4)
+    for n in range(1, 5):
+        assert N.filler_counts(X, n) == raw_filler_counts(X, n), n
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: M.standard_simplex(3, "horn", horn=1), id="horn(3, 1)"),
+    pytest.param(lambda: M.product(M.standard_simplex(1), M.standard_simplex(2)),
+                 id="Delta[1] x Delta[2]"),
+])
+def test_filler_counts_match_raw_oracle_on_missing_and_degenerate_fillers(build):
+    X = build()
+    empty, degenerate = 0, 0
+    for n in range(1, X.bound + 1):
+        counts = N.filler_counts(X, n)
+        assert counts == raw_filler_counts(X, n), n
+        fillers = {X.faces[g] for g in X.gens_at(n)}
+        empty += sum(c == 0 for _, c in counts)
+        degenerate += sum(c > 0 and b not in fillers for b, c in counts)
+    # both cases have boundaries with no filler and many filled only by
+    # degenerate simplices
+    assert empty > 0 and degenerate > 100
 
 
 def test_filler_counts_reject_dimension_above_bound():

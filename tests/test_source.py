@@ -6,7 +6,8 @@ import theta2kit
 SOURCES = sorted(pathlib.Path(theta2kit.__file__).parent.glob("*.py"))
 
 # module-level containers the library keeps on purpose: the CLI's suite
-# table and the nerve cache
+# table and the nerve cache, which holds one built nerve per signature,
+# bound and marking, and no raw layers
 MODULE_STATE = {"cli.SUITES", "nerves._nerve_cache"}
 
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
