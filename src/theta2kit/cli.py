@@ -228,6 +228,8 @@ def suite_simplicial_identities(args) -> VerifySuiteReport:
     rep = VerifySuiteReport("simplicial-identities")
     rng = random.Random(getattr(args, "seed", 0))
     cases = getattr(args, "fuzz", 200)
+    if cases < 0:
+        raise ValueError(f"--fuzz must be nonnegative, got {cases}")
     variants = ["flat", "sharp", "boundary", "horn"]
     bad = 0
     for t in range(cases):

@@ -110,12 +110,24 @@ def _merge_getter(n):
     ])
 
 
+def _plain(table):
+    """A (x, y, z) -> {pair: cell} table as a dict of dicts, each inner
+    table that several triples share copied once."""
+    copies = {}
+    for t in table.values():
+        if id(t) not in copies:
+            copies[id(t)] = dict(t)
+    return {k: copies[id(t)] for k, t in table.items()}
+
+
 class _Tables:
     """The composition data nerve extension reads, as plain dicts.
 
-    For each thin hom (x, y) it also holds `down[(x, y)]`: per 1-cell c,
-    an int bitmask of the positions in `ones[(x, y)]` of the 1-cells f
-    with a 2-cell f => c.
+    The horizontal tables of D, which may be read-only mappings built on
+    lookup (as `theta2_object`'s are), are copied once, so that the inner
+    loops of `_extend` look up plain dicts.  For each thin hom (x, y) it
+    also holds `down[(x, y)]`: per 1-cell c, an int bitmask of the
+    positions in `ones[(x, y)]` of the 1-cells f with a 2-cell f => c.
     """
 
     def __init__(self, D: Fin2Category):
@@ -123,8 +135,8 @@ class _Tables:
         self.ones = {k: H.objects for k, H in D.hom.items()}
         self.then = {k: H.compose for k, H in D.hom.items()}
         self.ident = {k: H.identity for k, H in D.hom.items()}
-        self.hc1 = D.hcompose1
-        self.hc2 = D.hcompose2
+        self.hc1 = _plain(D.hcompose1)
+        self.hc2 = _plain(D.hcompose2)
         # (x, y) -> {(source 1-cell, target 1-cell): [2-cells]}
         self.two_cells = {}
         # (x, y) -> whether hom(x, y) is thin: at most one 2-cell between
@@ -528,33 +540,38 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
         for k in range(1, n + 1):
             pools[k].setdefault(fs[:k - 1], {}).setdefault(fs[k - 1], []).append((s, fs))
     results = []
-    chosen, chosen_faces = [], []
-
-    def extend(j, pool):
-        # pool: the cells, with their faces, that sigma_j may be
-        step(len(pool))
-        # sigma_{j+1} has the faces d_j sigma_0, ..., d_j sigma_j first
-        by_face = pools[j + 1].get(tuple([fs[j] for fs in chosen_faces]))
-        if by_face is None:
-            return
-        if j + 1 == n:
-            for s, fs in pool:
-                last = by_face.get(fs[j])
-                if last:
-                    step(len(last))
-                    results.extend([(*chosen, s, t) for t, _ in last])
-            return
-        for s, fs in pool:
-            following = by_face.get(fs[j])
-            if following:
-                chosen.append(s)
-                chosen_faces.append(fs)
-                extend(j + 1, following)
-                chosen.pop()
-                chosen_faces.pop()
-
-    extend(0, list(zip(cells, faces)))
+    _extend_boundaries(0, list(zip(cells, faces)), n, pools, [], [], results, step)
     return results
+
+
+def _extend_boundaries(j, pool, n, pools, chosen, chosen_faces, results, step):
+    """Append to results every boundary that extends chosen (sigma_0, ...,
+    sigma_{j-1}, with their faces in chosen_faces) by a sigma_j from pool,
+    the cells with their faces that sigma_j may be; see
+    `compatible_boundaries`.  It recurses once per depth, at most n deep,
+    and is a module-level function, not a closure over itself, so a call
+    leaves no reference cycle behind."""
+    step(len(pool))
+    # sigma_{j+1} has the faces d_j sigma_0, ..., d_j sigma_j first
+    by_face = pools[j + 1].get(tuple([fs[j] for fs in chosen_faces]))
+    if by_face is None:
+        return
+    if j + 1 == n:
+        for s, fs in pool:
+            last = by_face.get(fs[j])
+            if last:
+                step(len(last))
+                results.extend([(*chosen, s, t) for t, _ in last])
+        return
+    for s, fs in pool:
+        following = by_face.get(fs[j])
+        if following:
+            chosen.append(s)
+            chosen_faces.append(fs)
+            _extend_boundaries(j + 1, following, n, pools, chosen, chosen_faces,
+                               results, step)
+            chosen.pop()
+            chosen_faces.pop()
 
 
 def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):

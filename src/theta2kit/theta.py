@@ -495,8 +495,9 @@ def apply_R_at(X: MarkedSSet, theta: Theta2Shape, ell: int = 0,
 def d_restriction(theta: Theta2Shape, i: int, j: int, limit=5_000_000):
     """Hom from [i|j,...,j] by enumeration and by the fiber-product
     count over chains of objects; returns (functors, formula count)."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
+    for name, value in (("i", i), ("j", j)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"d_restriction: {name} must be an int >= 0, not {value!r}")
     shape = Theta2Shape(i, (j,) * i)
     E = theta2_object(theta)
     fs = enumerate_two_functors(theta2_object(shape), E, limit)

@@ -8,8 +8,10 @@ g: y -> z lands in hom(x, z).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from types import MappingProxyType
 
 from .msset import Report, _check_json, _Guard
 
@@ -194,7 +196,7 @@ def product_poset(ks) -> FinCategory:
 
 def chain_count(C: FinCategory, j: int) -> int:
     """Number of composable j-chains (the classical nerve in dimension j)."""
-    if not isinstance(j, int) or j < 0:
+    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
         raise ValueError(f"chain_count: j must be an int >= 0, got {j!r}")
     if j == 0:
         return len(C.objects)
@@ -311,9 +313,9 @@ def _object_maps(objs, ends, targets, nonempty, guard):
     nonempty holds the pairs of targets with a nonempty hom.  Up- and
     down-set bitmasks over the positions in targets are built from it
     once; objs[k]'s candidates are the AND of the masks its pairs to
-    objs[:k] select, and only those bits are walked, low to high.  The
-    guard is charged len(targets) in one step per search node: what
-    trying each target in turn would cost.
+    objs[:k] select, and only those bits are walked, low to high, depth
+    first on an explicit stack.  The guard is charged len(targets) in one
+    step per search node: what trying each target in turn would cost.
     """
     pos = {y: t for t, y in enumerate(targets)}
     up, down = [0] * len(targets), [0] * len(targets)
@@ -335,30 +337,108 @@ def _object_maps(objs, ends, targets, nonempty, guard):
             rules[kb].append((ka, up))
         else:
             rules[ka].append((kb, down))
+    if not objs:
+        return [()]
     full = (1 << len(targets)) - 1
     images = [0] * len(objs)
     out = []
 
-    def place(k):
-        if k == len(objs):
-            out.append(tuple(targets[t] for t in images))
-            return
+    def allowed(k):
+        """The candidate bits of objs[k], given images[:k]; one guard step."""
         guard.step(len(targets))
         mask = full
         for other, masks in rules[k]:
             mask &= loops if masks is None else masks[images[other]]
-        while mask:
-            low = mask & -mask
-            images[k] = low.bit_length() - 1
-            place(k + 1)
-            mask ^= low
+        return mask
 
-    place(0)
+    # pending[k]: the candidates of objs[k] not yet tried on this path
+    pending = [allowed(0)] + [0] * (len(objs) - 1)
+    k = 0
+    while k >= 0:
+        mask = pending[k]
+        if not mask:
+            k -= 1
+            continue
+        low = mask & -mask
+        pending[k] = mask ^ low
+        images[k] = low.bit_length() - 1
+        if k + 1 == len(objs):
+            out.append(tuple(targets[t] for t in images))
+        else:
+            k += 1
+            pending[k] = allowed(k)
     return out
 
 
+def _plan(C: FinCategory):
+    """What `enumerate_functors` needs of its source C alone.
+
+    Returns (objs, atoms, atom_ends, identities, composites, relations):
+    C's sorted objects, its atoms and their ends, (identity, object) per
+    object, the composites (f, g, h) with f = g;h in the order in which a
+    recursive evaluation over C.morphisms would first reach them, each
+    after its factors, and every relation (f, g, f;g) of C.
+    """
+    atoms = _atoms(C)
+    factor = _factorizations(C, atoms)
+    composites = []
+    seen = {C.identity[x] for x in C.objects} | set(atoms)
+    for root in C.morphisms:
+        # post-order walk of root's factorization tree on an explicit stack
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if f in seen:
+                stack.pop()
+                continue
+            g, h = factor[f]
+            todo = [e for e in (h, g) if e not in seen]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            seen.add(f)
+            composites.append((f, g, h))
+    identities = [(C.identity[x], x) for x in C.objects]
+    relations = [
+        (f, g, C.then(f, g))
+        for f in C.morphisms
+        for g in C.morphisms
+        if C.tgt(f) == C.src(g)
+    ]
+    atom_ends = [C.morphisms[f] for f in atoms]
+    return sorted(C.objects), atoms, atom_ends, identities, composites, relations
+
+
+def _choices(lists, guard):
+    """Each tuple with one item from each of lists, in lexicographic
+    order, charging one guard step per item tried at each depth, as a
+    depth-first search over the lists would."""
+    if not lists:
+        yield ()
+        return
+    picked = [-1] * len(lists)
+    k = 0
+    while k >= 0:
+        picked[k] += 1
+        if picked[k] == len(lists[k]):
+            picked[k] = -1
+            k -= 1
+        else:
+            guard.step()
+            if k + 1 < len(lists):
+                k += 1
+            else:
+                yield tuple(items[t] for items, t in zip(lists, picked))
+
+
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
-    """The complete, canonically ordered list of functors C -> D.
+    """The complete, canonically ordered list of functors C -> D."""
+    return _functors(C, _plan(C), D, limit)
+
+
+def _functors(C, plan, D, limit):
+    """`enumerate_functors` with C's `_plan` given.
 
     Object images come from `_object_maps`, with the ends of C's atoms as
     the pairs that must land on nonempty homs of D; the masks are built
@@ -373,41 +453,16 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     if not D.objects and C.objects:
         return []
     guard = _Guard(limit, "enumerate_functors")
-    atoms = _atoms(C)
-    factor = _factorizations(C, atoms)
+    objs, atoms, atom_ends, identities, composites, relations = plan
     # D's morphisms by (source, target), each list in sorted order
     homs = {}
     for f in sorted(D.morphisms):
         homs.setdefault(D.morphisms[f], []).append(f)
-
-    # The composite morphisms of C in the order in which a recursive
-    # evaluation over C.morphisms would first reach them, each after its
-    # factors, so every mor_map keeps that insertion order.
-    composites = []
-    seen = {C.identity[x] for x in C.objects} | set(atoms)
-
-    def visit(f):
-        if f not in seen:
-            g, h = factor[f]
-            visit(g)
-            visit(h)
-            seen.add(f)
-            composites.append((f, g, h))
-
-    for f in C.morphisms:
-        visit(f)
-    identities = [(C.identity[x], x) for x in C.objects]
     # In a thin D both sides of a relation f;g = h have the same endpoints,
     # so they are equal; only a D that is not thin needs the check.
     thin = _thin(homs)
-    relations = [] if thin else [
-        (f, g, C.then(f, g))
-        for f in C.morphisms
-        for g in C.morphisms
-        if C.tgt(f) == C.src(g)
-    ]
-    objs = sorted(C.objects)
-    atom_ends = [C.morphisms[f] for f in atoms]
+    if thin:
+        relations = []
     results = []
 
     def derive(obj_map, atom_map):
@@ -423,20 +478,6 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
                 return None
         return mor_map
 
-    def assign_atoms(obj_map, k, atom_map):
-        if k == len(atoms):
-            mor_map = derive(obj_map, dict(atom_map))
-            if mor_map is not None:
-                results.append(Functor(C, D, dict(obj_map), mor_map))
-            return
-        f = atoms[k]
-        a, b = atom_ends[k]
-        for g in homs[(obj_map[a], obj_map[b])]:
-            guard.step()
-            atom_map[f] = g
-            assign_atoms(obj_map, k + 1, atom_map)
-            del atom_map[f]
-
     for images in _object_maps(objs, atom_ends, sorted(D.objects), homs, guard):
         obj_map = dict(zip(objs, images))
         if thin:
@@ -446,8 +487,12 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
                 for f, (a, b) in zip(atoms, atom_ends)
             }
             results.append(Functor(C, D, obj_map, derive(obj_map, atom_map)))
-        else:
-            assign_atoms(obj_map, 0, {})
+            continue
+        lists = [homs[(obj_map[a], obj_map[b])] for a, b in atom_ends]
+        for combo in _choices(lists, guard):
+            mor_map = derive(obj_map, dict(zip(atoms, combo)))
+            if mor_map is not None:
+                results.append(Functor(C, D, dict(obj_map), mor_map))
     return results
 
 
@@ -482,17 +527,20 @@ class Fin2Category:
     whose objects are the 1-cells and whose morphisms are the 2-cells;
     hcompose1/hcompose2 give horizontal composition per object triple.
     Optional metadata (segments and the decomposition tables) records a
-    free generating pasting scheme used by the functor enumerator.
+    free generating pasting scheme used by the functor enumerator.  The
+    tables are read through the Mapping protocol only: `theta2_object`
+    gives read-only mappings built on lookup, the other constructors and
+    the JSON loader plain dicts.
     """
 
     objects: tuple
     hom: dict  # (x, y) -> FinCategory, nonempty pairs only
-    hcompose1: dict  # (x, y, z) -> {(f, g): h}
-    hcompose2: dict  # (x, y, z) -> {(alpha, beta): gamma}
+    hcompose1: Mapping  # (x, y, z) -> Mapping {(f, g): h}
+    hcompose2: Mapping  # (x, y, z) -> Mapping {(alpha, beta): gamma}
     unit1: dict  # x -> 1-cell id in hom(x, x)
     segments: tuple = None
-    one_decomp: dict = None
-    two_decomp: dict = None
+    one_decomp: Mapping = None  # (x, y, 1-cell) -> ((segment, 1-cell), ...)
+    two_decomp: Mapping = None  # (x, y, 2-cell) -> ((segment, 2-cell), ...)
 
     def hom_at(self, x, y):
         return self.hom.get((x, y))
@@ -658,72 +706,126 @@ def suspend_category(C: FinCategory) -> Fin2Category:
     )
 
 
+class _LazyTable(Mapping):
+    """A read-only mapping whose keys are fixed, each value built on lookup.
+
+    keys maps each key, in iteration order, to (group, part).  The first
+    lookup of a key in a group calls build(group) once and keeps the
+    result; the key's value is result[part], or the whole result when
+    part is None, so keys of one group with part None share one value.
+    """
+
+    __slots__ = ("_keys", "_build", "_built")
+
+    def __init__(self, keys, build):
+        self._keys = keys
+        self._build = build
+        self._built = {}
+
+    def __getitem__(self, key):
+        group, part = self._keys[key]
+        built = self._built.get(group)
+        if built is None:
+            built = self._built[group] = self._build(group)
+        return built if part is None else built[part]
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
+def _hcompose1(built, pair):
+    """The hc1 table of the slice pair (s, t) from the `_poset` tables in
+    built: the cells of hom s + t are those of s x t in product order."""
+    s, t = pair
+    return MappingProxyType(
+        dict(zip(itertools.product(built[s][1], built[t][1]), built[s + t][1]))
+    )
+
+
+def _hcompose2(built, pair):
+    """The hc2 table as `_hcompose1`: cell a + b of hom s + t has the index
+    x * width + y, where x, y index a, b and width = |hom t|."""
+    s, t = pair
+    mids_jl, mids_il = built[t][2], built[s + t][2]
+    width = len(mids_jl)
+    t2 = {}
+    for x, row in enumerate(built[s][2]):
+        for x2, alpha in row.items():
+            for y, col in enumerate(mids_jl, x * width):
+                out = mids_il[y]
+                for y2, beta in col.items():
+                    t2[(alpha, beta)] = out[x2 * width + y2]
+    return MappingProxyType(t2)
+
+
+def _decomposition(built, ks, segments, level, hom):
+    """The decomposition entries of hom = (i, j): each 1-cell (level 1)
+    or 2-cell (level 2) by its pieces in the segment homs (t, t + 1),
+    i <= t < j, whose cell (v,) has index v."""
+    i, j = hom
+    cells, names, mids, _ = built[ks[i:j]]
+    segs = [(segments[t], built[ks[t:t + 1]]) for t in range(i, j)]
+    if level == 1:
+        return {
+            name: tuple((seg, p[1][v]) for v, (seg, p) in zip(a, segs))
+            for a, name in zip(cells, names)
+        }
+    return {
+        f: tuple((seg, p[2][v][w]) for v, w, (seg, p) in zip(a, cells[y], segs))
+        for a, row in zip(cells, mids)
+        for y, f in row.items()
+    }
+
+
 def theta2_object(shape: Theta2Shape) -> Fin2Category:
     """The pasting 2-category [m|k_1,...,k_m] with product-poset homs.
 
     hom(i, j) is the poset [k_{i+1}] x ... x [k_j].  Its tables are built
     once per distinct slice ks[i:j] in a call, so homs with equal slices
     are one shared FinCategory, as are hom(0, 1) and hom(1, 2) of [2|k,k].
+    The other tables are read-only `_LazyTable`s: a horizontal table is
+    built on first lookup, once per slice pair (ks[i:j], ks[j:l]), and
+    shared by every triple (i, j, l) with that pair; the decomposition
+    entries of a hom are built on the first lookup in that hom.
     """
     m, ks = shape.m, shape.ks
     objects = tuple(str(i) for i in range(m + 1))
     built = {}  # ks slice -> its _poset tables
-    posets = {}
     hom = {}
+    ones, twos = {}, {}  # decomposition keys -> ((i, j), 1- or 2-cell id)
     for i in range(m + 1):
         for j in range(i, m + 1):
             if ks[i:j] not in built:
                 built[ks[i:j]] = _poset(ks[i:j])
-            posets[(i, j)] = built[ks[i:j]]
-            hom[(objects[i], objects[j])] = posets[(i, j)][3]
-    # hom(i, l) is hom(i, j) x hom(j, l): cell a + b of hom(i, l) has the
-    # index x * width + y, where x, y index a, b and width = |hom(j, l)|
-    hcompose1, hcompose2 = {}, {}
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            _, names_ij, mids_ij, _ = posets[(i, j)]
-            for l in range(j, m + 1):
-                _, names_jl, mids_jl, _ = posets[(j, l)]
-                _, names_il, mids_il, _ = posets[(i, l)]
-                width = len(names_jl)
-                t1, t2 = {}, {}
-                for x, f in enumerate(names_ij):
-                    for y, g in enumerate(names_jl, x * width):
-                        t1[(f, g)] = names_il[y]
-                for x, row in enumerate(mids_ij):
-                    for x2, alpha in row.items():
-                        for y, col in enumerate(mids_jl, x * width):
-                            out = mids_il[y]
-                            for y2, beta in col.items():
-                                t2[(alpha, beta)] = out[x2 * width + y2]
-                key = (objects[i], objects[j], objects[l])
-                hcompose1[key] = t1
-                hcompose2[key] = t2
-    unit1 = {x: _enc(()) for x in objects}
+            _, names, mids, H = built[ks[i:j]]
+            x, y = objects[i], objects[j]
+            hom[(x, y)] = H
+            for name, row in zip(names, mids):
+                ones[(x, y, name)] = ((i, j), name)
+                for f in row.values():
+                    twos[(x, y, f)] = ((i, j), f)
+    triples = {
+        (objects[i], objects[j], objects[l]): ((ks[i:j], ks[j:l]), None)
+        for i in range(m + 1)
+        for j in range(i, m + 1)
+        for l in range(j, m + 1)
+    }
     segments = tuple((objects[i], objects[i + 1]) for i in range(m))
-    one_decomp, two_decomp = {}, {}
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            cells, names, mids, _ = posets[(i, j)]
-            # the segment hom (t, t + 1) is [k_t], its cell (v,) has index v
-            segs = [(segments[t], posets[(t, t + 1)]) for t in range(i, j)]
-            for a, name, row in zip(cells, names, mids):
-                one_decomp[(objects[i], objects[j], name)] = tuple(
-                    (seg, p[1][v]) for v, (seg, p) in zip(a, segs)
-                )
-                for y, f in row.items():
-                    two_decomp[(objects[i], objects[j], f)] = tuple(
-                        (seg, p[2][v][w]) for v, w, (seg, p) in zip(a, cells[y], segs)
-                    )
     return Fin2Category(
         objects,
         hom,
-        hcompose1,
-        hcompose2,
-        unit1,
+        _LazyTable(triples, partial(_hcompose1, built)),
+        _LazyTable(triples, partial(_hcompose2, built)),
+        {x: _enc(()) for x in objects},
         segments=segments,
-        one_decomp=one_decomp,
-        two_decomp=two_decomp,
+        one_decomp=_LazyTable(ones, partial(_decomposition, built, ks, segments, 1)),
+        two_decomp=_LazyTable(twos, partial(_decomposition, built, ks, segments, 2)),
     )
 
 
@@ -955,14 +1057,15 @@ def _enumerate_free(D, E, guard):
     that must land on nonempty homs of E.  The functors from a segment hom
     to a target hom are enumerated once per call for each distinct pair of
     FinCategory objects, so segments and targets that share a hom (as
-    theta2_object's equal slices do) share one list.  Each use of a list
-    still charges its length to the guard.
+    theta2_object's equal slices do) share one list, and each distinct
+    segment hom is planned once.  Each use of a list still charges its
+    length to the guard.
     """
     objs = sorted(D.objects)
     seg_homs = [D.hom_at(*pair) for pair in D.segments]
-    # ids of (segment hom, target hom) -> the functors between them; D and E
-    # hold both homs for the whole call
-    seg_functors = {}
+    # ids of segment homs -> their plans, and of (segment hom, target hom)
+    # -> the functors between them; D and E hold the homs for the whole call
+    plans, seg_functors = {}, {}
     results = []
     for images in _object_maps(objs, D.segments, sorted(E.objects), E.hom, guard):
         on_objects = dict(zip(objs, images))
@@ -972,7 +1075,9 @@ def _enumerate_free(D, E, guard):
             key = (id(H), id(He))
             fns = seg_functors.get(key)
             if fns is None:
-                fns = seg_functors[key] = enumerate_functors(H, He, guard.limit)
+                if id(H) not in plans:
+                    plans[id(H)] = _plan(H)
+                fns = seg_functors[key] = _functors(H, plans[id(H)], He, guard.limit)
             guard.step(len(fns))
             if not fns:
                 break
@@ -991,6 +1096,7 @@ def _enumerate_full(D, E, guard):
     objs = sorted(D.objects)
     eobjs = sorted(E.objects)
     pairs = sorted(D.hom)
+    plans = {}  # pair -> the _plan of D.hom[pair], made on first use
     results = []
 
     def check(on_objects, maps):
@@ -1033,7 +1139,9 @@ def _enumerate_full(D, E, guard):
             if He is None:
                 feasible = False
                 break
-            fns = enumerate_functors(D.hom[pair], He, guard.limit)
+            if pair not in plans:
+                plans[pair] = _plan(D.hom[pair])
+            fns = _functors(D.hom[pair], plans[pair], He, guard.limit)
             if not fns:
                 feasible = False
                 break

@@ -194,6 +194,12 @@ def test_verify_hom_bijection_negative_bound_exits_2(flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+def test_verify_simplicial_identities_negative_fuzz_exits_2(capsys):
+    # no fuzz case would run, and the suite would pass and exit 0
+    assert main(["verify", "simplicial-identities", "--fuzz", "-5"]) == 2
+    assert "--fuzz" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nonesuch"]) == 2
 

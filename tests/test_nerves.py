@@ -419,6 +419,17 @@ def test_nerve_build_leaves_no_cyclic_garbage(monkeypatch):
         gc.enable()
 
 
+def test_compatible_boundaries_leave_no_cyclic_garbage():
+    X = N.duskin_nerve(T.theta2_object(T.Theta2Shape(2, (1, 1))), 4)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(N.compatible_boundaries(X, 4)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _raw_without_cocycle(D, bound):
     """Every raw simplex of D with the cocycle relations dropped.  The set
     is still closed under faces and degeneracies, so from_raw takes it."""

@@ -107,3 +107,48 @@ def test_from_raw_check_sees_definitions_imports_and_calls(tmp_path):
         "Y = msset.from_raw(1)\nZ = from_raw(2)\nW = from_raw\ndef g():\n    raw(3)\n"
     )
     assert _from_raw_uses(path) == ["1:import", "2:def", "4:call", "5:call"]
+
+
+def _self_referencing_closures(path):
+    """The nested functions of path that refer to their own name, as
+    'line:name'.  Such a closure holds itself through its own cell, a
+    cycle that keeps everything it reaches alive until the cyclic
+    collector runs."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(outer, functions):
+            continue
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, functions) and any(
+                isinstance(node, ast.Name) and node.id == inner.name
+                for node in ast.walk(inner)
+            ):
+                found.add(f"{inner.lineno}:{inner.name}")
+    return sorted(found, key=lambda hit: int(hit.split(":")[0]))
+
+
+def test_library_has_no_self_referencing_closures():
+    # a recursive nested function leaves cyclic garbage behind each call;
+    # the searches keep explicit stacks or recurse through module-level
+    # functions instead
+    found = [
+        f"{path.name}:{hit}" for path in SOURCES
+        for hit in _self_referencing_closures(path)
+    ]
+    assert found == []
+
+
+def test_closure_check_sees_nested_self_references(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def top(n):\n    return top(n - 1)\n"
+        "def f():\n    def walk(k):\n        return walk(k + 1)\n"
+        "    def leaf():\n        return 1\n"
+        "    def g():\n        def deep():\n            return [deep]\n"
+        "        return deep\n"
+        "    async def later():\n        await later()\n"
+        "    return walk, leaf, g, later\n"
+        "class C:\n    def m(self):\n        return self.m()\n"
+    )
+    assert _self_referencing_closures(path) == ["4:walk", "9:deep", "12:later"]

@@ -504,6 +504,14 @@ def test_d_restriction_edge_counts_one_cells():
     assert total == 6  # one per 1-cell of [2|0,0]
 
 
+@pytest.mark.parametrize("i, j", [(-1, 1), (1, -1), (True, 1), (1, True),
+                                  (1.0, 1), (1, 1.0), ("1", 1)])
+def test_d_restriction_rejects_bad_indices(i, j):
+    # i = True used to run as i = 1, and i = 1.0 raised a TypeError
+    with pytest.raises(ValueError, match="d_restriction"):
+        TH.d_restriction(T.Theta2Shape(1, (1,)), i, j)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -44,6 +45,7 @@ def test_chain_count_binomial(m, j):
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: T.chain_count(T.product_poset((1,)), -1), id="j=-1"),
     pytest.param(lambda: T.chain_count(T.ordinal(2), 1.5), id="j=1.5"),
+    pytest.param(lambda: T.chain_count(T.ordinal(2), True), id="j=True"),
     pytest.param(lambda: T.product_poset((-1,)), id="k=-1"),
     pytest.param(lambda: T.product_poset((1, "2")), id="k='2'"),
     pytest.param(lambda: T.ordinal(-2), id="m=-2"),
@@ -404,13 +406,13 @@ def test_segment_functors_enumerated_once_per_pair_of_homs(monkeypatch):
     D = T.theta2_object(T.Theta2Shape(2, (2, 2)))
     E = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
     calls = []
-    enumerate_functors = T.enumerate_functors
+    functors = T._functors
 
-    def counted(C, H, *args):
+    def counted(C, plan, H, *args):
         calls.append((id(C), id(H)))
-        return enumerate_functors(C, H, *args)
+        return functors(C, plan, H, *args)
 
-    monkeypatch.setattr(T, "enumerate_functors", counted)
+    monkeypatch.setattr(T, "_functors", counted)
     fs = T.enumerate_two_functors(D, E)
     # both segments of D share one hom [2]; E has four distinct homs, the
     # posets of (), (2,), (2, 2) and (2, 2, 2), and every one is reached
@@ -433,6 +435,147 @@ def test_theta2_object_shares_homs_of_equal_slices():
     assert th.hom_at("0", "0") is th.hom_at("3", "3")
     assert th.hom_at("0", "1") is not th.hom_at("0", "2")
     assert T.validate_2cat(th).ok
+
+
+def test_theta2_object_tables_are_read_only():
+    th = T.theta2_object(T.Theta2Shape(2, (1, 1)))
+    for table in (th.hcompose1, th.hcompose2, th.one_decomp, th.two_decomp):
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+    for table in (th.hcompose1, th.hcompose2):
+        inner = table[("0", "1", "2")]
+        with pytest.raises(TypeError):
+            inner[next(iter(inner))] = "()"
+
+
+def test_theta2_object_shares_horizontal_tables_per_slice_pair():
+    th = T.theta2_object(T.Theta2Shape(3, (1, 1, 1)))
+    # the triples (0, 1, 2) and (1, 2, 3) both compose [1] with [1]
+    assert th.hcompose1[("0", "1", "2")] is th.hcompose1[("1", "2", "3")]
+    assert th.hcompose2[("0", "1", "2")] is th.hcompose2[("1", "2", "3")]
+    assert th.hcompose1[("0", "0", "1")] is th.hcompose1[("2", "2", "3")]
+    assert th.hcompose1[("0", "1", "2")] is not th.hcompose1[("0", "1", "3")]
+
+
+def test_theta2_object_tables_are_mappings():
+    th = T.theta2_object(T.Theta2Shape(2, (1, 2)))
+    want = _theta2_object_by_comparison(T.Theta2Shape(2, (1, 2)))
+    for name in ("hcompose1", "hcompose2", "one_decomp", "two_decomp"):
+        table = getattr(th, name)
+        assert len(table) == len(getattr(want, name)), name
+        assert table.get(("2", "1", "0")) is None
+        assert table.get(("0", "1", "2", "3"), 7) == 7
+        assert ("2", "1", "0") not in table
+    assert ("0", "1", "2") in th.hcompose1
+    assert ("0", "2", "(1,2)") in th.one_decomp
+    assert ("0", "2", "(1,2)") not in th.two_decomp
+    assert len(th.hcompose1) == 10  # the triples i <= j <= l of 0, 1, 2
+    with pytest.raises(KeyError):
+        th.hcompose2[("1", "0", "2")]
+
+
+def _count_table_builds(monkeypatch):
+    """Make every lazy table of theta2_object count its builds in the
+    list returned, one entry per build."""
+    builds = []
+    init = T._LazyTable.__init__
+
+    def counted(self, keys, build):
+        def build_counted(group):
+            builds.append(group)
+            return build(group)
+
+        init(self, keys, build_counted)
+
+    monkeypatch.setattr(T._LazyTable, "__init__", counted)
+    return builds
+
+
+def test_enumerating_two_functors_builds_no_horizontal_table(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    D = T.theta2_object(T.Theta2Shape(2, (2, 2)))
+    E = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
+    fs = T.enumerate_two_functors(D, E)
+    assert len(fs) == 4664 and builds == []
+    # the tables are there when a caller reads them: a functor's full
+    # tables fold D's decompositions and E's horizontal composites
+    fs[-1].hom_maps
+    assert len(builds) > 0
+    assert T.validate_two_functor(fs[-1]).ok
+
+
+def test_horizontal_tables_built_once_per_slice_pair(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    th = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
+    for key in th.hcompose1:
+        th.hcompose1[key]
+    for key in th.two_decomp:
+        th.two_decomp[key]
+    pairs = {((2,) * (j - i), (2,) * (l - j))
+             for i in range(4) for j in range(i, 4) for l in range(j, 4)}
+    homs = [(i, j) for i in range(4) for j in range(i, 4)]
+    assert len(th.hcompose1) == 20 and len(pairs) == 10
+    assert sorted(builds, key=repr) == sorted([*pairs, *homs], key=repr)
+
+
+def test_segment_homs_planned_once_per_call(monkeypatch):
+    atoms = T._atoms
+    calls = []
+
+    def counted(C):
+        calls.append(id(C))
+        return atoms(C)
+
+    monkeypatch.setattr(T, "_atoms", counted)
+    E = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
+    # [2|2,2]'s two segments share one hom; [2|1,2]'s do not
+    for ks, planned in [((2, 2), 1), ((1, 2), 2)]:
+        calls.clear()
+        T.enumerate_two_functors(T.theta2_object(T.Theta2Shape(2, ks)), E)
+        assert len(calls) == len(set(calls)) == planned, ks
+
+
+def _cyclic_garbage(fn, *args):
+    """The objects the cyclic collector frees after fn(*args) runs with
+    the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn(*args)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _parallel_pair():
+    """Two objects and two parallel arrows u, v: a category that is not thin."""
+    return T.FinCategory(
+        ("a", "b"),
+        {"a>a": ("a", "a"), "b>b": ("b", "b"), "u": ("a", "b"), "v": ("a", "b")},
+        {"a": "a>a", "b": "b>b"},
+        {("a>a", "a>a"): "a>a", ("b>b", "b>b"): "b>b", ("a>a", "u"): "u",
+         ("a>a", "v"): "v", ("u", "b>b"): "u", ("v", "b>b"): "v"},
+    )
+
+
+def test_object_maps_leave_no_cyclic_garbage():
+    D = T.theta2_object(T.Theta2Shape(2, (2, 2)))
+    E = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
+    assert _cyclic_garbage(T.enumerate_two_functors, D, E) == 0
+
+
+def test_functor_plan_leaves_no_cyclic_garbage():
+    # [3] has composites of composites, so the factor walk goes deep
+    assert len(T._plan(T.ordinal(3))[4]) == 3
+    assert _cyclic_garbage(T._plan, T.ordinal(3)) == 0
+
+
+def test_atom_choices_leave_no_cyclic_garbage():
+    # a target that is not thin takes the search over each atom's images
+    fs = T.enumerate_functors(T.ordinal(2), _parallel_pair())
+    assert len(fs) == 6
+    assert _cyclic_garbage(T.enumerate_functors, T.ordinal(2), _parallel_pair()) == 0
 
 
 def _two_functor_tables(fs):
