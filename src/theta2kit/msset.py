@@ -160,12 +160,17 @@ def _face_layer(X: MarkedSSet, refs, n):
 
 
 def _structure_problems(X: MarkedSSet):
-    """Generators, face counts, face targets and marks that are malformed."""
+    """Generators, face counts, face targets and marks that are malformed,
+    and generator ids listed more than once."""
     problems = []
+    seen = set()
     for n, ids in X.gens.items():
         if n < 0 or n > X.bound:
             problems.append(f"generator dimension {n} outside bound")
         for g in ids:
+            if g in seen:
+                problems.append(f"generator id {g} listed more than once")
+            seen.add(g)
             if n == 0:
                 continue
             fs = X.faces.get(g)
@@ -295,10 +300,10 @@ def _simplex_key(verts):
 
 def standard_simplex(ell, variant="flat", horn=None, bound=None):
     """Delta[ell] and friends: flat, sharp, boundary, horn(k), edge_marked, eq3."""
-    if ell < 0:
-        raise ValueError("dimension must be nonnegative")
+    _check_int(ell, 0, "a simplex dimension")
     if bound is None:
         bound = max(DEFAULT_BOUND, ell)
+    _check_int(bound, 0, "a bound")
     if variant == "horn":
         if horn is None or not 0 <= horn <= ell:
             raise ValueError(f"horn index must satisfy 0 <= k <= {ell}")
@@ -364,6 +369,7 @@ def rebound(X: MarkedSSet, bound: int) -> MarkedSSet:
 
 
 def empty_msset(bound=DEFAULT_BOUND) -> MarkedSSet:
+    _check_int(bound, 0, "a bound")
     return MarkedSSet(bound, {n: () for n in range(bound + 1)}, {}, frozenset())
 
 
@@ -567,6 +573,12 @@ def pushout(f: MSSetMap, g: MSSetMap):
 # maps: enumeration, mono/iso
 
 
+def _check_int(value, low, name):
+    """Raise ValueError unless value is an int, not a bool, and >= low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, not {value!r}")
+
+
 class _Guard:
     def __init__(self, limit, operation=None):
         self.limit = limit
@@ -742,8 +754,7 @@ def _check_json(data, schema, keys):
 def msset_from_json(data: dict) -> MarkedSSet:
     """Load schema msset/1; raises ValueError on malformed data."""
     _check_json(data, "msset/1", ("bound", "gens", "faces", "marked"))
-    if not isinstance(data["bound"], int):
-        raise ValueError("msset/1: bound must be an integer")
+    _check_int(data["bound"], 0, "msset/1: bound")
     try:
         gens = {int(n): tuple(ids) for n, ids in data["gens"].items()}
         faces = {

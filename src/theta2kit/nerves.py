@@ -23,7 +23,8 @@ import itertools
 import operator
 from array import array
 
-from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, _face_layer, _Guard, degenerate
+from .msset import (
+    DEFAULT_BOUND, MarkedSSet, MSSetMap, _check_int, _face_layer, _Guard, degenerate)
 from .twocat import Fin2Category, TwoFunctor
 
 # raw simplex: (verts, edges, tris) with edges indexed by pairs i<j and
@@ -424,8 +425,7 @@ def _marking(D: Fin2Category, variant):
 
 def _nerve(D: Fin2Category, variant, bound, limit, index=None):
     """The marked nerve, cached unless index is a dict to fill; see `nerve`."""
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise ValueError(f"a nerve bound must be an int >= 0, not {bound!r}")
+    _check_int(bound, 0, "a nerve bound")
     marked_fn = _marking(D, variant)
     key = (D.signature(), bound, variant)
     if index is not None or key not in _nerve_cache:
@@ -514,8 +514,7 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     candidate costs one lookup of its own face d_j.  The guard is charged
     one step per candidate tried, that is per compatible prefix.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"boundaries need an int dimension >= 1, not {n!r}")
+    _check_int(n, 1, "a boundary dimension")
     if n > X.bound + 1:
         raise ValueError(f"boundaries in dimension {n} exceed bound {X.bound} + 1")
     guard = _Guard(limit, "compatible_boundaries")
@@ -583,8 +582,8 @@ def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
     Raises ValueError for an n that is not an int >= 1, and for
     n > X.bound, where X holds no n-simplices to count.
     """
-    # compatible_boundaries rejects an n that is not an int >= 1
-    if isinstance(n, int) and n > X.bound:
+    _check_int(n, 1, "a filler dimension")
+    if n > X.bound:
         raise ValueError(f"fillers in dimension {n} exceed bound {X.bound}")
     boundaries = compatible_boundaries(X, n, limit)
     fillers = collections.Counter(X.faces[g] for g in X.gens_at(n))

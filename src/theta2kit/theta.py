@@ -21,7 +21,7 @@ from .msset import (
     product_with_index,
     standard_simplex,
 )
-from .msset import _check_json, _product_assignment, _simplex_key, _UnionFind
+from .msset import _check_int, _check_json, _product_assignment, _simplex_key, _UnionFind
 from .nerves import _nerve_assignment, rs_nerve_with_index
 from .twocat import (
     Fin2Category,
@@ -44,8 +44,7 @@ class BoxCell:
     level: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
+        _check_int(self.level, 0, "a box cell's level")
 
 
 def _fits(D: Fin2Category, shape: Theta2Shape) -> bool:
@@ -317,8 +316,7 @@ def _classes(W: Theta2Presentation, D: Fin2Category, ell, limit):
     from D, their index by key(), and the map from each element to the
     least element of its class.
     """
-    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 0:
-        raise ValueError(f"ell must be an int >= 0, not {ell!r}")
+    _check_int(ell, 0, "ell")
     per_cell = [enumerate_two_functors(D, theta2_object(cell.shape), limit)
                 for cell in W.cells]
     keyed = [{F.key(): t for t, F in enumerate(fs)} for fs in per_cell]
@@ -496,8 +494,7 @@ def d_restriction(theta: Theta2Shape, i: int, j: int, limit=5_000_000):
     """Hom from [i|j,...,j] by enumeration and by the fiber-product
     count over chains of objects; returns (functors, formula count)."""
     for name, value in (("i", i), ("j", j)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"d_restriction: {name} must be an int >= 0, not {value!r}")
+        _check_int(value, 0, f"d_restriction: {name}")
     shape = Theta2Shape(i, (j,) * i)
     E = theta2_object(theta)
     fs = enumerate_two_functors(theta2_object(shape), E, limit)

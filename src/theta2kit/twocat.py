@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
 
-from .msset import Report, _check_json, _Guard
+from .msset import Report, _check_int, _check_json, _Guard
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,7 @@ def validate_category(C: FinCategory) -> Report:
 
 def ordinal(m: int) -> FinCategory:
     """The linear order with m+1 elements; m = -1 gives the empty category."""
-    if not isinstance(m, int) or m < -1:
-        raise ValueError(f"ordinal: m must be an int >= -1, got {m!r}")
+    _check_int(m, -1, "ordinal: m")
     objects = tuple(str(i) for i in range(m + 1))
     morphisms = {
         f"{i}>{j}": (str(i), str(j))
@@ -189,15 +188,14 @@ def _poset(ks):
 def product_poset(ks) -> FinCategory:
     """The poset [k_1] x ... x [k_r] as a category; r = 0 gives [0]."""
     ks = tuple(ks)
-    if not all(isinstance(k, int) and k >= 0 for k in ks):
-        raise ValueError(f"product_poset: each k must be an int >= 0, got {ks}")
+    for k in ks:
+        _check_int(k, 0, "product_poset: each k")
     return _poset(ks)[3]
 
 
 def chain_count(C: FinCategory, j: int) -> int:
     """Number of composable j-chains (the classical nerve in dimension j)."""
-    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
-        raise ValueError(f"chain_count: j must be an int >= 0, got {j!r}")
+    _check_int(j, 0, "chain_count: j")
     if j == 0:
         return len(C.objects)
     weights = {f: 1 for f in C.morphisms}
@@ -506,13 +504,11 @@ class Theta2Shape:
     ks: tuple
 
     def __post_init__(self):
-        if not (
-            isinstance(self.m, int)
-            and isinstance(self.ks, (tuple, list))
-            and len(self.ks) == self.m >= 0
-            and all(isinstance(k, int) and k >= 0 for k in self.ks)
-        ):
+        _check_int(self.m, 0, "a shape's m")
+        if not isinstance(self.ks, (tuple, list)) or len(self.ks) != self.m:
             raise ValueError(f"invalid shape [{self.m}|{self.ks}]")
+        for k in self.ks:
+            _check_int(k, 0, "each k of a shape")
         object.__setattr__(self, "ks", tuple(self.ks))
 
     def __str__(self):
@@ -527,10 +523,13 @@ class Fin2Category:
     whose objects are the 1-cells and whose morphisms are the 2-cells;
     hcompose1/hcompose2 give horizontal composition per object triple.
     Optional metadata (segments and the decomposition tables) records a
-    free generating pasting scheme used by the functor enumerator.  The
-    tables are read through the Mapping protocol only: `theta2_object`
-    gives read-only mappings built on lookup, the other constructors and
-    the JSON loader plain dicts.
+    free generating pasting scheme: the segments are then the generating
+    pairs of `enumerate_two_functors`, and every choice of segment images
+    is a 2-functor.  Without it every nonempty hom is a generating pair,
+    and each choice of hom functors is checked against the horizontal
+    compositions.  The tables are read through the Mapping protocol only:
+    `theta2_object` gives read-only mappings built on lookup, the other
+    constructors and the JSON loader plain dicts.
     """
 
     objects: tuple
@@ -831,6 +830,7 @@ def theta2_object(shape: Theta2Shape) -> Fin2Category:
 
 def cell(j: int) -> Fin2Category:
     """The free j-cell for j = 0, 1, 2."""
+    _check_int(j, 0, "cell: j")
     if j == 0:
         return theta2_object(Theta2Shape(0, ()))
     if j == 1:
@@ -1040,44 +1040,39 @@ def validate_two_functor(F: TwoFunctor) -> Report:
 def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     """All 2-functors D -> E, duplicate-free and canonically ordered.
 
-    With generator metadata on D the search runs over segment images;
-    otherwise a full-table search with horizontal-composition filtering
-    is used.
+    A 2-functor is given by its object images and one functor per
+    generating hom of D: D's segments when D records a free pasting
+    scheme, and every nonempty hom of D, in sorted order, otherwise.
+    Object images come from `_object_maps`, with the generating pairs as
+    the pairs that must land on nonempty homs of E.  The functors from a
+    generating hom to a target hom are enumerated once per call for each
+    distinct pair of FinCategory objects, so homs that are one object (as
+    theta2_object's equal slices are) share one list, and each distinct
+    generating hom is planned once.  Each use of a list still charges its
+    length to the guard.  Every combination of segment functors is a
+    2-functor; a combination of hom functors is kept only if it preserves
+    D's unit 1-cells and horizontal compositions.
     """
     guard = _Guard(limit, "enumerate_two_functors")
-    if D.segments is not None:
-        return _enumerate_free(D, E, guard)
-    return _enumerate_full(D, E, guard)
-
-
-def _enumerate_free(D, E, guard):
-    """The 2-functors D -> E given by their segment images.
-
-    Object images come from `_object_maps`, with D's segments as the pairs
-    that must land on nonempty homs of E.  The functors from a segment hom
-    to a target hom are enumerated once per call for each distinct pair of
-    FinCategory objects, so segments and targets that share a hom (as
-    theta2_object's equal slices do) share one list, and each distinct
-    segment hom is planned once.  Each use of a list still charges its
-    length to the guard.
-    """
+    free = D.segments is not None
+    gens = D.segments if free else sorted(D.hom)
     objs = sorted(D.objects)
-    seg_homs = [D.hom_at(*pair) for pair in D.segments]
-    # ids of segment homs -> their plans, and of (segment hom, target hom)
-    # -> the functors between them; D and E hold the homs for the whole call
-    plans, seg_functors = {}, {}
+    gen_homs = [D.hom_at(*pair) for pair in gens]
+    # ids of generating homs -> their plans, and of (generating hom, target
+    # hom) -> the functors between them; D and E hold the homs for the call
+    plans, gen_functors = {}, {}
     results = []
-    for images in _object_maps(objs, D.segments, sorted(E.objects), E.hom, guard):
+    for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
         on_objects = dict(zip(objs, images))
         choice_lists = []
-        for (a, b), H in zip(D.segments, seg_homs):
+        for (a, b), H in zip(gens, gen_homs):
             He = E.hom[(on_objects[a], on_objects[b])]
             key = (id(H), id(He))
-            fns = seg_functors.get(key)
+            fns = gen_functors.get(key)
             if fns is None:
                 if id(H) not in plans:
                     plans[id(H)] = _plan(H)
-                fns = seg_functors[key] = _functors(H, plans[id(H)], He, guard.limit)
+                fns = gen_functors[key] = _functors(H, plans[id(H)], He, guard.limit)
             guard.step(len(fns))
             if not fns:
                 break
@@ -1085,79 +1080,44 @@ def _enumerate_free(D, E, guard):
         else:
             for combo in itertools.product(*choice_lists):
                 guard.step()
-                seg_maps = dict(zip(D.segments, combo))
-                results.append(
-                    TwoFunctor.from_segments(D, E, dict(on_objects), seg_maps)
-                )
+                chosen = dict(zip(gens, combo))
+                if free:
+                    results.append(
+                        TwoFunctor.from_segments(D, E, dict(on_objects), chosen)
+                    )
+                elif _preserves_composition(D, E, on_objects, chosen, guard):
+                    tables = {p: (F.obj_map, F.mor_map) for p, F in chosen.items()}
+                    results.append(
+                        TwoFunctor.from_tables(D, E, dict(on_objects), tables)
+                    )
     return results
 
 
-def _enumerate_full(D, E, guard):
-    objs = sorted(D.objects)
-    eobjs = sorted(E.objects)
-    pairs = sorted(D.hom)
-    plans = {}  # pair -> the _plan of D.hom[pair], made on first use
-    results = []
-
-    def check(on_objects, maps):
-        for x in D.objects:
-            om, _ = maps[(x, x)]
-            if om[D.unit1[x]] != E.unit1[on_objects[x]]:
-                return False
-        for x in D.objects:
-            for y in D.objects:
-                for z in D.objects:
-                    if (x, y) not in maps or (y, z) not in maps:
-                        continue
-                    fx, fy, fz = on_objects[x], on_objects[y], on_objects[z]
-                    om1, mm1 = maps[(x, y)]
-                    om2, mm2 = maps[(y, z)]
-                    om3, mm3 = maps[(x, z)]
-                    for f in D.hom_at(x, y).objects:
-                        for g in D.hom_at(y, z).objects:
-                            guard.step()
-                            if om3[D.hc1(x, y, z, f, g)] != E.hc1(
-                                fx, fy, fz, om1[f], om2[g]
-                            ):
-                                return False
-                    for a in D.hom_at(x, y).morphisms:
-                        for b in D.hom_at(y, z).morphisms:
-                            guard.step()
-                            if mm3[D.hc2(x, y, z, a, b)] != E.hc2(
-                                fx, fy, fz, mm1[a], mm2[b]
-                            ):
-                                return False
-        return True
-
-    for images in itertools.product(eobjs, repeat=len(objs)):
-        guard.step()
-        on_objects = dict(zip(objs, images))
-        choice_lists = []
-        feasible = True
-        for pair in pairs:
-            He = E.hom_at(on_objects[pair[0]], on_objects[pair[1]])
-            if He is None:
-                feasible = False
-                break
-            if pair not in plans:
-                plans[pair] = _plan(D.hom[pair])
-            fns = _functors(D.hom[pair], plans[pair], He, guard.limit)
-            if not fns:
-                feasible = False
-                break
-            choice_lists.append(fns)
-        if not feasible:
+def _preserves_composition(D, E, on_objects, functors, guard):
+    """Whether the hom functors {(x, y): Functor} over the object images
+    on_objects preserve D's unit 1-cells, hc1 and hc2.  Stops at the
+    first failure; each composite compared is one guard step."""
+    for x in D.objects:
+        if functors[(x, x)].obj_map[D.unit1[x]] != E.unit1[on_objects[x]]:
+            return False
+    for x, y, z in itertools.product(D.objects, repeat=3):
+        if (x, y) not in functors or (y, z) not in functors:
             continue
-        for combo in itertools.product(*choice_lists):
+        fx, fy, fz = on_objects[x], on_objects[y], on_objects[z]
+        F, G, H = functors[(x, y)], functors[(y, z)], functors[(x, z)]
+        for f, g in itertools.product(D.hom[(x, y)].objects, D.hom[(y, z)].objects):
             guard.step()
-            maps = {
-                pair: (fn.obj_map, fn.mor_map) for pair, fn in zip(pairs, combo)
-            }
-            if check(on_objects, maps):
-                results.append(
-                    TwoFunctor.from_tables(D, E, dict(on_objects), dict(maps))
-                )
-    return results
+            if H.obj_map[D.hc1(x, y, z, f, g)] != E.hc1(
+                fx, fy, fz, F.obj_map[f], G.obj_map[g]
+            ):
+                return False
+        for a, b in itertools.product(D.hom[(x, y)].morphisms, D.hom[(y, z)].morphisms):
+            guard.step()
+            if H.mor_map[D.hc2(x, y, z, a, b)] != E.hc2(
+                fx, fy, fz, F.mor_map[a], G.mor_map[b]
+            ):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,15 @@ explicit-stack search over a face index of the target.
 raw_filler_counts counts the fillers of each boundary in a table of the
 faces of every n-simplex, degenerate ones included; the library counts
 the generators' faces and checks only the degeneracies a boundary allows.
+
+raw_enumerate_full tries every tuple of object images and enumerates the
+functors of every hom again for each; the library searches object images
+through the generating pairs and keeps one functor list per pair of homs.
 """
 
 import collections
 import functools
+import itertools
 from array import array
 
 from theta2kit.msset import (
@@ -34,7 +39,8 @@ from theta2kit.msset import (
 from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import _monotone_maps
-from theta2kit.twocat import enumerate_two_functors, theta2_object
+from theta2kit.twocat import (
+    TwoFunctor, _functors, _plan, enumerate_two_functors, theta2_object)
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
@@ -537,3 +543,78 @@ def raw_filler_counts(X: MarkedSSet, n, limit=5_000_000):
     n-simplex of X."""
     index = collections.Counter(_face_layer(X, X.all_simplices(n), n))
     return [(b, index.get(b, 0)) for b in compatible_boundaries(X, n, limit)]
+
+
+# ---------------------------------------------------------------------------
+# 2-functor enumeration
+
+
+def raw_enumerate_full(D, E, guard):
+    """The 2-functors D -> E over every tuple of object images and every
+    combination of hom functors, each enumerated again per object tuple
+    and kept if it preserves units, hc1 and hc2."""
+    objs = sorted(D.objects)
+    eobjs = sorted(E.objects)
+    pairs = sorted(D.hom)
+    plans = {}  # pair -> the _plan of D.hom[pair], made on first use
+    results = []
+
+    def check(on_objects, maps):
+        for x in D.objects:
+            om, _ = maps[(x, x)]
+            if om[D.unit1[x]] != E.unit1[on_objects[x]]:
+                return False
+        for x in D.objects:
+            for y in D.objects:
+                for z in D.objects:
+                    if (x, y) not in maps or (y, z) not in maps:
+                        continue
+                    fx, fy, fz = on_objects[x], on_objects[y], on_objects[z]
+                    om1, mm1 = maps[(x, y)]
+                    om2, mm2 = maps[(y, z)]
+                    om3, mm3 = maps[(x, z)]
+                    for f in D.hom_at(x, y).objects:
+                        for g in D.hom_at(y, z).objects:
+                            guard.step()
+                            if om3[D.hc1(x, y, z, f, g)] != E.hc1(
+                                fx, fy, fz, om1[f], om2[g]
+                            ):
+                                return False
+                    for a in D.hom_at(x, y).morphisms:
+                        for b in D.hom_at(y, z).morphisms:
+                            guard.step()
+                            if mm3[D.hc2(x, y, z, a, b)] != E.hc2(
+                                fx, fy, fz, mm1[a], mm2[b]
+                            ):
+                                return False
+        return True
+
+    for images in itertools.product(eobjs, repeat=len(objs)):
+        guard.step()
+        on_objects = dict(zip(objs, images))
+        choice_lists = []
+        feasible = True
+        for pair in pairs:
+            He = E.hom_at(on_objects[pair[0]], on_objects[pair[1]])
+            if He is None:
+                feasible = False
+                break
+            if pair not in plans:
+                plans[pair] = _plan(D.hom[pair])
+            fns = _functors(D.hom[pair], plans[pair], He, guard.limit)
+            if not fns:
+                feasible = False
+                break
+            choice_lists.append(fns)
+        if not feasible:
+            continue
+        for combo in itertools.product(*choice_lists):
+            guard.step()
+            maps = {
+                pair: (fn.obj_map, fn.mor_map) for pair, fn in zip(pairs, combo)
+            }
+            if check(on_objects, maps):
+                results.append(
+                    TwoFunctor.from_tables(D, E, dict(on_objects), dict(maps))
+                )
+    return results

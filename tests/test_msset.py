@@ -775,3 +775,53 @@ def test_json_rejects_malformed_values():
         M.msset_from_json(data)
     with pytest.raises(ValueError):
         M.msset_from_json([])
+
+
+@pytest.mark.parametrize("bound", [True, False, -1, 2.0, "3", None])
+def test_json_rejects_bad_bound(bound):
+    data = _json_of_triangle()
+    data["bound"] = bound
+    with pytest.raises(ValueError, match="bound must be an int >= 0"):
+        M.msset_from_json(data)
+
+
+def test_json_rejects_generator_listed_twice():
+    # "01" twice in dimension 1 used to load with counts (3, 4, 1, 0)
+    data = _json_of_triangle()
+    data["gens"]["1"] = ["01", "01", "02", "12"]
+    with pytest.raises(ValueError, match="01 listed more than once"):
+        M.msset_from_json(data)
+    # and "01" as a vertex too, which loaded with counts (4, 3, 1, 0)
+    data = _json_of_triangle()
+    data["gens"]["0"].append("01")
+    with pytest.raises(ValueError, match="01 listed more than once"):
+        M.msset_from_json(data)
+
+
+def test_validate_msset_sees_generator_listed_twice():
+    X = M.standard_simplex(2, bound=3)
+    within = M.MarkedSSet(X.bound, {**X.gens, 1: ("01", "01", "02", "12")},
+                          X.faces, X.marked)
+    across = M.MarkedSSet(X.bound, {**X.gens, 0: ("0", "01", "1", "2")},
+                          X.faces, X.marked)
+    for Y in (within, across):
+        report = M.validate_msset(Y)
+        assert not report.ok
+        assert "generator id 01 listed more than once" in report.violations
+    assert M.validate_msset(X).ok
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: M.standard_simplex(1.5), id="ell=1.5"),
+    pytest.param(lambda: M.standard_simplex(True), id="ell=True"),
+    pytest.param(lambda: M.standard_simplex(-1), id="ell=-1"),
+    pytest.param(lambda: M.standard_simplex(2, bound=-1), id="bound=-1"),
+    pytest.param(lambda: M.standard_simplex(2, bound=True), id="bound=True"),
+    pytest.param(lambda: M.empty_msset(-1), id="empty bound=-1"),
+    pytest.param(lambda: M.empty_msset(2.0), id="empty bound=2.0"),
+])
+def test_constructors_reject_bad_ints(make):
+    # ell = 1.5 used to raise a TypeError, ell = True to give Delta[1]
+    # and bound = -1 a set of bound -1
+    with pytest.raises(ValueError):
+        make()

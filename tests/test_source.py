@@ -152,3 +152,49 @@ def test_closure_check_sees_nested_self_references(tmp_path):
         "class C:\n    def m(self):\n        return self.m()\n"
     )
     assert _self_referencing_closures(path) == ["4:walk", "9:deep", "12:later"]
+
+
+def _int_checks(path):
+    """The calls isinstance(..., int) in path, as 'line:enclosing function'
+    ('<module>' at module level); int may be one of a tuple of types."""
+    found = []
+    stack = [(ast.parse(path.read_text(), str(path)), "<module>")]
+    while stack:
+        node, where = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.append((child, child.name))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "isinstance"
+                and len(child.args) == 2
+            ):
+                kinds = child.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(getattr(k, "id", None) == "int" for k in kinds):
+                    found.append(f"{child.lineno}:{where}")
+            stack.append((child, where))
+    return sorted(found, key=lambda hit: int(hit.split(":")[0]))
+
+
+def test_library_checks_ints_in_one_place():
+    # an int argument is checked by msset._check_int, which also turns
+    # away bools; a bare isinstance(x, int) lets True through
+    found = {
+        f"{path.stem}.{hit.split(':')[1]}" for path in SOURCES
+        for hit in _int_checks(path)
+    }
+    assert found == {"msset._check_int"}
+
+
+def test_int_check_scan_sees_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "A = isinstance(1, int)\n"
+        "def f(x):\n    return isinstance(x, bool) or isinstance(x, (str, int))\n"
+        "class C:\n    def m(self, x):\n"
+        "        def inner():\n            return isinstance(x, int)\n"
+        "        return [isinstance(y, float) for y in x]\n"
+    )
+    assert _int_checks(path) == ["1:<module>", "3:f", "7:inner"]

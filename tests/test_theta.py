@@ -167,6 +167,9 @@ def test_evaluation_rejects_bad_ell(ell):
         TH.evaluate(TH.representable(CONE), POINT, ell=ell)
     with pytest.raises(ValueError, match="ell"):
         TH.evaluate_map(TH.vertical_segal(2), EDGE, ell=ell)
+    # apply_R_at ran with ell = True as ell = 1; its ell is a box cell's level
+    with pytest.raises(ValueError, match="level"):
+        TH.apply_R_at(M.standard_simplex(1), POINT, ell)
 
 
 def _evaluation_cases():
@@ -576,4 +579,16 @@ def test_presentation_json_rejects_malformed_data(damage):
     data = TH.presentation_to_json(TH.vertical_segal(2).source)
     damage(data)
     with pytest.raises(ValueError):
+        TH.presentation_from_json(data)
+
+
+@pytest.mark.parametrize("level", [1.5, True, "a", -1])
+def test_box_cell_rejects_bad_levels(level):
+    # 1.5 and True were accepted and failed later in apply_L with a bare
+    # TypeError; "a" raised a TypeError
+    with pytest.raises(ValueError, match="level"):
+        TH.BoxCell(CONE, level)
+    data = TH.presentation_to_json(TH.representable(CONE))
+    data["cells"][0]["level"] = level
+    with pytest.raises(ValueError, match="level"):
         TH.presentation_from_json(data)

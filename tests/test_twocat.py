@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from theta2kit import twocat as T
 from theta2kit.msset import ResourceLimitError
 
+from raw_oracles import raw_enumerate_full
+
 
 # ---------------------------------------------------------------------------
 # 1-categories
@@ -53,6 +55,12 @@ def test_chain_count_binomial(m, j):
     pytest.param(lambda: T.Theta2Shape(1, ("1",)), id="shape ks='1'"),
     pytest.param(lambda: T.Theta2Shape(1.0, (1,)), id="shape m=1.0"),
     pytest.param(lambda: T.Theta2Shape(1, 1), id="shape ks=1"),
+    pytest.param(lambda: T.Theta2Shape(True, (1,)), id="shape m=True"),
+    pytest.param(lambda: T.Theta2Shape(1, (True,)), id="shape k=True"),
+    pytest.param(lambda: T.ordinal(True), id="m=True"),
+    pytest.param(lambda: T.cell(True), id="cell j=True"),
+    pytest.param(lambda: T.cell(1.0), id="cell j=1.0"),
+    pytest.param(lambda: T.product_poset((True,)), id="k=True"),
 ])
 def test_bad_arguments_raise_value_error(make):
     with pytest.raises(ValueError):
@@ -897,6 +905,68 @@ def test_segment_and_full_enumeration_agree():
     full = T.enumerate_two_functors(stripped, E)
     assert len(seg) == len(full)
     assert sorted(F.key() for F in seg) == sorted(F.key() for F in full)
+
+
+def _stripped(D):
+    """D without its segments and decomposition tables."""
+    return T.Fin2Category(D.objects, D.hom, D.hcompose1, D.hcompose2, D.unit1)
+
+
+def _metadata_free_sources():
+    """2-categories that record no pasting scheme, stripped theta2_objects
+    [m|k_1,...,k_m] with m <= 2, k_i <= 1 among them."""
+    out = [(f"[{m}]", T.as_two_category(T.ordinal(m))) for m in range(-1, 4)]
+    out += [("I", T.as_two_category(T.free_iso())),
+            ("*", T.as_two_category(T.terminal_category()))]
+    out += [(f"stripped {s}", _stripped(T.theta2_object(s))) for s in _shapes(2, 1)]
+    out += [("stripped S(Z/2)", _stripped(T.suspend_category(_z2()))),
+            ("stripped S[1]", _stripped(T.suspend_category(T.ordinal(1)))),
+            ("cell(2) from JSON",
+             T.two_category_from_json(T.two_category_to_json(T.cell(2))))]
+    return out
+
+
+def _full_search_matches_oracle(D, targets):
+    """Compare enumerate_two_functors(D, E) with raw_enumerate_full for each
+    E in targets, and check that one step below the steps it used raises
+    in enumerate_two_functors."""
+    for E in targets:
+        _Recorded.made.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_Guard", _Recorded)
+            got = T.enumerate_two_functors(D, E)
+        steps = _Recorded.made[0].count
+        want = raw_enumerate_full(D, E, T._Guard(5_000_000, "enumerate_two_functors"))
+        assert [F.key() for F in got] == [F.key() for F in want], E.objects
+        if steps:
+            with pytest.raises(ResourceLimitError) as e:
+                T.enumerate_two_functors(D, E, limit=steps - 1)
+            assert e.value.operation == "enumerate_two_functors"
+
+
+@pytest.mark.parametrize(
+    "D", [pytest.param(D, id=name) for name, D in _metadata_free_sources()]
+)
+def test_metadata_free_search_matches_full_oracle(D):
+    # the targets: the shapes with m <= 2 and k_i <= 1, and a non-thin one;
+    # adding those with k_i <= 2 and [3|k_1,k_2,k_3], k_i <= 1 passes too
+    # but takes about 25 s
+    targets = [T.theta2_object(s) for s in _shapes(2, 1)]
+    targets.append(T.suspend_category(_z2()))
+    _full_search_matches_oracle(D, targets)
+
+
+def test_metadata_free_search_keeps_only_composable_choices(monkeypatch):
+    shape = T.Theta2Shape(2, (1, 1))
+    D, E = _stripped(T.theta2_object(shape)), T.theta2_object(shape)
+    fs = T.enumerate_two_functors(D, E)
+    # the 2-functors the segment search finds, each one valid
+    seg = T.enumerate_two_functors(T.theta2_object(shape), E)
+    assert sorted(F.key() for F in fs) == sorted(F.key() for F in seg)
+    assert all(T.validate_two_functor(F).ok for F in fs)
+    # the choices of hom functors alone are more
+    monkeypatch.setattr(T, "_preserves_composition", lambda *args: True)
+    assert len(T.enumerate_two_functors(D, E)) > len(fs)
 
 
 def test_two_functor_compose_and_identity():
