@@ -88,9 +88,6 @@ class MarkedSSet:
                 dims[g] = n
         object.__setattr__(self, "_dim", dims)
 
-    def dim_of_gen(self, g) -> int:
-        return self._dim[g]
-
     def dim_of(self, ref: Ref) -> int:
         return self._dim[ref[0]] + len(ref[1])
 

@@ -234,10 +234,6 @@ class Functor:
         return isinstance(other, Functor) and self.key() == other.key()
 
 
-def identity_functor(C: FinCategory) -> Functor:
-    return Functor(C, C, {x: x for x in C.objects}, {f: f for f in C.morphisms})
-
-
 def validate_functor(F: Functor) -> Report:
     problems = []
     C, D = F.source, F.target
@@ -432,11 +428,11 @@ def _choices(lists, guard):
 
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     """The complete, canonically ordered list of functors C -> D."""
-    return _functors(C, _plan(C), D, limit)
+    return _functors(C, _plan(C), D, _Guard(limit, "enumerate_functors"))
 
 
-def _functors(C, plan, D, limit):
-    """`enumerate_functors` with C's `_plan` given.
+def _functors(C, plan, D, guard):
+    """`enumerate_functors` with C's `_plan` given, charging guard.
 
     Object images come from `_object_maps`, with the ends of C's atoms as
     the pairs that must land on nonempty homs of D; the masks are built
@@ -450,7 +446,6 @@ def _functors(C, plan, D, limit):
         return [Functor(C, D, {}, {})]
     if not D.objects and C.objects:
         return []
-    guard = _Guard(limit, "enumerate_functors")
     objs, atoms, atom_ends, identities, composites, relations = plan
     # D's morphisms by (source, target), each list in sorted order
     homs = {}
@@ -522,14 +517,15 @@ class Fin2Category:
     hom maps object pairs with nonempty mapping category to a FinCategory
     whose objects are the 1-cells and whose morphisms are the 2-cells;
     hcompose1/hcompose2 give horizontal composition per object triple.
-    Optional metadata (segments and the decomposition tables) records a
-    free generating pasting scheme: the segments are then the generating
-    pairs of `enumerate_two_functors`, and every choice of segment images
-    is a 2-functor.  Without it every nonempty hom is a generating pair,
-    and each choice of hom functors is checked against the horizontal
-    compositions.  The tables are read through the Mapping protocol only:
-    `theta2_object` gives read-only mappings built on lookup, the other
-    constructors and the JSON loader plain dicts.
+    Optional segments (a_0, a_1), ..., (a_{m-1}, a_m) record a free
+    pasting scheme: hom(a_i, a_i) holds only the unit, and each cell of
+    hom(a_i, a_j), j > i + 1, is one horizontal composite of a cell of
+    hom(a_i, a_{i+1}) and one of hom(a_{i+1}, a_j).  Every choice of
+    segment images is then a 2-functor.  Without segments every nonempty
+    hom is a generating pair, and each choice of hom functors is checked
+    against the horizontal compositions.  The tables are read through the
+    Mapping protocol only: `theta2_object` gives read-only mappings built
+    on lookup, the other constructors and the JSON loader plain dicts.
     """
 
     objects: tuple
@@ -538,8 +534,6 @@ class Fin2Category:
     hcompose2: Mapping  # (x, y, z) -> Mapping {(alpha, beta): gamma}
     unit1: dict  # x -> 1-cell id in hom(x, x)
     segments: tuple = None
-    one_decomp: Mapping = None  # (x, y, 1-cell) -> ((segment, 1-cell), ...)
-    two_decomp: Mapping = None  # (x, y, 2-cell) -> ((segment, 2-cell), ...)
 
     def hom_at(self, x, y):
         return self.hom.get((x, y))
@@ -687,31 +681,23 @@ def suspend_category(C: FinCategory) -> Fin2Category:
         hcompose1[("bot", "top", "top")] = {(f, "*"): f for f in C.objects}
         hcompose2[("bot", "bot", "top")] = {("id", m): m for m in C.morphisms}
         hcompose2[("bot", "top", "top")] = {(m, "id"): m for m in C.morphisms}
-    one_decomp = {("bot", "bot", "*"): (), ("top", "top", "*"): ()}
-    two_decomp = {("bot", "bot", "id"): (), ("top", "top", "id"): ()}
-    for f in C.objects:
-        one_decomp[("bot", "top", f)] = ((("bot", "top"), f),)
-    for m in C.morphisms:
-        two_decomp[("bot", "top", m)] = ((("bot", "top"), m),)
+    # an empty C leaves no hom(bot, top) for the segment to generate
     return Fin2Category(
         ("bot", "top"),
         hom,
         hcompose1,
         hcompose2,
         {"bot": "*", "top": "*"},
-        segments=(("bot", "top"),),
-        one_decomp=one_decomp,
-        two_decomp=two_decomp,
+        segments=(("bot", "top"),) if C.objects else None,
     )
 
 
 class _LazyTable(Mapping):
     """A read-only mapping whose keys are fixed, each value built on lookup.
 
-    keys maps each key, in iteration order, to (group, part).  The first
+    keys maps each key, in iteration order, to its group.  The first
     lookup of a key in a group calls build(group) once and keeps the
-    result; the key's value is result[part], or the whole result when
-    part is None, so keys of one group with part None share one value.
+    result, which is the value of every key of that group.
     """
 
     __slots__ = ("_keys", "_build", "_built")
@@ -722,11 +708,11 @@ class _LazyTable(Mapping):
         self._built = {}
 
     def __getitem__(self, key):
-        group, part = self._keys[key]
+        group = self._keys[key]
         built = self._built.get(group)
         if built is None:
             built = self._built[group] = self._build(group)
-        return built if part is None else built[part]
+        return built
 
     def __contains__(self, key):
         return key in self._keys
@@ -763,68 +749,40 @@ def _hcompose2(built, pair):
     return MappingProxyType(t2)
 
 
-def _decomposition(built, ks, segments, level, hom):
-    """The decomposition entries of hom = (i, j): each 1-cell (level 1)
-    or 2-cell (level 2) by its pieces in the segment homs (t, t + 1),
-    i <= t < j, whose cell (v,) has index v."""
-    i, j = hom
-    cells, names, mids, _ = built[ks[i:j]]
-    segs = [(segments[t], built[ks[t:t + 1]]) for t in range(i, j)]
-    if level == 1:
-        return {
-            name: tuple((seg, p[1][v]) for v, (seg, p) in zip(a, segs))
-            for a, name in zip(cells, names)
-        }
-    return {
-        f: tuple((seg, p[2][v][w]) for v, w, (seg, p) in zip(a, cells[y], segs))
-        for a, row in zip(cells, mids)
-        for y, f in row.items()
-    }
-
-
 def theta2_object(shape: Theta2Shape) -> Fin2Category:
     """The pasting 2-category [m|k_1,...,k_m] with product-poset homs.
 
     hom(i, j) is the poset [k_{i+1}] x ... x [k_j].  Its tables are built
     once per distinct slice ks[i:j] in a call, so homs with equal slices
     are one shared FinCategory, as are hom(0, 1) and hom(1, 2) of [2|k,k].
-    The other tables are read-only `_LazyTable`s: a horizontal table is
-    built on first lookup, once per slice pair (ks[i:j], ks[j:l]), and
-    shared by every triple (i, j, l) with that pair; the decomposition
-    entries of a hom are built on the first lookup in that hom.
+    The horizontal tables are read-only `_LazyTable`s: a table is built on
+    first lookup, once per slice pair (ks[i:j], ks[j:l]), and shared by
+    every triple (i, j, l) with that pair.  The segments (i, i + 1)
+    generate it freely: cell a + b of hom(i, l) is the composite of cell
+    a of hom(i, i + 1) and cell b of hom(i + 1, l).
     """
     m, ks = shape.m, shape.ks
     objects = tuple(str(i) for i in range(m + 1))
     built = {}  # ks slice -> its _poset tables
     hom = {}
-    ones, twos = {}, {}  # decomposition keys -> ((i, j), 1- or 2-cell id)
     for i in range(m + 1):
         for j in range(i, m + 1):
             if ks[i:j] not in built:
                 built[ks[i:j]] = _poset(ks[i:j])
-            _, names, mids, H = built[ks[i:j]]
-            x, y = objects[i], objects[j]
-            hom[(x, y)] = H
-            for name, row in zip(names, mids):
-                ones[(x, y, name)] = ((i, j), name)
-                for f in row.values():
-                    twos[(x, y, f)] = ((i, j), f)
+            hom[(objects[i], objects[j])] = built[ks[i:j]][3]
     triples = {
-        (objects[i], objects[j], objects[l]): ((ks[i:j], ks[j:l]), None)
+        (objects[i], objects[j], objects[l]): (ks[i:j], ks[j:l])
         for i in range(m + 1)
         for j in range(i, m + 1)
         for l in range(j, m + 1)
     }
-    segments = tuple((objects[i], objects[i + 1]) for i in range(m))
     return Fin2Category(
         objects,
         hom,
         _LazyTable(triples, partial(_hcompose1, built)),
         _LazyTable(triples, partial(_hcompose2, built)),
         {x: _enc(()) for x in objects},
-        segments=segments,
-        one_decomp=_LazyTable(ones, partial(_decomposition, built, ks, segments, 1)),
-        two_decomp=_LazyTable(twos, partial(_decomposition, built, ks, segments, 2)),
+        segments=tuple(zip(objects, objects[1:])),
     )
 
 
@@ -880,8 +838,8 @@ class TwoFunctor:
     """A 2-functor between Fin2Categories.
 
     Given either as full hom-functor tables or compactly as images of
-    the generating segments; a segment functor's tables are derived once,
-    on first use, through the decomposition metadata of the source.
+    the segments of a free pasting scheme; a segment functor's tables
+    are derived once, on first use, through horizontal composition.
     """
 
     def __init__(self, source, target, on_objects, hom_maps=None, seg_maps=None):
@@ -904,36 +862,42 @@ class TwoFunctor:
 
     @cached_property
     def hom_maps(self):
-        """Full tables (x, y) -> (1-cell map, 2-cell map) per nonempty hom."""
+        """Full tables (x, y) -> (1-cell map, 2-cell map) per nonempty hom,
+        in the source's hom order.  From segments, walking the chain a_m,
+        ..., a_0: hom(a_i, a_i) keeps the unit, hom(a_i, a_{i+1}) is the
+        segment functor, and hom(a_i, a_j) sends each hc(f, g) to the
+        target's hc of the images of f and g.  ValueError names a hom of
+        the source that the walk does not reach."""
         if self._seg_maps is None:
             return self._hom_maps
-        D = self.source
-        return {
-            (x, y): (
-                {f: self._fold_one(D.one_decomp[(x, y, f)], x) for f in H.objects},
-                {m: self._fold_two(D.two_decomp[(x, y, m)], x) for m in H.morphisms},
+        D, E, on = self.source, self.target, self.on_objects
+        segs = D.segments
+        chain = [segs[0][0], *(b for _, b in segs)] if segs else D.objects[:1]
+        maps = {}
+        for i in reversed(range(len(chain))):
+            a = chain[i]
+            u, fu = D.unit1[a], E.unit1[on[a]]
+            maps[(a, a)] = (
+                {u: fu},
+                {D.hom[(a, a)].identity[u]: E.hom[(on[a], on[a])].identity[fu]},
             )
-            for (x, y), H in D.hom.items()
-        }
-
-    def _fold_one(self, pieces, x):
-        """The image of a 1-cell out of x: its pieces' images under the
-        segment functors, composed by hc1 (the unit of x if none)."""
-        E, fx = self.target, self.obj(x)
-        cur = None
-        for (a, b), atom in pieces:
-            g = self._seg_maps[(a, b)].obj_map[atom]
-            cur = g if cur is None else E.hc1(fx, self.obj(a), self.obj(b), cur, g)
-        return E.unit1[fx] if cur is None else cur
-
-    def _fold_two(self, pieces, x):
-        """The image of a 2-cell out of x, as `_fold_one`, composed by hc2."""
-        E, fx = self.target, self.obj(x)
-        cur = None
-        for (a, b), atom in pieces:
-            g = self._seg_maps[(a, b)].mor_map[atom]
-            cur = g if cur is None else E.hc2(fx, self.obj(a), self.obj(b), cur, g)
-        return E.hom_at(fx, fx).identity[E.unit1[fx]] if cur is None else cur
+            if i + 1 == len(chain):
+                continue
+            b = chain[i + 1]
+            seg = self._seg_maps[(a, b)]
+            maps[(a, b)] = (seg.obj_map, seg.mor_map)
+            for c in chain[i + 2:]:
+                (o1, m1), (o2, m2) = maps[(a, b)], maps[(b, c)]
+                key, images = (a, b, c), (on[a], on[b], on[c])
+                t1, t2 = E.hcompose1[images], E.hcompose2[images]
+                maps[(a, c)] = (
+                    {h: t1[(o1[f], o2[g])] for (f, g), h in D.hcompose1[key].items()},
+                    {h: t2[(m1[p], m2[q])] for (p, q), h in D.hcompose2[key].items()},
+                )
+        for x, y in D.hom:
+            if (x, y) not in maps:
+                raise ValueError(f"the source's segments do not reach hom({x}, {y})")
+        return {pair: maps[pair] for pair in D.hom}
 
     def one(self, x, y, f):
         return self.hom_maps[(x, y)][0][f]
@@ -1048,8 +1012,9 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     generating hom to a target hom are enumerated once per call for each
     distinct pair of FinCategory objects, so homs that are one object (as
     theta2_object's equal slices are) share one list, and each distinct
-    generating hom is planned once.  Each use of a list still charges its
-    length to the guard.  Every combination of segment functors is a
+    generating hom is planned once.  One guard covers the whole call:
+    enumerating each list charges its steps once, and each use of a list
+    charges its length.  Every combination of segment functors is a
     2-functor; a combination of hom functors is kept only if it preserves
     D's unit 1-cells and horizontal compositions.
     """
@@ -1072,7 +1037,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
             if fns is None:
                 if id(H) not in plans:
                     plans[id(H)] = _plan(H)
-                fns = gen_functors[key] = _functors(H, plans[id(H)], He, guard.limit)
+                fns = gen_functors[key] = _functors(H, plans[id(H)], He, guard)
             guard.step(len(fns))
             if not fns:
                 break

@@ -27,6 +27,13 @@ the generators' faces and checks only the degeneracies a boundary allows.
 raw_enumerate_full tries every tuple of object images and enumerates the
 functors of every hom again for each; the library searches object images
 through the generating pairs and keeps one functor list per pair of homs.
+
+raw_fold_hom_maps derives a segment 2-functor's tables from per-cell
+decomposition tables, folding the images of each cell's pieces in the
+segment homs by hc1 or hc2; raw_theta2_decomposition and
+raw_suspension_decomposition give those tables for theta2_object and
+suspend_category.  The library derives each hom(a_i, a_j) from
+hom(a_i, a_{i+1}) and hom(a_{i+1}, a_j) through the horizontal tables.
 """
 
 import collections
@@ -40,7 +47,7 @@ from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import _monotone_maps
 from theta2kit.twocat import (
-    TwoFunctor, _functors, _plan, enumerate_two_functors, theta2_object)
+    TwoFunctor, _functors, _plan, _poset, enumerate_two_functors, theta2_object)
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
@@ -601,7 +608,9 @@ def raw_enumerate_full(D, E, guard):
                 break
             if pair not in plans:
                 plans[pair] = _plan(D.hom[pair])
-            fns = _functors(D.hom[pair], plans[pair], He, guard.limit)
+            fns = _functors(
+                D.hom[pair], plans[pair], He, _Guard(guard.limit, "enumerate_functors")
+            )
             if not fns:
                 feasible = False
                 break
@@ -618,3 +627,89 @@ def raw_enumerate_full(D, E, guard):
                     TwoFunctor.from_tables(D, E, dict(on_objects), dict(maps))
                 )
     return results
+
+
+# ---------------------------------------------------------------------------
+# segment 2-functor tables
+
+
+def _decomposition(built, ks, segments, level, hom):
+    """The decomposition entries of hom = (i, j): each 1-cell (level 1)
+    or 2-cell (level 2) by its pieces in the segment homs (t, t + 1),
+    i <= t < j, whose cell (v,) has index v."""
+    i, j = hom
+    cells, names, mids, _ = built[ks[i:j]]
+    segs = [(segments[t], built[ks[t:t + 1]]) for t in range(i, j)]
+    if level == 1:
+        return {
+            name: tuple((seg, p[1][v]) for v, (seg, p) in zip(a, segs))
+            for a, name in zip(cells, names)
+        }
+    return {
+        f: tuple((seg, p[2][v][w]) for v, w, (seg, p) in zip(a, cells[y], segs))
+        for a, row in zip(cells, mids)
+        for y, f in row.items()
+    }
+
+
+def raw_theta2_decomposition(shape):
+    """theta2_object(shape)'s decomposition tables (one, two): (x, y,
+    1-cell) and (x, y, 2-cell) -> ((segment, cell), ...)."""
+    m, ks = shape.m, shape.ks
+    objects = tuple(str(i) for i in range(m + 1))
+    segments = tuple(zip(objects, objects[1:]))
+    built = {ks[i:j]: _poset(ks[i:j]) for i in range(m + 1) for j in range(i, m + 1)}
+    one, two = {}, {}
+    for i in range(m + 1):
+        for j in range(i, m + 1):
+            for level, table in ((1, one), (2, two)):
+                pieces = _decomposition(built, ks, segments, level, (i, j))
+                for c, p in pieces.items():
+                    table[(objects[i], objects[j], c)] = p
+    return one, two
+
+
+def raw_suspension_decomposition(C):
+    """suspend_category(C)'s decomposition tables, as for theta2_object:
+    the units have no pieces, and each cell of C is its own one piece."""
+    one = {("bot", "bot", "*"): (), ("top", "top", "*"): ()}
+    two = {("bot", "bot", "id"): (), ("top", "top", "id"): ()}
+    for f in C.objects:
+        one[("bot", "top", f)] = ((("bot", "top"), f),)
+    for m in C.morphisms:
+        two[("bot", "top", m)] = ((("bot", "top"), m),)
+    return one, two
+
+
+def raw_fold_hom_maps(F, one_decomp, two_decomp):
+    """The hom tables of the segment 2-functor F, each cell's image folded
+    from its pieces in one_decomp / two_decomp."""
+    D = F.source
+    return {
+        (x, y): (
+            {f: _fold_one(F, one_decomp[(x, y, f)], x) for f in H.objects},
+            {m: _fold_two(F, two_decomp[(x, y, m)], x) for m in H.morphisms},
+        )
+        for (x, y), H in D.hom.items()
+    }
+
+
+def _fold_one(F, pieces, x):
+    """The image of a 1-cell out of x: its pieces' images under the
+    segment functors, composed by hc1 (the unit of x if none)."""
+    E, fx = F.target, F.obj(x)
+    cur = None
+    for (a, b), atom in pieces:
+        g = F._seg_maps[(a, b)].obj_map[atom]
+        cur = g if cur is None else E.hc1(fx, F.obj(a), F.obj(b), cur, g)
+    return E.unit1[fx] if cur is None else cur
+
+
+def _fold_two(F, pieces, x):
+    """The image of a 2-cell out of x, as `_fold_one`, composed by hc2."""
+    E, fx = F.target, F.obj(x)
+    cur = None
+    for (a, b), atom in pieces:
+        g = F._seg_maps[(a, b)].mor_map[atom]
+        cur = g if cur is None else E.hc2(fx, F.obj(a), F.obj(b), cur, g)
+    return E.hom_at(fx, fx).identity[E.unit1[fx]] if cur is None else cur

@@ -4,6 +4,7 @@ import pathlib
 import theta2kit
 
 SOURCES = sorted(pathlib.Path(theta2kit.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 # module-level containers the library keeps on purpose: the CLI's suite
 # table and the nerve cache, which holds one built nerve per signature,
@@ -198,3 +199,52 @@ def test_int_check_scan_sees_every_form(tmp_path):
         "        return [isinstance(y, float) for y in x]\n"
     )
     assert _int_checks(path) == ["1:<module>", "3:f", "7:inner"]
+
+
+def _unnamed_definitions(defining, using):
+    """The top-level functions and classes of the paths in defining, and
+    the non-dunder methods of their top-level classes, that no path in
+    using names as a Name, an Attribute or an import alias; as
+    'module.name' or 'module.Class.method'."""
+    names = set()
+    for path in using:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in defining:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                found.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{path.stem}.{node.name}.{m.name}", m.name)
+                    for m in node.body
+                    if isinstance(m, functions)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+    return [where for where, name in found if name not in names]
+
+
+def test_library_has_no_dead_definitions():
+    # a definition that neither the library nor its tests name is dead code
+    assert _unnamed_definitions(SOURCES, SOURCES + TESTS) == []
+
+
+def test_dead_definition_scan_sees_every_form(tmp_path):
+    mod, use = tmp_path / "mod.py", tmp_path / "use.py"
+    mod.write_text(
+        "def used():\n    pass\ndef unused():\n    return 1\n"
+        "async def later():\n    pass\nclass C:\n    def __init__(self):\n"
+        "        self.m()\n    def m(self):\n        pass\n"
+        "    def n(self):\n        pass\nclass Unused:\n    pass\n"
+    )
+    use.write_text("from mod import later as soon\nimport mod.used\nmod.C()\n")
+    assert _unnamed_definitions([mod], [mod, use]) == [
+        "mod.unused", "mod.C.n", "mod.Unused"
+    ]

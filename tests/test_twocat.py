@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from theta2kit import twocat as T
 from theta2kit.msset import ResourceLimitError
 
-from raw_oracles import raw_enumerate_full
+from raw_oracles import (
+    raw_enumerate_full, raw_fold_hom_maps, raw_suspension_decomposition,
+    raw_theta2_decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +281,14 @@ def _enumerate_functors_by_objects(C, D, guard):
 def _enumerate_free_uncached(D, E, guard):
     """_enumerate_free placing objects one at a time, with the segment
     functors from _enumerate_functors_by_objects enumerated again at every
-    object assignment."""
+    object assignment.  The steps of enumerating them go into guard once
+    per distinct (segment hom, target hom) pair, as one call's guard
+    counts them."""
     objs = sorted(D.objects)
     eobjs = sorted(E.objects)
     results = []
     seg_homs = {pair: D.hom_at(*pair) for pair in D.segments}
+    charged = set()  # ids of the (segment hom, target hom) pairs counted
 
     def assign(k, on_objects):
         if k == len(objs):
@@ -293,9 +298,13 @@ def _enumerate_free_uncached(D, E, guard):
                 He = E.hom_at(fx, fy)
                 if He is None:
                     return
+                key = (id(seg_homs[pair]), id(He))
                 fns = _enumerate_functors_by_objects(
-                    seg_homs[pair], He, T._Guard(guard.limit, "enumerate_functors")
+                    seg_homs[pair], He,
+                    T._Guard(guard.limit, "enumerate_functors") if key in charged
+                    else guard,
                 )
+                charged.add(key)
                 guard.step(len(fns))
                 if not fns:
                     return
@@ -447,7 +456,7 @@ def test_theta2_object_shares_homs_of_equal_slices():
 
 def test_theta2_object_tables_are_read_only():
     th = T.theta2_object(T.Theta2Shape(2, (1, 1)))
-    for table in (th.hcompose1, th.hcompose2, th.one_decomp, th.two_decomp):
+    for table in (th.hcompose1, th.hcompose2):
         key = next(iter(table))
         with pytest.raises(TypeError):
             table[key] = table[key]
@@ -469,15 +478,13 @@ def test_theta2_object_shares_horizontal_tables_per_slice_pair():
 def test_theta2_object_tables_are_mappings():
     th = T.theta2_object(T.Theta2Shape(2, (1, 2)))
     want = _theta2_object_by_comparison(T.Theta2Shape(2, (1, 2)))
-    for name in ("hcompose1", "hcompose2", "one_decomp", "two_decomp"):
+    for name in ("hcompose1", "hcompose2"):
         table = getattr(th, name)
         assert len(table) == len(getattr(want, name)), name
         assert table.get(("2", "1", "0")) is None
         assert table.get(("0", "1", "2", "3"), 7) == 7
         assert ("2", "1", "0") not in table
     assert ("0", "1", "2") in th.hcompose1
-    assert ("0", "2", "(1,2)") in th.one_decomp
-    assert ("0", "2", "(1,2)") not in th.two_decomp
     assert len(th.hcompose1) == 10  # the triples i <= j <= l of 0, 1, 2
     with pytest.raises(KeyError):
         th.hcompose2[("1", "0", "2")]
@@ -507,7 +514,7 @@ def test_enumerating_two_functors_builds_no_horizontal_table(monkeypatch):
     fs = T.enumerate_two_functors(D, E)
     assert len(fs) == 4664 and builds == []
     # the tables are there when a caller reads them: a functor's full
-    # tables fold D's decompositions and E's horizontal composites
+    # tables go through D's and E's horizontal composites
     fs[-1].hom_maps
     assert len(builds) > 0
     assert T.validate_two_functor(fs[-1]).ok
@@ -518,13 +525,10 @@ def test_horizontal_tables_built_once_per_slice_pair(monkeypatch):
     th = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
     for key in th.hcompose1:
         th.hcompose1[key]
-    for key in th.two_decomp:
-        th.two_decomp[key]
     pairs = {((2,) * (j - i), (2,) * (l - j))
              for i in range(4) for j in range(i, 4) for l in range(j, 4)}
-    homs = [(i, j) for i in range(4) for j in range(i, 4)]
     assert len(th.hcompose1) == 20 and len(pairs) == 10
-    assert sorted(builds, key=repr) == sorted([*pairs, *homs], key=repr)
+    assert sorted(builds, key=repr) == sorted(pairs, key=repr)
 
 
 def test_segment_homs_planned_once_per_call(monkeypatch):
@@ -637,6 +641,24 @@ def test_two_functors_from_unequal_segments_match_oracle(src, dst, monkeypatch):
     assert steps == guard.count
 
 
+def test_one_guard_covers_a_two_functor_enumeration(monkeypatch):
+    # the steps of enumerating the segment functors count against the
+    # call's own limit, and an overrun among them names the call
+    D = T.theta2_object(T.Theta2Shape(1, (2,)))
+    E = T.theta2_object(T.Theta2Shape(1, (3,)))
+    with monkeypatch.context() as recorded:
+        recorded.setattr(T, "_Guard", _Recorded)
+        _Recorded.made.clear()
+        assert len(T.enumerate_two_functors(D, E)) == 22
+    assert len(_Recorded.made) == 1
+    total = _Recorded.made[0].count
+    assert len(T.enumerate_two_functors(D, E, limit=total)) == 22
+    for limit in range(total):
+        with pytest.raises(ResourceLimitError) as e:
+            T.enumerate_two_functors(D, E, limit=limit)
+        assert e.value.operation == "enumerate_two_functors", limit
+
+
 # ---------------------------------------------------------------------------
 # 2-categories
 
@@ -691,6 +713,15 @@ def test_suspend_category():
     assert T.validate_2cat(T.suspend_category(T.free_iso())).ok
 
 
+def test_suspension_of_empty_category_enumerates():
+    # no hom(bot, top), so no segment; its objects map anywhere
+    S = T.suspend_category(T.ordinal(-1))
+    assert S.segments is None
+    E = T.theta2_object(T.Theta2Shape(1, (1,)))
+    assert len(T.enumerate_two_functors(S, E)) == 4
+    assert len(T.enumerate_two_functors(_stripped(S), E)) == 4
+
+
 def test_suspension_matches_theta_shape():
     # explicit isomorphism pair between Sigma[k] and [1|k]
     for k in range(4):
@@ -720,6 +751,44 @@ def test_suspension_matches_theta_shape():
         assert T.validate_two_functor(bwd).ok
         assert fwd.compose(bwd) == T.identity_two_functor(S)
         assert bwd.compose(fwd) == T.identity_two_functor(th)
+
+
+def test_segment_tables_match_decomposition_fold():
+    # every 2-functor out of [m|k_1,...,k_m], m <= 2, sum k <= 3, and three
+    # suspensions, into 23 targets: the tables derived through horizontal
+    # composition are the ones folded from per-cell decompositions
+    sources = [
+        (T.theta2_object(s), *raw_theta2_decomposition(s))
+        for s in _shapes(2, 3) if sum(s.ks) <= 3
+    ]
+    sources += [
+        (T.suspend_category(C), *raw_suspension_decomposition(C))
+        for C in (T.ordinal(2), _z2(), T.free_iso())
+    ]
+    targets = [T.theta2_object(s) for s in _shapes(3, 2) if s.m < 3 or max(s.ks) < 2]
+    targets += [T.suspend_category(_z2()), T.suspend_category(T.ordinal(3))]
+    count = 0
+    for D, one, two in sources:
+        for E in targets:
+            for F in T.enumerate_two_functors(D, E):
+                assert list(F.hom_maps) == list(D.hom)
+                assert F.hom_maps == raw_fold_hom_maps(F, one, two)
+                count += 1
+    assert (len(sources), len(targets), count) == (18, 23, 15_675)
+
+
+def test_segments_that_miss_a_hom_raise():
+    D = T.theta2_object(T.Theta2Shape(2, (1, 1)))
+    short = T.Fin2Category(
+        D.objects, D.hom, D.hcompose1, D.hcompose2, D.unit1, segments=D.segments[:1]
+    )
+    H = D.hom_at("0", "1")
+    seg = T.Functor(H, H, {f: f for f in H.objects}, {m: m for m in H.morphisms})
+    F = T.TwoFunctor.from_segments(
+        short, D, {x: x for x in D.objects}, {("0", "1"): seg}
+    )
+    with pytest.raises(ValueError, match=r"hom\(0, 2\)"):
+        F.hom_maps
 
 
 def test_as_two_category():
@@ -804,23 +873,8 @@ def _theta2_object_by_comparison(shape):
                 hcompose2[key] = t2
     unit1 = {str(i): T._enc(()) for i in range(m + 1)}
     segments = tuple((str(i), str(i + 1)) for i in range(m))
-    one_decomp, two_decomp = {}, {}
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            for a in tuples[(i, j)]:
-                one_decomp[(str(i), str(j), T._enc(a))] = tuple(
-                    ((str(i + t), str(i + t + 1)), T._enc((a[t],)))
-                    for t in range(j - i)
-                )
-                for b in tuples[(i, j)]:
-                    if all(p <= q for p, q in zip(a, b)):
-                        two_decomp[(str(i), str(j), T._mid(a, b))] = tuple(
-                            ((str(i + t), str(i + t + 1)), T._mid((a[t],), (b[t],)))
-                            for t in range(j - i)
-                        )
     return T.Fin2Category(
-        objects, hom, hcompose1, hcompose2, unit1,
-        segments=segments, one_decomp=one_decomp, two_decomp=two_decomp,
+        objects, hom, hcompose1, hcompose2, unit1, segments=segments
     )
 
 
@@ -863,10 +917,7 @@ def test_theta2_object_matches_comparison_oracle(m):
             assert [(k, list(t.items())) for k, t in getattr(got, table).items()] == [
                 (k, list(t.items())) for k, t in getattr(want, table).items()
             ], (shape, table)
-        for table in ("unit1", "one_decomp", "two_decomp"):
-            assert list(getattr(got, table).items()) == list(
-                getattr(want, table).items()
-            ), (shape, table)
+        assert list(got.unit1.items()) == list(want.unit1.items()), shape
         assert got.segments == want.segments
 
 
@@ -908,7 +959,7 @@ def test_segment_and_full_enumeration_agree():
 
 
 def _stripped(D):
-    """D without its segments and decomposition tables."""
+    """D without its segments."""
     return T.Fin2Category(D.objects, D.hom, D.hcompose1, D.hcompose2, D.unit1)
 
 
