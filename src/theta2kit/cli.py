@@ -351,10 +351,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ResourceLimitError as e:

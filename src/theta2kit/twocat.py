@@ -235,22 +235,49 @@ class Functor:
 
 
 def validate_functor(F: Functor) -> Report:
+    """Whether F's tables form a functor between the categories F.source and
+    F.target: each object and morphism has an image in the target, each
+    morphism's image runs between the images of its ends, and identities
+    and composites are preserved.  The last two are checked only once
+    every image is sound, so a missing or foreign image is reported, never
+    looked up."""
     problems = []
     C, D = F.source, F.target
+    for x in C.objects:
+        if F.obj_map.get(x) not in D.objects:
+            problems.append(f"{x}: image missing or not an object")
     for f, (a, b) in C.morphisms.items():
         g = F.mor_map.get(f)
-        if g is None or D.morphisms.get(g) != (F.obj_map[a], F.obj_map[b]):
-            problems.append(f"{f}: image missing or has wrong endpoints")
+        if g not in D.morphisms:
+            problems.append(f"{f}: image missing or not a morphism")
+        elif D.morphisms[g] != (F.obj_map.get(a), F.obj_map.get(b)):
+            problems.append(f"{f}: image has wrong endpoints")
+    if problems:
+        return Report("functor", problems)
     for x in C.objects:
-        if F.mor_map.get(C.identity[x]) != D.identity.get(F.obj_map[x]):
+        if F.mor_map[C.identity[x]] != D.identity.get(F.obj_map[x]):
             problems.append(f"{x}: identity not preserved")
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if C.tgt(f) != C.src(g):
-                continue
-            if F.mor_map[C.then(f, g)] != D.then(F.mor_map[f], F.mor_map[g]):
-                problems.append(f"composition not preserved on ({f}, {g})")
+    for (f, g), h in C.compose.items():
+        if F.mor_map[h] != D.compose.get((F.mor_map[f], F.mor_map[g])):
+            problems.append(f"composition not preserved on ({f}, {g})")
     return Report("functor", problems)
+
+
+def _product(A: FinCategory, B: FinCategory) -> FinCategory:
+    """A x B, whose objects and morphisms are pairs."""
+    pairs = itertools.product
+    return FinCategory(
+        tuple(pairs(A.objects, B.objects)),
+        {
+            (a, b): ((A.src(a), B.src(b)), (A.tgt(a), B.tgt(b)))
+            for a, b in pairs(A.morphisms, B.morphisms)
+        },
+        {(x, y): (A.identity[x], B.identity[y]) for x, y in pairs(A.objects, B.objects)},
+        {
+            ((a, b), (a2, b2)): (A.compose[(a, a2)], B.compose[(b, b2)])
+            for (a, a2), (b, b2) in pairs(A.compose, B.compose)
+        },
+    )
 
 
 def _atoms(C: FinCategory):
@@ -560,105 +587,53 @@ class Fin2Category:
 
 
 def validate_2cat(D: Fin2Category) -> Report:
+    """Whether D is a 2-category, in three stages, each run only if the
+    ones before it found nothing: every hom is a category and every
+    object has a unit 1-cell; for each composable (x, y, z), hc1 and hc2
+    form a functor hom(x, y) x hom(y, z) -> hom(x, z) (`validate_functor`:
+    totality, endpoints, identities and interchange); and the units and
+    associativity laws hold for hc1 on 1-cells and hc2 on 2-cells."""
     problems = []
     for (x, y), H in D.hom.items():
-        sub = validate_category(H)
-        for v in sub.violations:
+        for v in validate_category(H).violations:
             problems.append(f"hom({x},{y}): {v}")
     for x in D.objects:
         H = D.hom_at(x, x)
         if H is None or D.unit1.get(x) not in H.objects:
             problems.append(f"{x}: missing unit 1-cell")
-    # horizontal composition: totality, functoriality, units, associativity
-    for x in D.objects:
-        for y in D.objects:
-            for z in D.objects:
-                Hxy, Hyz = D.hom_at(x, y), D.hom_at(y, z)
-                if Hxy is None or Hyz is None:
-                    continue
-                t1 = D.hcompose1.get((x, y, z))
-                t2 = D.hcompose2.get((x, y, z))
-                Hxz = D.hom_at(x, z)
-                if t1 is None or t2 is None or Hxz is None:
-                    problems.append(f"hcompose missing at ({x},{y},{z})")
-                    continue
-                before = len(problems)
-                for f in Hxy.objects:
-                    for g in Hyz.objects:
-                        h = t1.get((f, g))
-                        if h is None or h not in Hxz.objects:
-                            problems.append(f"hc1 bad on ({x},{y},{z}) ({f},{g})")
-                for a in Hxy.morphisms:
-                    for b in Hyz.morphisms:
-                        c = t2.get((a, b))
-                        if c is None or c not in Hxz.morphisms:
-                            problems.append(f"hc2 bad on ({x},{y},{z}) ({a},{b})")
-                            continue
-                        want = (
-                            t1[(Hxy.src(a), Hyz.src(b))],
-                            t1[(Hxy.tgt(a), Hyz.tgt(b))],
-                        )
-                        if Hxz.morphisms[c] != want:
-                            problems.append(
-                                f"hc2 endpoints wrong on ({x},{y},{z}) ({a},{b})"
-                            )
-                if len(problems) > before:
-                    continue
-                for f in Hxy.objects:
-                    for g in Hyz.objects:
-                        if t2[(Hxy.identity[f], Hyz.identity[g])] != Hxz.identity[
-                            t1[(f, g)]
-                        ]:
-                            problems.append(
-                                f"hc does not preserve identities at ({f},{g})"
-                            )
-                # interchange: hc2 preserves vertical composition
-                for a in Hxy.morphisms:
-                    for a2 in Hxy.morphisms:
-                        if Hxy.tgt(a) != Hxy.src(a2):
-                            continue
-                        for b in Hyz.morphisms:
-                            for b2 in Hyz.morphisms:
-                                if Hyz.tgt(b) != Hyz.src(b2):
-                                    continue
-                                lhs = t2[(Hxy.then(a, a2), Hyz.then(b, b2))]
-                                rhs = Hxz.then(t2[(a, b)], t2[(a2, b2)])
-                                if lhs != rhs:
-                                    problems.append(
-                                        "interchange fails on "
-                                        f"({x},{y},{z}) ({a},{a2},{b},{b2})"
-                                    )
-    for x in D.objects:
-        for y in D.objects:
-            Hxy = D.hom_at(x, y)
-            if Hxy is None:
+    if problems:
+        return Report("2-category", problems)
+    for x, y, z in itertools.product(D.objects, repeat=3):
+        if (x, y) not in D.hom or (y, z) not in D.hom:
+            continue
+        t1, t2 = D.hcompose1.get((x, y, z)), D.hcompose2.get((x, y, z))
+        if t1 is None or t2 is None or (x, z) not in D.hom:
+            problems.append(f"hcompose missing at ({x},{y},{z})")
+            continue
+        hc = Functor(_product(D.hom[(x, y)], D.hom[(y, z)]), D.hom[(x, z)], t1, t2)
+        for v in validate_functor(hc).violations:
+            problems.append(f"hc on ({x},{y},{z}): {v}")
+    if problems:
+        return Report("2-category", problems)
+    for n, tables, cells, unit in (
+        (1, D.hcompose1, lambda H: H.objects, D.unit1.get),
+        (2, D.hcompose2, lambda H: H.morphisms,
+         lambda x: D.hom[(x, x)].identity[D.unit1[x]]),
+    ):
+        for (x, y), H in D.hom.items():
+            for f in cells(H):
+                if tables[(x, x, y)][(unit(x), f)] != f:
+                    problems.append(f"left unit fails on {n}-cell {f} of hom({x},{y})")
+                if tables[(x, y, y)][(f, unit(y))] != f:
+                    problems.append(f"right unit fails on {n}-cell {f} of hom({x},{y})")
+        for w, x, y, z in itertools.product(D.objects, repeat=4):
+            if not {(w, x), (x, y), (y, z)} <= D.hom.keys():
                 continue
-            tl = D.hcompose1.get((x, x, y), {})
-            tr = D.hcompose1.get((x, y, y), {})
-            for f in Hxy.objects:
-                if tl.get((D.unit1[x], f)) != f:
-                    problems.append(f"left horizontal unit fails at ({x},{y}) {f}")
-                if tr.get((f, D.unit1[y])) != f:
-                    problems.append(f"right horizontal unit fails at ({x},{y}) {f}")
-    for w in D.objects:
-        for x in D.objects:
-            for y in D.objects:
-                for z in D.objects:
-                    if (
-                        D.hom_at(w, x) is None
-                        or D.hom_at(x, y) is None
-                        or D.hom_at(y, z) is None
-                    ):
-                        continue
-                    for f in D.hom_at(w, x).objects:
-                        for g in D.hom_at(x, y).objects:
-                            for h in D.hom_at(y, z).objects:
-                                lhs = D.hc1(w, y, z, D.hc1(w, x, y, f, g), h)
-                                rhs = D.hc1(w, x, z, f, D.hc1(x, y, z, g, h))
-                                if lhs != rhs:
-                                    problems.append(
-                                        f"horizontal associativity fails ({f},{g},{h})"
-                                    )
+            homs = (cells(D.hom[(w, x)]), cells(D.hom[(x, y)]), cells(D.hom[(y, z)]))
+            for f, g, h in itertools.product(*homs):
+                lhs = tables[(w, y, z)][(tables[(w, x, y)][(f, g)], h)]
+                if lhs != tables[(w, x, z)][(f, tables[(x, y, z)][(g, h)])]:
+                    problems.append(f"associativity fails on {n}-cells ({f},{g},{h})")
     return Report("2-category", problems)
 
 
@@ -942,62 +917,24 @@ def identity_two_functor(D: Fin2Category) -> TwoFunctor:
 
 
 def validate_two_functor(F: TwoFunctor) -> Report:
+    """Whether F is a 2-functor between the 2-categories F.source and
+    F.target: each object has an image, each hom map is a functor into
+    the hom between the images (`validate_functor`), and, once all of
+    them are, the unit 1-cells, hc1 and hc2 are preserved."""
     problems = []
     D, E = F.source, F.target
     for x in D.objects:
-        if F.obj(x) not in E.objects:
+        if F.on_objects.get(x) not in E.objects:
             problems.append(f"{x}: image not an object")
     for (x, y), H in D.hom.items():
-        He = E.hom_at(F.obj(x), F.obj(y))
-        om, mm = F.hom_maps[(x, y)]
+        He = E.hom_at(F.on_objects.get(x), F.on_objects.get(y))
         if He is None:
             problems.append(f"hom({x},{y}): target hom empty")
             continue
-        for f in H.objects:
-            if om.get(f) not in He.objects:
-                problems.append(f"1-cell {f}: bad image")
-        for m in H.morphisms:
-            img = mm.get(m)
-            if img not in He.morphisms:
-                problems.append(f"2-cell {m}: bad image")
-                continue
-            if He.morphisms[img] != (om[H.src(m)], om[H.tgt(m)]):
-                problems.append(f"2-cell {m}: image endpoints wrong")
-        for f in H.objects:
-            if mm[H.identity[f]] != He.identity[om[f]]:
-                problems.append(f"identity 2-cell of {f} not preserved")
-        for m in H.morphisms:
-            for n in H.morphisms:
-                if H.tgt(m) != H.src(n):
-                    continue
-                if mm[H.then(m, n)] != He.then(mm[m], mm[n]):
-                    problems.append(f"vertical composition broken on ({m},{n})")
-    for x in D.objects:
-        u = D.unit1[x]
-        if F.one(x, x, u) != E.unit1[F.obj(x)]:
-            problems.append(f"unit 1-cell at {x} not preserved")
-    for x in D.objects:
-        for y in D.objects:
-            for z in D.objects:
-                if D.hom_at(x, y) is None or D.hom_at(y, z) is None:
-                    continue
-                fx, fy, fz = F.obj(x), F.obj(y), F.obj(z)
-                for f in D.hom_at(x, y).objects:
-                    for g in D.hom_at(y, z).objects:
-                        lhs = F.one(x, z, D.hc1(x, y, z, f, g))
-                        rhs = E.hc1(fx, fy, fz, F.one(x, y, f), F.one(y, z, g))
-                        if lhs != rhs:
-                            problems.append(
-                                f"horizontal 1-composition broken on ({f},{g})"
-                            )
-                for a in D.hom_at(x, y).morphisms:
-                    for b in D.hom_at(y, z).morphisms:
-                        lhs = F.two(x, z, D.hc2(x, y, z, a, b))
-                        rhs = E.hc2(fx, fy, fz, F.two(x, y, a), F.two(y, z, b))
-                        if lhs != rhs:
-                            problems.append(
-                                f"horizontal 2-composition broken on ({a},{b})"
-                            )
+        for v in validate_functor(Functor(H, He, *F.hom_maps[(x, y)])).violations:
+            problems.append(f"hom({x},{y}): {v}")
+    if not problems:
+        problems += _horizontal_failures(D, E, F.on_objects, F.hom_maps, lambda: None)
     return Report("2-functor", problems)
 
 
@@ -1050,39 +987,39 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
                     results.append(
                         TwoFunctor.from_segments(D, E, dict(on_objects), chosen)
                     )
-                elif _preserves_composition(D, E, on_objects, chosen, guard):
-                    tables = {p: (F.obj_map, F.mor_map) for p, F in chosen.items()}
+                    continue
+                tables = {p: (F.obj_map, F.mor_map) for p, F in chosen.items()}
+                failures = _horizontal_failures(D, E, on_objects, tables, guard.step)
+                if next(failures, None) is None:
                     results.append(
                         TwoFunctor.from_tables(D, E, dict(on_objects), tables)
                     )
     return results
 
 
-def _preserves_composition(D, E, on_objects, functors, guard):
-    """Whether the hom functors {(x, y): Functor} over the object images
-    on_objects preserve D's unit 1-cells, hc1 and hc2.  Stops at the
-    first failure; each composite compared is one guard step."""
+def _horizontal_failures(D, E, on_objects, hom_maps, step):
+    """The violations, one at a time, of D's unit 1-cells, hc1 and hc2 by
+    the hom tables {(x, y): (1-cell map, 2-cell map)} over the object
+    images on_objects, which must be sound; step() is called before each
+    composite is compared."""
     for x in D.objects:
-        if functors[(x, x)].obj_map[D.unit1[x]] != E.unit1[on_objects[x]]:
-            return False
+        if hom_maps[(x, x)][0][D.unit1[x]] != E.unit1[on_objects[x]]:
+            yield f"unit 1-cell at {x} not preserved"
     for x, y, z in itertools.product(D.objects, repeat=3):
-        if (x, y) not in functors or (y, z) not in functors:
+        if (x, y) not in hom_maps or (y, z) not in hom_maps:
             continue
-        fx, fy, fz = on_objects[x], on_objects[y], on_objects[z]
-        F, G, H = functors[(x, y)], functors[(y, z)], functors[(x, z)]
+        images = (on_objects[x], on_objects[y], on_objects[z])
+        (o1, m1), (o2, m2) = hom_maps[(x, y)], hom_maps[(y, z)]
+        o3, m3 = hom_maps[(x, z)]
+        t1, t2 = E.hcompose1[images], E.hcompose2[images]
         for f, g in itertools.product(D.hom[(x, y)].objects, D.hom[(y, z)].objects):
-            guard.step()
-            if H.obj_map[D.hc1(x, y, z, f, g)] != E.hc1(
-                fx, fy, fz, F.obj_map[f], G.obj_map[g]
-            ):
-                return False
+            step()
+            if o3[D.hc1(x, y, z, f, g)] != t1[(o1[f], o2[g])]:
+                yield f"horizontal 1-composition broken on ({f},{g})"
         for a, b in itertools.product(D.hom[(x, y)].morphisms, D.hom[(y, z)].morphisms):
-            guard.step()
-            if H.mor_map[D.hc2(x, y, z, a, b)] != E.hc2(
-                fx, fy, fz, F.mor_map[a], G.mor_map[b]
-            ):
-                return False
-    return True
+            step()
+            if m3[D.hc2(x, y, z, a, b)] != t2[(m1[a], m2[b])]:
+                yield f"horizontal 2-composition broken on ({a},{b})"
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,10 @@ segment homs by hc1 or hc2; raw_theta2_decomposition and
 raw_suspension_decomposition give those tables for theta2_object and
 suspend_category.  The library derives each hom(a_i, a_j) from
 hom(a_i, a_{i+1}) and hom(a_{i+1}, a_j) through the horizontal tables.
+
+raw_validate_2cat and raw_validate_two_functor check each law with a loop
+of their own and can raise on a table they have flagged; the library
+checks every functor law through validate_functor and reports instead.
 """
 
 import collections
@@ -42,12 +46,14 @@ import itertools
 from array import array
 
 from theta2kit.msset import (
-    MarkedSSet, MSSetMap, _face_layer, _Guard, _top_dim, _UnionFind, degenerate)
+    MarkedSSet, MSSetMap, Report, _face_layer, _Guard, _top_dim, _UnionFind,
+    degenerate)
 from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import _monotone_maps
 from theta2kit.twocat import (
-    TwoFunctor, _functors, _plan, _poset, enumerate_two_functors, theta2_object)
+    TwoFunctor, _functors, _plan, _poset, enumerate_two_functors, theta2_object,
+    validate_category)
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
@@ -713,3 +719,176 @@ def _fold_two(F, pieces, x):
         g = F._seg_maps[(a, b)].mor_map[atom]
         cur = g if cur is None else E.hc2(fx, F.obj(a), F.obj(b), cur, g)
     return E.hom_at(fx, fx).identity[E.unit1[fx]] if cur is None else cur
+
+
+# ---------------------------------------------------------------------------
+# validators
+
+
+def raw_validate_2cat(D):
+    """validate_2cat as it was before it checked each horizontal composition
+    through validate_functor: it reads tables it has flagged, so a missing
+    entry can raise KeyError, and it checks the unit and associativity
+    laws on 1-cells only."""
+    problems = []
+    for (x, y), H in D.hom.items():
+        sub = validate_category(H)
+        for v in sub.violations:
+            problems.append(f"hom({x},{y}): {v}")
+    for x in D.objects:
+        H = D.hom_at(x, x)
+        if H is None or D.unit1.get(x) not in H.objects:
+            problems.append(f"{x}: missing unit 1-cell")
+    # horizontal composition: totality, functoriality, units, associativity
+    for x in D.objects:
+        for y in D.objects:
+            for z in D.objects:
+                Hxy, Hyz = D.hom_at(x, y), D.hom_at(y, z)
+                if Hxy is None or Hyz is None:
+                    continue
+                t1 = D.hcompose1.get((x, y, z))
+                t2 = D.hcompose2.get((x, y, z))
+                Hxz = D.hom_at(x, z)
+                if t1 is None or t2 is None or Hxz is None:
+                    problems.append(f"hcompose missing at ({x},{y},{z})")
+                    continue
+                before = len(problems)
+                for f in Hxy.objects:
+                    for g in Hyz.objects:
+                        h = t1.get((f, g))
+                        if h is None or h not in Hxz.objects:
+                            problems.append(f"hc1 bad on ({x},{y},{z}) ({f},{g})")
+                for a in Hxy.morphisms:
+                    for b in Hyz.morphisms:
+                        c = t2.get((a, b))
+                        if c is None or c not in Hxz.morphisms:
+                            problems.append(f"hc2 bad on ({x},{y},{z}) ({a},{b})")
+                            continue
+                        want = (
+                            t1[(Hxy.src(a), Hyz.src(b))],
+                            t1[(Hxy.tgt(a), Hyz.tgt(b))],
+                        )
+                        if Hxz.morphisms[c] != want:
+                            problems.append(
+                                f"hc2 endpoints wrong on ({x},{y},{z}) ({a},{b})"
+                            )
+                if len(problems) > before:
+                    continue
+                for f in Hxy.objects:
+                    for g in Hyz.objects:
+                        if t2[(Hxy.identity[f], Hyz.identity[g])] != Hxz.identity[
+                            t1[(f, g)]
+                        ]:
+                            problems.append(
+                                f"hc does not preserve identities at ({f},{g})"
+                            )
+                # interchange: hc2 preserves vertical composition
+                for a in Hxy.morphisms:
+                    for a2 in Hxy.morphisms:
+                        if Hxy.tgt(a) != Hxy.src(a2):
+                            continue
+                        for b in Hyz.morphisms:
+                            for b2 in Hyz.morphisms:
+                                if Hyz.tgt(b) != Hyz.src(b2):
+                                    continue
+                                lhs = t2[(Hxy.then(a, a2), Hyz.then(b, b2))]
+                                rhs = Hxz.then(t2[(a, b)], t2[(a2, b2)])
+                                if lhs != rhs:
+                                    problems.append(
+                                        "interchange fails on "
+                                        f"({x},{y},{z}) ({a},{a2},{b},{b2})"
+                                    )
+    for x in D.objects:
+        for y in D.objects:
+            Hxy = D.hom_at(x, y)
+            if Hxy is None:
+                continue
+            tl = D.hcompose1.get((x, x, y), {})
+            tr = D.hcompose1.get((x, y, y), {})
+            for f in Hxy.objects:
+                if tl.get((D.unit1[x], f)) != f:
+                    problems.append(f"left horizontal unit fails at ({x},{y}) {f}")
+                if tr.get((f, D.unit1[y])) != f:
+                    problems.append(f"right horizontal unit fails at ({x},{y}) {f}")
+    for w in D.objects:
+        for x in D.objects:
+            for y in D.objects:
+                for z in D.objects:
+                    if (
+                        D.hom_at(w, x) is None
+                        or D.hom_at(x, y) is None
+                        or D.hom_at(y, z) is None
+                    ):
+                        continue
+                    for f in D.hom_at(w, x).objects:
+                        for g in D.hom_at(x, y).objects:
+                            for h in D.hom_at(y, z).objects:
+                                lhs = D.hc1(w, y, z, D.hc1(w, x, y, f, g), h)
+                                rhs = D.hc1(w, x, z, f, D.hc1(x, y, z, g, h))
+                                if lhs != rhs:
+                                    problems.append(
+                                        f"horizontal associativity fails ({f},{g},{h})"
+                                    )
+    return Report("2-category", problems)
+
+
+def raw_validate_two_functor(F):
+    """validate_two_functor as it was before it checked each hom map through
+    validate_functor: an image outside the target hom can raise KeyError."""
+    problems = []
+    D, E = F.source, F.target
+    for x in D.objects:
+        if F.obj(x) not in E.objects:
+            problems.append(f"{x}: image not an object")
+    for (x, y), H in D.hom.items():
+        He = E.hom_at(F.obj(x), F.obj(y))
+        om, mm = F.hom_maps[(x, y)]
+        if He is None:
+            problems.append(f"hom({x},{y}): target hom empty")
+            continue
+        for f in H.objects:
+            if om.get(f) not in He.objects:
+                problems.append(f"1-cell {f}: bad image")
+        for m in H.morphisms:
+            img = mm.get(m)
+            if img not in He.morphisms:
+                problems.append(f"2-cell {m}: bad image")
+                continue
+            if He.morphisms[img] != (om[H.src(m)], om[H.tgt(m)]):
+                problems.append(f"2-cell {m}: image endpoints wrong")
+        for f in H.objects:
+            if mm[H.identity[f]] != He.identity[om[f]]:
+                problems.append(f"identity 2-cell of {f} not preserved")
+        for m in H.morphisms:
+            for n in H.morphisms:
+                if H.tgt(m) != H.src(n):
+                    continue
+                if mm[H.then(m, n)] != He.then(mm[m], mm[n]):
+                    problems.append(f"vertical composition broken on ({m},{n})")
+    for x in D.objects:
+        u = D.unit1[x]
+        if F.one(x, x, u) != E.unit1[F.obj(x)]:
+            problems.append(f"unit 1-cell at {x} not preserved")
+    for x in D.objects:
+        for y in D.objects:
+            for z in D.objects:
+                if D.hom_at(x, y) is None or D.hom_at(y, z) is None:
+                    continue
+                fx, fy, fz = F.obj(x), F.obj(y), F.obj(z)
+                for f in D.hom_at(x, y).objects:
+                    for g in D.hom_at(y, z).objects:
+                        lhs = F.one(x, z, D.hc1(x, y, z, f, g))
+                        rhs = E.hc1(fx, fy, fz, F.one(x, y, f), F.one(y, z, g))
+                        if lhs != rhs:
+                            problems.append(
+                                f"horizontal 1-composition broken on ({f},{g})"
+                            )
+                for a in D.hom_at(x, y).morphisms:
+                    for b in D.hom_at(y, z).morphisms:
+                        lhs = F.two(x, z, D.hc2(x, y, z, a, b))
+                        rhs = E.hc2(fx, fy, fz, F.two(x, y, a), F.two(y, z, b))
+                        if lhs != rhs:
+                            problems.append(
+                                f"horizontal 2-composition broken on ({a},{b})"
+                            )
+    return Report("2-functor", problems)

@@ -1,6 +1,9 @@
+import collections
 import gc
 import itertools
 import math
+import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,7 @@ from theta2kit.msset import ResourceLimitError
 
 from raw_oracles import (
     raw_enumerate_full, raw_fold_hom_maps, raw_suspension_decomposition,
-    raw_theta2_decomposition)
+    raw_theta2_decomposition, raw_validate_2cat, raw_validate_two_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +815,168 @@ def test_validate_2cat_negative_control():
     assert any("unit" in v or "hc" in v for v in rep.violations)
 
 
+def _plain(D):
+    """D with plain-dict horizontal tables, which a test may edit."""
+    return T.Fin2Category(
+        D.objects, dict(D.hom), {k: dict(t) for k, t in D.hcompose1.items()},
+        {k: dict(t) for k, t in D.hcompose2.items()}, dict(D.unit1),
+    )
+
+
+def test_validate_2cat_reports_a_missing_hc1_entry():
+    D = _plain(T.theta2_object(T.Theta2Shape(2, (1, 1))))
+    del D.hcompose1[("0", "1", "2")][("(0)", "(0)")]
+    rep = T.validate_2cat(D)  # raised KeyError once the gap was flagged
+    assert not rep.ok
+    assert all(v.startswith("hc on (0,1,2)") for v in rep.violations)
+
+
+def _locally_z2(objects, z2_homs, whisker):
+    """The 2-category on the ordered objects with one 1-cell xy per hom
+    x <= y, 2-cells exy and sxy on the homs in z2_homs and exy alone on
+    the others, vertical composition adding mod 2, and hc2 of 2-cells
+    numbered i and j on (x, y, z) the cell numbered whisker(x, y, z, i, j)."""
+    cells, hom, hc1, hc2 = {}, {}, {}, {}
+    for x, y in itertools.combinations_with_replacement(objects, 2):
+        f = x + y
+        cs = cells[(x, y)] = [f"e{f}", f"s{f}"][: 2 if (x, y) in z2_homs else 1]
+        hom[(x, y)] = T.FinCategory(
+            (f,), {c: (f, f) for c in cs}, {f: cs[0]},
+            {(a, b): cs[(i + j) % 2] for i, a in enumerate(cs) for j, b in enumerate(cs)},
+        )
+    for x, y, z in itertools.combinations_with_replacement(objects, 3):
+        hc1[(x, y, z)] = {(x + y, y + z): x + z}
+        hc2[(x, y, z)] = {
+            (a, b): cells[(x, z)][whisker(x, y, z, i, j)]
+            for i, a in enumerate(cells[(x, y)])
+            for j, b in enumerate(cells[(y, z)])
+        }
+    return T.Fin2Category(tuple(objects), hom, hc1, hc2, {x: x + x for x in objects})
+
+
+def test_validate_2cat_checks_the_unit_law_on_2_cells():
+    # one object, hom(*, *) = Z/2 on the unit 1-cell: Eckmann-Hilton forces
+    # hc2 to be the sum, and the first projection breaks the left unit law
+    z2 = {("*", "*")}
+    assert T.validate_2cat(_locally_z2("*", z2, lambda x, y, z, i, j: i ^ j)).ok
+    first = _locally_z2("*", z2, lambda x, y, z, i, j: i)
+    assert raw_validate_2cat(first).ok
+    rep = T.validate_2cat(first)
+    assert rep.violations == ["left unit fails on 2-cell s** of hom(*,*)"]
+
+
+def test_validate_2cat_checks_associativity_on_2_cells():
+    # 0 < 1 < 2 < 3 with Z/2 on hom(i, 3); whiskering by 12 forgets the
+    # 2-cell of hom(2, 3), so (id01 id12) s23 = s03 but id01 (id12 s23) = e03
+    z2 = {("0", "3"), ("1", "3"), ("2", "3")}
+    assert T.validate_2cat(_locally_z2("0123", z2, lambda x, y, z, i, j: i ^ j)).ok
+    forget = _locally_z2(
+        "0123", z2, lambda x, y, z, i, j: 0 if x + y + z == "123" else i ^ j
+    )
+    assert raw_validate_2cat(forget).ok
+    rep = T.validate_2cat(forget)
+    assert "associativity fails on 2-cells (e01,e12,s23)" in rep.violations
+    assert all("2-cells" in v for v in rep.violations)
+
+
+_C2, _P11 = T.Theta2Shape(1, (1,)), T.Theta2Shape(2, (1, 1))
+
+
+def _first_two_functor():
+    """The first 2-functor [1|1] -> [2|1,1]."""
+    return T.enumerate_two_functors(T.theta2_object(_C2), T.theta2_object(_P11))[0]
+
+
+def test_validate_two_functor_reports_a_bogus_image():
+    F = _first_two_functor()
+    maps = {pair: (dict(om), dict(mm)) for pair, (om, mm) in F.hom_maps.items()}
+    maps[("0", "1")][0]["(0)"] = "bogus"
+    G = T.TwoFunctor.from_tables(F.source, F.target, F.on_objects, maps)
+    with pytest.raises(KeyError):
+        raw_validate_two_functor(G)
+    rep = T.validate_two_functor(G)
+    assert not rep.ok
+    assert "hom(0,1): (0): image missing or not an object" in rep.violations
+
+
+def test_presentation_loader_names_a_bogus_image():
+    from theta2kit import theta as TH
+
+    cells = (TH.BoxCell(_C2), TH.BoxCell(_P11))
+    data = TH.presentation_to_json(
+        TH.Theta2Presentation(cells, ((0, 1, _first_two_functor(), (0,)),))
+    )
+    data["arrows"][0]["functor"]["hom"]["0|1"]["one"]["(0)"] = "bogus"
+    with pytest.raises(ValueError, match="not a 2-functor"):
+        TH.presentation_from_json(data)
+
+
+def _mutate(rng, tables, cells, check, count):
+    """count times: pick an entry of one of tables, replace it with one of
+    cells or "bogus", or delete it, run check() and restore the entry."""
+    entries = [(t, k) for t in tables for k in t]
+    for _ in range(count):
+        t, k = rng.choice(entries)
+        keep, edit = t[k], rng.choice([rng.choice(cells), "bogus", None])
+        if edit is None:
+            del t[k]
+        else:
+            t[k] = edit
+        check()
+        t[k] = keep
+
+
+def _cells(D):
+    """D's 1-cells and 2-cells, each sorted."""
+    return (sorted({f for H in D.hom.values() for f in H.objects}),
+            sorted({a for H in D.hom.values() for a in H.morphisms}))
+
+
+def test_validators_agree_with_oracles_under_mutation():
+    # the validators never raise, reject wherever the oracles raise, and
+    # otherwise agree with them on ok, unless they name a 2-cell law,
+    # which the oracle validate_2cat does not check
+    rng = random.Random(16)
+    outcomes = collections.Counter()
+
+    def agree(new, old):
+        rep = new()
+        try:
+            ok = old().ok
+        except KeyError:
+            assert not rep.ok
+            outcomes["oracle raised"] += 1
+            return
+        if not any("on 2-cell" in v for v in rep.violations):
+            assert rep.ok == ok, rep.violations
+            outcomes["ok" if ok else "rejected"] += 1
+
+    shapes = [(1, (1,)), (2, (1, 1)), (2, (2, 0)), (3, (1, 0, 1))]
+    sources = [T.theta2_object(T.Theta2Shape(m, ks)) for m, ks in shapes]
+    sources += [T.suspend_category(_z2()), T.as_two_category(T.free_iso())]
+    for D in map(_plain, sources):
+        one, two = _cells(D)
+        check = partial(agree, partial(T.validate_2cat, D), partial(raw_validate_2cat, D))
+        _mutate(rng, D.hcompose1.values(), one, check, 30)
+        _mutate(rng, D.hcompose2.values(), two, check, 30)
+        _mutate(rng, [D.unit1], one, check, 10)
+    E, SZ2 = T.theta2_object(T.Theta2Shape(2, (1, 1))), T.suspend_category(_z2())
+    pairs = [(T.cell(2), E), (_stripped(E), E), (SZ2, SZ2), (T.cell(2), SZ2)]
+    for D, E in pairs:
+        one, two = _cells(E)
+        fs = T.enumerate_two_functors(D, E)
+        for F in fs[:: max(1, len(fs) // 6)]:
+            maps = {p: (dict(om), dict(mm)) for p, (om, mm) in F.hom_maps.items()}
+            G = T.TwoFunctor.from_tables(D, E, F.on_objects, maps)
+            check = partial(
+                agree, partial(T.validate_two_functor, G),
+                partial(raw_validate_two_functor, G),
+            )
+            _mutate(rng, [om for om, _ in maps.values()], one, check, 8)
+            _mutate(rng, [mm for _, mm in maps.values()], two, check, 8)
+    assert min(outcomes.values()) > 20, outcomes
+
+
 # ---------------------------------------------------------------------------
 # the generic builders: oracles of product_poset and theta2_object
 
@@ -1016,7 +1181,7 @@ def test_metadata_free_search_keeps_only_composable_choices(monkeypatch):
     assert sorted(F.key() for F in fs) == sorted(F.key() for F in seg)
     assert all(T.validate_two_functor(F).ok for F in fs)
     # the choices of hom functors alone are more
-    monkeypatch.setattr(T, "_preserves_composition", lambda *args: True)
+    monkeypatch.setattr(T, "_horizontal_failures", lambda *args: iter(()))
     assert len(T.enumerate_two_functors(D, E)) > len(fs)
 
 
