@@ -111,15 +111,10 @@ def cmd_lmap(args) -> int:
     if not args.kind:
         raise SpecError("lmap needs --kind or --presentation")
     kind = args.kind.replace("-", "_")
-    if kind == "vertical_segal":
-        P = theta.vertical_segal(args.k)
-    elif kind == "horizontal_segal":
-        ks = tuple(int(t) for t in args.ks.split(",")) if args.ks else ()
-        P = theta.horizontal_segal(args.m, ks)
-    elif kind in ("horizontal_completeness", "vertical_completeness"):
-        P = theta.elementary_cofibration(kind)
-    else:
-        raise SpecError(f"unknown kind {args.kind!r}")
+    ks = tuple(int(t) for t in args.ks.split(",")) if args.ks else ()
+    # the parameters of the kinds that take any; theta dispatches on kind
+    params = {"vertical_segal": (args.k,), "horizontal_segal": (args.m, ks)}
+    P = theta.elementary_cofibration(kind, *params.get(kind, ()))
     f = theta.apply_L_map(P, bound)
     prefix = args.out or "lmap"
     _emit(msset.msset_to_json(f.source), f"{prefix}.source.json")

@@ -60,20 +60,28 @@ def _fits(D: Fin2Category, shape: Theta2Shape) -> bool:
     return True
 
 
+def _check_endpoint(i, cells):
+    """Raise ValueError unless i is an int index into cells."""
+    _check_int(i, 0, "an arrow endpoint")
+    if i >= len(cells):
+        raise ValueError("arrow endpoint out of range")
+
+
 def _check_leg(src: BoxCell, cells, j, F: TwoFunctor, lam):
     """Raise ValueError unless (F, lam) maps the box cell src to cells[j]:
-    j in range, F joins the two shapes, lam a monotone level map."""
-    if not 0 <= j < len(cells):
-        raise ValueError("arrow endpoint out of range")
+    j in range, F joins the two shapes, lam a monotone level map of ints."""
+    _check_endpoint(j, cells)
     dst = cells[j]
     if not (_fits(F.source, src.shape) and _fits(F.target, dst.shape)):
         raise ValueError(f"2-functor does not join {src.shape} and {dst.shape}")
     if len(lam) != src.level + 1:
         raise ValueError("level map has wrong length")
+    for v in lam:
+        _check_int(v, 0, "a level map entry")
     if list(lam) != sorted(lam):
         raise ValueError("level map not monotone")
-    # monotone and of length at least 1: its ends bound its image
-    if lam[0] < 0 or lam[-1] > dst.level:
+    # monotone, of length at least 1 and >= 0: its last entry bounds its image
+    if lam[-1] > dst.level:
         raise ValueError("level map image out of range")
 
 
@@ -90,8 +98,7 @@ class Theta2Presentation:
 
     def __post_init__(self):
         for i, j, F, lam in self.arrows:
-            if not 0 <= i < len(self.cells):
-                raise ValueError("arrow endpoint out of range")
+            _check_endpoint(i, self.cells)
             _check_leg(self.cells[i], self.cells, j, F, lam)
 
 
@@ -600,8 +607,8 @@ def presentation_from_json(data: dict) -> Theta2Presentation:
         arrows = []
         for a in data["arrows"]:
             i, j = a["src"], a["dst"]
-            if not (0 <= i < len(cells) and 0 <= j < len(cells)):
-                raise ValueError("arrow endpoint out of range")
+            _check_endpoint(i, cells)
+            _check_endpoint(j, cells)
             F = _functor_from_json(a["functor"], cells[i].shape, cells[j].shape)
             arrows.append((i, j, F, tuple(a["level_map"])))
         return Theta2Presentation(cells, tuple(arrows))

@@ -537,6 +537,16 @@ class Theta2Shape:
         return f"[{self.m}|{','.join(str(k) for k in self.ks)}]"
 
 
+def _one_to_one(table, left, right, cells) -> bool:
+    """Whether a total horizontal table {(x, y): z} on left x right sends
+    it one to one onto cells."""
+    return (
+        table is not None
+        and len(table) == len(left) * len(right) == len(cells)
+        and set(table.values()) == set(cells)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Fin2Category:
     """A finite 2-category given by hom-categories and horizontal tables.
@@ -544,15 +554,10 @@ class Fin2Category:
     hom maps object pairs with nonempty mapping category to a FinCategory
     whose objects are the 1-cells and whose morphisms are the 2-cells;
     hcompose1/hcompose2 give horizontal composition per object triple.
-    Optional segments (a_0, a_1), ..., (a_{m-1}, a_m) record a free
-    pasting scheme: hom(a_i, a_i) holds only the unit, and each cell of
-    hom(a_i, a_j), j > i + 1, is one horizontal composite of a cell of
-    hom(a_i, a_{i+1}) and one of hom(a_{i+1}, a_j).  Every choice of
-    segment images is then a 2-functor.  Without segments every nonempty
-    hom is a generating pair, and each choice of hom functors is checked
-    against the horizontal compositions.  The tables are read through the
-    Mapping protocol only: `theta2_object` gives read-only mappings built
-    on lookup, the other constructors and the JSON loader plain dicts.
+    The tables are read through the Mapping protocol only:
+    `theta2_object` gives read-only mappings built on lookup, the other
+    constructors and the JSON loader plain dicts.  `segments` is derived
+    from the tables, never declared.
     """
 
     objects: tuple
@@ -560,7 +565,34 @@ class Fin2Category:
     hcompose1: Mapping  # (x, y, z) -> Mapping {(f, g): h}
     hcompose2: Mapping  # (x, y, z) -> Mapping {(alpha, beta): gamma}
     unit1: dict  # x -> 1-cell id in hom(x, x)
-    segments: tuple = None
+
+    @cached_property
+    def segments(self):
+        """The segments (a_0, a_1), ..., (a_{m-1}, a_m) when the objects,
+        ordered by how many nonempty homs leave each, form a free pasting
+        scheme, and None otherwise.  Free means: hom(a_i, a_j) is nonempty
+        exactly when i <= j, hom(a_i, a_i) holds only the unit, and for
+        j > i + 1 horizontal composition sends hom(a_i, a_{i+1}) x
+        hom(a_{i+1}, a_j) one to one onto hom(a_i, a_j), on 1-cells and on
+        2-cells.  Every choice of segment images is then a 2-functor.
+        Only the chain's own homs and tables are read."""
+        starts = [x for x, _ in self.hom]
+        chain = sorted(self.objects, key=starts.count, reverse=True)
+        if set(self.hom) != set(itertools.combinations_with_replacement(chain, 2)):
+            return None
+        if any(len(self.hom[(a, a)].morphisms) != 1 for a in chain):
+            return None
+        for i in range(len(chain) - 2):
+            a, b = chain[i], chain[i + 1]
+            for c in chain[i + 2:]:
+                H1, H2, H3 = self.hom[(a, b)], self.hom[(b, c)], self.hom[(a, c)]
+                t1, t2 = self.hcompose1.get((a, b, c)), self.hcompose2.get((a, b, c))
+                if not (
+                    _one_to_one(t1, H1.objects, H2.objects, H3.objects)
+                    and _one_to_one(t2, H1.morphisms, H2.morphisms, H3.morphisms)
+                ):
+                    return None
+        return tuple(zip(chain, chain[1:]))
 
     def hom_at(self, x, y):
         return self.hom.get((x, y))
@@ -656,15 +688,7 @@ def suspend_category(C: FinCategory) -> Fin2Category:
         hcompose1[("bot", "top", "top")] = {(f, "*"): f for f in C.objects}
         hcompose2[("bot", "bot", "top")] = {("id", m): m for m in C.morphisms}
         hcompose2[("bot", "top", "top")] = {(m, "id"): m for m in C.morphisms}
-    # an empty C leaves no hom(bot, top) for the segment to generate
-    return Fin2Category(
-        ("bot", "top"),
-        hom,
-        hcompose1,
-        hcompose2,
-        {"bot": "*", "top": "*"},
-        segments=(("bot", "top"),) if C.objects else None,
-    )
+    return Fin2Category(("bot", "top"), hom, hcompose1, hcompose2, {"bot": "*", "top": "*"})
 
 
 class _LazyTable(Mapping):
@@ -757,7 +781,6 @@ def theta2_object(shape: Theta2Shape) -> Fin2Category:
         _LazyTable(triples, partial(_hcompose1, built)),
         _LazyTable(triples, partial(_hcompose2, built)),
         {x: _enc(()) for x in objects},
-        segments=tuple(zip(objects, objects[1:])),
     )
 
 
@@ -830,6 +853,8 @@ class TwoFunctor:
 
     @classmethod
     def from_segments(cls, source, target, on_objects, seg_maps):
+        if source.segments is None:
+            raise ValueError("from_segments: the source is not a free pasting scheme")
         return cls(source, target, on_objects, seg_maps=seg_maps)
 
     def obj(self, x):
@@ -841,8 +866,7 @@ class TwoFunctor:
         in the source's hom order.  From segments, walking the chain a_m,
         ..., a_0: hom(a_i, a_i) keeps the unit, hom(a_i, a_{i+1}) is the
         segment functor, and hom(a_i, a_j) sends each hc(f, g) to the
-        target's hc of the images of f and g.  ValueError names a hom of
-        the source that the walk does not reach."""
+        target's hc of the images of f and g."""
         if self._seg_maps is None:
             return self._hom_maps
         D, E, on = self.source, self.target, self.on_objects
@@ -869,9 +893,6 @@ class TwoFunctor:
                     {h: t1[(o1[f], o2[g])] for (f, g), h in D.hcompose1[key].items()},
                     {h: t2[(m1[p], m2[q])] for (p, q), h in D.hcompose2[key].items()},
                 )
-        for x, y in D.hom:
-            if (x, y) not in maps:
-                raise ValueError(f"the source's segments do not reach hom({x}, {y})")
         return {pair: maps[pair] for pair in D.hom}
 
     def one(self, x, y, f):
@@ -920,30 +941,49 @@ def validate_two_functor(F: TwoFunctor) -> Report:
     """Whether F is a 2-functor between the 2-categories F.source and
     F.target: each object has an image, each hom map is a functor into
     the hom between the images (`validate_functor`), and, once all of
-    them are, the unit 1-cells, hc1 and hc2 are preserved."""
+    them are, the unit 1-cells, hc1 and hc2 are preserved.  A 2-functor
+    given by segments derives its other hom maps through the target's
+    horizontal tables, so its object images and segment functors are
+    checked first, and the rest only if they are sound."""
     problems = []
     D, E = F.source, F.target
     for x in D.objects:
         if F.on_objects.get(x) not in E.objects:
             problems.append(f"{x}: image not an object")
-    for (x, y), H in D.hom.items():
-        He = E.hom_at(F.on_objects.get(x), F.on_objects.get(y))
-        if He is None:
-            problems.append(f"hom({x},{y}): target hom empty")
-            continue
-        for v in validate_functor(Functor(H, He, *F.hom_maps[(x, y)])).violations:
-            problems.append(f"hom({x},{y}): {v}")
+    if F._seg_maps is not None:
+        segs = {pair: (s.obj_map, s.mor_map) for pair, s in F._seg_maps.items()}
+        problems += _hom_failures(D, E, F.on_objects, D.segments, segs)
+        if problems:
+            return Report("2-functor", problems)
+    problems += _hom_failures(D, E, F.on_objects, D.hom, F.hom_maps)
     if not problems:
         problems += _horizontal_failures(D, E, F.on_objects, F.hom_maps, lambda: None)
     return Report("2-functor", problems)
+
+
+def _hom_failures(D, E, on_objects, pairs, hom_maps):
+    """The violations of the hom tables {(x, y): (1-cell map, 2-cell map)}
+    on pairs, each checked by `validate_functor` into the hom of E between
+    the images of x and y."""
+    for x, y in pairs:
+        He = E.hom_at(on_objects.get(x), on_objects.get(y))
+        if He is None:
+            yield f"hom({x},{y}): target hom empty"
+        elif (x, y) not in hom_maps:
+            yield f"hom({x},{y}): no hom map"
+        else:
+            F = Functor(D.hom[(x, y)], He, *hom_maps[(x, y)])
+            for v in validate_functor(F).violations:
+                yield f"hom({x},{y}): {v}"
 
 
 def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     """All 2-functors D -> E, duplicate-free and canonically ordered.
 
     A 2-functor is given by its object images and one functor per
-    generating hom of D: D's segments when D records a free pasting
-    scheme, and every nonempty hom of D, in sorted order, otherwise.
+    generating hom of D: D's segments when D is a free pasting scheme
+    (`Fin2Category.segments`), and every nonempty hom of D, in sorted
+    order, otherwise.
     Object images come from `_object_maps`, with the generating pairs as
     the pairs that must land on nonempty homs of E.  The functors from a
     generating hom to a target hom are enumerated once per call for each
@@ -984,9 +1024,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
                 guard.step()
                 chosen = dict(zip(gens, combo))
                 if free:
-                    results.append(
-                        TwoFunctor.from_segments(D, E, dict(on_objects), chosen)
-                    )
+                    results.append(TwoFunctor(D, E, dict(on_objects), seg_maps=chosen))
                     continue
                 tables = {p: (F.obj_map, F.mor_map) for p, F in chosen.items()}
                 failures = _horizontal_failures(D, E, on_objects, tables, guard.step)

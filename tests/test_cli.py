@@ -148,6 +148,29 @@ def test_lmap_without_kind_or_presentation_exits_2(capsys):
     assert main(["lmap"]) == 2
 
 
+def test_lmap_of_unknown_kind_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["lmap", "--kind", "diagonal-segal", "--out", str(out)]) == 2
+    assert "unknown kind 'diagonal_segal'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("level_map", [[0.5, 1], [False, True]])
+def test_lmap_of_non_int_level_map_exits_2(level_map, tmp_path, capsys):
+    # [0.5, 1] was loaded, and L of it raised a bare KeyError
+    from theta2kit import theta as TH
+
+    point = T.Theta2Shape(0, ())
+    cells = (TH.BoxCell(point, 1),) * 2
+    F = TH.shape_functor(point, point, [0])
+    data = TH.presentation_to_json(TH.Theta2Presentation(cells, ((0, 1, F, (0, 1)),)))
+    data["arrows"][0]["level_map"] = level_map
+    pres = tmp_path / "w.json"
+    pres.write_text(json.dumps(data))
+    assert main(["lmap", "--presentation", str(pres), "--bound", "3"]) == 2
+    assert "level map entry" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify command
 

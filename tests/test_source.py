@@ -248,3 +248,32 @@ def test_dead_definition_scan_sees_every_form(tmp_path):
     assert _unnamed_definitions([mod], [mod, use]) == [
         "mod.unused", "mod.C.n", "mod.Unused"
     ]
+
+
+def _segments_reads(path):
+    """The lines of path that read or set an attribute named segments."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "segments"
+    ]
+
+
+def test_library_decides_freeness_in_twocat():
+    # whether a 2-category is a free pasting scheme is derived, and read,
+    # in twocat alone; other modules go through its 2-functor constructors
+    assert any(_segments_reads(path) for path in SOURCES if path.stem == "twocat")
+    found = [
+        f"{path.name}:{line}" for path in SOURCES if path.stem != "twocat"
+        for line in _segments_reads(path)
+    ]
+    assert found == []
+
+
+def test_segments_scan_sees_every_read(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "segs = D.segments\nif self.segments is None:\n    pass\n"
+        "f(x.y.segments, segments)\nsegments = 1\ndef segments():\n    pass\n"
+    )
+    assert _segments_reads(path) == [1, 2, 4]

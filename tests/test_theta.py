@@ -582,6 +582,33 @@ def test_presentation_json_rejects_malformed_data(damage):
         TH.presentation_from_json(data)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("level_map", [0.5, 1], "level map entry"),
+    ("level_map", [False, True], "level map entry"),
+    ("level_map", [-1, 0], "level map entry"),
+    ("src", True, "arrow endpoint"),
+    ("dst", True, "arrow endpoint"),
+    ("dst", 1.0, "arrow endpoint"),
+])
+def test_presentation_loader_rejects_non_int_level_maps_and_endpoints(
+    field, value, message
+):
+    # a level map [0.5, 1] or [False, True] and an endpoint True were
+    # loaded; evaluate then raised a bare KeyError on the first
+    cells = (TH.BoxCell(POINT, 1),) * 2
+    F = TH.shape_functor(POINT, POINT, [0])
+    W = TH.Theta2Presentation(cells, ((0, 1, F, (0, 1)),))
+    assert TH.presentation_from_json(TH.presentation_to_json(W)) == W
+    data = TH.presentation_to_json(W)
+    arrow = data["arrows"][0]
+    arrow[field] = value
+    with pytest.raises(ValueError, match=message):
+        TH.presentation_from_json(data)
+    leg = (arrow["src"], arrow["dst"], F, tuple(arrow["level_map"]))
+    with pytest.raises(ValueError, match=message):
+        TH.Theta2Presentation(cells, (leg,))
+
+
 @pytest.mark.parametrize("level", [1.5, True, "a", -1])
 def test_box_cell_rejects_bad_levels(level):
     # 1.5 and True were accepted and failed later in apply_L with a bare

@@ -495,13 +495,13 @@ def test_theta2_object_tables_are_mappings():
 
 def _count_table_builds(monkeypatch):
     """Make every lazy table of theta2_object count its builds in the
-    list returned, one entry per build."""
+    list returned, one entry (id of the table, group) per build."""
     builds = []
     init = T._LazyTable.__init__
 
     def counted(self, keys, build):
         def build_counted(group):
-            builds.append(group)
+            builds.append((id(self), group))
             return build(group)
 
         init(self, keys, build_counted)
@@ -515,7 +515,13 @@ def test_enumerating_two_functors_builds_no_horizontal_table(monkeypatch):
     D = T.theta2_object(T.Theta2Shape(2, (2, 2)))
     E = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
     fs = T.enumerate_two_functors(D, E)
-    assert len(fs) == 4664 and builds == []
+    # deciding that D is free reads D's tables of its one chain triple
+    # (0, 1, 2), the slice pair ((2,), (2,)); no table of E is built
+    chain = ((2,), (2,))
+    assert len(fs) == 4664
+    assert sorted(builds) == sorted(
+        [(id(D.hcompose1), chain), (id(D.hcompose2), chain)]
+    )
     # the tables are there when a caller reads them: a functor's full
     # tables go through D's and E's horizontal composites
     fs[-1].hom_maps
@@ -531,7 +537,7 @@ def test_horizontal_tables_built_once_per_slice_pair(monkeypatch):
     pairs = {((2,) * (j - i), (2,) * (l - j))
              for i in range(4) for j in range(i, 4) for l in range(j, 4)}
     assert len(th.hcompose1) == 20 and len(pairs) == 10
-    assert sorted(builds, key=repr) == sorted(pairs, key=repr)
+    assert sorted(builds) == sorted((id(th.hcompose1), p) for p in pairs)
 
 
 def test_segment_homs_planned_once_per_call(monkeypatch):
@@ -780,18 +786,66 @@ def test_segment_tables_match_decomposition_fold():
     assert (len(sources), len(targets), count) == (18, 23, 15_675)
 
 
-def test_segments_that_miss_a_hom_raise():
-    D = T.theta2_object(T.Theta2Shape(2, (1, 1)))
-    short = T.Fin2Category(
-        D.objects, D.hom, D.hcompose1, D.hcompose2, D.unit1, segments=D.segments[:1]
-    )
-    H = D.hom_at("0", "1")
+def test_from_segments_of_a_source_that_is_not_free_raises():
+    I = T.as_two_category(T.free_iso())
+    H = I.hom_at("a", "b")
     seg = T.Functor(H, H, {f: f for f in H.objects}, {m: m for m in H.morphisms})
-    F = T.TwoFunctor.from_segments(
-        short, D, {x: x for x in D.objects}, {("0", "1"): seg}
+    with pytest.raises(ValueError, match="not a free pasting scheme"):
+        T.TwoFunctor.from_segments(I, I, {"a": "a", "b": "b"}, {("a", "b"): seg})
+
+
+def test_segments_are_derived_for_the_free_constructors():
+    # the values theta2_object and suspend_category used to record
+    for shape in _shapes(3, 2):
+        D = T.theta2_object(shape)
+        assert D.segments == tuple(zip(D.objects, D.objects[1:])), shape
+    for C in [T.ordinal(m) for m in range(-1, 4)] + [_z2(), T.free_iso()]:
+        want = (("bot", "top"),) if C.objects else None
+        assert T.suspend_category(C).segments == want, C.objects
+    # and the ones nothing recorded: a free 1-category has its arrows
+    A = T.as_two_category(T.ordinal(3))
+    assert A.segments == (("0", "1"), ("1", "2"), ("2", "3"))
+    assert T.as_two_category(T.terminal_category()).segments == ()
+    assert T.as_two_category(T.ordinal(-1)).segments == ()
+
+
+def test_segments_are_none_unless_free():
+    # the free isomorphism has homs both ways
+    I = T.as_two_category(T.free_iso())
+    assert I.segments is None
+    # ... and has only its 2 true 2-functors into [1|1], out of the 4
+    # choices of images for f and g
+    fs = T.enumerate_two_functors(I, T.cell(2))
+    assert len(fs) == 2 and all(T.validate_two_functor(F).ok for F in fs)
+    # two objects and no hom between them
+    discrete = T.FinCategory(
+        ("a", "b"), {"a>a": ("a", "a"), "b>b": ("b", "b")}, {"a": "a>a", "b": "b>b"},
+        {("a>a", "a>a"): "a>a", ("b>b", "b>b"): "b>b"},
     )
-    with pytest.raises(ValueError, match=r"hom\(0, 2\)"):
-        F.hom_maps
+    assert T.as_two_category(discrete).segments is None
+    # one object whose unit 1-cell has a 2-cell besides its identity
+    loop = _locally_z2("*", {("*", "*")}, lambda x, y, z, i, j: i ^ j)
+    assert T.validate_2cat(loop).ok and loop.segments is None
+    # hom(0, 2) of [2|1,1] is no longer the product of the segment homs
+    # once two 1-cells, or two 2-cells, compose to one
+    P11 = T.theta2_object(T.Theta2Shape(2, (1, 1)))
+    assert _plain(P11).segments == (("0", "1"), ("1", "2"))
+    for table, a, b in [("hcompose1", "(1)", "(0)"), ("hcompose2", "(1)>(1)", "(0)>(0)")]:
+        D = _plain(P11)
+        t = getattr(D, table)[("0", "1", "2")]
+        t[(b, a)] = t[(b, b)]
+        assert D.segments is None, table
+
+
+def test_json_round_trip_enumerates_the_same_functors():
+    targets = [T.theta2_object(T.Theta2Shape(2, (1, 1))), T.suspend_category(_z2())]
+    for shape in _shapes(3, 2):
+        D = T.theta2_object(shape)
+        loaded = T.two_category_from_json(T.two_category_to_json(D))
+        assert loaded.segments == D.segments, shape
+        for E in targets:
+            want = [F.key() for F in T.enumerate_two_functors(D, E)]
+            assert [F.key() for F in T.enumerate_two_functors(loaded, E)] == want
 
 
 def test_as_two_category():
@@ -897,6 +951,25 @@ def test_validate_two_functor_reports_a_bogus_image():
     rep = T.validate_two_functor(G)
     assert not rep.ok
     assert "hom(0,1): (0): image missing or not an object" in rep.violations
+
+
+def test_validate_two_functor_reports_a_bogus_segment_image():
+    # the other tables of a segment functor are derived through the
+    # target's horizontal tables, which have no entry for "bogus"
+    P11 = T.theta2_object(_P11)
+    F = T.enumerate_two_functors(P11, P11)[0]
+    segs = {
+        pair: T.Functor(s.source, s.target, dict(s.obj_map), dict(s.mor_map))
+        for pair, s in F._seg_maps.items()
+    }
+    segs[("0", "1")].obj_map["(0)"] = "bogus"
+    G = T.TwoFunctor.from_segments(P11, P11, F.on_objects, segs)
+    rep = T.validate_two_functor(G)
+    assert "hom(0,1): (0): image missing or not an object" in rep.violations
+    assert all(v.startswith("hom(0,1): ") for v in rep.violations)
+    del segs[("1", "2")]
+    rep = T.validate_two_functor(G)
+    assert "hom(1,2): no hom map" in rep.violations
 
 
 def test_presentation_loader_names_a_bogus_image():
@@ -1037,10 +1110,7 @@ def _theta2_object_by_comparison(shape):
                 hcompose1[key] = t1
                 hcompose2[key] = t2
     unit1 = {str(i): T._enc(()) for i in range(m + 1)}
-    segments = tuple((str(i), str(i + 1)) for i in range(m))
-    return T.Fin2Category(
-        objects, hom, hcompose1, hcompose2, unit1, segments=segments
-    )
+    return T.Fin2Category(objects, hom, hcompose1, hcompose2, unit1)
 
 
 def _category_tables(C):
@@ -1083,7 +1153,7 @@ def test_theta2_object_matches_comparison_oracle(m):
                 (k, list(t.items())) for k, t in getattr(want, table).items()
             ], (shape, table)
         assert list(got.unit1.items()) == list(want.unit1.items()), shape
-        assert got.segments == want.segments
+        assert got.segments == want.segments == tuple(zip(got.objects, got.objects[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -1115,22 +1185,25 @@ def test_segment_and_full_enumeration_agree():
     D = T.theta2_object(T.Theta2Shape(1, (1,)))
     E = T.theta2_object(T.Theta2Shape(1, (2,)))
     seg = T.enumerate_two_functors(D, E)
-    stripped = T.Fin2Category(
-        D.objects, D.hom, D.hcompose1, D.hcompose2, D.unit1
-    )
-    full = T.enumerate_two_functors(stripped, E)
+    full = T.enumerate_two_functors(_stripped(D), E)
     assert len(seg) == len(full)
     assert sorted(F.key() for F in seg) == sorted(F.key() for F in full)
 
 
 def _stripped(D):
-    """D without its segments."""
-    return T.Fin2Category(D.objects, D.hom, D.hcompose1, D.hcompose2, D.unit1)
+    """D with its segments preset to None, so that the 2-functor search
+    checks each choice of hom functors against its horizontal tables."""
+    S = T.Fin2Category(D.objects, D.hom, D.hcompose1, D.hcompose2, D.unit1)
+    vars(S)["segments"] = None
+    return S
 
 
 def _metadata_free_sources():
-    """2-categories that record no pasting scheme, stripped theta2_objects
-    [m|k_1,...,k_m] with m <= 2, k_i <= 1 among them."""
+    """2-categories built without a pasting scheme in mind.  The stripped
+    ones ([m|k_1,...,k_m] with m <= 2, k_i <= 1 among them) and the free
+    isomorphism take the composition-checked search; the ordinals, the
+    point and the loaded cell are found free and take the segment search,
+    which must give the oracle's functors in its order."""
     out = [(f"[{m}]", T.as_two_category(T.ordinal(m))) for m in range(-1, 4)]
     out += [("I", T.as_two_category(T.free_iso())),
             ("*", T.as_two_category(T.terminal_category()))]
