@@ -158,7 +158,8 @@ def _face_layer(X: MarkedSSet, refs, n):
 
 def _structure_problems(X: MarkedSSet):
     """Generators, face counts, face targets and marks that are malformed,
-    and generator ids listed more than once."""
+    generator ids listed more than once, and faces listed for an id that
+    is not a generator of dimension >= 1."""
     problems = []
     seen = set()
     for n, ids in X.gens.items():
@@ -181,6 +182,9 @@ def _structure_problems(X: MarkedSSet):
                     problems.append(f"{g}: face {i} word {w} not normal")
                 elif X._dim[h] + len(w) != n - 1:
                     problems.append(f"{g}: face {i} has wrong dimension")
+    for g in X.faces:
+        if not X._dim.get(g):
+            problems.append(f"faces listed for {g}, not a generator of dimension >= 1")
     for g in X.marked:
         if g not in X._dim:
             problems.append(f"marked id {g} is not a generator")
@@ -507,7 +511,8 @@ def colimit(nodes, arrows, bound=None):
     """Colimit of a finite diagram of marked simplicial sets.
 
     nodes is a list of MarkedSSets; arrows a list of (src index, dst
-    index, MSSetMap).  Returns the colimit and the cocone legs.
+    index, MSSetMap).  Returns the colimit and the cocone legs.  bound
+    defaults to, and may not exceed, the least bound of the nodes.
 
     Per dimension, union-find joins the (node, generator) pairs that an
     arrow sends to one another.  A class with a member some arrow sends
@@ -517,8 +522,11 @@ def colimit(nodes, arrows, bound=None):
     """
     if not nodes:
         raise ValueError("empty diagram")
-    if bound is None:
-        bound = min(X.bound for X in nodes)
+    low = min(X.bound for X in nodes)
+    bound = low if bound is None else bound
+    _check_int(bound, 0, "colimit: bound")
+    if bound > low:
+        raise ValueError(f"colimit: bound {bound} exceeds the least node bound {low}")
     _check_arrows(nodes, arrows)
     # per node, its generators' references in the colimit, filled per dimension
     legs = [

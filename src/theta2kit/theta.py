@@ -25,7 +25,6 @@ from .msset import _check_int, _check_json, _product_assignment, _simplex_key, _
 from .nerves import _nerve_assignment, rs_nerve_with_index
 from .twocat import (
     Fin2Category,
-    Functor,
     Theta2Shape,
     TwoFunctor,
     _enc,
@@ -131,15 +130,12 @@ def shape_functor(src: Theta2Shape, dst: Theta2Shape, obj_images,
     """2-functor between pasting shapes from object images and, per
     source segment, images of the segment hom objects in the product
     poset of the target."""
-    D = theta2_object(src)
-    E = theta2_object(dst)
+    D, E = theta2_object(src), theta2_object(dst)
     on_objects = {str(i): str(obj_images[i]) for i in range(src.m + 1)}
-    seg_maps = {}
+    tables = {}
     for t in range(1, src.m + 1):
-        lo, hi = obj_images[t - 1], obj_images[t]
         imgs = seg_images[t - 1]
-        H = D.hom_at(str(t - 1), str(t))
-        width = hi - lo
+        width = obj_images[t] - obj_images[t - 1]
         obj_map, mor_map = {}, {}
         for a in range(src.ks[t - 1] + 1):
             img = tuple(imgs[a])
@@ -150,9 +146,8 @@ def shape_functor(src: Theta2Shape, dst: Theta2Shape, obj_images,
                 if any(p > q for p, q in zip(imgs[a], imgs[b])):
                     raise ValueError(f"segment {t}: images not monotone")
                 mor_map[_mid((a,), (b,))] = _mid(tuple(imgs[a]), tuple(imgs[b]))
-        He = E.hom_at(str(lo), str(hi))
-        seg_maps[(str(t - 1), str(t))] = Functor(H, He, obj_map, mor_map)
-    return TwoFunctor.from_segments(D, E, on_objects, seg_maps)
+        tables[(str(t - 1), str(t))] = (obj_map, mor_map)
+    return TwoFunctor(D, E, on_objects, tables)
 
 
 def _collapse_functor(src: Theta2Shape) -> TwoFunctor:
@@ -563,14 +558,11 @@ def _functor_from_json(data, src_shape, dst_shape) -> TwoFunctor:
             f"functor {data['source']} -> {data['target']} does not join "
             f"{src_shape} and {dst_shape}"
         )
-    hom_maps = {
-        _json_key(k, 2): (dict(v["one"]), dict(v["two"]))
-        for k, v in data["hom"].items()
+    tables = {
+        _json_key(k, 2): (dict(v["one"]), dict(v["two"])) for k, v in data["hom"].items()
     }
-    F = TwoFunctor.from_tables(
-        theta2_object(src_shape), theta2_object(dst_shape),
-        dict(data["on_objects"]), hom_maps,
-    )
+    D, E = theta2_object(src_shape), theta2_object(dst_shape)
+    F = TwoFunctor(D, E, dict(data["on_objects"]), tables)
     report = validate_two_functor(F)
     if not report.ok:
         raise ValueError(f"not a 2-functor: {report.violations[0]}")

@@ -832,60 +832,58 @@ def as_two_category(C: FinCategory) -> Fin2Category:
 # 2-functors
 
 
-class TwoFunctor:
-    """A 2-functor between Fin2Categories.
+def _generating_homs(D: Fin2Category):
+    """The homs whose tables fix a 2-functor out of D: its segments when D
+    is a free pasting scheme, and otherwise every nonempty hom, sorted."""
+    return sorted(D.hom) if D.segments is None else D.segments
 
-    Given either as full hom-functor tables or compactly as images of
-    the segments of a free pasting scheme; a segment functor's tables
-    are derived once, on first use, through horizontal composition.
+
+class TwoFunctor:
+    """A 2-functor between Fin2Categories: its object images and its
+    tables {(x, y): (1-cell map, 2-cell map)} on homs of the source.
+
+    When the source is a free pasting scheme the tables need cover only
+    its segments; `hom_maps` derives the others once, on first use,
+    through horizontal composition.
     """
 
-    def __init__(self, source, target, on_objects, hom_maps=None, seg_maps=None):
+    def __init__(self, source, target, on_objects, tables):
         self.source = source
         self.target = target
         self.on_objects = on_objects
-        self._hom_maps = hom_maps
-        self._seg_maps = seg_maps
-
-    @classmethod
-    def from_tables(cls, source, target, on_objects, hom_maps):
-        return cls(source, target, on_objects, hom_maps=hom_maps)
-
-    @classmethod
-    def from_segments(cls, source, target, on_objects, seg_maps):
-        if source.segments is None:
-            raise ValueError("from_segments: the source is not a free pasting scheme")
-        return cls(source, target, on_objects, seg_maps=seg_maps)
+        self.tables = tables
 
     def obj(self, x):
         return self.on_objects[x]
 
     @cached_property
     def hom_maps(self):
-        """Full tables (x, y) -> (1-cell map, 2-cell map) per nonempty hom,
-        in the source's hom order.  From segments, walking the chain a_m,
-        ..., a_0: hom(a_i, a_i) keeps the unit, hom(a_i, a_{i+1}) is the
-        segment functor, and hom(a_i, a_j) sends each hc(f, g) to the
-        target's hc of the images of f and g."""
-        if self._seg_maps is None:
-            return self._hom_maps
+        """The tables of every nonempty hom: `tables` when they cover each
+        one, and otherwise, in the source's hom order, `tables` with each
+        missing one derived by walking the segment chain a_m, ..., a_0:
+        hom(a_i, a_i) keeps the unit, and hom(a_i, a_j), j > i + 1, sends
+        each hc(f, g) to the target's hc of the images of f and g.  Raises
+        ValueError when a table that cannot be derived is missing."""
         D, E, on = self.source, self.target, self.on_objects
+        if D.hom.keys() <= self.tables.keys():
+            return self.tables
+        maps = dict(self.tables)
+        for x, y in (p for p in _generating_homs(D) if p not in maps):
+            raise ValueError(f"hom({x},{y}): no hom map, and none can be derived")
         segs = D.segments
         chain = [segs[0][0], *(b for _, b in segs)] if segs else D.objects[:1]
-        maps = {}
         for i in reversed(range(len(chain))):
             a = chain[i]
-            u, fu = D.unit1[a], E.unit1[on[a]]
-            maps[(a, a)] = (
-                {u: fu},
-                {D.hom[(a, a)].identity[u]: E.hom[(on[a], on[a])].identity[fu]},
-            )
-            if i + 1 == len(chain):
-                continue
-            b = chain[i + 1]
-            seg = self._seg_maps[(a, b)]
-            maps[(a, b)] = (seg.obj_map, seg.mor_map)
+            if (a, a) not in maps:
+                u, fu = D.unit1[a], E.unit1[on[a]]
+                maps[(a, a)] = (
+                    {u: fu},
+                    {D.hom[(a, a)].identity[u]: E.hom[(on[a], on[a])].identity[fu]},
+                )
             for c in chain[i + 2:]:
+                if (a, c) in maps:
+                    continue
+                b = chain[i + 1]
                 (o1, m1), (o2, m2) = maps[(a, b)], maps[(b, c)]
                 key, images = (a, b, c), (on[a], on[b], on[c])
                 t1, t2 = E.hcompose1[images], E.hcompose2[images]
@@ -926,7 +924,7 @@ class TwoFunctor:
                 {f: other.one(fx, fy, g) for f, g in om.items()},
                 {m: other.two(fx, fy, n) for m, n in mm.items()},
             )
-        return TwoFunctor.from_tables(self.source, other.target, on_objects, hom_maps)
+        return TwoFunctor(self.source, other.target, on_objects, hom_maps)
 
 
 def identity_two_functor(D: Fin2Category) -> TwoFunctor:
@@ -934,30 +932,30 @@ def identity_two_functor(D: Fin2Category) -> TwoFunctor:
         pair: ({f: f for f in H.objects}, {m: m for m in H.morphisms})
         for pair, H in D.hom.items()
     }
-    return TwoFunctor.from_tables(D, D, {x: x for x in D.objects}, hom_maps)
+    return TwoFunctor(D, D, {x: x for x in D.objects}, hom_maps)
 
 
 def validate_two_functor(F: TwoFunctor) -> Report:
     """Whether F is a 2-functor between the 2-categories F.source and
-    F.target: each object has an image, each hom map is a functor into
-    the hom between the images (`validate_functor`), and, once all of
-    them are, the unit 1-cells, hc1 and hc2 are preserved.  A 2-functor
-    given by segments derives its other hom maps through the target's
-    horizontal tables, so its object images and segment functors are
-    checked first, and the rest only if they are sound."""
+    F.target, in three stages, each run only if the ones before it found
+    nothing: each object has an image, each of F.tables is on a nonempty
+    hom, and each given or generating hom map is a functor into the hom
+    between the images (`validate_functor`); so is each hom map that
+    `hom_maps` derives from them; and units, hc1 and hc2 are preserved."""
     problems = []
-    D, E = F.source, F.target
+    D, E, on = F.source, F.target, F.on_objects
     for x in D.objects:
-        if F.on_objects.get(x) not in E.objects:
+        if on.get(x) not in E.objects:
             problems.append(f"{x}: image not an object")
-    if F._seg_maps is not None:
-        segs = {pair: (s.obj_map, s.mor_map) for pair, s in F._seg_maps.items()}
-        problems += _hom_failures(D, E, F.on_objects, D.segments, segs)
-        if problems:
-            return Report("2-functor", problems)
-    problems += _hom_failures(D, E, F.on_objects, D.hom, F.hom_maps)
+    problems += [f"hom({x},{y}): not a nonempty hom of the source"
+                 for x, y in F.tables if (x, y) not in D.hom]
+    gens = _generating_homs(D)
+    given = [p for p in D.hom if p in F.tables or p in gens]
+    problems += _hom_failures(D, E, on, given, F.tables)
     if not problems:
-        problems += _horizontal_failures(D, E, F.on_objects, F.hom_maps, lambda: None)
+        problems += _hom_failures(D, E, on, [p for p in D.hom if p not in given], F.hom_maps)
+    if not problems:
+        problems += _horizontal_failures(D, E, on, F.hom_maps, lambda: None)
     return Report("2-functor", problems)
 
 
@@ -997,12 +995,12 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     """
     guard = _Guard(limit, "enumerate_two_functors")
     free = D.segments is not None
-    gens = D.segments if free else sorted(D.hom)
+    gens = _generating_homs(D)
     objs = sorted(D.objects)
     gen_homs = [D.hom_at(*pair) for pair in gens]
     # ids of generating homs -> their plans, and of (generating hom, target
-    # hom) -> the functors between them; D and E hold the homs for the call
-    plans, gen_functors = {}, {}
+    # hom) -> its functors' tables; D and E hold the homs for the call
+    plans, gen_tables = {}, {}
     results = []
     for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
         on_objects = dict(zip(objs, images))
@@ -1010,11 +1008,12 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
         for (a, b), H in zip(gens, gen_homs):
             He = E.hom[(on_objects[a], on_objects[b])]
             key = (id(H), id(He))
-            fns = gen_functors.get(key)
+            fns = gen_tables.get(key)
             if fns is None:
                 if id(H) not in plans:
                     plans[id(H)] = _plan(H)
-                fns = gen_functors[key] = _functors(H, plans[id(H)], He, guard)
+                fns = _functors(H, plans[id(H)], He, guard)
+                fns = gen_tables[key] = [(G.obj_map, G.mor_map) for G in fns]
             guard.step(len(fns))
             if not fns:
                 break
@@ -1022,16 +1021,11 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
         else:
             for combo in itertools.product(*choice_lists):
                 guard.step()
-                chosen = dict(zip(gens, combo))
-                if free:
-                    results.append(TwoFunctor(D, E, dict(on_objects), seg_maps=chosen))
-                    continue
-                tables = {p: (F.obj_map, F.mor_map) for p, F in chosen.items()}
-                failures = _horizontal_failures(D, E, on_objects, tables, guard.step)
-                if next(failures, None) is None:
-                    results.append(
-                        TwoFunctor.from_tables(D, E, dict(on_objects), tables)
-                    )
+                tables = dict(zip(gens, combo))
+                if free or next(
+                    _horizontal_failures(D, E, on_objects, tables, guard.step), None
+                ) is None:
+                    results.append(TwoFunctor(D, E, dict(on_objects), tables))
     return results
 
 
@@ -1049,14 +1043,15 @@ def _horizontal_failures(D, E, on_objects, hom_maps, step):
         images = (on_objects[x], on_objects[y], on_objects[z])
         (o1, m1), (o2, m2) = hom_maps[(x, y)], hom_maps[(y, z)]
         o3, m3 = hom_maps[(x, z)]
+        s1, s2 = D.hcompose1[(x, y, z)], D.hcompose2[(x, y, z)]
         t1, t2 = E.hcompose1[images], E.hcompose2[images]
         for f, g in itertools.product(D.hom[(x, y)].objects, D.hom[(y, z)].objects):
             step()
-            if o3[D.hc1(x, y, z, f, g)] != t1[(o1[f], o2[g])]:
+            if o3[s1[(f, g)]] != t1[(o1[f], o2[g])]:
                 yield f"horizontal 1-composition broken on ({f},{g})"
         for a, b in itertools.product(D.hom[(x, y)].morphisms, D.hom[(y, z)].morphisms):
             step()
-            if m3[D.hc2(x, y, z, a, b)] != t2[(m1[a], m2[b])]:
+            if m3[s2[(a, b)]] != t2[(m1[a], m2[b])]:
                 yield f"horizontal 2-composition broken on ({a},{b})"
 
 

@@ -629,9 +629,7 @@ def raw_enumerate_full(D, E, guard):
                 pair: (fn.obj_map, fn.mor_map) for pair, fn in zip(pairs, combo)
             }
             if check(on_objects, maps):
-                results.append(
-                    TwoFunctor.from_tables(D, E, dict(on_objects), dict(maps))
-                )
+                results.append(TwoFunctor(D, E, dict(on_objects), dict(maps)))
     return results
 
 
@@ -706,7 +704,7 @@ def _fold_one(F, pieces, x):
     E, fx = F.target, F.obj(x)
     cur = None
     for (a, b), atom in pieces:
-        g = F._seg_maps[(a, b)].obj_map[atom]
+        g = F.tables[(a, b)][0][atom]
         cur = g if cur is None else E.hc1(fx, F.obj(a), F.obj(b), cur, g)
     return E.unit1[fx] if cur is None else cur
 
@@ -716,7 +714,7 @@ def _fold_two(F, pieces, x):
     E, fx = F.target, F.obj(x)
     cur = None
     for (a, b), atom in pieces:
-        g = F._seg_maps[(a, b)].mor_map[atom]
+        g = F.tables[(a, b)][1][atom]
         cur = g if cur is None else E.hc2(fx, F.obj(a), F.obj(b), cur, g)
     return E.hom_at(fx, fx).identity[E.unit1[fx]] if cur is None else cur
 

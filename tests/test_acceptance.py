@@ -212,14 +212,12 @@ def _lift_functor(F):
         om = {f: F.mor_map[f] for f in H.objects}
         mm = {f"id({f})": f"id({F.mor_map[f]})" for f in H.objects}
         hom_maps[(x, y)] = (om, mm)
-    return T.TwoFunctor.from_tables(
-        A, B, {x: F.obj_map[x] for x in A.objects}, hom_maps
-    )
+    return T.TwoFunctor(A, B, {x: F.obj_map[x] for x in A.objects}, hom_maps)
 
 
 def _suspend_functor(F):
-    seg = T.Functor(F.source, F.target, dict(F.obj_map), dict(F.mor_map))
-    return T.TwoFunctor.from_segments(
+    seg = (dict(F.obj_map), dict(F.mor_map))
+    return T.TwoFunctor(
         T.suspend_category(F.source),
         T.suspend_category(F.target),
         {"bot": "bot", "top": "top"},

@@ -98,6 +98,15 @@ def test_suspend_malformed_file_exits_2(tmp_path, capsys):
     assert "gens" in capsys.readouterr().err
 
 
+def test_suspend_of_faces_for_a_vertex_exits_2(tmp_path, capsys):
+    data = M.msset_to_json(M.standard_simplex(1, bound=3))
+    data["faces"]["0"] = [{"gen": "0", "word": []}, {"gen": "1", "word": []}]
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps(data))
+    assert main(["suspend", "--input", str(src)]) == 2
+    assert "faces listed for 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # lmap command
 
@@ -142,6 +151,18 @@ def test_lmap_of_malformed_presentation_exits_2(tmp_path, capsys):
     pres.write_text(json.dumps({"schema": "theta/1"}))
     assert main(["lmap", "--presentation", str(pres), "--bound", "3"]) == 2
     assert "cells" in capsys.readouterr().err
+
+
+def test_lmap_of_presentation_with_a_stray_functor_table_exits_2(tmp_path, capsys):
+    from theta2kit import theta as TH
+
+    data = TH.presentation_to_json(TH.vertical_segal(2).source)
+    hom = data["arrows"][0]["functor"]["hom"]
+    hom["5|6"] = hom["0|1"]
+    pres = tmp_path / "w.json"
+    pres.write_text(json.dumps(data))
+    assert main(["lmap", "--presentation", str(pres), "--bound", "3"]) == 2
+    assert "hom(5,6): not a nonempty hom of the source" in capsys.readouterr().err
 
 
 def test_lmap_without_kind_or_presentation_exits_2(capsys):

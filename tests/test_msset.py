@@ -270,6 +270,19 @@ def test_colimit_rejects_arrow_from_another_node():
         M.colimit([pt, D1], [(0, 1, M.identity_map(D1))])
 
 
+@pytest.mark.parametrize("bound, match", [
+    pytest.param(5, "bound 5 exceeds the least node bound 2", id="bound=5"),
+    pytest.param(True, "bound must be an int >= 0", id="bound=True"),
+    pytest.param(-1, "bound must be an int >= 0", id="bound=-1"),
+    pytest.param(1.5, "bound must be an int >= 0", id="bound=1.5"),
+])
+def test_colimit_rejects_a_bad_bound(bound, match):
+    # bound 5 over Delta[3] at bound 2 gave counts (4, 6, 4, 0, 0, 0), with
+    # no 3-simplex; True and -1 gave sets of those bounds; 1.5 a TypeError
+    with pytest.raises(ValueError, match=match):
+        M.colimit([M.standard_simplex(3, bound=2)], [], bound=bound)
+
+
 # ---------------------------------------------------------------------------
 # products and colimits on generators against the all-simplex oracles
 
@@ -795,6 +808,15 @@ def test_json_rejects_generator_listed_twice():
     data = _json_of_triangle()
     data["gens"]["0"].append("01")
     with pytest.raises(ValueError, match="01 listed more than once"):
+        M.msset_from_json(data)
+
+
+@pytest.mark.parametrize("g", ["zz", "0"])
+def test_json_rejects_faces_of_a_non_generator_or_a_vertex(g):
+    # the entry used to load, pass validate_msset and be written back
+    data = M.msset_to_json(M.standard_simplex(1))
+    data["faces"][g] = [{"gen": "0", "word": []}, {"gen": "1", "word": []}]
+    with pytest.raises(ValueError, match=f"faces listed for {g}, not a generator"):
         M.msset_from_json(data)
 
 

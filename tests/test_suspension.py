@@ -160,16 +160,14 @@ def _lift_functor(F):
         mm = {f"id({f})": f"id({F.mor_map[f]})" for f in H.objects}
         hom_maps[(x, y)] = (om, mm)
     on_objects = {x: F.obj_map[x] for x in A.objects}
-    return T.TwoFunctor.from_tables(A, B, on_objects, hom_maps)
+    return T.TwoFunctor(A, B, on_objects, hom_maps)
 
 
 def _suspend_functor(F):
     SC = T.suspend_category(F.source)
     SD = T.suspend_category(F.target)
-    seg = T.Functor(F.source, F.target, dict(F.obj_map), dict(F.mor_map))
-    return T.TwoFunctor.from_segments(
-        SC, SD, {"bot": "bot", "top": "top"}, {("bot", "top"): seg}
-    )
+    seg = (dict(F.obj_map), dict(F.mor_map))
+    return T.TwoFunctor(SC, SD, {"bot": "bot", "top": "top"}, {("bot", "top"): seg})
 
 
 def test_comparison_naturality_squares():

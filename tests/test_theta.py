@@ -619,3 +619,13 @@ def test_box_cell_rejects_bad_levels(level):
     data["cells"][0]["level"] = level
     with pytest.raises(ValueError, match="level"):
         TH.presentation_from_json(data)
+
+
+def test_presentation_loader_rejects_a_stray_functor_table():
+    # a table on a pair that is no hom of the source used to load, and the
+    # loaded functor's key() then differed from the original's
+    data = TH.presentation_to_json(TH.vertical_segal(2).source)
+    hom = data["arrows"][0]["functor"]["hom"]
+    hom["5|6"] = hom["0|1"]
+    with pytest.raises(ValueError, match=r"hom\(5,6\): not a nonempty hom of the source"):
+        TH.presentation_from_json(data)

@@ -314,10 +314,8 @@ def _enumerate_free_uncached(D, E, guard):
                 choice_lists.append(fns)
             for combo in itertools.product(*choice_lists):
                 guard.step()
-                seg_maps = dict(zip(D.segments, combo))
-                results.append(
-                    T.TwoFunctor.from_segments(D, E, dict(on_objects), seg_maps)
-                )
+                tables = {p: (G.obj_map, G.mor_map) for p, G in zip(D.segments, combo)}
+                results.append(T.TwoFunctor(D, E, dict(on_objects), tables))
             return
         x = objs[k]
         for y in eobjs:
@@ -605,7 +603,8 @@ def _two_functor_tables(fs):
     return [
         (
             list(F.on_objects.items()),
-            [(pair, _functor_tables([fn])) for pair, fn in F._seg_maps.items()],
+            [(pair, [(list(om.items()), list(mm.items()))])
+             for pair, (om, mm) in F.tables.items()],
         )
         for F in fs
     ]
@@ -736,24 +735,20 @@ def test_suspension_matches_theta_shape():
     for k in range(4):
         S = T.suspend_category(T.ordinal(k))
         th = T.theta2_object(T.Theta2Shape(1, (k,)))
-        fwd_seg = T.Functor(
-            S.hom_at("bot", "top"),
-            th.hom_at("0", "1"),
+        fwd_seg = (
             {str(a): T._enc((a,)) for a in range(k + 1)},
             {f"{a}>{b}": T._mid((a,), (b,))
              for a in range(k + 1) for b in range(a, k + 1)},
         )
-        fwd = T.TwoFunctor.from_segments(
+        fwd = T.TwoFunctor(
             S, th, {"bot": "0", "top": "1"}, {("bot", "top"): fwd_seg}
         )
-        bwd_seg = T.Functor(
-            th.hom_at("0", "1"),
-            S.hom_at("bot", "top"),
+        bwd_seg = (
             {T._enc((a,)): str(a) for a in range(k + 1)},
             {T._mid((a,), (b,)): f"{a}>{b}"
              for a in range(k + 1) for b in range(a, k + 1)},
         )
-        bwd = T.TwoFunctor.from_segments(
+        bwd = T.TwoFunctor(
             th, S, {"0": "bot", "1": "top"}, {("0", "1"): bwd_seg}
         )
         assert T.validate_two_functor(fwd).ok
@@ -762,10 +757,9 @@ def test_suspension_matches_theta_shape():
         assert bwd.compose(fwd) == T.identity_two_functor(th)
 
 
-def test_segment_tables_match_decomposition_fold():
-    # every 2-functor out of [m|k_1,...,k_m], m <= 2, sum k <= 3, and three
-    # suspensions, into 23 targets: the tables derived through horizontal
-    # composition are the ones folded from per-cell decompositions
+def _fold_grid():
+    """The free sources [m|k_1,...,k_m], m <= 2, sum k <= 3, and three
+    suspensions, each with its decomposition tables, and 23 targets."""
     sources = [
         (T.theta2_object(s), *raw_theta2_decomposition(s))
         for s in _shapes(2, 3) if sum(s.ks) <= 3
@@ -776,6 +770,14 @@ def test_segment_tables_match_decomposition_fold():
     ]
     targets = [T.theta2_object(s) for s in _shapes(3, 2) if s.m < 3 or max(s.ks) < 2]
     targets += [T.suspend_category(_z2()), T.suspend_category(T.ordinal(3))]
+    return sources, targets
+
+
+def test_segment_tables_match_decomposition_fold():
+    # every 2-functor of the fold grid: the tables derived through
+    # horizontal composition are the ones folded from per-cell
+    # decompositions
+    sources, targets = _fold_grid()
     count = 0
     for D, one, two in sources:
         for E in targets:
@@ -786,12 +788,19 @@ def test_segment_tables_match_decomposition_fold():
     assert (len(sources), len(targets), count) == (18, 23, 15_675)
 
 
-def test_from_segments_of_a_source_that_is_not_free_raises():
-    I = T.as_two_category(T.free_iso())
-    H = I.hom_at("a", "b")
-    seg = T.Functor(H, H, {f: f for f in H.objects}, {m: m for m in H.morphisms})
-    with pytest.raises(ValueError, match="not a free pasting scheme"):
-        T.TwoFunctor.from_segments(I, I, {"a": "a", "b": "b"}, {("a", "b"): seg})
+def test_segment_tables_and_full_tables_give_one_two_functor():
+    # each 2-functor of the fold grid is enumerated by its segment tables;
+    # given all its hom tables instead it is the same 2-functor, and both
+    # forms are valid
+    sources, targets = _fold_grid()
+    for D, _, _ in sources:
+        for E in targets:
+            for F in T.enumerate_two_functors(D, E):
+                assert list(F.tables) == list(D.segments)
+                G = T.TwoFunctor(D, E, F.on_objects, F.hom_maps)
+                assert G == F
+                assert T.validate_two_functor(F).ok
+                assert T.validate_two_functor(G).ok
 
 
 def test_segments_are_derived_for_the_free_constructors():
@@ -945,7 +954,7 @@ def test_validate_two_functor_reports_a_bogus_image():
     F = _first_two_functor()
     maps = {pair: (dict(om), dict(mm)) for pair, (om, mm) in F.hom_maps.items()}
     maps[("0", "1")][0]["(0)"] = "bogus"
-    G = T.TwoFunctor.from_tables(F.source, F.target, F.on_objects, maps)
+    G = T.TwoFunctor(F.source, F.target, F.on_objects, maps)
     with pytest.raises(KeyError):
         raw_validate_two_functor(G)
     rep = T.validate_two_functor(G)
@@ -958,18 +967,27 @@ def test_validate_two_functor_reports_a_bogus_segment_image():
     # target's horizontal tables, which have no entry for "bogus"
     P11 = T.theta2_object(_P11)
     F = T.enumerate_two_functors(P11, P11)[0]
-    segs = {
-        pair: T.Functor(s.source, s.target, dict(s.obj_map), dict(s.mor_map))
-        for pair, s in F._seg_maps.items()
-    }
-    segs[("0", "1")].obj_map["(0)"] = "bogus"
-    G = T.TwoFunctor.from_segments(P11, P11, F.on_objects, segs)
+    segs = {pair: (dict(om), dict(mm)) for pair, (om, mm) in F.tables.items()}
+    segs[("0", "1")][0]["(0)"] = "bogus"
+    G = T.TwoFunctor(P11, P11, F.on_objects, segs)
     rep = T.validate_two_functor(G)
     assert "hom(0,1): (0): image missing or not an object" in rep.violations
     assert all(v.startswith("hom(0,1): ") for v in rep.violations)
     del segs[("1", "2")]
     rep = T.validate_two_functor(G)
     assert "hom(1,2): no hom map" in rep.violations
+
+
+def test_given_tables_are_kept_and_only_missing_ones_derived():
+    P11 = T.theta2_object(_P11)
+    F = T.enumerate_two_functors(P11, P11)[0]
+    empty = ({}, {})
+    G = T.TwoFunctor(P11, P11, F.on_objects, {**F.tables, ("0", "2"): empty})
+    assert G.hom_maps[("0", "2")] is empty
+    assert {**G.hom_maps, ("0", "2"): F.hom_maps[("0", "2")]} == F.hom_maps
+    rep = T.validate_two_functor(G)
+    assert "hom(0,2): (0,0): image missing or not an object" in rep.violations
+    assert all(v.startswith("hom(0,2): ") for v in rep.violations)
 
 
 def test_presentation_loader_names_a_bogus_image():
@@ -1040,7 +1058,7 @@ def test_validators_agree_with_oracles_under_mutation():
         fs = T.enumerate_two_functors(D, E)
         for F in fs[:: max(1, len(fs) // 6)]:
             maps = {p: (dict(om), dict(mm)) for p, (om, mm) in F.hom_maps.items()}
-            G = T.TwoFunctor.from_tables(D, E, F.on_objects, maps)
+            G = T.TwoFunctor(D, E, F.on_objects, maps)
             check = partial(
                 agree, partial(T.validate_two_functor, G),
                 partial(raw_validate_two_functor, G),
@@ -1196,6 +1214,22 @@ def _stripped(D):
     S = T.Fin2Category(D.objects, D.hom, D.hcompose1, D.hcompose2, D.unit1)
     vars(S)["segments"] = None
     return S
+
+
+@pytest.mark.parametrize("D, missing", [
+    pytest.param(T.as_two_category(T.free_iso()), ("a", "b"), id="I"),
+    pytest.param(_stripped(T.theta2_object(_P11)), ("0", "2"), id="stripped [2|1,1]"),
+])
+def test_a_missing_table_of_a_source_that_is_not_free(D, missing):
+    # no table of such a source can be derived, a composite hom's included
+    tables = dict(T.identity_two_functor(D).tables)
+    del tables[missing]
+    F = T.TwoFunctor(D, D, {x: x for x in D.objects}, tables)
+    x, y = missing
+    rep = T.validate_two_functor(F)
+    assert rep.violations == [f"hom({x},{y}): no hom map"]
+    with pytest.raises(ValueError, match=rf"hom\({x},{y}\): no hom map"):
+        F.hom_maps
 
 
 def _metadata_free_sources():
