@@ -586,6 +586,7 @@ def _check_int(value, low, name):
 
 class _Guard:
     def __init__(self, limit, operation=None):
+        _check_int(limit, 0, f"{operation}: limit")
         self.limit = limit
         self.count = 0
         self.operation = operation

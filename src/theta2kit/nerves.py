@@ -426,6 +426,8 @@ def _marking(D: Fin2Category, variant):
 def _nerve(D: Fin2Category, variant, bound, limit, index=None):
     """The marked nerve, cached unless index is a dict to fill; see `nerve`."""
     _check_int(bound, 0, "a nerve bound")
+    # a cache hit builds no guard, so the limit is checked here as well
+    _check_int(limit, 0, "nerve: limit")
     marked_fn = _marking(D, variant)
     key = (D.signature(), bound, variant)
     if index is not None or key not in _nerve_cache:

@@ -454,23 +454,31 @@ def _choices(lists, guard):
 
 
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
-    """The complete, canonically ordered list of functors C -> D."""
-    return _functors(C, _plan(C), D, _Guard(limit, "enumerate_functors"))
+    """The complete, canonically ordered list of functors C -> D.  The
+    functors over one object map share their obj_map; do not edit it."""
+    guard = _Guard(limit, "enumerate_functors")
+    return [Functor(C, D, *tables) for tables in _functors(C, _plan(C), D, guard)]
 
 
 def _functors(C, plan, D, guard):
-    """`enumerate_functors` with C's `_plan` given, charging guard.
+    """The functors C -> D as (obj_map, mor_map) tables, in the order and
+    key order of `enumerate_functors`, with C's `_plan` given, charging
+    guard.  The functors over one object map share its obj_map; callers
+    must not edit the tables.
 
     Object images come from `_object_maps`, with the ends of C's atoms as
     the pairs that must land on nonempty homs of D; the masks are built
-    once per call from D's nonempty homs.  When D is thin each atom's
-    image is the one morphism between its ends' images, read off in one
-    guard step of len(atoms), which is what trying the single candidate
+    once per call from D's nonempty homs.  When D is thin the image of
+    each morphism of C (identities, then atoms, then composites) is read
+    off as the one morphism between its ends' images, neither D.identity
+    nor D.compose is read, and the atoms cost one guard step of
+    len(atoms) per object map, which is what trying the single candidate
     of each atom in turn would cost.  Otherwise the atoms are tried one
-    by one and every relation f;g = h of C is checked.
+    by one, identities and composites are derived through D's tables, and
+    every relation f;g = h of C is checked.
     """
     if not C.objects:
-        return [Functor(C, D, {}, {})]
+        return [({}, {})]
     if not D.objects and C.objects:
         return []
     objs, atoms, atom_ends, identities, composites, relations = plan
@@ -478,11 +486,14 @@ def _functors(C, plan, D, guard):
     homs = {}
     for f in sorted(D.morphisms):
         homs.setdefault(D.morphisms[f], []).append(f)
-    # In a thin D both sides of a relation f;g = h have the same endpoints,
-    # so they are equal; only a D that is not thin needs the check.
+    # In a thin D a morphism's image is the one morphism between its ends'
+    # images, so both sides of a relation f;g = h agree; only a D that is
+    # not thin needs derive and the check.
     thin = _thin(homs)
     if thin:
-        relations = []
+        unique = {pair: fs[0] for pair, fs in homs.items()}
+        order = [i for i, _ in identities] + atoms + [f for f, _, _ in composites]
+        ends = [(f, *C.morphisms[f]) for f in order]
     results = []
 
     def derive(obj_map, atom_map):
@@ -502,17 +513,15 @@ def _functors(C, plan, D, guard):
         obj_map = dict(zip(objs, images))
         if thin:
             guard.step(len(atoms))
-            atom_map = {
-                f: homs[(obj_map[a], obj_map[b])][0]
-                for f, (a, b) in zip(atoms, atom_ends)
-            }
-            results.append(Functor(C, D, obj_map, derive(obj_map, atom_map)))
+            results.append(
+                (obj_map, {f: unique[(obj_map[a], obj_map[b])] for f, a, b in ends})
+            )
             continue
         lists = [homs[(obj_map[a], obj_map[b])] for a, b in atom_ends]
         for combo in _choices(lists, guard):
             mor_map = derive(obj_map, dict(zip(atoms, combo)))
             if mor_map is not None:
-                results.append(Functor(C, D, dict(obj_map), mor_map))
+                results.append((obj_map, mor_map))
     return results
 
 
@@ -844,7 +853,10 @@ class TwoFunctor:
 
     When the source is a free pasting scheme the tables need cover only
     its segments; `hom_maps` derives the others once, on first use,
-    through horizontal composition.
+    through horizontal composition.  The 2-functors that
+    `enumerate_two_functors` returns over one object map share
+    `on_objects`, and share their hom tables with every 2-functor that
+    picks the same hom functor; do not edit either.
     """
 
     def __init__(self, source, target, on_objects, tables):
@@ -985,13 +997,16 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     Object images come from `_object_maps`, with the generating pairs as
     the pairs that must land on nonempty homs of E.  The functors from a
     generating hom to a target hom are enumerated once per call for each
-    distinct pair of FinCategory objects, so homs that are one object (as
-    theta2_object's equal slices are) share one list, and each distinct
-    generating hom is planned once.  One guard covers the whole call:
-    enumerating each list charges its steps once, and each use of a list
-    charges its length.  Every combination of segment functors is a
-    2-functor; a combination of hom functors is kept only if it preserves
-    D's unit 1-cells and horizontal compositions.
+    distinct pair of FinCategory objects, as `_functors` tables (into a
+    thin target hom each image is read off its ends), so homs that are
+    one object (as theta2_object's equal slices are) share one list, and
+    each distinct generating hom is planned once.  One guard covers the
+    whole call: enumerating each list charges its steps once, and each
+    use of a list charges its length.  Every combination of segment
+    functors is a 2-functor; a combination of hom functors is kept only if
+    it preserves D's unit 1-cells and horizontal compositions.  The
+    results over one object map share one `on_objects` dict, and hold the
+    listed tables themselves, not copies; callers must not edit them.
     """
     guard = _Guard(limit, "enumerate_two_functors")
     free = D.segments is not None
@@ -1012,8 +1027,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
             if fns is None:
                 if id(H) not in plans:
                     plans[id(H)] = _plan(H)
-                fns = _functors(H, plans[id(H)], He, guard)
-                fns = gen_tables[key] = [(G.obj_map, G.mor_map) for G in fns]
+                fns = gen_tables[key] = _functors(H, plans[id(H)], He, guard)
             guard.step(len(fns))
             if not fns:
                 break
@@ -1025,7 +1039,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
                 if free or next(
                     _horizontal_failures(D, E, on_objects, tables, guard.step), None
                 ) is None:
-                    results.append(TwoFunctor(D, E, dict(on_objects), tables))
+                    results.append(TwoFunctor(D, E, on_objects, tables))
     return results
 
 

@@ -28,6 +28,11 @@ raw_enumerate_full tries every tuple of object images and enumerates the
 functors of every hom again for each; the library searches object images
 through the generating pairs and keeps one functor list per pair of homs.
 
+raw_functors builds a Functor per hom functor and derives every image
+through the target's identity and compose tables; the library keeps the
+hom functors as plain tables and, into a thin target, reads each image
+off its ends.
+
 raw_fold_hom_maps derives a segment 2-functor's tables from per-cell
 decomposition tables, folding the images of each cell's pieces in the
 segment homs by hc1 or hc2; raw_theta2_decomposition and
@@ -52,8 +57,8 @@ from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import _monotone_maps
 from theta2kit.twocat import (
-    TwoFunctor, _functors, _plan, _poset, enumerate_two_functors, theta2_object,
-    validate_category)
+    Functor, TwoFunctor, _choices, _object_maps, _poset, _thin, enumerate_functors,
+    enumerate_two_functors, theta2_object, validate_category)
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
@@ -562,6 +567,56 @@ def raw_filler_counts(X: MarkedSSet, n, limit=5_000_000):
 # 2-functor enumeration
 
 
+def raw_functors(C, plan, D, guard):
+    """twocat._functors as Functor objects, every image derived from D's
+    identity and compose tables: into a thin D each atom's image is read
+    off in one guard step of len(atoms) and the relations go unchecked;
+    otherwise the atoms are tried one by one and every relation f;g = h
+    of C is checked."""
+    if not C.objects:
+        return [Functor(C, D, {}, {})]
+    if not D.objects and C.objects:
+        return []
+    objs, atoms, atom_ends, identities, composites, relations = plan
+    homs = {}
+    for f in sorted(D.morphisms):
+        homs.setdefault(D.morphisms[f], []).append(f)
+    thin = _thin(homs)
+    if thin:
+        relations = []
+    results = []
+
+    def derive(obj_map, atom_map):
+        mor_map = {}
+        for i, x in identities:
+            mor_map[i] = D.identity[obj_map[x]]
+        for f in atoms:
+            mor_map[f] = atom_map[f]
+        for f, g, h in composites:
+            mor_map[f] = D.compose[(mor_map[g], mor_map[h])]
+        for f, g, h in relations:
+            if mor_map[h] != D.compose[(mor_map[f], mor_map[g])]:
+                return None
+        return mor_map
+
+    for images in _object_maps(objs, atom_ends, sorted(D.objects), homs, guard):
+        obj_map = dict(zip(objs, images))
+        if thin:
+            guard.step(len(atoms))
+            atom_map = {
+                f: homs[(obj_map[a], obj_map[b])][0]
+                for f, (a, b) in zip(atoms, atom_ends)
+            }
+            results.append(Functor(C, D, obj_map, derive(obj_map, atom_map)))
+            continue
+        lists = [homs[(obj_map[a], obj_map[b])] for a, b in atom_ends]
+        for combo in _choices(lists, guard):
+            mor_map = derive(obj_map, dict(zip(atoms, combo)))
+            if mor_map is not None:
+                results.append(Functor(C, D, dict(obj_map), mor_map))
+    return results
+
+
 def raw_enumerate_full(D, E, guard):
     """The 2-functors D -> E over every tuple of object images and every
     combination of hom functors, each enumerated again per object tuple
@@ -569,7 +624,6 @@ def raw_enumerate_full(D, E, guard):
     objs = sorted(D.objects)
     eobjs = sorted(E.objects)
     pairs = sorted(D.hom)
-    plans = {}  # pair -> the _plan of D.hom[pair], made on first use
     results = []
 
     def check(on_objects, maps):
@@ -612,11 +666,7 @@ def raw_enumerate_full(D, E, guard):
             if He is None:
                 feasible = False
                 break
-            if pair not in plans:
-                plans[pair] = _plan(D.hom[pair])
-            fns = _functors(
-                D.hom[pair], plans[pair], He, _Guard(guard.limit, "enumerate_functors")
-            )
+            fns = enumerate_functors(D.hom[pair], He, guard.limit)
             if not fns:
                 feasible = False
                 break

@@ -629,3 +629,59 @@ def test_presentation_loader_rejects_a_stray_functor_table():
     hom["5|6"] = hom["0|1"]
     with pytest.raises(ValueError, match=r"hom\(5,6\): not a nonempty hom of the source"):
         TH.presentation_from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# search limits
+
+
+def _searches():
+    """name -> (operation named in its errors, call taking a limit) for
+    every public search; the nerve twice, on a cache miss and on a hit."""
+    C, D = T.ordinal(1), T.ordinal(2)
+    cone = T.theta2_object(CONE)
+    X = N.rs_nerve(cone, bound=2)
+
+    def nerve_on_a_miss(limit):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(N, "_nerve_cache", {})
+            return N.nerve(cone, bound=2, limit=limit)
+
+    return {
+        "enumerate_functors": (
+            "enumerate_functors", lambda limit: T.enumerate_functors(C, D, limit)),
+        "enumerate_two_functors": (
+            "enumerate_two_functors",
+            lambda limit: T.enumerate_two_functors(T.cell(1), cone, limit)),
+        "enumerate_maps": ("enumerate_maps", lambda limit: M.enumerate_maps(X, X, limit)),
+        "find_iso": ("find_iso", lambda limit: M.find_iso(X, X, limit)),
+        "nerve on a miss": ("nerve", nerve_on_a_miss),
+        "nerve on a hit": ("nerve", lambda limit: N.nerve(cone, bound=2, limit=limit)),
+        "compatible_boundaries": (
+            "compatible_boundaries", lambda limit: N.compatible_boundaries(X, 2, limit)),
+        "filler_counts": (
+            "compatible_boundaries", lambda limit: N.filler_counts(X, 2, limit)),
+        "d_restriction": (
+            "enumerate_two_functors", lambda limit: TH.d_restriction(CONE, 1, 1, limit)),
+        "apply_R_at": ("enumerate_maps", lambda limit: TH.apply_R_at(X, EDGE, 0, limit)),
+    }
+
+
+@pytest.mark.parametrize("limit", [True, 2.5, "100", None, -1])
+def test_searches_reject_a_bad_limit(limit):
+    # True ran as 1, 2.5 and -1 were accepted, and "100" and None failed
+    # inside the search with a bare TypeError
+    for operation, search in _searches().values():
+        with pytest.raises(ValueError, match=f"{operation}: limit must be an int >= 0"):
+            search(limit)
+
+
+def test_a_zero_limit_stops_each_search_at_its_first_step():
+    searches = _searches()
+    # a cache hit runs no search
+    cached = N.rs_nerve(T.theta2_object(CONE), bound=2)
+    assert searches.pop("nerve on a hit")[1](0) is cached
+    for operation, search in searches.values():
+        with pytest.raises(M.ResourceLimitError) as e:
+            search(0)
+        assert e.value.operation == operation

@@ -12,7 +12,7 @@ from theta2kit import twocat as T
 from theta2kit.msset import ResourceLimitError
 
 from raw_oracles import (
-    raw_enumerate_full, raw_fold_hom_maps, raw_suspension_decomposition,
+    raw_enumerate_full, raw_fold_hom_maps, raw_functors, raw_suspension_decomposition,
     raw_theta2_decomposition, raw_validate_2cat, raw_validate_two_functor)
 
 
@@ -396,6 +396,65 @@ def test_enumerate_functors_between_product_posets_matches_oracle(ks, ls):
     want, want_steps = _oracle_functors_and_steps(C, D)
     assert _functor_tables(got) == _functor_tables(want)
     assert steps == want_steps
+
+
+def _hom_grid_hom_pairs():
+    """Each (segment hom, target hom) pair that the hom-grid cells
+    [i|j,...,j] -> theta, i, j <= 2, theta among the shapes with m <= 3 and
+    k <= 2, hand to _functors, one pair per distinct pair of tables, and
+    the test sources into Z/2 and the parallel pair, which are not thin,
+    and into free_iso(), which is thin with invertible arrows."""
+    pairs = {}
+    for shape in _shapes(3, 2):
+        E = T.theta2_object(shape)
+        for i in range(3):
+            for j in range(3):
+                D = T.theta2_object(T.Theta2Shape(i, (j,) * i))
+                for pair in D.segments:
+                    for He in E.hom.values():
+                        H = D.hom[pair]
+                        key = (tuple(sorted(H.morphisms)), tuple(sorted(He.morphisms)))
+                        pairs.setdefault(key, (H, He))
+    sources = [T.ordinal(k) for k in range(3)]
+    sources += [T.product_poset((1, 1)), _z2(), _parallel_pair(), T.free_iso()]
+    for D in [_z2(), _parallel_pair(), T.free_iso()]:
+        pairs.update(((id(C), id(D)), (C, D)) for C in sources)
+    return list(pairs.values())
+
+
+def _steps_and_tables(functors, C, D):
+    """functors(C, _plan(C), D, guard), (obj_map, mor_map) pairs, as lists
+    of items, so that key order counts, and the steps its guard used."""
+    guard = T._Guard(2_000_000, "enumerate_functors")
+    fs = functors(C, T._plan(C), D, guard)
+    return guard.count, [(list(o.items()), list(m.items())) for o, m in fs]
+
+
+def _raw_functor_tables(*args):
+    return [(F.obj_map, F.mor_map) for F in raw_functors(*args)]
+
+
+def test_hom_functor_tables_match_the_functor_oracle():
+    # same functors, same order, same key order in every map, same steps
+    pairs = _hom_grid_hom_pairs()
+    assert len(pairs) > 100
+    for C, D in pairs:
+        assert _steps_and_tables(T._functors, C, D) == _steps_and_tables(
+            _raw_functor_tables, C, D), (sorted(C.morphisms), sorted(D.morphisms))
+
+
+def test_thin_targets_read_images_off_their_ends():
+    # into a thin target the images come from its morphisms' ends alone:
+    # emptying its identity and compose tables changes nothing
+    thin = [
+        (C, D) for C, D in _hom_grid_hom_pairs()
+        if max(collections.Counter(D.morphisms.values()).values()) == 1
+    ]
+    assert len(thin) > 100
+    for C, D in thin:
+        bare = T.FinCategory(D.objects, D.morphisms, {}, {})
+        assert _steps_and_tables(T._functors, C, bare) == _steps_and_tables(
+            T._functors, C, D)
 
 
 def test_guard_limit_inside_a_batched_step():
