@@ -673,26 +673,24 @@ def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
 
 
 def is_mono(f: MSSetMap) -> bool:
-    bound = min(f.source.bound, f.target.bound)
-    for n in range(bound + 1):
-        refs = f.source.all_simplices(n)
-        if len({f.apply(r) for r in refs}) != len(refs):
+    """Whether f is one-to-one on the simplices of each dimension up to
+    the common bound: as f(s_w g) = s_w f(g), whether each generator there
+    maps to a nondegenerate simplex (an image s_k z of g is also that of
+    s_k d_k g) and no two of one dimension share an image."""
+    for n in range(min(f.source.bound, f.target.bound) + 1):
+        images = [f.assignment[g] for g in f.source.gens_at(n)]
+        if any(w for _, w in images) or len(set(images)) != len(images):
             return False
     return True
 
 
 def is_iso(f: MSSetMap) -> bool:
-    bound = min(f.source.bound, f.target.bound)
-    for n in range(bound + 1):
-        if len(f.source.gens_at(n)) != len(f.target.gens_at(n)):
-            return False
-        for g in f.source.gens_at(n):
-            img = f.assignment.get(g)
-            if img is None or img[1]:
-                return False
-            if (g in f.source.marked) != (img[0] in f.target.marked):
-                return False
-    return is_mono(f)
+    X, Y = f.source, f.target
+    top = min(X.bound, Y.bound) + 1
+    gens = [g for n in range(top) for g in X.gens_at(n)]
+    return (X.counts()[:top] == Y.counts()[:top] and all(g in f.assignment for g in gens)
+            and is_mono(f)
+            and all((g in X.marked) == (f.assignment[g][0] in Y.marked) for g in gens))
 
 
 def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):

@@ -581,6 +581,12 @@ def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
     A degenerate filler x = s_j y of b has d_j x = d_{j+1} x = y, so the
     degenerate fillers of b are the distinct s_j b[j] with b[j] == b[j+1]
     whose faces are b; the others are the n-generators with faces b.
+
+    s_j b[j] has the faces b exactly when j-1 is in the normal word of
+    every b[i], i < j, and j in that of every b[i], i > j+1: its faces
+    s_{j-1} d_i b[j] (i < j) and s_j d_{i-1} b[j] (i > j+1) are by
+    compatibility s_{j-1} d_{j-1} b[i] and s_j d_j b[i], and a normal ref
+    r is s_k d_k r exactly when k is in its word (Eilenberg-Zilber).
     Raises ValueError for an n that is not an int >= 1, and for
     n > X.bound, where X holds no n-simplices to count.
     """
@@ -590,8 +596,9 @@ def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
     boundaries = compatible_boundaries(X, n, limit)
     fillers = collections.Counter(X.faces[g] for g in X.gens_at(n))
     return [
-        (b, fillers[b] + sum(
-            all(X.face(x, i) == f for i, f in enumerate(b))
-            for x in {degenerate(b[j], j) for j in range(n) if b[j] == b[j + 1]}))
+        (b, fillers[b] + len({
+            degenerate(b[j], j) for j in range(n) if b[j] == b[j + 1]
+            and all(j - 1 in r[1] for r in b[:j])
+            and all(j in r[1] for r in b[j + 2:])}))
         for b in boundaries
     ]

@@ -484,6 +484,7 @@ def apply_L_map(P: PresentationMap, bound=DEFAULT_BOUND) -> MSSetMap:
 def apply_R_at(X: MarkedSSet, theta: Theta2Shape, ell: int = 0,
                limit=2_000_000):
     """Pointwise right adjoint: maps from the L-image of a box cell."""
+    _check_int(limit, 0, "enumerate_maps: limit")
     block = _block({}, BoxCell(theta, ell), X.bound).product
     return enumerate_maps(block, X, limit)
 

@@ -21,8 +21,13 @@ simplex of the target for each generator; the library runs one
 explicit-stack search over a face index of the target.
 
 raw_filler_counts counts the fillers of each boundary in a table of the
-faces of every n-simplex, degenerate ones included; the library counts
-the generators' faces and checks only the degeneracies a boundary allows.
+faces of every n-simplex, degenerate ones included, and
+raw_filler_counts_by_face computes every face of each degeneracy a
+boundary allows; the library counts the generators' faces and reads
+whether such a degeneracy fills the boundary off the boundary's words.
+
+raw_is_mono applies a map to every simplex up to the bound; the library
+reads the images of the generators.
 
 raw_enumerate_full tries every tuple of object images and enumerates the
 functors of every hom again for each; the library searches object images
@@ -51,8 +56,8 @@ import itertools
 from array import array
 
 from theta2kit.msset import (
-    MarkedSSet, MSSetMap, Report, _face_layer, _Guard, _top_dim, _UnionFind,
-    degenerate)
+    MarkedSSet, MSSetMap, Report, _check_int, _face_layer, _Guard, _top_dim,
+    _UnionFind, degenerate)
 from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import _monotone_maps
@@ -561,6 +566,33 @@ def raw_filler_counts(X: MarkedSSet, n, limit=5_000_000):
     n-simplex of X."""
     index = collections.Counter(_face_layer(X, X.all_simplices(n), n))
     return [(b, index.get(b, 0)) for b in compatible_boundaries(X, n, limit)]
+
+
+def raw_filler_counts_by_face(X: MarkedSSet, n: int, limit=5_000_000):
+    """nerves.filler_counts with each candidate s_j b[j] checked by
+    computing all of its faces."""
+    _check_int(n, 1, "a filler dimension")
+    if n > X.bound:
+        raise ValueError(f"fillers in dimension {n} exceed bound {X.bound}")
+    boundaries = compatible_boundaries(X, n, limit)
+    fillers = collections.Counter(X.faces[g] for g in X.gens_at(n))
+    return [
+        (b, fillers[b] + sum(
+            all(X.face(x, i) == f for i, f in enumerate(b))
+            for x in {degenerate(b[j], j) for j in range(n) if b[j] == b[j + 1]}))
+        for b in boundaries
+    ]
+
+
+def raw_is_mono(f: MSSetMap) -> bool:
+    """msset.is_mono by applying f to every simplex, degenerate ones
+    included, of each dimension up to the common bound."""
+    bound = min(f.source.bound, f.target.bound)
+    for n in range(bound + 1):
+        refs = f.source.all_simplices(n)
+        if len({f.apply(r) for r in refs}) != len(refs):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

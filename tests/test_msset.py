@@ -10,7 +10,8 @@ from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
 
-from raw_oracles import raw_colimit, raw_map_by_vertices, raw_product_with_index
+from raw_oracles import (
+    raw_colimit, raw_is_mono, raw_map_by_vertices, raw_product_with_index)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +411,36 @@ def test_mono_iso_checks():
     assert M.is_mono(inc)
     assert not M.is_iso(inc)
     assert M.is_iso(M.identity_map(D2))
+
+
+def _z2_nerves(bound):
+    """The nerves of Z/2 (unit e, t t = e), as a 2-category with identity
+    2-cells, and of its suspension."""
+    C = T.FinCategory(
+        ("*",), {"e": ("*", "*"), "t": ("*", "*")}, {"*": "e"},
+        {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"},
+    )
+    return N.rs_nerve(T.as_two_category(C), bound), N.rs_nerve(T.suspend_category(C), bound)
+
+
+def test_is_mono_and_is_iso_match_the_all_simplex_oracle():
+    sets = [M.standard_simplex(ell, v, bound=3) for ell in range(3) for v in ("sharp", "flat")]
+    sets.append(M.standard_simplex(2, "horn", horn=1, bound=3))
+    sets.append(N.rs_nerve(T.theta2_object(T.Theta2Shape(1, (1,))), 3))
+    sets.extend(_z2_nerves(3))
+    maps = [f for X in sets for Y in sets for f in M.enumerate_maps(X, Y)]
+    monos = [f for f in maps if raw_is_mono(f)]
+    assert [f for f in maps if M.is_mono(f)] == monos
+    # a mono between sets with as many generators, marked ones included,
+    # in each dimension is onto in each
+    assert [f for f in maps if M.is_iso(f)] == [
+        f for f in monos if f.source.counts() == f.target.counts()
+        and f.source.marked_counts() == f.target.marked_counts()]
+    assert len(maps) > 300 and 50 < len(monos) < len(maps)
+    # the L-maps of the vertical Segal spines are monos
+    for k in range(4):
+        f = TH.apply_L_map(TH.vertical_segal(k), bound=4)
+        assert M.is_mono(f) and raw_is_mono(f), k
 
 
 def test_find_iso_detects_marking_difference():

@@ -12,7 +12,9 @@ from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
 
-from raw_oracles import face_tuples, from_raw, raw_face_index, raw_filler_counts, raw_nerve
+from raw_oracles import (
+    face_tuples, from_raw, raw_face_index, raw_filler_counts, raw_filler_counts_by_face,
+    raw_nerve)
 
 
 def _ordinal_2cat(m):
@@ -122,15 +124,20 @@ def test_suspended_category_nerve_contains_shifted_nerve():
 # nerves._build against the generic from_raw oracle
 
 
-def _z2_suspension():
-    # hom(bot, top) has one 1-cell and a non-identity endo 2-cell t, so
-    # simplices with a unit edge can still be nondegenerate
+def _z2():
+    """Z/2 as a one-object category: the unit e and t with t t = e."""
     C = T.FinCategory(
         ("*",), {"e": ("*", "*"), "t": ("*", "*")}, {"*": "e"},
         {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"},
     )
     assert T.validate_category(C).ok
-    return T.suspend_category(C)
+    return C
+
+
+def _z2_suspension():
+    # hom(bot, top) has one 1-cell and a non-identity endo 2-cell t, so
+    # simplices with a unit edge can still be nondegenerate
+    return T.suspend_category(_z2())
 
 
 class _RawOps:
@@ -732,11 +739,37 @@ def test_filler_counts_reject_dimension_below_one(n):
         N.compatible_boundaries(X, n)
 
 
+def _assert_filler_counts_match_oracles(X, n):
+    counts = N.filler_counts(X, n)
+    assert counts == raw_filler_counts(X, n), n
+    assert counts == raw_filler_counts_by_face(X, n), n
+    return counts
+
+
 @pytest.mark.parametrize("D", _oracle_cases())
 def test_filler_counts_match_raw_oracle(D):
-    X = N.duskin_nerve(D, bound=4)
+    for marking in MARKINGS:
+        X = N.nerve(D, marking, bound=4)
+        for n in range(1, 5):
+            _assert_filler_counts_match_oracles(X, n)
+
+
+@pytest.mark.parametrize("D", [
+    pytest.param(T.as_two_category(_z2()), id="Z/2"),
+    pytest.param(_z2_suspension(), id="Sigma Z/2"),
+])
+@pytest.mark.parametrize("marking", ["rs", "duskin"])
+def test_filler_counts_match_raw_oracles_where_a_degeneracy_does_not_fill(D, marking):
+    # in the nerve of Z/2, s_0 of the edge t has the faces (t, t, e), so
+    # the boundary (t, t, t) has b[0] == b[1] and is not filled by s_0 t
+    X = N.nerve(D, marking, bound=4)
+    refused = 0
     for n in range(1, 5):
-        assert N.filler_counts(X, n) == raw_filler_counts(X, n), n
+        for b, _ in _assert_filler_counts_match_oracles(X, n):
+            refused += sum(
+                any(X.face(M.degenerate(b[j], j), i) != f for i, f in enumerate(b))
+                for j in range(n) if b[j] == b[j + 1])
+    assert refused > 0
 
 
 @pytest.mark.parametrize("build", [
@@ -748,8 +781,7 @@ def test_filler_counts_match_raw_oracle_on_missing_and_degenerate_fillers(build)
     X = build()
     empty, degenerate = 0, 0
     for n in range(1, X.bound + 1):
-        counts = N.filler_counts(X, n)
-        assert counts == raw_filler_counts(X, n), n
+        counts = _assert_filler_counts_match_oracles(X, n)
         fillers = {X.faces[g] for g in X.gens_at(n)}
         empty += sum(c == 0 for _, c in counts)
         degenerate += sum(c > 0 and b not in fillers for b, c in counts)

@@ -172,6 +172,17 @@ def test_evaluation_rejects_bad_ell(ell):
         TH.apply_R_at(M.standard_simplex(1), POINT, ell)
 
 
+@pytest.mark.parametrize("limit", [True, 2.5, "100", -1])
+def test_apply_R_at_checks_its_limit_before_building_a_block(monkeypatch, limit):
+    built = []
+    block = TH._block
+    monkeypatch.setattr(TH, "_block", lambda *args: built.append(args) or block(*args))
+    X = N.rs_nerve(T.theta2_object(T.Theta2Shape(2, (1, 1))), 4)
+    with pytest.raises(ValueError, match="enumerate_maps: limit must be an int >= 0"):
+        TH.apply_R_at(X, T.Theta2Shape(2, (1, 1)), 1, limit)
+    assert built == []
+
+
 def _evaluation_cases():
     maps = [pytest.param(TH.vertical_segal(k), id=f"vertical_segal({k})")
             for k in range(4)]
