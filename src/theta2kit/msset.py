@@ -755,6 +755,15 @@ def _check_json(data, schema, keys):
         raise ValueError(f"{schema}: missing key(s) {', '.join(missing)}")
 
 
+def _json_word(entries):
+    """A degeneracy word read from JSON, every entry checked to be an int
+    >= 0: a bool, a float such as 0.0, a str, a list or a dict is not."""
+    word = tuple(entries)
+    for i in word:
+        _check_int(i, 0, "a face word entry")
+    return word
+
+
 def msset_from_json(data: dict) -> MarkedSSet:
     """Load schema msset/1; raises ValueError on malformed data."""
     _check_json(data, "msset/1", ("bound", "gens", "faces", "marked"))
@@ -762,7 +771,7 @@ def msset_from_json(data: dict) -> MarkedSSet:
     try:
         gens = {int(n): tuple(ids) for n, ids in data["gens"].items()}
         faces = {
-            g: tuple((f["gen"], tuple(f["word"])) for f in fs)
+            g: tuple((f["gen"], _json_word(f["word"])) for f in fs)
             for g, fs in data["faces"].items()
         }
         X = MarkedSSet(data["bound"], gens, faces, frozenset(data["marked"]))

@@ -10,15 +10,18 @@ The raw simplices are built a layer at a time, each n-simplex from its
 base d_n x and one extension of d_0 of that base, so that its faces are
 known as indices into the layer below as it is made (`_extend`);
 `_build` reads the generators, their faces and the degeneracies off
-those indices, dropping each raw simplex once read.  Each process
-caches one built nerve per signature of D, bound and marking, and no raw
-layers; see `nerve` and `rs_nerve_with_index`.
+those indices as the simplices arrive.  A layer below the top is held
+only until the next one is made from it, and the top layer, the largest,
+is never held: `_raw_nerve` streams it into `_build` simplex by simplex.
+Each process caches one built nerve per signature of D, bound and
+marking, and no raw layers; see `nerve` and `rs_nerve_with_index`.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import itertools
 import operator
 from array import array
@@ -203,11 +206,13 @@ def _pick_tris(tabs: _Tables, b, y, xn, f, j, chosen, picks):
     return steps
 
 
-def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, top, step):
-    """Layer n of the raw nerve from layer n-1, with each simplex's faces
-    as indices into layer n-1: a flat array holding the n+1 faces of each
-    simplex in turn.  The faces of layer 0 are one 0 per vertex: d_0 of a
-    vertex is the empty simplex, the one simplex of layer -1.
+def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, step,
+            runs=None, keys=None):
+    """Yield layer n of the raw nerve from layer n-1, in order, each
+    simplex with its n+1 faces as indices into layer n-1, a tuple.
+    prev_faces holds those of layer n-1 as a flat array, n per simplex in
+    turn; the faces of layer 0 are one 0 per vertex: d_0 of a vertex is
+    the empty simplex, the one simplex of layer -1.
 
     An n-simplex x is its base b = d_n x, a last vertex x_n and what joins
     them, and its face y = d_0 x extends d_0 b to the same x_n.  So for
@@ -239,16 +244,17 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, top, step)
     charged per (b, x_n) and the rest per y, so per-dimension totals are
     those of the search and a limit stops inside a layer.
 
-    Returns the layer, its faces and, below the top layer, its runs
-    (base index, x_n) -> (start, stop, cost) and its keys.
+    Below the top layer the caller passes the dicts runs and keys, which
+    are filled for layer n+1: the runs (base index, x_n) -> (start, stop,
+    cost) and the keys.
     """
-    layer, faces, runs, keys = [], array("I"), {}, {}
     ones, thin, down, two_cells, hc1 = (
         tabs.ones, tabs.thin, tabs.down, tabs.two_cells, tabs.hc1)
     merge_t = _merge_getter(n)
     pidx = _pidx(n - 1)
     # the position of edge f_jn, j = 1..n-1, among the edges of y
     ypos = [pidx[(j - 1, n - 1)] for j in range(1, n)]
+    count = 0
     for bi, b in enumerate(prev):
         verts, edges, tris = b
         x0 = verts[0]
@@ -262,7 +268,7 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, top, step)
                 continue
             start, stop, cost = run
             step(cost)
-            first = len(layer)
+            first = count
             is_thin = thin[(x0, xn)]
             if is_thin:
                 dn, cells = down[(x0, xn)], two_cells[(x0, xn)]
@@ -299,7 +305,7 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, top, step)
                 fy = prev_faces[yi * n:(yi + 1) * n]
                 subs = [prev_keys[(fb[i], fy[i - 1])] for i in range(1, n)]
                 xverts = (x0,) + yverts
-                if not top:
+                if keys is not None:
                     sub = keys[(bi, yi)] = {}
                 for f, phis in picks:
                     if is_thin:
@@ -308,34 +314,47 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, top, step)
                     else:
                         key = (f, *phis)
                         mid = [s[key[:i] + key[i + 1:]] for i, s in enumerate(subs, 1)]
-                    if not top:
-                        sub[key] = len(layer)
-                    layer.append((xverts, head + (f,) + yedges,
-                                  merge_t(tris + phis) + ytris))
-                    faces.extend((yi, *mid, bi))
-            if not top:
-                runs[(bi, xn)] = (first, len(layer), cost)
-    return layer, faces, runs, keys
+                    if keys is not None:
+                        sub[key] = count
+                    count += 1
+                    yield ((xverts, head + (f,) + yedges, merge_t(tris + phis) + ytris),
+                           (yi, *mid, bi))
+            if runs is not None:
+                runs[(bi, xn)] = (first, count, cost)
 
 
 _nerve_cache = {}
 
 
 def _raw_nerve(D: Fin2Category, bound: int, limit=5_000_000):
-    """Every raw simplex (degenerate ones included) per dimension, and the
-    faces of each as indices into the layer below; see `_extend`."""
+    """Yield, for each dimension n = 0..bound in turn, the raw n-simplices
+    (degenerate ones included) in order, each with its faces as indices
+    into dimension n-1 (a vertex has the face 0); see `_extend`.
+
+    A layer below the top is made when the one before it has been read,
+    and kept only until the next one is made from it.  The top layer is
+    never held: it is yielded as `_extend` makes it.
+    """
     guard = _Guard(limit, "nerve")
     tabs = _Tables(D)
-    by_dim = {0: [((x,), (), ()) for x in tabs.objects]}
-    faces = {0: array("I", [0] * len(tabs.objects))}
+    layer = [((x,), (), ()) for x in tabs.objects]
+    faces = array("I", [0] * len(layer))
     # the empty simplex extends to each vertex at no cost
     runs = {(0, x): (t, t + 1, 0) for t, x in enumerate(tabs.objects)}
     keys = None
-    for n in range(1, bound + 1):
-        guard.dimension = n
-        by_dim[n], faces[n], runs, keys = _extend(
-            tabs, by_dim[n - 1], faces[n - 1], runs, keys, n, n == bound, guard.step)
-    return by_dim, faces
+    for n in range(bound + 1):
+        if n:
+            guard.dimension = n
+            if n == bound:
+                yield _extend(tabs, layer, faces, runs, keys, n, guard.step)
+                return
+            up, up_faces, up_runs, up_keys = [], array("I"), {}, {}
+            for x, F in _extend(tabs, layer, faces, runs, keys, n, guard.step,
+                                up_runs, up_keys):
+                up.append(x)
+                up_faces.extend(F)
+            layer, faces, runs, keys = up, up_faces, up_runs, up_keys
+        yield zip(layer, zip(*[iter(faces)] * (n + 1)))
 
 
 def _key_fn(raw, n):
@@ -343,30 +362,34 @@ def _key_fn(raw, n):
     return ";".join([",".join(verts), ",".join(edges), ",".join(tris)])
 
 
-def _build(D: Fin2Category, by_dim, faces, bound, marked_fn, index=None):
-    """The marked nerve of a raw nerve, dropping each raw simplex once
-    read; fills index, if a dict, with each raw simplex's reference.
+def _build(D: Fin2Category, layers, bound, marked_fn, index=None):
+    """The marked nerve of the raw simplices that layers gives: for each
+    dimension n = 0..bound in turn, the raw n-simplices in order, each with
+    its n+1 face indices into dimension n-1, as `_raw_nerve` yields them.
 
-    faces[n] holds the faces of each raw n-simplex as indices into layer
-    n-1, n+1 per simplex in turn, as `_raw_nerve` gives them.  Gives what
-    the tests' oracle from_raw gives with the generic raw face and
-    degeneracy operators.
+    Each raw simplex is classified as it arrives: degenerate or not, and a
+    generator's id, faces and marking.  None is kept, but index, if a
+    dict, gets each raw simplex's reference; only the references of
+    dimension n-1 are held while dimension n is read.  Gives what the
+    tests' oracle from_raw gives with the generic raw face and degeneracy
+    operators.
     x = s_i z forces d_i x == d_{i+1} x == z, so s_i is tried only where
     those two indices agree; it is then confirmed exactly on all
     positions, and x's reference is z's, degenerated.  A generator's
-    faces are the references at its face indices.
+    faces are the references at its face indices.  Generator ids are
+    checked to be distinct on each dimension's sorted list, and across
+    dimensions by their count.
     """
     unit1 = D.unit1
     ident = {k: H.identity for k, H in D.hom.items()}
-    gens, gen_faces, marked, seen = {}, {}, set(), set()
+    gens, gen_faces, marked = {}, {}, set()
     below = []
-    for n in range(bound + 1):
+    for n, layer in zip(range(bound + 1), layers, strict=True):
         tests = [(i, _pidx(n)[(i, i + 1)], *_degeneracy_test(n, i)) for i in range(n)]
-        layer, refs, ids = by_dim.pop(n, []), [], []
-        # each simplex's n+1 face indices, as a tuple
-        face_tuples = zip(*[iter(faces.pop(n, ()))] * (n + 1))
-        for at, F in zip(range(len(layer)), face_tuples, strict=True):
-            x, layer[at] = layer[at], None
+        refs, ids = [], []
+        # dimension n+1, if any, and index read these references
+        keep = n < bound or index is not None
+        for x, F in layer:
             verts, edges, tris = x
             for i, unit_pos, same_t, collapsed in tests:
                 v = verts[i]
@@ -380,25 +403,37 @@ def _build(D: Fin2Category, by_dim, faces, bound, marked_fn, index=None):
                         for t, a, c, p in collapsed
                     )
                 ):
-                    ref = degenerate(below[F[i + 1]], i)
+                    if keep:
+                        refs.append(degenerate(below[F[i + 1]], i))
                     break
             else:
                 gid = _key_fn(x, n)
-                if gid in seen:
-                    raise ValueError(f"duplicate generator id {gid}")
-                seen.add(gid)
                 ids.append(gid)
                 if n >= 1:
                     gen_faces[gid] = tuple([below[k] for k in F])
                     if marked_fn(x, n):
                         marked.add(gid)
-                ref = (gid, ())
-            refs.append(ref)
+                if keep:
+                    refs.append((gid, ()))
             if index is not None:
-                index[x] = ref
+                index[x] = refs[-1]
         below = refs
-        gens[n] = tuple(sorted(ids))
+        ids.sort()
+        _check_distinct(ids)
+        gens[n] = tuple(ids)
+    # an id may also repeat across dimensions: a vertex named "a,b" has
+    # the id of an edge a -> b named ""
+    if (len(gen_faces) + len(gens[0]) < sum(map(len, gens.values()))
+            or not gen_faces.keys().isdisjoint(gens[0])):
+        _check_distinct(heapq.merge(*gens.values()))
     return MarkedSSet(bound, gens, gen_faces, frozenset(marked))
+
+
+def _check_distinct(ids):
+    """Raise ValueError on the first id repeated in ids, which are sorted."""
+    for gid, after in itertools.pairwise(ids):
+        if gid == after:
+            raise ValueError(f"duplicate generator id {gid}")
 
 
 def _marking(D: Fin2Category, variant):
@@ -431,7 +466,7 @@ def _nerve(D: Fin2Category, variant, bound, limit, index=None):
     marked_fn = _marking(D, variant)
     key = (D.signature(), bound, variant)
     if index is not None or key not in _nerve_cache:
-        _nerve_cache[key] = _build(D, *_raw_nerve(D, bound, limit), bound, marked_fn, index)
+        _nerve_cache[key] = _build(D, _raw_nerve(D, bound, limit), bound, marked_fn, index)
     return _nerve_cache[key]
 
 
@@ -511,10 +546,10 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     sigma_j: the cells whose first j faces are the forced d_{j-1} sigma_i,
     i < j.  Every candidate in one pool shares the forced faces
     d_j sigma_0, ..., d_j sigma_{j-1} of sigma_{j+1}, so the cells are
-    indexed by face prefix of length k-1, then by face k-1: the prefix is
-    looked up once per pool (a miss drops the whole pool), and each
-    candidate costs one lookup of its own face d_j.  The guard is charged
-    one step per candidate tried, that is per compatible prefix.
+    indexed by their face prefix of length k, and each candidate costs one
+    lookup of the forced faces followed by its own face d_j.  Every level
+    holds the same (cell, faces) entries.  The guard is charged one step
+    per candidate tried, that is per compatible prefix.
     """
     _check_int(n, 1, "a boundary dimension")
     if n > X.bound + 1:
@@ -530,18 +565,18 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
         return list(itertools.product(cells, repeat=2))
     # faces as interned integer ids, so that pool keys hash fast
     ids = {}
-    faces = [
-        tuple([ids.setdefault(r, len(ids)) for r in fs])
-        for fs in _face_layer(X, cells, n - 1)
+    entries = [
+        (s, tuple([ids.setdefault(r, len(ids)) for r in fs]))
+        for s, fs in zip(cells, _face_layer(X, cells, n - 1))
     ]
-    # pools[k][fs[:k-1]][fs[k-1]]: the cells, with their faces, whose
-    # first k faces are fs[:k]
+    # pools[k][fs[:k]]: the entries whose first k faces are fs[:k]
     pools = [None] + [{} for _ in range(n)]
-    for s, fs in zip(cells, faces):
+    for entry in entries:
+        fs = entry[1]
         for k in range(1, n + 1):
-            pools[k].setdefault(fs[:k - 1], {}).setdefault(fs[k - 1], []).append((s, fs))
+            pools[k].setdefault(fs[:k], []).append(entry)
     results = []
-    _extend_boundaries(0, list(zip(cells, faces)), n, pools, [], [], results, step)
+    _extend_boundaries(0, entries, n, pools, [], [], results, step)
     return results
 
 
@@ -554,19 +589,17 @@ def _extend_boundaries(j, pool, n, pools, chosen, chosen_faces, results, step):
     leaves no reference cycle behind."""
     step(len(pool))
     # sigma_{j+1} has the faces d_j sigma_0, ..., d_j sigma_j first
-    by_face = pools[j + 1].get(tuple([fs[j] for fs in chosen_faces]))
-    if by_face is None:
-        return
-    if j + 1 == n:
-        for s, fs in pool:
-            last = by_face.get(fs[j])
-            if last:
-                step(len(last))
-                results.extend([(*chosen, s, t) for t, _ in last])
-        return
+    forced = tuple([fs[j] for fs in chosen_faces])
+    table = pools[j + 1]
+    last = j + 1 == n
     for s, fs in pool:
-        following = by_face.get(fs[j])
-        if following:
+        following = table.get((*forced, fs[j]))
+        if not following:
+            continue
+        if last:
+            step(len(following))
+            results.extend([(*chosen, s, t) for t, _ in following])
+        else:
             chosen.append(s)
             chosen_faces.append(fs)
             _extend_boundaries(j + 1, following, n, pools, chosen, chosen_faces,

@@ -10,6 +10,7 @@ and takes the colimit of marked simplicial sets.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .msset import (
@@ -21,7 +22,8 @@ from .msset import (
     product_with_index,
     standard_simplex,
 )
-from .msset import _check_int, _check_json, _product_assignment, _simplex_key, _UnionFind
+from .msset import (
+    _check_int, _check_json, _Guard, _product_assignment, _simplex_key, _UnionFind)
 from .nerves import _nerve_assignment, rs_nerve_with_index
 from .twocat import (
     Fin2Category,
@@ -418,11 +420,38 @@ class _Block:
     product_pairs: dict
 
 
+# The most simplices one block may list.  The largest block of the tests
+# and the benchmark lists about 8 400; blocks just under the limit took
+# 12-15 s and 450-680 MB peak RSS each (CHANGES.md).
+_BLOCK_LIMIT = 500_000
+
+
+def _block_sizes(X: MarkedSSet, level, bound):
+    """Per dimension n <= bound, the simplices that the block X x
+    Delta[level] sharp lists as it is built: every n-simplex of
+    Delta[level], comb(level + n + 1, n + 1) with the degenerate ones, and
+    the product's n-generators.  Those are the pairs (s_I x, s_J y) of a
+    k-generator x, an m-generator y and disjoint I, J (Eilenberg-Zilber),
+    comb(n, k) * comb(k, n - m) pairs of words for each x and y."""
+    gens = [len(X.gens_at(k)) for k in range(bound + 1)]
+    return [
+        math.comb(level + n + 1, n + 1) + sum(
+            g * math.comb(n, k) * math.comb(k, n - m) * math.comb(level + 1, m + 1)
+            for k, g in enumerate(gens[:n + 1]) for m in range(n + 1))
+        for n in range(bound + 1)
+    ]
+
+
 def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
     """cell's block, built on first use and kept in blocks, a dict that
-    lives for one call."""
+    lives for one call.  Its size is counted first: over _BLOCK_LIMIT
+    simplices it raises ResourceLimitError naming apply_L."""
     if cell not in blocks:
         X, xindex = rs_nerve_with_index(theta2_object(cell.shape), bound)
+        guard = _Guard(_BLOCK_LIMIT, "apply_L")
+        for n, size in enumerate(_block_sizes(X, cell.level, bound)):
+            guard.dimension = n
+            guard.step(size)
         S = standard_simplex(cell.level, "sharp", bound=bound)
         blocks[cell] = _Block(X, xindex, *product_with_index(X, S))
     return blocks[cell]

@@ -11,6 +11,16 @@ edge positions, and raw_face_index finds each simplex's faces by position
 getters and lookup; the library extends from the extensions of d_0 and
 records the faces as it goes.
 
+full_raw_nerve holds every layer of the raw nerve, the top one included,
+and layers hands them to nerves._build; the library streams the top layer
+into _build as it is made and keeps a layer below only while the next one
+is made from it.
+
+raw_compatible_boundaries indexes every level of the boundary search by
+face prefix of length k-1, then by face k-1, with one (cell, faces) tuple
+per level; the library keys every level by the whole prefix of length k
+and shares one entry across levels.
+
 raw_evaluate and raw_evaluate_map build the classes of a presentation's
 elements once per call to each and enumerate 2-functors again per arrow;
 the library builds them once per presentation in theta._classes.
@@ -55,6 +65,7 @@ import functools
 import itertools
 from array import array
 
+from theta2kit import nerves
 from theta2kit.msset import (
     MarkedSSet, MSSetMap, Report, _check_int, _face_layer, _Guard, _top_dim,
     _UnionFind, degenerate)
@@ -407,6 +418,92 @@ def raw_nerve(D, bound, checked=()):
         by_dim[n] = [x for base in by_dim[n - 1] for x in _extend(tabs, base, n, step)]
         steps[n] = count[0]
     return by_dim, steps
+
+
+def full_raw_nerve(D, bound, limit=5_000_000):
+    """Every raw simplex of D per dimension, the top one included, and the
+    faces of each as indices into the layer below, n+1 per n-simplex in
+    turn: nerves._raw_nerve with every layer held.  The guard, the tables
+    and the extension are looked up in nerves at call time, so that a test
+    may patch them."""
+    guard = nerves._Guard(limit, "nerve")
+    tabs = nerves._Tables(D)
+    by_dim = {0: [((x,), (), ()) for x in tabs.objects]}
+    faces = {0: array("I", [0] * len(tabs.objects))}
+    runs = {(0, x): (t, t + 1, 0) for t, x in enumerate(tabs.objects)}
+    keys = None
+    for n in range(1, bound + 1):
+        guard.dimension = n
+        by_dim[n], faces[n], up_runs, up_keys = [], array("I"), {}, {}
+        for x, F in nerves._extend(tabs, by_dim[n - 1], faces[n - 1], runs, keys, n,
+                                   guard.step, up_runs, up_keys):
+            by_dim[n].append(x)
+            faces[n].extend(F)
+        runs, keys = up_runs, up_keys
+    return by_dim, faces
+
+
+def layers(by_dim, faces):
+    """The held layers as nerves._build reads them: per dimension n, each
+    raw n-simplex with its n+1 face indices."""
+    return (zip(by_dim[n], zip(*[iter(faces[n])] * (n + 1))) for n in range(len(by_dim)))
+
+
+# ---------------------------------------------------------------------------
+# compatible boundaries
+
+
+def raw_compatible_boundaries(X: MarkedSSet, n, limit=5_000_000):
+    """nerves.compatible_boundaries with every level indexed by face prefix
+    of length k-1, then by face k-1, and a (cell, faces) tuple of its own
+    per level."""
+    _check_int(n, 1, "a boundary dimension")
+    if n > X.bound + 1:
+        raise ValueError(f"boundaries in dimension {n} exceed bound {X.bound} + 1")
+    guard = _Guard(limit, "compatible_boundaries")
+    guard.dimension = n
+    step = guard.step
+    cells = X.all_simplices(n - 1)
+    if n == 1:
+        step(len(cells) * (1 + len(cells)))
+        return list(itertools.product(cells, repeat=2))
+    ids = {}
+    faces = [
+        tuple([ids.setdefault(r, len(ids)) for r in fs])
+        for fs in _face_layer(X, cells, n - 1)
+    ]
+    # pools[k][fs[:k-1]][fs[k-1]]: the cells, with their faces, whose
+    # first k faces are fs[:k]
+    pools = [None] + [{} for _ in range(n)]
+    for s, fs in zip(cells, faces):
+        for k in range(1, n + 1):
+            pools[k].setdefault(fs[:k - 1], {}).setdefault(fs[k - 1], []).append((s, fs))
+    results = []
+    _extend_boundaries(0, list(zip(cells, faces)), n, pools, [], [], results, step)
+    return results
+
+
+def _extend_boundaries(j, pool, n, pools, chosen, chosen_faces, results, step):
+    step(len(pool))
+    by_face = pools[j + 1].get(tuple([fs[j] for fs in chosen_faces]))
+    if by_face is None:
+        return
+    if j + 1 == n:
+        for s, fs in pool:
+            last = by_face.get(fs[j])
+            if last:
+                step(len(last))
+                results.extend([(*chosen, s, t) for t, _ in last])
+        return
+    for s, fs in pool:
+        following = by_face.get(fs[j])
+        if following:
+            chosen.append(s)
+            chosen_faces.append(fs)
+            _extend_boundaries(j + 1, following, n, pools, chosen, chosen_faces,
+                               results, step)
+            chosen.pop()
+            chosen_faces.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,20 @@ def test_suspend_of_faces_for_a_vertex_exits_2(tmp_path, capsys):
     assert "faces listed for 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [True, "0", {}])
+def test_suspend_of_a_face_word_entry_that_is_not_an_int_exits_2(entry, tmp_path, capsys):
+    # true used to exit 0 and write its output, "0" and {} to exit 1 with
+    # a TypeError traceback
+    data = M.msset_to_json(N.duskin_nerve(T.cell(2), bound=3))
+    face = next(f for _, fs in sorted(data["faces"].items()) for f in fs
+                if f["word"] == [0])
+    face["word"] = [entry]
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps(data))
+    assert main(["suspend", "--input", str(src)]) == 2
+    assert "face word entry" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # lmap command
 
@@ -163,6 +177,18 @@ def test_lmap_of_presentation_with_a_stray_functor_table_exits_2(tmp_path, capsy
     pres.write_text(json.dumps(data))
     assert main(["lmap", "--presentation", str(pres), "--bound", "3"]) == 2
     assert "hom(5,6): not a nonempty hom of the source" in capsys.readouterr().err
+
+
+def test_lmap_of_a_huge_level_exits_3(tmp_path, capsys):
+    # Delta[10**6] was built in full, and ran out of memory
+    from theta2kit import theta as TH
+
+    data = TH.presentation_to_json(TH.representable(T.Theta2Shape(1, (0,))))
+    data["cells"][0]["level"] = 10**6
+    pres = tmp_path / "w.json"
+    pres.write_text(json.dumps(data))
+    assert main(["lmap", "--presentation", str(pres), "--bound", "2"]) == 3
+    assert "in apply_L at dimension 0" in capsys.readouterr().err
 
 
 def test_lmap_without_kind_or_presentation_exits_2(capsys):

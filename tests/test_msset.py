@@ -821,6 +821,26 @@ def test_json_rejects_malformed_values():
         M.msset_from_json([])
 
 
+def _json_with_a_degenerate_face():
+    """The nerve of the free 2-cell as JSON, and a face entry in it whose
+    degeneracy word is [0]."""
+    data = M.msset_to_json(N.duskin_nerve(T.cell(2), bound=3))
+    face = next(f for _, fs in sorted(data["faces"].items()) for f in fs
+                if f["word"] == [0])
+    return data, face
+
+
+@pytest.mark.parametrize("entry", [True, "0", [0], {}, 0.0, -1, None])
+def test_json_rejects_a_face_word_entry_that_is_not_an_int(entry):
+    # [true] loaded and failed validate_msset with a KeyError, "0" and {}
+    # with a TypeError; [0.0] loaded and validated
+    data, face = _json_with_a_degenerate_face()
+    M.msset_from_json(data)
+    face["word"] = [entry]
+    with pytest.raises(ValueError, match="face word entry"):
+        M.msset_from_json(data)
+
+
 @pytest.mark.parametrize("bound", [True, False, -1, 2.0, "3", None])
 def test_json_rejects_bad_bound(bound):
     data = _json_of_triangle()

@@ -2,7 +2,9 @@ import collections
 import functools
 import gc
 import itertools
+import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,8 @@ from theta2kit import theta as TH
 from theta2kit import twocat as T
 
 from raw_oracles import (
-    face_tuples, from_raw, raw_face_index, raw_filler_counts, raw_filler_counts_by_face,
-    raw_nerve)
+    face_tuples, from_raw, full_raw_nerve, layers, raw_compatible_boundaries,
+    raw_face_index, raw_filler_counts, raw_filler_counts_by_face, raw_nerve)
 
 
 def _ordinal_2cat(m):
@@ -213,29 +215,56 @@ MARKINGS = {
 }
 
 
-def _build_copy(D, by_dim, faces, bound, marked_fn):
-    """nerves._build on its own copy of the raw layers, which it consumes,
-    with the raw -> reference index it fills."""
+def _build_with_index(D, layers_in, bound, marked_fn):
+    """nerves._build on the given raw layers, with the raw -> reference
+    index it fills."""
     index = {}
-    X = N._build(D, {n: list(layer) for n, layer in by_dim.items()}, dict(faces),
-                 bound, marked_fn, index)
+    X = N._build(D, layers_in, bound, marked_fn, index)
     return X, index
 
 
 @pytest.mark.parametrize("D", _oracle_cases())
 def test_build_matches_from_raw(D):
+    # on the layers held whole, and on the layers _raw_nerve streams
     bound = 4
-    by_dim, faces = N._raw_nerve(D, bound)
+    by_dim, faces = full_raw_nerve(D, bound)
     ops = _RawOps(D)
     for marking, mk in MARKINGS.items():
-        X, index = _build_copy(D, by_dim, faces, bound, mk(D))
         Y, oracle = from_raw(
             bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn
         )
-        assert X.gens == Y.gens, marking
-        assert X.faces == Y.faces, marking
-        assert X.marked == Y.marked, marking
-        assert index == oracle, marking
+        for how, raw in (("held", layers(by_dim, faces)),
+                         ("streamed", N._raw_nerve(D, bound))):
+            X, index = _build_with_index(D, raw, bound, mk(D))
+            assert X.gens == Y.gens, (marking, how)
+            assert X.faces == Y.faces, (marking, how)
+            assert X.marked == Y.marked, (marking, how)
+            assert index == oracle, (marking, how)
+
+
+@pytest.mark.parametrize("D", _oracle_cases())
+def test_streamed_build_stops_where_the_held_layers_stop(D, monkeypatch):
+    # a limit inside each dimension, the top one included, stops the
+    # streamed build with the error the held layers give
+    bound = 4
+    _, _, steps = _raw_nerve_with_steps(D, bound)
+    below = 0
+    for n in range(1, bound + 1):
+        limit = below + steps[n] // 2
+        below += steps[n]
+        if not steps[n]:
+            continue
+        with pytest.raises(M.ResourceLimitError) as info:
+            full_raw_nerve(D, bound, limit)
+        want = info.value
+        assert (want.operation, want.dimension) == ("nerve", n)
+        for marking in MARKINGS:
+            monkeypatch.setattr(N, "_nerve_cache", {})
+            with pytest.raises(M.ResourceLimitError) as info:
+                N.nerve(D, marking, bound, limit)
+            e = info.value
+            assert (e.operation, e.dimension, e.steps) == (
+                want.operation, want.dimension, want.steps), (n, marking)
 
 
 def _raw_nerve_checked(D, bound, monkeypatch):
@@ -249,12 +278,12 @@ def _raw_nerve_checked(D, bound, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(N._Tables, "__init__", checked)
-        return N._raw_nerve(D, bound)
+        return full_raw_nerve(D, bound)
 
 
 @pytest.mark.parametrize("D", _oracle_cases())
 def test_thin_extension_matches_checked(D, monkeypatch):
-    assert N._raw_nerve(D, 4) == _raw_nerve_checked(D, 4, monkeypatch)
+    assert full_raw_nerve(D, 4) == _raw_nerve_checked(D, 4, monkeypatch)
 
 
 def test_thin_extension_matches_checked_on_incomparable_cells(monkeypatch):
@@ -265,7 +294,7 @@ def test_thin_extension_matches_checked_on_incomparable_cells(monkeypatch):
     assert tabs.thin[("bot", "top")]
     cube = tabs.down[("bot", "top")]
     assert sorted(m.bit_count() for m in cube.values()) == [1, 2, 2, 2, 4, 4, 4, 8]
-    assert N._raw_nerve(D, 5) == _raw_nerve_checked(D, 5, monkeypatch)
+    assert full_raw_nerve(D, 5) == _raw_nerve_checked(D, 5, monkeypatch)
     assert _guard_steps(D, 5, monkeypatch) == _guard_steps(
         D, 5, monkeypatch, checked=True)
 
@@ -296,7 +325,7 @@ def _guard_steps(D, bound, monkeypatch, checked=False):
     if checked:
         _raw_nerve_checked(D, bound, monkeypatch)
     else:
-        N._raw_nerve(D, bound)
+        full_raw_nerve(D, bound)
     return guards[-1].count
 
 
@@ -309,7 +338,7 @@ def test_thin_extension_guard(D, monkeypatch):
     steps = _guard_steps(D, 3, monkeypatch)
     assert steps == _guard_steps(D, 3, monkeypatch, checked=True)
     with pytest.raises(M.ResourceLimitError) as info:
-        N._raw_nerve(D, 3, limit=steps - 1)
+        full_raw_nerve(D, 3, limit=steps - 1)
     e = info.value
     assert (e.operation, e.dimension, e.steps) == ("nerve", 3, steps)
 
@@ -327,11 +356,11 @@ def test_thin_extension_guard_inside_one_batch(monkeypatch):
             super().step(k)
 
     monkeypatch.setattr(N, "_Guard", Recording)
-    N._raw_nerve(D, 4)
+    full_raw_nerve(D, 4)
     # a step larger than any hom is a batch of triangles, not a list of edges
     dimension, before, k = next(c for c in calls if c[2] > widest)
     with pytest.raises(M.ResourceLimitError) as info:
-        N._raw_nerve(D, 4, limit=before + 1)
+        full_raw_nerve(D, 4, limit=before + 1)
     e = info.value
     assert (e.operation, e.dimension, e.steps) == ("nerve", dimension, before + k)
     assert e.steps > before + 1
@@ -360,7 +389,7 @@ def _raw_nerve_with_steps(D, bound, checked=()):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(N._Tables, "__init__", forced)
         m.setattr(N, "_Guard", Counting)
-        by_dim, faces = N._raw_nerve(D, bound)
+        by_dim, faces = full_raw_nerve(D, bound)
     return by_dim, faces, {n: steps[n] for n in range(1, bound + 1)}
 
 
@@ -408,7 +437,7 @@ def test_extension_guard_stops_inside_a_layer(monkeypatch):
     below = sum(steps[n] for n in range(1, 5))
     limit = below + steps[5] // 2
     with pytest.raises(M.ResourceLimitError) as info:
-        N._raw_nerve(D, 5, limit=limit)
+        full_raw_nerve(D, 5, limit=limit)
     e = info.value
     assert (e.operation, e.dimension) == ("nerve", 5)
     assert limit < e.steps < below + steps[5]
@@ -464,13 +493,49 @@ def test_build_matches_from_raw_without_cocycle():
     # other triangles to agree, so _build must compare every position
     D = _z2_suspension()
     by_dim = _raw_without_cocycle(D, 4)
-    assert len(by_dim[4]) > len(N._raw_nerve(D, 4)[0][4])
+    assert len(by_dim[4]) > len(full_raw_nerve(D, 4)[0][4])
     ops = _RawOps(D)
-    X, index = _build_copy(D, by_dim, raw_face_index(by_dim), 4, N._marking(D, "rs"))
+    X, index = _build_with_index(D, layers(by_dim, raw_face_index(by_dim)), 4,
+                                 N._marking(D, "rs"))
     Y, oracle = from_raw(4, by_dim, ops.face, ops.degenerate,
                          N._marking(D, "rs"), N._key_fn)
     assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
     assert index == oracle
+
+
+def _vertex_named_like_an_edge():
+    """C1 with its 1-cell named "" and a third object named "0,1": the
+    vertex "0,1" and the edge 0 -> 1 both get the id "0,1;;"."""
+    data = T.two_category_to_json(T.cell(1))
+    text = json.dumps(data).replace('"(0)>(0)"', '"id"').replace('"(0)"', '""')
+    data = json.loads(text)
+    data["objects"].append("0,1")
+    data["hom"]["0,1|0,1"] = data["hom"]["0|0"]
+    data["hcompose1"]["0,1|0,1|0,1"] = data["hcompose1"]["0|0|0"]
+    data["hcompose2"]["0,1|0,1|0,1"] = data["hcompose2"]["0|0|0"]
+    data["unit1"]["0,1"] = "()"
+    return T.two_category_from_json(data)
+
+
+@pytest.mark.parametrize("variant", ["duskin", "rs", "scaled"])
+def test_nerve_rejects_an_id_shared_by_a_vertex_and_an_edge(variant):
+    # each dimension's ids were distinct, and the two generators were merged
+    D = _vertex_named_like_an_edge()
+    with pytest.raises(ValueError, match="duplicate generator id 0,1;;"):
+        N.nerve(D, variant, 2)
+    by_dim = full_raw_nerve(D, 2)[0]
+    ops = _RawOps(D)
+    with pytest.raises(ValueError, match="duplicate generator id 0,1;;"):
+        from_raw(2, by_dim, ops.face, ops.degenerate, N._marking(D, variant), N._key_fn)
+
+
+def test_nerve_rejects_an_id_shared_by_an_edge_and_a_triangle(monkeypatch):
+    # give the triangle of [2] the id of its edge 0 -> 1
+    key_fn = N._key_fn
+    monkeypatch.setattr(N, "_key_fn", lambda raw, n: key_fn(
+        (raw[0][:2], raw[1][:1], ()), 1) if n == 2 else key_fn(raw, n))
+    with pytest.raises(ValueError, match="duplicate generator id 0,1;"):
+        N.rs_nerve(_ordinal_2cat(2), 2)
 
 
 def test_cocycle_condition_on_suspended_group():
@@ -851,6 +916,61 @@ def test_compatible_boundaries_matches_one_level_oracle(D, bound, monkeypatch):
         want, steps = _compatible_boundaries_one_level(X, n)
         assert N.compatible_boundaries(X, n) == want, n
         assert guards[-1].count == steps, n
+
+
+def test_compatible_boundaries_match_nested_pool_oracle(monkeypatch):
+    # same boundaries in the same order and the same guard totals
+    guards = _record_guards(monkeypatch)
+    for case in _oracle_cases():
+        X = N.duskin_nerve(case.values[0], bound=4)
+        for n in range(1, 5):
+            got = N.compatible_boundaries(X, n)
+            steps = guards[-1].count
+            assert got == raw_compatible_boundaries(X, n), (case.id, n)
+            assert steps == guards[-1].count, (case.id, n)
+
+
+@pytest.mark.parametrize("D", [
+    pytest.param(T.theta2_object(T.Theta2Shape(2, (1, 2))), id="[2|1,2]"),
+    pytest.param(_z2_suspension(), id="Sigma Z/2"),
+])
+def test_compatible_boundaries_guard_matches_nested_pool_oracle(D, monkeypatch):
+    X = N.duskin_nerve(D, bound=4)
+    guards = _record_guards(monkeypatch)
+    N.compatible_boundaries(X, 4)
+    total = guards[-1].count
+    for limit in (total // 3, total // 2, total - 1):
+        with pytest.raises(M.ResourceLimitError) as info:
+            raw_compatible_boundaries(X, 4, limit)
+        want = info.value
+        with pytest.raises(M.ResourceLimitError) as info:
+            N.compatible_boundaries(X, 4, limit)
+        e = info.value
+        assert (e.operation, e.dimension, e.steps) == (
+            want.operation, want.dimension, want.steps), limit
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_nerve_peaks_below_the_held_layers(monkeypatch):
+    # the top layer is never held whole; building from every layer held
+    # peaks well above that
+    D = T.theta2_object(T.Theta2Shape(2, (2, 1)))
+    marked_fn = N._marking(D, "duskin")
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    gc.collect()
+    streamed = _traced_peak(lambda: N.duskin_nerve(D, 4))
+    held = _traced_peak(
+        lambda: N._build(D, layers(*full_raw_nerve(D, 4)), 4, marked_fn))
+    assert streamed <= 0.8 * held, (streamed, held)
 
 
 @pytest.mark.parametrize("build", [

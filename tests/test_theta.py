@@ -249,6 +249,40 @@ def test_L_of_leveled_cell_is_product():
     assert M.find_iso(X, Y) is not None
 
 
+def test_L_of_a_huge_level_stops_before_building_the_simplex():
+    # Delta[10**6] was built in full, and ran out of memory; the block's
+    # simplices are counted per dimension first: in dimension 0, the
+    # level + 1 vertices of Delta[level] and as many of the product
+    level = 10**6
+    with pytest.raises(M.ResourceLimitError) as info:
+        TH.apply_L(TH.representable(POINT, level=level), bound=2)
+    e = info.value
+    assert (e.operation, e.dimension, e.steps) == ("apply_L", 0, 2 * (level + 1))
+
+
+@pytest.mark.parametrize("shape, level, bound", [
+    (POINT, 0, 2), (POINT, 3, 2), (EDGE, 2, 4), (EDGE, 5, 3),
+    (T.Theta2Shape(2, (2, 1)), 1, 4), (T.Theta2Shape(1, (2,)), 2, 3),
+])
+def test_block_sizes_count_what_the_block_lists(shape, level, bound):
+    X = N.rs_nerve(T.theta2_object(shape), bound)
+    S = M.standard_simplex(level, "sharp", bound=bound)
+    P = M.product(X, S)
+    assert TH._block_sizes(X, level, bound) == [
+        len(S.all_simplices(n)) + len(P.gens_at(n)) for n in range(bound + 1)]
+
+
+def test_L_stops_at_the_first_level_over_the_block_limit():
+    # the product is counted too: Delta[83] alone is well under the limit
+    X = N.rs_nerve(T.theta2_object(EDGE), 2)
+    assert sum(TH._block_sizes(X, 82, 2)) <= TH._BLOCK_LIMIT
+    with pytest.raises(M.ResourceLimitError) as info:
+        TH.apply_L(TH.representable(EDGE, level=83), bound=2)
+    e = info.value
+    assert (e.operation, e.dimension) == ("apply_L", 2)
+    assert e.steps == sum(TH._block_sizes(X, 83, 2)) > TH._BLOCK_LIMIT
+
+
 def test_L_of_glued_presentation():
     W = TH.vertical_segal(2).source
     X = TH.apply_L(W, bound=4)
