@@ -603,6 +603,11 @@ class _Guard:
                 self.operation, self.dimension, self.count,
             )
 
+    def step_each(self, k):
+        """Charge k steps of one, in one call: past the limit this raises
+        as the first of k calls of step() over it would, at limit + 1."""
+        self.step(min(k, self.limit + 1 - self.count))
+
 
 def _search(X: MarkedSSet, Y: MarkedSSet, guard, iso=False, vertices=None):
     """Yield the maps X -> Y, placing X's generators in dimension order on

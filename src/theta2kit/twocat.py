@@ -7,8 +7,10 @@ g: y -> z lands in hom(x, z).
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from collections.abc import Mapping
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -853,10 +855,10 @@ class TwoFunctor:
 
     When the source is a free pasting scheme the tables need cover only
     its segments; `hom_maps` derives the others once, on first use,
-    through horizontal composition.  The 2-functors that
-    `enumerate_two_functors` returns over one object map share
-    `on_objects`, and share their hom tables with every 2-functor that
-    picks the same hom functor; do not edit either.
+    through horizontal composition.  `enumerate_two_functors` builds
+    each one when it is first read.  The 2-functors it returns over one
+    object map share `on_objects`, and share their hom tables with every
+    2-functor that picks the same hom functor; do not edit either.
     """
 
     def __init__(self, source, target, on_objects, tables):
@@ -988,7 +990,8 @@ def _hom_failures(D, E, on_objects, pairs, hom_maps):
 
 
 def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
-    """All 2-functors D -> E, duplicate-free and canonically ordered.
+    """All 2-functors D -> E, duplicate-free and canonically ordered, as a
+    read-only sequence whose members are fixed when the call returns.
 
     A 2-functor is given by its object images and one functor per
     generating hom of D: D's segments when D is a free pasting scheme
@@ -1001,12 +1004,18 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     thin target hom each image is read off its ends), so homs that are
     one object (as theta2_object's equal slices are) share one list, and
     each distinct generating hom is planned once.  One guard covers the
-    whole call: enumerating each list charges its steps once, and each
-    use of a list charges its length.  Every combination of segment
-    functors is a 2-functor; a combination of hom functors is kept only if
-    it preserves D's unit 1-cells and horizontal compositions.  The
-    results over one object map share one `on_objects` dict, and hold the
-    listed tables themselves, not copies; callers must not edit them.
+    whole call: enumerating each list charges its steps once, each use
+    of a list charges its length, and each combination of hom functors
+    charges one step.  Every combination of segment functors is a
+    2-functor, so those are charged together and left as the product of
+    their lists; a combination of hom functors is kept only if it
+    preserves D's unit 1-cells and horizontal compositions, which is
+    checked here.  `len` builds nothing; each `TwoFunctor` is built on
+    first read and kept, in `itertools.product` order within an object
+    map.  `list(fs)` gives the plain list; the sequence equals only
+    itself.  The results over one object map share one `on_objects` dict,
+    and hold the listed tables themselves, not copies; callers must not
+    edit them.
     """
     guard = _Guard(limit, "enumerate_two_functors")
     free = D.segments is not None
@@ -1016,7 +1025,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     # ids of generating homs -> their plans, and of (generating hom, target
     # hom) -> its functors' tables; D and E hold the homs for the call
     plans, gen_tables = {}, {}
-    results = []
+    blocks = []
     for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
         on_objects = dict(zip(objs, images))
         choice_lists = []
@@ -1033,14 +1042,65 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
                 break
             choice_lists.append(fns)
         else:
+            if free:
+                guard.step_each(math.prod(map(len, choice_lists)))
+                blocks.append((on_objects, choice_lists, None))
+                continue
+            passed = []
             for combo in itertools.product(*choice_lists):
                 guard.step()
                 tables = dict(zip(gens, combo))
-                if free or next(
-                    _horizontal_failures(D, E, on_objects, tables, guard.step), None
-                ) is None:
-                    results.append(TwoFunctor(D, E, on_objects, tables))
-    return results
+                if next(_horizontal_failures(D, E, on_objects, tables, guard.step),
+                        None) is None:
+                    passed.append(tables)
+            if passed:
+                blocks.append((on_objects, None, passed))
+    return _TwoFunctors(D, E, gens, blocks)
+
+
+class _TwoFunctors(Sequence):
+    """The 2-functors D -> E that `enumerate_two_functors` found, each
+    built on first read and kept.
+
+    blocks holds, per object map in order, (on_objects, choice lists,
+    None) when every combination of one item per list is a 2-functor's
+    tables on gens, and (on_objects, None, tables) with the tables that
+    passed otherwise.  Item i is found by bisection over the blocks'
+    starts and decoded in `itertools.product` order.
+    """
+
+    def __init__(self, D, E, gens, blocks):
+        self._source, self._target, self._gens = D, E, gens
+        self._blocks = blocks
+        self._starts = list(itertools.accumulate(
+            (math.prod(map(len, lists)) if passed is None else len(passed)
+             for _, lists, passed in blocks),
+            initial=0,
+        ))
+        self._made = {}
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]
+        if isinstance(i, slice):
+            return [self[k] for k in at]
+        F = self._made.get(at)
+        if F is None:
+            b = bisect.bisect_right(self._starts, at) - 1
+            on_objects, lists, passed = self._blocks[b]
+            r = at - self._starts[b]
+            if passed is None:
+                combo = []
+                for items in reversed(lists):
+                    r, t = divmod(r, len(items))
+                    combo.append(items[t])
+                tables = dict(zip(self._gens, reversed(combo)))
+            else:
+                tables = passed[r]
+            F = self._made[at] = TwoFunctor(self._source, self._target, on_objects, tables)
+        return F
 
 
 def _horizontal_failures(D, E, on_objects, hom_maps, step):

@@ -43,6 +43,11 @@ raw_enumerate_full tries every tuple of object images and enumerates the
 functors of every hom again for each; the library searches object images
 through the generating pairs and keeps one functor list per pair of homs.
 
+raw_enumerate_two_functors runs the library's search and builds every
+2-functor as it goes, charging a free source's combinations one step at a
+time; the library charges them together and builds each 2-functor when
+it is first read.
+
 raw_functors builds a Functor per hom functor and derives every image
 through the target's identity and compose tables; the library keeps the
 hom functors as plain tables and, into a thin target, reads each image
@@ -73,8 +78,9 @@ from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import _monotone_maps
 from theta2kit.twocat import (
-    Functor, TwoFunctor, _choices, _object_maps, _poset, _thin, enumerate_functors,
-    enumerate_two_functors, theta2_object, validate_category)
+    Functor, TwoFunctor, _choices, _functors, _generating_homs, _horizontal_failures,
+    _object_maps, _plan, _poset, _thin, enumerate_functors, enumerate_two_functors,
+    theta2_object, validate_category)
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
@@ -809,6 +815,42 @@ def raw_enumerate_full(D, E, guard):
             }
             if check(on_objects, maps):
                 results.append(TwoFunctor(D, E, dict(on_objects), dict(maps)))
+    return results
+
+
+def raw_enumerate_two_functors(D, E, guard):
+    """The list of 2-functors D -> E in enumerate_two_functors' order,
+    with one TwoFunctor built, and one guard step charged, per combination
+    of generating hom functors."""
+    free = D.segments is not None
+    gens = _generating_homs(D)
+    objs = sorted(D.objects)
+    gen_homs = [D.hom_at(*pair) for pair in gens]
+    plans, gen_tables = {}, {}
+    results = []
+    for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
+        on_objects = dict(zip(objs, images))
+        choice_lists = []
+        for (a, b), H in zip(gens, gen_homs):
+            He = E.hom[(on_objects[a], on_objects[b])]
+            key = (id(H), id(He))
+            fns = gen_tables.get(key)
+            if fns is None:
+                if id(H) not in plans:
+                    plans[id(H)] = _plan(H)
+                fns = gen_tables[key] = _functors(H, plans[id(H)], He, guard)
+            guard.step(len(fns))
+            if not fns:
+                break
+            choice_lists.append(fns)
+        else:
+            for combo in itertools.product(*choice_lists):
+                guard.step()
+                tables = dict(zip(gens, combo))
+                if free or next(
+                    _horizontal_failures(D, E, on_objects, tables, guard.step), None
+                ) is None:
+                    results.append(TwoFunctor(D, E, on_objects, tables))
     return results
 
 

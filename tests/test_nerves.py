@@ -635,12 +635,27 @@ def test_rs_nerve_returns_the_nerve_an_indexed_build_left(first, monkeypatch):
 
     monkeypatch.setattr(TH, "rs_nerve_with_index", recording)
     if first == "apply_L":
+        # an arrowless presentation reads no raw index: apply_L makes one
+        # build, through rs_nerve, and leaves that nerve in the cache
+        plain = []
+        rs_nerve = TH.rs_nerve
+
+        def recording_plain(*args):
+            plain.append(rs_nerve(*args))
+            return plain[-1]
+
+        monkeypatch.setattr(TH, "rs_nerve", recording_plain)
+        built = _record_builds(monkeypatch)
         TH.apply_L(TH.representable(shape), bound=3)
+        assert indexed == [] and len(built) == len(plain) == 1
+        left = plain[0]
+        built.clear()
     else:
         recording(D, 3)
-    built = _record_builds(monkeypatch)
-    assert len(indexed) == 1
-    assert N.rs_nerve(D, bound=3) is indexed[0]
+        built = _record_builds(monkeypatch)
+        assert len(indexed) == 1
+        left = indexed[0]
+    assert N.rs_nerve(D, bound=3) is left
     assert built == []
 
 

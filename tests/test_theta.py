@@ -6,6 +6,7 @@ from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
+from theta2kit.cli import main
 
 from raw_oracles import (
     raw_colimit,
@@ -550,6 +551,27 @@ def test_d_restriction_formula_matches_enumeration():
 def test_d_restriction_edge_counts_one_cells():
     fs, total = TH.d_restriction(T.Theta2Shape(2, (0, 0)), 1, 0)
     assert total == 6  # one per 1-cell of [2|0,0]
+
+
+def test_counting_callers_build_no_two_functor(monkeypatch, capsys):
+    made = []
+    init = T.TwoFunctor.__init__
+
+    def counting(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(T.TwoFunctor, "__init__", counting)
+    for theta, i, j in [(T.Theta2Shape(2, (1, 2)), 2, 1),
+                        (T.Theta2Shape(3, (2, 0, 1)), 1, 2)]:
+        fs, total = TH.d_restriction(theta, i, j)
+        assert len(fs) == total > 0
+    assert made == []
+    assert main(["verify", "hom-bijection", "--max-m", "2"]) == 0
+    capsys.readouterr()
+    assert made == []
+    # a read builds the one functor read, once
+    assert fs[-1] is fs[-1] and made == [fs[-1]]
 
 
 @pytest.mark.parametrize("i, j", [(-1, 1), (1, -1), (True, 1), (1, True),

@@ -12,8 +12,9 @@ from theta2kit import twocat as T
 from theta2kit.msset import ResourceLimitError
 
 from raw_oracles import (
-    raw_enumerate_full, raw_fold_hom_maps, raw_functors, raw_suspension_decomposition,
-    raw_theta2_decomposition, raw_validate_2cat, raw_validate_two_functor)
+    raw_enumerate_full, raw_enumerate_two_functors, raw_fold_hom_maps, raw_functors,
+    raw_suspension_decomposition, raw_theta2_decomposition, raw_validate_2cat,
+    raw_validate_two_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -1349,6 +1350,132 @@ def test_metadata_free_search_keeps_only_composable_choices(monkeypatch):
     # the choices of hom functors alone are more
     monkeypatch.setattr(T, "_horizontal_failures", lambda *args: iter(()))
     assert len(T.enumerate_two_functors(D, E)) > len(fs)
+
+
+def _eager_and_lazy(D, E, limit=5_000_000):
+    """enumerate_two_functors(D, E) with its guard's total, and the eager
+    oracle's list with its guard's total."""
+    _Recorded.made.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_Guard", _Recorded)
+        got = T.enumerate_two_functors(D, E, limit)
+    guard = T._Guard(limit, "enumerate_two_functors")
+    want = raw_enumerate_two_functors(D, E, guard)
+    return got, _Recorded.made[0].count, want, guard.count
+
+
+def test_two_functor_sequence_matches_eager_oracle():
+    # the fold grid, and the metadata-free sources against their targets.
+    # Equal object and given tables, key order included, give equal key()s;
+    # key() itself, which derives a free source's other tables, is compared
+    # on the metadata-free cases, where that takes little time.
+    sources, targets = _fold_grid()
+    cases = [(D, E, False) for D, _, _ in sources for E in targets]
+    small = [T.theta2_object(s) for s in _shapes(2, 1)] + [T.suspend_category(_z2())]
+    cases += [(D, E, True) for _, D in _metadata_free_sources() for E in small]
+    count = 0
+    for D, E, keyed in cases:
+        got, steps, want, oracle_steps = _eager_and_lazy(D, E)
+        where = (D.objects, E.objects)
+        assert len(got) == len(want), where
+        assert _two_functor_tables(got) == _two_functor_tables(want), where
+        if keyed:
+            assert [F.key() for F in got] == [F.key() for F in want], where
+        assert steps == oracle_steps, where
+        count += len(got)
+    assert count == 15_675 + 964
+
+
+@pytest.mark.parametrize("D", [
+    pytest.param(T.theta2_object(T.Theta2Shape(1, (2,))), id="free [1|2]"),
+    pytest.param(_stripped(T.theta2_object(T.Theta2Shape(2, (1, 0)))),
+                 id="stripped [2|1,0]"),
+])
+def test_two_functor_sequence_reads_like_a_list(D):
+    E = T.theta2_object(T.Theta2Shape(2, (1, 1)))
+    fs = T.enumerate_two_functors(D, E)
+    n = len(fs)
+    assert n > 10
+    listed = list(fs)
+    # each member is built once and kept; iteration reads the same members
+    assert all(a is b for a, b in zip(listed, (fs[i] for i in range(n))))
+    assert all(fs[i] is fs[i] for i in range(n))
+    assert len(listed) == n
+    for i in range(1, n + 1):
+        assert fs[-i] is fs[n - i]
+    for cut in (slice(None), slice(2, 7), slice(None, None, -3), slice(-4, None),
+                slice(n + 5, None), slice(3, 1)):
+        part = fs[cut]
+        assert type(part) is list
+        assert part == listed[cut] and all(a is b for a, b in zip(part, listed[cut]))
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            fs[bad]
+    with pytest.raises(TypeError):
+        fs["0"]
+    assert fs.index(fs[5]) == 5 and fs[3] in fs
+    assert list(reversed(fs)) == listed[::-1]
+    # equality is by identity, not by members
+    assert fs == fs and fs != listed and fs != T.enumerate_two_functors(D, E)
+
+
+def test_step_each_raises_as_steps_of_one_would():
+    for limit in range(8):
+        for start in range(limit + 1):
+            for k in range(12):
+                twin, guard = (T._Guard(limit, "op") for _ in range(2))
+                twin.step(start)
+                guard.step(start)
+                want = None
+                try:
+                    for _ in range(k):
+                        twin.step()
+                except ResourceLimitError as e:
+                    want = (e.operation, e.dimension, e.steps)
+                if want is None:
+                    guard.step_each(k)
+                    assert guard.count == twin.count == start + k
+                    continue
+                with pytest.raises(ResourceLimitError) as e:
+                    guard.step_each(k)
+                assert (e.value.operation, e.value.dimension, e.value.steps) == want
+                assert e.value.steps == limit + 1
+
+
+class _Products(T._Guard):
+    """A _Guard that keeps (count before, k) for each step_each call."""
+
+    spans = []
+
+    def step_each(self, k):
+        self.spans.append((self.count, k))
+        super().step_each(k)
+
+
+@pytest.mark.parametrize("target", [(1, (3,)), (2, (1, 1))])
+def test_guard_trips_inside_a_product_as_the_eager_enumeration_does(target):
+    D = T.theta2_object(T.Theta2Shape(1, (2,)))
+    E = T.theta2_object(T.Theta2Shape(*target))
+    _Products.spans.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_Guard", _Products)
+        fs = T.enumerate_two_functors(D, E)
+    _, _, want, total = _eager_and_lazy(D, E)
+    assert len(fs) == len(want)
+    if target == (1, (3,)):
+        assert len(fs) == 22
+    inside = {c + t for c, k in _Products.spans for t in range(k)}
+    assert len(inside) == len(fs)
+    for limit in range(total):
+        with pytest.raises(ResourceLimitError) as got:
+            T.enumerate_two_functors(D, E, limit)
+        with pytest.raises(ResourceLimitError) as oracle:
+            raw_enumerate_two_functors(D, E, T._Guard(limit, "enumerate_two_functors"))
+        assert got.value.operation == oracle.value.operation == "enumerate_two_functors"
+        assert got.value.steps == oracle.value.steps, limit
+        if limit in inside:
+            assert got.value.steps == limit + 1
+    assert len(T.enumerate_two_functors(D, E, total)) == len(fs)
 
 
 def test_two_functor_compose_and_identity():
