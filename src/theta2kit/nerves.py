@@ -14,7 +14,8 @@ those indices as the simplices arrive.  A layer below the top is held
 only until the next one is made from it, and the top layer, the largest,
 is never held: `_raw_nerve` streams it into `_build` simplex by simplex.
 Each process caches one built nerve per signature of D, bound and
-marking, and no raw layers; see `nerve` and `rs_nerve_with_index`.
+marking, and no raw layers; see `nerve`.  A nerve map walks its
+source's raw simplices again and finds their images by `_ref`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from array import array
 
 from .msset import (
     DEFAULT_BOUND, MarkedSSet, MSSetMap, _check_int, _face_layer, _Guard, degenerate)
-from .twocat import Fin2Category, TwoFunctor
+from .twocat import Fin2Category, TwoFunctor, _copies
 
 # raw simplex: (verts, edges, tris) with edges indexed by pairs i<j and
 # tris by triples i<j<k, both in lexicographic order
@@ -71,30 +72,37 @@ def _getter(positions):
 
 @functools.lru_cache(maxsize=None)
 def _degeneracy_test(n, i):
-    """How x == s_i d_{i+1} x reads on the positions of a raw n-simplex x.
+    """Whether a raw n-simplex x is s_i d_{i+1} x, as a function of x and
+    of D's unit 1-cells and identity 2-cells per hom.
 
-    s_i d_{i+1} renames vertex i+1 to i.  Given x_i == x_{i+1} and the
-    unit as edge (i, i+1), which the caller checks first, x is s_i d_{i+1} x
-    iff
-    - each collapsed triangle (i, i+1, c) or (a, i, i+1) is the identity
-      2-cell on its long edge (i, c) or (a, i); by the unit laws its
-      ends then force edge (i+1, c) == (i, c) and (a, i+1) == (a, i), so
-      edges need no check;
-    - every other triangle equals the one it is renamed to.
-    Returns a getter sending x's triangles to those of s_i d_{i+1} x, with
-    collapsed positions sent to themselves, and the collapsed triangles
-    as (position, a, c, long edge position).
+    s_i d_{i+1} renames vertex i+1 to i.  So x is s_i d_{i+1} x iff
+    x_i == x_{i+1}, the edge (i, i+1) is the unit, each collapsed
+    triangle (i, i+1, c) or (a, i, i+1) is the identity 2-cell on its
+    long edge (i, c) or (a, i), and every other edge and triangle through
+    i+1 equals the one it is renamed to.  The rest are fixed, so the test
+    is exact on any raw tuple; one naming a cell D lacks raises KeyError.
     """
     r = [i if a == i + 1 else a for a in range(n + 1)]
     pidx, tidx = _pidx(n), _tidx(n)
-    tris, collapsed = [], []
-    for t, (a, b, c) in enumerate(_triples(n)):
-        if len({r[a], r[b], r[c]}) == 3:
-            tris.append(tidx[(r[a], r[b], r[c])])
-        else:
-            tris.append(t)
-            collapsed.append((t, a, c, pidx[(r[a], r[c])]))
-    return _getter(tris), tuple(collapsed)
+    unit_pos = pidx[(i, i + 1)]
+    # the positions through i+1 but (i, i+1), and those s_i d_{i+1} reads there
+    moved_e = [(t, pidx[(r[a], r[b])]) for t, (a, b) in enumerate(_pairs(n))
+               if i + 1 in (a, b) and r[a] != r[b]]
+    moved_t = [(t, tidx[(r[a], r[b], r[c])]) for t, (a, b, c) in enumerate(_triples(n))
+               if i + 1 in (a, b, c) and len({r[a], r[b], r[c]}) == 3]
+    e_at, e_to, t_at, t_to = (_getter([m[k] for m in moved]) for moved in (moved_e, moved_t)
+                              for k in (0, 1))
+    collapsed = [(t, a, c, pidx[(r[a], r[c])])
+                 for t, (a, b, c) in enumerate(_triples(n)) if len({r[a], r[b], r[c]}) < 3]
+
+    def test(x, unit1, ident):
+        verts, edges, tris = x
+        return (verts[i] == verts[i + 1] and edges[unit_pos] == unit1[verts[i]]
+                and e_at(edges) == e_to(edges) and t_at(tris) == t_to(tris)
+                and all(tris[t] == ident[(verts[a], verts[c])][edges[p]]
+                        for t, a, c, p in collapsed))
+
+    return test
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,16 +122,6 @@ def _merge_getter(n):
     ])
 
 
-def _plain(table):
-    """A (x, y, z) -> {pair: cell} table as a dict of dicts, each inner
-    table that several triples share copied once."""
-    copies = {}
-    for t in table.values():
-        if id(t) not in copies:
-            copies[id(t)] = dict(t)
-    return {k: copies[id(t)] for k, t in table.items()}
-
-
 class _Tables:
     """The composition data nerve extension reads, as plain dicts.
 
@@ -139,8 +137,8 @@ class _Tables:
         self.ones = {k: H.objects for k, H in D.hom.items()}
         self.then = {k: H.compose for k, H in D.hom.items()}
         self.ident = {k: H.identity for k, H in D.hom.items()}
-        self.hc1 = _plain(D.hcompose1)
-        self.hc2 = _plain(D.hcompose2)
+        self.hc1 = _copies(D.hcompose1, dict)
+        self.hc2 = _copies(D.hcompose2, dict)
         # (x, y) -> {(source 1-cell, target 1-cell): [2-cells]}
         self.two_cells = {}
         # (x, y) -> whether hom(x, y) is thin: at most one 2-cell between
@@ -362,15 +360,14 @@ def _key_fn(raw, n):
     return ";".join([",".join(verts), ",".join(edges), ",".join(tris)])
 
 
-def _build(D: Fin2Category, layers, bound, marked_fn, index=None):
+def _build(D: Fin2Category, layers, bound, marked_fn):
     """The marked nerve of the raw simplices that layers gives: for each
     dimension n = 0..bound in turn, the raw n-simplices in order, each with
     its n+1 face indices into dimension n-1, as `_raw_nerve` yields them.
 
     Each raw simplex is classified as it arrives: degenerate or not, and a
-    generator's id, faces and marking.  None is kept, but index, if a
-    dict, gets each raw simplex's reference; only the references of
-    dimension n-1 are held while dimension n is read.  Gives what the
+    generator's id, faces and marking.  None is kept; only the references
+    of dimension n-1 are held while dimension n is read.  Gives what the
     tests' oracle from_raw gives with the generic raw face and degeneracy
     operators.
     x = s_i z forces d_i x == d_{i+1} x == z, so s_i is tried only where
@@ -380,29 +377,16 @@ def _build(D: Fin2Category, layers, bound, marked_fn, index=None):
     checked to be distinct on each dimension's sorted list, and across
     dimensions by their count.
     """
-    unit1 = D.unit1
-    ident = {k: H.identity for k, H in D.hom.items()}
+    unit1, ident = dict(D.unit1), {k: H.identity for k, H in D.hom.items()}
     gens, gen_faces, marked = {}, {}, set()
     below = []
     for n, layer in zip(range(bound + 1), layers, strict=True):
-        tests = [(i, _pidx(n)[(i, i + 1)], *_degeneracy_test(n, i)) for i in range(n)]
+        tests = [(i, _degeneracy_test(n, i)) for i in range(n)]
         refs, ids = [], []
-        # dimension n+1, if any, and index read these references
-        keep = n < bound or index is not None
+        keep = n < bound  # dimension n+1, if any, reads these references
         for x, F in layer:
-            verts, edges, tris = x
-            for i, unit_pos, same_t, collapsed in tests:
-                v = verts[i]
-                if (
-                    F[i] == F[i + 1]
-                    and v == verts[i + 1]
-                    and edges[unit_pos] == unit1[v]
-                    and same_t(tris) == tris
-                    and all(
-                        tris[t] == ident[(verts[a], verts[c])][edges[p]]
-                        for t, a, c, p in collapsed
-                    )
-                ):
+            for i, test in tests:
+                if F[i] == F[i + 1] and test(x, unit1, ident):
                     if keep:
                         refs.append(degenerate(below[F[i + 1]], i))
                     break
@@ -415,8 +399,6 @@ def _build(D: Fin2Category, layers, bound, marked_fn, index=None):
                         marked.add(gid)
                 if keep:
                     refs.append((gid, ()))
-            if index is not None:
-                index[x] = refs[-1]
         below = refs
         ids.sort()
         _check_distinct(ids)
@@ -427,6 +409,36 @@ def _build(D: Fin2Category, layers, bound, marked_fn, index=None):
             or not gen_faces.keys().isdisjoint(gens[0])):
         _check_distinct(heapq.merge(*gens.values()))
     return MarkedSSet(bound, gens, gen_faces, frozenset(marked))
+
+
+def _generator_raws(D: Fin2Category, bound, limit=5_000_000):
+    """The raw simplices of the nerve of D that `_build` finds
+    nondegenerate, in order: one per generator, whose id is their key."""
+    unit1, ident = dict(D.unit1), {k: H.identity for k, H in D.hom.items()}
+    raws = []
+    for n, layer in enumerate(_raw_nerve(D, bound, limit)):
+        tests = [(i, _degeneracy_test(n, i)) for i in range(n)]
+        raws += [x for x, F in layer if not any(
+            F[i] == F[i + 1] and test(x, unit1, ident) for i, test in tests)]
+    return raws
+
+
+def _ref(D: Fin2Category, x):
+    """The reference of the raw simplex x of the nerve of D by
+    Eilenberg-Zilber: s_i of the reference of d_{i+1} x for the least i
+    with x == s_i d_{i+1} x, and (_key_fn(x, n), ()) if there is none.
+    A tuple that is no simplex of the nerve gets an id of no generator."""
+    n = len(x[0]) - 1
+    unit1, ident = D.unit1, {k: H.identity for k, H in D.hom.items()}
+    for i in range(n):
+        if _degeneracy_test(n, i)(x, unit1, ident):
+            keep = [a for a in range(n + 1) if a != i + 1]
+            pidx, tidx = _pidx(n), _tidx(n)
+            face = (tuple([x[0][a] for a in keep]),
+                    tuple([x[1][pidx[p]] for p in itertools.combinations(keep, 2)]),
+                    tuple([x[2][tidx[t]] for t in itertools.combinations(keep, 3)]))
+            return degenerate(_ref(D, face), i)
+    return (_key_fn(x, n), ())
 
 
 def _check_distinct(ids):
@@ -458,15 +470,15 @@ def _marking(D: Fin2Category, variant):
     return marked_fn
 
 
-def _nerve(D: Fin2Category, variant, bound, limit, index=None):
-    """The marked nerve, cached unless index is a dict to fill; see `nerve`."""
+def _nerve(D: Fin2Category, variant, bound, limit):
+    """The marked nerve, built once per key; see `nerve`."""
     _check_int(bound, 0, "a nerve bound")
     # a cache hit builds no guard, so the limit is checked here as well
     _check_int(limit, 0, "nerve: limit")
     marked_fn = _marking(D, variant)
     key = (D.signature(), bound, variant)
-    if index is not None or key not in _nerve_cache:
-        _nerve_cache[key] = _build(D, _raw_nerve(D, bound, limit), bound, marked_fn, index)
+    if key not in _nerve_cache:
+        _nerve_cache[key] = _build(D, _raw_nerve(D, bound, limit), bound, marked_fn)
     return _nerve_cache[key]
 
 
@@ -487,48 +499,40 @@ def rs_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
     return nerve(D, "rs", bound, limit)
 
 
-def rs_nerve_with_index(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
-    """As rs_nerve, also returning the raw-simplex -> reference index; it
-    always builds from scratch, and the nerve built replaces the cached one."""
-    index = {}
-    return _nerve(D, "rs", bound, limit, index), index
-
-
 def scaled_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
     """Nerve marked at 2-simplices whose 2-cell is invertible."""
     return nerve(D, "scaled", bound, limit)
 
 
-def _apply_raw(F: TwoFunctor, raw):
-    verts, edges, tris = raw
-    n = len(verts) - 1
-    nverts = tuple(F.obj(x) for x in verts)
-    nedges = tuple(
-        F.one(verts[i], verts[j], edges[t]) for t, (i, j) in enumerate(_pairs(n))
-    )
-    ntris = tuple(
-        F.two(verts[i], verts[k], tris[t])
-        for t, (i, j, k) in enumerate(_triples(n))
-    )
-    return (nverts, nedges, ntris)
-
-
 def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000):
     """The simplicial map induced on nerves by a 2-functor; both nerves
-    are built from scratch, as in `rs_nerve_with_index`."""
-    xindex, yindex = {}, {}
-    X = _nerve(F.source, variant, bound, limit, xindex)
-    Y = _nerve(F.target, variant, bound, limit, yindex)
-    return MSSetMap(X, Y, _nerve_assignment(F, xindex, yindex))
+    come from `nerve`.  See `_nerve_assignment`."""
+    X = nerve(F.source, variant, bound, limit)
+    Y = nerve(F.target, variant, bound, limit)
+    return MSSetMap(X, Y, _nerve_assignment(F, _generator_raws(F.source, bound, limit), Y))
 
 
-def _nerve_assignment(F: TwoFunctor, xindex, yindex):
-    """The generator assignment of the map induced by F, read off the
-    raw -> reference indices of its source and target nerves."""
-    # each generator is the reference of exactly one raw simplex
-    return {
-        g: yindex[_apply_raw(F, raw)] for raw, (g, w) in xindex.items() if not w
-    }
+def _nerve_assignment(F: TwoFunctor, raws, Y: MarkedSSet):
+    """F on the generator raw simplices of its source's nerve: each goes
+    to the reference of its image in Y, the nerve of F's target.  Raises
+    ValueError, naming the generator, where that names no generator of Y."""
+    on, hm, assignment = F.on_objects, F.hom_maps, {}
+    for x in raws:
+        verts, edges, tris = x
+        n = len(verts) - 1
+        try:
+            ref = _ref(F.target, (
+                tuple([on[v] for v in verts]),
+                tuple([hm[verts[i], verts[j]][0][f] for (i, j), f in zip(_pairs(n), edges)]),
+                tuple([hm[verts[i], verts[k]][1][m] for (i, _, k), m in zip(_triples(n), tris)])))
+        except KeyError:  # the image names a cell, or a hom, the target lacks
+            ref = (None, ())
+        g = _key_fn(x, n)
+        if ref[0] not in Y._dim:
+            raise ValueError(f"nerve map: the image of generator {g} is not "
+                             "a simplex of the target's nerve; not a 2-functor?")
+        assignment[g] = ref
+    return assignment
 
 
 # ---------------------------------------------------------------------------

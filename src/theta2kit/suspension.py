@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, degenerate, empty_msset, rebound
 from .twocat import FinCategory, as_two_category, suspend_category
-from .nerves import _pairs, _pidx, _triples, rs_nerve_with_index
+from .nerves import _generator_raws, _key_fn, _pairs, _pidx, _ref, _triples, rs_nerve
 
 
 def cone_ref(dim_fn, ref):
@@ -75,44 +75,25 @@ def suspension_comparison(C: FinCategory, bound=None):
         raise ValueError("the comparison needs a nonempty category")
     target_bound = bound if bound is not None else DEFAULT_BOUND
     SC = suspend_category(C)
-    N, nindex = rs_nerve_with_index(SC, target_bound)
+    N = rs_nerve(SC, target_bound)
     if target_bound == 0:
         # the nerve of C one dimension down has no simplices
-        NC, cindex = empty_msset(0), {}
+        NC, raws = empty_msset(0), []
     else:
-        NC, cindex = rs_nerve_with_index(as_two_category(C), target_bound - 1)
-        NC = rebound(NC, target_bound)
+        C2 = as_two_category(C)
+        NC = rebound(rs_nerve(C2, target_bound - 1), target_bound)
+        raws = _generator_raws(C2, target_bound - 1)
     SNC = suspend_marked(NC)
 
-    # recover the raw nerve simplex behind each generator of NC
-    raw_of = {}
-    for raw, ref in cindex.items():
-        if not ref[1]:
-            raw_of.setdefault(ref[0], raw)
-
-    assignment = {
-        "bot": nindex[(("bot",), (), ())],
-        "top": nindex[(("top",), (), ())],
-    }
-    for g, raw in raw_of.items():
+    assignment = {v: _ref(SC, ((v,), (), ())) for v in ("bot", "top")}
+    for raw in raws:
         verts, edges, tris = raw
         n = len(verts) - 1
-        m = n + 1
-        pidx = _pidx(n)
-        nverts = ("bot",) + ("top",) * m
-        nedges = []
-        for i, j in _pairs(m):
-            if i == 0:
-                nedges.append(verts[m - j])
-            else:
-                nedges.append("*")
-        ntris = []
-        for i, j, k in _triples(m):
-            if i == 0:
-                # the 2-cell f_{0k} => f_{0j} is the edge of the original
-                # simplex between the reversed positions m-k < m-j
-                ntris.append(edges[pidx[(m - k, m - j)]])
-            else:
-                ntris.append("id")
-        assignment["^" + g] = nindex[(nverts, tuple(nedges), tuple(ntris))]
+        m, pidx = n + 1, _pidx(n)
+        # the image's 2-cell f_{0k} => f_{0j} is raw's edge (m-k, m-j)
+        image = (("bot",) + ("top",) * m,
+                 tuple(verts[m - j] if i == 0 else "*" for i, j in _pairs(m)),
+                 tuple(edges[pidx[(m - k, m - j)]] if i == 0 else "id"
+                       for i, j, k in _triples(m)))
+        assignment["^" + _key_fn(raw, n)] = _ref(SC, image)
     return MSSetMap(SNC, N, assignment)

@@ -24,7 +24,7 @@ from .msset import (
 )
 from .msset import (
     _check_int, _check_json, _Guard, _product_assignment, _simplex_key, _UnionFind)
-from .nerves import _nerve_assignment, rs_nerve, rs_nerve_with_index
+from .nerves import _generator_raws, _nerve_assignment, rs_nerve
 from .twocat import (
     Fin2Category,
     Theta2Shape,
@@ -411,12 +411,10 @@ def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
 
 @dataclass(frozen=True)
 class _Block:
-    """The L block of a box cell: its shape's nerve with the raw index
-    (None when the block was built without it), and the product with its
-    level's sharp simplex with the pairs."""
+    """The L block of a box cell: its shape's nerve, and the product with
+    its level's sharp simplex with the pairs."""
 
     nerve: MarkedSSet
-    nerve_index: dict | None
     product: MarkedSSet
     product_pairs: dict
 
@@ -443,39 +441,38 @@ def _block_sizes(X: MarkedSSet, level, bound):
     ]
 
 
-def _block(blocks: dict, cell: BoxCell, bound, indexed) -> _Block:
+def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
     """cell's block, built on first use and kept in blocks, a dict that
-    lives for one call and is filled with one value of indexed.  Its
-    nerve comes with the raw index from `rs_nerve_with_index` when indexed,
-    and from `rs_nerve`, which may hit the nerve cache, otherwise.  Its
-    size is counted first: over _BLOCK_LIMIT simplices it raises
-    ResourceLimitError naming apply_L."""
+    lives for one call.  Its nerve comes from `rs_nerve`, which may hit
+    the nerve cache.  Its size is counted first: over _BLOCK_LIMIT
+    simplices it raises ResourceLimitError naming apply_L."""
     if cell not in blocks:
-        D = theta2_object(cell.shape)
-        X, xindex = rs_nerve_with_index(D, bound) if indexed else (rs_nerve(D, bound), None)
+        X = rs_nerve(theta2_object(cell.shape), bound)
         guard = _Guard(_BLOCK_LIMIT, "apply_L")
         for n, size in enumerate(_block_sizes(X, cell.level, bound)):
             guard.dimension = n
             guard.step(size)
         S = standard_simplex(cell.level, "sharp", bound=bound)
-        blocks[cell] = _Block(X, xindex, *product_with_index(X, S))
+        blocks[cell] = _Block(X, *product_with_index(X, S))
     return blocks[cell]
 
 
 def _block_map(blocks: dict, G: TwoFunctor, lam, src: BoxCell, dst: BoxCell,
                bound) -> MSSetMap:
-    """The map of blocks induced by the shape functor G and the level
-    map lam, read off the nerve indices and the source's generator pairs."""
-    a, b = _block(blocks, src, bound, True), _block(blocks, dst, bound, True)
-    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, a.nerve_index, b.nerve_index))
+    """The map of blocks induced by the shape functor G and the level map
+    lam: G on the source nerve's generator raw simplices, walked once per
+    call and kept in blocks, then the source's generator pairs."""
+    a, b = _block(blocks, src, bound), _block(blocks, dst, bound)
+    if (src, "raws") not in blocks:
+        blocks[(src, "raws")] = _generator_raws(G.source, bound)
+    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, blocks[(src, "raws")], b.nerve))
     sf = simplex_map(src.level, dst.level, lam, "sharp", bound)
     return MSSetMap(a.product, b.product, _product_assignment(a.product_pairs, nf, sf))
 
 
-def _L_diagram(W: Theta2Presentation, blocks: dict, bound, indexed):
-    """The nodes and arrows whose colimit is L(W); blocks are indexed when
-    indexed is true, as the arrows' and any later `_block_map` need."""
-    nodes = [_block(blocks, cell, bound, indexed).product for cell in W.cells]
+def _L_diagram(W: Theta2Presentation, blocks: dict, bound):
+    """The nodes and arrows whose colimit is L(W)."""
+    nodes = [_block(blocks, cell, bound).product for cell in W.cells]
     arrows = [
         (i, j, _block_map(blocks, G, lam, W.cells[i], W.cells[j], bound))
         for i, j, G, lam in W.arrows
@@ -484,21 +481,20 @@ def _L_diagram(W: Theta2Presentation, blocks: dict, bound, indexed):
 
 
 def apply_L(W: Theta2Presentation, bound=DEFAULT_BOUND):
-    """L of a presentation: colimit of nerve-times-simplex blocks.  Only
-    a presentation with arrows needs the nerves' raw indices."""
-    nodes, arrows = _L_diagram(W, {}, bound, bool(W.arrows))
+    """L of a presentation: colimit of nerve-times-simplex blocks."""
+    nodes, arrows = _L_diagram(W, {}, bound)
     return colimit(nodes, arrows, bound=bound)[0]
 
 
 def apply_L_map(P: PresentationMap, bound=DEFAULT_BOUND) -> MSSetMap:
     blocks = {}
-    src_diagram = _L_diagram(P.source, blocks, bound, True)
-    tgt_diagram = _L_diagram(P.target, blocks, bound, True)
+    src_diagram = _L_diagram(P.source, blocks, bound)
+    tgt_diagram = _L_diagram(P.target, blocks, bound)
     node_maps = [
         (j, _block_map(blocks, G, lam, cell, P.target.cells[j], bound))
         for cell, (j, G, lam) in zip(P.source.cells, P.cell_map)
     ]
-    # every index has been read: free them before the colimits
+    # every block map has been made: free the raw simplices
     del blocks
     src, src_legs = colimit(*src_diagram, bound=bound)
     tgt, tgt_legs = colimit(*tgt_diagram, bound=bound)
@@ -521,7 +517,7 @@ def apply_R_at(X: MarkedSSet, theta: Theta2Shape, ell: int = 0,
                limit=2_000_000):
     """Pointwise right adjoint: maps from the L-image of a box cell."""
     _check_int(limit, 0, "enumerate_maps: limit")
-    block = _block({}, BoxCell(theta, ell), X.bound, False).product
+    block = _block({}, BoxCell(theta, ell), X.bound).product
     return enumerate_maps(block, X, limit)
 
 

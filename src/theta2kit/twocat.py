@@ -558,6 +558,16 @@ def _one_to_one(table, left, right, cells) -> bool:
     )
 
 
+def _copies(table, make):
+    """The (x, y, z) -> {pair: cell} table with each inner table t replaced
+    by make(t), made once however many triples share t."""
+    made = {}
+    for t in table.values():
+        if id(t) not in made:
+            made[id(t)] = make(t)
+    return {k: made[id(t)] for k, t in table.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class Fin2Category:
     """A finite 2-category given by hom-categories and horizontal tables.
@@ -565,17 +575,25 @@ class Fin2Category:
     hom maps object pairs with nonempty mapping category to a FinCategory
     whose objects are the 1-cells and whose morphisms are the 2-cells;
     hcompose1/hcompose2 give horizontal composition per object triple.
-    The tables are read through the Mapping protocol only:
-    `theta2_object` gives read-only mappings built on lookup, the other
-    constructors and the JSON loader plain dicts.  `segments` is derived
-    from the tables, never declared.
+    The tables are read-only, so `segments`, derived from them once, stays
+    true: hom, unit1 and the plain-dict horizontal tables, outer and inner,
+    are copied into read-only views, one per inner table however many
+    triples share it.  `theta2_object`'s `_LazyTable`s are read-only.
     """
 
     objects: tuple
-    hom: dict  # (x, y) -> FinCategory, nonempty pairs only
+    hom: Mapping  # (x, y) -> FinCategory, nonempty pairs only
     hcompose1: Mapping  # (x, y, z) -> Mapping {(f, g): h}
     hcompose2: Mapping  # (x, y, z) -> Mapping {(alpha, beta): gamma}
-    unit1: dict  # x -> 1-cell id in hom(x, x)
+    unit1: Mapping  # x -> 1-cell id in hom(x, x)
+
+    def __post_init__(self):
+        for name in ("hcompose1", "hcompose2"):
+            if isinstance(table := getattr(self, name), dict):
+                object.__setattr__(self, name, MappingProxyType(
+                    _copies(table, lambda t: MappingProxyType(dict(t)))))
+        for name in ("hom", "unit1"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @cached_property
     def segments(self):

@@ -11,6 +11,12 @@ edge positions, and raw_face_index finds each simplex's faces by position
 getters and lookup; the library extends from the extensions of d_0 and
 records the faces as it goes.
 
+raw_nerve_assignment reads the map a 2-functor induces on nerves off
+from_raw's raw -> reference normal maps of both raw nerves, built with
+the generic operators of RawOps; the library maps the source's generator
+raw simplices and finds each image's reference in the cached target
+nerve by Eilenberg-Zilber (nerves._ref).
+
 full_raw_nerve holds every layer of the raw nerve, the top one included,
 and layers hands them to nerves._build; the library streams the top layer
 into _build as it is made and keeps a layer below only while the next one
@@ -248,6 +254,91 @@ def face_getters(n, i):
         _getter([pidx[(keep[a], keep[b])] for a, b in _pairs(n - 1)]),
         _getter([tidx[(keep[a], keep[b], keep[c])] for a, b, c in _triples(n - 1)]),
     )
+
+
+class RawOps:
+    """The generic simplicial operators on raw nerve simplices of D, for
+    from_raw: the oracle of nerves._build."""
+
+    def __init__(self, D):
+        self.D = D
+
+    def _identity_two(self, x, y, f):
+        return self.D.hom_at(x, y).identity[f]
+
+    def face(self, raw, n, i):
+        verts, edges, tris = raw
+        keep = [a for a in range(n + 1) if a != i]
+        nverts = tuple(verts[a] for a in keep)
+        pidx = _pidx(n)
+        tidx = _tidx(n)
+        nedges = tuple(
+            edges[pidx[(keep[a], keep[b])]] for a, b in _pairs(n - 1)
+        )
+        ntris = tuple(
+            tris[tidx[(keep[a], keep[b], keep[c])]]
+            for a, b, c in _triples(n - 1)
+        )
+        return (nverts, nedges, ntris)
+
+    def degenerate(self, raw, n, p):
+        verts, edges, tris = raw
+        sig = tuple(a if a <= p else a - 1 for a in range(n + 2))
+        nverts = tuple(verts[s] for s in sig)
+        pidx = _pidx(n)
+        tidx = _tidx(n)
+        nedges = []
+        for a, b in _pairs(n + 1):
+            sa, sb = sig[a], sig[b]
+            if sa == sb:
+                nedges.append(self.D.unit1[verts[sa]])
+            else:
+                nedges.append(edges[pidx[(sa, sb)]])
+        ntris = []
+        for a, b, c in _triples(n + 1):
+            sa, sb, sc = sig[a], sig[b], sig[c]
+            if sa < sb < sc:
+                ntris.append(tris[tidx[(sa, sb, sc)]])
+            else:
+                # a collapsed edge: the triangle is the identity 2-cell
+                # on its long edge
+                if sa == sb:
+                    f = edges[pidx[(sb, sc)]] if sb != sc else self.D.unit1[verts[sa]]
+                else:
+                    f = edges[pidx[(sa, sb)]]
+                ntris.append(self._identity_two(nverts[a], nverts[c], f))
+        return (nverts, tuple(nedges), tuple(ntris))
+
+
+@functools.lru_cache(maxsize=64)
+def raw_nerve_normal(D, variant="rs", bound=4):
+    """from_raw over the raw nerve of D (raw_nerve) with the operators of
+    RawOps: the nerve and its raw -> reference normal map."""
+    ops = RawOps(D)
+    return from_raw(bound, raw_nerve(D, bound)[0], ops.face, ops.degenerate,
+                    nerves._marking(D, variant), nerves._key_fn)
+
+
+def raw_apply(F, raw):
+    """F on a raw simplex, one cell at a time through F.obj, F.one, F.two."""
+    verts, edges, tris = raw
+    n = len(verts) - 1
+    return (
+        tuple(F.obj(x) for x in verts),
+        tuple(F.one(verts[i], verts[j], f) for (i, j), f in zip(_pairs(n), edges)),
+        tuple(F.two(verts[i], verts[k], m) for (i, _, k), m in zip(_triples(n), tris)),
+    )
+
+
+def raw_nerve_assignment(F, variant="rs", bound=4):
+    """The map F induces on nerves, between the nerves from_raw builds
+    (raw_nerve_normal), read off their raw -> reference normal maps: each
+    generator's raw simplex x goes to the normal reference of F(x)."""
+    X, xnormal = raw_nerve_normal(F.source, variant, bound)
+    Y, ynormal = raw_nerve_normal(F.target, variant, bound)
+    return MSSetMap(X, Y, {
+        g: ynormal[raw_apply(F, x)] for x, (g, w) in xnormal.items() if not w
+    })
 
 
 def raw_face_index(by_dim):

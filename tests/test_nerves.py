@@ -15,8 +15,9 @@ from theta2kit import theta as TH
 from theta2kit import twocat as T
 
 from raw_oracles import (
-    face_tuples, from_raw, full_raw_nerve, layers, raw_compatible_boundaries,
-    raw_face_index, raw_filler_counts, raw_filler_counts_by_face, raw_nerve)
+    RawOps, face_tuples, from_raw, full_raw_nerve, layers, raw_compatible_boundaries,
+    raw_face_index, raw_filler_counts, raw_filler_counts_by_face, raw_nerve,
+    raw_nerve_assignment)
 
 
 def _ordinal_2cat(m):
@@ -142,60 +143,6 @@ def _z2_suspension():
     return T.suspend_category(_z2())
 
 
-class _RawOps:
-    """The generic simplicial operators on raw nerve simplices of D, for
-    from_raw: the oracle of nerves._build."""
-
-    def __init__(self, D):
-        self.D = D
-
-    def _identity_two(self, x, y, f):
-        return self.D.hom_at(x, y).identity[f]
-
-    def face(self, raw, n, i):
-        verts, edges, tris = raw
-        keep = [a for a in range(n + 1) if a != i]
-        nverts = tuple(verts[a] for a in keep)
-        pidx = N._pidx(n)
-        tidx = N._tidx(n)
-        nedges = tuple(
-            edges[pidx[(keep[a], keep[b])]] for a, b in N._pairs(n - 1)
-        )
-        ntris = tuple(
-            tris[tidx[(keep[a], keep[b], keep[c])]]
-            for a, b, c in N._triples(n - 1)
-        )
-        return (nverts, nedges, ntris)
-
-    def degenerate(self, raw, n, p):
-        verts, edges, tris = raw
-        sig = tuple(a if a <= p else a - 1 for a in range(n + 2))
-        nverts = tuple(verts[s] for s in sig)
-        pidx = N._pidx(n)
-        tidx = N._tidx(n)
-        nedges = []
-        for a, b in N._pairs(n + 1):
-            sa, sb = sig[a], sig[b]
-            if sa == sb:
-                nedges.append(self.D.unit1[verts[sa]])
-            else:
-                nedges.append(edges[pidx[(sa, sb)]])
-        ntris = []
-        for a, b, c in N._triples(n + 1):
-            sa, sb, sc = sig[a], sig[b], sig[c]
-            if sa < sb < sc:
-                ntris.append(tris[tidx[(sa, sb, sc)]])
-            else:
-                # a collapsed edge: the triangle is the identity 2-cell
-                # on its long edge
-                if sa == sb:
-                    f = edges[pidx[(sb, sc)]] if sb != sc else self.D.unit1[verts[sa]]
-                else:
-                    f = edges[pidx[(sa, sb)]]
-                ntris.append(self._identity_two(nverts[a], nverts[c], f))
-        return (nverts, tuple(nedges), tuple(ntris))
-
-
 def _oracle_cases():
     shapes = [T.Theta2Shape(0, ())]
     for m in (1, 2):
@@ -215,31 +162,25 @@ MARKINGS = {
 }
 
 
-def _build_with_index(D, layers_in, bound, marked_fn):
-    """nerves._build on the given raw layers, with the raw -> reference
-    index it fills."""
-    index = {}
-    X = N._build(D, layers_in, bound, marked_fn, index)
-    return X, index
-
-
 @pytest.mark.parametrize("D", _oracle_cases())
 def test_build_matches_from_raw(D):
     # on the layers held whole, and on the layers _raw_nerve streams
     bound = 4
     by_dim, faces = full_raw_nerve(D, bound)
-    ops = _RawOps(D)
+    ops = RawOps(D)
     for marking, mk in MARKINGS.items():
-        Y, oracle = from_raw(
-            bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn
-        )
+        Y, normal = from_raw(bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn)
         for how, raw in (("held", layers(by_dim, faces)),
                          ("streamed", N._raw_nerve(D, bound))):
-            X, index = _build_with_index(D, raw, bound, mk(D))
+            X = N._build(D, raw, bound, mk(D))
             assert X.gens == Y.gens, (marking, how)
             assert X.faces == Y.faces, (marking, how)
             assert X.marked == Y.marked, (marking, how)
-            assert index == oracle, (marking, how)
+    # _ref on every raw simplex, degenerate ones included, is from_raw's
+    # normal map, and the generator raws are those it keeps, in its order
+    assert sum(map(len, by_dim.values())) == len(normal)
+    assert {x: N._ref(D, x) for x in normal} == normal
+    assert N._generator_raws(D, bound) == [x for x, (g, w) in normal.items() if not w]
 
 
 @pytest.mark.parametrize("D", _oracle_cases())
@@ -494,13 +435,24 @@ def test_build_matches_from_raw_without_cocycle():
     D = _z2_suspension()
     by_dim = _raw_without_cocycle(D, 4)
     assert len(by_dim[4]) > len(full_raw_nerve(D, 4)[0][4])
-    ops = _RawOps(D)
-    X, index = _build_with_index(D, layers(by_dim, raw_face_index(by_dim)), 4,
-                                 N._marking(D, "rs"))
+    ops = RawOps(D)
+    X = N._build(D, layers(by_dim, raw_face_index(by_dim)), 4, N._marking(D, "rs"))
     Y, oracle = from_raw(4, by_dim, ops.face, ops.degenerate,
                          N._marking(D, "rs"), N._key_fn)
     assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
-    assert index == oracle
+    # _ref compares every position too, edges included
+    assert {x: N._ref(D, x) for x in oracle} == oracle
+
+
+def test_ref_compares_edges():
+    # a triangle 0 -> 0 -> 1 of Sigma[1] with unit edge 0 -> 0 whose
+    # 2-cell is the identity on f_02 = 0 though f_12 = 1: not a simplex of
+    # the nerve, and not s_0 of its face d_1, which has f_12 on both
+    D = T.suspend_category(T.ordinal(1))
+    x = (("bot", "bot", "top"), ("*", "0", "1"), ("0>0",))
+    ops = RawOps(D)
+    assert ops.degenerate(ops.face(x, 2, 1), 1, 0) != x
+    assert N._ref(D, x) == (N._key_fn(x, 2), ())
 
 
 def _vertex_named_like_an_edge():
@@ -524,7 +476,7 @@ def test_nerve_rejects_an_id_shared_by_a_vertex_and_an_edge(variant):
     with pytest.raises(ValueError, match="duplicate generator id 0,1;;"):
         N.nerve(D, variant, 2)
     by_dim = full_raw_nerve(D, 2)[0]
-    ops = _RawOps(D)
+    ops = RawOps(D)
     with pytest.raises(ValueError, match="duplicate generator id 0,1;;"):
         from_raw(2, by_dim, ops.face, ops.degenerate, N._marking(D, variant), N._key_fn)
 
@@ -564,7 +516,7 @@ def test_nerve_guard_names_operation_dimension_and_steps(monkeypatch):
 @pytest.mark.parametrize("bound", [-1, 2.5, True, False, None, "3"])
 def test_nerve_entry_points_reject_bad_bounds(bound):
     D = T.cell(1)
-    for build in (N.duskin_nerve, N.rs_nerve, N.rs_nerve_with_index, N.scaled_nerve):
+    for build in (N.duskin_nerve, N.rs_nerve, N.scaled_nerve):
         with pytest.raises(ValueError, match="bound"):
             build(D, bound=bound)
     with pytest.raises(ValueError, match="bound"):
@@ -620,51 +572,42 @@ def test_nerve_cache_keeps_each_marking_apart(monkeypatch):
             assert N.nerve(D, marking, bound=3).marked_counts() == want[marking], order
 
 
-@pytest.mark.parametrize("first", ["rs_nerve_with_index", "apply_L"])
+@pytest.mark.parametrize("first", ["apply_L", "apply_L_map"])
 def test_rs_nerve_returns_the_nerve_an_indexed_build_left(first, monkeypatch):
+    # apply_L, with arrows or without, and apply_L_map take every nerve
+    # from rs_nerve: each builds a shape's nerve once and leaves it in the
+    # cache, where rs_nerve finds it
     shape = T.Theta2Shape(2, (1, 0))
     D = T.theta2_object(shape)
     monkeypatch.setattr(N, "_nerve_cache", {})
-    indexed = []
-    with_index = N.rs_nerve_with_index
+    plain = []
+    rs_nerve = TH.rs_nerve
 
     def recording(*args):
-        X, index = with_index(*args)
-        indexed.append(X)
-        return X, index
+        plain.append(rs_nerve(*args))
+        return plain[-1]
 
-    monkeypatch.setattr(TH, "rs_nerve_with_index", recording)
+    monkeypatch.setattr(TH, "rs_nerve", recording)
+    built = _record_builds(monkeypatch)
     if first == "apply_L":
-        # an arrowless presentation reads no raw index: apply_L makes one
-        # build, through rs_nerve, and leaves that nerve in the cache
-        plain = []
-        rs_nerve = TH.rs_nerve
-
-        def recording_plain(*args):
-            plain.append(rs_nerve(*args))
-            return plain[-1]
-
-        monkeypatch.setattr(TH, "rs_nerve", recording_plain)
-        built = _record_builds(monkeypatch)
         TH.apply_L(TH.representable(shape), bound=3)
-        assert indexed == [] and len(built) == len(plain) == 1
-        left = plain[0]
-        built.clear()
+        assert len(built) == len(plain) == 1
     else:
-        recording(D, 3)
-        built = _record_builds(monkeypatch)
-        assert len(indexed) == 1
-        left = indexed[0]
+        # [2|1,0] from the spine [1|1] + [1|0] glued at a point
+        TH.apply_L_map(TH.horizontal_segal(2, (1, 0)), bound=3)
+        assert len(built) == len(plain) == 4
+    # the target's nerve is the last one taken
+    left = plain[-1]
+    built.clear()
     assert N.rs_nerve(D, bound=3) is left
     assert built == []
 
 
 def test_nerve_guard_leaves_no_cache_entry(monkeypatch):
     monkeypatch.setattr(N, "_nerve_cache", {})
-    for build in (N.duskin_nerve, N.rs_nerve_with_index):
-        with pytest.raises(M.ResourceLimitError):
-            build(T.cell(2), bound=3, limit=3)
-        assert N._nerve_cache == {}
+    with pytest.raises(M.ResourceLimitError):
+        N.duskin_nerve(T.cell(2), bound=3, limit=3)
+    assert N._nerve_cache == {}
     # so a second call runs the guard again
     with pytest.raises(M.ResourceLimitError):
         N.duskin_nerve(T.cell(2), bound=3, limit=3)
@@ -683,8 +626,6 @@ def test_nerve_marking_table_matches_named_builders(D):
     for variant, build in builders.items():
         X, Y = N.nerve(D, variant, bound=4), build(D, bound=4)
         assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked), variant
-    X, Y = N.rs_nerve_with_index(D, bound=4)[0], N.nerve(D, bound=4)
-    assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
 
 
 def test_nerve_map_rejects_unknown_variant():
@@ -731,6 +672,74 @@ def test_nerve_map_composes():
     lhs = N.nerve_map(F.compose(G), bound=3)
     rhs = N.nerve_map(F, bound=3).compose(N.nerve_map(G, bound=3))
     assert lhs.assignment == rhs.assignment
+
+
+def _grid_shapes(k):
+    """The shapes [0], [1|a] and [2|a,b] with a, b <= k."""
+    return [T.Theta2Shape(0, ()), *(T.Theta2Shape(1, (a,)) for a in range(k + 1)),
+            *(T.Theta2Shape(2, ks) for ks in itertools.product(range(k + 1), repeat=2))]
+
+
+def _assert_nerve_maps_match_the_oracle(D, targets, bound):
+    """The maps on nerves of every 2-functor from D into targets against
+    raw_nerve_assignment.  Their assignment does not depend on the
+    marking: each one's is checked through _nerve_assignment on D's
+    generator raws, walked once, and the first 2-functor into each target
+    through nerve_map in all three markings, the nerves included."""
+    raws = N._generator_raws(D, bound)
+    for E in targets:
+        fs = T.enumerate_two_functors(D, E)
+        Y = N.rs_nerve(E, bound)
+        for F in fs:
+            want = raw_nerve_assignment(F, "rs", bound).assignment
+            assert list(N._nerve_assignment(F, raws, Y).items()) == list(want.items())
+        for variant in MARKINGS:
+            f = N.nerve_map(fs[0], variant, bound)
+            want = raw_nerve_assignment(fs[0], variant, bound)
+            assert f.assignment == want.assignment, variant
+            for X, Z in ((f.source, want.source), (f.target, want.target)):
+                assert (X.gens, X.faces, X.marked) == (Z.gens, Z.faces, Z.marked), variant
+        if E.objects == ("0",):
+            # a collapse sends the generators above dimension 0 to
+            # degenerate simplices
+            assert all(w for g, (_, w) in want.assignment.items()
+                       if g not in f.source.gens[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _map_targets(k):
+    """The grid shapes with m, k <= k, Sigma Z/2 and I, built once, so
+    that the oracle's nerves of each are too."""
+    return [T.theta2_object(s) for s in _grid_shapes(k)] + [
+        _z2_suspension(), T.as_two_category(T.free_iso())]
+
+
+@pytest.mark.parametrize("shape", _grid_shapes(1), ids=str)
+def test_nerve_map_matches_the_oracle_at_bound_4(shape):
+    # every 2-functor among the shapes with m, k <= 1, and into Sigma Z/2 and I
+    _assert_nerve_maps_match_the_oracle(T.theta2_object(shape), _map_targets(1), 4)
+
+
+@pytest.mark.parametrize("shape", _grid_shapes(2), ids=str)
+def test_nerve_map_matches_the_oracle_at_bound_2(shape):
+    # every 2-functor among the shapes with m, k <= 2, and into Sigma Z/2 and I
+    _assert_nerve_maps_match_the_oracle(T.theta2_object(shape), _map_targets(2), 2)
+
+
+def _not_a_two_functor():
+    """Cells [1|1] -> [1|2] sending every 1-cell to (0) and every 2-cell
+    to (0)>(2), whose ends are (0) and (2): no 2-functor."""
+    D, E = T.cell(2), T.theta2_object(T.Theta2Shape(1, (2,)))
+    H = D.hom[("0", "1")]
+    table = ({f: "(0)" for f in H.objects}, {a: "(0)>(2)" for a in H.morphisms})
+    return T.TwoFunctor(D, E, {"0": "0", "1": "1"}, {("0", "1"): table})
+
+
+def test_nerve_map_of_a_map_that_is_not_a_two_functor_raises():
+    F = _not_a_two_functor()
+    assert not T.validate_two_functor(F).ok
+    with pytest.raises(ValueError, match="image of generator 0,0,1;"):
+        N.nerve_map(F, bound=3)
 
 
 # ---------------------------------------------------------------------------

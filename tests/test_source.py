@@ -277,3 +277,64 @@ def test_segments_scan_sees_every_read(tmp_path):
         "f(x.y.segments, segments)\nsegments = 1\ndef segments():\n    pass\n"
     )
     assert _segments_reads(path) == [1, 2, 4]
+
+
+
+def _callers(path, name):
+    """The calls of name in path, bare or as nerves.name, as
+    'line:enclosing function' ('<module>' at module level)."""
+    found = []
+    stack = [(ast.parse(path.read_text(), str(path)), "<module>")]
+    while stack:
+        node, where = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.append((child, child.name))
+                continue
+            f = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and (
+                getattr(f, "id", None) == name
+                or (isinstance(f, ast.Attribute) and f.attr == name
+                    and getattr(f.value, "id", None) == "nerves")
+            ):
+                found.append(f"{child.lineno}:{where}")
+            stack.append((child, where))
+    return sorted(found, key=lambda hit: int(hit.split(":")[0]))
+
+
+def _names(path, name):
+    """The lines of path that name name: as a Name, an Attribute, an
+    import alias or a definition."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name)
+        or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+    })
+
+
+def test_nerves_are_built_on_the_cached_path_only():
+    # nerves._build runs behind the nerve cache alone, and no module keeps
+    # a second, indexed way to a nerve (twocat's _LazyTable calls a
+    # self._build of its own)
+    found = [
+        f"{path.stem}.{hit.split(':')[1]}" for path in SOURCES
+        for hit in _callers(path, "_build")
+    ]
+    assert found == ["nerves._nerve"]
+    named = [f"{path.name}:{line}" for path in SOURCES
+             for line in _names(path, "rs_nerve_with_index")]
+    assert named == []
+
+
+def test_call_and_name_scans_see_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .nerves import _build\ndef _build(x):\n    return x\n"
+        "def f():\n    return nerves._build(1)\nY = _build(2)\n"
+        "class C:\n    def m(self):\n        def g():\n            _build(3)\n"
+        "        return self._build(4)\n"
+    )
+    assert _callers(path, "_build") == ["5:f", "6:<module>", "10:g"]
+    assert _names(path, "_build") == [1, 2, 5, 6, 10, 11]

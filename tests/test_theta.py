@@ -13,6 +13,7 @@ from raw_oracles import (
     raw_enumerate_maps,
     raw_evaluate,
     raw_evaluate_map,
+    raw_nerve_assignment,
     raw_product_with_index,
 )
 
@@ -322,13 +323,10 @@ def _old_box_nerve(cell, bound):
 
 
 def _old_box_map(G, lam, l_src, l_dst, bound):
-    """nerve_map followed by product_map, each building its own nerves
-    and products."""
-    X, xindex = N.rs_nerve_with_index(G.source, bound)
-    Y, yindex = N.rs_nerve_with_index(G.target, bound)
-    nf = M.MSSetMap(X, Y, {
-        g: yindex[N._apply_raw(G, raw)] for raw, (g, w) in xindex.items() if not w
-    })
+    """The nerve map of the raw oracle followed by product_map, each
+    building its own nerves and products."""
+    nf = raw_nerve_assignment(G, "rs", bound)
+    X, Y = nf.source, nf.target
     sf = TH.simplex_map(l_src, l_dst, lam, "sharp", bound)
     P, pindex = raw_product_with_index(X, sf.source)
     Q, qindex = raw_product_with_index(Y, sf.target)
@@ -446,11 +444,24 @@ def test_block_builder_builds_each_block_once(monkeypatch):
 
         monkeypatch.setattr(TH, name, counted)
 
-    counting("rs_nerve_with_index")
+    counting("rs_nerve")
     counting("product_with_index")
     TH.apply_L_map(TH.vertical_segal(3), bound=4)
     # one nerve and one product each for [1|1], [1|0] and [1|3]
-    assert sorted(built) == ["product_with_index"] * 3 + ["rs_nerve_with_index"] * 3
+    assert sorted(built) == ["product_with_index"] * 3 + ["rs_nerve"] * 3
+
+
+def test_L_of_an_arrow_that_is_not_a_two_functor_raises():
+    # [1|1] -> [1|2] sending every 1-cell to (0) and every 2-cell to
+    # (0)>(2); the presentation checks only that it joins the shapes
+    D, E = T.cell(2), T.theta2_object(T.Theta2Shape(1, (2,)))
+    H = D.hom[("0", "1")]
+    F = T.TwoFunctor(D, E, {"0": "0", "1": "1"}, {("0", "1"): (
+        {f: "(0)" for f in H.objects}, {a: "(0)>(2)" for a in H.morphisms})})
+    W = TH.Theta2Presentation(
+        (TH.BoxCell(CONE), TH.BoxCell(T.Theta2Shape(1, (2,)))), ((0, 1, F, (0,)),))
+    with pytest.raises(ValueError, match="image of generator 0,0,1;"):
+        TH.apply_L(W, bound=2)
 
 
 # ---------------------------------------------------------------------------

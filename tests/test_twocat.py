@@ -900,10 +900,10 @@ def test_segments_are_none_unless_free():
     P11 = T.theta2_object(T.Theta2Shape(2, (1, 1)))
     assert _plain(P11).segments == (("0", "1"), ("1", "2"))
     for table, a, b in [("hcompose1", "(1)", "(0)"), ("hcompose2", "(1)>(1)", "(0)>(0)")]:
-        D = _plain(P11)
-        t = getattr(D, table)[("0", "1", "2")]
+        tables = _plain_tables(P11)
+        t = tables[table][("0", "1", "2")]
         t[(b, a)] = t[(b, b)]
-        assert D.segments is None, table
+        assert T.Fin2Category(**tables).segments is None, table
 
 
 def test_json_round_trip_enumerates_the_same_functors():
@@ -938,20 +938,71 @@ def test_validate_2cat_negative_control():
     assert any("unit" in v or "hc" in v for v in rep.violations)
 
 
+def _plain_tables(D):
+    """D's tables as plain dicts, which a test may edit, by field name."""
+    return {
+        "objects": D.objects, "hom": dict(D.hom),
+        "hcompose1": {k: dict(t) for k, t in D.hcompose1.items()},
+        "hcompose2": {k: dict(t) for k, t in D.hcompose2.items()},
+        "unit1": dict(D.unit1),
+    }
+
+
 def _plain(D):
-    """D with plain-dict horizontal tables, which a test may edit."""
-    return T.Fin2Category(
-        D.objects, dict(D.hom), {k: dict(t) for k, t in D.hcompose1.items()},
-        {k: dict(t) for k, t in D.hcompose2.items()}, dict(D.unit1),
-    )
+    """D built again from plain-dict tables."""
+    return T.Fin2Category(**_plain_tables(D))
 
 
 def test_validate_2cat_reports_a_missing_hc1_entry():
-    D = _plain(T.theta2_object(T.Theta2Shape(2, (1, 1))))
-    del D.hcompose1[("0", "1", "2")][("(0)", "(0)")]
+    tables = _plain_tables(T.theta2_object(T.Theta2Shape(2, (1, 1))))
+    del tables["hcompose1"][("0", "1", "2")][("(0)", "(0)")]
+    D = T.Fin2Category(**tables)
     rep = T.validate_2cat(D)  # raised KeyError once the gap was flagged
     assert not rep.ok
     assert all(v.startswith("hc on (0,1,2)") for v in rep.violations)
+
+
+def _read_only_cases():
+    return [
+        pytest.param(T.as_two_category(T.ordinal(2)), id="as_two_category"),
+        pytest.param(T.suspend_category(T.ordinal(1)), id="suspend_category"),
+        pytest.param(T.two_category_from_json(T.two_category_to_json(
+            T.theta2_object(T.Theta2Shape(2, (1, 1))))), id="two_category_from_json"),
+        pytest.param(_plain(T.theta2_object(T.Theta2Shape(2, (1, 1)))), id="Fin2Category"),
+        pytest.param(T.theta2_object(T.Theta2Shape(2, (1, 1))), id="theta2_object"),
+    ]
+
+
+@pytest.mark.parametrize("D", _read_only_cases())
+def test_tables_are_read_only(D):
+    # once segments is read, no table may change under it
+    D.segments
+    x, y = next(iter(D.hom))
+    with pytest.raises(TypeError):
+        D.hom[(x, y)] = D.hom[(x, y)]
+    with pytest.raises(TypeError):
+        D.unit1[x] = D.unit1[x]
+    for tables in (D.hcompose1, D.hcompose2):
+        key = next(iter(tables))
+        with pytest.raises(TypeError):
+            tables[key] = tables[key]
+        inner = tables[key]
+        pair = next(iter(inner))
+        with pytest.raises(TypeError):
+            inner[pair] = inner[pair]
+
+
+def test_read_only_tables_share_a_view_per_shared_inner_table():
+    shared = {("*", "*"): "*"}
+    C = T.as_two_category(T.ordinal(0))
+    tables = {k: shared for k in C.hcompose1}
+    D = T.Fin2Category(C.objects, C.hom, {**tables, ("x",) * 3: shared},
+                       C.hcompose2, C.unit1)
+    views = list(D.hcompose1.values())
+    assert all(v is views[0] for v in views) and dict(views[0]) == shared
+    # the view holds a copy: the caller's dict no longer reaches D
+    shared[("*", "*")] = "other"
+    assert views[0][("*", "*")] == "*"
 
 
 def _locally_z2(objects, z2_homs, whisker):
@@ -1105,12 +1156,17 @@ def test_validators_agree_with_oracles_under_mutation():
     shapes = [(1, (1,)), (2, (1, 1)), (2, (2, 0)), (3, (1, 0, 1))]
     sources = [T.theta2_object(T.Theta2Shape(m, ks)) for m, ks in shapes]
     sources += [T.suspend_category(_z2()), T.as_two_category(T.free_iso())]
-    for D in map(_plain, sources):
-        one, two = _cells(D)
-        check = partial(agree, partial(T.validate_2cat, D), partial(raw_validate_2cat, D))
-        _mutate(rng, D.hcompose1.values(), one, check, 30)
-        _mutate(rng, D.hcompose2.values(), two, check, 30)
-        _mutate(rng, [D.unit1], one, check, 10)
+    def agree_on(tables):
+        # the tables are read-only once built: build D again per edit
+        D = T.Fin2Category(**tables)
+        agree(partial(T.validate_2cat, D), partial(raw_validate_2cat, D))
+
+    for tables in map(_plain_tables, sources):
+        one, two = _cells(T.Fin2Category(**tables))
+        check = partial(agree_on, tables)
+        _mutate(rng, tables["hcompose1"].values(), one, check, 30)
+        _mutate(rng, tables["hcompose2"].values(), two, check, 30)
+        _mutate(rng, [tables["unit1"]], one, check, 10)
     E, SZ2 = T.theta2_object(T.Theta2Shape(2, (1, 1))), T.suspend_category(_z2())
     pairs = [(T.cell(2), E), (_stripped(E), E), (SZ2, SZ2), (T.cell(2), SZ2)]
     for D, E in pairs:
