@@ -470,23 +470,18 @@ def _marking(D: Fin2Category, variant):
     return marked_fn
 
 
-def _nerve(D: Fin2Category, variant, bound, limit):
-    """The marked nerve, built once per key; see `nerve`."""
-    _check_int(bound, 0, "a nerve bound")
-    # a cache hit builds no guard, so the limit is checked here as well
-    _check_int(limit, 0, "nerve: limit")
-    marked_fn = _marking(D, variant)
-    key = (D.signature(), bound, variant)
-    if key not in _nerve_cache:
-        _nerve_cache[key] = _build(D, _raw_nerve(D, bound, limit), bound, marked_fn)
-    return _nerve_cache[key]
-
-
 def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=5_000_000):
     """The nerve of D with the marking rs, scaled or duskin (see `_marking`),
     built once per signature of D, bound and marking in each process; a
     cache hit does not run the guard again."""
-    return _nerve(D, marking, bound, limit)
+    _check_int(bound, 0, "a nerve bound")
+    # a cache hit builds no guard, so the limit is checked here as well
+    _check_int(limit, 0, "nerve: limit")
+    marked_fn = _marking(D, marking)
+    key = (D.signature(), bound, marking)
+    if key not in _nerve_cache:
+        _nerve_cache[key] = _build(D, _raw_nerve(D, bound, limit), bound, marked_fn)
+    return _nerve_cache[key]
 
 
 def duskin_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):

@@ -5,10 +5,16 @@ A presentation is a finite colimit diagram of box cells (shape, level),
 each denoting the representable of the shape times a standard simplex on
 the level.  L replaces every box cell by rs_nerve(shape) x Delta[level]#
 and takes the colimit of marked simplicial sets.
+
+The vertical Segal and completeness maps are the suspensions V[1] of the
+Segal and completeness maps of Delta, as in Rezk's cartesian
+presentation: `_suspend` turns each horizontal map on cells [m|0,...,0]
+into the one on cells [1|m].
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -127,84 +133,89 @@ class PresentationMap:
 # shape functors between theta objects
 
 
+def _check_image(value, top, name):
+    """Raise ValueError unless value is an int in 0..top."""
+    _check_int(value, 0, name)
+    if value > top:
+        raise ValueError(f"{name} must be at most {top}, not {value}")
+
+
 def shape_functor(src: Theta2Shape, dst: Theta2Shape, obj_images,
                   seg_images=None) -> TwoFunctor:
     """2-functor between pasting shapes from object images and, per
     source segment, images of the segment hom objects in the product
-    poset of the target."""
+    poset of the target.  Raises ValueError unless there are m + 1
+    monotone object images in 0..m' and, per segment, one image tuple per
+    hom object, each of the right length and inside the target's poset."""
+    obj_images = list(obj_images)
+    seg_images = list(seg_images or ())
+    if len(obj_images) != src.m + 1:
+        raise ValueError(f"{src} has {src.m + 1} objects, not {len(obj_images)} images")
+    for v in obj_images:
+        _check_image(v, dst.m, "an object image")
+    if obj_images != sorted(obj_images):
+        raise ValueError(f"object images {obj_images} not monotone")
+    if len(seg_images) != src.m:
+        raise ValueError(f"{src} has {src.m} segments, not {len(seg_images)} image lists")
     D, E = theta2_object(src), theta2_object(dst)
     on_objects = {str(i): str(obj_images[i]) for i in range(src.m + 1)}
     tables = {}
     for t in range(1, src.m + 1):
-        imgs = seg_images[t - 1]
-        width = obj_images[t] - obj_images[t - 1]
+        imgs = [tuple(img) for img in seg_images[t - 1]]
+        if len(imgs) != src.ks[t - 1] + 1:
+            raise ValueError(f"segment {t}: needs {src.ks[t - 1] + 1} images, not {len(imgs)}")
+        tops = dst.ks[obj_images[t - 1]:obj_images[t]]
         obj_map, mor_map = {}, {}
-        for a in range(src.ks[t - 1] + 1):
-            img = tuple(imgs[a])
-            if len(img) != width:
+        for a, img in enumerate(imgs):
+            if len(img) != len(tops):
                 raise ValueError(f"segment {t}: image tuple has wrong length")
+            for v, top in zip(img, tops):
+                _check_image(v, top, f"segment {t}: an image entry")
             obj_map[_enc((a,))] = _enc(img)
-            for b in range(a, src.ks[t - 1] + 1):
-                if any(p > q for p, q in zip(imgs[a], imgs[b])):
+            for b in range(a, len(imgs)):
+                if any(p > q for p, q in zip(img, imgs[b])):
                     raise ValueError(f"segment {t}: images not monotone")
-                mor_map[_mid((a,), (b,))] = _mid(tuple(imgs[a]), tuple(imgs[b]))
+                mor_map[_mid((a,), (b,))] = _mid(img, imgs[b])
         tables[(str(t - 1), str(t))] = (obj_map, mor_map)
     return TwoFunctor(D, E, on_objects, tables)
-
-
-def _collapse_functor(src: Theta2Shape) -> TwoFunctor:
-    """The unique functor to the point shape."""
-    point = Theta2Shape(0, ())
-    return shape_functor(
-        src, point, [0] * (src.m + 1), [[()] * (k + 1) for k in src.ks]
-    )
 
 
 # ---------------------------------------------------------------------------
 # elementary acyclic cofibrations
 
 
-def _identity_presentation_map(shape: Theta2Shape) -> PresentationMap:
-    W = representable(shape)
-    F = shape_functor(
-        shape,
-        shape,
-        list(range(shape.m + 1)),
-        [[(a,) for a in range(k + 1)] for k in shape.ks],
-    )
-    return PresentationMap(W, W, ((0, F, (0,)),))
+def _suspend(P: PresentationMap) -> PresentationMap:
+    """V[1] of P, whose cells all have shapes [m|0,...,0]: each cell
+    [m|0,...,0] becomes [1|m] at its level, and each 2-functor, fixed by
+    its object images i_0, ..., i_m, the one that sends the 2-cell
+    objects 0, ..., m of [1|m] to i_0, ..., i_m.  Arrows, cell maps and
+    level maps keep their order."""
+
+    def functor(F, src, dst):
+        where = {x: i for i, x in enumerate(F.target.objects)}
+        images = [(where[F.obj(x)],) for x in F.source.objects]
+        return shape_functor(src.shape, dst.shape, [0, 1], [images])
+
+    def presentation(W):
+        if any(any(c.shape.ks) for c in W.cells):
+            raise ValueError("only cells of shape [m|0,...,0] can be suspended")
+        cells = tuple(BoxCell(Theta2Shape(1, (c.shape.m,)), c.level) for c in W.cells)
+        return Theta2Presentation(cells, tuple(
+            (i, j, functor(F, cells[i], cells[j]), lam) for i, j, F, lam in W.arrows))
+
+    source, target = presentation(P.source), presentation(P.target)
+    cell_map = tuple(
+        (j, functor(F, cell, target.cells[j]), lam)
+        for cell, (j, F, lam) in zip(source.cells, P.cell_map))
+    return PresentationMap(source, target, cell_map)
 
 
 def vertical_segal(k: int) -> PresentationMap:
-    """Spine of k vertically stacked 2-cells into Theta2[1|k]."""
+    """Spine of k vertically stacked 2-cells into Theta2[1|k]: V[1] of
+    the spine of [k]."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return _identity_presentation_map(Theta2Shape(1, (0,)))
-    one_one = Theta2Shape(1, (1,))
-    one_zero = Theta2Shape(1, (0,))
-    target_shape = Theta2Shape(1, (k,))
-    # cells: k copies of [1|1] glued along k-1 copies of [1|0]
-    cells = [BoxCell(one_one) for _ in range(k)]
-    cells += [BoxCell(one_zero) for _ in range(k - 1)]
-    arrows = []
-    for t in range(k - 1):
-        glue = k + t
-        # the shared 1-cell is the top of copy t and the bottom of copy t+1
-        arrows.append((glue, t, shape_functor(one_zero, one_one, [0, 1], [[(1,)]]), (0,)))
-        arrows.append((glue, t + 1, shape_functor(one_zero, one_one, [0, 1], [[(0,)]]), (0,)))
-    source = Theta2Presentation(tuple(cells), tuple(arrows))
-    target = representable(target_shape)
-    cell_map = []
-    for t in range(k):
-        cell_map.append(
-            (0, shape_functor(one_one, target_shape, [0, 1], [[(t,), (t + 1,)]]), (0,))
-        )
-    for t in range(k - 1):
-        cell_map.append(
-            (0, shape_functor(one_zero, target_shape, [0, 1], [[(t + 1,)]]), (0,))
-        )
-    return PresentationMap(source, target, tuple(cell_map))
+    return _suspend(horizontal_segal(k, (0,) * k))
 
 
 def horizontal_segal(m: int, ks) -> PresentationMap:
@@ -214,7 +225,8 @@ def horizontal_segal(m: int, ks) -> PresentationMap:
         raise ValueError("ks must list one entry per segment")
     point = Theta2Shape(0, ())
     if m == 0:
-        return _identity_presentation_map(point)
+        W = representable(point)
+        return PresentationMap(W, W, ((0, shape_functor(point, point, [0]), (0,)),))
     target_shape = Theta2Shape(m, ks)
     cells = [BoxCell(Theta2Shape(1, (ks[t],))) for t in range(m)]
     cells += [BoxCell(point) for _ in range(m - 1)]
@@ -243,40 +255,13 @@ def horizontal_completeness() -> PresentationMap:
     three = Theta2Shape(3, (0, 0, 0))
     leg02 = shape_functor(edge, three, [0, 2], [[(0, 0)]])
     leg13 = shape_functor(edge, three, [1, 3], [[(0, 0)]])
+    collapse = shape_functor(edge, point, [0, 0], [[()]])
     cells = (
         BoxCell(point),
         BoxCell(three),
         BoxCell(point),
         BoxCell(edge),
         BoxCell(edge),
-    )
-    arrows = (
-        (3, 0, _collapse_functor(edge), (0,)),
-        (3, 1, leg02, (0,)),
-        (4, 1, leg13, (0,)),
-        (4, 2, _collapse_functor(edge), (0,)),
-    )
-    target = Theta2Presentation(cells, arrows)
-    source = representable(point)
-    inclusion = shape_functor(point, point, [0])
-    return PresentationMap(source, target, ((0, inclusion, (0,)),))
-
-
-def vertical_completeness() -> PresentationMap:
-    """Suspension of the horizontal completeness map: Theta2[1|0] into
-    the 02/13 quotient of Theta2[1|3]."""
-    edge = Theta2Shape(1, (0,))
-    cone = Theta2Shape(1, (1,))
-    three = Theta2Shape(1, (3,))
-    leg02 = shape_functor(cone, three, [0, 1], [[(0,), (2,)]])
-    leg13 = shape_functor(cone, three, [0, 1], [[(1,), (3,)]])
-    collapse = shape_functor(cone, edge, [0, 1], [[(0,), (0,)]])
-    cells = (
-        BoxCell(edge),
-        BoxCell(three),
-        BoxCell(edge),
-        BoxCell(cone),
-        BoxCell(cone),
     )
     arrows = (
         (3, 0, collapse, (0,)),
@@ -285,21 +270,33 @@ def vertical_completeness() -> PresentationMap:
         (4, 2, collapse, (0,)),
     )
     target = Theta2Presentation(cells, arrows)
-    source = representable(edge)
-    inclusion = shape_functor(edge, edge, [0, 1], [[(0,)]])
+    source = representable(point)
+    inclusion = shape_functor(point, point, [0])
     return PresentationMap(source, target, ((0, inclusion, (0,)),))
 
 
+def vertical_completeness() -> PresentationMap:
+    """Theta2[1|0] into the 02/13 quotient of Theta2[1|3]: V[1] of the
+    horizontal completeness map."""
+    return _suspend(horizontal_completeness())
+
+
 def elementary_cofibration(kind: str, *params) -> PresentationMap:
-    if kind == "vertical_segal":
-        return vertical_segal(*params)
-    if kind == "horizontal_segal":
-        return horizontal_segal(*params)
-    if kind == "horizontal_completeness":
-        return horizontal_completeness()
-    if kind == "vertical_completeness":
-        return vertical_completeness()
-    raise ValueError(f"unknown kind {kind!r}")
+    """The elementary acyclic cofibration kind built from params, which
+    must be the parameters its constructor takes; ValueError otherwise."""
+    builders = {
+        "vertical_segal": vertical_segal,
+        "horizontal_segal": horizontal_segal,
+        "horizontal_completeness": horizontal_completeness,
+        "vertical_completeness": vertical_completeness,
+    }
+    if kind not in builders:
+        raise ValueError(f"unknown kind {kind!r}")
+    names = tuple(inspect.signature(builders[kind]).parameters)
+    if len(params) != len(names):
+        raise ValueError(
+            f"{kind} takes the parameters ({', '.join(names)}), not {params!r}")
+    return builders[kind](*params)
 
 
 # ---------------------------------------------------------------------------

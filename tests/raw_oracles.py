@@ -66,6 +66,13 @@ raw_suspension_decomposition give those tables for theta2_object and
 suspend_category.  The library derives each hom(a_i, a_j) from
 hom(a_i, a_{i+1}) and hom(a_{i+1}, a_j) through the horizontal tables.
 
+raw_vertical_segal and raw_vertical_completeness write the vertical
+Segal and completeness maps out cell by cell, with raw_collapse_functor
+and raw_identity_presentation_map as helpers; the library builds each
+vertical map as the suspension V[1] of its horizontal one
+(theta._suspend), and the horizontal maps write their collapse and
+identity functors inline.
+
 raw_validate_2cat and raw_validate_two_functor check each law with a loop
 of their own and can raise on a table they have flagged; the library
 checks every functor law through validate_functor and reports instead.
@@ -82,9 +89,11 @@ from theta2kit.msset import (
     _UnionFind, degenerate)
 from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
-from theta2kit.theta import _monotone_maps
+from theta2kit.theta import (
+    BoxCell, PresentationMap, Theta2Presentation, _monotone_maps, representable,
+    shape_functor)
 from theta2kit.twocat import (
-    Functor, TwoFunctor, _choices, _functors, _generating_homs, _horizontal_failures,
+    Functor, Theta2Shape, TwoFunctor, _choices, _functors, _generating_homs, _horizontal_failures,
     _object_maps, _plan, _poset, _thin, enumerate_functors, enumerate_two_functors,
     theta2_object, validate_category)
 
@@ -684,6 +693,88 @@ def raw_evaluate_map(P, theta, ell=0, limit=5_000_000):
             f"evaluate_map: images outside the target's classes: {sorted(stray)[:3]}"
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# elementary acyclic cofibrations
+
+
+def raw_collapse_functor(src):
+    """The unique functor to the point shape."""
+    point = Theta2Shape(0, ())
+    return shape_functor(
+        src, point, [0] * (src.m + 1), [[()] * (k + 1) for k in src.ks]
+    )
+
+
+def raw_identity_presentation_map(shape):
+    W = representable(shape)
+    F = shape_functor(
+        shape,
+        shape,
+        list(range(shape.m + 1)),
+        [[(a,) for a in range(k + 1)] for k in shape.ks],
+    )
+    return PresentationMap(W, W, ((0, F, (0,)),))
+
+
+def raw_vertical_segal(k):
+    """Spine of k vertically stacked 2-cells into Theta2[1|k]."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0:
+        return raw_identity_presentation_map(Theta2Shape(1, (0,)))
+    one_one = Theta2Shape(1, (1,))
+    one_zero = Theta2Shape(1, (0,))
+    target_shape = Theta2Shape(1, (k,))
+    # cells: k copies of [1|1] glued along k-1 copies of [1|0]
+    cells = [BoxCell(one_one) for _ in range(k)]
+    cells += [BoxCell(one_zero) for _ in range(k - 1)]
+    arrows = []
+    for t in range(k - 1):
+        glue = k + t
+        # the shared 1-cell is the top of copy t and the bottom of copy t+1
+        arrows.append((glue, t, shape_functor(one_zero, one_one, [0, 1], [[(1,)]]), (0,)))
+        arrows.append((glue, t + 1, shape_functor(one_zero, one_one, [0, 1], [[(0,)]]), (0,)))
+    source = Theta2Presentation(tuple(cells), tuple(arrows))
+    target = representable(target_shape)
+    cell_map = []
+    for t in range(k):
+        cell_map.append(
+            (0, shape_functor(one_one, target_shape, [0, 1], [[(t,), (t + 1,)]]), (0,))
+        )
+    for t in range(k - 1):
+        cell_map.append(
+            (0, shape_functor(one_zero, target_shape, [0, 1], [[(t + 1,)]]), (0,))
+        )
+    return PresentationMap(source, target, tuple(cell_map))
+
+
+def raw_vertical_completeness():
+    """Theta2[1|0] into the 02/13 quotient of Theta2[1|3]."""
+    edge = Theta2Shape(1, (0,))
+    cone = Theta2Shape(1, (1,))
+    three = Theta2Shape(1, (3,))
+    leg02 = shape_functor(cone, three, [0, 1], [[(0,), (2,)]])
+    leg13 = shape_functor(cone, three, [0, 1], [[(1,), (3,)]])
+    collapse = shape_functor(cone, edge, [0, 1], [[(0,), (0,)]])
+    cells = (
+        BoxCell(edge),
+        BoxCell(three),
+        BoxCell(edge),
+        BoxCell(cone),
+        BoxCell(cone),
+    )
+    arrows = (
+        (3, 0, collapse, (0,)),
+        (3, 1, leg02, (0,)),
+        (4, 1, leg13, (0,)),
+        (4, 2, collapse, (0,)),
+    )
+    target = Theta2Presentation(cells, arrows)
+    source = representable(edge)
+    inclusion = shape_functor(edge, edge, [0, 1], [[(0,)]])
+    return PresentationMap(source, target, ((0, inclusion, (0,)),))
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ def test_nerves_are_built_on_the_cached_path_only():
         f"{path.stem}.{hit.split(':')[1]}" for path in SOURCES
         for hit in _callers(path, "_build")
     ]
-    assert found == ["nerves._nerve"]
+    assert found == ["nerves.nerve"]
     named = [f"{path.name}:{line}" for path in SOURCES
              for line in _names(path, "rs_nerve_with_index")]
     assert named == []
@@ -338,3 +338,44 @@ def test_call_and_name_scans_see_every_form(tmp_path):
     )
     assert _callers(path, "_build") == ["5:f", "6:<module>", "10:g"]
     assert _names(path, "_build") == [1, 2, 5, 6, 10, 11]
+
+
+def _function_body_names(path, function):
+    """The names that the body of path's top-level function names, as a
+    Name or an Attribute (not its signature or annotations), and the
+    names it calls, bare or as an attribute: (named, called)."""
+    tree = ast.parse(path.read_text(), str(path))
+    (node,) = [n for n in tree.body
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and n.name == function]
+    named, called = set(), set()
+    for child in (n for stmt in node.body for n in ast.walk(stmt)):
+        if isinstance(child, ast.Name):
+            named.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            named.add(child.attr)
+        if isinstance(child, ast.Call):
+            f = child.func
+            called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return named, called
+
+
+def test_vertical_cofibrations_are_suspensions():
+    # the vertical Segal and completeness maps are V[1] of the horizontal
+    # ones; neither writes out a diagram of its own
+    (path,) = [p for p in SOURCES if p.stem == "theta"]
+    for function in ("vertical_segal", "vertical_completeness"):
+        named, called = _function_body_names(path, function)
+        assert "_suspend" in called, function
+        assert named & {"BoxCell", "Theta2Presentation", "PresentationMap"} == set()
+
+
+def test_body_name_scan_sees_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def f(x: Ann) -> Ret:\n    return g(TH.h(x), Cell, mod.Attr)\n"
+        "def other():\n    return Elsewhere()\n"
+    )
+    named, called = _function_body_names(path, "f")
+    assert named == {"g", "TH", "h", "x", "Cell", "mod", "Attr"}
+    assert called == {"g", "h"}

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -9,12 +10,16 @@ from theta2kit import twocat as T
 from theta2kit.cli import main
 
 from raw_oracles import (
+    raw_collapse_functor,
     raw_colimit,
     raw_enumerate_maps,
     raw_evaluate,
     raw_evaluate_map,
+    raw_identity_presentation_map,
     raw_nerve_assignment,
     raw_product_with_index,
+    raw_vertical_completeness,
+    raw_vertical_segal,
 )
 
 
@@ -101,6 +106,29 @@ def test_elementary_cofibrations_construct():
 def test_shape_functor_rejects_nonmonotone_segment_images():
     with pytest.raises(ValueError):
         TH.shape_functor(CONE, T.Theta2Shape(1, (1,)), [0, 1], [[(1,), (0,)]])
+
+
+@pytest.mark.parametrize("src, dst, obj_images, seg_images, message", [
+    # no segment images: used to raise TypeError
+    (EDGE, EDGE, [0, 1], None, "1 segments, not 0 image lists"),
+    # one object image short: used to raise IndexError
+    (EDGE, EDGE, [0], [[(0,)]], "2 objects, not 1 images"),
+    # an object the target lacks: used to return a functor onto "5"
+    (EDGE, EDGE, [0, 5], [[(0,) * 5]], "object image must be at most 1"),
+    (EDGE, EDGE, [0, 1.0], [[(0,)]], "object image must be an int"),
+    (EDGE, EDGE, [0, True], [[(0,)]], "object image must be an int"),
+    (T.Theta2Shape(2, (0, 0)), EDGE, [1, 0, 1], [[()], [(0,)]], "not monotone"),
+    # one image list too many: used to be dropped
+    (EDGE, EDGE, [0, 1], [[(0,)], [(0,)]], "1 segments, not 2 image lists"),
+    # one hom object without an image: used to raise IndexError
+    (CONE, CONE, [0, 1], [[(0,)]], "needs 2 images, not 1"),
+    # a segment image outside the target's poset: used to be kept
+    (EDGE, CONE, [0, 1], [[(2,)]], "image entry must be at most 1"),
+])
+def test_shape_functor_rejects_malformed_images(src, dst, obj_images, seg_images,
+                                                message):
+    with pytest.raises(ValueError, match=message):
+        TH.shape_functor(src, dst, obj_images, seg_images)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +254,73 @@ def test_elementary_cofibration_dispatch():
     ].shape == T.Theta2Shape(1, (2,))
     with pytest.raises(ValueError):
         TH.elementary_cofibration("diagonal_segal")
+
+
+@pytest.mark.parametrize("kind, params, names", [
+    ("vertical_segal", (), "(k)"),  # used to raise TypeError
+    ("vertical_segal", (1, 2), "(k)"),
+    ("horizontal_segal", (1,), "(m, ks)"),
+    ("horizontal_completeness", (1,), "()"),  # the 1 used to be dropped
+    ("vertical_completeness", (1,), "()"),
+])
+def test_elementary_cofibration_checks_its_parameter_count(kind, params, names):
+    with pytest.raises(ValueError, match=re.escape(f"{kind} takes the parameters {names}")):
+        TH.elementary_cofibration(kind, *params)
+
+
+# ---------------------------------------------------------------------------
+# the vertical cofibrations as suspensions of the horizontal ones
+
+
+def _functor_parts(F):
+    """F's objects, object images and tables, in their key orders."""
+    return (F.source.objects, F.target.objects, list(F.on_objects.items()),
+            [(pair, list(om.items()), list(mm.items()))
+             for pair, (om, mm) in F.tables.items()])
+
+
+def assert_same_presentation_map(P, Q):
+    for W, V in ((P.source, Q.source), (P.target, Q.target)):
+        assert W.cells == V.cells
+        assert [(i, j, _functor_parts(F), lam) for i, j, F, lam in W.arrows] == [
+            (i, j, _functor_parts(F), lam) for i, j, F, lam in V.arrows]
+    assert [(j, _functor_parts(F), lam) for j, F, lam in P.cell_map] == [
+        (j, _functor_parts(F), lam) for j, F, lam in Q.cell_map]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_vertical_segal_matches_the_hand_built_diagram(k):
+    assert_same_presentation_map(TH.vertical_segal(k), raw_vertical_segal(k))
+
+
+def test_vertical_completeness_matches_the_hand_built_diagram():
+    assert_same_presentation_map(TH.vertical_completeness(),
+                                 raw_vertical_completeness())
+
+
+def test_horizontal_maps_match_their_former_helpers():
+    assert_same_presentation_map(TH.horizontal_segal(0, ()),
+                                 raw_identity_presentation_map(POINT))
+    arrows = TH.horizontal_completeness().target.arrows
+    for arrow in (arrows[0], arrows[3]):
+        assert _functor_parts(arrow[2]) == _functor_parts(raw_collapse_functor(EDGE))
+
+
+@pytest.mark.parametrize("make, raw", [
+    pytest.param(lambda k=k: TH.vertical_segal(k), lambda k=k: raw_vertical_segal(k),
+                 id=f"vertical_segal({k})") for k in range(4)
+] + [pytest.param(TH.vertical_completeness, raw_vertical_completeness,
+                  id="vertical_completeness")])
+def test_vertical_L_maps_match_the_hand_built_diagram(make, raw):
+    f, g = TH.apply_L_map(make(), 4), TH.apply_L_map(raw(), 4)
+    assert M.msset_dumps(f.source) == M.msset_dumps(g.source)
+    assert M.msset_dumps(f.target) == M.msset_dumps(g.target)
+    assert list(f.assignment.items()) == list(g.assignment.items())
+
+
+def test_suspend_rejects_cells_with_nonzero_ks():
+    with pytest.raises(ValueError, match="suspended"):
+        TH._suspend(TH.horizontal_segal(1, (1,)))
 
 
 # ---------------------------------------------------------------------------
