@@ -122,21 +122,28 @@ def _merge_getter(n):
     ])
 
 
+def _identities(D: Fin2Category):
+    """Per hom of D, its identity 2-cells as a plain dict, one per hom
+    object however many pairs share it."""
+    return _copies(D.hom, lambda H: dict(H.identity))
+
+
 class _Tables:
     """The composition data nerve extension reads, as plain dicts.
 
-    The horizontal tables of D, which may be read-only mappings built on
-    lookup (as `theta2_object`'s are), are copied once, so that the inner
-    loops of `_extend` look up plain dicts.  For each thin hom (x, y) it
-    also holds `down[(x, y)]`: per 1-cell c, an int bitmask of the
-    positions in `ones[(x, y)]` of the 1-cells f with a 2-cell f => c.
+    The read-only tables of D and of its homs, whose horizontal tables
+    may be built on lookup (as `theta2_object`'s are), are copied once,
+    so that the inner loops of `_extend` look up plain dicts.  For each
+    thin hom (x, y) it also holds `down[(x, y)]`: per 1-cell c, an int
+    bitmask of the positions in `ones[(x, y)]` of the 1-cells f with a
+    2-cell f => c.
     """
 
     def __init__(self, D: Fin2Category):
         self.objects = sorted(D.objects)
         self.ones = {k: H.objects for k, H in D.hom.items()}
-        self.then = {k: H.compose for k, H in D.hom.items()}
-        self.ident = {k: H.identity for k, H in D.hom.items()}
+        self.then = _copies(D.hom, lambda H: dict(H.compose))
+        self.ident = _identities(D)
         self.hc1 = _copies(D.hcompose1, dict)
         self.hc2 = _copies(D.hcompose2, dict)
         # (x, y) -> {(source 1-cell, target 1-cell): [2-cells]}
@@ -377,7 +384,7 @@ def _build(D: Fin2Category, layers, bound, marked_fn):
     checked to be distinct on each dimension's sorted list, and across
     dimensions by their count.
     """
-    unit1, ident = dict(D.unit1), {k: H.identity for k, H in D.hom.items()}
+    unit1, ident = dict(D.unit1), _identities(D)
     gens, gen_faces, marked = {}, {}, set()
     below = []
     for n, layer in zip(range(bound + 1), layers, strict=True):
@@ -414,7 +421,7 @@ def _build(D: Fin2Category, layers, bound, marked_fn):
 def _generator_raws(D: Fin2Category, bound, limit=5_000_000):
     """The raw simplices of the nerve of D that `_build` finds
     nondegenerate, in order: one per generator, whose id is their key."""
-    unit1, ident = dict(D.unit1), {k: H.identity for k, H in D.hom.items()}
+    unit1, ident = dict(D.unit1), _identities(D)
     raws = []
     for n, layer in enumerate(_raw_nerve(D, bound, limit)):
         tests = [(i, _degeneracy_test(n, i)) for i in range(n)]

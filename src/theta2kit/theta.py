@@ -18,6 +18,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .msset import (
     DEFAULT_BOUND,
@@ -147,6 +148,15 @@ def shape_functor(src: Theta2Shape, dst: Theta2Shape, obj_images,
     poset of the target.  Raises ValueError unless there are m + 1
     monotone object images in 0..m' and, per segment, one image tuple per
     hom object, each of the right length and inside the target's poset."""
+    return _shape_functor({}, src, dst, obj_images, seg_images)
+
+
+def _shape_functor(shapes: dict, src: Theta2Shape, dst: Theta2Shape, obj_images,
+                   seg_images=None) -> TwoFunctor:
+    """`shape_functor`, with the pasting 2-categories of src and dst read
+    from shapes, a dict {Theta2Shape: theta2_object} that the calling
+    constructor holds, and built into it when missing; so a constructor
+    builds each shape once, however many functors it makes."""
     obj_images = list(obj_images)
     seg_images = list(seg_images or ())
     if len(obj_images) != src.m + 1:
@@ -157,7 +167,10 @@ def shape_functor(src: Theta2Shape, dst: Theta2Shape, obj_images,
         raise ValueError(f"object images {obj_images} not monotone")
     if len(seg_images) != src.m:
         raise ValueError(f"{src} has {src.m} segments, not {len(seg_images)} image lists")
-    D, E = theta2_object(src), theta2_object(dst)
+    for shape in (src, dst):
+        if shape not in shapes:
+            shapes[shape] = theta2_object(shape)
+    D, E = shapes[src], shapes[dst]
     on_objects = {str(i): str(obj_images[i]) for i in range(src.m + 1)}
     tables = {}
     for t in range(1, src.m + 1):
@@ -189,12 +202,13 @@ def _suspend(P: PresentationMap) -> PresentationMap:
     [m|0,...,0] becomes [1|m] at its level, and each 2-functor, fixed by
     its object images i_0, ..., i_m, the one that sends the 2-cell
     objects 0, ..., m of [1|m] to i_0, ..., i_m.  Arrows, cell maps and
-    level maps keep their order."""
+    level maps keep their order.  Each shape [1|m] is built once."""
+    shapes = {}
 
     def functor(F, src, dst):
         where = {x: i for i, x in enumerate(F.target.objects)}
         images = [(where[F.obj(x)],) for x in F.source.objects]
-        return shape_functor(src.shape, dst.shape, [0, 1], [images])
+        return _shape_functor(shapes, src.shape, dst.shape, [0, 1], [images])
 
     def presentation(W):
         if any(any(c.shape.ks) for c in W.cells):
@@ -219,43 +233,47 @@ def vertical_segal(k: int) -> PresentationMap:
 
 
 def horizontal_segal(m: int, ks) -> PresentationMap:
-    """Spine of m horizontally composable cells into Theta2[m|ks]."""
+    """Spine of m horizontally composable cells into Theta2[m|ks]; each
+    shape is built once."""
     ks = tuple(ks)
     if m < 0 or len(ks) != m:
         raise ValueError("ks must list one entry per segment")
+    functor = partial(_shape_functor, {})
     point = Theta2Shape(0, ())
     if m == 0:
         W = representable(point)
-        return PresentationMap(W, W, ((0, shape_functor(point, point, [0]), (0,)),))
+        return PresentationMap(W, W, ((0, functor(point, point, [0]), (0,)),))
     target_shape = Theta2Shape(m, ks)
     cells = [BoxCell(Theta2Shape(1, (ks[t],))) for t in range(m)]
     cells += [BoxCell(point) for _ in range(m - 1)]
     arrows = []
     for t in range(m - 1):
         glue = m + t
-        arrows.append((glue, t, shape_functor(point, Theta2Shape(1, (ks[t],)), [1]), (0,)))
-        arrows.append((glue, t + 1, shape_functor(point, Theta2Shape(1, (ks[t + 1],)), [0]), (0,)))
+        arrows.append((glue, t, functor(point, Theta2Shape(1, (ks[t],)), [1]), (0,)))
+        arrows.append((glue, t + 1, functor(point, Theta2Shape(1, (ks[t + 1],)), [0]), (0,)))
     source = Theta2Presentation(tuple(cells), tuple(arrows))
     target = representable(target_shape)
     cell_map = []
     for t in range(m):
         seg = [[(a,) for a in range(ks[t] + 1)]]
         cell_map.append(
-            (0, shape_functor(Theta2Shape(1, (ks[t],)), target_shape, [t, t + 1], seg), (0,))
+            (0, functor(Theta2Shape(1, (ks[t],)), target_shape, [t, t + 1], seg), (0,))
         )
     for t in range(m - 1):
-        cell_map.append((0, shape_functor(point, target_shape, [t + 1]), (0,)))
+        cell_map.append((0, functor(point, target_shape, [t + 1]), (0,)))
     return PresentationMap(source, target, tuple(cell_map))
 
 
 def horizontal_completeness() -> PresentationMap:
-    """The inclusion of a point into the 02/13 quotient of Theta2[3|0,0,0]."""
+    """The inclusion of a point into the 02/13 quotient of Theta2[3|0,0,0];
+    each shape is built once."""
+    functor = partial(_shape_functor, {})
     point = Theta2Shape(0, ())
     edge = Theta2Shape(1, (0,))
     three = Theta2Shape(3, (0, 0, 0))
-    leg02 = shape_functor(edge, three, [0, 2], [[(0, 0)]])
-    leg13 = shape_functor(edge, three, [1, 3], [[(0, 0)]])
-    collapse = shape_functor(edge, point, [0, 0], [[()]])
+    leg02 = functor(edge, three, [0, 2], [[(0, 0)]])
+    leg13 = functor(edge, three, [1, 3], [[(0, 0)]])
+    collapse = functor(edge, point, [0, 0], [[()]])
     cells = (
         BoxCell(point),
         BoxCell(three),
@@ -271,7 +289,7 @@ def horizontal_completeness() -> PresentationMap:
     )
     target = Theta2Presentation(cells, arrows)
     source = representable(point)
-    inclusion = shape_functor(point, point, [0])
+    inclusion = functor(point, point, [0])
     return PresentationMap(source, target, ((0, inclusion, (0,)),))
 
 
@@ -526,7 +544,7 @@ def d_restriction(theta: Theta2Shape, i: int, j: int, limit=5_000_000):
     """Hom from [i|j,...,j] by enumeration and by the fiber-product
     count over chains of objects; returns (functors, formula count).  The
     functors are `enumerate_two_functors`' sequence: taking its len builds
-    no 2-functor."""
+    no 2-functor and no hom functor's tables."""
     for name, value in (("i", i), ("j", j)):
         _check_int(value, 0, f"d_restriction: {name}")
     shape = Theta2Shape(i, (j,) * i)

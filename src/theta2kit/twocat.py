@@ -24,10 +24,18 @@ from .msset import Report, _check_int, _check_json, _Guard
 
 @dataclass(frozen=True, eq=False)
 class FinCategory:
+    """A finite category given by its tables.  Plain-dict tables are
+    copied into read-only views, so what is derived from them stays true."""
+
     objects: tuple
-    morphisms: dict  # id -> (src, tgt)
-    identity: dict  # object -> morphism id
-    compose: dict  # (f, g) -> id of "f then g"
+    morphisms: Mapping  # id -> (src, tgt)
+    identity: Mapping  # object -> morphism id
+    compose: Mapping  # (f, g) -> id of "f then g"
+
+    def __post_init__(self):
+        for name in ("morphisms", "identity", "compose"):
+            if isinstance(table := getattr(self, name), dict):
+                object.__setattr__(self, name, MappingProxyType(dict(table)))
 
     def src(self, f):
         return self.morphisms[f][0]
@@ -65,14 +73,27 @@ class FinCategory:
 
 
 def validate_category(C: FinCategory) -> Report:
+    """Whether C is a category, in three stages, each run only if the
+    ones before it found nothing: every morphism's ends are objects and
+    every object has an identity; compose is defined exactly on the
+    composable pairs of morphisms, each time on a morphism with the right
+    ends; and the unit and associativity laws hold.  So a missing or
+    foreign entry is reported, never looked up."""
     problems = []
-    for f, (a, b) in C.morphisms.items():
-        if a not in C.objects or b not in C.objects:
+    for f, ends in C.morphisms.items():
+        if not (isinstance(ends, tuple) and len(ends) == 2
+                and all(e in C.objects for e in ends)):
             problems.append(f"{f}: endpoint not an object")
     for x in C.objects:
         i = C.identity.get(x)
         if i is None or C.morphisms.get(i) != (x, x):
             problems.append(f"{x}: bad identity")
+    if problems:
+        return Report("category", problems)
+    for pair in C.compose:
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(f in C.morphisms for f in pair)):
+            problems.append(f"compose defined on {pair!r}, not a pair of morphisms")
     mor = list(C.morphisms)
     for f in mor:
         for g in mor:
@@ -82,10 +103,14 @@ def validate_category(C: FinCategory) -> Report:
                 problems.append(f"compose undefined on ({f}, {g})")
             elif not composable and h is not None:
                 problems.append(f"compose defined on non-composable ({f}, {g})")
+            elif h is not None and h not in C.morphisms:
+                problems.append(f"compose({f}, {g}) = {h} is not a morphism")
             elif h is not None and (
                 C.src(h) != C.src(f) or C.tgt(h) != C.tgt(g)
             ):
                 problems.append(f"compose({f}, {g}) has wrong endpoints")
+    if problems:
+        return Report("category", problems)
     for f in mor:
         if C.compose.get((C.identity[C.src(f)], f)) != f:
             problems.append(f"left unit fails at {f}")
@@ -184,7 +209,9 @@ def _poset(ks):
         for y, f in row.items():
             for z, g in mids[y].items():
                 compose[(f, g)] = row[z]
-    return cells, names, mids, FinCategory(tuple(names), morphisms, identity, compose)
+    # read-only views of dicts that nothing else holds, so none is copied
+    views = map(MappingProxyType, (morphisms, identity, compose))
+    return cells, names, mids, FinCategory(tuple(names), *views)
 
 
 def product_poset(ks) -> FinCategory:
@@ -456,8 +483,10 @@ def _choices(lists, guard):
 
 
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
-    """The complete, canonically ordered list of functors C -> D.  The
-    functors over one object map share their obj_map; do not edit it."""
+    """The complete, canonically ordered list of functors C -> D, each
+    built when the call returns (unlike `_functors`, whose tables into a
+    thin D are built on first read).  The functors over one object map
+    share their obj_map; do not edit it."""
     guard = _Guard(limit, "enumerate_functors")
     return [Functor(C, D, *tables) for tables in _functors(C, _plan(C), D, guard)]
 
@@ -470,14 +499,17 @@ def _functors(C, plan, D, guard):
 
     Object images come from `_object_maps`, with the ends of C's atoms as
     the pairs that must land on nonempty homs of D; the masks are built
-    once per call from D's nonempty homs.  When D is thin the image of
-    each morphism of C (identities, then atoms, then composites) is read
-    off as the one morphism between its ends' images, neither D.identity
-    nor D.compose is read, and the atoms cost one guard step of
-    len(atoms) per object map, which is what trying the single candidate
-    of each atom in turn would cost.  Otherwise the atoms are tried one
-    by one, identities and composites are derived through D's tables, and
-    every relation f;g = h of C is checked.
+    once per call from D's nonempty homs.  When D is thin the result is
+    an `_OnRead` sequence over those object images: `len` builds nothing,
+    and a functor's tables are built on its first read and kept.  The
+    image of each morphism of C (identities, then atoms, then composites)
+    is the one morphism between its ends' images, neither D.identity nor
+    D.compose is read, and the atoms cost one guard step of len(atoms)
+    per object map, charged during the call: what trying the single
+    candidate of each atom in turn would cost.  Otherwise the result is a
+    list: the atoms are tried one by one, identities and composites are
+    derived through D's tables, and every relation f;g = h of C is
+    checked.
     """
     if not C.objects:
         return [({}, {})]
@@ -488,14 +520,25 @@ def _functors(C, plan, D, guard):
     homs = {}
     for f in sorted(D.morphisms):
         homs.setdefault(D.morphisms[f], []).append(f)
+    maps = _object_maps(objs, atom_ends, sorted(D.objects), homs, guard)
     # In a thin D a morphism's image is the one morphism between its ends'
     # images, so both sides of a relation f;g = h agree; only a D that is
     # not thin needs derive and the check.
-    thin = _thin(homs)
-    if thin:
+    if _thin(homs):
+        if atoms:
+            # len(atoms) per object map, in one call: past the limit this
+            # raises at the first object map over it, as a call per map would
+            k = len(atoms)
+            guard.step(k * min(len(maps), (guard.limit - guard.count) // k + 1))
         unique = {pair: fs[0] for pair, fs in homs.items()}
         order = [i for i, _ in identities] + atoms + [f for f, _, _ in composites]
         ends = [(f, *C.morphisms[f]) for f in order]
+
+        def tables(t):
+            obj_map = dict(zip(objs, maps[t]))
+            return obj_map, {f: unique[(obj_map[a], obj_map[b])] for f, a, b in ends}
+
+        return _OnRead(len(maps), tables)
     results = []
 
     def derive(obj_map, atom_map):
@@ -511,20 +554,38 @@ def _functors(C, plan, D, guard):
                 return None
         return mor_map
 
-    for images in _object_maps(objs, atom_ends, sorted(D.objects), homs, guard):
+    for images in maps:
         obj_map = dict(zip(objs, images))
-        if thin:
-            guard.step(len(atoms))
-            results.append(
-                (obj_map, {f: unique[(obj_map[a], obj_map[b])] for f, a, b in ends})
-            )
-            continue
         lists = [homs[(obj_map[a], obj_map[b])] for a, b in atom_ends]
         for combo in _choices(lists, guard):
             mor_map = derive(obj_map, dict(zip(atoms, combo)))
             if mor_map is not None:
                 results.append((obj_map, mor_map))
     return results
+
+
+class _OnRead(Sequence):
+    """A read-only sequence of n items, item i made by make(i) on its
+    first read and kept, so every read of it gives the same object.
+    Negative indices count from the end, a slice gives a list, and the
+    sequence equals only itself."""
+
+    __slots__ = ("_n", "_make", "_made")
+
+    def __init__(self, n, make):
+        self._n, self._make, self._made = n, make, {}
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        at = range(self._n)[i]
+        if isinstance(i, slice):
+            return [self[k] for k in at]
+        item = self._made.get(at)
+        if item is None:
+            item = self._made[at] = self._make(at)
+        return item
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +620,9 @@ def _one_to_one(table, left, right, cells) -> bool:
 
 
 def _copies(table, make):
-    """The (x, y, z) -> {pair: cell} table with each inner table t replaced
-    by make(t), made once however many triples share t."""
+    """The mapping {key: t} with each value t replaced by make(t), made
+    once however many keys share t: a horizontal table's inner tables,
+    or the hom categories of a 2-category."""
     made = {}
     for t in table.values():
         if id(t) not in made:
@@ -1009,7 +1071,8 @@ def _hom_failures(D, E, on_objects, pairs, hom_maps):
 
 def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     """All 2-functors D -> E, duplicate-free and canonically ordered, as a
-    read-only sequence whose members are fixed when the call returns.
+    read-only `_OnRead` sequence whose members are fixed when the call
+    returns.
 
     A 2-functor is given by its object images and one functor per
     generating hom of D: D's segments when D is a free pasting scheme
@@ -1018,22 +1081,23 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     Object images come from `_object_maps`, with the generating pairs as
     the pairs that must land on nonempty homs of E.  The functors from a
     generating hom to a target hom are enumerated once per call for each
-    distinct pair of FinCategory objects, as `_functors` tables (into a
-    thin target hom each image is read off its ends), so homs that are
-    one object (as theta2_object's equal slices are) share one list, and
-    each distinct generating hom is planned once.  One guard covers the
-    whole call: enumerating each list charges its steps once, each use
-    of a list charges its length, and each combination of hom functors
-    charges one step.  Every combination of segment functors is a
-    2-functor, so those are charged together and left as the product of
-    their lists; a combination of hom functors is kept only if it
-    preserves D's unit 1-cells and horizontal compositions, which is
-    checked here.  `len` builds nothing; each `TwoFunctor` is built on
-    first read and kept, in `itertools.product` order within an object
-    map.  `list(fs)` gives the plain list; the sequence equals only
-    itself.  The results over one object map share one `on_objects` dict,
-    and hold the listed tables themselves, not copies; callers must not
-    edit them.
+    distinct pair of FinCategory objects, as a `_functors` sequence, so
+    homs that are one object (as theta2_object's equal slices are) share
+    one, and each distinct generating hom is planned once.  Into a thin
+    target hom that sequence builds a hom functor's tables only when they
+    are read, so counting builds none.  One guard covers the whole call:
+    enumerating each sequence charges its steps once, each use of one
+    charges its length, and each combination of hom functors charges one
+    step.  Every combination of segment functors is a 2-functor, so those
+    are charged together and left as the product of their sequences; a
+    combination of hom functors is kept only if it preserves D's unit
+    1-cells and horizontal compositions, which is checked here.  `len`
+    builds nothing; each `TwoFunctor` is built on first read and kept, in
+    `itertools.product` order within an object map.  `list(fs)` gives the
+    plain list; the sequence equals only itself.  The results over one
+    object map share one `on_objects` dict, and hold the hom functors'
+    tables themselves, not copies, so every 2-functor that picks a hom
+    functor shares its tables; callers must not edit them.
     """
     guard = _Guard(limit, "enumerate_two_functors")
     free = D.segments is not None
@@ -1043,6 +1107,9 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     # ids of generating homs -> their plans, and of (generating hom, target
     # hom) -> its functors' tables; D and E hold the homs for the call
     plans, gen_tables = {}, {}
+    # per object map: (on_objects, choice lists, None) when every
+    # combination of one item per list is a 2-functor's tables on gens,
+    # and (on_objects, None, the tables that passed) otherwise
     blocks = []
     for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
         on_objects = dict(zip(objs, images))
@@ -1073,52 +1140,27 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
                     passed.append(tables)
             if passed:
                 blocks.append((on_objects, None, passed))
-    return _TwoFunctors(D, E, gens, blocks)
+    starts = list(itertools.accumulate(
+        (math.prod(map(len, lists)) if passed is None else len(passed)
+         for _, lists, passed in blocks),
+        initial=0,
+    ))
 
+    def member(at):
+        """The 2-functor at index at: its block by bisection over the
+        blocks' starts, decoded in `itertools.product` order."""
+        b = bisect.bisect_right(starts, at) - 1
+        on_objects, lists, passed = blocks[b]
+        r = at - starts[b]
+        if passed is not None:
+            return TwoFunctor(D, E, on_objects, passed[r])
+        combo = []
+        for items in reversed(lists):
+            r, t = divmod(r, len(items))
+            combo.append(items[t])
+        return TwoFunctor(D, E, on_objects, dict(zip(gens, reversed(combo))))
 
-class _TwoFunctors(Sequence):
-    """The 2-functors D -> E that `enumerate_two_functors` found, each
-    built on first read and kept.
-
-    blocks holds, per object map in order, (on_objects, choice lists,
-    None) when every combination of one item per list is a 2-functor's
-    tables on gens, and (on_objects, None, tables) with the tables that
-    passed otherwise.  Item i is found by bisection over the blocks'
-    starts and decoded in `itertools.product` order.
-    """
-
-    def __init__(self, D, E, gens, blocks):
-        self._source, self._target, self._gens = D, E, gens
-        self._blocks = blocks
-        self._starts = list(itertools.accumulate(
-            (math.prod(map(len, lists)) if passed is None else len(passed)
-             for _, lists, passed in blocks),
-            initial=0,
-        ))
-        self._made = {}
-
-    def __len__(self):
-        return self._starts[-1]
-
-    def __getitem__(self, i):
-        at = range(len(self))[i]
-        if isinstance(i, slice):
-            return [self[k] for k in at]
-        F = self._made.get(at)
-        if F is None:
-            b = bisect.bisect_right(self._starts, at) - 1
-            on_objects, lists, passed = self._blocks[b]
-            r = at - self._starts[b]
-            if passed is None:
-                combo = []
-                for items in reversed(lists):
-                    r, t = divmod(r, len(items))
-                    combo.append(items[t])
-                tables = dict(zip(self._gens, reversed(combo)))
-            else:
-                tables = passed[r]
-            F = self._made[at] = TwoFunctor(self._source, self._target, on_objects, tables)
-        return F
+    return _OnRead(starts[-1], member)
 
 
 def _horizontal_failures(D, E, on_objects, hom_maps, step):

@@ -75,6 +75,75 @@ def test_module_state_check_sees_containers(tmp_path):
     assert _module_containers(path) == ["mod.A", "mod.B", "mod.C", "mod.E"]
 
 
+# module-level functions that may carry a decorator: the pure index
+# helpers of nerves, each a function of small ints alone, memoised with
+# functools.lru_cache
+DECORATED = {"nerves._pairs", "nerves._triples", "nerves._pidx", "nerves._tidx",
+             "nerves._degeneracy_test", "nerves._merge_getter"}
+
+# decorators that keep nothing at module level: per-instance caches and
+# descriptors
+_PER_INSTANCE = {"property", "cached_property", "staticmethod", "classmethod"}
+
+
+def _module_memos(path):
+    """The functions of path with a decorator that may keep state across
+    calls (any but `_PER_INSTANCE`), as 'module.Class.name' or
+    'module.name', and the module-level calls of functools.cache or
+    lru_cache, as 'module.line'."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    found = []
+    tree = ast.parse(path.read_text(), str(path))
+    stack = [(tree, path.stem)]
+    while stack:
+        node, where = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(
+                        name(d) not in _PER_INSTANCE for d in child.decorator_list):
+                    found.append(inner)
+                stack.append((child, inner))
+            else:
+                stack.append((child, where))
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += [f"{path.stem}.{node.lineno}" for node in ast.walk(stmt)
+                      if isinstance(node, ast.Call) and name(node) in ("cache", "lru_cache")]
+    return sorted(found)
+
+
+def test_library_has_no_module_level_memos():
+    # a memo decorator keeps its table at module level, where the
+    # container scan above does not look; tables live on the objects and
+    # in the dicts that callers hold
+    found = {name for path in SOURCES for name in _module_memos(path)}
+    assert found == DECORATED
+
+
+def test_memo_scan_sees_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(n):\n    return n\n"
+        "@cache\ndef b(n):\n    return n\n"
+        "@lru_cache\ndef c(n):\n    return n\n"
+        "@dataclass(frozen=True)\nclass K:\n"
+        "    @property\n    def p(self):\n        return 1\n"
+        "    @functools.cached_property\n    def q(self):\n        return 2\n"
+        "    @staticmethod\n    @functools.cache\n    def r():\n        return 3\n"
+        "def outer():\n    @lru_cache\n    def inner(n):\n        return n\n"
+        "    return inner\n"
+        "d = functools.lru_cache(maxsize=8)(a)\nE = cache(b)\n"
+        "def plain():\n    return 4\n"
+    )
+    assert _module_memos(path) == [
+        "mod.29", "mod.30", "mod.K.r", "mod.a", "mod.b", "mod.c", "mod.outer.inner"]
+
+
 def _from_raw_uses(path):
     """Where path defines, imports or calls from_raw, as 'line:kind'."""
     out = []

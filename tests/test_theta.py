@@ -1,3 +1,4 @@
+import collections
 import itertools
 import re
 
@@ -316,6 +317,34 @@ def test_vertical_L_maps_match_the_hand_built_diagram(make, raw):
     assert M.msset_dumps(f.source) == M.msset_dumps(g.source)
     assert M.msset_dumps(f.target) == M.msset_dumps(g.target)
     assert list(f.assignment.items()) == list(g.assignment.items())
+
+
+def _functors_of(P):
+    """The 2-functors of P's arrows and of its cell map."""
+    return ([F for W in (P.source, P.target) for _, _, F, _ in W.arrows]
+            + [F for _, F, _ in P.cell_map])
+
+
+@pytest.mark.parametrize("make, most", [
+    pytest.param(lambda: TH.horizontal_segal(3, (1, 0, 1)), 1, id="horizontal_segal"),
+    pytest.param(lambda: TH.horizontal_segal(0, ()), 1, id="horizontal_segal(0)"),
+    pytest.param(TH.horizontal_completeness, 1, id="horizontal_completeness"),
+    pytest.param(lambda: TH.vertical_segal(3), 2, id="vertical_segal"),
+    pytest.param(TH.vertical_completeness, 2, id="vertical_completeness"),
+])
+def test_each_constructor_builds_each_shape_once(monkeypatch, make, most):
+    # a constructor holds the shapes it builds and hands them to each of
+    # its functors; a vertical map builds its horizontal map's shapes, then
+    # the suspended ones, so [1|0] is built once in each
+    built = []
+    build = TH.theta2_object
+    monkeypatch.setattr(TH, "theta2_object", lambda shape: built.append(shape) or build(shape))
+    P = make()
+    assert built and max(collections.Counter(built).values()) == most
+    shared = {}
+    for F in _functors_of(P):
+        for D in (F.source, F.target):
+            assert shared.setdefault(D.signature(), D) is D
 
 
 def test_suspend_rejects_cells_with_nonzero_ks():

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -423,12 +424,33 @@ def _hom_grid_hom_pairs():
     return list(pairs.values())
 
 
-def _steps_and_tables(functors, C, D):
-    """functors(C, _plan(C), D, guard), (obj_map, mor_map) pairs, as lists
-    of items, so that key order counts, and the steps its guard used."""
+def _items(fs):
+    """(obj_map, mor_map) pairs as lists of items, so that key order counts."""
+    return [(list(o.items()), list(m.items())) for o, m in fs]
+
+
+def _steps_and_tables(functors, C, D, read=list):
+    """functors(C, _plan(C), D, guard), read by read into a list and given
+    by `_items`, and the steps its guard used, reads included."""
     guard = T._Guard(2_000_000, "enumerate_functors")
-    fs = functors(C, T._plan(C), D, guard)
-    return guard.count, [(list(o.items()), list(m.items())) for o, m in fs]
+    fs = read(functors(C, T._plan(C), D, guard))
+    return guard.count, _items(fs)
+
+
+def _out_of_order(fs):
+    """The items of the sequence fs in index order, read back to front by
+    negative index and then again by slices, each slice's items checked to
+    be the objects read before."""
+    n = len(fs)
+    got = [None] * n
+    for k in range(1, n + 1):
+        got[n - k] = fs[-k]
+    for cut in (slice(None, None, -1), slice(1, None, 2), slice(None, None, 3),
+                slice(-3, None), slice(n, None)):
+        part = fs[cut]
+        assert type(part) is list and len(part) == len(range(n)[cut])
+        assert all(a is got[i] for i, a in zip(range(n)[cut], part))
+    return got
 
 
 def _raw_functor_tables(*args):
@@ -436,12 +458,101 @@ def _raw_functor_tables(*args):
 
 
 def test_hom_functor_tables_match_the_functor_oracle():
-    # same functors, same order, same key order in every map, same steps
+    # same functors, same order, same key order in every map, same steps,
+    # whether read in order or out of it
     pairs = _hom_grid_hom_pairs()
     assert len(pairs) > 100
     for C, D in pairs:
-        assert _steps_and_tables(T._functors, C, D) == _steps_and_tables(
-            _raw_functor_tables, C, D), (sorted(C.morphisms), sorted(D.morphisms))
+        want = _steps_and_tables(_raw_functor_tables, C, D)
+        where = (sorted(C.morphisms), sorted(D.morphisms))
+        assert _steps_and_tables(T._functors, C, D) == want, where
+        assert _steps_and_tables(T._functors, C, D, _out_of_order) == want, where
+
+
+@pytest.mark.parametrize("C, D", [
+    pytest.param(T.product_poset((1, 1)), T.product_poset((2, 1)), id="[1]x[1]->[2]x[1]"),
+    pytest.param(T.ordinal(2), T.ordinal(3), id="[2]->[3]"),
+    pytest.param(T.ordinal(0), T.ordinal(4), id="[0]->[4]"),
+    pytest.param(T.ordinal(2), _parallel_pair(), id="[2]->u,v"),
+])
+def test_hom_functor_guard_stops_where_the_oracle_stops(C, D):
+    # the steps of each object map into a thin target are charged at once;
+    # below the total, both stop at the same step count
+    total, _ = _steps_and_tables(_raw_functor_tables, C, D)
+    assert total > 3
+    for limit in range(total):
+        stops = []
+        for functors in (T._functors, raw_functors):
+            guard = T._Guard(limit, "enumerate_functors")
+            with pytest.raises(ResourceLimitError) as e:
+                functors(C, T._plan(C), D, guard)
+            stops.append(e.value.steps)
+        assert stops[0] == stops[1] > limit, limit
+
+
+def test_enumerate_functors_builds_every_functor():
+    fs = T.enumerate_functors(T.ordinal(2), T.ordinal(3))
+    assert type(fs) is list and len(fs) == 20
+    assert all(type(F) is T.Functor for F in fs)
+
+
+class _ReadImages(list):
+    """A list of object images that records each read of its items."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads.append("iter")
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("source", [(2, (2, 2)), (1, (1,)), (3, (1, 1, 1))])
+def test_counting_two_functors_into_thin_homs_builds_no_hom_functor_table(
+        monkeypatch, source):
+    # a hom functor's tables are made from its object images alone, so a
+    # count that reads none of those builds no table
+    reads = []
+    object_maps = T._object_maps
+
+    def recorded(*args):
+        out = object_maps(*args)
+        # the images of hom functors, which only _functors asks for
+        caller = sys._getframe(1).f_code.co_name
+        return _ReadImages(out, reads) if caller == "_functors" else out
+
+    monkeypatch.setattr(T, "_object_maps", recorded)
+    D = T.theta2_object(T.Theta2Shape(*source))
+    E = T.theta2_object(T.Theta2Shape(3, (2, 1, 2)))
+    fs = T.enumerate_two_functors(D, E)
+    n = len(fs)
+    assert n > 100
+    assert reads == []
+    # reading a 2-functor builds the tables of its own hom functors, once
+    F = fs[n // 2]
+    assert 0 < len(reads) <= len(D.segments)
+    built = len(reads)
+    assert fs[n // 2 - n] is F and len(reads) == built
+    assert T.validate_two_functor(F).ok
+
+
+def test_two_functors_share_the_tables_of_a_hom_functor():
+    # every 2-functor that picks one hom functor holds its tables, not a copy
+    D = T.theta2_object(T.Theta2Shape(2, (1, 1)))
+    E = T.theta2_object(T.Theta2Shape(3, (1, 2, 1)))
+    fs = T.enumerate_two_functors(D, E)
+    held = {}
+    for F in _out_of_order(fs):
+        for pair, tables in F.tables.items():
+            ends = (F.obj(pair[0]), F.obj(pair[1]))
+            key = (id(D.hom[pair]), ends, repr(tables))
+            assert held.setdefault(key, tables) is tables
+    assert len(held) < sum(len(F.tables) for F in fs)
 
 
 def test_thin_targets_read_images_off_their_ends():
@@ -990,6 +1101,83 @@ def test_tables_are_read_only(D):
         pair = next(iter(inner))
         with pytest.raises(TypeError):
             inner[pair] = inner[pair]
+
+
+def _category_cases():
+    theta = T.theta2_object(T.Theta2Shape(2, (1, 1)))
+    return [
+        pytest.param(T.ordinal(2), id="ordinal"),
+        pytest.param(T.free_iso(), id="free_iso"),
+        pytest.param(T.terminal_category(), id="terminal_category"),
+        pytest.param(T.product_poset((1, 2)), id="product_poset"),
+        pytest.param(theta.hom[("0", "1")], id="theta2_object hom"),
+        pytest.param(T.as_two_category(T.ordinal(2)).hom[("0", "2")],
+                     id="as_two_category hom"),
+        pytest.param(T.category_from_json(T.category_to_json(T.free_iso())),
+                     id="category_from_json"),
+        pytest.param(T._product(T.ordinal(1), T.free_iso()), id="_product"),
+    ]
+
+
+@pytest.mark.parametrize("C", _category_cases())
+def test_category_tables_are_read_only(C):
+    f = next(iter(C.morphisms))
+    x = C.objects[0]
+    pair = next(iter(C.compose))
+    for table, key in ((C.morphisms, f), (C.morphisms, "new"), (C.identity, x),
+                       (C.compose, pair)):
+        with pytest.raises(TypeError):
+            table[key] = table.get(key)
+    assert T.validate_category(C).ok
+
+
+def test_a_category_holds_a_copy_of_its_plain_tables():
+    tables = [{"i": ("a", "a")}, {"a": "i"}, {("i", "i"): "i"}]
+    C = T.FinCategory(("a",), *tables)
+    tables[0]["f"] = ("a", "a")
+    tables[1]["a"] = "f"
+    tables[2][("i", "i")] = "f"
+    assert dict(C.morphisms) == {"i": ("a", "a")} and dict(C.identity) == {"a": "i"}
+    assert dict(C.compose) == {("i", "i"): "i"}
+
+
+def test_a_two_cell_cannot_be_added_to_a_hom_after_segments_is_read():
+    # adding a 2-cell to a hom once segments was read made
+    # enumerate_two_functors raise KeyError from _plan
+    D = T.theta2_object(T.Theta2Shape(2, (1, 1)))
+    assert D.segments is not None
+    with pytest.raises(TypeError):
+        D.hom[("0", "1")].morphisms["bogus"] = ("(0)", "(1)")
+    assert len(T.enumerate_two_functors(D, T.cell(2))) == 8
+
+
+@pytest.mark.parametrize("C, problem", [
+    pytest.param(T.FinCategory(("a",), {"i": ("a", "a")}, {"a": "i"}, {("i", "i"): "zz"}),
+                 "compose(i, i) = zz is not a morphism", id="composite-not-a-morphism"),
+    pytest.param(T.FinCategory(("a", "b"), {"i": ("a", "a"), "f": ("a", "b")}, {"a": "i"},
+                               {("i", "i"): "i", ("i", "f"): "f"}),
+                 "b: bad identity", id="no-identity"),
+    pytest.param(T.FinCategory(("a",), {"i": ("a", "a"), "f": ("a", "b")}, {"a": "i"},
+                               {("i", "i"): "i", ("i", "f"): "f"}),
+                 "f: endpoint not an object", id="endpoint-not-an-object"),
+    pytest.param(T.FinCategory(("a",), {"i": ("a", "a"), "f": ("a",)}, {"a": "i"},
+                               {("i", "i"): "i"}),
+                 "f: endpoint not an object", id="one-endpoint"),
+    pytest.param(T.FinCategory(("a",), {"i": ("a", "a")}, {"a": "i"},
+                               {("i", "i"): "i", ("q", "i"): "i"}),
+                 "compose defined on ('q', 'i'), not a pair of morphisms",
+                 id="compose-on-a-stranger"),
+    pytest.param(T.FinCategory(("a",), {"i": ("a", "a"), "t": ("a", "a")}, {"a": "i"},
+                               {("i", "i"): "i", ("i", "t"): "i", ("t", "i"): "t",
+                                ("t", "t"): "t"}),
+                 "left unit fails at t", id="unit-law"),
+])
+def test_validate_category_reports_and_never_raises(C, problem):
+    # each of the first three raised KeyError, from validate_category and
+    # from validate_2cat of its suspension
+    rep = T.validate_category(C)
+    assert problem in rep.violations
+    assert f"hom(bot,top): {problem}" in T.validate_2cat(T.suspend_category(C)).violations
 
 
 def test_read_only_tables_share_a_view_per_shared_inner_table():
