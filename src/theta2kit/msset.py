@@ -306,7 +306,8 @@ def standard_simplex(ell, variant="flat", horn=None, bound=None):
         bound = max(DEFAULT_BOUND, ell)
     _check_int(bound, 0, "a bound")
     if variant == "horn":
-        if horn is None or not 0 <= horn <= ell:
+        _check_int(horn, 0, "a horn index")
+        if horn > ell:
             raise ValueError(f"horn index must satisfy 0 <= k <= {ell}")
     elif horn is not None:
         raise ValueError("horn index only valid for the horn variant")

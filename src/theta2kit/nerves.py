@@ -133,10 +133,10 @@ class _Tables:
 
     The read-only tables of D and of its homs, whose horizontal tables
     may be built on lookup (as `theta2_object`'s are), are copied once,
-    so that the inner loops of `_extend` look up plain dicts.  For each
-    thin hom (x, y) it also holds `down[(x, y)]`: per 1-cell c, an int
-    bitmask of the positions in `ones[(x, y)]` of the 1-cells f with a
-    2-cell f => c.
+    so that the inner loops of `_extend` look up plain dicts; `two_cells`
+    and `thin` are each hom's `homs` and `thin`.  For each thin hom (x, y)
+    it also holds `down[(x, y)]`: per 1-cell c, an int bitmask of the
+    positions in `ones[(x, y)]` of the 1-cells f with a 2-cell f => c.
     """
 
     def __init__(self, D: Fin2Category):
@@ -146,22 +146,14 @@ class _Tables:
         self.ident = _identities(D)
         self.hc1 = _copies(D.hcompose1, dict)
         self.hc2 = _copies(D.hcompose2, dict)
-        # (x, y) -> {(source 1-cell, target 1-cell): [2-cells]}
-        self.two_cells = {}
-        # (x, y) -> whether hom(x, y) is thin: at most one 2-cell between
-        # two 1-cells, as in every product of ordinals
-        self.thin = {}
+        self.two_cells = _copies(D.hom, lambda H: dict(H.homs))
+        self.thin = {k: H.thin for k, H in D.hom.items()}
         self.down = {}
         for k, H in D.hom.items():
-            idx = {}
-            for m, ends in H.morphisms.items():
-                idx.setdefault(ends, []).append(m)
-            self.two_cells[k] = idx
-            self.thin[k] = all(len(ms) == 1 for ms in idx.values())
-            if self.thin[k]:
+            if H.thin:
                 pos = {f: p for p, f in enumerate(H.objects)}
                 down = dict.fromkeys(H.objects, 0)
-                for f, c in idx:
+                for f, c in H.homs:
                     down[c] |= 1 << pos[f]
                 self.down[k] = down
 

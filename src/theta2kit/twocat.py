@@ -25,7 +25,8 @@ from .msset import Report, _check_int, _check_json, _Guard
 @dataclass(frozen=True, eq=False)
 class FinCategory:
     """A finite category given by its tables.  Plain-dict tables are
-    copied into read-only views, so what is derived from them stays true."""
+    copied into read-only views, so what is derived from them (`homs`,
+    `thin` and `plan`, each made on first read and kept) stays true."""
 
     objects: tuple
     morphisms: Mapping  # id -> (src, tgt)
@@ -49,18 +50,71 @@ class FinCategory:
     def is_identity(self, f):
         return self.identity.get(self.src(f)) == f and self.src(f) == self.tgt(f)
 
+    @cached_property
+    def homs(self):
+        """The morphisms grouped by (source, target), each group a sorted
+        tuple, as a read-only view; a pair with no morphism has no key."""
+        homs = {}
+        for f in sorted(self.morphisms):
+            ends = self.morphisms[f]
+            homs[ends] = homs.get(ends, ()) + (f,)
+        return MappingProxyType(homs)
+
+    @cached_property
+    def thin(self):
+        """Whether each (source, target) pair has at most one morphism:
+        as many groups in `homs` as morphisms."""
+        return len(self.homs) == len(self.morphisms)
+
+    @cached_property
+    def plan(self):
+        """(generators, composites), which fix a functor out of C.
+
+        The generators are sorted: the atoms (the non-identity morphisms
+        that no composite of two non-identity ones gives) and, while some
+        morphism is unreached, the least unreached one, as an idempotent
+        or a cycle needs.  The composites (f, g, h), f = g;h with g a
+        generator, come from one breadth-first pass, each after h."""
+        ids = set(self.identity.values())
+        nonid = [f for f in sorted(self.morphisms) if f not in ids]
+        made = {h for (f, g), h in self.compose.items() if f not in ids and g not in ids}
+        gens = [f for f in nonid if f not in made]
+        into = {}  # object -> the generators that end there
+        for g in gens:
+            into.setdefault(self.tgt(g), []).append(g)
+        reached = ids | set(gens)
+        queue, done, composites = list(gens), 0, []
+        pending = iter(nonid)
+        while True:
+            while done < len(queue):
+                h = queue[done]
+                done += 1
+                for g in into.get(self.src(h), ()):
+                    f = self.compose[(g, h)]
+                    if f not in reached:
+                        reached.add(f)
+                        composites.append((f, g, h))
+                        queue.append(f)
+            f = next((f for f in pending if f not in reached), None)
+            if f is None:
+                return sorted(gens), composites
+            # f goes before each reached h from its target, and after the
+            # generators into its source
+            gens.append(f)
+            into.setdefault(self.tgt(f), []).append(f)
+            reached.add(f)
+            queue += [h for h in queue if self.src(h) == self.tgt(f)] + [f]
+
     def hom(self, a, b):
-        return sorted(f for f, (s, t) in self.morphisms.items() if s == a and t == b)
+        return list(self.homs.get((a, b), ()))
 
     def is_invertible(self, f):
         a, b = self.morphisms[f]
-        for g in self.hom(b, a):
-            if (
-                self.compose.get((f, g)) == self.identity[a]
-                and self.compose.get((g, f)) == self.identity[b]
-            ):
-                return True
-        return False
+        return any(
+            self.compose.get((f, g)) == self.identity[a]
+            and self.compose.get((g, f)) == self.identity[b]
+            for g in self.homs.get((b, a), ())
+        )
 
     def __eq__(self, other):
         return (
@@ -309,53 +363,6 @@ def _product(A: FinCategory, B: FinCategory) -> FinCategory:
     )
 
 
-def _atoms(C: FinCategory):
-    """Non-identity morphisms admitting no nontrivial factorization."""
-    nonid = [f for f in C.morphisms if not C.is_identity(f)]
-    atoms = []
-    for f in nonid:
-        decomposable = any(
-            C.compose.get((g, h)) == f
-            for g in nonid
-            for h in nonid
-            if C.tgt(g) == C.src(h)
-        )
-        if not decomposable:
-            atoms.append(f)
-    return sorted(atoms)
-
-
-def _factorizations(C: FinCategory, atoms):
-    """For each non-identity morphism, one splitting (atom, remainder)."""
-    factor = {}
-    pending = [f for f in C.morphisms if not C.is_identity(f) and f not in atoms]
-    progress = True
-    while pending and progress:
-        progress = False
-        for f in list(pending):
-            for g in atoms:
-                if C.src(g) != C.src(f):
-                    continue
-                for h in C.morphisms:
-                    if C.compose.get((g, h)) == f and (
-                        h in atoms or C.is_identity(h) or h in factor
-                    ):
-                        factor[f] = (g, h)
-                        pending.remove(f)
-                        progress = True
-                        break
-                if f in factor:
-                    break
-    if pending:
-        raise ValueError(f"morphisms without atomic factorization: {pending}")
-    return factor
-
-
-def _thin(homs) -> bool:
-    """Whether each (source, target) pair has at most one morphism."""
-    return all(len(fs) <= 1 for fs in homs.values())
-
-
 def _object_maps(objs, ends, targets, nonempty, guard):
     """Every map of objs into targets under which each pair (a, b) in ends
     lands on a nonempty hom, as image tuples in lexicographic order.
@@ -420,46 +427,6 @@ def _object_maps(objs, ends, targets, nonempty, guard):
     return out
 
 
-def _plan(C: FinCategory):
-    """What `enumerate_functors` needs of its source C alone.
-
-    Returns (objs, atoms, atom_ends, identities, composites, relations):
-    C's sorted objects, its atoms and their ends, (identity, object) per
-    object, the composites (f, g, h) with f = g;h in the order in which a
-    recursive evaluation over C.morphisms would first reach them, each
-    after its factors, and every relation (f, g, f;g) of C.
-    """
-    atoms = _atoms(C)
-    factor = _factorizations(C, atoms)
-    composites = []
-    seen = {C.identity[x] for x in C.objects} | set(atoms)
-    for root in C.morphisms:
-        # post-order walk of root's factorization tree on an explicit stack
-        stack = [root]
-        while stack:
-            f = stack[-1]
-            if f in seen:
-                stack.pop()
-                continue
-            g, h = factor[f]
-            todo = [e for e in (h, g) if e not in seen]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            seen.add(f)
-            composites.append((f, g, h))
-    identities = [(C.identity[x], x) for x in C.objects]
-    relations = [
-        (f, g, C.then(f, g))
-        for f in C.morphisms
-        for g in C.morphisms
-        if C.tgt(f) == C.src(g)
-    ]
-    atom_ends = [C.morphisms[f] for f in atoms]
-    return sorted(C.objects), atoms, atom_ends, identities, composites, relations
-
-
 def _choices(lists, guard):
     """Each tuple with one item from each of lists, in lexicographic
     order, charging one guard step per item tried at each depth, as a
@@ -485,81 +452,66 @@ def _choices(lists, guard):
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     """The complete, canonically ordered list of functors C -> D, each
     built when the call returns (unlike `_functors`, whose tables into a
-    thin D are built on first read).  The functors over one object map
-    share their obj_map; do not edit it."""
+    thin D are built on first read).  Any finite category C is a valid
+    source: C.plan adds generators beyond its atoms where it needs them.
+    The functors over one object map share their obj_map; do not edit
+    it."""
     guard = _Guard(limit, "enumerate_functors")
-    return [Functor(C, D, *tables) for tables in _functors(C, _plan(C), D, guard)]
+    return [Functor(C, D, *tables) for tables in _functors(C, D, guard)]
 
 
-def _functors(C, plan, D, guard):
+def _functors(C, D, guard):
     """The functors C -> D as (obj_map, mor_map) tables, in the order and
-    key order of `enumerate_functors`, with C's `_plan` given, charging
-    guard.  The functors over one object map share its obj_map; callers
-    must not edit the tables.
+    key order of `enumerate_functors`, charging guard.  The functors over
+    one object map share its obj_map; callers must not edit the tables.
 
-    Object images come from `_object_maps`, with the ends of C's atoms as
-    the pairs that must land on nonempty homs of D; the masks are built
-    once per call from D's nonempty homs.  When D is thin the result is
-    an `_OnRead` sequence over those object images: `len` builds nothing,
+    C.plan gives the generators and composites, D.homs D's morphisms by
+    their ends, and D.thin the path taken.  Object images come from
+    `_object_maps`, with the ends of C's generators as the pairs that
+    must land on nonempty homs of D.  When D is thin the result is an
+    `_OnRead` sequence over those object images: `len` builds nothing,
     and a functor's tables are built on its first read and kept.  The
-    image of each morphism of C (identities, then atoms, then composites)
-    is the one morphism between its ends' images, neither D.identity nor
-    D.compose is read, and the atoms cost one guard step of len(atoms)
-    per object map, charged during the call: what trying the single
-    candidate of each atom in turn would cost.  Otherwise the result is a
-    list: the atoms are tried one by one, identities and composites are
-    derived through D's tables, and every relation f;g = h of C is
-    checked.
+    image of each morphism of C (identities, then generators, then
+    composites) is the one morphism between its ends' images, neither
+    D.identity nor D.compose is read, and the generators cost one guard
+    step of len(generators) per object map, charged during the call: what
+    trying the single candidate of each in turn would cost.  Otherwise the
+    result is a list: the generators are tried one by one, identities and
+    composites are derived through D's tables, and every relation
+    f;g = h of C.compose is checked.
     """
-    if not C.objects:
-        return [({}, {})]
-    if not D.objects and C.objects:
-        return []
-    objs, atoms, atom_ends, identities, composites, relations = plan
-    # D's morphisms by (source, target), each list in sorted order
-    homs = {}
-    for f in sorted(D.morphisms):
-        homs.setdefault(D.morphisms[f], []).append(f)
-    maps = _object_maps(objs, atom_ends, sorted(D.objects), homs, guard)
+    gens, composites = C.plan
+    objs, homs = sorted(C.objects), D.homs
+    gen_ends = [C.morphisms[g] for g in gens]
+    maps = _object_maps(objs, gen_ends, sorted(D.objects), homs, guard)
     # In a thin D a morphism's image is the one morphism between its ends'
     # images, so both sides of a relation f;g = h agree; only a D that is
-    # not thin needs derive and the check.
-    if _thin(homs):
-        if atoms:
-            # len(atoms) per object map, in one call: past the limit this
+    # not thin needs the derivation and the check.
+    if D.thin:
+        if gens:
+            # len(gens) per object map, in one call: past the limit this
             # raises at the first object map over it, as a call per map would
-            k = len(atoms)
+            k = len(gens)
             guard.step(k * min(len(maps), (guard.limit - guard.count) // k + 1))
-        unique = {pair: fs[0] for pair, fs in homs.items()}
-        order = [i for i, _ in identities] + atoms + [f for f, _, _ in composites]
+        order = [C.identity[x] for x in C.objects] + gens + [f for f, _, _ in composites]
         ends = [(f, *C.morphisms[f]) for f in order]
 
         def tables(t):
             obj_map = dict(zip(objs, maps[t]))
-            return obj_map, {f: unique[(obj_map[a], obj_map[b])] for f, a, b in ends}
+            return obj_map, {f: homs[(obj_map[a], obj_map[b])][0] for f, a, b in ends}
 
         return _OnRead(len(maps), tables)
     results = []
-
-    def derive(obj_map, atom_map):
-        mor_map = {}
-        for i, x in identities:
-            mor_map[i] = D.identity[obj_map[x]]
-        for f in atoms:
-            mor_map[f] = atom_map[f]
-        for f, g, h in composites:
-            mor_map[f] = D.compose[(mor_map[g], mor_map[h])]
-        for f, g, h in relations:
-            if mor_map[h] != D.compose[(mor_map[f], mor_map[g])]:
-                return None
-        return mor_map
-
     for images in maps:
         obj_map = dict(zip(objs, images))
-        lists = [homs[(obj_map[a], obj_map[b])] for a, b in atom_ends]
+        lists = [homs[(obj_map[a], obj_map[b])] for a, b in gen_ends]
         for combo in _choices(lists, guard):
-            mor_map = derive(obj_map, dict(zip(atoms, combo)))
-            if mor_map is not None:
+            mor_map = {C.identity[x]: D.identity[obj_map[x]] for x in C.objects}
+            mor_map.update(zip(gens, combo))
+            for f, g, h in composites:
+                mor_map[f] = D.compose[(mor_map[g], mor_map[h])]
+            if all(mor_map[h] == D.compose[(mor_map[f], mor_map[g])]
+                   for (f, g), h in C.compose.items()):
                 results.append((obj_map, mor_map))
     return results
 
@@ -889,32 +841,29 @@ def cell(j: int) -> Fin2Category:
 
 def as_two_category(C: FinCategory) -> Fin2Category:
     """A 1-category viewed as a 2-category with only identity 2-cells."""
+    homs = C.homs
     hom = {}
     for x in C.objects:
         for y in C.objects:
-            fs = C.hom(x, y)
-            if not fs:
-                continue
-            hom[(x, y)] = FinCategory(
-                tuple(fs),
-                {f"id({f})": (f, f) for f in fs},
-                {f: f"id({f})" for f in fs},
-                {(f"id({f})", f"id({f})"): f"id({f})" for f in fs},
-            )
+            if (fs := homs.get((x, y))) is not None:
+                hom[(x, y)] = FinCategory(
+                    fs,
+                    {f"id({f})": (f, f) for f in fs},
+                    {f: f"id({f})" for f in fs},
+                    {(f"id({f})", f"id({f})"): f"id({f})" for f in fs},
+                )
     hcompose1, hcompose2 = {}, {}
-    for x in C.objects:
-        for y in C.objects:
-            for z in C.objects:
-                if (x, y) not in hom or (y, z) not in hom:
-                    continue
-                t1, t2 = {}, {}
-                for f in C.hom(x, y):
-                    for g in C.hom(y, z):
-                        h = C.then(f, g)
-                        t1[(f, g)] = h
-                        t2[(f"id({f})", f"id({g})")] = f"id({h})"
-                hcompose1[(x, y, z)] = t1
-                hcompose2[(x, y, z)] = t2
+    for (x, y), (y2, z) in itertools.product(hom, hom):
+        if y != y2:
+            continue
+        t1, t2 = {}, {}
+        for f in homs[(x, y)]:
+            for g in homs[(y, z)]:
+                h = C.then(f, g)
+                t1[(f, g)] = h
+                t2[(f"id({f})", f"id({g})")] = f"id({h})"
+        hcompose1[(x, y, z)] = t1
+        hcompose2[(x, y, z)] = t2
     unit1 = {x: C.identity[x] for x in C.objects}
     return Fin2Category(tuple(C.objects), hom, hcompose1, hcompose2, unit1)
 
@@ -1083,7 +1032,8 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     generating hom to a target hom are enumerated once per call for each
     distinct pair of FinCategory objects, as a `_functors` sequence, so
     homs that are one object (as theta2_object's equal slices are) share
-    one, and each distinct generating hom is planned once.  Into a thin
+    one; each generating hom's `FinCategory.plan` is made once and kept
+    in the hom, so any finite hom is a valid source.  Into a thin
     target hom that sequence builds a hom functor's tables only when they
     are read, so counting builds none.  One guard covers the whole call:
     enumerating each sequence charges its steps once, each use of one
@@ -1104,9 +1054,9 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     gens = _generating_homs(D)
     objs = sorted(D.objects)
     gen_homs = [D.hom_at(*pair) for pair in gens]
-    # ids of generating homs -> their plans, and of (generating hom, target
-    # hom) -> its functors' tables; D and E hold the homs for the call
-    plans, gen_tables = {}, {}
+    # ids of (generating hom, target hom) -> its functors' tables; D and E
+    # hold the homs for the call
+    gen_tables = {}
     # per object map: (on_objects, choice lists, None) when every
     # combination of one item per list is a 2-functor's tables on gens,
     # and (on_objects, None, the tables that passed) otherwise
@@ -1119,9 +1069,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
             key = (id(H), id(He))
             fns = gen_tables.get(key)
             if fns is None:
-                if id(H) not in plans:
-                    plans[id(H)] = _plan(H)
-                fns = gen_tables[key] = _functors(H, plans[id(H)], He, guard)
+                fns = gen_tables[key] = _functors(H, He, guard)
             guard.step(len(fns))
             if not fns:
                 break
@@ -1202,10 +1150,18 @@ def category_to_json(C: FinCategory) -> dict:
     }
 
 
+def _check_ids(what, *groups):
+    """Raise ValueError unless each id in groups is a str."""
+    for x in itertools.chain(*groups):
+        if not isinstance(x, str):
+            raise ValueError(f"{what}: id {x!r} is not a string")
+
+
 def category_from_json(data: dict) -> FinCategory:
-    """Load a category; raises ValueError on malformed data."""
+    """Load a category; raises ValueError on malformed data, an object or
+    morphism id that is not a str included."""
     try:
-        return FinCategory(
+        C = FinCategory(
             tuple(data["objects"]),
             {f: tuple(v) for f, v in data["morphisms"].items()},
             dict(data["identity"]),
@@ -1213,6 +1169,9 @@ def category_from_json(data: dict) -> FinCategory:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"category: malformed data: {e!r}") from e
+    _check_ids("category", C.objects, C.morphisms, *C.morphisms.values(), C.identity,
+               C.identity.values(), *C.compose, C.compose.values())
+    return C
 
 
 def _json_key(text: str, parts: int) -> tuple:
@@ -1243,7 +1202,8 @@ def two_category_to_json(D: Fin2Category) -> dict:
 
 
 def two_category_from_json(data: dict) -> Fin2Category:
-    """Load schema twocat/1; raises ValueError on malformed data."""
+    """Load schema twocat/1; raises ValueError on malformed data, an
+    object, 1-cell or 2-cell id that is not a str included."""
     _check_json(data, "twocat/1", ("objects", "hom", "hcompose1", "hcompose2", "unit1"))
     try:
         hom = {
@@ -1257,8 +1217,12 @@ def two_category_from_json(data: dict) -> Fin2Category:
             _json_key(k, 3): {(a, b): c for a, b, c in triples}
             for k, triples in data["hcompose2"].items()
         }
-        return Fin2Category(
+        D = Fin2Category(
             tuple(data["objects"]), hom, hcompose1, hcompose2, dict(data["unit1"])
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"twocat/1: malformed data: {e!r}") from e
+    tables = [*D.hcompose1.values(), *D.hcompose2.values()]
+    _check_ids("twocat/1", D.objects, D.unit1, D.unit1.values(),
+               *(ids for t in tables for ids in (*t, t.values())))
+    return D

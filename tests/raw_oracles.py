@@ -94,8 +94,8 @@ from theta2kit.theta import (
     shape_functor)
 from theta2kit.twocat import (
     Functor, Theta2Shape, TwoFunctor, _choices, _functors, _generating_homs, _horizontal_failures,
-    _object_maps, _plan, _poset, _thin, enumerate_functors, enumerate_two_functors,
-    theta2_object, validate_category)
+    _object_maps, _poset, enumerate_functors, enumerate_two_functors, theta2_object,
+    validate_category)
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):
@@ -884,12 +884,95 @@ def raw_is_mono(f: MSSetMap) -> bool:
 # 2-functor enumeration
 
 
+def raw_atoms(C):
+    """Non-identity morphisms admitting no nontrivial factorization."""
+    nonid = [f for f in C.morphisms if not C.is_identity(f)]
+    atoms = []
+    for f in nonid:
+        decomposable = any(
+            C.compose.get((g, h)) == f
+            for g in nonid
+            for h in nonid
+            if C.tgt(g) == C.src(h)
+        )
+        if not decomposable:
+            atoms.append(f)
+    return sorted(atoms)
+
+
+def raw_factorizations(C, atoms):
+    """For each non-identity morphism, one splitting (atom, remainder)."""
+    factor = {}
+    pending = [f for f in C.morphisms if not C.is_identity(f) and f not in atoms]
+    progress = True
+    while pending and progress:
+        progress = False
+        for f in list(pending):
+            for g in atoms:
+                if C.src(g) != C.src(f):
+                    continue
+                for h in C.morphisms:
+                    if C.compose.get((g, h)) == f and (
+                        h in atoms or C.is_identity(h) or h in factor
+                    ):
+                        factor[f] = (g, h)
+                        pending.remove(f)
+                        progress = True
+                        break
+                if f in factor:
+                    break
+    if pending:
+        raise ValueError(f"morphisms without atomic factorization: {pending}")
+    return factor
+
+
+def raw_plan(C):
+    """FinCategory.plan by the atoms alone, for a C whose every morphism
+    is a composite of atoms (ValueError otherwise).
+
+    Returns (objs, atoms, atom_ends, identities, composites, relations):
+    C's sorted objects, its atoms and their ends, (identity, object) per
+    object, the composites (f, g, h) with f = g;h in the order in which a
+    recursive evaluation over C.morphisms would first reach them, each
+    after its factors, and every relation (f, g, f;g) of C.
+    """
+    atoms = raw_atoms(C)
+    factor = raw_factorizations(C, atoms)
+    composites = []
+    seen = {C.identity[x] for x in C.objects} | set(atoms)
+    for root in C.morphisms:
+        # post-order walk of root's factorization tree on an explicit stack
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if f in seen:
+                stack.pop()
+                continue
+            g, h = factor[f]
+            todo = [e for e in (h, g) if e not in seen]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            seen.add(f)
+            composites.append((f, g, h))
+    identities = [(C.identity[x], x) for x in C.objects]
+    relations = [
+        (f, g, C.then(f, g))
+        for f in C.morphisms
+        for g in C.morphisms
+        if C.tgt(f) == C.src(g)
+    ]
+    atom_ends = [C.morphisms[f] for f in atoms]
+    return sorted(C.objects), atoms, atom_ends, identities, composites, relations
+
+
 def raw_functors(C, plan, D, guard):
-    """twocat._functors as Functor objects, every image derived from D's
-    identity and compose tables: into a thin D each atom's image is read
-    off in one guard step of len(atoms) and the relations go unchecked;
-    otherwise the atoms are tried one by one and every relation f;g = h
-    of C is checked."""
+    """twocat._functors as Functor objects, with C's `raw_plan` given and
+    every image derived from D's identity and compose tables: into a thin
+    D each atom's image is read off in one guard step of len(atoms) and
+    the relations go unchecked; otherwise the atoms are tried one by one
+    and every relation f;g = h of C is checked."""
     if not C.objects:
         return [Functor(C, D, {}, {})]
     if not D.objects and C.objects:
@@ -898,7 +981,7 @@ def raw_functors(C, plan, D, guard):
     homs = {}
     for f in sorted(D.morphisms):
         homs.setdefault(D.morphisms[f], []).append(f)
-    thin = _thin(homs)
+    thin = all(len(fs) == 1 for fs in homs.values())
     if thin:
         relations = []
     results = []
@@ -1008,7 +1091,7 @@ def raw_enumerate_two_functors(D, E, guard):
     gens = _generating_homs(D)
     objs = sorted(D.objects)
     gen_homs = [D.hom_at(*pair) for pair in gens]
-    plans, gen_tables = {}, {}
+    gen_tables = {}
     results = []
     for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
         on_objects = dict(zip(objs, images))
@@ -1018,9 +1101,7 @@ def raw_enumerate_two_functors(D, E, guard):
             key = (id(H), id(He))
             fns = gen_tables.get(key)
             if fns is None:
-                if id(H) not in plans:
-                    plans[id(H)] = _plan(H)
-                fns = gen_tables[key] = _functors(H, plans[id(H)], He, guard)
+                fns = gen_tables[key] = _functors(H, He, guard)
             guard.step(len(fns))
             if not fns:
                 break

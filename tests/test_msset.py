@@ -98,6 +98,13 @@ def test_boundary_and_horn():
         M.standard_simplex(2, "horn", horn=5)
 
 
+@pytest.mark.parametrize("horn", ["1", True, 1.0, None, -1, 3])
+def test_horn_index_must_be_an_int_in_range(horn):
+    # "1" raised TypeError from the range check; True and 1.0 gave horn 1
+    with pytest.raises(ValueError, match="horn index"):
+        M.standard_simplex(2, "horn", horn=horn)
+
+
 def test_edge_marked_and_eq3():
     T = M.standard_simplex(1, "edge_marked")
     assert T.marked == frozenset({"01"})

@@ -319,24 +319,30 @@ def test_dead_definition_scan_sees_every_form(tmp_path):
     ]
 
 
-def _segments_reads(path):
-    """The lines of path that read or set an attribute named segments."""
-    return [
+def _attribute_reads(path, name):
+    """The lines of path, in order, that read or set an attribute called
+    name."""
+    return sorted(
         node.lineno
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "segments"
+        if isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _read_only_in_twocat(name):
+    """The places outside twocat that read or set the attribute name,
+    which twocat itself must read."""
+    assert any(_attribute_reads(path, name) for path in SOURCES if path.stem == "twocat")
+    return [
+        f"{path.name}:{line}" for path in SOURCES if path.stem != "twocat"
+        for line in _attribute_reads(path, name)
     ]
 
 
 def test_library_decides_freeness_in_twocat():
     # whether a 2-category is a free pasting scheme is derived, and read,
     # in twocat alone; other modules go through its 2-functor constructors
-    assert any(_segments_reads(path) for path in SOURCES if path.stem == "twocat")
-    found = [
-        f"{path.name}:{line}" for path in SOURCES if path.stem != "twocat"
-        for line in _segments_reads(path)
-    ]
-    assert found == []
+    assert _read_only_in_twocat("segments") == []
 
 
 def test_segments_scan_sees_every_read(tmp_path):
@@ -345,8 +351,22 @@ def test_segments_scan_sees_every_read(tmp_path):
         "segs = D.segments\nif self.segments is None:\n    pass\n"
         "f(x.y.segments, segments)\nsegments = 1\ndef segments():\n    pass\n"
     )
-    assert _segments_reads(path) == [1, 2, 4]
+    assert _attribute_reads(path, "segments") == [1, 2, 4]
 
+
+def test_library_plans_functors_in_twocat():
+    # a category's generators and composites are read by the functor
+    # search in twocat alone; other modules count functors through it
+    assert _read_only_in_twocat("plan") == []
+
+
+def test_plan_scan_sees_every_read(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "gens, comps = C.plan\nx = self.hom[k].plan[0]\nplan = C.planned\n"
+        "del H.plan\ndef plan(C):\n    return f(plan)\nD.plan = 1\n"
+    )
+    assert _attribute_reads(path, "plan") == [1, 2, 4, 7]
 
 
 def _callers(path, name):

@@ -4,18 +4,18 @@ import itertools
 import math
 import random
 import sys
-from functools import partial
+from functools import cached_property, partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from theta2kit import twocat as T
 from theta2kit.msset import ResourceLimitError
 
 from raw_oracles import (
-    raw_enumerate_full, raw_enumerate_two_functors, raw_fold_hom_maps, raw_functors,
-    raw_suspension_decomposition, raw_theta2_decomposition, raw_validate_2cat,
-    raw_validate_two_functor)
+    raw_atoms, raw_enumerate_full, raw_enumerate_two_functors, raw_factorizations,
+    raw_fold_hom_maps, raw_functors, raw_plan, raw_suspension_decomposition,
+    raw_theta2_decomposition, raw_validate_2cat, raw_validate_two_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,40 @@ def _parallel_pair():
     )
 
 
+def _free_idempotent():
+    """One object, the identity and an idempotent e;e = e: e has no
+    factorization into atoms, since it is its own composite."""
+    return T.FinCategory(
+        ("*",), {"1": ("*", "*"), "e": ("*", "*")}, {"*": "1"},
+        {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"},
+    )
+
+
+def _transformation_monoid(maps):
+    """The monoid of self-maps of {0, 1, 2} that maps generate, as a
+    category with one object; a map is named by its images, as "102",
+    and f;g is f then g."""
+    ident = (0, 1, 2)
+    elements, todo = {ident}, [ident]
+    while todo:
+        f = todo.pop()
+        for g in maps:
+            h = tuple(g[x] for x in f)
+            if h not in elements:
+                elements.add(h)
+                todo.append(h)
+
+    def name(f):
+        return "".join(map(str, f))
+
+    return T.FinCategory(
+        ("*",),
+        {name(f): ("*", "*") for f in elements},
+        {"*": name(ident)},
+        {(name(f), name(g)): name(g[x] for x in f) for f in elements for g in elements},
+    )
+
+
 def _functors_by_brute_force(C, D):
     """Every assignment of objects and morphisms that validate_functor
     accepts, as sorted keys."""
@@ -142,7 +176,10 @@ def _functors_by_brute_force(C, D):
 
 
 def _functor_tables(fs):
-    return [(list(F.obj_map.items()), list(F.mor_map.items())) for F in fs]
+    """Each functor's obj_map as a list, so that key order counts, and its
+    mor_map sorted: that key order follows the source's plan, which the
+    atom-only oracles do not share."""
+    return [(list(F.obj_map.items()), sorted(F.mor_map.items())) for F in fs]
 
 
 @pytest.mark.parametrize("C, D", [
@@ -157,10 +194,11 @@ def _functor_tables(fs):
 ])
 def test_thin_target_skips_only_redundant_checks(C, D, monkeypatch):
     thin = T.enumerate_functors(C, D)
-    monkeypatch.setattr(T, "_thin", lambda homs: False)
+    monkeypatch.setattr(T.FinCategory, "thin", property(lambda self: False))
     checked = T.enumerate_functors(C, D)
     # same functors, same order, same key order in every map
     assert _functor_tables(thin) == _functor_tables(checked)
+    assert [list(F.mor_map) for F in thin] == [list(F.mor_map) for F in checked]
     assert sorted(F.key() for F in thin) == _functors_by_brute_force(C, D)
 
 
@@ -180,11 +218,41 @@ def test_functors_into_non_thin_targets(C, D):
 
 def test_thinness():
     for D in [T.ordinal(3), T.product_poset((1, 2)), T.free_iso()]:
-        assert T._thin({(D.src(f), D.tgt(f)): D.hom(D.src(f), D.tgt(f))
-                        for f in D.morphisms})
+        assert D.thin
     for D in [_z2(), _parallel_pair()]:
-        assert not T._thin({(D.src(f), D.tgt(f)): D.hom(D.src(f), D.tgt(f))
-                            for f in D.morphisms})
+        assert not D.thin
+
+
+def test_free_idempotent_is_a_source():
+    # its atoms generate nothing, so e itself becomes a generator
+    E = _free_idempotent()
+    assert T.validate_category(E).ok
+    assert E.plan == (["e"], [])
+    fs = T.enumerate_functors(E, E)
+    assert sorted(F.key() for F in fs) == _functors_by_brute_force(E, E)
+    assert [F.mor_map["e"] for F in fs] == ["1", "e"]
+    SE = T.suspend_category(E)
+    gs = T.enumerate_two_functors(SE, SE)
+    assert len(gs) == 4 and all(T.validate_two_functor(G).ok for G in gs)
+
+
+_self_maps = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_self_maps, min_size=1, max_size=2),
+       st.lists(_self_maps, min_size=1, max_size=2))
+def test_functors_between_transformation_monoids_match_brute_force(ms, ns):
+    # idempotents and cycles hide generators that are not atoms
+    M, N = _transformation_monoid(ms), _transformation_monoid(ns)
+    assume(len(N.morphisms) ** len(M.morphisms) <= 10_000)
+    fs = T.enumerate_functors(M, N)
+    want = _functors_by_brute_force(M, N)
+    assert sorted(F.key() for F in fs) == want
+    gens, composites = M.plan
+    assert {f for f, _, _ in composites} | set(gens) | {"012"} == set(M.morphisms)
+    assert len(T.enumerate_two_functors(
+        T.suspend_category(M), T.suspend_category(N))) == len(want) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +267,8 @@ def _enumerate_functors_by_objects(C, D, guard):
         return [T.Functor(C, D, {}, {})]
     if not D.objects and C.objects:
         return []
-    atoms = T._atoms(C)
-    factor = T._factorizations(C, atoms)
+    atoms = raw_atoms(C)
+    factor = raw_factorizations(C, atoms)
     homs = {}
     for f in sorted(D.morphisms):
         homs.setdefault(D.morphisms[f], []).append(f)
@@ -222,7 +290,7 @@ def _enumerate_functors_by_objects(C, D, guard):
     for f in C.morphisms:
         visit(f)
     identities = [(C.identity[x], x) for x in C.objects]
-    relations = [] if T._thin(homs) else [
+    relations = [] if D.thin else [
         (f, g, C.then(f, g))
         for f in C.morphisms
         for g in C.morphisms
@@ -425,15 +493,16 @@ def _hom_grid_hom_pairs():
 
 
 def _items(fs):
-    """(obj_map, mor_map) pairs as lists of items, so that key order counts."""
-    return [(list(o.items()), list(m.items())) for o, m in fs]
+    """(obj_map, mor_map) pairs as lists of items, as `_functor_tables`
+    gives them."""
+    return [(list(o.items()), sorted(m.items())) for o, m in fs]
 
 
 def _steps_and_tables(functors, C, D, read=list):
-    """functors(C, _plan(C), D, guard), read by read into a list and given
-    by `_items`, and the steps its guard used, reads included."""
+    """functors(C, D, guard), read by read into a list and given by
+    `_items`, and the steps its guard used, reads included."""
     guard = T._Guard(2_000_000, "enumerate_functors")
-    fs = read(functors(C, T._plan(C), D, guard))
+    fs = read(functors(C, D, guard))
     return guard.count, _items(fs)
 
 
@@ -453,8 +522,12 @@ def _out_of_order(fs):
     return got
 
 
-def _raw_functor_tables(*args):
-    return [(F.obj_map, F.mor_map) for F in raw_functors(*args)]
+def _raw_functors(C, D, guard):
+    return raw_functors(C, raw_plan(C), D, guard)
+
+
+def _raw_functor_tables(C, D, guard):
+    return [(F.obj_map, F.mor_map) for F in _raw_functors(C, D, guard)]
 
 
 def test_hom_functor_tables_match_the_functor_oracle():
@@ -467,6 +540,24 @@ def test_hom_functor_tables_match_the_functor_oracle():
         where = (sorted(C.morphisms), sorted(D.morphisms))
         assert _steps_and_tables(T._functors, C, D) == want, where
         assert _steps_and_tables(T._functors, C, D, _out_of_order) == want, where
+
+
+def test_plan_generators_are_the_atoms_wherever_atoms_suffice():
+    # every category the atom-only planner could plan: the ends of the
+    # hom-grid pairs, whatever their size, and the product posets
+    cats = {id(C): C for pair in _hom_grid_hom_pairs() for C in pair
+            if len(C.morphisms) <= 60}
+    cats.update((id(C), C) for C in (T.product_poset(s.ks) for s in _shapes(2, 2)))
+    assert len(cats) > 20
+    for C in cats.values():
+        _, atoms, _, _, want, _ = raw_plan(C)
+        gens, composites = C.plan
+        assert gens == atoms
+        assert sorted(c[0] for c in composites) == sorted(c[0] for c in want)
+        seen = set(C.identity.values()) | set(gens)
+        for f, g, h in composites:
+            assert g in gens and h in seen and C.then(g, h) == f
+            seen.add(f)
 
 
 @pytest.mark.parametrize("C, D", [
@@ -482,10 +573,10 @@ def test_hom_functor_guard_stops_where_the_oracle_stops(C, D):
     assert total > 3
     for limit in range(total):
         stops = []
-        for functors in (T._functors, raw_functors):
+        for functors in (T._functors, _raw_functors):
             guard = T._Guard(limit, "enumerate_functors")
             with pytest.raises(ResourceLimitError) as e:
-                functors(C, T._plan(C), D, guard)
+                functors(C, D, guard)
             stops.append(e.value.steps)
         assert stops[0] == stops[1] > limit, limit
 
@@ -597,9 +688,9 @@ def test_segment_functors_enumerated_once_per_pair_of_homs(monkeypatch):
     calls = []
     functors = T._functors
 
-    def counted(C, plan, H, *args):
+    def counted(C, H, *args):
         calls.append((id(C), id(H)))
-        return functors(C, plan, H, *args)
+        return functors(C, H, *args)
 
     monkeypatch.setattr(T, "_functors", counted)
     fs = T.enumerate_two_functors(D, E)
@@ -710,14 +801,16 @@ def test_horizontal_tables_built_once_per_slice_pair(monkeypatch):
 
 
 def test_segment_homs_planned_once_per_call(monkeypatch):
-    atoms = T._atoms
+    plan = T.FinCategory.plan.func
     calls = []
 
     def counted(C):
         calls.append(id(C))
-        return atoms(C)
+        return plan(C)
 
-    monkeypatch.setattr(T, "_atoms", counted)
+    counted_plan = cached_property(counted)
+    counted_plan.__set_name__(T.FinCategory, "plan")
+    monkeypatch.setattr(T.FinCategory, "plan", counted_plan)
     E = T.theta2_object(T.Theta2Shape(3, (2, 2, 2)))
     # [2|2,2]'s two segments share one hom; [2|1,2]'s do not
     for ks, planned in [((2, 2), 1), ((1, 2), 2)]:
@@ -757,8 +850,8 @@ def test_object_maps_leave_no_cyclic_garbage():
 
 def test_functor_plan_leaves_no_cyclic_garbage():
     # [3] has composites of composites, so the factor walk goes deep
-    assert len(T._plan(T.ordinal(3))[4]) == 3
-    assert _cyclic_garbage(T._plan, T.ordinal(3)) == 0
+    assert len(T.ordinal(3).plan[1]) == 3
+    assert _cyclic_garbage(lambda C: C.plan, T.ordinal(3)) == 0
 
 
 def test_atom_choices_leave_no_cyclic_garbage():
@@ -770,11 +863,12 @@ def test_atom_choices_leave_no_cyclic_garbage():
 
 def _two_functor_tables(fs):
     """Object and segment tables of each 2-functor, as lists, so that key
-    order counts too."""
+    order counts too, but for the 2-cell maps, which are sorted as in
+    `_functor_tables`."""
     return [
         (
             list(F.on_objects.items()),
-            [(pair, [(list(om.items()), list(mm.items()))])
+            [(pair, [(list(om.items()), sorted(mm.items()))])
              for pair, (om, mm) in F.tables.items()],
         )
         for F in fs
@@ -793,7 +887,7 @@ def test_two_functor_enumeration_matches_uncached_checked_oracle(monkeypatch):
                 got = T.enumerate_two_functors(D, E)
                 steps = _Recorded.made[0].count
                 with monkeypatch.context() as checked:
-                    checked.setattr(T, "_thin", lambda homs: False)
+                    checked.setattr(T.FinCategory, "thin", property(lambda self: False))
                     guard = T._Guard(5_000_000, "enumerate_two_functors")
                     want = _enumerate_free_uncached(D, E, guard)
                 assert _two_functor_tables(got) == _two_functor_tables(want), (
@@ -1143,7 +1237,7 @@ def test_a_category_holds_a_copy_of_its_plain_tables():
 
 def test_a_two_cell_cannot_be_added_to_a_hom_after_segments_is_read():
     # adding a 2-cell to a hom once segments was read made
-    # enumerate_two_functors raise KeyError from _plan
+    # enumerate_two_functors raise KeyError from the functor planner
     D = T.theta2_object(T.Theta2Shape(2, (1, 1)))
     assert D.segments is not None
     with pytest.raises(TypeError):
@@ -1777,4 +1871,43 @@ def test_two_category_json_rejects_malformed_data(damage):
     data = T.two_category_to_json(T.cell(2))
     damage(data)
     with pytest.raises(ValueError):
+        T.two_category_from_json(data)
+
+
+def _one_loop():
+    return {"objects": ["a"], "morphisms": {"i": ["a", "a"]}, "identity": {"a": "i"},
+            "compose": [["i", "i", "i"]]}
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(dict(_one_loop(), identity={"a": ["i"]}), id="identity a list"),
+    pytest.param(dict(_one_loop(), compose=[["i", "i", ["i"]]]), id="composite a list"),
+    pytest.param(dict(_one_loop(), objects=[["a"]]), id="object a list"),
+    pytest.param(dict(_one_loop(), morphisms={"i": [["a"], "a"]}), id="end a list"),
+    pytest.param({"objects": [1], "morphisms": {"i": [1, 1]}, "identity": {1: "i"},
+                  "compose": [["i", "i", "i"]]}, id="int object"),
+    pytest.param({"objects": ["a"], "morphisms": {0: ["a", "a"]}, "identity": {"a": 0},
+                  "compose": [[0, 0, 0]]}, id="int morphism"),
+])
+def test_category_json_rejects_ids_that_are_not_strings(data):
+    # each of these loaded, and validate_category then raised TypeError
+    # or the int ids broke every sort of mixed ids
+    with pytest.raises(ValueError, match="is not a string"):
+        T.category_from_json(data)
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda d: d["objects"].append(2), id="int object"),
+    pytest.param(lambda d: d["unit1"].update({"0": ["()"]}), id="unit a list"),
+    pytest.param(lambda d: d["unit1"].update({0: "()"}), id="int unit key"),
+    pytest.param(lambda d: d["hcompose1"]["0|0|1"][0].__setitem__(2, ["(0)"]),
+                 id="hc1 composite a list"),
+    pytest.param(lambda d: d["hcompose2"]["0|0|1"][0].__setitem__(0, 0),
+                 id="int 2-cell"),
+    pytest.param(lambda d: d["hom"]["0|1"]["objects"].append(7), id="int 1-cell"),
+])
+def test_two_category_json_rejects_ids_that_are_not_strings(damage):
+    data = T.two_category_to_json(T.cell(2))
+    damage(data)
+    with pytest.raises(ValueError, match="is not a string"):
         T.two_category_from_json(data)
