@@ -8,14 +8,19 @@ underlying simplicial set.
 
 The raw simplices are built a layer at a time, each n-simplex from its
 base d_n x and one extension of d_0 of that base, so that its faces are
-known as indices into the layer below as it is made (`_extend`);
-`_build` reads the generators, their faces and the degeneracies off
-those indices as the simplices arrive.  A layer below the top is held
-only until the next one is made from it, and the top layer, the largest,
-is never held: `_raw_nerve` streams it into `_build` simplex by simplex.
+known as indices into the layer below as it is made (`_extend`).  Its
+degeneracies are known too, as a bitmask read off the masks of those
+two faces: bit i is set iff x = s_i d_{i+1} x.  `_build` reads the
+generators, their faces and the degeneracies off those indices and
+masks as the simplices arrive.  A layer below the top is held only
+until the next one is made from it, and the top layer, the largest, is
+never held: `_raw_nerve` streams it into `_build` simplex by simplex,
+with no raw tuple for a degenerate one.
 Each process caches one built nerve per signature of D, bound and
-marking, and no raw layers; see `nerve`.  A nerve map walks its
-source's raw simplices again and finds their images by `_ref`.
+marking, and no raw layers; see `nerve`.  Beside them it keeps, per
+signature and bound, the generator raw simplices, walked on the first
+nerve map out of D: a nerve map finds their images by `_ref`, which
+tests any raw tuple for degeneracy with `_degeneracy_test`.
 """
 
 from __future__ import annotations
@@ -122,28 +127,25 @@ def _merge_getter(n):
     ])
 
 
-def _identities(D: Fin2Category):
-    """Per hom of D, its identity 2-cells as a plain dict, one per hom
-    object however many pairs share it."""
-    return _copies(D.hom, lambda H: dict(H.identity))
-
-
 class _Tables:
     """The composition data nerve extension reads, as plain dicts.
 
     The read-only tables of D and of its homs, whose horizontal tables
     may be built on lookup (as `theta2_object`'s are), are copied once,
-    so that the inner loops of `_extend` look up plain dicts; `two_cells`
-    and `thin` are each hom's `homs` and `thin`.  For each thin hom (x, y)
+    so that the inner loops of `_extend` look up plain dicts; `ident`,
+    `two_cells` and `thin` are each hom's identity 2-cells, `homs` and
+    `thin`, one dict per hom object however many pairs share it.  For each
+    thin hom (x, y)
     it also holds `down[(x, y)]`: per 1-cell c, an int bitmask of the
     positions in `ones[(x, y)]` of the 1-cells f with a 2-cell f => c.
     """
 
     def __init__(self, D: Fin2Category):
         self.objects = sorted(D.objects)
+        self.unit1 = dict(D.unit1)
         self.ones = {k: H.objects for k, H in D.hom.items()}
         self.then = _copies(D.hom, lambda H: dict(H.compose))
-        self.ident = _identities(D)
+        self.ident = _copies(D.hom, lambda H: dict(H.identity))
         self.hc1 = _copies(D.hcompose1, dict)
         self.hc2 = _copies(D.hcompose2, dict)
         self.two_cells = _copies(D.hom, lambda H: dict(H.homs))
@@ -203,13 +205,15 @@ def _pick_tris(tabs: _Tables, b, y, xn, f, j, chosen, picks):
     return steps
 
 
-def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, step,
-            runs=None, keys=None):
+def _extend(tabs: _Tables, prev, prev_faces, prev_masks, prev_runs, prev_keys, n,
+            step, runs=None, keys=None):
     """Yield layer n of the raw nerve from layer n-1, in order, each
-    simplex with its n+1 faces as indices into layer n-1, a tuple.
-    prev_faces holds those of layer n-1 as a flat array, n per simplex in
-    turn; the faces of layer 0 are one 0 per vertex: d_0 of a vertex is
-    the empty simplex, the one simplex of layer -1.
+    simplex x with its n+1 faces as indices into layer n-1, a tuple, and
+    its degeneracy mask, an int whose bit i is set iff x = s_i d_{i+1} x.
+    prev_faces holds the faces of layer n-1 as a flat array, n per simplex
+    in turn, and prev_masks its masks; the faces of layer 0 are one 0 per
+    vertex: d_0 of a vertex is the empty simplex, the one simplex of layer
+    -1.
 
     An n-simplex x is its base b = d_n x, a last vertex x_n and what joins
     them, and its face y = d_0 x extends d_0 b to the same x_n.  So for
@@ -233,6 +237,22 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, step,
     f_0n, with the phi_0jn added into a non-thin hom; d_i x is one lookup
     in `prev_keys`.
 
+    Degeneracies: s_i d_{i+1} renames vertex i+1 to i, and the positions
+    of x it compares (`_degeneracy_test`) lie in b, in y, or are f_0n and
+    the phi_0jn.  So bit i of x is read off the masks of b and y:
+    - 0 < i < n-1: bit i of b and bit i-1 of y, which make phi_0in =
+      phi_0(i+1)n by the cocycle relation on (0, i, i+1, n), whose other
+      two 2-cells they make identities;
+    - i = 0: bit 0 of b, f_0n = y's f_0(n-1) and phi_01n the identity,
+      which make phi_0jn = y's phi_0(j-1)(n-1) by the relation on
+      (0, 1, j, n);
+    - i = n-1: bit n-2 of y, f_0n = b's f_0(n-1) and phi_0(n-1)n the
+      identity, which make phi_0jn = b's phi_0j(n-1) by the relation on
+      (0, j, n-1, n);
+    - n = 1: x_0 = x_1 and f_01 is the unit.
+    Into a thin hom phi_01n and phi_0(n-1)n are then identities too,
+    being parallel to them, so they are compared into a non-thin hom only.
+
     Guard: the search above costs, for (b, x_n), what it cost for
     (d_0 b, x_n) one layer down (`prev_runs` holds that beside the run),
     plus per y one step per f_0n and, per triangle, the candidates tried;
@@ -243,20 +263,27 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, step,
 
     Below the top layer the caller passes the dicts runs and keys, which
     are filled for layer n+1: the runs (base index, x_n) -> (start, stop,
-    cost) and the keys.
+    cost) and the keys.  At the top layer nothing reads a degenerate
+    simplex but its mask, so it is yielded as (None, None, mask), with no
+    raw tuple or faces built.
     """
-    ones, thin, down, two_cells, hc1 = (
-        tabs.ones, tabs.thin, tabs.down, tabs.two_cells, tabs.hc1)
+    ones, thin, down, two_cells, hc1, unit1, ident = (
+        tabs.ones, tabs.thin, tabs.down, tabs.two_cells, tabs.hc1, tabs.unit1, tabs.ident)
     merge_t = _merge_getter(n)
     pidx = _pidx(n - 1)
     # the position of edge f_jn, j = 1..n-1, among the edges of y
     ypos = [pidx[(j - 1, n - 1)] for j in range(1, n)]
+    # for the degeneracy bits: the bits 1..n-2, bit n-1, and the position
+    # of the edge (0, n-1) in b and in y
+    inner, high, last = (1 << (n - 1)) - 2, 1 << (n - 1), n - 2
+    top = keys is None
     count = 0
     for bi, b in enumerate(prev):
         verts, edges, tris = b
         x0 = verts[0]
         fb = prev_faces[bi * n:(bi + 1) * n]
         d0b = fb[0]
+        mb = prev_masks[bi]
         head = edges[:n - 1]
         for xn in tabs.objects:
             fs = ones.get((x0, xn))
@@ -267,12 +294,17 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, step,
             step(cost)
             first = count
             is_thin = thin[(x0, xn)]
+            # whether phi_01n and phi_0(n-1)n are identities when their
+            # ends agree: into a thin hom, or where there are none
+            plain = is_thin or n == 1
             if is_thin:
                 dn, cells = down[(x0, xn)], two_cells[(x0, xn)]
                 full = (1 << len(fs)) - 1
                 # per triangle (0, j, n): hc1 into x_n, f_0j and f_jn's position
                 slots = [(hc1[(x0, verts[j], xn)], edges[j - 1], ypos[j - 1])
                          for j in range(1, n)]
+            else:
+                idn = ident[(x0, xn)]
             for yi in range(start, stop):
                 y = prev[yi]
                 yverts, yedges, ytris = y
@@ -287,11 +319,12 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, step,
                         tried += mask.bit_count()
                         cs.append(c)
                     k = len(fs) + tried
+                    # each f's triangles are read off below, when it is
+                    # built
                     while mask:
                         low = mask & -mask
                         mask ^= low
-                        f = fs[low.bit_length() - 1]
-                        picks.append((f, tuple([cells[(f, c)][0] for c in cs])))
+                        picks.append((fs[low.bit_length() - 1], None))
                 else:
                     k = len(fs) + sum(
                         _pick_tris(tabs, b, y, xn, f, 1, [], picks) for f in fs)
@@ -299,23 +332,43 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_runs, prev_keys, n, step,
                 cost += k
                 if not picks:
                     continue
-                fy = prev_faces[yi * n:(yi + 1) * n]
-                subs = [prev_keys[(fb[i], fy[i - 1])] for i in range(1, n)]
+                # the bits 1..n-2, and the f_0n that bits 0 and n-1 need
+                # (None where the face's bit is clear)
+                if n == 1:
+                    mid, lo, hi = 0, unit1[x0] if x0 == yverts[0] else None, None
+                else:
+                    my = prev_masks[yi]
+                    mid = mb & my << 1 & inner
+                    lo = yedges[last] if mb & 1 else None
+                    hi = edges[last] if my >> last & 1 else None
+                subs = None  # the keys of the faces d_i x, 0 < i < n, once read
                 xverts = (x0,) + yverts
-                if keys is not None:
+                if not top:
                     sub = keys[(bi, yi)] = {}
                 for f, phis in picks:
+                    dmask = mid
+                    if f == lo and (plain or phis[0] == idn[f]):
+                        dmask |= 1
+                    if f == hi and (plain or phis[-1] == idn[f]):
+                        dmask |= high
+                    count += 1
+                    if dmask and top:
+                        yield None, None, dmask
+                        continue
+                    if subs is None:
+                        fy = prev_faces[yi * n:(yi + 1) * n]
+                        subs = [prev_keys[(fb[i], fy[i - 1])] for i in range(1, n)]
                     if is_thin:
+                        phis = tuple([cells[(f, c)][0] for c in cs])
                         key = f
-                        mid = [s[f] for s in subs]
+                        mid_faces = [s[f] for s in subs]
                     else:
                         key = (f, *phis)
-                        mid = [s[key[:i] + key[i + 1:]] for i, s in enumerate(subs, 1)]
-                    if keys is not None:
-                        sub[key] = count
-                    count += 1
+                        mid_faces = [s[key[:i] + key[i + 1:]] for i, s in enumerate(subs, 1)]
+                    if not top:
+                        sub[key] = count - 1
                     yield ((xverts, head + (f,) + yedges, merge_t(tris + phis) + ytris),
-                           (yi, *mid, bi))
+                           (yi, *mid_faces, bi), dmask)
             if runs is not None:
                 runs[(bi, xn)] = (first, count, cost)
 
@@ -326,16 +379,20 @@ _nerve_cache = {}
 def _raw_nerve(D: Fin2Category, bound: int, limit=5_000_000):
     """Yield, for each dimension n = 0..bound in turn, the raw n-simplices
     (degenerate ones included) in order, each with its faces as indices
-    into dimension n-1 (a vertex has the face 0); see `_extend`.
+    into dimension n-1 (a vertex has the face 0) and its degeneracy mask;
+    see `_extend`.
 
     A layer below the top is made when the one before it has been read,
-    and kept only until the next one is made from it.  The top layer is
-    never held: it is yielded as `_extend` makes it.
+    and kept only until the next one is made from it, its faces in an
+    array and its masks in a list beside it (an n-simplex's mask has n
+    bits, and n has no bound).  The top layer is never held: it is yielded
+    as `_extend` makes it, each degenerate simplex as (None, None, mask).
     """
     guard = _Guard(limit, "nerve")
     tabs = _Tables(D)
     layer = [((x,), (), ()) for x in tabs.objects]
     faces = array("I", [0] * len(layer))
+    masks = [0] * len(layer)
     # the empty simplex extends to each vertex at no cost
     runs = {(0, x): (t, t + 1, 0) for t, x in enumerate(tabs.objects)}
     keys = None
@@ -343,15 +400,16 @@ def _raw_nerve(D: Fin2Category, bound: int, limit=5_000_000):
         if n:
             guard.dimension = n
             if n == bound:
-                yield _extend(tabs, layer, faces, runs, keys, n, guard.step)
+                yield _extend(tabs, layer, faces, masks, runs, keys, n, guard.step)
                 return
-            up, up_faces, up_runs, up_keys = [], array("I"), {}, {}
-            for x, F in _extend(tabs, layer, faces, runs, keys, n, guard.step,
-                                up_runs, up_keys):
+            up, up_faces, up_masks, up_runs, up_keys = [], array("I"), [], {}, {}
+            for x, F, mask in _extend(tabs, layer, faces, masks, runs, keys, n,
+                                      guard.step, up_runs, up_keys):
                 up.append(x)
                 up_faces.extend(F)
-            layer, faces, runs, keys = up, up_faces, up_runs, up_keys
-        yield zip(layer, zip(*[iter(faces)] * (n + 1)))
+                up_masks.append(mask)
+            layer, faces, masks, runs, keys = up, up_faces, up_masks, up_runs, up_keys
+        yield zip(layer, zip(*[iter(faces)] * (n + 1)), masks)
 
 
 def _key_fn(raw, n):
@@ -360,44 +418,42 @@ def _key_fn(raw, n):
 
 
 def _build(D: Fin2Category, layers, bound, marked_fn):
-    """The marked nerve of the raw simplices that layers gives: for each
-    dimension n = 0..bound in turn, the raw n-simplices in order, each with
-    its n+1 face indices into dimension n-1, as `_raw_nerve` yields them.
+    """The marked nerve of D from the raw simplices that layers gives: for
+    each dimension n = 0..bound in turn, the raw n-simplices in order,
+    each with its n+1 face indices into dimension n-1 and its degeneracy
+    mask, as `_raw_nerve` yields them.
 
     Each raw simplex is classified as it arrives: degenerate or not, and a
     generator's id, faces and marking.  None is kept; only the references
     of dimension n-1 are held while dimension n is read.  Gives what the
     tests' oracle from_raw gives with the generic raw face and degeneracy
     operators.
-    x = s_i z forces d_i x == d_{i+1} x == z, so s_i is tried only where
-    those two indices agree; it is then confirmed exactly on all
-    positions, and x's reference is z's, degenerated.  A generator's
-    faces are the references at its face indices.  Generator ids are
-    checked to be distinct on each dimension's sorted list, and across
-    dimensions by their count.
+    A simplex x is degenerate iff its mask is not 0, and then its
+    reference is that of z = d_{i+1} x, degenerated by s_i, for the least
+    i with x = s_i d_{i+1} x: the mask's lowest set bit (Eilenberg-Zilber).
+    A generator's faces are the references at its face indices.
+    Generator ids are checked to be distinct on each dimension's sorted
+    list, and across dimensions by their count.
     """
-    unit1, ident = dict(D.unit1), _identities(D)
     gens, gen_faces, marked = {}, {}, set()
     below = []
     for n, layer in zip(range(bound + 1), layers, strict=True):
-        tests = [(i, _degeneracy_test(n, i)) for i in range(n)]
         refs, ids = [], []
         keep = n < bound  # dimension n+1, if any, reads these references
-        for x, F in layer:
-            for i, test in tests:
-                if F[i] == F[i + 1] and test(x, unit1, ident):
-                    if keep:
-                        refs.append(degenerate(below[F[i + 1]], i))
-                    break
-            else:
-                gid = _key_fn(x, n)
-                ids.append(gid)
-                if n >= 1:
-                    gen_faces[gid] = tuple([below[k] for k in F])
-                    if marked_fn(x, n):
-                        marked.add(gid)
+        for x, F, mask in layer:
+            if mask:
                 if keep:
-                    refs.append((gid, ()))
+                    i = (mask & -mask).bit_length() - 1
+                    refs.append(degenerate(below[F[i + 1]], i))
+                continue
+            gid = _key_fn(x, n)
+            ids.append(gid)
+            if n >= 1:
+                gen_faces[gid] = tuple([below[k] for k in F])
+                if marked_fn(x, n):
+                    marked.add(gid)
+            if keep:
+                refs.append((gid, ()))
         below = refs
         ids.sort()
         _check_distinct(ids)
@@ -412,14 +468,10 @@ def _build(D: Fin2Category, layers, bound, marked_fn):
 
 def _generator_raws(D: Fin2Category, bound, limit=5_000_000):
     """The raw simplices of the nerve of D that `_build` finds
-    nondegenerate, in order: one per generator, whose id is their key."""
-    unit1, ident = dict(D.unit1), _identities(D)
-    raws = []
-    for n, layer in enumerate(_raw_nerve(D, bound, limit)):
-        tests = [(i, _degeneracy_test(n, i)) for i in range(n)]
-        raws += [x for x, F in layer if not any(
-            F[i] == F[i + 1] and test(x, unit1, ident) for i, test in tests)]
-    return raws
+    nondegenerate, those with mask 0, in order: one per generator, whose
+    id is their key.  Each call walks the raw nerve; the nerve maps read
+    the raws through `_nerve_entry`, which walks them once per process."""
+    return [x for layer in _raw_nerve(D, bound, limit) for x, _, mask in layer if not mask]
 
 
 def _ref(D: Fin2Category, x):
@@ -473,14 +525,30 @@ def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=5_000_000):
     """The nerve of D with the marking rs, scaled or duskin (see `_marking`),
     built once per signature of D, bound and marking in each process; a
     cache hit does not run the guard again."""
+    return _nerve_entry(D, marking, bound, limit)[0]
+
+
+def _nerve_entry(D: Fin2Category, marking, bound, limit=5_000_000):
+    """`nerve(D, marking, bound, limit)`, and a function of no arguments
+    giving D's generator raws at bound (`_generator_raws`).  The raws are
+    walked on the first call of such a function for D and bound in the
+    process and kept in `_nerve_cache` beside the nerves, under (signature,
+    bound), whatever the marking; one `signature()` call serves both."""
     _check_int(bound, 0, "a nerve bound")
     # a cache hit builds no guard, so the limit is checked here as well
     _check_int(limit, 0, "nerve: limit")
     marked_fn = _marking(D, marking)
-    key = (D.signature(), bound, marking)
+    sig = D.signature()
+    key = (sig, bound, marking)
     if key not in _nerve_cache:
         _nerve_cache[key] = _build(D, _raw_nerve(D, bound, limit), bound, marked_fn)
-    return _nerve_cache[key]
+
+    def generator_raws():
+        if (sig, bound) not in _nerve_cache:
+            _nerve_cache[sig, bound] = tuple(_generator_raws(D, bound, limit))
+        return _nerve_cache[sig, bound]
+
+    return _nerve_cache[key], generator_raws
 
 
 def duskin_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
@@ -500,10 +568,11 @@ def scaled_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
 
 def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000):
     """The simplicial map induced on nerves by a 2-functor; both nerves
-    come from `nerve`.  See `_nerve_assignment`."""
-    X = nerve(F.source, variant, bound, limit)
+    come from `nerve`, and the source's generator raws are walked once per
+    process (`_nerve_entry`).  See `_nerve_assignment`."""
+    X, raws = _nerve_entry(F.source, variant, bound, limit)
     Y = nerve(F.target, variant, bound, limit)
-    return MSSetMap(X, Y, _nerve_assignment(F, _generator_raws(F.source, bound, limit), Y))
+    return MSSetMap(X, Y, _nerve_assignment(F, raws(), Y))
 
 
 def _nerve_assignment(F: TwoFunctor, raws, Y: MarkedSSet):

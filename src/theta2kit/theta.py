@@ -17,6 +17,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -31,7 +32,7 @@ from .msset import (
 )
 from .msset import (
     _check_int, _check_json, _Guard, _product_assignment, _simplex_key, _UnionFind)
-from .nerves import _generator_raws, _nerve_assignment, rs_nerve
+from .nerves import _nerve_assignment, _nerve_entry
 from .twocat import (
     Fin2Category,
     Theta2Shape,
@@ -426,10 +427,13 @@ def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
 
 @dataclass(frozen=True)
 class _Block:
-    """The L block of a box cell: its shape's nerve, and the product with
-    its level's sharp simplex with the pairs."""
+    """The L block of a box cell: its shape's nerve, a function of no
+    arguments giving that nerve's generator raw simplices (walked once per
+    process, see `nerves._nerve_entry`), and the product with its level's
+    sharp simplex with the pairs."""
 
     nerve: MarkedSSet
+    generator_raws: Callable[[], tuple]
     product: MarkedSSet
     product_pairs: dict
 
@@ -458,17 +462,17 @@ def _block_sizes(X: MarkedSSet, level, bound):
 
 def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
     """cell's block, built on first use and kept in blocks, a dict that
-    lives for one call.  Its nerve comes from `rs_nerve`, which may hit
-    the nerve cache.  Its size is counted first: over _BLOCK_LIMIT
+    lives for one call.  Its nerve is the rs nerve, from the nerve cache
+    when it is there.  Its size is counted first: over _BLOCK_LIMIT
     simplices it raises ResourceLimitError naming apply_L."""
     if cell not in blocks:
-        X = rs_nerve(theta2_object(cell.shape), bound)
+        X, raws = _nerve_entry(theta2_object(cell.shape), "rs", bound)
         guard = _Guard(_BLOCK_LIMIT, "apply_L")
         for n, size in enumerate(_block_sizes(X, cell.level, bound)):
             guard.dimension = n
             guard.step(size)
         S = standard_simplex(cell.level, "sharp", bound=bound)
-        blocks[cell] = _Block(X, *product_with_index(X, S))
+        blocks[cell] = _Block(X, raws, *product_with_index(X, S))
     return blocks[cell]
 
 
@@ -476,11 +480,9 @@ def _block_map(blocks: dict, G: TwoFunctor, lam, src: BoxCell, dst: BoxCell,
                bound) -> MSSetMap:
     """The map of blocks induced by the shape functor G and the level map
     lam: G on the source nerve's generator raw simplices, walked once per
-    call and kept in blocks, then the source's generator pairs."""
+    process, then the source's generator pairs."""
     a, b = _block(blocks, src, bound), _block(blocks, dst, bound)
-    if (src, "raws") not in blocks:
-        blocks[(src, "raws")] = _generator_raws(G.source, bound)
-    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, blocks[(src, "raws")], b.nerve))
+    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, a.generator_raws(), b.nerve))
     sf = simplex_map(src.level, dst.level, lam, "sharp", bound)
     return MSSetMap(a.product, b.product, _product_assignment(a.product_pairs, nf, sf))
 
@@ -509,7 +511,7 @@ def apply_L_map(P: PresentationMap, bound=DEFAULT_BOUND) -> MSSetMap:
         (j, _block_map(blocks, G, lam, cell, P.target.cells[j], bound))
         for cell, (j, G, lam) in zip(P.source.cells, P.cell_map)
     ]
-    # every block map has been made: free the raw simplices
+    # every block map has been made: free the blocks' product pairs
     del blocks
     src, src_legs = colimit(*src_diagram, bound=bound)
     tgt, tgt_legs = colimit(*tgt_diagram, bound=bound)

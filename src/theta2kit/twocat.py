@@ -126,14 +126,42 @@ class FinCategory:
         )
 
 
+def _category_ids(C: FinCategory):
+    """Every id C's tables name: the objects, the morphisms and their
+    ends, the identities and the composable pairs and composites.  Ends
+    and pairs that are not tuples are left to the checks that report them."""
+    yield from C.objects
+    for f, ends in C.morphisms.items():
+        yield f
+        if isinstance(ends, tuple):
+            yield from ends
+    for x, i in C.identity.items():
+        yield from (x, i)
+    for pair, h in C.compose.items():
+        if isinstance(pair, tuple):
+            yield from pair
+        yield h
+
+
+def _is_id(x):
+    """Whether x is a str, as the loaders require, or a tuple of such ids,
+    as `_product` names the cells of a product."""
+    return isinstance(x, str) or isinstance(x, tuple) and all(map(_is_id, x))
+
+
 def validate_category(C: FinCategory) -> Report:
     """Whether C is a category, in three stages, each run only if the
-    ones before it found nothing: every morphism's ends are objects and
-    every object has an identity; compose is defined exactly on the
-    composable pairs of morphisms, each time on a morphism with the right
-    ends; and the unit and associativity laws hold.  So a missing or
-    foreign entry is reported, never looked up."""
-    problems = []
+    ones before it found nothing: every object and morphism id is an id
+    (`_is_id`), every morphism's ends are objects and every object has an
+    identity; compose is defined exactly on the composable pairs of
+    morphisms, each time on a morphism with the right ends; and the unit
+    and associativity laws hold.  So a missing or foreign entry is
+    reported, never looked up: a bad id is reported before any lookup,
+    since it may not even hash."""
+    problems = [f"id {r} is not a string" for r in dict.fromkeys(
+        repr(x) for x in _category_ids(C) if not _is_id(x))]
+    if problems:
+        return Report("category", problems)
     for f, ends in C.morphisms.items():
         if not (isinstance(ends, tuple) and len(ends) == 2
                 and all(e in C.objects for e in ends)):
@@ -1169,8 +1197,7 @@ def category_from_json(data: dict) -> FinCategory:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"category: malformed data: {e!r}") from e
-    _check_ids("category", C.objects, C.morphisms, *C.morphisms.values(), C.identity,
-               C.identity.values(), *C.compose, C.compose.values())
+    _check_ids("category", _category_ids(C))
     return C
 
 

@@ -18,9 +18,11 @@ raw simplices and finds each image's reference in the cached target
 nerve by Eilenberg-Zilber (nerves._ref).
 
 full_raw_nerve holds every layer of the raw nerve, the top one included,
-and layers hands them to nerves._build; the library streams the top layer
-into _build as it is made and keeps a layer below only while the next one
-is made from it.
+and layers hands them to nerves._build, with the degeneracy masks
+nerves._extend made or, for layers made elsewhere, those oracle_mask
+reads off nerves._degeneracy_test; the library streams the top layer
+into _build as it is made, with no raw tuple for a degenerate simplex,
+and keeps a layer below only while the next one is made from it.
 
 raw_compatible_boundaries indexes every level of the boundary search by
 face prefix of length k-1, then by face k-1, with one (cell, faces) tuple
@@ -527,32 +529,47 @@ def raw_nerve(D, bound, checked=()):
 
 
 def full_raw_nerve(D, bound, limit=5_000_000):
-    """Every raw simplex of D per dimension, the top one included, and the
+    """Every raw simplex of D per dimension, the top one included, the
     faces of each as indices into the layer below, n+1 per n-simplex in
-    turn: nerves._raw_nerve with every layer held.  The guard, the tables
-    and the extension are looked up in nerves at call time, so that a test
-    may patch them."""
+    turn, and the degeneracy mask of each: nerves._raw_nerve with every
+    layer held, the top one built in full.  The guard, the tables and the
+    extension are looked up in nerves at call time, so that a test may
+    patch them."""
     guard = nerves._Guard(limit, "nerve")
     tabs = nerves._Tables(D)
     by_dim = {0: [((x,), (), ()) for x in tabs.objects]}
     faces = {0: array("I", [0] * len(tabs.objects))}
+    masks = {0: [0] * len(tabs.objects)}
     runs = {(0, x): (t, t + 1, 0) for t, x in enumerate(tabs.objects)}
     keys = None
     for n in range(1, bound + 1):
         guard.dimension = n
-        by_dim[n], faces[n], up_runs, up_keys = [], array("I"), {}, {}
-        for x, F in nerves._extend(tabs, by_dim[n - 1], faces[n - 1], runs, keys, n,
-                                   guard.step, up_runs, up_keys):
+        by_dim[n], faces[n], masks[n], up_runs, up_keys = [], array("I"), [], {}, {}
+        for x, F, mask in nerves._extend(tabs, by_dim[n - 1], faces[n - 1], masks[n - 1],
+                                         runs, keys, n, guard.step, up_runs, up_keys):
             by_dim[n].append(x)
             faces[n].extend(F)
+            masks[n].append(mask)
         runs, keys = up_runs, up_keys
-    return by_dim, faces
+    return by_dim, faces, masks
 
 
-def layers(by_dim, faces):
+def oracle_mask(D, x):
+    """The degeneracy mask of the raw simplex x of the nerve of D by the
+    oracle nerves._degeneracy_test: bit i set iff x = s_i d_{i+1} x."""
+    n = len(x[0]) - 1
+    unit1, ident = D.unit1, {k: H.identity for k, H in D.hom.items()}
+    return sum(1 << i for i in range(n) if nerves._degeneracy_test(n, i)(x, unit1, ident))
+
+
+def layers(D, by_dim, faces, masks=None):
     """The held layers as nerves._build reads them: per dimension n, each
-    raw n-simplex with its n+1 face indices."""
-    return (zip(by_dim[n], zip(*[iter(faces[n])] * (n + 1))) for n in range(len(by_dim)))
+    raw n-simplex of D with its n+1 face indices and its degeneracy mask,
+    from masks or, where masks is None, from `oracle_mask`."""
+    if masks is None:
+        masks = {n: [oracle_mask(D, x) for x in layer] for n, layer in by_dim.items()}
+    return (zip(by_dim[n], zip(*[iter(faces[n])] * (n + 1)), masks[n])
+            for n in range(len(by_dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 
 import pytest
@@ -15,9 +16,9 @@ from theta2kit import theta as TH
 from theta2kit import twocat as T
 
 from raw_oracles import (
-    RawOps, face_tuples, from_raw, full_raw_nerve, layers, raw_compatible_boundaries,
-    raw_face_index, raw_filler_counts, raw_filler_counts_by_face, raw_nerve,
-    raw_nerve_assignment)
+    RawOps, face_tuples, from_raw, full_raw_nerve, layers, oracle_mask,
+    raw_compatible_boundaries, raw_face_index, raw_filler_counts, raw_filler_counts_by_face,
+    raw_nerve, raw_nerve_assignment)
 
 
 def _ordinal_2cat(m):
@@ -166,11 +167,11 @@ MARKINGS = {
 def test_build_matches_from_raw(D):
     # on the layers held whole, and on the layers _raw_nerve streams
     bound = 4
-    by_dim, faces = full_raw_nerve(D, bound)
+    by_dim, faces, masks = full_raw_nerve(D, bound)
     ops = RawOps(D)
     for marking, mk in MARKINGS.items():
         Y, normal = from_raw(bound, by_dim, ops.face, ops.degenerate, mk(D), N._key_fn)
-        for how, raw in (("held", layers(by_dim, faces)),
+        for how, raw in (("held", layers(D, by_dim, faces, masks)),
                          ("streamed", N._raw_nerve(D, bound))):
             X = N._build(D, raw, bound, mk(D))
             assert X.gens == Y.gens, (marking, how)
@@ -238,6 +239,41 @@ def test_thin_extension_matches_checked_on_incomparable_cells(monkeypatch):
     assert full_raw_nerve(D, 5) == _raw_nerve_checked(D, 5, monkeypatch)
     assert _guard_steps(D, 5, monkeypatch) == _guard_steps(
         D, 5, monkeypatch, checked=True)
+
+
+def _mask_cases():
+    cube = T.suspend_category(T.product_poset((1, 1, 1)))
+    return _oracle_cases() + [pytest.param(cube, id="Sigma [1]^3")]
+
+
+@pytest.mark.parametrize("D", _mask_cases())
+def test_degeneracy_masks_match_the_oracle(D, monkeypatch):
+    # every bit of every raw simplex in every layer against
+    # _degeneracy_test, on the thin path and with every hom non-thin, so
+    # that the rules on triangles run too
+    bound = 4
+    for by_dim, _, masks in (full_raw_nerve(D, bound),
+                             _raw_nerve_checked(D, bound, monkeypatch)):
+        want = {n: [oracle_mask(D, x) for x in layer] for n, layer in by_dim.items()}
+        assert masks == want
+        # each layer has the simplex degenerate at every position (a
+        # vertex's), so every rule is reached
+        assert [functools.reduce(operator.or_, masks[n]) for n in by_dim] == [
+            (1 << n) - 1 for n in by_dim]
+    # the streamed top layer gives the same masks, and no raw tuple or
+    # faces for a degenerate simplex
+    top = [list(layer) for layer in N._raw_nerve(D, bound)][bound]
+    assert [m for _, _, m in top] == masks[bound]
+    assert [(x, F) for x, F, m in top if m] == [(None, None)] * sum(map(bool, masks[bound]))
+    assert [x for x, _, m in top if not m] == [
+        x for x, m in zip(by_dim[bound], masks[bound]) if not m]
+
+
+def test_degenerate_top_simplices_of_the_grid_cell():
+    # [2|2,2] at bound 5: 118 800 raw 5-simplices, 72 177 of them generators
+    D = T.theta2_object(T.Theta2Shape(2, (2, 2)))
+    top = list(N._raw_nerve(D, 5))[5]
+    assert collections.Counter(bool(m) for _, _, m in top) == {True: 46_623, False: 72_177}
 
 
 def test_thin_flags_of_suspended_group():
@@ -330,7 +366,7 @@ def _raw_nerve_with_steps(D, bound, checked=()):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(N._Tables, "__init__", forced)
         m.setattr(N, "_Guard", Counting)
-        by_dim, faces = full_raw_nerve(D, bound)
+        by_dim, faces, _ = full_raw_nerve(D, bound)
     return by_dim, faces, {n: steps[n] for n in range(1, bound + 1)}
 
 
@@ -431,12 +467,13 @@ def _raw_without_cocycle(D, bound):
 
 def test_build_matches_from_raw_without_cocycle():
     # here a unit edge and identity collapsed triangles do not force the
-    # other triangles to agree, so _build must compare every position
+    # other triangles to agree, so the degeneracy test, which gives _build
+    # its masks here (oracle_mask), must compare every position
     D = _z2_suspension()
     by_dim = _raw_without_cocycle(D, 4)
     assert len(by_dim[4]) > len(full_raw_nerve(D, 4)[0][4])
     ops = RawOps(D)
-    X = N._build(D, layers(by_dim, raw_face_index(by_dim)), 4, N._marking(D, "rs"))
+    X = N._build(D, layers(D, by_dim, raw_face_index(by_dim)), 4, N._marking(D, "rs"))
     Y, oracle = from_raw(4, by_dim, ops.face, ops.degenerate,
                          N._marking(D, "rs"), N._key_fn)
     assert (X.gens, X.faces, X.marked) == (Y.gens, Y.faces, Y.marked)
@@ -575,19 +612,20 @@ def test_nerve_cache_keeps_each_marking_apart(monkeypatch):
 @pytest.mark.parametrize("first", ["apply_L", "apply_L_map"])
 def test_rs_nerve_returns_the_nerve_an_indexed_build_left(first, monkeypatch):
     # apply_L, with arrows or without, and apply_L_map take every nerve
-    # from rs_nerve: each builds a shape's nerve once and leaves it in the
-    # cache, where rs_nerve finds it
+    # from the nerve cache's entries: each builds a shape's nerve once and
+    # leaves it in the cache, where rs_nerve finds it
     shape = T.Theta2Shape(2, (1, 0))
     D = T.theta2_object(shape)
     monkeypatch.setattr(N, "_nerve_cache", {})
     plain = []
-    rs_nerve = TH.rs_nerve
+    entry = TH._nerve_entry
 
     def recording(*args):
-        plain.append(rs_nerve(*args))
-        return plain[-1]
+        X, raws = entry(*args)
+        plain.append(X)
+        return X, raws
 
-    monkeypatch.setattr(TH, "rs_nerve", recording)
+    monkeypatch.setattr(TH, "_nerve_entry", recording)
     built = _record_builds(monkeypatch)
     if first == "apply_L":
         TH.apply_L(TH.representable(shape), bound=3)
@@ -611,6 +649,56 @@ def test_nerve_guard_leaves_no_cache_entry(monkeypatch):
     # so a second call runs the guard again
     with pytest.raises(M.ResourceLimitError):
         N.duskin_nerve(T.cell(2), bound=3, limit=3)
+
+
+def test_generator_raws_are_walked_once_per_process(monkeypatch):
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    walked = collections.Counter()
+    raw_nerve = N._raw_nerve
+
+    def recording(D, bound, *args):
+        walked[D.signature(), bound] += 1
+        return raw_nerve(D, bound, *args)
+
+    monkeypatch.setattr(N, "_raw_nerve", recording)
+    built = _record_builds(monkeypatch)
+
+    def raw_walks():
+        """The walks per (signature, bound) that built no nerve."""
+        return walked - collections.Counter((D.signature(), 4) for D in built)
+
+    P = TH.horizontal_segal(2, (1, 1))
+    TH.apply_L_map(P, bound=4)
+    first = raw_walks()
+    # [2|1,1] from the spine [1|1] + [1|1] glued at a point: the block
+    # maps run out of [0] and [1|1], and each is walked once
+    sources = {(G.source.signature(), 4) for _, _, G, _ in P.source.arrows}
+    sources |= {(G.source.signature(), 4) for _, G, _ in P.cell_map}
+    assert set(first) == sources and set(first.values()) == {1}
+    TH.apply_L_map(P, bound=4)
+    assert raw_walks() == first
+    # a nerve map out of a shape whose nerve is built walks it once, in
+    # any marking
+    F = T.identity_two_functor(T.theta2_object(T.Theta2Shape(2, (1, 1))))
+    key = (F.source.signature(), 4)
+    for variant in ("rs", "rs", "duskin"):
+        N.nerve_map(F, variant, bound=4)
+    assert raw_walks() == first + collections.Counter({key: 1})
+    # a cache hit still checks the limit, as nerve() does
+    with pytest.raises(ValueError, match="nerve: limit"):
+        N.nerve_map(F, bound=4, limit=2.5)
+    # the raws live in the cache: clearing it clears them, with no garbage
+    gc.collect()
+    gc.disable()
+    try:
+        N._nerve_cache.clear()
+        assert gc.collect() == 0
+        N.nerve_map(F, bound=4)
+        assert raw_walks()[key] == 2
+        N._nerve_cache.clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nerve_cache_holds_built_nerves_only(monkeypatch):
@@ -993,7 +1081,7 @@ def test_streamed_nerve_peaks_below_the_held_layers(monkeypatch):
     gc.collect()
     streamed = _traced_peak(lambda: N.duskin_nerve(D, 4))
     held = _traced_peak(
-        lambda: N._build(D, layers(*full_raw_nerve(D, 4)), 4, marked_fn))
+        lambda: N._build(D, layers(D, *full_raw_nerve(D, 4)), 4, marked_fn))
     assert streamed <= 0.8 * held, (streamed, held)
 
 

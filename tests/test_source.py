@@ -8,7 +8,8 @@ TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 # module-level containers the library keeps on purpose: the CLI's suite
 # table and the nerve cache, which holds one built nerve per signature,
-# bound and marking, and no raw layers
+# bound and marking and, per signature and bound, the generator raw
+# simplices nerve maps read, and no raw layers
 MODULE_STATE = {"cli.SUITES", "nerves._nerve_cache"}
 
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -411,7 +412,7 @@ def test_nerves_are_built_on_the_cached_path_only():
         f"{path.stem}.{hit.split(':')[1]}" for path in SOURCES
         for hit in _callers(path, "_build")
     ]
-    assert found == ["nerves.nerve"]
+    assert found == ["nerves._nerve_entry"]
     named = [f"{path.name}:{line}" for path in SOURCES
              for line in _names(path, "rs_nerve_with_index")]
     assert named == []

@@ -1274,6 +1274,37 @@ def test_validate_category_reports_and_never_raises(C, problem):
     assert f"hom(bot,top): {problem}" in T.validate_2cat(T.suspend_category(C)).violations
 
 
+def _two_loops(a, b):
+    """The category on the objects a and b with identities alone, named
+    "i" and "j"; either object may be given an id that is not a str."""
+    return T.FinCategory((a, b), {"i": (a, a), "j": (b, b)}, {a: "i", b: "j"},
+                         {("i", "i"): "i", ("j", "j"): "j"})
+
+
+@pytest.mark.parametrize("C, bad", [
+    pytest.param(_two_loops("a", 1), [1], id="int object"),
+    pytest.param(_two_loops(("a", 1), ("b", "c")), [("a", 1)], id="int in a pair"),
+    pytest.param(T.FinCategory(("a",), {0: ("a", "a")}, {"a": 0}, {(0, 0): 0}), [0],
+                 id="int morphism"),
+    pytest.param(T.FinCategory(("a",), {"i": ("a", "a")}, {"a": ["i"]}, {("i", "i"): "i"}),
+                 [["i"]], id="identity a list"),
+    pytest.param(T.FinCategory(("a",), {"i": ("a", "a")}, {"a": "i"}, {("i", "i"): ["i"]}),
+                 [["i"]], id="composite a list"),
+])
+def test_validate_category_reports_ids_that_are_not_strings(C, bad):
+    # the int object passed, and enumerate_functors(C, C) then raised
+    # TypeError from a sort of mixed ids; the next two passed, though no
+    # loader takes them; the last two raised TypeError (unhashable type:
+    # 'list') from validate_category itself.  Pairs of ids, which
+    # _product makes, stay valid (test_category_tables_are_read_only)
+    rep = T.validate_category(C)
+    assert rep.violations == [f"id {x!r} is not a string" for x in bad]
+    # in the loaders' wording
+    with pytest.raises(ValueError) as info:
+        T._check_ids("category", T._category_ids(C))
+    assert str(info.value) == f"category: {rep.violations[0]}"
+
+
 def test_read_only_tables_share_a_view_per_shared_inner_table():
     shared = {("*", "*"): "*"}
     C = T.as_two_category(T.ordinal(0))
