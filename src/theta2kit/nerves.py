@@ -16,11 +16,11 @@ masks as the simplices arrive.  A layer below the top is held only
 until the next one is made from it, and the top layer, the largest, is
 never held: `_raw_nerve` streams it into `_build` simplex by simplex,
 with no raw tuple for a degenerate one.
-Each process caches one built nerve per signature of D, bound and
-marking, and no raw layers; see `nerve`.  Beside them it keeps, per
-signature and bound, the generator raw simplices, walked on the first
-nerve map out of D: a nerve map finds their images by `_ref`, which
-tests any raw tuple for degeneracy with `_degeneracy_test`.
+Each process caches one built nerve per `twocat/1` document of D (its
+`signature`), bound and marking, and no raw layers; see `nerve`.  Beside
+them it keeps, per document and bound, the generator raw simplices,
+walked on the first nerve map out of D: a nerve map finds their images
+by `_ref`, which tests any raw tuple for degeneracy (`_degeneracy_test`).
 """
 
 from __future__ import annotations
@@ -470,7 +470,7 @@ def _generator_raws(D: Fin2Category, bound, limit=5_000_000):
     """The raw simplices of the nerve of D that `_build` finds
     nondegenerate, those with mask 0, in order: one per generator, whose
     id is their key.  Each call walks the raw nerve; the nerve maps read
-    the raws through `_nerve_entry`, which walks them once per process."""
+    the raws through `_cached_raws`, which walks them once per process."""
     return [x for layer in _raw_nerve(D, bound, limit) for x, _, mask in layer if not mask]
 
 
@@ -523,32 +523,26 @@ def _marking(D: Fin2Category, variant):
 
 def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=5_000_000):
     """The nerve of D with the marking rs, scaled or duskin (see `_marking`),
-    built once per signature of D, bound and marking in each process; a
-    cache hit does not run the guard again."""
-    return _nerve_entry(D, marking, bound, limit)[0]
-
-
-def _nerve_entry(D: Fin2Category, marking, bound, limit=5_000_000):
-    """`nerve(D, marking, bound, limit)`, and a function of no arguments
-    giving D's generator raws at bound (`_generator_raws`).  The raws are
-    walked on the first call of such a function for D and bound in the
-    process and kept in `_nerve_cache` beside the nerves, under (signature,
-    bound), whatever the marking; one `signature()` call serves both."""
+    built once per process for each `twocat/1` document of D (its
+    `signature`), bound and marking; a cache hit runs no guard again."""
     _check_int(bound, 0, "a nerve bound")
     # a cache hit builds no guard, so the limit is checked here as well
     _check_int(limit, 0, "nerve: limit")
     marked_fn = _marking(D, marking)
-    sig = D.signature()
-    key = (sig, bound, marking)
+    key = (D.signature, bound, marking)
     if key not in _nerve_cache:
         _nerve_cache[key] = _build(D, _raw_nerve(D, bound, limit), bound, marked_fn)
+    return _nerve_cache[key]
 
-    def generator_raws():
-        if (sig, bound) not in _nerve_cache:
-            _nerve_cache[sig, bound] = tuple(_generator_raws(D, bound, limit))
-        return _nerve_cache[sig, bound]
 
-    return _nerve_cache[key], generator_raws
+def _cached_raws(D: Fin2Category, bound, limit=5_000_000):
+    """D's generator raws at bound (`_generator_raws`), walked once per
+    process for D's document and bound and kept beside the nerves; its
+    callers take D's nerve first, which checks bound and limit."""
+    key = (D.signature, bound)
+    if key not in _nerve_cache:
+        _nerve_cache[key] = tuple(_generator_raws(D, bound, limit))
+    return _nerve_cache[key]
 
 
 def duskin_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
@@ -569,10 +563,10 @@ def scaled_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
 def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000):
     """The simplicial map induced on nerves by a 2-functor; both nerves
     come from `nerve`, and the source's generator raws are walked once per
-    process (`_nerve_entry`).  See `_nerve_assignment`."""
-    X, raws = _nerve_entry(F.source, variant, bound, limit)
+    process (`_cached_raws`).  See `_nerve_assignment`."""
+    X = nerve(F.source, variant, bound, limit)
     Y = nerve(F.target, variant, bound, limit)
-    return MSSetMap(X, Y, _nerve_assignment(F, raws(), Y))
+    return MSSetMap(X, Y, _nerve_assignment(F, _cached_raws(F.source, bound, limit), Y))
 
 
 def _nerve_assignment(F: TwoFunctor, raws, Y: MarkedSSet):

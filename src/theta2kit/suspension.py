@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .msset import DEFAULT_BOUND, MarkedSSet, MSSetMap, degenerate, empty_msset, rebound
 from .twocat import FinCategory, as_two_category, suspend_category
-from .nerves import _key_fn, _nerve_entry, _pairs, _pidx, _ref, _triples, rs_nerve
+from .nerves import _cached_raws, _key_fn, _pairs, _pidx, _ref, _triples, rs_nerve
 
 
 def cone_ref(dim_fn, ref):
@@ -81,8 +81,8 @@ def suspension_comparison(C: FinCategory, bound=None):
         NC, raws = empty_msset(0), []
     else:
         C2 = as_two_category(C)
-        X, generator_raws = _nerve_entry(C2, "rs", target_bound - 1)
-        NC, raws = rebound(X, target_bound), generator_raws()
+        NC = rebound(rs_nerve(C2, target_bound - 1), target_bound)
+        raws = _cached_raws(C2, target_bound - 1)
     SNC = suspend_marked(NC)
 
     assignment = {v: _ref(SC, ((v,), (), ())) for v in ("bot", "top")}

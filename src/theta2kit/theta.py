@@ -17,7 +17,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -32,7 +31,7 @@ from .msset import (
 )
 from .msset import (
     _check_int, _check_json, _Guard, _product_assignment, _simplex_key, _UnionFind)
-from .nerves import _nerve_assignment, _nerve_entry
+from .nerves import _cached_raws, _nerve_assignment, rs_nerve
 from .twocat import (
     Fin2Category,
     Theta2Shape,
@@ -427,13 +426,11 @@ def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
 
 @dataclass(frozen=True)
 class _Block:
-    """The L block of a box cell: its shape's nerve, a function of no
-    arguments giving that nerve's generator raw simplices (walked once per
-    process, see `nerves._nerve_entry`), and the product with its level's
-    sharp simplex with the pairs."""
+    """The L block of a box cell: its shape's 2-category and rs nerve, and
+    the product with its level's sharp simplex with the pairs."""
 
+    category: Fin2Category
     nerve: MarkedSSet
-    generator_raws: Callable[[], tuple]
     product: MarkedSSet
     product_pairs: dict
 
@@ -466,13 +463,14 @@ def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
     when it is there.  Its size is counted first: over _BLOCK_LIMIT
     simplices it raises ResourceLimitError naming apply_L."""
     if cell not in blocks:
-        X, raws = _nerve_entry(theta2_object(cell.shape), "rs", bound)
+        D = theta2_object(cell.shape)
+        X = rs_nerve(D, bound)
         guard = _Guard(_BLOCK_LIMIT, "apply_L")
         for n, size in enumerate(_block_sizes(X, cell.level, bound)):
             guard.dimension = n
             guard.step(size)
         S = standard_simplex(cell.level, "sharp", bound=bound)
-        blocks[cell] = _Block(X, raws, *product_with_index(X, S))
+        blocks[cell] = _Block(D, X, *product_with_index(X, S))
     return blocks[cell]
 
 
@@ -480,9 +478,10 @@ def _block_map(blocks: dict, G: TwoFunctor, lam, src: BoxCell, dst: BoxCell,
                bound) -> MSSetMap:
     """The map of blocks induced by the shape functor G and the level map
     lam: G on the source nerve's generator raw simplices, walked once per
-    process, then the source's generator pairs."""
+    process (`nerves._cached_raws`), then the source's generator pairs."""
     a, b = _block(blocks, src, bound), _block(blocks, dst, bound)
-    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, a.generator_raws(), b.nerve))
+    raws = _cached_raws(a.category, bound)
+    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, raws, b.nerve))
     sf = simplex_map(src.level, dst.level, lam, "sharp", bound)
     return MSSetMap(a.product, b.product, _product_assignment(a.product_pairs, nf, sf))
 

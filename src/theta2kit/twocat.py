@@ -143,25 +143,34 @@ def _category_ids(C: FinCategory):
         yield h
 
 
-def _is_id(x):
-    """Whether x is a str, as the loaders require, or a tuple of such ids,
-    as `_product` names the cells of a product."""
-    return isinstance(x, str) or isinstance(x, tuple) and all(map(_is_id, x))
+def _id_kind(x):
+    """The kind of x as an id: "str", as the loaders require, the tuple of
+    its entries' kinds, as `_product` names cells by pairs, or None."""
+    kinds = tuple(map(_id_kind, x)) if isinstance(x, tuple) else (None,)
+    return "str" if isinstance(x, str) else None if None in kinds else kinds
+
+
+def _non_strings(ids, kind=lambda x: isinstance(x, str) or None):
+    """The loaders' problem for each distinct id in ids of no `kind`."""
+    return [f"id {r} is not a string" for r in dict.fromkeys(
+        repr(x) for x in ids if kind(x) is None)]
 
 
 def validate_category(C: FinCategory) -> Report:
     """Whether C is a category, in three stages, each run only if the
-    ones before it found nothing: every object and morphism id is an id
-    (`_is_id`), every morphism's ends are objects and every object has an
-    identity; compose is defined exactly on the composable pairs of
-    morphisms, each time on a morphism with the right ends; and the unit
-    and associativity laws hold.  So a missing or foreign entry is
-    reported, never looked up: a bad id is reported before any lookup,
-    since it may not even hash."""
-    problems = [f"id {r} is not a string" for r in dict.fromkeys(
-        repr(x) for x in _category_ids(C) if not _is_id(x))]
-    if problems:
+    ones before it found nothing: every object and morphism id is an id,
+    the objects, and the morphisms, are of one `_id_kind`, every
+    morphism's ends are objects and every object has an identity;
+    compose is defined exactly on the composable pairs of morphisms,
+    each time on a morphism with the right ends; and the unit and
+    associativity laws hold.  So a missing or foreign entry is reported,
+    never looked up, and a bad id before any lookup, since it may not
+    even hash."""
+    if problems := _non_strings(_category_ids(C), _id_kind):
         return Report("category", problems)
+    for what, ids in (("object", C.objects), ("morphism", C.morphisms)):
+        if len(kinds := {_id_kind(x): x for x in ids}) > 1:
+            problems.append(f"{what} ids mix kinds: {list(kinds.values())}")
     for f, ends in C.morphisms.items():
         if not (isinstance(ends, tuple) and len(ends) == 2
                 and all(e in C.objects for e in ends)):
@@ -617,10 +626,10 @@ class Fin2Category:
     hom maps object pairs with nonempty mapping category to a FinCategory
     whose objects are the 1-cells and whose morphisms are the 2-cells;
     hcompose1/hcompose2 give horizontal composition per object triple.
-    The tables are read-only, so `segments`, derived from them once, stays
-    true: hom, unit1 and the plain-dict horizontal tables, outer and inner,
-    are copied into read-only views, one per inner table however many
-    triples share it.  `theta2_object`'s `_LazyTable`s are read-only.
+    The tables are read-only, so `segments` and `signature`, derived once,
+    stay true: hom, unit1 and the plain-dict horizontal tables, outer and
+    inner, are copied into read-only views, one per inner table however
+    many triples share it.  `theta2_object`'s `_LazyTable`s are read-only.
     """
 
     objects: tuple
@@ -678,25 +687,34 @@ class Fin2Category:
     def hc2(self, x, y, z, alpha, beta):
         return self.hcompose2[(x, y, z)][(alpha, beta)]
 
+    @cached_property
     def signature(self) -> str:
-        parts = [
-            repr(sorted(self.objects)),
-            repr(sorted((k, sorted(v.morphisms.items())) for k, v in self.hom.items())),
-            repr(sorted((k, sorted(v.items())) for k, v in self.hcompose1.items())),
-            repr(sorted((k, sorted(v.items())) for k, v in self.hcompose2.items())),
-            repr(sorted(self.unit1.items())),
-        ]
-        return "|".join(parts)
+        """The `twocat/1` document as a repr (tuple ids break json.dumps):
+        equal exactly when every table is, while no object id holds "|"."""
+        return repr(two_category_to_json(self))
+
+
+def _two_category_ids(D: Fin2Category):
+    """Every object, 1-cell and 2-cell id D's tables name; see `_category_ids`."""
+    yield from D.objects
+    for H in D.hom.values():
+        yield from _category_ids(H)
+    yield from itertools.chain.from_iterable(D.unit1.items())
+    for t in itertools.chain(D.hcompose1.values(), D.hcompose2.values()):
+        for pair, h in t.items():
+            yield from (*pair, h) if isinstance(pair, tuple) else (h,)
 
 
 def validate_2cat(D: Fin2Category) -> Report:
-    """Whether D is a 2-category, in three stages, each run only if the
-    ones before it found nothing: every hom is a category and every
-    object has a unit 1-cell; for each composable (x, y, z), hc1 and hc2
-    form a functor hom(x, y) x hom(y, z) -> hom(x, z) (`validate_functor`:
+    """Whether D is a 2-category, in four stages, each run only if the
+    ones before it found nothing: every object, 1-cell and 2-cell id is a
+    str, as the loader requires; every hom is a category and every object
+    has a unit 1-cell; for each composable (x, y, z), hc1 and hc2 form a
+    functor hom(x, y) x hom(y, z) -> hom(x, z) (`validate_functor`:
     totality, endpoints, identities and interchange); and the units and
     associativity laws hold for hc1 on 1-cells and hc2 on 2-cells."""
-    problems = []
+    if problems := _non_strings(_two_category_ids(D)):
+        return Report("2-category", problems)
     for (x, y), H in D.hom.items():
         for v in validate_category(H).violations:
             problems.append(f"hom({x},{y}): {v}")
@@ -1178,11 +1196,10 @@ def category_to_json(C: FinCategory) -> dict:
     }
 
 
-def _check_ids(what, *groups):
-    """Raise ValueError unless each id in groups is a str."""
-    for x in itertools.chain(*groups):
-        if not isinstance(x, str):
-            raise ValueError(f"{what}: id {x!r} is not a string")
+def _check_ids(what, ids):
+    """Raise ValueError unless each id in ids is a str."""
+    if problems := _non_strings(ids):
+        raise ValueError(f"{what}: {problems[0]}")
 
 
 def category_from_json(data: dict) -> FinCategory:
@@ -1249,7 +1266,5 @@ def two_category_from_json(data: dict) -> Fin2Category:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"twocat/1: malformed data: {e!r}") from e
-    tables = [*D.hcompose1.values(), *D.hcompose2.values()]
-    _check_ids("twocat/1", D.objects, D.unit1, D.unit1.values(),
-               *(ids for t in tables for ids in (*t, t.values())))
+    _check_ids("twocat/1", _two_category_ids(D))
     return D

@@ -618,14 +618,14 @@ def test_rs_nerve_returns_the_nerve_an_indexed_build_left(first, monkeypatch):
     D = T.theta2_object(shape)
     monkeypatch.setattr(N, "_nerve_cache", {})
     plain = []
-    entry = TH._nerve_entry
+    entry = TH.rs_nerve
 
     def recording(*args):
-        X, raws = entry(*args)
+        X = entry(*args)
         plain.append(X)
-        return X, raws
+        return X
 
-    monkeypatch.setattr(TH, "_nerve_entry", recording)
+    monkeypatch.setattr(TH, "rs_nerve", recording)
     built = _record_builds(monkeypatch)
     if first == "apply_L":
         TH.apply_L(TH.representable(shape), bound=3)
@@ -657,7 +657,7 @@ def test_generator_raws_are_walked_once_per_process(monkeypatch):
     raw_nerve = N._raw_nerve
 
     def recording(D, bound, *args):
-        walked[D.signature(), bound] += 1
+        walked[D.signature, bound] += 1
         return raw_nerve(D, bound, *args)
 
     monkeypatch.setattr(N, "_raw_nerve", recording)
@@ -665,22 +665,22 @@ def test_generator_raws_are_walked_once_per_process(monkeypatch):
 
     def raw_walks():
         """The walks per (signature, bound) that built no nerve."""
-        return walked - collections.Counter((D.signature(), 4) for D in built)
+        return walked - collections.Counter((D.signature, 4) for D in built)
 
     P = TH.horizontal_segal(2, (1, 1))
     TH.apply_L_map(P, bound=4)
     first = raw_walks()
     # [2|1,1] from the spine [1|1] + [1|1] glued at a point: the block
     # maps run out of [0] and [1|1], and each is walked once
-    sources = {(G.source.signature(), 4) for _, _, G, _ in P.source.arrows}
-    sources |= {(G.source.signature(), 4) for _, G, _ in P.cell_map}
+    sources = {(G.source.signature, 4) for _, _, G, _ in P.source.arrows}
+    sources |= {(G.source.signature, 4) for _, G, _ in P.cell_map}
     assert set(first) == sources and set(first.values()) == {1}
     TH.apply_L_map(P, bound=4)
     assert raw_walks() == first
     # a nerve map out of a shape whose nerve is built walks it once, in
     # any marking
     F = T.identity_two_functor(T.theta2_object(T.Theta2Shape(2, (1, 1))))
-    key = (F.source.signature(), 4)
+    key = (F.source.signature, 4)
     for variant in ("rs", "rs", "duskin"):
         N.nerve_map(F, variant, bound=4)
     assert raw_walks() == first + collections.Counter({key: 1})
@@ -706,6 +706,49 @@ def test_nerve_cache_holds_built_nerves_only(monkeypatch):
     X = N.duskin_nerve(T.theta2_object(T.Theta2Shape(2, (2, 2))), bound=4)
     assert [v is X for v in N._nerve_cache.values()] == [True]
     assert all(isinstance(v, M.MarkedSSet) for v in N._nerve_cache.values())
+
+
+def _suspended_monoid(ee):
+    """Sigma of the monoid {i, e} with unit i and e e = ee, on the same
+    ids whatever ee is."""
+    C = T.FinCategory(
+        ("x",), {"i": ("x", "x"), "e": ("x", "x")}, {"x": "i"},
+        {("i", "i"): "i", ("i", "e"): "e", ("e", "i"): "e", ("e", "e"): ee},
+    )
+    return T.suspend_category(C)
+
+
+def test_nerve_cache_keeps_vertical_composition_apart(monkeypatch):
+    # Z/2 (e e = i) and the free idempotent (e e = e) differ only in the
+    # vertical composition of hom(bot, top), which the cocycle relation
+    # and the scaled marking read
+    cases = {ee: _suspended_monoid(ee) for ee in ("i", "e")}
+    assert all(T.validate_2cat(D).ok for D in cases.values())
+    want = {}
+    for (ee, D), marking in itertools.product(cases.items(), ("duskin", "rs", "scaled")):
+        monkeypatch.setattr(N, "_nerve_cache", {})
+        X = N.nerve(D, marking, bound=3)
+        want[ee, marking] = (X.gens, X.faces, X.marked)
+    counts = [tuple(map(len, want[ee, "duskin"][0].values())) for ee in "ie"]
+    assert counts == [(2, 1, 2, 7), (2, 1, 2, 9)]
+    for order in (("i", "e"), ("e", "i")):
+        monkeypatch.setattr(N, "_nerve_cache", {})
+        for ee, marking in itertools.product(order, ("duskin", "rs", "scaled")):
+            X = N.nerve(cases[ee], marking, bound=3)
+            assert (X.gens, X.faces, X.marked) == want[ee, marking], (order, marking)
+
+
+def test_one_two_category_computes_its_key_once(monkeypatch):
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    calls = []
+    to_json = T.two_category_to_json
+    monkeypatch.setattr(T, "two_category_to_json", lambda D: calls.append(D) or to_json(D))
+    D = T.theta2_object(T.Theta2Shape(2, (1, 1)))
+    N.rs_nerve(D, bound=3)
+    N.rs_nerve(D, bound=3)
+    N.duskin_nerve(D, bound=3)
+    N.nerve_map(T.identity_two_functor(D), bound=3)
+    assert calls == [D]
 
 
 @pytest.mark.parametrize("D", _oracle_cases())

@@ -7,9 +7,10 @@ SOURCES = sorted(pathlib.Path(theta2kit.__file__).parent.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 # module-level containers the library keeps on purpose: the CLI's suite
-# table and the nerve cache, which holds one built nerve per signature,
-# bound and marking and, per signature and bound, the generator raw
-# simplices nerve maps read, and no raw layers
+# table and the nerve cache, keyed by each 2-category's twocat/1 document
+# (Fin2Category.signature, computed once per 2-category), which holds one
+# built nerve per document, bound and marking and, per document and bound,
+# the generator raw simplices nerve maps read, and no raw layers
 MODULE_STATE = {"cli.SUITES", "nerves._nerve_cache"}
 
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -412,7 +413,7 @@ def test_nerves_are_built_on_the_cached_path_only():
         f"{path.stem}.{hit.split(':')[1]}" for path in SOURCES
         for hit in _callers(path, "_build")
     ]
-    assert found == ["nerves._nerve_entry"]
+    assert found == ["nerves.nerve"]
     named = [f"{path.name}:{line}" for path in SOURCES
              for line in _names(path, "rs_nerve_with_index")]
     assert named == []
@@ -428,6 +429,51 @@ def test_call_and_name_scans_see_every_form(tmp_path):
     )
     assert _callers(path, "_build") == ["5:f", "6:<module>", "10:g"]
     assert _names(path, "_build") == [1, 2, 5, 6, 10, 11]
+
+
+def _namers(path, name):
+    """Where path names name, as 'line:enclosing function' ('<module>' at
+    module level): as a Name, an Attribute, an import alias, a global or
+    nonlocal statement, or a string equal to it."""
+    found = []
+    stack = [(ast.parse(path.read_text(), str(path)), "<module>")]
+    while stack:
+        node, where = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.append((child, child.name))
+                continue
+            if ((isinstance(child, ast.Name) and child.id == name)
+                    or (isinstance(child, ast.Attribute) and child.attr == name)
+                    or (isinstance(child, ast.alias) and child.name.rpartition(".")[2] == name)
+                    or (isinstance(child, (ast.Global, ast.Nonlocal)) and name in child.names)
+                    or (isinstance(child, ast.Constant) and child.value == name)):
+                found.append(f"{child.lineno}:{where}")
+            stack.append((child, where))
+    return sorted(found, key=lambda hit: int(hit.split(":")[0]))
+
+
+def test_nerve_store_has_one_owner():
+    # the nerve cache is defined in nerves and read and filled by nerve()
+    # and the generator raws' lookup alone; every other module goes
+    # through them
+    found = {
+        f"{path.stem}.{hit.split(':')[1]}" for path in SOURCES
+        for hit in _namers(path, "_nerve_cache")
+    }
+    assert found == {"nerves.<module>", "nerves.nerve", "nerves._cached_raws"}
+
+
+def test_owner_scan_sees_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .nerves import _nerve_cache\n_nerve_cache = {}\n"
+        "def f():\n    global _nerve_cache\n    return N._nerve_cache\n"
+        "class C:\n    def m(self):\n        def g():\n"
+        "            return getattr(N, '_nerve_cache')\n        return g\n"
+        "def h():\n    return _nerve_cache_size, nerve_cache\n"
+    )
+    assert _namers(path, "_nerve_cache") == ["1:<module>", "2:<module>", "4:f", "5:f", "9:g"]
 
 
 def _function_body_names(path, function):

@@ -344,7 +344,7 @@ def test_each_constructor_builds_each_shape_once(monkeypatch, make, most):
     shared = {}
     for F in _functors_of(P):
         for D in (F.source, F.target):
-            assert shared.setdefault(D.signature(), D) is D
+            assert shared.setdefault(D.signature, D) is D
 
 
 def test_suspend_rejects_cells_with_nonzero_ks():
@@ -568,11 +568,11 @@ def test_block_builder_builds_each_block_once(monkeypatch):
 
         monkeypatch.setattr(TH, name, counted)
 
-    counting("_nerve_entry")
+    counting("rs_nerve")
     counting("product_with_index")
     TH.apply_L_map(TH.vertical_segal(3), bound=4)
     # one nerve and one product each for [1|1], [1|0] and [1|3]
-    assert sorted(built) == ["_nerve_entry"] * 3 + ["product_with_index"] * 3
+    assert sorted(built) == ["product_with_index"] * 3 + ["rs_nerve"] * 3
 
 
 def test_L_of_an_arrow_that_is_not_a_two_functor_raises():

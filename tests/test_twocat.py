@@ -1305,6 +1305,60 @@ def test_validate_category_reports_ids_that_are_not_strings(C, bad):
     assert str(info.value) == f"category: {rep.violations[0]}"
 
 
+def _idempotent_on(t):
+    """The category on the object "a" with the identity "i" and an
+    idempotent named t, whatever kind of id t is."""
+    return T.FinCategory(("a",), {"i": ("a", "a"), t: ("a", "a")}, {"a": "i"},
+                         {("i", "i"): "i", ("i", t): t, (t, "i"): t, (t, t): t})
+
+
+@pytest.mark.parametrize("C, problem", [
+    pytest.param(_two_loops("a", ("b", "c")), "object ids mix kinds: ['a', ('b', 'c')]",
+                 id="str and pair objects"),
+    pytest.param(_two_loops(("a", "b"), ("a", ("d", "e"))),
+                 "object ids mix kinds: [('a', 'b'), ('a', ('d', 'e'))]",
+                 id="pairs of two shapes"),
+    pytest.param(_idempotent_on(("t", "u")), "morphism ids mix kinds: ['i', ('t', 'u')]",
+                 id="str and pair morphisms"),
+])
+def test_validate_category_reports_ids_of_two_kinds(C, problem):
+    # each passed, and enumerate_functors(C, C) then raised TypeError from
+    # a sort of ids that do not compare
+    assert T.validate_category(C).violations == [problem]
+    assert T.validate_category(_idempotent_on("t")).ok
+    # a product names its cells by pairs, all of one kind
+    assert T.validate_category(T._product(T.ordinal(1), _idempotent_on("t"))).ok
+
+
+def _discrete_2cat(objects, one="*", two="id"):
+    """The 2-category on objects with no 1-cell but the units, each named
+    one, and no 2-cell but their identities, each named two; any of them
+    may be given an id that is not a str."""
+    H = T.FinCategory((one,), {two: (one, one)}, {one: two}, {(two, two): two})
+    return T.Fin2Category(
+        objects, {(x, x): H for x in objects},
+        {(x, x, x): {(one, one): one} for x in objects},
+        {(x, x, x): {(two, two): two} for x in objects}, dict.fromkeys(objects, one))
+
+
+@pytest.mark.parametrize("D, bad", [
+    pytest.param(_discrete_2cat((0,)), [0], id="int object"),
+    pytest.param(_discrete_2cat(("a", ("b", "c"))), [("b", "c")], id="str and pair objects"),
+    pytest.param(_discrete_2cat(("a",), one=1), [1], id="int 1-cell"),
+    pytest.param(_discrete_2cat(("a",), two=("i", "d")), [("i", "d")], id="pair 2-cell"),
+])
+def test_validate_2cat_reports_ids_that_are_not_strings(D, bad):
+    # the first two passed, and rs_nerve or enumerate_two_functors then
+    # raised TypeError from a sort of ids that do not compare
+    rep = T.validate_2cat(D)
+    assert rep.violations == [f"id {x!r} is not a string" for x in bad]
+    # in the loader's wording
+    with pytest.raises(ValueError) as info:
+        T._check_ids("twocat/1", T._two_category_ids(D))
+    assert str(info.value) == f"twocat/1: {rep.violations[0]}"
+    assert T.validate_2cat(_discrete_2cat(("a", "b"))).ok
+
+
 def test_read_only_tables_share_a_view_per_shared_inner_table():
     shared = {("*", "*"): "*"}
     C = T.as_two_category(T.ordinal(0))
