@@ -6,7 +6,8 @@ are immutable after construction and all operations are pure.
 
 Products and colimits never list degenerate simplices: the generators of
 X x Y are the pairs (s_I x, s_J y) with I, J disjoint (Eilenberg-Zilber),
-and a colimit runs union-find on the generators of its nodes.
+and a colimit runs union-find on the generators of its nodes.  A product
+with a point and a colimit with no arrows only rename generators.
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ class MSSetMap:
     def apply(self, ref: Ref) -> Ref:
         g, w = ref
         out = self.assignment[g]
+        if not out[1]:
+            # the degeneracies of a normal word w on a generator make s_w
+            return (out[0], w)
         for j in reversed(w):
             out = degenerate(out, j)
         return out
@@ -408,9 +412,12 @@ def product_with_index(X: MarkedSSet, Y: MarkedSSet):
     and J disjoint (Eilenberg-Zilber), listed in all_simplices x
     all_simplices order.  A pair is marked iff both sides are, and its
     faces are the pairs of faces, each through _pair_ref, which also
-    gives the reference of any other pair.
+    gives the reference of any other pair.  Y a point up to the bound
+    (one vertex, nothing above it) takes _product_with_point.
     """
     bound = min(X.bound, Y.bound)
+    if len(Y.gens_at(0)) == 1 and not any(Y.gens_at(n) for n in range(1, bound + 1)):
+        return _product_with_point(X, Y.gens_at(0)[0], bound)
     gens, faces, marked, pairs = {}, {}, set(), {}
     refs = {}  # pair of faces -> its reference
     for n in range(bound + 1):
@@ -442,6 +449,37 @@ def product_with_index(X: MarkedSSet, Y: MarkedSSet):
             faces[gid] = tuple(fs)
             if X.is_marked(rx) and Y.is_marked(ry):
                 marked.add(gid)
+    return MarkedSSet(bound, gens, faces, frozenset(marked)), pairs
+
+
+def _product_with_point(X: MarkedSSet, v, bound):
+    """product_with_index(X, Y) for Y the point v up to bound: X renamed.
+
+    The only n-simplex of Y is s_{n-1}...s_0 v, so the n-generators are
+    its pairs with X's n-generators, and _pair_ref sends the pair of a
+    face (h, w) of g to (the id of h, w).
+    """
+    gens, faces, marked, pairs, name = {}, {}, set(), {}, {}
+    refs = {}  # face of an X generator -> its reference
+    for n in range(bound + 1):
+        ry = (v, tuple(range(n - 1, -1, -1)))
+        ids = [_pair_id((g, ()), ry) for g in X.gens_at(n)]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"duplicate generator ids in dimension {n}")
+        gens[n] = tuple(sorted(ids))
+        for g, gid in zip(X.gens_at(n), ids):
+            name[g] = gid
+            pairs[gid] = ((g, ()), ry)
+            if n:
+                fs = []
+                for r in X.faces[g]:
+                    ref = refs.get(r)
+                    if ref is None:
+                        ref = refs[r] = (name[r[0]], r[1])
+                    fs.append(ref)
+                faces[gid] = tuple(fs)
+                if g in X.marked:
+                    marked.add(gid)
     return MarkedSSet(bound, gens, faces, frozenset(marked)), pairs
 
 
@@ -519,7 +557,8 @@ def colimit(nodes, arrows, bound=None):
     arrow sends to one another.  A class with a member some arrow sends
     to a degenerate s_w y is s_w of y's class; every other class is a
     generator with the least "i#g#" of its members as id, the faces of
-    one member, and a mark iff some member is marked.
+    one member, and a mark iff some member is marked.  With no arrows
+    every class is one generator (_coproduct).
     """
     if not nodes:
         raise ValueError("empty diagram")
@@ -529,6 +568,8 @@ def colimit(nodes, arrows, bound=None):
     if bound > low:
         raise ValueError(f"colimit: bound {bound} exceeds the least node bound {low}")
     _check_arrows(nodes, arrows)
+    if not arrows:
+        return _coproduct(nodes, bound)
     # per node, its generators' references in the colimit, filled per dimension
     legs = [
         MSSetMap(X, None, dict.fromkeys(g for n in range(bound + 1) for g in X.gens_at(n)))
@@ -564,6 +605,24 @@ def colimit(nodes, arrows, bound=None):
                     marked.add(cid)
     colim = MarkedSSet(bound, gens, faces, frozenset(marked))
     return colim, [MSSetMap(X, colim, leg.assignment) for X, leg in zip(nodes, legs)]
+
+
+def _coproduct(nodes, bound):
+    """colimit(nodes, [], bound): each (i, g) is a class of its own, the
+    generator "i#g#" with g's faces renamed and g's mark."""
+    legs = [{g: (f"{i}#{g}#", ()) for n in range(bound + 1) for g in X.gens_at(n)}
+            for i, X in enumerate(nodes)]
+    gens, faces, marked = {}, {}, set()
+    for n in range(bound + 1):
+        named = sorted((legs[i][g][0], i, g) for i, X in enumerate(nodes) for g in X.gens_at(n))
+        gens[n] = tuple([cid for cid, _, _ in named])
+        for cid, i, g in named if n else ():
+            leg = legs[i]
+            faces[cid] = tuple([(leg[h][0], w) if w else leg[h] for h, w in nodes[i].faces[g]])
+            if g in nodes[i].marked:
+                marked.add(cid)
+    colim = MarkedSSet(bound, gens, faces, frozenset(marked))
+    return colim, [MSSetMap(X, colim, leg) for X, leg in zip(nodes, legs)]
 
 
 def pushout(f: MSSetMap, g: MSSetMap):

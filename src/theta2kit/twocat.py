@@ -690,7 +690,10 @@ class Fin2Category:
     @cached_property
     def signature(self) -> str:
         """The `twocat/1` document as a repr (tuple ids break json.dumps):
-        equal exactly when every table is, while no object id holds "|"."""
+        equal exactly when every table is.  Raises ValueError on an object
+        id that holds "|", which the document's keys would not separate."""
+        if bad := [x for x in self.objects if "|" in str(x)]:
+            raise ValueError(f"object id {bad[0]!r} holds '|'")
         return repr(two_category_to_json(self))
 
 
@@ -708,13 +711,15 @@ def _two_category_ids(D: Fin2Category):
 def validate_2cat(D: Fin2Category) -> Report:
     """Whether D is a 2-category, in four stages, each run only if the
     ones before it found nothing: every object, 1-cell and 2-cell id is a
-    str, as the loader requires; every hom is a category and every object
+    str, as the loader requires; no object id holds "|" (it separates the
+    names in a `twocat/1` key), every hom is a category and every object
     has a unit 1-cell; for each composable (x, y, z), hc1 and hc2 form a
     functor hom(x, y) x hom(y, z) -> hom(x, z) (`validate_functor`:
     totality, endpoints, identities and interchange); and the units and
     associativity laws hold for hc1 on 1-cells and hc2 on 2-cells."""
     if problems := _non_strings(_two_category_ids(D)):
         return Report("2-category", problems)
+    problems = [f"object id {x} holds '|'" for x in D.objects if "|" in x]
     for (x, y), H in D.hom.items():
         for v in validate_category(H).violations:
             problems.append(f"hom({x},{y}): {v}")

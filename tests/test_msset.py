@@ -325,17 +325,107 @@ def small_mssets(draw, bound=3):
     return M.MarkedSSet(X.bound, X.gens, X.faces, frozenset(marked))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_mssets(), small_mssets())
-def test_product_matches_the_all_pairs_oracle(X, Y):
+def assert_same_product(X, Y):
+    """product_with_index against the all-pairs oracle, pair order included;
+    returns the product and the oracle's index of every pair."""
     P, pairs = M.product_with_index(X, Y)
     Q, index = raw_product_with_index(X, Y)
     assert_same_msset(P, Q)
     assert list(pairs.items()) == [
         (gid, pair) for pair, (gid, w) in index.items() if not w
     ]
+    return P, index
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mssets(), small_mssets())
+def test_product_matches_the_all_pairs_oracle(X, Y):
+    _, index = assert_same_product(X, Y)
     # the pair lookup normalises every pair, degenerate ones included
     assert all(M._pair_ref(*pair) == ref for pair, ref in index.items())
+
+
+_SHAPES = [T.Theta2Shape(m, ks) for m in range(3)
+           for ks in itertools.product(range(3), repeat=m)]
+
+
+@pytest.mark.parametrize("marking", ["rs", "duskin"])
+@pytest.mark.parametrize("shape", _SHAPES, ids=str)
+def test_product_with_a_point_matches_the_oracle_on_nerves(shape, marking, monkeypatch):
+    # the L block of a level-0 cell: the nerve renamed, with no face layers
+    X = N.nerve(T.theta2_object(shape), marking, bound=4)
+    monkeypatch.setattr(M, "_face_layer", None)
+    assert_same_product(X, M.standard_simplex(0, "sharp", bound=4))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: M.standard_simplex(3, bound=4), id="flat"),
+    pytest.param(lambda: M.standard_simplex(3, "sharp", bound=4), id="sharp"),
+    pytest.param(lambda: M.standard_simplex(3, "horn", horn=1, bound=4), id="horn"),
+    pytest.param(lambda: N.rs_nerve(T.suspend_category(T.free_iso()), bound=4),
+                 id="suspended free iso"),
+])
+def test_product_with_a_point_matches_the_oracle(make):
+    for variant in ("flat", "sharp"):
+        assert_same_product(make(), M.standard_simplex(0, variant, bound=4))
+
+
+def _one_vertex(v, bound, loops=()):
+    """A hand-built simplicial set on the one vertex v, with a loop edge
+    for each id in loops."""
+    gens = {n: () for n in range(bound + 1)}
+    gens[0], gens[1] = (v,), tuple(loops)
+    faces = {e: ((v, ()), (v, ())) for e in loops}
+    return M.MarkedSSet(bound, gens, faces, frozenset())
+
+
+def _renamed_out_of_order():
+    """Two vertices and a marked edge whose ids sort otherwise once they
+    are renamed "<g|..." or "i#g#": "a" < "ab" but "<ab|" < "<a|", and
+    "a" < "a!" but "0#a!#" < "0#a#"."""
+    faces = {"e": (("ab", ()), ("a", ())), "e!": (("a!", ()), ("a", ()))}
+    return M.MarkedSSet(2, {0: ("a", "a!", "ab"), 1: ("e", "e!"), 2: ()},
+                        faces, frozenset(["e"]))
+
+
+def _sphere(n):
+    """S^n as the vertex a and one marked n-simplex t whose faces are all
+    the degenerate s_{n-2}...s_0 a."""
+    face = ("a", tuple(range(n - 2, -1, -1)))
+    gens = {k: () for k in range(n + 1)}
+    gens[0], gens[n] = ("a",), ("t",)
+    return M.MarkedSSet(n, gens, {"t": (face,) * (n + 1)}, frozenset(["t"]))
+
+
+@pytest.mark.parametrize("make, point", [
+    pytest.param(lambda: (_renamed_out_of_order(), M.standard_simplex(0)), True,
+                 id="ids sorted otherwise once renamed"),
+    pytest.param(lambda: (_sphere(3), M.standard_simplex(0)), True, id="faces s1 s0 a"),
+    pytest.param(lambda: (M.standard_simplex(2, "sharp", bound=4), _one_vertex("v", 4)),
+                 True, id="vertex not 0"),
+    pytest.param(lambda: (N.rs_nerve(T.theta2_object(T.Theta2Shape(1, (1,))), bound=4),
+                          M.standard_simplex(0, bound=2)), True, id="point of lower bound"),
+    pytest.param(lambda: (M.standard_simplex(2, bound=1), _sphere(2)), True,
+                 id="a 2-simplex above the common bound"),
+    pytest.param(lambda: (M.standard_simplex(2, "sharp", bound=3),
+                          _one_vertex("v", 3, loops=["e"])), False, id="one vertex and a loop"),
+])
+def test_product_with_one_vertex_matches_the_oracle(make, point, monkeypatch):
+    X, Y = make()
+    if point:
+        # one vertex and nothing above it up to the common bound: X is
+        # renamed, and no face layer is computed
+        monkeypatch.setattr(M, "_face_layer", None)
+    P, _ = assert_same_product(X, Y)
+    assert P.bound == min(X.bound, Y.bound)
+
+
+@pytest.mark.parametrize("Y", [M.standard_simplex(0), M.standard_simplex(1)],
+                         ids=["point", "edge"])
+def test_product_rejects_generator_ids_that_collide(Y):
+    X = M.MarkedSSet(1, {0: ("a", "a"), 1: ()}, {}, frozenset())
+    with pytest.raises(ValueError, match="duplicate generator ids in dimension 0"):
+        M.product_with_index(X, Y)
 
 
 @st.composite
@@ -383,6 +473,47 @@ def test_colimit_matches_the_oracle_on_the_eq3_pushout():
     arrows = [(0, 2, edge(0, 2)), (0, 3, incl), (1, 2, edge(1, 3)), (1, 4, incl)]
     P, _ = assert_same_colimit(nodes, arrows)
     assert M.find_iso(P, M.standard_simplex(3, "eq3", bound=4)) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_mssets(), min_size=1, max_size=3), st.none() | st.integers(0, 3))
+def test_arrow_free_colimit_matches_the_oracle(nodes, bound):
+    assert_same_colimit(nodes, [], bound)
+
+
+def _nerve_21():
+    return N.rs_nerve(T.theta2_object(T.Theta2Shape(2, (1, 0))), bound=4)
+
+
+def _horn_20():
+    return M.standard_simplex(2, "horn", horn=0, bound=4)
+
+
+@pytest.mark.parametrize("make, bound", [
+    pytest.param(lambda: [_nerve_21()], None, id="one nerve"),
+    pytest.param(lambda: [_nerve_21()] * 2, None, id="the same node twice"),
+    pytest.param(lambda: [M.empty_msset(4), _horn_20()], None, id="an empty node"),
+    pytest.param(lambda: [_nerve_21(), _horn_20(), _nerve_21()], 2,
+                 id="a bound below the nodes'"),
+    pytest.param(lambda: [_renamed_out_of_order()] * 2, None,
+                 id="ids sorted otherwise once renamed"),
+    pytest.param(lambda: [_sphere(3), _sphere(4)], None, id="faces s1 s0 a"),
+])
+def test_arrow_free_colimit_is_a_coproduct(make, bound, monkeypatch):
+    nodes = make()
+    # nothing to join, so no union-find
+    monkeypatch.setattr(M, "_UnionFind", None)
+    assert_same_colimit(nodes, [], bound)
+
+
+@given(st.sets(st.integers(0, 6), max_size=4), st.sets(st.integers(0, 3), max_size=2))
+def test_apply_matches_the_degeneracy_loop_on_normal_words(word, image_word):
+    w, image = (tuple(sorted(x, reverse=True)) for x in (word, image_word))
+    f = M.MSSetMap(None, None, {"g": ("h", image)})
+    want = ("h", image)
+    for j in reversed(w):
+        want = M.degenerate(want, j)
+    assert f.apply(("g", w)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -738,6 +738,27 @@ def test_nerve_cache_keeps_vertical_composition_apart(monkeypatch):
             assert (X.gens, X.faces, X.marked) == want[ee, marking], (order, marking)
 
 
+def test_object_ids_holding_a_bar_get_no_nerve(monkeypatch):
+    # hom(a, b|c) and hom(a|b, c) share the twocat/1 key "a|b|c", so the
+    # document, the nerve store's key, would hold 5 of the 6 homs
+    objects = ("a", "a|b", "b|c", "c")
+    units = {x: x + "=" for x in objects}
+    morphisms = {u: (x, x) for x, u in units.items()} | {"f": ("a", "b|c"), "g": ("a|b", "c")}
+    compose = {}
+    for f, (x, y) in morphisms.items():
+        compose[(units[x], f)] = compose[(f, units[y])] = f
+    D = T.as_two_category(T.FinCategory(objects, morphisms, units, compose))
+    assert len(D.hom) == 6 and len(T.two_category_to_json(D)["hom"]) == 5
+    assert T.validate_2cat(D).violations == [
+        "object id a|b holds '|'", "object id b|c holds '|'"]
+    with pytest.raises(ValueError, match=r"object id 'a\|b' holds '\|'"):
+        D.signature
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    with pytest.raises(ValueError, match=r"object id 'a\|b' holds '\|'"):
+        N.rs_nerve(D, bound=3)
+    assert N._nerve_cache == {}
+
+
 def test_one_two_category_computes_its_key_once(monkeypatch):
     monkeypatch.setattr(N, "_nerve_cache", {})
     calls = []
