@@ -600,73 +600,58 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     """All (n+1)-tuples of (n-1)-simplices matching like a boundary.
 
     The tuples satisfy d_i sigma_j = d_{j-1} sigma_i for i < j; every
-    actual boundary of an n-simplex appears among them. Raises ValueError
-    for an n that is not an int >= 1 and for n > X.bound + 1.
+    actual boundary of an n-simplex appears among them, sorted by sigma_0,
+    then sigma_1, ..., in the order of X.all_simplices.  Raises ValueError
+    for an n that is not an int >= 1 and for n > X.bound + 1.  The guard
+    is charged one step per compatible prefix (sigma_0, ..., sigma_j), a
+    level j at a time before it is built: a ResourceLimitError's `steps`
+    is the first level total past the limit.
+    """
+    cells, columns = _boundary_columns(X, n, limit)
+    return list(zip(*[map(cells.__getitem__, col) for col in columns]))
 
-    The search picks sigma_0, sigma_1, ... depth first, from a pool per
-    sigma_j: the cells whose first j faces are the forced d_{j-1} sigma_i,
-    i < j.  Every candidate in one pool shares the forced faces
-    d_j sigma_0, ..., d_j sigma_{j-1} of sigma_{j+1}, so the cells are
-    indexed by their face prefix of length k, and each candidate costs one
-    lookup of the forced faces followed by its own face d_j.  Every level
-    holds the same (cell, faces) entries.  The guard is charged one step
-    per candidate tried, that is per compatible prefix.
+
+def _boundary_columns(X: MarkedSSet, n: int, limit):
+    """X.all_simplices(n - 1) and the compatible boundaries in dimension n
+    as n + 1 arrays, array j holding each boundary's sigma_j as a position.
+    Level j extends every prefix (sigma_0, ..., sigma_{j-1}) at once from
+    the pool of cells whose first j faces are d_{j-1} sigma_i, i < j, by
+    one `map`, and `compress`es the arrays where no prefix has two
+    candidates, else gathers them through one array of parent positions.
     """
     _check_int(n, 1, "a boundary dimension")
     if n > X.bound + 1:
         raise ValueError(f"boundaries in dimension {n} exceed bound {X.bound} + 1")
     guard = _Guard(limit, "compatible_boundaries")
     guard.dimension = n
-    step = guard.step
     cells = X.all_simplices(n - 1)
-    if n == 1:
-        # vertices have no faces, so every ordered pair of them matches;
-        # one step per prefix, as below
-        step(len(cells) * (1 + len(cells)))
-        return list(itertools.product(cells, repeat=2))
-    # faces as interned integer ids, so that pool keys hash fast
+    # faces as interned integer ids, so that pool keys hash fast; a vertex
+    # has one face, the empty simplex, so at n = 1 every vertex matches
     ids = {}
-    entries = [
-        (s, tuple([ids.setdefault(r, len(ids)) for r in fs]))
-        for s, fs in zip(cells, _face_layer(X, cells, n - 1))
-    ]
-    # pools[k][fs[:k]]: the entries whose first k faces are fs[:k]
-    pools = [None] + [{} for _ in range(n)]
-    for entry in entries:
-        fs = entry[1]
+    faces = [tuple([ids.setdefault(r, len(ids)) for r in fs])
+             for fs in (_face_layer(X, cells, n - 1) if n > 1 else [((),)] * len(cells))]
+    # pools[k][fs[:k]]: the positions of the cells whose first k faces are fs[:k]
+    pools = [{} for _ in range(n + 1)]
+    for c, fs in enumerate(faces):
         for k in range(1, n + 1):
-            pools[k].setdefault(fs[:k], []).append(entry)
-    results = []
-    _extend_boundaries(0, entries, n, pools, [], [], results, step)
-    return results
-
-
-def _extend_boundaries(j, pool, n, pools, chosen, chosen_faces, results, step):
-    """Append to results every boundary that extends chosen (sigma_0, ...,
-    sigma_{j-1}, with their faces in chosen_faces) by a sigma_j from pool,
-    the cells with their faces that sigma_j may be; see
-    `compatible_boundaries`.  It recurses once per depth, at most n deep,
-    and is a module-level function, not a closure over itself, so a call
-    leaves no reference cycle behind."""
-    step(len(pool))
-    # sigma_{j+1} has the faces d_j sigma_0, ..., d_j sigma_j first
-    forced = tuple([fs[j] for fs in chosen_faces])
-    table = pools[j + 1]
-    last = j + 1 == n
-    for s, fs in pool:
-        following = table.get((*forced, fs[j]))
-        if not following:
-            continue
-        if last:
-            step(len(following))
-            results.extend([(*chosen, s, t) for t, _ in following])
+            pools[k].setdefault(fs[:k], []).append(c)
+    guard.step(len(cells))
+    columns = [array("I", range(len(cells)))]
+    for j in range(1, n + 1):
+        face = list(map(operator.itemgetter(j - 1), faces)).__getitem__
+        found = list(map(pools[j].get, zip(*[map(face, col) for col in columns]),
+                         itertools.repeat(())))
+        sizes = array("I", map(len, found))
+        guard.step(sum(sizes))
+        if max(sizes, default=0) > 1:
+            parent = array("I", itertools.chain.from_iterable(map(
+                itertools.repeat, itertools.compress(range(len(sizes)), sizes),
+                itertools.compress(sizes, sizes))))
+            columns = [array("I", map(col.__getitem__, parent)) for col in columns]
         else:
-            chosen.append(s)
-            chosen_faces.append(fs)
-            _extend_boundaries(j + 1, following, n, pools, chosen, chosen_faces,
-                               results, step)
-            chosen.pop()
-            chosen_faces.pop()
+            columns = [array("I", itertools.compress(col, sizes)) for col in columns]
+        columns.append(array("I", itertools.chain.from_iterable(found)))
+    return cells, columns
 
 
 def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
@@ -680,19 +665,34 @@ def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
     every b[i], i < j, and j in that of every b[i], i > j+1: its faces
     s_{j-1} d_i b[j] (i < j) and s_j d_{i-1} b[j] (i > j+1) are by
     compatibility s_{j-1} d_{j-1} b[i] and s_j d_j b[i], and a normal ref
-    r is s_k d_k r exactly when k is in its word (Eilenberg-Zilber).
-    Raises ValueError for an n that is not an int >= 1, and for
-    n > X.bound, where X holds no n-simplices to count.
+    r is s_k d_k r exactly when k is in its word (Eilenberg-Zilber).  So
+    x is s_k b[k] for every k in its word and no other, and is counted
+    once, at its word's least index: the j where b[j]'s word has no index
+    below j, as s_j raises each index >= j and puts j after them.  Raises
+    ValueError for an n that is not an int >= 1, and for n > X.bound,
+    where X holds no n-simplices to count.
     """
     _check_int(n, 1, "a filler dimension")
     if n > X.bound:
         raise ValueError(f"fillers in dimension {n} exceed bound {X.bound}")
-    boundaries = compatible_boundaries(X, n, limit)
     fillers = collections.Counter(X.faces[g] for g in X.gens_at(n))
-    return [
-        (b, fillers[b] + len({
-            degenerate(b[j], j) for j in range(n) if b[j] == b[j + 1]
-            and all(j - 1 in r[1] for r in b[:j])
-            and all(j in r[1] for r in b[j + 2:])}))
-        for b in boundaries
-    ]
+    cells, columns = _boundary_columns(X, n, limit)
+    words = [w for _, w in cells]
+    least = [min(w, default=n) for w in words]
+    degenerate_fillers = array("I", [0]) * len(columns[0])
+    for j in range(n):
+        at = list(itertools.compress(
+            range(len(columns[0])), map(operator.eq, columns[j], columns[j + 1])))
+        at = list(itertools.compress(at, map(
+            operator.ge, map(least.__getitem__, map(columns[j].__getitem__, at)),
+            itertools.repeat(j))))
+        for i in itertools.chain(range(j), range(j + 2, n + 1)):
+            at = list(itertools.compress(at, map(
+                operator.contains, map(words.__getitem__, map(columns[i].__getitem__, at)),
+                itertools.repeat(j - 1 if i < j else j))))
+        for p in at:
+            degenerate_fillers[p] += 1
+    boundaries = list(zip(*[map(cells.__getitem__, col) for col in columns]))
+    del columns  # not held while the output is built: it lowers the peak memory
+    return list(zip(boundaries, map(
+        operator.add, map(fillers.get, boundaries, itertools.repeat(0)), degenerate_fillers)))

@@ -24,10 +24,11 @@ reads off nerves._degeneracy_test; the library streams the top layer
 into _build as it is made, with no raw tuple for a degenerate simplex,
 and keeps a layer below only while the next one is made from it.
 
-raw_compatible_boundaries indexes every level of the boundary search by
-face prefix of length k-1, then by face k-1, with one (cell, faces) tuple
-per level; the library keys every level by the whole prefix of length k
-and shares one entry across levels.
+raw_compatible_boundaries searches the boundaries depth first, one
+prefix at a time, with every level indexed by face prefix of length k-1,
+then by face k-1, and one (cell, faces) tuple per level; the library
+extends every prefix of a level at once over columns of cell positions,
+and charges its guard a level at a time.
 
 raw_evaluate and raw_evaluate_map build the classes of a presentation's
 elements once per call to each and enumerate 2-functors again per arrow;
@@ -577,9 +578,10 @@ def layers(D, by_dim, faces, masks=None):
 
 
 def raw_compatible_boundaries(X: MarkedSSet, n, limit=5_000_000):
-    """nerves.compatible_boundaries with every level indexed by face prefix
-    of length k-1, then by face k-1, and a (cell, faces) tuple of its own
-    per level."""
+    """nerves.compatible_boundaries depth first, with every level indexed
+    by face prefix of length k-1, then by face k-1, and a (cell, faces)
+    tuple of its own per level.  Same boundaries, order and guard total;
+    the guard is charged a pool at a time, so it raises at other steps."""
     _check_int(n, 1, "a boundary dimension")
     if n > X.bound + 1:
         raise ValueError(f"boundaries in dimension {n} exceed bound {X.bound} + 1")

@@ -15,6 +15,7 @@ from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
 
+import raw_oracles
 from raw_oracles import (
     RawOps, face_tuples, from_raw, full_raw_nerve, layers, oracle_mask,
     raw_compatible_boundaries, raw_face_index, raw_filler_counts, raw_filler_counts_by_face,
@@ -284,8 +285,9 @@ def test_thin_flags_of_suspended_group():
                     ("top", "top"): True}
 
 
-def _record_guards(monkeypatch):
-    """Make nerves record every guard it creates, in the list returned."""
+def _record_guards(monkeypatch, module=N):
+    """Make module (nerves by default) record every guard it creates, in
+    the list returned."""
     guards = []
 
     class Recording(M._Guard):
@@ -293,7 +295,7 @@ def _record_guards(monkeypatch):
             super().__init__(*args)
             guards.append(self)
 
-    monkeypatch.setattr(N, "_Guard", Recording)
+    monkeypatch.setattr(module, "_Guard", Recording)
     return guards
 
 
@@ -1042,9 +1044,9 @@ def test_filler_counts_reject_dimension_above_bound():
 
 
 def _compatible_boundaries_one_level(X, n, limit=5_000_000):
-    """compatible_boundaries with one prefix index per level and one
-    recursive call per pool: the oracle of the two-level pool index.
-    Returns the boundaries and the guard's step total."""
+    """compatible_boundaries depth first, with one prefix index per level
+    and one recursive call per pool.  Returns the boundaries and the guard
+    steps charged at each depth j, one per prefix (sigma_0, ..., sigma_j)."""
     guard = M._Guard(limit, "compatible_boundaries")
     guard.dimension = n
     cells = X.all_simplices(n - 1)
@@ -1057,11 +1059,12 @@ def _compatible_boundaries_one_level(X, n, limit=5_000_000):
     for s, fs in zip(cells, faces):
         for k in range(n + 1):
             by_prefix[k].setdefault(fs[:k], []).append((s, fs))
-    results = []
+    results, charges = [], [0] * (n + 1)
     chosen, chosen_faces = [], []
 
     def extend(j, pool):
         guard.step(len(pool))
+        charges[j] += len(pool)
         if j == n:
             results.extend((*chosen, s) for s, _ in pool)
             return
@@ -1076,7 +1079,7 @@ def _compatible_boundaries_one_level(X, n, limit=5_000_000):
             chosen_faces.pop()
 
     extend(0, by_prefix[0].get((), []))
-    return results, guard.count
+    return results, charges
 
 
 @pytest.mark.parametrize("D, bound", [
@@ -1089,32 +1092,35 @@ def test_compatible_boundaries_matches_one_level_oracle(D, bound, monkeypatch):
     X = N.duskin_nerve(D, bound=bound)
     guards = _record_guards(monkeypatch)
     for n in range(2, bound + 1):
-        want, steps = _compatible_boundaries_one_level(X, n)
+        want, charges = _compatible_boundaries_one_level(X, n)
         assert N.compatible_boundaries(X, n) == want, n
-        assert guards[-1].count == steps, n
+        assert guards[-1].count == sum(charges), n
 
 
 def test_compatible_boundaries_match_nested_pool_oracle(monkeypatch):
     # same boundaries in the same order and the same guard totals
     guards = _record_guards(monkeypatch)
+    raw_guards = _record_guards(monkeypatch, raw_oracles)
     for case in _oracle_cases():
         X = N.duskin_nerve(case.values[0], bound=4)
         for n in range(1, 5):
             got = N.compatible_boundaries(X, n)
-            steps = guards[-1].count
             assert got == raw_compatible_boundaries(X, n), (case.id, n)
-            assert steps == guards[-1].count, (case.id, n)
+            assert guards[-1].count == raw_guards[-1].count, (case.id, n)
 
 
 @pytest.mark.parametrize("D", [
     pytest.param(T.theta2_object(T.Theta2Shape(2, (1, 2))), id="[2|1,2]"),
     pytest.param(_z2_suspension(), id="Sigma Z/2"),
 ])
-def test_compatible_boundaries_guard_matches_nested_pool_oracle(D, monkeypatch):
+def test_compatible_boundaries_guard_matches_nested_pool_oracle(D):
+    # each level's prefixes are charged at once, before the level is
+    # built, so the error's steps is the first running total of the
+    # per-depth charges that exceeds the limit
     X = N.duskin_nerve(D, bound=4)
-    guards = _record_guards(monkeypatch)
-    N.compatible_boundaries(X, 4)
-    total = guards[-1].count
+    totals = list(itertools.accumulate(_compatible_boundaries_one_level(X, 4)[1]))
+    total = totals[-1]
+    N.compatible_boundaries(X, 4, total)
     for limit in (total // 3, total // 2, total - 1):
         with pytest.raises(M.ResourceLimitError) as info:
             raw_compatible_boundaries(X, 4, limit)
@@ -1122,8 +1128,66 @@ def test_compatible_boundaries_guard_matches_nested_pool_oracle(D, monkeypatch):
         with pytest.raises(M.ResourceLimitError) as info:
             N.compatible_boundaries(X, 4, limit)
         e = info.value
-        assert (e.operation, e.dimension, e.steps) == (
-            want.operation, want.dimension, want.steps), limit
+        assert (e.operation, e.dimension) == (want.operation, want.dimension), limit
+        assert e.steps == next(t for t in totals if t > limit), limit
+
+
+def _assert_boundaries_match_oracles(X, n, monkeypatch):
+    """compatible_boundaries gives the nested-pool and the one-level
+    oracle's boundaries, in their order, for the same guard total."""
+    guards = _record_guards(monkeypatch)
+    raw_guards = _record_guards(monkeypatch, raw_oracles)
+    got = N.compatible_boundaries(X, n)
+    if n > 1:
+        want, charges = _compatible_boundaries_one_level(X, n)
+    else:  # vertices have no faces to search by: every pair matches
+        vertices = X.all_simplices(0)
+        want = list(itertools.product(vertices, repeat=2))
+        charges = [len(vertices), len(vertices) ** 2]
+    assert got == raw_compatible_boundaries(X, n) == want, n
+    assert guards[-1].count == raw_guards[-1].count == sum(charges), n
+    return got
+
+
+@pytest.mark.parametrize("D", _oracle_cases())
+def test_compatible_boundaries_match_both_oracles_in_every_marking(D, monkeypatch):
+    for marking in MARKINGS:
+        X = N.nerve(D, marking, bound=3)
+        for n in range(1, X.bound + 2):
+            _assert_boundaries_match_oracles(X, n, monkeypatch)
+
+
+@pytest.mark.parametrize("ell, horn", [(2, 0), (2, 1), (2, 2), (3, 1)])
+def test_boundaries_and_fillers_of_horns_match_the_oracles(ell, horn, monkeypatch):
+    X = M.standard_simplex(ell, "horn", horn=horn, bound=3)
+    for n in range(1, X.bound + 2):
+        _assert_boundaries_match_oracles(X, n, monkeypatch)
+    for n in range(1, X.bound + 1):
+        counts = _assert_filler_counts_match_oracles(X, n)
+        if ell == 2 and n > 1:
+            assert counts == _fillers_by_definition(X, n), n
+
+
+def test_boundaries_and_fillers_of_the_empty_set_and_a_point(monkeypatch):
+    empty = M.empty_msset(bound=3)
+    for n in range(1, empty.bound + 2):
+        assert _assert_boundaries_match_oracles(empty, n, monkeypatch) == []
+    for n in range(1, empty.bound + 1):
+        assert N.filler_counts(empty, n) == []
+    # a point has one simplex in each dimension, s_{n-1} ... s_0 v, and it
+    # is the one filler of the one boundary
+    point = M.standard_simplex(0, bound=3)
+    (v,) = point.gens_at(0)
+    for n in range(1, point.bound + 2):
+        (b,) = _assert_boundaries_match_oracles(point, n, monkeypatch)
+        assert b == ((v, tuple(range(n - 2, -1, -1))),) * (n + 1), n
+    for n in range(1, point.bound + 1):
+        counts = _assert_filler_counts_match_oracles(point, n)
+        assert [c for _, c in counts] == [1], n
+        if n > 1:
+            assert _fillers_by_definition(point, n) == counts, n
+    # s_0 s_0 v = s_1 s_0 v: two j give one filler, counted once
+    assert N.filler_counts(point, 2) == [(((v, (0,)),) * 3, 1)]
 
 
 def _traced_peak(fn):
@@ -1147,6 +1211,16 @@ def test_streamed_nerve_peaks_below_the_held_layers(monkeypatch):
     held = _traced_peak(
         lambda: N._build(D, layers(D, *full_raw_nerve(D, 4)), 4, marked_fn))
     assert streamed <= 0.8 * held, (streamed, held)
+
+
+def test_compatible_boundaries_peak_below_the_nested_pool_oracle():
+    # the columns of positions take less than the oracle's pools of
+    # (cell, faces) tuples and its results
+    X = N.duskin_nerve(T.theta2_object(T.Theta2Shape(2, (2, 2))), 4)
+    gc.collect()
+    columns = _traced_peak(lambda: N.compatible_boundaries(X, 4))
+    pools = _traced_peak(lambda: raw_compatible_boundaries(X, 4))
+    assert columns <= pools, (columns, pools)
 
 
 @pytest.mark.parametrize("build", [
