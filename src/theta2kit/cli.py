@@ -1,25 +1,34 @@
-"""Command-line front end: nerves, suspensions, L-images, verify suites.
+"""Command-line front end: nerves, suspensions, L-images, paper checks.
 
-Exit codes: 0 success, 2 argument/parse errors, 3 resource-guard errors.
-A failed verify suite exits 1.
+`verify NAME` runs one row of `CHECKS`, with --json and that row's flags only:
+  eq3-pushout: Δ[3]eq is a pushout of marked edges on the nerve of [3]
+  hom-bijection --max-m 3 --max-k 2 --max-j 3: maps [i|j,…,j] → θ number
+    as the fiber-product formula says
+  simplicial-identities --fuzz 200 --seed 0: fuzzed constructions validate
+  l-representables: L of each representable is iso to its rs nerve
+Exit codes, which `main` returns: 0 success, 1 a failed check, 2 argument or
+parse errors (a flag the named check does not take among them), 3 guard errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
+import inspect
 import itertools
 import json
+import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import msset, nerves, suspension, theta, twocat
 from .msset import ResourceLimitError
 
 DEFAULT_BOUND = msset.DEFAULT_BOUND
+_NERVE_LIMIT = inspect.signature(nerves.nerve).parameters["limit"].default
 
 
 def _bound(args) -> int:
@@ -33,8 +42,24 @@ class SpecError(ValueError):
     pass
 
 
+def _triples(n: int) -> int:
+    """How many i <= j <= l the ordinal [n] has: its compose table's size."""
+    return math.comb(max(n + 3, 0), 3)
+
+
+def _plain(text: str):
+    """n for the spec "[n]", None for any other."""
+    plain = text.startswith("[") and text.endswith("]") and "|" not in text
+    return int(text[1:-1]) if plain else None
+
+
 def parse_object(spec: str) -> twocat.Fin2Category:
-    """Object mini-grammar: [m|k1,...,km], [m], C0|C1|C2, I, Sigma <spec>."""
+    """Object mini-grammar: [m|k1,...,km], [m], C0|C1|C2, I, Sigma <spec>.
+
+    A shape or ordinal whose eager tables would pass a nerve's default
+    limit raises ResourceLimitError before any is built.  A shape's are
+    the object triples i <= j <= l, each with the slices ks[i:j] and
+    ks[j:l], and the compose table of each distinct slice's poset."""
     text = spec.strip()
     if text.startswith("Sigma"):
         return twocat.suspend_category(_parse_1cat(text[len("Sigma"):]))
@@ -43,17 +68,29 @@ def parse_object(spec: str) -> twocat.Fin2Category:
     if text == "I":
         return twocat.as_two_category(twocat.free_iso())
     try:
-        return twocat.theta2_object(theta.parse_shape(text))
+        if (n := _plain(text)) is not None:  # [n|0,...,0]: checked before n zeros are made
+            msset._Guard(_NERVE_LIMIT, "theta2_object").step(_triples(n))
+        shape = theta.parse_shape(text)
     except ValueError as e:
         raise SpecError(str(e)) from e
+    m, ks, guard = shape.m, shape.ks, msset._Guard(_NERVE_LIMIT, "theta2_object")
+    # each triple i <= j <= l holds l - i slice elements, 2 C(m + 3, 4) in all
+    guard.step(_triples(m) + 2 * math.comb(m + 3, 4))
+    sizes = {(): 1}  # each distinct slice of ks -> its poset's compose table
+    for i in range(m):
+        for j in range(i + 1, m + 1):
+            sizes[ks[i:j]] = sizes[ks[i:j - 1]] * _triples(ks[j - 1])
+    guard.step(sum(sizes.values()))
+    return twocat.theta2_object(shape)
 
 
 def _parse_1cat(text: str) -> twocat.FinCategory:
     text = text.strip()
     if text == "I":
         return twocat.free_iso()
-    if text.startswith("[") and text.endswith("]") and "|" not in text:
-        return twocat.ordinal(int(text[1:-1]))
+    if (n := _plain(text)) is not None:
+        msset._Guard(_NERVE_LIMIT, "ordinal").step(_triples(n))
+        return twocat.ordinal(n)
     raise SpecError(f"cannot parse 1-category spec {text!r}")
 
 
@@ -124,42 +161,16 @@ def cmd_lmap(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# paper checks: each returns a list of (name, ok, witness) entries
 
 
-@dataclass
-class VerifySuiteReport:
-    suite: str
-    checks: list = field(default_factory=list)
-    seconds: float = 0.0
-
-    def add(self, name, ok, witness=""):
-        self.checks.append({"name": name, "ok": bool(ok), "witness": witness})
-
-    @property
-    def ok(self):
-        return all(c["ok"] for c in self.checks)
-
-    def to_json(self):
-        return {
-            "suite": self.suite,
-            "ok": self.ok,
-            "seconds": round(self.seconds, 3),
-            "checks": self.checks,
-        }
-
-    def __str__(self):
-        lines = [f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}"
-                 f" ({self.seconds:.2f}s)"]
-        for c in self.checks:
-            mark = "ok " if c["ok"] else "FAIL"
-            extra = f"  [{c['witness']}]" if c["witness"] else ""
-            lines.append(f"  {mark} {c['name']}{extra}")
-        return "\n".join(lines)
+def _shapes(max_m, max_k):
+    """Each [m|k_1,...,k_m] with m <= max_m and every k_i <= max_k, [0] first."""
+    return [twocat.Theta2Shape(m, ks) for m in range(max_m + 1)
+            for ks in itertools.product(range(max_k + 1), repeat=m)]
 
 
-def suite_eq3_pushout(args) -> VerifySuiteReport:
-    rep = VerifySuiteReport("eq3-pushout")
+def check_eq3_pushout():
     N3 = nerves.rs_nerve(twocat.as_two_category(twocat.ordinal(3)), 4)
     D1 = msset.standard_simplex(1, bound=4)
     D1t = msset.standard_simplex(1, "edge_marked", bound=4)
@@ -167,131 +178,118 @@ def suite_eq3_pushout(args) -> VerifySuiteReport:
     def edge(a, b):
         return msset.map_by_vertices(D1, N3, {"0": f"{a};;", "1": f"{b};;"})
 
-    incl = msset.MSSetMap(
-        D1, D1t, {"0": ("0", ()), "1": ("1", ()), "01": ("01", ())}
-    )
-    nodes = [D1, D1, N3, D1t, D1t]
+    incl = msset.MSSetMap(D1, D1t, {"0": ("0", ()), "1": ("1", ()), "01": ("01", ())})
     arrows = [(0, 2, edge(0, 2)), (0, 3, incl), (1, 2, edge(1, 3)), (1, 4, incl)]
-    P, _ = msset.colimit(nodes, arrows)
-    eq3 = msset.standard_simplex(3, "eq3", bound=4)
-    iso = msset.find_iso(P, eq3)
-    rep.add("pushout is a valid marked simplicial set", msset.validate_msset(P).ok)
-    rep.add(
-        "pushout isomorphic to the eq-marked 3-simplex",
-        iso is not None,
-        witness="" if iso is None else str(sorted(iso.assignment.items())[:4]),
-    )
-    return rep
+    P, _ = msset.colimit([D1, D1, N3, D1t, D1t], arrows)
+    iso = msset.find_iso(P, msset.standard_simplex(3, "eq3", bound=4))
+    return [
+        ("pushout is a valid marked simplicial set", msset.validate_msset(P).ok, ""),
+        ("pushout isomorphic to the eq-marked 3-simplex", iso is not None,
+         "" if iso is None else str(sorted(iso.assignment.items())[:4])),
+    ]
 
 
-def suite_hom_bijection(args) -> VerifySuiteReport:
-    rep = VerifySuiteReport("hom-bijection")
-    max_m, max_k, max_j = args.max_m, args.max_k, args.max_j
+def check_hom_bijection(max_m, max_k, max_j):
     for flag, value in (("--max-m", max_m), ("--max-k", max_k), ("--max-j", max_j)):
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
-    shapes = [twocat.Theta2Shape(0, ())]
-    for m in range(1, max_m + 1):
-        for ks in itertools.product(range(max_k + 1), repeat=m):
-            shapes.append(twocat.Theta2Shape(m, ks))
+    shapes = _shapes(max_m, max_k)
+    failed = []
     for shape in shapes:
+        homs = twocat.theta2_object(shape).hom.values()
         for i in range(max_m + 1):
             for j in range(max_j + 1):
                 fs, formula = theta.d_restriction(shape, i, j)
                 ok = len(fs) == formula
                 if i == 1:
-                    th = twocat.theta2_object(shape)
-                    ok = ok and len(fs) == sum(
-                        twocat.chain_count(H, j) for H in th.hom.values())
+                    ok = ok and len(fs) == sum(twocat.chain_count(H, j) for H in homs)
                 if not ok:
-                    rep.add(
-                        f"hom([{i}|{j},..], {shape})", False,
-                        witness=f"enum={len(fs)} formula={formula}",
-                    )
-    rep.add(f"all grid cells agree (shapes={len(shapes)}, i<={max_m}, j<={max_j})", rep.ok)
-    return rep
+                    failed.append((f"hom([{i}|{j},..], {shape})", False,
+                                   f"enum={len(fs)} formula={formula}"))
+    name = f"all grid cells agree (shapes={len(shapes)}, i<={max_m}, j<={max_j})"
+    return failed + [(name, not failed, "")]
 
 
-def suite_simplicial_identities(args) -> VerifySuiteReport:
-    rep = VerifySuiteReport("simplicial-identities")
-    rng, cases = random.Random(args.seed), args.fuzz
-    if cases < 0:
-        raise ValueError(f"--fuzz must be nonnegative, got {cases}")
-    variants = ["flat", "sharp", "boundary", "horn"]
-    bad = 0
-    for t in range(cases):
+def check_simplicial_identities(fuzz, seed):
+    if fuzz < 0:
+        raise ValueError(f"--fuzz must be nonnegative, got {fuzz}")
+    rng = random.Random(seed)
+    failed = []
+    for t in range(fuzz):
         ell = rng.randint(0, 3)
-        variant = rng.choice(variants)
+        variant = rng.choice(["flat", "sharp", "boundary", "horn"])
         horn = rng.randint(0, ell) if variant == "horn" else None
         X = msset.standard_simplex(ell, variant, horn=horn, bound=4)
         mode = rng.choice(["plain", "product", "glue"])
         if mode == "product":
-            ell2 = rng.randint(0, 2)
-            Y = msset.standard_simplex(ell2, rng.choice(["flat", "sharp"]),
+            Y = msset.standard_simplex(rng.randint(0, 2), rng.choice(["flat", "sharp"]),
                                        bound=4)
             X = msset.product(X, Y)
         elif mode == "glue" and X.gens_at(0):
-            v = rng.choice(X.gens_at(0))
-            w = rng.choice(X.gens_at(0))
+            v, w = rng.choice(X.gens_at(0)), rng.choice(X.gens_at(0))
             pt = msset.standard_simplex(0, bound=4)
-            a = msset.MSSetMap(pt, X, {"0": (v, ())})
-            b = msset.MSSetMap(pt, X, {"0": (w, ())})
-            X, _, _ = msset.pushout(a, b)
+            X, _, _ = msset.pushout(msset.MSSetMap(pt, X, {"0": (v, ())}),
+                                    msset.MSSetMap(pt, X, {"0": (w, ())}))
         if not msset.validate_msset(X).ok:
-            bad += 1
-            rep.add(f"case {t}", False, witness=f"{variant} {mode}")
-    rep.add(f"{cases} fuzz cases validate (seed={args.seed})", bad == 0)
+            failed.append((f"case {t}", False, f"{variant} {mode}"))
+    out = failed + [(f"{fuzz} fuzz cases validate (seed={seed})", not failed, "")]
     # EZ word arithmetic: d_{i} s_i = id and the normal-form round trip
-    bad = 0
-    for t in range(cases):
-        gdim = rng.randint(0, 3)
-        ref = ("g", ())
-        dims = gdim
+    failed = []
+    for t in range(fuzz):
+        ref, dims = ("g", ()), rng.randint(0, 3)
         for _ in range(rng.randint(0, 3)):
             ref = msset.degenerate(ref, rng.randint(0, dims))
             dims += 1
         if not msset.normal_word(ref[1]):
-            bad += 1
-            rep.add(f"EZ case {t}", False, witness=str(ref))
-    rep.add(f"{cases} degeneracy words stay in normal form", bad == 0)
-    return rep
+            failed.append((f"EZ case {t}", False, str(ref)))
+    return out + failed + [(f"{fuzz} degeneracy words stay in normal form", not failed, "")]
 
 
-def suite_l_representables(args) -> VerifySuiteReport:
-    rep = VerifySuiteReport("l-representables")
-    shapes = [twocat.Theta2Shape(0, ())]
-    for m in (1, 2):
-        for ks in itertools.product(range(3), repeat=m):
-            shapes.append(twocat.Theta2Shape(m, ks))
-    for shape in shapes:
+def check_l_representables():
+    out = []
+    for shape in _shapes(2, 2):
         L = theta.apply_L(theta.representable(shape), bound=4)
         R = nerves.rs_nerve(twocat.theta2_object(shape), 4)
         ok = msset.find_iso(L, R) is not None
-        rep.add(f"L(representable {shape}) ~ nerve", ok)
-    return rep
+        out.append((f"L(representable {shape}) ~ nerve", ok, ""))
+    return out
 
 
-SUITES = {
-    "eq3-pushout": suite_eq3_pushout,
-    "hom-bijection": suite_hom_bijection,
-    "simplicial-identities": suite_simplicial_identities,
-    "l-representables": suite_l_representables,
-}
+# a row: the check's name, the paper fact it tests, its (keyword, CLI default)
+# pairs, keyword k being the flag --k, and run(**params) -> the entries
+Check = collections.namedtuple("Check", "name statement params run")
+
+
+CHECKS = (
+    Check("eq3-pushout", "Verity's Δ[3]eq is the pushout of two marked edges "
+          "Δ[1]t on the nerve of [3] along 0→2 and 1→3", (), check_eq3_pushout),
+    Check("hom-bijection", "maps [i|j,…,j] → θ number as the fiber-product formula "
+          "says, and for i = 1 as the j-chains of θ's homs",
+          (("max_m", 3), ("max_k", 2), ("max_j", 3)), check_hom_bijection),
+    Check("simplicial-identities", "random simplices, horns, products and gluings "
+          "are marked simplicial sets, and degeneracy words stay in normal form",
+          (("fuzz", 200), ("seed", 0)), check_simplicial_identities),
+    Check("l-representables", "L of the representable Θ₂-set of each [m|k,…] with "
+          "m, k ≤ 2 is isomorphic to its rs nerve", (), check_l_representables),
+)
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; known: {sorted(SUITES)}",
-              file=sys.stderr)
-        return 2
+    check = args.check
     t0 = time.perf_counter()
-    rep = SUITES[args.suite](args)
-    rep.seconds = time.perf_counter() - t0
+    entries = check.run(**{k: getattr(args, k) for k, _ in check.params})
+    seconds = time.perf_counter() - t0
+    checks = [{"name": n, "ok": bool(ok), "witness": w} for n, ok, w in entries]
+    ok = all(c["ok"] for c in checks)
     if args.json:
-        print(json.dumps(rep.to_json(), indent=2))
+        print(json.dumps({"suite": check.name, "ok": ok, "seconds": round(seconds, 3),
+                          "checks": checks}, indent=2))
     else:
-        print(rep)
-    return 0 if rep.ok else 1
+        print(f"suite {check.name}: {'PASS' if ok else 'FAIL'} ({seconds:.2f}s)")
+        for c in checks:
+            extra = f"  [{c['witness']}]" if c["witness"] else ""
+            print(f"  {'ok ' if c['ok'] else 'FAIL'} {c['name']}{extra}")
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,22 +319,23 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--out", default=None)
     pl.set_defaults(run=cmd_lmap)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite")
-    pv.add_argument("--max-m", dest="max_m", type=int, default=3)
-    pv.add_argument("--max-k", dest="max_k", type=int, default=2)
-    pv.add_argument("--max-j", dest="max_j", type=int, default=3)
-    pv.add_argument("--fuzz", type=int, default=200)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--json", action="store_true")
-    pv.set_defaults(run=cmd_verify)
+    pv = sub.add_parser("verify", help="run one check of the paper")
+    names = pv.add_subparsers(dest="name", metavar="CHECK", required=True)
+    for check in CHECKS:
+        pc = names.add_parser(check.name, help=check.statement, description=check.statement)
+        for k, default in check.params:
+            pc.add_argument("--" + k.replace("_", "-"), dest=k, type=int, default=default)
+        pc.add_argument("--json", action="store_true")
+        pc.set_defaults(run=cmd_verify, check=check)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as e:  # argparse has printed its usage or help
+        return e.code
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

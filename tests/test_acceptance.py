@@ -4,7 +4,6 @@ Each test is exact (no tolerances) and pins one of the headline
 combinatorial identities the library is built around.
 """
 
-import argparse
 import itertools
 import json
 import math
@@ -274,10 +273,11 @@ def test_free_2_cell_nerve_has_two_unmarked_triangles():
 
 
 def test_seeded_fuzz_suite():
-    from theta2kit.cli import suite_simplicial_identities
+    from theta2kit.cli import CHECKS
 
-    rep = suite_simplicial_identities(argparse.Namespace(seed=0, fuzz=200))
-    assert rep.ok, str(rep)
+    check = next(c for c in CHECKS if c.name == "simplicial-identities")
+    entries = check.run(fuzz=200, seed=0)
+    assert all(ok for _, ok, _ in entries), entries
 
 
 def test_ez_round_trip():

@@ -1,11 +1,15 @@
+import inspect
 import json
+import pathlib
+import shlex
+import time
 
 import pytest
 
 from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import twocat as T
-from theta2kit.cli import main, parse_object
+from theta2kit.cli import CHECKS, build_parser, main, parse_object
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +74,42 @@ def test_bound_env_variable(capsys, monkeypatch):
 def test_bad_object_spec_exits_2(capsys):
     assert main(["nerve", "--object", "nope"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, operation", [
+    ("Sigma [3000]", "ordinal"), ("[1|3000]", "theta2_object"),
+    ("[3000]", "theta2_object"), ("Sigma [99999999999]", "ordinal"),
+    ("[99999999999]", "theta2_object"), ("[100]", "theta2_object"),
+])
+def test_object_spec_too_large_to_build_exits_3(spec, operation, capsys):
+    t0 = time.perf_counter()
+    assert main(["nerve", "--object", spec, "--bound", "2"]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert f"in {operation}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["[0]", "[3]", "[40]", "[1|2]", "[2|1,0]", "[3|2,0,2]",
+                                  "[2|10,10]", "Sigma [4]", "Sigma [-1]", "C2", "I"])
+def test_parse_object_charges_the_tables_it_builds(spec, monkeypatch):
+    guards = []
+
+    class Recording(M._Guard):
+        def __init__(self, *args):
+            super().__init__(*args)
+            guards.append(self)
+
+    monkeypatch.setattr(M, "_Guard", Recording)
+    D = parse_object(spec)
+    if spec.startswith("Sigma"):
+        built = len(D.hom[("bot", "top")].compose) if ("bot", "top") in D.hom else 0
+    elif spec in ("C2", "I"):
+        built = None  # built from fixed tables, so nothing is charged
+    else:
+        triples = D.hcompose1._keys  # (i, j, l) -> (ks[i:j], ks[j:l])
+        posets = {id(H): len(H.compose) for H in D.hom.values()}
+        built = (len(triples) + sum(len(s) + len(t) for s, t in triples.values())
+                 + sum(posets.values()))
+    assert (guards[-1].count if guards else None) == built
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +312,50 @@ def test_verify_simplicial_identities_negative_fuzz_exits_2(capsys):
 
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nonesuch"]) == 2
+
+
+# the tier-1 size of each check; a row not named runs at its CLI defaults
+TIER1_SIZES = {"hom-bijection": {"max_m": 2}}
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.name)
+def test_every_paper_check_passes_at_its_tier1_size(check):
+    assert check.statement
+    params = dict(check.params) | TIER1_SIZES.get(check.name, {})
+    # the row's parameters are exactly its function's
+    assert list(inspect.signature(check.run).parameters) == list(dict(check.params))
+    entries = check.run(**params)
+    assert entries and all(ok for _, ok, _ in entries), entries
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "eq3-pushout", "--fuzz", "5"],
+    ["verify", "eq3-pushout", "--max-m", "9"],
+    ["verify", "hom-bijection", "--seed", "1"],
+    ["verify", "l-representables", "--max-j", "1"],
+    ["verify", "simplicial-identities", "--max-k", "1"],
+])
+def test_verify_flag_the_check_does_not_take_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_help_lists_each_check_and_its_statement(capsys):
+    assert main(["verify", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for check in CHECKS:
+        assert check.name in text and check.statement in text
+
+
+def test_readme_commands_parse():
+    # each command of README's "Command line" block, parsed but not run
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("theta2kit ")]
+    assert {argv[1] for argv in commands if argv[0] == "verify"} == {c.name for c in CHECKS}
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("marking", ["rs", "duskin", "scaled"])

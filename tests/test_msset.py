@@ -645,7 +645,7 @@ def test_map_by_vertices_matches_the_oracle_on_its_callers(monkeypatch):
         return search(X, Y, vertex_images)
 
     monkeypatch.setattr(M, "map_by_vertices", recording)
-    cli.suite_eq3_pushout(None)
+    next(c for c in cli.CHECKS if c.name == "eq3-pushout").run()
     callers = [
         fn
         for mod in (test_suspension, test_acceptance)

@@ -6,12 +6,13 @@ import theta2kit
 SOURCES = sorted(pathlib.Path(theta2kit.__file__).parent.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
-# module-level containers the library keeps on purpose: the CLI's suite
-# table and the nerve cache, keyed by each 2-category's twocat/1 document
-# (Fin2Category.signature, computed once per 2-category), which holds one
-# built nerve per document, bound and marking and, per document and bound,
-# the generator raw simplices nerve maps read, and no raw layers
-MODULE_STATE = {"cli.SUITES", "nerves._nerve_cache"}
+# module-level containers the library keeps on purpose: the nerve cache,
+# keyed by each 2-category's twocat/1 document (Fin2Category.signature,
+# computed once per 2-category), which holds one built nerve per document,
+# bound and marking and, per document and bound, the generator raw
+# simplices nerve maps read, and no raw layers (the CLI's check table,
+# cli.CHECKS, is a tuple)
+MODULE_STATE = {"nerves._nerve_cache"}
 
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 _CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
