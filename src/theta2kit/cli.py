@@ -302,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
                     default="rs")
     pn.add_argument("--bound", type=int, default=None)
     pn.add_argument("--out", default=None)
-    pn.set_defaults(run=cmd_nerve)
+    pn.set_defaults(run=cmd_nerve, parser=pn)
 
     ps = sub.add_parser("suspend", help="marked suspension of an msset file")
     ps.add_argument("--input", required=True)
     ps.add_argument("--out", default=None)
-    ps.set_defaults(run=cmd_suspend)
+    ps.set_defaults(run=cmd_suspend, parser=ps)
 
     pl = sub.add_parser("lmap", help="L of a cofibration or presentation")
     pl.add_argument("--kind", default=None)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--presentation", default=None)
     pl.add_argument("--bound", type=int, default=None)
     pl.add_argument("--out", default=None)
-    pl.set_defaults(run=cmd_lmap)
+    pl.set_defaults(run=cmd_lmap, parser=pl)
 
     pv = sub.add_parser("verify", help="run one check of the paper")
     names = pv.add_subparsers(dest="name", metavar="CHECK", required=True)
@@ -326,13 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
         for k, default in check.params:
             pc.add_argument("--" + k.replace("_", "-"), dest=k, type=int, default=default)
         pc.add_argument("--json", action="store_true")
-        pc.set_defaults(run=cmd_verify, check=check)
+        pc.set_defaults(run=cmd_verify, check=check, parser=pc)
     return p
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # argparse would report them against the top-level usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.run(args)
     except SystemExit as e:  # argparse has printed its usage or help
         return e.code

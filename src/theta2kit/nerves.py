@@ -604,8 +604,9 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
     then sigma_1, ..., in the order of X.all_simplices.  Raises ValueError
     for an n that is not an int >= 1 and for n > X.bound + 1.  The guard
     is charged one step per compatible prefix (sigma_0, ..., sigma_j), a
-    level j at a time before it is built: a ResourceLimitError's `steps`
-    is the first level total past the limit.
+    level j at a time before it is built, levels 1 and 2 too, although
+    they are built in one step: a ResourceLimitError's `steps` is the
+    first level total past the limit.
     """
     cells, columns = _boundary_columns(X, n, limit)
     return list(zip(*[map(cells.__getitem__, col) for col in columns]))
@@ -614,10 +615,17 @@ def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
 def _boundary_columns(X: MarkedSSet, n: int, limit):
     """X.all_simplices(n - 1) and the compatible boundaries in dimension n
     as n + 1 arrays, array j holding each boundary's sigma_j as a position.
-    Level j extends every prefix (sigma_0, ..., sigma_{j-1}) at once from
-    the pool of cells whose first j faces are d_{j-1} sigma_i, i < j, by
-    one `map`, and `compress`es the arrays where no prefix has two
-    candidates, else gathers them through one array of parent positions.
+
+    Levels 1 and 2 are one step over an index of the cells by their first
+    two faces, groups[d_0][d_1]: sigma_0 keeps the sigma_1 of
+    groups[d_0 sigma_0] under the d_1 keys that it shares with
+    groups[d_1 sigma_0], the sigma_2 (it holds s_0 d_1 sigma_0), so no
+    prefix (sigma_0, sigma_1) without a sigma_2 is made; level 1 is
+    charged from the groups' sizes.  Each level j >= 2 extends every
+    prefix at once, by one `map` over the pool of cells whose first j
+    faces are d_{j-1} sigma_i, i < j: it appends its array alone where
+    every prefix has one candidate, `compress`es the arrays where none has
+    two, and else gathers them through one array of parent positions.
     """
     _check_int(n, 1, "a boundary dimension")
     if n > X.bound + 1:
@@ -625,22 +633,40 @@ def _boundary_columns(X: MarkedSSet, n: int, limit):
     guard = _Guard(limit, "compatible_boundaries")
     guard.dimension = n
     cells = X.all_simplices(n - 1)
-    # faces as interned integer ids, so that pool keys hash fast; a vertex
-    # has one face, the empty simplex, so at n = 1 every vertex matches
+    # faces as interned integer ids, so that keys hash fast; a vertex has
+    # one face, the empty simplex, given here as d_0 and d_1 so that every
+    # pair of vertices matches at n = 1
     ids = {}
     faces = [tuple([ids.setdefault(r, len(ids)) for r in fs])
-             for fs in (_face_layer(X, cells, n - 1) if n > 1 else [((),)] * len(cells))]
-    # pools[k][fs[:k]]: the positions of the cells whose first k faces are fs[:k]
-    pools = [{} for _ in range(n + 1)]
+             for fs in (_face_layer(X, cells, n - 1) if n > 1 else [((), ())] * len(cells))]
+    # groups[fs[0]][fs[1]], pools[k][fs[:k]] (k >= 3): the positions of the cells
+    # with those first faces, each dropped after its level to lower the peak memory
+    groups, pools = {}, {k: {} for k in range(3, n + 1)}
     for c, fs in enumerate(faces):
-        for k in range(1, n + 1):
+        groups.setdefault(fs[0], {}).setdefault(fs[1], []).append(c)
+        for k in range(3, n + 1):
             pools[k].setdefault(fs[:k], []).append(c)
     guard.step(len(cells))
-    columns = [array("I", range(len(cells)))]
-    for j in range(1, n + 1):
+    candidates = {d0: sum(map(len, by_d1.values())) for d0, by_d1 in groups.items()}
+    guard.step(sum(candidates[fs[0]] for fs in faces))
+    counts, ones = array("I"), []
+    for fs in faces:
+        by_d1, twos = groups[fs[0]], groups[fs[1]]
+        kept = sorted(itertools.chain.from_iterable(
+            map(by_d1.__getitem__, by_d1.keys() & twos.keys())))
+        counts.append(len(kept))
+        ones.extend(kept)
+    columns = [array("I", itertools.chain.from_iterable(
+        map(itertools.repeat, range(len(cells)), counts))), array("I", ones)]
+    for j in range(2, n + 1):
         face = list(map(operator.itemgetter(j - 1), faces)).__getitem__
-        found = list(map(pools[j].get, zip(*[map(face, col) for col in columns]),
-                         itertools.repeat(())))
+        if j == 2:
+            found = list(map(dict.__getitem__, map(groups.__getitem__, map(face, columns[0])),
+                             map(face, columns[1])))
+            del groups
+        else:
+            found = list(map(pools.pop(j).get, zip(*[map(face, col) for col in columns]),
+                             itertools.repeat(())))
         sizes = array("I", map(len, found))
         guard.step(sum(sizes))
         if max(sizes, default=0) > 1:
@@ -648,7 +674,7 @@ def _boundary_columns(X: MarkedSSet, n: int, limit):
                 itertools.repeat, itertools.compress(range(len(sizes)), sizes),
                 itertools.compress(sizes, sizes))))
             columns = [array("I", map(col.__getitem__, parent)) for col in columns]
-        else:
+        elif min(sizes, default=1) == 0:
             columns = [array("I", itertools.compress(col, sizes)) for col in columns]
         columns.append(array("I", itertools.chain.from_iterable(found)))
     return cells, columns
@@ -694,5 +720,7 @@ def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
             degenerate_fillers[p] += 1
     boundaries = list(zip(*[map(cells.__getitem__, col) for col in columns]))
     del columns  # not held while the output is built: it lowers the peak memory
-    return list(zip(boundaries, map(
-        operator.add, map(fillers.get, boundaries, itertools.repeat(0)), degenerate_fillers)))
+    counts = array("I", map(operator.add, map(fillers.get, boundaries, itertools.repeat(0)),
+                            degenerate_fillers))
+    del fillers, degenerate_fillers  # nor are these
+    return list(zip(boundaries, counts))

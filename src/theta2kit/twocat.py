@@ -856,15 +856,16 @@ def theta2_object(shape: Theta2Shape) -> Fin2Category:
     """
     m, ks = shape.m, shape.ks
     objects = tuple(str(i) for i in range(m + 1))
+    # one slice ks[i:j] per (i, j), shared by every triple that holds it
+    cut = {(i, j): ks[i:j] for i in range(m + 1) for j in range(i, m + 1)}
     built = {}  # ks slice -> its _poset tables
     hom = {}
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            if ks[i:j] not in built:
-                built[ks[i:j]] = _poset(ks[i:j])
-            hom[(objects[i], objects[j])] = built[ks[i:j]][3]
+    for (i, j), s in cut.items():
+        if s not in built:
+            built[s] = _poset(s)
+        hom[(objects[i], objects[j])] = built[s][3]
     triples = {
-        (objects[i], objects[j], objects[l]): (ks[i:j], ks[j:l])
+        (objects[i], objects[j], objects[l]): (cut[i, j], cut[j, l])
         for i in range(m + 1)
         for j in range(i, m + 1)
         for l in range(j, m + 1)

@@ -30,6 +30,11 @@ then by face k-1, and one (cell, faces) tuple per level; the library
 extends every prefix of a level at once over columns of cell positions,
 and charges its guard a level at a time.
 
+raw_boundary_columns builds those columns a level at a time from level
+1, making every prefix (sigma_0, sigma_1) with d_0 sigma_1 = d_0 sigma_0
+before level 2 drops those with no sigma_2; the library joins levels 1
+and 2 in one step over an index of the cells by their first two faces.
+
 raw_evaluate and raw_evaluate_map build the classes of a presentation's
 elements once per call to each and enumerate 2-functors again per arrow;
 the library builds them once per presentation in theta._classes.
@@ -84,6 +89,7 @@ checks every functor law through validate_functor and reports instead.
 import collections
 import functools
 import itertools
+import operator
 from array import array
 
 from theta2kit import nerves
@@ -629,6 +635,48 @@ def _extend_boundaries(j, pool, n, pools, chosen, chosen_faces, results, step):
                                results, step)
             chosen.pop()
             chosen_faces.pop()
+
+
+def raw_boundary_columns(X: MarkedSSet, n, limit=5_000_000):
+    """nerves._boundary_columns a level at a time from level 1: level j
+    extends every prefix (sigma_0, ..., sigma_{j-1}) at once from the pool
+    of cells whose first j faces are d_{j-1} sigma_i, i < j, by one `map`,
+    and `compress`es the arrays where no prefix has two candidates, else
+    gathers them through one array of parent positions.  Same columns,
+    order and guard totals per level."""
+    _check_int(n, 1, "a boundary dimension")
+    if n > X.bound + 1:
+        raise ValueError(f"boundaries in dimension {n} exceed bound {X.bound} + 1")
+    guard = _Guard(limit, "compatible_boundaries")
+    guard.dimension = n
+    cells = X.all_simplices(n - 1)
+    # a vertex has one face, the empty simplex, so at n = 1 every vertex
+    # matches
+    ids = {}
+    faces = [tuple([ids.setdefault(r, len(ids)) for r in fs])
+             for fs in (_face_layer(X, cells, n - 1) if n > 1 else [((),)] * len(cells))]
+    # pools[k][fs[:k]]: the positions of the cells whose first k faces are fs[:k]
+    pools = [{} for _ in range(n + 1)]
+    for c, fs in enumerate(faces):
+        for k in range(1, n + 1):
+            pools[k].setdefault(fs[:k], []).append(c)
+    guard.step(len(cells))
+    columns = [array("I", range(len(cells)))]
+    for j in range(1, n + 1):
+        face = list(map(operator.itemgetter(j - 1), faces)).__getitem__
+        found = list(map(pools[j].get, zip(*[map(face, col) for col in columns]),
+                         itertools.repeat(())))
+        sizes = array("I", map(len, found))
+        guard.step(sum(sizes))
+        if max(sizes, default=0) > 1:
+            parent = array("I", itertools.chain.from_iterable(map(
+                itertools.repeat, itertools.compress(range(len(sizes)), sizes),
+                itertools.compress(sizes, sizes))))
+            columns = [array("I", map(col.__getitem__, parent)) for col in columns]
+        else:
+            columns = [array("I", itertools.compress(col, sizes)) for col in columns]
+        columns.append(array("I", itertools.chain.from_iterable(found)))
+    return cells, columns
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from theta2kit import twocat as T
 import raw_oracles
 from raw_oracles import (
     RawOps, face_tuples, from_raw, full_raw_nerve, layers, oracle_mask,
-    raw_compatible_boundaries, raw_face_index, raw_filler_counts, raw_filler_counts_by_face,
-    raw_nerve, raw_nerve_assignment)
+    raw_boundary_columns, raw_compatible_boundaries, raw_face_index, raw_filler_counts,
+    raw_filler_counts_by_face, raw_nerve, raw_nerve_assignment)
 
 
 def _ordinal_2cat(m):
@@ -287,13 +287,19 @@ def test_thin_flags_of_suspended_group():
 
 def _record_guards(monkeypatch, module=N):
     """Make module (nerves by default) record every guard it creates, in
-    the list returned."""
+    the list returned; each guard lists the steps of each charge in
+    `charges`."""
     guards = []
 
     class Recording(M._Guard):
         def __init__(self, *args):
             super().__init__(*args)
+            self.charges = []
             guards.append(self)
+
+        def step(self, k=1):
+            self.charges.append(k)
+            super().step(k)
 
     monkeypatch.setattr(module, "_Guard", Recording)
     return guards
@@ -1188,6 +1194,81 @@ def test_boundaries_and_fillers_of_the_empty_set_and_a_point(monkeypatch):
             assert _fillers_by_definition(point, n) == counts, n
     # s_0 s_0 v = s_1 s_0 v: two j give one filler, counted once
     assert N.filler_counts(point, 2) == [(((v, (0,)),) * 3, 1)]
+
+
+def _assert_columns_match_oracle(X, n, monkeypatch):
+    """_boundary_columns gives the level-at-a-time oracle's cells and
+    columns, charging its guard the same steps level by level.  Returns
+    the columns and the charges."""
+    guards = _record_guards(monkeypatch)
+    raw_guards = _record_guards(monkeypatch, raw_oracles)
+    got = N._boundary_columns(X, n, 5_000_000)
+    assert got == raw_boundary_columns(X, n), n
+    assert guards[-1].charges == raw_guards[-1].charges, n
+    assert len(guards[-1].charges) == n + 1, n
+    return got[1], guards[-1].charges
+
+
+@pytest.mark.parametrize("D", _oracle_cases())
+def test_boundary_columns_match_the_level_at_a_time_oracle(D, monkeypatch):
+    # n = 1 pairs every two vertices in the joined step, n = 2 ends with
+    # it, and n = 3, 4 go on to the pools of three and four faces
+    for marking in MARKINGS:
+        X = N.nerve(D, marking, bound=3)
+        for n in range(1, X.bound + 2):
+            _assert_columns_match_oracle(X, n, monkeypatch)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: M.standard_simplex(3, "horn", horn=1), id="horn"),
+    pytest.param(lambda: M.product(M.standard_simplex(1), M.standard_simplex(2, "sharp")),
+                 id="Delta[1] x Delta[2]"),
+    pytest.param(lambda: M.pushout(*[M.MSSetMap(
+        M.standard_simplex(1, "boundary"), M.standard_simplex(1),
+        {"0": ("0", ()), "1": ("1", ())})] * 2)[0], id="circle"),
+])
+def test_boundary_columns_match_the_oracle_off_nerves(build, monkeypatch):
+    X = build()
+    for n in range(1, X.bound + 2):
+        _assert_columns_match_oracle(X, n, monkeypatch)
+
+
+def test_boundary_columns_drop_the_level_one_prefixes_without_a_sigma_2(monkeypatch):
+    # level 1 of the oracle keeps each (sigma_0, sigma_1) with
+    # d_0 sigma_1 = d_0 sigma_0; many of them have no sigma_2, and the
+    # joined levels never build them, yet every sigma_0 keeps the
+    # boundary of s_0 sigma_0
+    X = N.duskin_nerve(_z2_suspension(), bound=3)
+    n = 3
+    cells = X.all_simplices(n - 1)
+    level_one = [(a, b) for a in cells for b in cells if X.face(a, 0) == X.face(b, 0)]
+    columns, charges = _assert_columns_match_oracle(X, n, monkeypatch)
+    assert charges[1] == len(level_one)
+    kept = set(zip(map(cells.__getitem__, columns[0]), map(cells.__getitem__, columns[1])))
+    assert kept < set(level_one)
+    assert {a for a, _ in kept} == set(cells)
+
+
+@pytest.mark.parametrize("D", [
+    pytest.param(T.theta2_object(T.Theta2Shape(2, (1, 1))), id="[2|1,1]"),
+    pytest.param(_z2_suspension(), id="Sigma Z/2"),
+])
+def test_compatible_boundaries_guard_raises_at_the_joined_level(D, monkeypatch):
+    # levels 1 and 2 are built in one step, but charged one after the
+    # other: a limit just below the total through level 1 stops at level
+    # 1, and a limit of that total at level 2, with the total through it
+    X = N.duskin_nerve(D, bound=4)
+    for n in range(2, 5):
+        raw_guards = _record_guards(monkeypatch, raw_oracles)
+        raw_boundary_columns(X, n)
+        totals = list(itertools.accumulate(raw_guards[-1].charges))
+        assert totals[2] > totals[1], n
+        for limit, steps in ((totals[1] - 1, totals[1]), (totals[1], totals[2])):
+            with pytest.raises(M.ResourceLimitError) as info:
+                N.compatible_boundaries(X, n, limit=limit)
+            e = info.value
+            assert (e.operation, e.dimension, e.steps) == ("compatible_boundaries", n, steps), n
+        N.compatible_boundaries(X, n, limit=totals[-1])
 
 
 def _traced_peak(fn):

@@ -738,6 +738,16 @@ def test_theta2_object_shares_horizontal_tables_per_slice_pair():
     assert th.hcompose1[("0", "1", "2")] is not th.hcompose1[("0", "1", "3")]
 
 
+def test_theta2_object_holds_one_slice_per_pair_of_objects():
+    # every triple (i, j, l) holds ks[i:j] and ks[j:l] as the one slice
+    # made for (i, j) and for (j, l): the groups take O(m^3), not O(m^4)
+    ks = (1, 2, 0, 2)
+    triples = T.theta2_object(T.Theta2Shape(4, ks)).hcompose1._keys
+    for (i, j, l), (s, t) in triples.items():
+        assert s == ks[int(i):int(j)] and t == ks[int(j):int(l)]
+        assert s is triples[(i, j, "4")][0] and t is triples[(j, l, "4")][0]
+
+
 def test_theta2_object_tables_are_mappings():
     th = T.theta2_object(T.Theta2Shape(2, (1, 2)))
     want = _theta2_object_by_comparison(T.Theta2Shape(2, (1, 2)))
