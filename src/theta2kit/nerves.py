@@ -647,11 +647,12 @@ def _boundary_columns(X: MarkedSSet, n: int, limit):
         for k in range(3, n + 1):
             pools[k].setdefault(fs[:k], []).append(c)
     guard.step(len(cells))
+    first, second = [fs[0] for fs in faces], [fs[1] for fs in faces]
     candidates = {d0: sum(map(len, by_d1.values())) for d0, by_d1 in groups.items()}
-    guard.step(sum(candidates[fs[0]] for fs in faces))
+    guard.step(sum(map(candidates.__getitem__, first)))
     counts, ones = array("I"), []
-    for fs in faces:
-        by_d1, twos = groups[fs[0]], groups[fs[1]]
+    for d0, d1 in zip(first, second):
+        by_d1, twos = groups[d0], groups[d1]
         kept = sorted(itertools.chain.from_iterable(
             map(by_d1.__getitem__, by_d1.keys() & twos.keys())))
         counts.append(len(kept))
@@ -659,12 +660,12 @@ def _boundary_columns(X: MarkedSSet, n: int, limit):
     columns = [array("I", itertools.chain.from_iterable(
         map(itertools.repeat, range(len(cells)), counts))), array("I", ones)]
     for j in range(2, n + 1):
-        face = list(map(operator.itemgetter(j - 1), faces)).__getitem__
         if j == 2:
-            found = list(map(dict.__getitem__, map(groups.__getitem__, map(face, columns[0])),
-                             map(face, columns[1])))
+            found = list(map(dict.__getitem__, map(groups.__getitem__, map(
+                second.__getitem__, columns[0])), map(second.__getitem__, columns[1])))
             del groups
         else:
+            face = list(map(operator.itemgetter(j - 1), faces)).__getitem__
             found = list(map(pools.pop(j).get, zip(*[map(face, col) for col in columns]),
                              itertools.repeat(())))
         sizes = array("I", map(len, found))
