@@ -32,8 +32,9 @@ from .twocat import (
     theta2_object,
     validate_2cat,
 )
-from .nerves import duskin_nerve, nerve, nerve_map, rs_nerve, scaled_nerve
-from .suspension import suspend_map, suspend_marked, suspension_comparison
+from .nerves import (
+    duskin_nerve, nerve, nerve_map, rs_nerve, scaled_nerve, suspension_comparison)
+from .suspension import suspend_map, suspend_marked
 from .theta import (
     BoxCell,
     PresentationMap,

@@ -42,7 +42,7 @@ class SpecError(ValueError):
     pass
 
 
-def _triples(n: int) -> int:
+def _compose_size(n: int) -> int:
     """How many i <= j <= l the ordinal [n] has: its compose table's size."""
     return math.comb(max(n + 3, 0), 3)
 
@@ -69,17 +69,17 @@ def parse_object(spec: str) -> twocat.Fin2Category:
         return twocat.as_two_category(twocat.free_iso())
     try:
         if (n := _plain(text)) is not None:  # [n|0,...,0]: checked before n zeros are made
-            msset._Guard(_NERVE_LIMIT, "theta2_object").step(_triples(n))
-        shape = theta.parse_shape(text)
+            msset._Guard(_NERVE_LIMIT, "theta2_object").step(_compose_size(n))
+        shape = twocat.parse_shape(text)
     except ValueError as e:
         raise SpecError(str(e)) from e
     m, ks, guard = shape.m, shape.ks, msset._Guard(_NERVE_LIMIT, "theta2_object")
     # each triple i <= j <= l holds l - i slice elements, 2 C(m + 3, 4) in all
-    guard.step(_triples(m) + 2 * math.comb(m + 3, 4))
+    guard.step(_compose_size(m) + 2 * math.comb(m + 3, 4))
     sizes = {(): 1}  # each distinct slice of ks -> its poset's compose table
     for i in range(m):
         for j in range(i + 1, m + 1):
-            sizes[ks[i:j]] = sizes[ks[i:j - 1]] * _triples(ks[j - 1])
+            sizes[ks[i:j]] = sizes[ks[i:j - 1]] * _compose_size(ks[j - 1])
     guard.step(sum(sizes.values()))
     return twocat.theta2_object(shape)
 
@@ -89,7 +89,7 @@ def _parse_1cat(text: str) -> twocat.FinCategory:
     if text == "I":
         return twocat.free_iso()
     if (n := _plain(text)) is not None:
-        msset._Guard(_NERVE_LIMIT, "ordinal").step(_triples(n))
+        msset._Guard(_NERVE_LIMIT, "ordinal").step(_compose_size(n))
         return twocat.ordinal(n)
     raise SpecError(f"cannot parse 1-category spec {text!r}")
 
@@ -174,11 +174,12 @@ def check_eq3_pushout():
     N3 = nerves.rs_nerve(twocat.as_two_category(twocat.ordinal(3)), 4)
     D1 = msset.standard_simplex(1, bound=4)
     D1t = msset.standard_simplex(1, "edge_marked", bound=4)
+    ends, objects = D1.vertices(), N3.vertices()  # N3's: the objects 0..3 in order
 
     def edge(a, b):
-        return msset.map_by_vertices(D1, N3, {"0": f"{a};;", "1": f"{b};;"})
+        return msset.map_by_vertices(D1, N3, dict(zip(ends, (objects[a], objects[b]))))
 
-    incl = msset.MSSetMap(D1, D1t, {"0": ("0", ()), "1": ("1", ()), "01": ("01", ())})
+    incl = msset.MSSetMap(D1, D1t, msset.identity_map(D1).assignment)
     arrows = [(0, 2, edge(0, 2)), (0, 3, incl), (1, 2, edge(1, 3)), (1, 4, incl)]
     P, _ = msset.colimit([D1, D1, N3, D1t, D1t], arrows)
     iso = msset.find_iso(P, msset.standard_simplex(3, "eq3", bound=4))

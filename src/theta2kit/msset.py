@@ -360,6 +360,35 @@ def standard_simplex(ell, variant="flat", horn=None, bound=None):
     return MarkedSSet(bound, gens, faces, frozenset(marked))
 
 
+def _simplex_ref(vertex_seq):
+    """Reference of the simplex with the given monotone vertex sequence
+    inside a standard simplex."""
+    word = tuple(p for p in range(len(vertex_seq) - 2, -1, -1)
+                 if vertex_seq[p] == vertex_seq[p + 1])
+    return (_simplex_key(sorted(set(vertex_seq))), word)
+
+
+def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
+    """Map of standard simplices induced by monotone vertex images."""
+    images = tuple(images)
+    if len(images) != l_src + 1:
+        raise ValueError(f"simplex_map: expected {l_src + 1} vertex images, got {len(images)}")
+    if any(a > b for a, b in zip(images, images[1:])):
+        raise ValueError(f"simplex_map: vertex images {images} not monotone")
+    if any(not 0 <= v <= l_dst for v in images):
+        raise ValueError(f"simplex_map: vertex images {images} outside 0..{l_dst}")
+    X = standard_simplex(l_src, variant, bound=bound)
+    Y = standard_simplex(l_dst, variant, bound=bound)
+    assignment = {}
+    for n in sorted(X.gens):
+        ids = set(X.gens_at(n))
+        for verts in itertools.combinations(range(l_src + 1), n + 1):
+            g = _simplex_key(verts)
+            if g in ids:
+                assignment[g] = _simplex_ref(tuple(images[v] for v in verts))
+    return MSSetMap(X, Y, assignment)
+
+
 def _top_dim(X: MarkedSSet) -> int:
     """The highest dimension with a generator (0 for an empty X)."""
     return max((n for n in X.gens if X.gens_at(n)), default=0)
@@ -820,6 +849,14 @@ def _check_json(data, schema, keys):
         raise ValueError(f"{schema}: missing key(s) {', '.join(missing)}")
 
 
+def _json_value(value, kind, what):
+    """value if it is the JSON kind "array" (a list or tuple) or "object" (a
+    dict); else ValueError: tuple() would take a str apart, dict() a list."""
+    if not isinstance(value, dict if kind == "object" else (list, tuple)):
+        raise ValueError(f"{what} must be a JSON {kind}, not {type(value).__name__}")
+    return value
+
+
 def _json_word(entries):
     """A degeneracy word read from JSON, every entry checked to be an int
     >= 0: a bool, a float such as 0.0, a str, a list or a dict is not."""
@@ -834,12 +871,14 @@ def msset_from_json(data: dict) -> MarkedSSet:
     _check_json(data, "msset/1", ("bound", "gens", "faces", "marked"))
     _check_int(data["bound"], 0, "msset/1: bound")
     try:
-        gens = {int(n): tuple(ids) for n, ids in data["gens"].items()}
+        gens = {int(n): tuple(_json_value(ids, "array", "gens"))
+                for n, ids in data["gens"].items()}
         faces = {
             g: tuple((f["gen"], _json_word(f["word"])) for f in fs)
             for g, fs in data["faces"].items()
         }
-        X = MarkedSSet(data["bound"], gens, faces, frozenset(data["marked"]))
+        marked = frozenset(_json_value(data["marked"], "array", "marked"))
+        X = MarkedSSet(data["bound"], gens, faces, marked)
         problems = _structure_problems(X)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"msset/1: malformed data: {e!r}") from e

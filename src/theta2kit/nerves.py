@@ -21,6 +21,9 @@ Each process caches one built nerve per `twocat/1` document of D (its
 them it keeps, per document and bound, the generator raw simplices,
 walked on the first nerve map out of D: a nerve map finds their images
 by `_ref`, which tests any raw tuple for degeneracy (`_degeneracy_test`).
+Nerve ids are spelled here alone (`_key_fn`, `_ref`, and `_pairs`,
+`_triples`, `_pidx`, `_tidx` for the layout of a raw simplex), so the
+comparison map into the nerve of a suspension 2-category lives here too.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ import operator
 from array import array
 
 from .msset import (
-    DEFAULT_BOUND, MarkedSSet, MSSetMap, _check_int, _face_layer, _Guard, degenerate)
-from .twocat import Fin2Category, TwoFunctor, _copies
+    DEFAULT_BOUND, MarkedSSet, MSSetMap, _check_int, _face_layer, _Guard, degenerate,
+    empty_msset, rebound)
+from .suspension import cone_ref, suspend_marked
+from .twocat import (
+    Fin2Category, FinCategory, TwoFunctor, _copies, as_two_category, suspend_category)
 
 # raw simplex: (verts, edges, tris) with edges indexed by pairs i<j and
 # tris by triples i<j<k, both in lexicographic order
@@ -590,6 +596,42 @@ def _nerve_assignment(F: TwoFunctor, raws, Y: MarkedSSet):
                              "a simplex of the target's nerve; not a 2-functor?")
         assignment[g] = ref
     return assignment
+
+
+def suspension_comparison(C: FinCategory, bound=None):
+    """The canonical map from the suspended nerve of C to the nerve of the
+    suspension 2-category SC of C, whose objects, unit 1-cell and identity
+    2-cell on the top are read off SC's tables."""
+    if not C.objects:
+        raise ValueError("the comparison needs a nonempty category")
+    target_bound = bound if bound is not None else DEFAULT_BOUND
+    SC = suspend_category(C)
+    N = rs_nerve(SC, target_bound)
+    if target_bound == 0:
+        # the nerve of C one dimension down has no simplices
+        NC, raws = empty_msset(0), []
+    else:
+        C2 = as_two_category(C)
+        NC = rebound(rs_nerve(C2, target_bound - 1), target_bound)
+        raws = _cached_raws(C2, target_bound - 1)
+    SNC = suspend_marked(NC)
+    bot, top = SC.objects
+    unit = SC.unit1[top]
+    ident = SC.hom[(top, top)].identity[unit]
+    # both list the bottom vertex first
+    assignment = {v: _ref(SC, ((x,), (), ())) for v, x in zip(SNC.vertices(), SC.objects)}
+    for raw in raws:
+        verts, edges, tris = raw
+        n = len(verts) - 1
+        m, pidx = n + 1, _pidx(n)
+        # the image's 2-cell f_{0k} => f_{0j} is raw's edge (m-k, m-j)
+        image = ((bot,) + (top,) * m,
+                 tuple(verts[m - j] if i == 0 else unit for i, j in _pairs(m)),
+                 tuple(edges[pidx[(m - k, m - j)]] if i == 0 else ident
+                       for i, j, k in _triples(m)))
+        cone, _ = cone_ref(NC.dim_of, (_key_fn(raw, n), ()))
+        assignment[cone] = _ref(SC, image)
+    return MSSetMap(SNC, N, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ The vertical Segal and completeness maps are the suspensions V[1] of the
 Segal and completeness maps of Delta, as in Rezk's cartesian
 presentation: `_suspend` turns each horizontal map on cells [m|0,...,0]
 into the one on cells [1|m].
+
+Shape functors and shape names are twocat's (`shape_functor`,
+`parse_shape`) and simplex maps msset's (`simplex_map`); all three
+resolve here too.
 """
 
 from __future__ import annotations
@@ -21,29 +25,14 @@ from dataclasses import dataclass
 from functools import partial
 
 from .msset import (
-    DEFAULT_BOUND,
-    MarkedSSet,
-    MSSetMap,
-    colimit,
-    enumerate_maps,
-    product_with_index,
-    standard_simplex,
-)
-from .msset import (
-    _check_int, _check_json, _Guard, _product_assignment, _simplex_key, _UnionFind)
+    DEFAULT_BOUND, MarkedSSet, MSSetMap, colimit, enumerate_maps, product_with_index,
+    simplex_map, standard_simplex)
+from .msset import _check_int, _check_json, _Guard, _product_assignment, _UnionFind
 from .nerves import _cached_raws, _nerve_assignment, rs_nerve
 from .twocat import (
-    Fin2Category,
-    Theta2Shape,
-    TwoFunctor,
-    _enc,
-    _json_key,
-    _mid,
-    chain_count,
-    enumerate_two_functors,
-    theta2_object,
-    validate_two_functor,
-)
+    Fin2Category, Theta2Shape, TwoFunctor, _fits, _functor_from_json, _functor_to_json,
+    _shape_functor, chain_count, enumerate_two_functors, parse_shape, shape_functor,
+    theta2_object)
 
 
 @dataclass(frozen=True)
@@ -53,19 +42,6 @@ class BoxCell:
 
     def __post_init__(self):
         _check_int(self.level, 0, "a box cell's level")
-
-
-def _fits(D: Fin2Category, shape: Theta2Shape) -> bool:
-    """Whether D has the objects and segment-hom sizes of the pasting
-    2-category of shape, read off D without building the shape: m + 1
-    objects, among them "0" and the ends of the segment homs ("t", "t+1")."""
-    if len(D.objects) != shape.m + 1 or "0" not in D.unit1:
-        return False
-    for t, k in enumerate(shape.ks):
-        H = D.hom.get((str(t), str(t + 1)))
-        if H is None or len(H.objects) != k + 1:
-            return False
-    return True
 
 
 def _check_endpoint(i, cells):
@@ -128,69 +104,6 @@ class PresentationMap:
             raise ValueError("cell map needs one entry per source cell")
         for cell, (j, F, lam) in zip(self.source.cells, self.cell_map):
             _check_leg(cell, self.target.cells, j, F, lam)
-
-
-# ---------------------------------------------------------------------------
-# shape functors between theta objects
-
-
-def _check_image(value, top, name):
-    """Raise ValueError unless value is an int in 0..top."""
-    _check_int(value, 0, name)
-    if value > top:
-        raise ValueError(f"{name} must be at most {top}, not {value}")
-
-
-def shape_functor(src: Theta2Shape, dst: Theta2Shape, obj_images,
-                  seg_images=None) -> TwoFunctor:
-    """2-functor between pasting shapes from object images and, per
-    source segment, images of the segment hom objects in the product
-    poset of the target.  Raises ValueError unless there are m + 1
-    monotone object images in 0..m' and, per segment, one image tuple per
-    hom object, each of the right length and inside the target's poset."""
-    return _shape_functor({}, src, dst, obj_images, seg_images)
-
-
-def _shape_functor(shapes: dict, src: Theta2Shape, dst: Theta2Shape, obj_images,
-                   seg_images=None) -> TwoFunctor:
-    """`shape_functor`, with the pasting 2-categories of src and dst read
-    from shapes, a dict {Theta2Shape: theta2_object} that the calling
-    constructor holds, and built into it when missing; so a constructor
-    builds each shape once, however many functors it makes."""
-    obj_images = list(obj_images)
-    seg_images = list(seg_images or ())
-    if len(obj_images) != src.m + 1:
-        raise ValueError(f"{src} has {src.m + 1} objects, not {len(obj_images)} images")
-    for v in obj_images:
-        _check_image(v, dst.m, "an object image")
-    if obj_images != sorted(obj_images):
-        raise ValueError(f"object images {obj_images} not monotone")
-    if len(seg_images) != src.m:
-        raise ValueError(f"{src} has {src.m} segments, not {len(seg_images)} image lists")
-    for shape in (src, dst):
-        if shape not in shapes:
-            shapes[shape] = theta2_object(shape)
-    D, E = shapes[src], shapes[dst]
-    on_objects = {str(i): str(obj_images[i]) for i in range(src.m + 1)}
-    tables = {}
-    for t in range(1, src.m + 1):
-        imgs = [tuple(img) for img in seg_images[t - 1]]
-        if len(imgs) != src.ks[t - 1] + 1:
-            raise ValueError(f"segment {t}: needs {src.ks[t - 1] + 1} images, not {len(imgs)}")
-        tops = dst.ks[obj_images[t - 1]:obj_images[t]]
-        obj_map, mor_map = {}, {}
-        for a, img in enumerate(imgs):
-            if len(img) != len(tops):
-                raise ValueError(f"segment {t}: image tuple has wrong length")
-            for v, top in zip(img, tops):
-                _check_image(v, top, f"segment {t}: an image entry")
-            obj_map[_enc((a,))] = _enc(img)
-            for b in range(a, len(imgs)):
-                if any(p > q for p, q in zip(img, imgs[b])):
-                    raise ValueError(f"segment {t}: images not monotone")
-                mor_map[_mid((a,), (b,))] = _mid(img, imgs[b])
-        tables[(str(t - 1), str(t))] = (obj_map, mor_map)
-    return TwoFunctor(D, E, on_objects, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -390,40 +303,6 @@ def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
 # the comparison functor L
 
 
-def _simplex_ref(vertex_seq):
-    """Reference of the simplex with the given monotone vertex sequence
-    inside a standard simplex."""
-    gid = _simplex_key(sorted(set(vertex_seq)))
-    word = tuple(
-        p for p in range(len(vertex_seq) - 2, -1, -1)
-        if vertex_seq[p] == vertex_seq[p + 1]
-    )
-    return (gid, word)
-
-
-def simplex_map(l_src, l_dst, images, variant="sharp", bound=None) -> MSSetMap:
-    """Map of standard simplices induced by monotone vertex images."""
-    images = tuple(images)
-    if len(images) != l_src + 1:
-        raise ValueError(
-            f"simplex_map: expected {l_src + 1} vertex images, got {len(images)}"
-        )
-    if any(a > b for a, b in zip(images, images[1:])):
-        raise ValueError(f"simplex_map: vertex images {images} not monotone")
-    if any(not 0 <= v <= l_dst for v in images):
-        raise ValueError(f"simplex_map: vertex images {images} outside 0..{l_dst}")
-    X = standard_simplex(l_src, variant, bound=bound)
-    Y = standard_simplex(l_dst, variant, bound=bound)
-    assignment = {}
-    for n in sorted(X.gens):
-        ids = set(X.gens_at(n))
-        for verts in itertools.combinations(range(l_src + 1), n + 1):
-            g = _simplex_key(verts)
-            if g in ids:
-                assignment[g] = _simplex_ref(tuple(images[v] for v in verts))
-    return MSSetMap(X, Y, assignment)
-
-
 @dataclass(frozen=True)
 class _Block:
     """The L block of a box cell: its shape's 2-category and rs nerve, and
@@ -567,57 +446,6 @@ def d_restriction(theta: Theta2Shape, i: int, j: int, limit=5_000_000):
 
 # ---------------------------------------------------------------------------
 # JSON (schema theta/1)
-
-
-def _functor_to_json(F: TwoFunctor, src_shape, dst_shape):
-    return {
-        "source": str(src_shape),
-        "target": str(dst_shape),
-        "on_objects": dict(sorted(F.on_objects.items())),
-        "hom": {
-            f"{x}|{y}": {
-                "one": dict(sorted(om.items())),
-                "two": dict(sorted(mm.items())),
-            }
-            for (x, y), (om, mm) in sorted(F.hom_maps.items())
-        },
-    }
-
-
-def parse_shape(text: str) -> Theta2Shape:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"bad shape {text!r}")
-    body = body[1:-1]
-    if "|" in body:
-        m_str, ks_str = body.split("|", 1)
-        m = int(m_str)
-        ks = tuple(int(t) for t in ks_str.split(",")) if ks_str.strip() else ()
-    else:
-        m, ks = int(body), ()
-        if m != 0:
-            # plain "[k]" is the 1-category [k], i.e. the shape [k|0,...,0]
-            ks = (0,) * m
-    return Theta2Shape(m, ks)
-
-
-def _functor_from_json(data, src_shape, dst_shape) -> TwoFunctor:
-    if (parse_shape(data["source"]), parse_shape(data["target"])) != (
-        src_shape, dst_shape
-    ):
-        raise ValueError(
-            f"functor {data['source']} -> {data['target']} does not join "
-            f"{src_shape} and {dst_shape}"
-        )
-    tables = {
-        _json_key(k, 2): (dict(v["one"]), dict(v["two"])) for k, v in data["hom"].items()
-    }
-    D, E = theta2_object(src_shape), theta2_object(dst_shape)
-    F = TwoFunctor(D, E, dict(data["on_objects"]), tables)
-    report = validate_two_functor(F)
-    if not report.ok:
-        raise ValueError(f"not a 2-functor: {report.violations[0]}")
-    return F
 
 
 def presentation_to_json(W: Theta2Presentation) -> dict:

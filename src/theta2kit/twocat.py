@@ -10,12 +10,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
 
-from .msset import Report, _check_int, _check_json, _Guard
+from .msset import Report, _check_int, _check_json, _Guard, _json_value
 
 
 # ---------------------------------------------------------------------------
@@ -464,28 +465,6 @@ def _object_maps(objs, ends, targets, nonempty, guard):
     return out
 
 
-def _choices(lists, guard):
-    """Each tuple with one item from each of lists, in lexicographic
-    order, charging one guard step per item tried at each depth, as a
-    depth-first search over the lists would."""
-    if not lists:
-        yield ()
-        return
-    picked = [-1] * len(lists)
-    k = 0
-    while k >= 0:
-        picked[k] += 1
-        if picked[k] == len(lists[k]):
-            picked[k] = -1
-            k -= 1
-        else:
-            guard.step()
-            if k + 1 < len(lists):
-                k += 1
-            else:
-                yield tuple(items[t] for items, t in zip(lists, picked))
-
-
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     """The complete, canonically ordered list of functors C -> D, each
     built when the call returns (unlike `_functors`, whose tables into a
@@ -542,7 +521,10 @@ def _functors(C, D, guard):
     for images in maps:
         obj_map = dict(zip(objs, images))
         lists = [homs[(obj_map[a], obj_map[b])] for a, b in gen_ends]
-        for combo in _choices(lists, guard):
+        # a depth-first search over the lists tries prod(len(lists[i]) for
+        # i <= k) items at depth k, one guard step each
+        guard.step_each(sum(itertools.accumulate(map(len, lists), operator.mul)))
+        for combo in itertools.product(*lists):
             mor_map = {C.identity[x]: D.identity[obj_map[x]] for x in C.objects}
             mor_map.update(zip(gens, combo))
             for f, g, h in composites:
@@ -596,6 +578,19 @@ class Theta2Shape:
 
     def __str__(self):
         return f"[{self.m}|{','.join(str(k) for k in self.ks)}]"
+
+
+def parse_shape(text: str) -> Theta2Shape:
+    """The shape a `Theta2Shape`'s str names: "[m|k1,...,km]", or "[m]",
+    the 1-category [m], i.e. the shape [m|0,...,0]."""
+    body = text.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise ValueError(f"bad shape {text!r}")
+    m_str, bar, ks_str = body[1:-1].partition("|")
+    m = int(m_str)
+    if not bar:
+        return Theta2Shape(m, (0,) * m)
+    return Theta2Shape(m, tuple(int(t) for t in ks_str.split(",")) if ks_str.strip() else ())
 
 
 def _one_to_one(table, left, right, cells) -> bool:
@@ -1190,6 +1185,82 @@ def _horizontal_failures(D, E, on_objects, hom_maps, step):
 
 
 # ---------------------------------------------------------------------------
+# shape functors between theta objects
+
+
+def _fits(D: Fin2Category, shape: Theta2Shape) -> bool:
+    """Whether D has the objects and segment-hom sizes of the pasting
+    2-category of shape, read off D without building the shape: m + 1
+    objects, among them "0" and the ends of the segment homs ("t", "t+1")."""
+    if len(D.objects) != shape.m + 1 or "0" not in D.unit1:
+        return False
+    for t, k in enumerate(shape.ks):
+        H = D.hom.get((str(t), str(t + 1)))
+        if H is None or len(H.objects) != k + 1:
+            return False
+    return True
+
+
+def _check_image(value, top, name):
+    """Raise ValueError unless value is an int in 0..top."""
+    _check_int(value, 0, name)
+    if value > top:
+        raise ValueError(f"{name} must be at most {top}, not {value}")
+
+
+def shape_functor(src: Theta2Shape, dst: Theta2Shape, obj_images,
+                  seg_images=None) -> TwoFunctor:
+    """2-functor between pasting shapes from object images and, per
+    source segment, images of the segment hom objects in the product
+    poset of the target.  Raises ValueError unless there are m + 1
+    monotone object images in 0..m' and, per segment, one image tuple per
+    hom object, each of the right length and inside the target's poset."""
+    return _shape_functor({}, src, dst, obj_images, seg_images)
+
+
+def _shape_functor(shapes: dict, src: Theta2Shape, dst: Theta2Shape, obj_images,
+                   seg_images=None) -> TwoFunctor:
+    """`shape_functor`, with the pasting 2-categories of src and dst read
+    from shapes, a dict {Theta2Shape: theta2_object} that the calling
+    constructor holds, and built into it when missing; so a constructor
+    builds each shape once, however many functors it makes."""
+    obj_images = list(obj_images)
+    seg_images = list(seg_images or ())
+    if len(obj_images) != src.m + 1:
+        raise ValueError(f"{src} has {src.m + 1} objects, not {len(obj_images)} images")
+    for v in obj_images:
+        _check_image(v, dst.m, "an object image")
+    if obj_images != sorted(obj_images):
+        raise ValueError(f"object images {obj_images} not monotone")
+    if len(seg_images) != src.m:
+        raise ValueError(f"{src} has {src.m} segments, not {len(seg_images)} image lists")
+    for shape in (src, dst):
+        if shape not in shapes:
+            shapes[shape] = theta2_object(shape)
+    D, E = shapes[src], shapes[dst]
+    on_objects = {str(i): str(obj_images[i]) for i in range(src.m + 1)}
+    tables = {}
+    for t in range(1, src.m + 1):
+        imgs = [tuple(img) for img in seg_images[t - 1]]
+        if len(imgs) != src.ks[t - 1] + 1:
+            raise ValueError(f"segment {t}: needs {src.ks[t - 1] + 1} images, not {len(imgs)}")
+        tops = dst.ks[obj_images[t - 1]:obj_images[t]]
+        obj_map, mor_map = {}, {}
+        for a, img in enumerate(imgs):
+            if len(img) != len(tops):
+                raise ValueError(f"segment {t}: image tuple has wrong length")
+            for v, top in zip(img, tops):
+                _check_image(v, top, f"segment {t}: an image entry")
+            obj_map[_enc((a,))] = _enc(img)
+            for b in range(a, len(imgs)):
+                if any(p > q for p, q in zip(img, imgs[b])):
+                    raise ValueError(f"segment {t}: images not monotone")
+                mor_map[_mid((a,), (b,))] = _mid(img, imgs[b])
+        tables[(str(t - 1), str(t))] = (obj_map, mor_map)
+    return TwoFunctor(D, E, on_objects, tables)
+
+
+# ---------------------------------------------------------------------------
 # JSON (schema twocat/1)
 
 
@@ -1213,15 +1284,22 @@ def category_from_json(data: dict) -> FinCategory:
     morphism id that is not a str included."""
     try:
         C = FinCategory(
-            tuple(data["objects"]),
-            {f: tuple(v) for f, v in data["morphisms"].items()},
-            dict(data["identity"]),
-            {(f, g): h for f, g, h in data["compose"]},
+            tuple(_json_value(data["objects"], "array", "objects")),
+            {f: tuple(_json_value(v, "array", "a morphism's ends"))
+             for f, v in data["morphisms"].items()},
+            dict(_json_value(data["identity"], "object", "identity")),
+            {(f, g): h for f, g, h in _json_triples(data["compose"], "compose")},
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"category: malformed data: {e!r}") from e
     _check_ids("category", _category_ids(C))
     return C
+
+
+def _json_triples(entries, what):
+    """entries, an array of arrays such as a composition table's [f, g, h]."""
+    return [_json_value(t, "array", f"an entry of {what}")
+            for t in _json_value(entries, "array", what)]
 
 
 def _json_key(text: str, parts: int) -> tuple:
@@ -1260,17 +1338,55 @@ def two_category_from_json(data: dict) -> Fin2Category:
             _json_key(k, 2): category_from_json(v) for k, v in data["hom"].items()
         }
         hcompose1 = {
-            _json_key(k, 3): {(f, g): h for f, g, h in triples}
+            _json_key(k, 3): {(f, g): h for f, g, h in _json_triples(triples, "hcompose1")}
             for k, triples in data["hcompose1"].items()
         }
         hcompose2 = {
-            _json_key(k, 3): {(a, b): c for a, b, c in triples}
+            _json_key(k, 3): {(a, b): c for a, b, c in _json_triples(triples, "hcompose2")}
             for k, triples in data["hcompose2"].items()
         }
         D = Fin2Category(
-            tuple(data["objects"]), hom, hcompose1, hcompose2, dict(data["unit1"])
+            tuple(_json_value(data["objects"], "array", "objects")), hom, hcompose1,
+            hcompose2, dict(_json_value(data["unit1"], "object", "unit1"))
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"twocat/1: malformed data: {e!r}") from e
     _check_ids("twocat/1", _two_category_ids(D))
     return D
+
+
+def _functor_to_json(F: TwoFunctor, src_shape, dst_shape):
+    """F as the functor entry of a theta/1 arrow between the two shapes."""
+    return {
+        "source": str(src_shape),
+        "target": str(dst_shape),
+        "on_objects": dict(sorted(F.on_objects.items())),
+        "hom": {
+            f"{x}|{y}": {
+                "one": dict(sorted(om.items())),
+                "two": dict(sorted(mm.items())),
+            }
+            for (x, y), (om, mm) in sorted(F.hom_maps.items())
+        },
+    }
+
+
+def _functor_from_json(data, src_shape, dst_shape) -> TwoFunctor:
+    """The 2-functor of a theta/1 functor entry, which must join the two
+    shapes; ValueError unless it is one."""
+    if (parse_shape(data["source"]), parse_shape(data["target"])) != (
+        src_shape, dst_shape
+    ):
+        raise ValueError(
+            f"functor {data['source']} -> {data['target']} does not join "
+            f"{src_shape} and {dst_shape}"
+        )
+    tables = {_json_key(k, 2): tuple(dict(_json_value(v[part], "object", "a hom map"))
+                                     for part in ("one", "two"))
+              for k, v in data["hom"].items()}
+    on_objects = dict(_json_value(data["on_objects"], "object", "on_objects"))
+    F = TwoFunctor(theta2_object(src_shape), theta2_object(dst_shape), on_objects, tables)
+    report = validate_two_functor(F)
+    if not report.ok:
+        raise ValueError(f"not a 2-functor: {report.violations[0]}")
+    return F

@@ -99,12 +99,33 @@ from theta2kit.msset import (
 from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import (
-    BoxCell, PresentationMap, Theta2Presentation, _monotone_maps, representable,
-    shape_functor)
+    BoxCell, PresentationMap, Theta2Presentation, _monotone_maps, representable)
 from theta2kit.twocat import (
-    Functor, Theta2Shape, TwoFunctor, _choices, _functors, _generating_homs, _horizontal_failures,
-    _object_maps, _poset, enumerate_functors, enumerate_two_functors, theta2_object,
-    validate_category)
+    Functor, Theta2Shape, TwoFunctor, _functors, _generating_homs, _horizontal_failures,
+    _object_maps, _poset, enumerate_functors, enumerate_two_functors, shape_functor,
+    theta2_object, validate_category)
+
+
+def _choices(lists, guard):
+    """Each tuple with one item from each of lists, in lexicographic
+    order, charging one guard step per item tried at each depth, as a
+    depth-first search over the lists would."""
+    if not lists:
+        yield ()
+        return
+    picked = [-1] * len(lists)
+    k = 0
+    while k >= 0:
+        picked[k] += 1
+        if picked[k] == len(lists[k]):
+            picked[k] = -1
+            k -= 1
+        else:
+            guard.step()
+            if k + 1 < len(lists):
+                k += 1
+            else:
+                yield tuple(items[t] for items, t in zip(lists, picked))
 
 
 def from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn):

@@ -13,6 +13,7 @@ from theta2kit import nerves as N
 from theta2kit import suspension as S
 from theta2kit import theta as TH
 from theta2kit import twocat as T
+from theta2kit import suspension_comparison
 
 
 def _shape_grid(max_m, max_k):
@@ -192,7 +193,7 @@ def _comparison_categories():
 
 def test_comparison_validates_and_is_injective_low():
     for C in _comparison_categories():
-        f = S.suspension_comparison(C, bound=4)
+        f = suspension_comparison(C, bound=4)
         assert M.validate_map(f).ok
         seen = set()
         for n in range(3):
@@ -226,7 +227,7 @@ def _suspend_functor(F):
 
 def test_comparison_naturality():
     comparisons = {
-        m: S.suspension_comparison(T.ordinal(m), bound=4) for m in range(3)
+        m: suspension_comparison(T.ordinal(m), bound=4) for m in range(3)
     }
     for a in range(3):
         for b in range(3):

@@ -138,6 +138,16 @@ def test_suspend_malformed_file_exits_2(tmp_path, capsys):
     assert "gens" in capsys.readouterr().err
 
 
+def test_suspend_of_vertices_given_as_a_str_exits_2(tmp_path, capsys):
+    # "01" loaded as the vertices 0 and 1
+    data = M.msset_to_json(M.standard_simplex(1, bound=3))
+    data["gens"]["0"] = "01"
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps(data))
+    assert main(["suspend", "--input", str(src)]) == 2
+    assert "must be a JSON array" in capsys.readouterr().err
+
+
 def test_suspend_of_faces_for_a_vertex_exits_2(tmp_path, capsys):
     data = M.msset_to_json(M.standard_simplex(1, bound=3))
     data["faces"]["0"] = [{"gen": "0", "word": []}, {"gen": "1", "word": []}]
@@ -205,6 +215,21 @@ def test_lmap_of_malformed_presentation_exits_2(tmp_path, capsys):
     pres.write_text(json.dumps({"schema": "theta/1"}))
     assert main(["lmap", "--presentation", str(pres), "--bound", "3"]) == 2
     assert "cells" in capsys.readouterr().err
+
+
+def test_lmap_of_presentation_with_object_images_as_a_list_exits_2(tmp_path, capsys):
+    # [["0", "0"]] loaded as {"0": "0"}
+    from theta2kit import theta as TH
+
+    point = T.Theta2Shape(0, ())
+    F = T.shape_functor(point, point, [0])
+    W = TH.Theta2Presentation((TH.BoxCell(point),) * 2, ((0, 1, F, (0,)),))
+    data = TH.presentation_to_json(W)
+    data["arrows"][0]["functor"]["on_objects"] = [["0", "0"]]
+    pres = tmp_path / "w.json"
+    pres.write_text(json.dumps(data))
+    assert main(["lmap", "--presentation", str(pres), "--bound", "3"]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_lmap_of_presentation_with_a_stray_functor_table_exits_2(tmp_path, capsys):

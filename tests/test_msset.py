@@ -959,6 +959,28 @@ def test_json_rejects_malformed_values():
         M.msset_from_json([])
 
 
+def _json_of_an_edge():
+    """An edge e: a -> b, marked, as msset/1 JSON."""
+    return {"schema": "msset/1", "bound": 1, "gens": {"0": ["a", "b"], "1": ["e"]},
+            "faces": {"e": [{"gen": "b", "word": []}, {"gen": "a", "word": []}]},
+            "marked": ["e"]}
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda d: d["gens"].update({"0": "ab"}), id="vertices a str"),
+    pytest.param(lambda d: d["gens"].update({"1": {"e": 0}}), id="edges an object"),
+    pytest.param(lambda d: d.update(marked="e"), id="marked a str"),
+])
+def test_json_rejects_a_str_or_an_object_for_an_array(damage):
+    # each loaded: "ab" as the vertices a and b, {"e": 0} as the edge e,
+    # "e" as the marked set {"e"}
+    data = _json_of_an_edge()
+    assert M.msset_from_json(data).counts() == (2, 1)
+    damage(data)
+    with pytest.raises(ValueError, match="must be a JSON array"):
+        M.msset_from_json(data)
+
+
 def _json_with_a_degenerate_face():
     """The nerve of the free 2-cell as JSON, and a face entry in it whose
     degeneracy word is [0]."""

@@ -516,3 +516,48 @@ def test_body_name_scan_sees_every_form(tmp_path):
     named, called = _function_body_names(path, "f")
     assert named == {"g", "TH", "h", "x", "Cell", "mod", "Attr"}
     assert called == {"g", "h"}
+
+
+# the helpers that spell each id format, by the module that defines the
+# format: twocat the cells of its shapes and the keys of its JSON, msset
+# the simplices of standard simplices and the pairs of products, nerves
+# the raw simplices of nerves and their index tables
+ID_HELPERS = {
+    "twocat": ("_enc", "_mid", "_json_key"),
+    "msset": ("_simplex_key", "_pair_id"),
+    "nerves": ("_key_fn", "_ref", "_pairs", "_triples", "_pidx", "_tidx"),
+}
+
+
+def _foreign_id_helpers(paths):
+    """Where a path names an id helper of a module other than its own (see
+    `_namers`), as 'file:line:helper'."""
+    return [
+        f"{path.name}:{hit.split(':')[0]}:{name}"
+        for path in paths
+        for owner, names in ID_HELPERS.items() if path.stem != owner
+        for name in names
+        for hit in _namers(path, name)
+    ]
+
+
+def test_each_id_format_is_spelled_by_its_owner_alone():
+    # theta, suspension and cli build no other module's ids: they call the
+    # constructors of the module that defines the format, or read the ids
+    # off the objects that hold them
+    for owner, names in ID_HELPERS.items():
+        (path,) = [p for p in SOURCES if p.stem == owner]
+        assert all(_names(path, name) for name in names), owner
+    assert _foreign_id_helpers(SOURCES) == []
+
+
+def test_id_helper_scan_sees_names_aliases_and_attributes(tmp_path):
+    mod, owner = tmp_path / "theta.py", tmp_path / "nerves.py"
+    mod.write_text(
+        "from .nerves import _key_fn as k\nfrom . import nerves\n"
+        "x = nerves._pairs(3)\ndef f(t):\n    return _enc(t)\n"
+        "y = _tidx_size, pairs\n"
+    )
+    owner.write_text("def _key_fn(raw, n):\n    return _pidx(n)\n")
+    assert _foreign_id_helpers([mod, owner]) == [
+        "theta.py:5:_enc", "theta.py:1:_key_fn", "theta.py:3:_pairs"]

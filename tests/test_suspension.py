@@ -4,6 +4,7 @@ from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import suspension as S
 from theta2kit import twocat as T
+from theta2kit import suspension_comparison
 
 
 def _corpus():
@@ -129,13 +130,13 @@ def _comparison_categories():
 
 def test_comparison_validates():
     for C in _comparison_categories():
-        f = S.suspension_comparison(C, bound=4)
+        f = suspension_comparison(C, bound=4)
         assert M.validate_map(f).ok, C.objects
 
 
 def test_comparison_injective_on_low_generators():
     for C in _comparison_categories():
-        f = S.suspension_comparison(C, bound=4)
+        f = suspension_comparison(C, bound=4)
         seen = set()
         for n in range(3):
             for g in f.source.gens_at(n):
@@ -146,7 +147,7 @@ def test_comparison_injective_on_low_generators():
 
 
 def test_comparison_is_iso_for_the_point():
-    f = S.suspension_comparison(T.ordinal(0), bound=4)
+    f = suspension_comparison(T.ordinal(0), bound=4)
     assert M.is_iso(f)
 
 
@@ -173,7 +174,7 @@ def _suspend_functor(F):
 def test_comparison_naturality_squares():
     bound = 4
     comparisons = {
-        m: S.suspension_comparison(T.ordinal(m), bound=bound) for m in range(3)
+        m: suspension_comparison(T.ordinal(m), bound=bound) for m in range(3)
     }
     for a in range(3):
         for b in range(3):
@@ -188,7 +189,7 @@ def test_comparison_naturality_squares():
 @pytest.mark.parametrize("C", [T.ordinal(0), T.ordinal(2), T.free_iso()])
 def test_comparison_at_bound_zero_is_the_two_vertices(C):
     # C's nerve one dimension down is empty, and no nerve is built there
-    f = S.suspension_comparison(C, bound=0)
+    f = suspension_comparison(C, bound=0)
     assert f.source.bound == f.target.bound == 0
     assert f.source.gens == {0: ("bot", "top")}
     assert f.target.counts() == (2,)
@@ -199,4 +200,4 @@ def test_comparison_at_bound_zero_is_the_two_vertices(C):
 @pytest.mark.parametrize("bound", [-1, 2.5, True])
 def test_comparison_rejects_bad_bounds(bound):
     with pytest.raises(ValueError):
-        S.suspension_comparison(T.ordinal(1), bound=bound)
+        suspension_comparison(T.ordinal(1), bound=bound)

@@ -42,6 +42,16 @@ def test_parse_shape():
         TH.parse_shape("2|1")
 
 
+def test_theta_resolves_the_constructors_it_imports():
+    # shape functors and shape names are twocat's, simplex maps msset's and
+    # the suspension comparison nerves'; the older paths still resolve
+    import theta2kit
+
+    assert (TH.shape_functor, TH.parse_shape) == (T.shape_functor, T.parse_shape)
+    assert TH.simplex_map is M.simplex_map
+    assert theta2kit.suspension_comparison is N.suspension_comparison
+
+
 def test_presentation_validates_level_maps():
     cells = (TH.BoxCell(POINT, 1), TH.BoxCell(POINT, 0))
     F = TH.shape_functor(POINT, POINT, [0])
@@ -337,8 +347,8 @@ def test_each_constructor_builds_each_shape_once(monkeypatch, make, most):
     # its functors; a vertical map builds its horizontal map's shapes, then
     # the suspended ones, so [1|0] is built once in each
     built = []
-    build = TH.theta2_object
-    monkeypatch.setattr(TH, "theta2_object", lambda shape: built.append(shape) or build(shape))
+    build = T.theta2_object
+    monkeypatch.setattr(T, "theta2_object", lambda shape: built.append(shape) or build(shape))
     P = make()
     assert built and max(collections.Counter(built).values()) == most
     shared = {}
@@ -776,6 +786,11 @@ def _functor(d):
                  id="not a 2-functor"),
     pytest.param(lambda d: _functor(d)["hom"].update({"0": {"one": {}, "two": {}}}),
                  id="hom key of one object"),
+    # these two loaded: dict() took each list of pairs for its dict
+    pytest.param(lambda d: _functor(d).update(on_objects=list(_functor(d)["on_objects"].items())),
+                 id="on_objects a list"),
+    pytest.param(lambda d: [h.update(one=list(h["one"].items()))
+                            for h in _functor(d)["hom"].values()], id="hom maps lists"),
 ])
 def test_presentation_json_rejects_malformed_data(damage):
     data = TH.presentation_to_json(TH.vertical_segal(2).source)

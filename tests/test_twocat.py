@@ -1961,6 +1961,10 @@ def test_two_category_json_rejects_bad_schema():
                  id="hcompose1 key of two objects"),
     pytest.param(lambda d: d["hcompose2"]["0|0|1"].append([1]),
                  id="hcompose2 entry of one cell"),
+    # these two loaded as the free 2-cell: tuple() took "01" apart, and
+    # dict() the list of pairs
+    pytest.param(lambda d: d.update(objects="01"), id="objects a str"),
+    pytest.param(lambda d: d.update(unit1=list(d["unit1"].items())), id="unit1 a list"),
 ])
 def test_two_category_json_rejects_malformed_data(damage):
     data = T.two_category_to_json(T.cell(2))
@@ -1988,6 +1992,21 @@ def test_category_json_rejects_ids_that_are_not_strings(data):
     # each of these loaded, and validate_category then raised TypeError
     # or the int ids broke every sort of mixed ids
     with pytest.raises(ValueError, match="is not a string"):
+        T.category_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(dict(_one_loop(), objects="a"), id="objects a str"),
+    pytest.param(dict(_one_loop(), morphisms={"i": "aa"}), id="ends a str"),
+    pytest.param(dict(_one_loop(), identity=["ai"]), id="identity a list"),
+    pytest.param(dict(_one_loop(), compose=["iii"]), id="composition a str"),
+    pytest.param(dict(_one_loop(), compose={"iii": 0}), id="compose an object"),
+])
+def test_category_json_rejects_a_str_or_a_list_for_the_other_kind(data):
+    # each loaded as the one loop, and validate_category passed: tuple()
+    # and dict() took the str, or the list of pairs, apart
+    assert T.validate_category(T.category_from_json(_one_loop())).ok
+    with pytest.raises(ValueError, match="must be a JSON (array|object)"):
         T.category_from_json(data)
 
 
