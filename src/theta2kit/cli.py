@@ -1,5 +1,9 @@
 """Command-line front end: nerves, suspensions, L-images, paper checks.
 
+`--bound` defaults to `msset.DEFAULT_BOUND`; `lmap --ks k1,...,km` gives
+horizontal-segal its m.  An object spec ("[300]", "Sigma [3000]") whose tables,
+as twocat's size rules count them, pass a nerve's default limit exits 3 unbuilt.
+
 `verify NAME` runs one row of `CHECKS`, with --json and that row's flags only:
   eq3-pushout: Δ[3]eq is a pushout of marked edges on the nerve of [3]
   hom-bijection --max-m 3 --max-k 2 --max-j 3: maps [i|j,…,j] → θ number
@@ -18,8 +22,6 @@ import hashlib
 import inspect
 import itertools
 import json
-import math
-import os
 import random
 import sys
 import time
@@ -27,24 +29,11 @@ import time
 from . import msset, nerves, suspension, theta, twocat
 from .msset import ResourceLimitError
 
-DEFAULT_BOUND = msset.DEFAULT_BOUND
 _NERVE_LIMIT = inspect.signature(nerves.nerve).parameters["limit"].default
-
-
-def _bound(args) -> int:
-    if args.bound is not None:
-        return args.bound
-    env = os.environ.get("THETA2KIT_BOUND")
-    return int(env) if env else DEFAULT_BOUND
 
 
 class SpecError(ValueError):
     pass
-
-
-def _compose_size(n: int) -> int:
-    """How many i <= j <= l the ordinal [n] has: its compose table's size."""
-    return math.comb(max(n + 3, 0), 3)
 
 
 def _plain(text: str):
@@ -56,10 +45,9 @@ def _plain(text: str):
 def parse_object(spec: str) -> twocat.Fin2Category:
     """Object mini-grammar: [m|k1,...,km], [m], C0|C1|C2, I, Sigma <spec>.
 
-    A shape or ordinal whose eager tables would pass a nerve's default
-    limit raises ResourceLimitError before any is built.  A shape's are
-    the object triples i <= j <= l, each with the slices ks[i:j] and
-    ks[j:l], and the compose table of each distinct slice's poset."""
+    A shape or ordinal whose eager tables (`twocat.theta2_object_size`,
+    `twocat.ordinal_size`) would pass a nerve's default limit raises
+    ResourceLimitError before any is built."""
     text = spec.strip()
     if text.startswith("Sigma"):
         return twocat.suspend_category(_parse_1cat(text[len("Sigma"):]))
@@ -68,19 +56,14 @@ def parse_object(spec: str) -> twocat.Fin2Category:
     if text == "I":
         return twocat.as_two_category(twocat.free_iso())
     try:
-        if (n := _plain(text)) is not None:  # [n|0,...,0]: checked before n zeros are made
-            msset._Guard(_NERVE_LIMIT, "theta2_object").step(_compose_size(n))
+        if (n := _plain(text)) is not None:  # [n]'s triples, before n zeros are made
+            msset._Guard(_NERVE_LIMIT, "theta2_object").step(twocat.ordinal_size(n))
         shape = twocat.parse_shape(text)
     except ValueError as e:
         raise SpecError(str(e)) from e
-    m, ks, guard = shape.m, shape.ks, msset._Guard(_NERVE_LIMIT, "theta2_object")
-    # each triple i <= j <= l holds l - i slice elements, 2 C(m + 3, 4) in all
-    guard.step(_compose_size(m) + 2 * math.comb(m + 3, 4))
-    sizes = {(): 1}  # each distinct slice of ks -> its poset's compose table
-    for i in range(m):
-        for j in range(i + 1, m + 1):
-            sizes[ks[i:j]] = sizes[ks[i:j - 1]] * _compose_size(ks[j - 1])
-    guard.step(sum(sizes.values()))
+    guard = msset._Guard(_NERVE_LIMIT, "theta2_object")
+    for part in twocat.theta2_object_size(shape):  # a huge m stops at the first part
+        guard.step(part)
     return twocat.theta2_object(shape)
 
 
@@ -89,7 +72,7 @@ def _parse_1cat(text: str) -> twocat.FinCategory:
     if text == "I":
         return twocat.free_iso()
     if (n := _plain(text)) is not None:
-        msset._Guard(_NERVE_LIMIT, "ordinal").step(_compose_size(n))
+        msset._Guard(_NERVE_LIMIT, "ordinal").step(twocat.ordinal_size(n))
         return twocat.ordinal(n)
     raise SpecError(f"cannot parse 1-category spec {text!r}")
 
@@ -109,9 +92,7 @@ def _emit(data: dict, path):
 
 
 def cmd_nerve(args) -> int:
-    D = parse_object(args.object)
-    bound = _bound(args)
-    X = nerves.nerve(D, args.marking, bound)
+    X = nerves.nerve(parse_object(args.object), args.marking, args.bound)
     _emit(msset.msset_to_json(X), args.out)
     return 0
 
@@ -139,20 +120,19 @@ def _map_to_json(f: msset.MSSetMap) -> dict:
 
 
 def cmd_lmap(args) -> int:
-    bound = _bound(args)
     if args.presentation:
         with open(args.presentation) as fh:
             W = theta.presentation_from_json(json.load(fh))
-        _emit(msset.msset_to_json(theta.apply_L(W, bound)), args.out)
+        _emit(msset.msset_to_json(theta.apply_L(W, args.bound)), args.out)
         return 0
     if not args.kind:
         raise SpecError("lmap needs --kind or --presentation")
     kind = args.kind.replace("-", "_")
     ks = tuple(int(t) for t in args.ks.split(",")) if args.ks else ()
     # the parameters of the kinds that take any; theta dispatches on kind
-    params = {"vertical_segal": (args.k,), "horizontal_segal": (args.m, ks)}
+    params = {"vertical_segal": (args.k,), "horizontal_segal": (len(ks), ks)}
     P = theta.elementary_cofibration(kind, *params.get(kind, ()))
-    f = theta.apply_L_map(P, bound)
+    f = theta.apply_L_map(P, args.bound)
     prefix = args.out or "lmap"
     _emit(msset.msset_to_json(f.source), f"{prefix}.source.json")
     _emit(msset.msset_to_json(f.target), f"{prefix}.target.json")
@@ -301,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--object", required=True)
     pn.add_argument("--marking", choices=["rs", "duskin", "scaled"],
                     default="rs")
-    pn.add_argument("--bound", type=int, default=None)
+    pn.add_argument("--bound", type=int, default=msset.DEFAULT_BOUND)
     pn.add_argument("--out", default=None)
     pn.set_defaults(run=cmd_nerve, parser=pn)
 
@@ -313,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("lmap", help="L of a cofibration or presentation")
     pl.add_argument("--kind", default=None)
     pl.add_argument("--k", type=int, default=1)
-    pl.add_argument("--m", type=int, default=1)
-    pl.add_argument("--ks", default=None)
+    pl.add_argument("--ks", default=None, help="k_1,...,k_m of horizontal-segal: m is "
+                    "their number, and none gives the m = 0 map")
     pl.add_argument("--presentation", default=None)
-    pl.add_argument("--bound", type=int, default=None)
+    pl.add_argument("--bound", type=int, default=msset.DEFAULT_BOUND)
     pl.add_argument("--out", default=None)
     pl.set_defaults(run=cmd_lmap, parser=pl)
 

@@ -598,22 +598,21 @@ def _nerve_assignment(F: TwoFunctor, raws, Y: MarkedSSet):
     return assignment
 
 
-def suspension_comparison(C: FinCategory, bound=None):
+def suspension_comparison(C: FinCategory, bound=DEFAULT_BOUND):
     """The canonical map from the suspended nerve of C to the nerve of the
     suspension 2-category SC of C, whose objects, unit 1-cell and identity
     2-cell on the top are read off SC's tables."""
     if not C.objects:
         raise ValueError("the comparison needs a nonempty category")
-    target_bound = bound if bound is not None else DEFAULT_BOUND
     SC = suspend_category(C)
-    N = rs_nerve(SC, target_bound)
-    if target_bound == 0:
+    N = rs_nerve(SC, bound)
+    if bound == 0:
         # the nerve of C one dimension down has no simplices
         NC, raws = empty_msset(0), []
     else:
         C2 = as_two_category(C)
-        NC = rebound(rs_nerve(C2, target_bound - 1), target_bound)
-        raws = _cached_raws(C2, target_bound - 1)
+        NC = rebound(rs_nerve(C2, bound - 1), bound)
+        raws = _cached_raws(C2, bound - 1)
     SNC = suspend_marked(NC)
     bot, top = SC.objects
     unit = SC.unit1[top]

@@ -475,12 +475,12 @@ def presentation_from_json(data: dict) -> Theta2Presentation:
         cells = tuple(
             BoxCell(parse_shape(c["shape"]), c["level"]) for c in data["cells"]
         )
-        arrows = []
+        arrows, shapes = [], {}
         for a in data["arrows"]:
             i, j = a["src"], a["dst"]
             _check_endpoint(i, cells)
             _check_endpoint(j, cells)
-            F = _functor_from_json(a["functor"], cells[i].shape, cells[j].shape)
+            F = _functor_from_json(shapes, a["functor"], cells[i].shape, cells[j].shape)
             arrows.append((i, j, F, tuple(a["level_map"])))
         return Theta2Presentation(cells, tuple(arrows))
     except (AttributeError, KeyError, TypeError, ValueError) as e:

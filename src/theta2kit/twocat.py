@@ -239,6 +239,11 @@ def ordinal(m: int) -> FinCategory:
     return FinCategory(objects, morphisms, identity, compose)
 
 
+def ordinal_size(m: int) -> int:
+    """The entries of `ordinal(m)`'s compose table, one per i <= j <= l."""
+    return math.comb(max(m + 3, 0), 3)
+
+
 def free_iso() -> FinCategory:
     """The free-living isomorphism: two objects, two mutually inverse arrows."""
     objects = ("a", "b")
@@ -853,12 +858,8 @@ def theta2_object(shape: Theta2Shape) -> Fin2Category:
     objects = tuple(str(i) for i in range(m + 1))
     # one slice ks[i:j] per (i, j), shared by every triple that holds it
     cut = {(i, j): ks[i:j] for i in range(m + 1) for j in range(i, m + 1)}
-    built = {}  # ks slice -> its _poset tables
-    hom = {}
-    for (i, j), s in cut.items():
-        if s not in built:
-            built[s] = _poset(s)
-        hom[(objects[i], objects[j])] = built[s][3]
+    built = {s: _poset(s) for s in dict.fromkeys(cut.values())}  # per distinct slice
+    hom = {(objects[i], objects[j]): built[s][3] for (i, j), s in cut.items()}
     triples = {
         (objects[i], objects[j], objects[l]): (cut[i, j], cut[j, l])
         for i in range(m + 1)
@@ -872,6 +873,20 @@ def theta2_object(shape: Theta2Shape) -> Fin2Category:
         _LazyTable(triples, partial(_hcompose2, built)),
         {x: _enc(()) for x in objects},
     )
+
+
+def theta2_object_size(shape: Theta2Shape):
+    """Yield the entries `theta2_object(shape)` holds before any lookup in two
+    parts: one per object triple i <= j <= l and per element of the slice
+    ks[i:j] of each i <= j, from m alone; then each distinct slice's compose
+    table, so a guard charged part by part stops a huge m before that."""
+    m, ks = shape.m, shape.ks
+    yield ordinal_size(m) + math.comb(m + 2, 3)
+    compose = {(): 1}  # each distinct slice of ks -> its poset's compose size
+    for i in range(m):
+        for j in range(i + 1, m + 1):
+            compose[ks[i:j]] = compose[ks[i:j - 1]] * ordinal_size(ks[j - 1])
+    yield sum(compose.values())
 
 
 def cell(j: int) -> Fin2Category:
@@ -1218,12 +1233,19 @@ def shape_functor(src: Theta2Shape, dst: Theta2Shape, obj_images,
     return _shape_functor({}, src, dst, obj_images, seg_images)
 
 
+def _shape_object(shapes: dict, shape: Theta2Shape) -> Fin2Category:
+    """theta2_object(shape) from shapes, a dict {Theta2Shape: theta2_object}
+    that the caller holds, built into it when missing."""
+    if shape not in shapes:
+        shapes[shape] = theta2_object(shape)
+    return shapes[shape]
+
+
 def _shape_functor(shapes: dict, src: Theta2Shape, dst: Theta2Shape, obj_images,
                    seg_images=None) -> TwoFunctor:
     """`shape_functor`, with the pasting 2-categories of src and dst read
-    from shapes, a dict {Theta2Shape: theta2_object} that the calling
-    constructor holds, and built into it when missing; so a constructor
-    builds each shape once, however many functors it makes."""
+    from shapes (see `_shape_object`), so a constructor builds each shape
+    once, however many functors it makes."""
     obj_images = list(obj_images)
     seg_images = list(seg_images or ())
     if len(obj_images) != src.m + 1:
@@ -1234,10 +1256,7 @@ def _shape_functor(shapes: dict, src: Theta2Shape, dst: Theta2Shape, obj_images,
         raise ValueError(f"object images {obj_images} not monotone")
     if len(seg_images) != src.m:
         raise ValueError(f"{src} has {src.m} segments, not {len(seg_images)} image lists")
-    for shape in (src, dst):
-        if shape not in shapes:
-            shapes[shape] = theta2_object(shape)
-    D, E = shapes[src], shapes[dst]
+    D, E = _shape_object(shapes, src), _shape_object(shapes, dst)
     on_objects = {str(i): str(obj_images[i]) for i in range(src.m + 1)}
     tables = {}
     for t in range(1, src.m + 1):
@@ -1371,12 +1390,10 @@ def _functor_to_json(F: TwoFunctor, src_shape, dst_shape):
     }
 
 
-def _functor_from_json(data, src_shape, dst_shape) -> TwoFunctor:
+def _functor_from_json(shapes: dict, data, src_shape, dst_shape) -> TwoFunctor:
     """The 2-functor of a theta/1 functor entry, which must join the two
-    shapes; ValueError unless it is one."""
-    if (parse_shape(data["source"]), parse_shape(data["target"])) != (
-        src_shape, dst_shape
-    ):
+    shapes, read from shapes (see `_shape_object`); ValueError otherwise."""
+    if (parse_shape(data["source"]), parse_shape(data["target"])) != (src_shape, dst_shape):
         raise ValueError(
             f"functor {data['source']} -> {data['target']} does not join "
             f"{src_shape} and {dst_shape}"
@@ -1385,7 +1402,8 @@ def _functor_from_json(data, src_shape, dst_shape) -> TwoFunctor:
                                      for part in ("one", "two"))
               for k, v in data["hom"].items()}
     on_objects = dict(_json_value(data["on_objects"], "object", "on_objects"))
-    F = TwoFunctor(theta2_object(src_shape), theta2_object(dst_shape), on_objects, tables)
+    D, E = _shape_object(shapes, src_shape), _shape_object(shapes, dst_shape)
+    F = TwoFunctor(D, E, on_objects, tables)
     report = validate_two_functor(F)
     if not report.ok:
         raise ValueError(f"not a 2-functor: {report.violations[0]}")

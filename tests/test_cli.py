@@ -64,11 +64,12 @@ def test_nerve_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_bound_env_variable(capsys, monkeypatch):
+def test_bound_defaults_to_the_library_bound_whatever_the_environment(capsys, monkeypatch):
+    # --bound is the one way to set the bound
     monkeypatch.setenv("THETA2KIT_BOUND", "3")
-    main(["nerve", "--object", "[1|0]"])
+    assert main(["nerve", "--object", "[1|0]"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert M.msset_from_json(data).bound == 3
+    assert M.msset_from_json(data).bound == M.DEFAULT_BOUND == 5
 
 
 def test_bad_object_spec_exits_2(capsys):
@@ -79,7 +80,7 @@ def test_bad_object_spec_exits_2(capsys):
 @pytest.mark.parametrize("spec, operation", [
     ("Sigma [3000]", "ordinal"), ("[1|3000]", "theta2_object"),
     ("[3000]", "theta2_object"), ("Sigma [99999999999]", "ordinal"),
-    ("[99999999999]", "theta2_object"), ("[100]", "theta2_object"),
+    ("[99999999999]", "theta2_object"), ("[300]", "theta2_object"),
 ])
 def test_object_spec_too_large_to_build_exits_3(spec, operation, capsys):
     t0 = time.perf_counter()
@@ -104,12 +105,17 @@ def test_parse_object_charges_the_tables_it_builds(spec, monkeypatch):
         built = len(D.hom[("bot", "top")].compose) if ("bot", "top") in D.hom else 0
     elif spec in ("C2", "I"):
         built = None  # built from fixed tables, so nothing is charged
-    else:
+    else:  # one slice per (i, j), shared by every triple that holds it
         triples = D.hcompose1._keys  # (i, j, l) -> (ks[i:j], ks[j:l])
+        slices = {t[:2]: s for t, (s, _) in triples.items()}
         posets = {id(H): len(H.compose) for H in D.hom.values()}
-        built = (len(triples) + sum(len(s) + len(t) for s, t in triples.values())
-                 + sum(posets.values()))
+        built = len(triples) + sum(map(len, slices.values())) + sum(posets.values())
     assert (guards[-1].count if guards else None) == built
+
+
+def test_parse_object_builds_a_hundred_object_chain():
+    # refused at exit 3 while each triple was charged its own slices
+    assert len(parse_object("[100]").objects) == 101
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +202,29 @@ def test_lmap_writes_three_cross_referenced_files(tmp_path):
     )
     assert M.validate_map(f).ok
     assert M.is_mono(f)
+
+
+@pytest.mark.parametrize("ks_args, m, ks", [(["--ks", "1,0"], 2, (1, 0)), ([], 0, ())],
+                         ids=["ks 1,0", "no ks"])
+def test_lmap_horizontal_segal_takes_m_from_its_ks(ks_args, m, ks, tmp_path):
+    from theta2kit import theta as TH
+    from theta2kit.cli import _map_to_json
+
+    assert main(["lmap", "--kind", "horizontal-segal", *ks_args, "--bound", "3",
+                 "--out", str(tmp_path / "hs")]) == 0
+    f = TH.apply_L_map(TH.horizontal_segal(m, ks), 3)
+    written = [json.loads((tmp_path / f"hs.{part}.json").read_text())
+               for part in ("source", "target", "map")]
+    assert written == [M.msset_to_json(f.source), M.msset_to_json(f.target), _map_to_json(f)]
+
+
+def test_lmap_has_no_m_flag(tmp_path, capsys):
+    # m is the number of --ks entries, so no second flag can disagree with it
+    out = tmp_path / "x"
+    assert main(["lmap", "--kind", "horizontal-segal", "--m", "2", "--ks", "1,0",
+                 "--out", str(out)]) == 2
+    assert "unrecognized arguments: --m 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lmap_of_presentation_file(tmp_path, capsys):

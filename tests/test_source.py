@@ -561,3 +561,33 @@ def test_id_helper_scan_sees_names_aliases_and_attributes(tmp_path):
     owner.write_text("def _key_fn(raw, n):\n    return _pidx(n)\n")
     assert _foreign_id_helpers([mod, owner]) == [
         "theta.py:5:_enc", "theta.py:1:_key_fn", "theta.py:3:_pairs"]
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(path):
+    """The lines of path that read the process environment: os.environ or
+    os.getenv (or their bytes forms), read off os or imported from it."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+            and getattr(node.value, "id", None) == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in _ENVIRONMENT for a in node.names))
+    })
+
+
+def test_library_reads_no_environment_variable():
+    # a flag or a parameter is the one way to set each value
+    found = [f"{path.name}:{line}" for path in SOURCES for line in _environment_reads(path)]
+    assert found == []
+
+
+def test_environment_scan_sees_attribute_reads_and_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import os\nx = os.environ.get('A')\nfrom os import getenv\ny = getenv('B')\n"
+        "z = os.path.join('a', 'b')\nenviron = {}\nfrom os import path, environ as e\n"
+    )
+    assert _environment_reads(path) == [2, 3, 7]

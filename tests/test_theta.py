@@ -357,6 +357,19 @@ def test_each_constructor_builds_each_shape_once(monkeypatch, make, most):
             assert shared.setdefault(D.signature, D) is D
 
 
+def test_presentation_loader_builds_each_shape_once(monkeypatch):
+    # vertical_segal(3).source has 4 arrows over 2 distinct shapes; each
+    # arrow built both its shapes anew, 8 theta2_object calls in all
+    W = TH.vertical_segal(3).source
+    data = TH.presentation_to_json(W)
+    built = []
+    build = T.theta2_object
+    monkeypatch.setattr(T, "theta2_object", lambda shape: built.append(shape) or build(shape))
+    V = TH.presentation_from_json(data)
+    assert len(built) == len(set(built)) == 2
+    assert V == W and TH.presentation_to_json(V) == data
+
+
 def test_suspend_rejects_cells_with_nonzero_ks():
     with pytest.raises(ValueError, match="suspended"):
         TH._suspend(TH.horizontal_segal(1, (1,)))

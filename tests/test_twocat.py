@@ -748,6 +748,28 @@ def test_theta2_object_holds_one_slice_per_pair_of_objects():
         assert s is triples[(i, j, "4")][0] and t is triples[(j, l, "4")][0]
 
 
+def _held_entries(D):
+    """What theta2_object's D holds before any lookup, in two parts: one
+    entry per object triple and the elements of the one slice per (i, j);
+    then the compose table of each distinct hom's poset."""
+    triples = D.hcompose1._keys  # (i, j, l) -> (ks[i:j], ks[j:l])
+    slices = {t[:2]: s for t, (s, _) in triples.items()}
+    posets = {id(H): len(H.compose) for H in D.hom.values()}
+    return len(triples) + sum(map(len, slices.values())), sum(posets.values())
+
+
+@pytest.mark.parametrize("shape", [T.Theta2Shape(m, ks) for m in range(3)
+                                   for ks in itertools.product(range(3), repeat=m)]
+                         + [T.Theta2Shape(m, (0,) * m) for m in range(3, 41)], ids=str)
+def test_theta2_object_size_counts_the_tables_it_holds(shape):
+    assert tuple(T.theta2_object_size(shape)) == _held_entries(T.theta2_object(shape))
+
+
+def test_ordinal_size_counts_its_compose_table():
+    assert [T.ordinal_size(n) for n in range(-1, 41)] == [
+        len(T.ordinal(n).compose) for n in range(-1, 41)]
+
+
 def test_theta2_object_tables_are_mappings():
     th = T.theta2_object(T.Theta2Shape(2, (1, 2)))
     want = _theta2_object_by_comparison(T.Theta2Shape(2, (1, 2)))
