@@ -1,8 +1,9 @@
 """Command-line front end: nerves, suspensions, L-images, paper checks.
 
-`--bound` defaults to `msset.DEFAULT_BOUND`; `lmap --ks k1,...,km` gives
-horizontal-segal its m.  An object spec ("[300]", "Sigma [3000]") whose tables,
-as twocat's size rules count them, pass a nerve's default limit exits 3 unbuilt.
+`--bound` defaults to `msset.DEFAULT_BOUND`; `lmap --kind K` takes the flags K's
+builder names (`--ks k1,...,km` gives horizontal-segal its m).  An object spec
+("[300]", "Sigma [3000]") whose tables, as twocat's size rules count them, pass
+a nerve's default limit exits 3 unbuilt.
 
 `verify NAME` runs one row of `CHECKS`, with --json and that row's flags only:
   eq3-pushout: Δ[3]eq is a pushout of marked edges on the nerve of [3]
@@ -10,8 +11,8 @@ as twocat's size rules count them, pass a nerve's default limit exits 3 unbuilt.
     as the fiber-product formula says
   simplicial-identities --fuzz 200 --seed 0: fuzzed constructions validate
   l-representables: L of each representable is iso to its rs nerve
-Exit codes, which `main` returns: 0 success, 1 a failed check, 2 argument or
-parse errors (a flag the named check does not take among them), 3 guard errors.
+Exit codes, which `main` returns: 0 success, 1 a failed check, 2 argument or parse
+errors (a flag the named check or lmap kind does not take among them), 3 guard errors.
 """
 
 from __future__ import annotations
@@ -119,19 +120,33 @@ def _map_to_json(f: msset.MSSetMap) -> dict:
     }
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and add its dest to the namespace's `given`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 def cmd_lmap(args) -> int:
+    kind = args.kind and args.kind.replace("-", "_")
+    # a kind takes the flags its builder's parameters name (m is the number
+    # of ks), a presentation none; any other exits 2 with lmap's usage
+    names = () if args.presentation or not kind else tuple(
+        inspect.signature(theta.cofibration_builder(kind)).parameters)
+    if stray := args.given - (set() if args.presentation else {"kind", *names}):
+        what = "--presentation" if args.presentation else f"--kind {args.kind}"
+        args.parser.error(f"{what} takes no {' '.join('--' + d for d in sorted(stray))}")
     if args.presentation:
         with open(args.presentation) as fh:
             W = theta.presentation_from_json(json.load(fh))
         _emit(msset.msset_to_json(theta.apply_L(W, args.bound)), args.out)
         return 0
-    if not args.kind:
+    if not kind:
         raise SpecError("lmap needs --kind or --presentation")
-    kind = args.kind.replace("-", "_")
     ks = tuple(int(t) for t in args.ks.split(",")) if args.ks else ()
-    # the parameters of the kinds that take any; theta dispatches on kind
-    params = {"vertical_segal": (args.k,), "horizontal_segal": (len(ks), ks)}
-    P = theta.elementary_cofibration(kind, *params.get(kind, ()))
+    values = {"k": args.k, "ks": ks, "m": len(ks)}
+    P = theta.elementary_cofibration(kind, *(values[name] for name in names))
     f = theta.apply_L_map(P, args.bound)
     prefix = args.out or "lmap"
     _emit(msset.msset_to_json(f.source), f"{prefix}.source.json")
@@ -291,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(run=cmd_suspend, parser=ps)
 
     pl = sub.add_parser("lmap", help="L of a cofibration or presentation")
-    pl.add_argument("--kind", default=None)
-    pl.add_argument("--k", type=int, default=1)
-    pl.add_argument("--ks", default=None, help="k_1,...,k_m of horizontal-segal: m is "
-                    "their number, and none gives the m = 0 map")
+    pl.add_argument("--kind", action=_Given, default=None)
+    pl.add_argument("--k", action=_Given, type=int, default=1, help="k of vertical-segal")
+    pl.add_argument("--ks", action=_Given, default=None, help="k_1,...,k_m of "
+                    "horizontal-segal: m is their number, and none gives the m = 0 map")
     pl.add_argument("--presentation", default=None)
     pl.add_argument("--bound", type=int, default=msset.DEFAULT_BOUND)
     pl.add_argument("--out", default=None)
-    pl.set_defaults(run=cmd_lmap, parser=pl)
+    pl.set_defaults(run=cmd_lmap, parser=pl, given=frozenset())
 
     pv = sub.add_parser("verify", help="run one check of the paper")
     names = pv.add_subparsers(dest="name", metavar="CHECK", required=True)

@@ -157,11 +157,22 @@ def _face_layer(X: MarkedSSet, refs, n):
     return out
 
 
-def _structure_problems(X: MarkedSSet):
-    """Generators, face counts, face targets and marks that are malformed,
-    generator ids listed more than once, and faces listed for an id that
-    is not a generator of dimension >= 1."""
-    problems = []
+def _non_strings(ids, kind=lambda x: isinstance(x, str) or None):
+    """The problem "id ... is not a string" for each distinct id in ids of
+    no `kind` (by default, each that is not a str)."""
+    return [f"id {r} is not a string" for r in dict.fromkeys(
+        repr(x) for x in ids if kind(x) is None)]
+
+
+def validate_msset(X: MarkedSSet):
+    """Exhaustive invariant check; returns a Report with witnesses.  In
+    three stages, each run only if the ones before it found nothing: every
+    id is a str; generators, faces and marks are well formed; and the
+    simplicial identities hold."""
+    if problems := _non_strings(itertools.chain(
+            itertools.chain.from_iterable(X.gens.values()),
+            (h for fs in X.faces.values() for h, _ in fs), X.marked)):
+        return Report("msset", problems)
     seen = set()
     for n, ids in X.gens.items():
         if n < 0 or n > X.bound:
@@ -179,7 +190,7 @@ def _structure_problems(X: MarkedSSet):
             for i, (h, w) in enumerate(fs):
                 if h not in X._dim:
                     problems.append(f"{g}: face {i} targets unknown generator {h}")
-                elif not normal_word(w):
+                elif not normal_word(w) or (w and w[0] >= n - 1):
                     problems.append(f"{g}: face {i} word {w} not normal")
                 elif X._dim[h] + len(w) != n - 1:
                     problems.append(f"{g}: face {i} has wrong dimension")
@@ -191,26 +202,15 @@ def _structure_problems(X: MarkedSSet):
             problems.append(f"marked id {g} is not a generator")
         elif X._dim[g] == 0:
             problems.append(f"marked id {g} has dimension 0")
-    return problems
-
-
-def validate_msset(X: MarkedSSet):
-    """Exhaustive invariant check; returns a Report with witnesses."""
-    problems = _structure_problems(X)
-    if not problems:
-        for n, ids in X.gens.items():
-            if n < 2:
-                continue
-            for g in ids:
-                ref = (g, ())
-                for j in range(n + 1):
-                    for i in range(j):
-                        lhs = X.face(X.face(ref, j), i)
-                        rhs = X.face(X.face(ref, i), j - 1)
-                        if lhs != rhs:
-                            problems.append(
-                                f"simplicial identity fails: d_{i} d_{j} {g}"
-                            )
+    if problems:
+        return Report("msset", problems)
+    for n, ids in X.gens.items():
+        for g in ids if n >= 2 else ():
+            ref = (g, ())
+            for j in range(n + 1):
+                for i in range(j):
+                    if X.face(X.face(ref, j), i) != X.face(X.face(ref, i), j - 1):
+                        problems.append(f"simplicial identity fails: d_{i} d_{j} {g}")
     return Report("msset", problems)
 
 
@@ -849,6 +849,21 @@ def _check_json(data, schema, keys):
         raise ValueError(f"{schema}: missing key(s) {', '.join(missing)}")
 
 
+def _load(what, parse, data, validate=None):
+    """parse(data), checked: an AttributeError, KeyError, TypeError or
+    ValueError that parse raises becomes ValueError("<what>: malformed
+    data: ..."), and the first violation, if any, that validate reports of
+    the result becomes ValueError("<what>: <violation> (and N more)")."""
+    try:
+        obj = parse(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{what}: malformed data: {e!r}") from e
+    if validate is not None and (problems := validate(obj).violations):
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ValueError(f"{what}: {problems[0]}{more}")
+    return obj
+
+
 def _json_value(value, kind, what):
     """value if it is the JSON kind "array" (a list or tuple) or "object" (a
     dict); else ValueError: tuple() would take a str apart, dict() a list."""
@@ -866,26 +881,21 @@ def _json_word(entries):
     return word
 
 
+def _msset(data):
+    gens = {int(n): tuple(_json_value(ids, "array", "gens"))
+            for n, ids in data["gens"].items()}
+    faces = {g: tuple((f["gen"], _json_word(f["word"])) for f in fs)
+             for g, fs in data["faces"].items()}
+    return MarkedSSet(data["bound"], gens, faces,
+                      frozenset(_json_value(data["marked"], "array", "marked")))
+
+
 def msset_from_json(data: dict) -> MarkedSSet:
-    """Load schema msset/1; raises ValueError on malformed data."""
+    """Load schema msset/1; raises ValueError on malformed data, and on a
+    set that `validate_msset` rejects."""
     _check_json(data, "msset/1", ("bound", "gens", "faces", "marked"))
     _check_int(data["bound"], 0, "msset/1: bound")
-    try:
-        gens = {int(n): tuple(_json_value(ids, "array", "gens"))
-                for n, ids in data["gens"].items()}
-        faces = {
-            g: tuple((f["gen"], _json_word(f["word"])) for f in fs)
-            for g, fs in data["faces"].items()
-        }
-        marked = frozenset(_json_value(data["marked"], "array", "marked"))
-        X = MarkedSSet(data["bound"], gens, faces, marked)
-        problems = _structure_problems(X)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"msset/1: malformed data: {e!r}") from e
-    if problems:
-        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
-        raise ValueError(f"msset/1: {problems[0]}{more}")
-    return X
+    return _load("msset/1", _msset, data, validate_msset)
 
 
 def msset_dumps(X: MarkedSSet) -> str:

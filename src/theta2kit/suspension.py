@@ -34,15 +34,10 @@ def suspend_marked(X: MarkedSSet) -> MarkedSSet:
         raise ValueError(
             f"suspension of a {top_dim}-dimensional set exceeds bound {X.bound}"
         )
-    gens = {0: ("bot", "top")}
+    # one layer per dimension X lists below its bound: a sparse X stays sparse
+    gens = {0: ("bot", "top"), **{n + 1: tuple(sorted("^" + g for g in ids))
+                                  for n, ids in X.gens.items() if n < X.bound}}
     faces = {}
-    marked = set()
-    for n in range(X.bound):
-        layer = tuple(sorted("^" + g for g in X.gens_at(n)))
-        if layer:
-            gens[n + 1] = layer
-    for n in range(1, X.bound + 1):
-        gens.setdefault(n, ())
     for n in sorted(X.gens):
         for g in X.gens_at(n):
             m = n + 1
@@ -53,9 +48,7 @@ def suspend_marked(X: MarkedSSet) -> MarkedSSet:
                 for i in range(1, m + 1):
                     fs.append(cone_ref(X.dim_of, X.face((g, ()), m - i)))
                 faces["^" + g] = tuple(fs)
-            if g in X.marked:
-                marked.add("^" + g)
-    return MarkedSSet(X.bound, gens, faces, frozenset(marked))
+    return MarkedSSet(X.bound, gens, faces, frozenset("^" + g for g in X.marked))
 
 
 def suspend_map(f: MSSetMap) -> MSSetMap:

@@ -27,7 +27,7 @@ from functools import partial
 from .msset import (
     DEFAULT_BOUND, MarkedSSet, MSSetMap, colimit, enumerate_maps, product_with_index,
     simplex_map, standard_simplex)
-from .msset import _check_int, _check_json, _Guard, _product_assignment, _UnionFind
+from .msset import _check_int, _check_json, _Guard, _load, _product_assignment, _UnionFind
 from .nerves import _cached_raws, _nerve_assignment, rs_nerve
 from .twocat import (
     Fin2Category, Theta2Shape, TwoFunctor, _fits, _functor_from_json, _functor_to_json,
@@ -212,9 +212,9 @@ def vertical_completeness() -> PresentationMap:
     return _suspend(horizontal_completeness())
 
 
-def elementary_cofibration(kind: str, *params) -> PresentationMap:
-    """The elementary acyclic cofibration kind built from params, which
-    must be the parameters its constructor takes; ValueError otherwise."""
+def cofibration_builder(kind: str):
+    """The constructor of the elementary acyclic cofibration kind, whose
+    parameters `elementary_cofibration` takes; ValueError for an unknown kind."""
     builders = {
         "vertical_segal": vertical_segal,
         "horizontal_segal": horizontal_segal,
@@ -223,11 +223,18 @@ def elementary_cofibration(kind: str, *params) -> PresentationMap:
     }
     if kind not in builders:
         raise ValueError(f"unknown kind {kind!r}")
-    names = tuple(inspect.signature(builders[kind]).parameters)
+    return builders[kind]
+
+
+def elementary_cofibration(kind: str, *params) -> PresentationMap:
+    """The elementary acyclic cofibration kind built from params, which
+    must be the parameters its constructor takes; ValueError otherwise."""
+    build = cofibration_builder(kind)
+    names = tuple(inspect.signature(build).parameters)
     if len(params) != len(names):
         raise ValueError(
             f"{kind} takes the parameters ({', '.join(names)}), not {params!r}")
-    return builders[kind](*params)
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +475,16 @@ def presentation_to_json(W: Theta2Presentation) -> dict:
     }
 
 
+def _presentation(data) -> Theta2Presentation:
+    cells = tuple(BoxCell(parse_shape(c["shape"]), c["level"]) for c in data["cells"])
+    shapes = {}  # the arrows' pasting 2-categories, one per shape
+    return Theta2Presentation(cells, tuple(
+        (a["src"], a["dst"], _functor_from_json(shapes, a["functor"]), tuple(a["level_map"]))
+        for a in data["arrows"]))
+
+
 def presentation_from_json(data: dict) -> Theta2Presentation:
-    """Load schema theta/1; raises ValueError on malformed data."""
+    """Load schema theta/1; raises ValueError on malformed data, a functor
+    that is not a 2-functor or does not join its arrow's cells included."""
     _check_json(data, "theta/1", ("cells", "arrows"))
-    try:
-        cells = tuple(
-            BoxCell(parse_shape(c["shape"]), c["level"]) for c in data["cells"]
-        )
-        arrows, shapes = [], {}
-        for a in data["arrows"]:
-            i, j = a["src"], a["dst"]
-            _check_endpoint(i, cells)
-            _check_endpoint(j, cells)
-            F = _functor_from_json(shapes, a["functor"], cells[i].shape, cells[j].shape)
-            arrows.append((i, j, F, tuple(a["level_map"])))
-        return Theta2Presentation(cells, tuple(arrows))
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"theta/1: malformed data: {e!r}") from e
+    return _load("theta/1", _presentation, data)

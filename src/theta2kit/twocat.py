@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
 
-from .msset import Report, _check_int, _check_json, _Guard, _json_value
+from .msset import Report, _check_int, _check_json, _Guard, _json_value, _load, _non_strings
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +149,6 @@ def _id_kind(x):
     its entries' kinds, as `_product` names cells by pairs, or None."""
     kinds = tuple(map(_id_kind, x)) if isinstance(x, tuple) else (None,)
     return "str" if isinstance(x, str) else None if None in kinds else kinds
-
-
-def _non_strings(ids, kind=lambda x: isinstance(x, str) or None):
-    """The loaders' problem for each distinct id in ids of no `kind`."""
-    return [f"id {r} is not a string" for r in dict.fromkeys(
-        repr(x) for x in ids if kind(x) is None)]
 
 
 def validate_category(C: FinCategory) -> Report:
@@ -711,8 +705,8 @@ def _two_category_ids(D: Fin2Category):
 def validate_2cat(D: Fin2Category) -> Report:
     """Whether D is a 2-category, in four stages, each run only if the
     ones before it found nothing: every object, 1-cell and 2-cell id is a
-    str, as the loader requires; no object id holds "|" (it separates the
-    names in a `twocat/1` key), every hom is a category and every object
+    str; no object id holds "|" (it separates the names in a `twocat/1`
+    key), every hom is a category between two objects and every object
     has a unit 1-cell; for each composable (x, y, z), hc1 and hc2 form a
     functor hom(x, y) x hom(y, z) -> hom(x, z) (`validate_functor`:
     totality, endpoints, identities and interchange); and the units and
@@ -721,6 +715,8 @@ def validate_2cat(D: Fin2Category) -> Report:
         return Report("2-category", problems)
     problems = [f"object id {x} holds '|'" for x in D.objects if "|" in x]
     for (x, y), H in D.hom.items():
+        if not {x, y} <= set(D.objects):
+            problems.append(f"hom({x},{y}): not between two objects")
         for v in validate_category(H).violations:
             problems.append(f"hom({x},{y}): {v}")
     for x in D.objects:
@@ -1292,27 +1288,20 @@ def category_to_json(C: FinCategory) -> dict:
     }
 
 
-def _check_ids(what, ids):
-    """Raise ValueError unless each id in ids is a str."""
-    if problems := _non_strings(ids):
-        raise ValueError(f"{what}: {problems[0]}")
+def _category(data) -> FinCategory:
+    return FinCategory(
+        tuple(_json_value(data["objects"], "array", "objects")),
+        {f: tuple(_json_value(v, "array", "a morphism's ends"))
+         for f, v in data["morphisms"].items()},
+        dict(_json_value(data["identity"], "object", "identity")),
+        {(f, g): h for f, g, h in _json_triples(data["compose"], "compose")},
+    )
 
 
 def category_from_json(data: dict) -> FinCategory:
-    """Load a category; raises ValueError on malformed data, an object or
-    morphism id that is not a str included."""
-    try:
-        C = FinCategory(
-            tuple(_json_value(data["objects"], "array", "objects")),
-            {f: tuple(_json_value(v, "array", "a morphism's ends"))
-             for f, v in data["morphisms"].items()},
-            dict(_json_value(data["identity"], "object", "identity")),
-            {(f, g): h for f, g, h in _json_triples(data["compose"], "compose")},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"category: malformed data: {e!r}") from e
-    _check_ids("category", _category_ids(C))
-    return C
+    """Load a category; raises ValueError on malformed data, and on a
+    category that `validate_category` rejects."""
+    return _load("category", _category, data, validate_category)
 
 
 def _json_triples(entries, what):
@@ -1348,30 +1337,23 @@ def two_category_to_json(D: Fin2Category) -> dict:
     }
 
 
+def _two_category(data) -> Fin2Category:
+    hcompose = [
+        {_json_key(k, 3): {(f, g): h for f, g, h in _json_triples(triples, name)}
+         for k, triples in data[name].items()}
+        for name in ("hcompose1", "hcompose2")
+    ]
+    return Fin2Category(
+        tuple(_json_value(data["objects"], "array", "objects")),
+        {_json_key(k, 2): _category(v) for k, v in data["hom"].items()},
+        *hcompose, dict(_json_value(data["unit1"], "object", "unit1")))
+
+
 def two_category_from_json(data: dict) -> Fin2Category:
-    """Load schema twocat/1; raises ValueError on malformed data, an
-    object, 1-cell or 2-cell id that is not a str included."""
+    """Load schema twocat/1; raises ValueError on malformed data, and on a
+    2-category that `validate_2cat` rejects."""
     _check_json(data, "twocat/1", ("objects", "hom", "hcompose1", "hcompose2", "unit1"))
-    try:
-        hom = {
-            _json_key(k, 2): category_from_json(v) for k, v in data["hom"].items()
-        }
-        hcompose1 = {
-            _json_key(k, 3): {(f, g): h for f, g, h in _json_triples(triples, "hcompose1")}
-            for k, triples in data["hcompose1"].items()
-        }
-        hcompose2 = {
-            _json_key(k, 3): {(a, b): c for a, b, c in _json_triples(triples, "hcompose2")}
-            for k, triples in data["hcompose2"].items()
-        }
-        D = Fin2Category(
-            tuple(_json_value(data["objects"], "array", "objects")), hom, hcompose1,
-            hcompose2, dict(_json_value(data["unit1"], "object", "unit1"))
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"twocat/1: malformed data: {e!r}") from e
-    _check_ids("twocat/1", _two_category_ids(D))
-    return D
+    return _load("twocat/1", _two_category, data, validate_2cat)
 
 
 def _functor_to_json(F: TwoFunctor, src_shape, dst_shape):
@@ -1390,21 +1372,17 @@ def _functor_to_json(F: TwoFunctor, src_shape, dst_shape):
     }
 
 
-def _functor_from_json(shapes: dict, data, src_shape, dst_shape) -> TwoFunctor:
-    """The 2-functor of a theta/1 functor entry, which must join the two
-    shapes, read from shapes (see `_shape_object`); ValueError otherwise."""
-    if (parse_shape(data["source"]), parse_shape(data["target"])) != (src_shape, dst_shape):
-        raise ValueError(
-            f"functor {data['source']} -> {data['target']} does not join "
-            f"{src_shape} and {dst_shape}"
-        )
-    tables = {_json_key(k, 2): tuple(dict(_json_value(v[part], "object", "a hom map"))
-                                     for part in ("one", "two"))
-              for k, v in data["hom"].items()}
-    on_objects = dict(_json_value(data["on_objects"], "object", "on_objects"))
-    D, E = _shape_object(shapes, src_shape), _shape_object(shapes, dst_shape)
-    F = TwoFunctor(D, E, on_objects, tables)
-    report = validate_two_functor(F)
-    if not report.ok:
-        raise ValueError(f"not a 2-functor: {report.violations[0]}")
-    return F
+def _functor_from_json(shapes: dict, data) -> TwoFunctor:
+    """The 2-functor of a theta/1 functor entry between the pasting
+    2-categories of its shapes, read from shapes (see `_shape_object`);
+    ValueError on one that `validate_two_functor` rejects."""
+    D, E = (_shape_object(shapes, parse_shape(data[end])) for end in ("source", "target"))
+
+    def parse(data):
+        tables = {_json_key(k, 2): tuple(dict(_json_value(v[part], "object", "a hom map"))
+                                         for part in ("one", "two"))
+                  for k, v in data["hom"].items()}
+        return TwoFunctor(D, E, dict(_json_value(data["on_objects"], "object", "on_objects")),
+                          tables)
+
+    return _load("not a 2-functor", parse, data, validate_two_functor)

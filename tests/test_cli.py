@@ -177,6 +177,42 @@ def test_suspend_of_a_face_word_entry_that_is_not_an_int_exits_2(entry, tmp_path
     assert "face word entry" in capsys.readouterr().err
 
 
+def _suspend_exit(data, tmp_path):
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps(data))
+    return main(["suspend", "--input", str(src), "--out", str(tmp_path / "out.json")])
+
+
+def test_suspend_of_an_int_vertex_exits_2(tmp_path, capsys):
+    # it loaded, and suspend_marked then raised TypeError on "^" + 1
+    data = {"schema": "msset/1", "bound": 2, "gens": {"0": [1, "a"], "1": []},
+            "faces": {}, "marked": []}
+    assert _suspend_exit(data, tmp_path) == 2
+    assert "msset/1: id 1 is not a string" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_suspend_of_a_simplex_with_a_wrong_face_exits_2(tmp_path, capsys):
+    # it exited 0 and wrote a suspension that validate_msset rejects
+    data = M.msset_to_json(M.standard_simplex(2, bound=3))
+    data["faces"]["012"][0] = {"gen": "01", "word": []}
+    assert _suspend_exit(data, tmp_path) == 2
+    assert "simplicial identity fails" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_suspend_of_a_sparse_file_with_a_huge_bound(tmp_path):
+    # it ran past 20 s: suspend_marked set a key for each of the 10**8
+    # dimensions below the bound
+    data = {"schema": "msset/1", "bound": 100_000_000, "gens": {"0": ["a"]},
+            "faces": {}, "marked": []}
+    t0 = time.perf_counter()
+    assert _suspend_exit(data, tmp_path) == 0
+    assert time.perf_counter() - t0 < 1
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert out["gens"] == {"0": ["bot", "top"], "1": ["^a"]}
+
+
 # ---------------------------------------------------------------------------
 # lmap command
 
@@ -283,6 +319,40 @@ def test_lmap_of_a_huge_level_exits_3(tmp_path, capsys):
     pres.write_text(json.dumps(data))
     assert main(["lmap", "--presentation", str(pres), "--bound", "2"]) == 3
     assert "in apply_L at dimension 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, stray", [
+    (["--kind", "horizontal-completeness", "--ks", "1,0", "--k", "7"], "--k --ks"),
+    (["--kind", "vertical-segal", "--ks", "1,0"], "--ks"),
+    (["--kind", "horizontal-segal", "--k", "1"], "--k"),  # the default value, given
+    (["--presentation", "w.json", "--kind", "diagonal-segal"], "--kind"),
+    (["--presentation", "w.json", "--k", "2"], "--k"),
+])
+def test_lmap_flag_the_kind_does_not_take_exits_2(args, stray, tmp_path, capsys):
+    # the first four exited 0, the flags ignored
+    assert main(["lmap", *args, "--bound", "2", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: theta2kit lmap ")
+    assert f"takes no {stray}\n" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lmap_reads_a_kinds_flags_off_its_builder(monkeypatch, tmp_path):
+    # a kind added to theta needs no CLI edit: its builder's parameters
+    # are the flags it takes
+    from theta2kit import theta as TH
+
+    builder = TH.cofibration_builder
+
+    def diagonal_segal(ks):
+        return TH.horizontal_segal(len(ks), ks)
+
+    monkeypatch.setattr(TH, "cofibration_builder", lambda kind: (
+        diagonal_segal if kind == "diagonal_segal" else builder(kind)))
+    out = str(tmp_path / "d")
+    assert main(["lmap", "--kind", "diagonal-segal", "--ks", "1", "--bound", "2",
+                 "--out", out]) == 0
+    assert main(["lmap", "--kind", "diagonal-segal", "--k", "2", "--out", out]) == 2
 
 
 def test_lmap_without_kind_or_presentation_exits_2(capsys):

@@ -1031,6 +1031,19 @@ def test_json_rejects_faces_of_a_non_generator_or_a_vertex(g):
         M.msset_from_json(data)
 
 
+def test_json_rejects_a_face_word_too_long_for_its_dimension():
+    # s_5 of a vertex passed as an edge: it loaded, and validate_msset then
+    # raised KeyError looking up the faces of a vertex
+    data = _json_of_triangle()
+    data["faces"]["012"][0] = {"gen": "1", "word": [5]}
+    T2 = M.standard_simplex(2, bound=3)
+    X = M.MarkedSSet(3, T2.gens, {**T2.faces, "012": (("1", (5,)), *T2.faces["012"][1:])},
+                     T2.marked)
+    assert "012: face 0 word (5,) not normal" in M.validate_msset(X).violations
+    with pytest.raises(ValueError, match=r"012: face 0 word \(5,\) not normal"):
+        M.msset_from_json(data)
+
+
 def test_validate_msset_sees_generator_listed_twice():
     X = M.standard_simplex(2, bound=3)
     within = M.MarkedSSet(X.bound, {**X.gens, 1: ("01", "01", "02", "12")},

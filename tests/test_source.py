@@ -591,3 +591,70 @@ def test_environment_scan_sees_attribute_reads_and_imports(tmp_path):
         "z = os.path.join('a', 'b')\nenviron = {}\nfrom os import path, environ as e\n"
     )
     assert _environment_reads(path) == [2, 3, 7]
+
+
+def _calls(node, name):
+    """Whether node calls name, bare or as an attribute, anywhere inside it."""
+    return any(isinstance(c, ast.Call)
+               and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+               for c in ast.walk(node))
+
+
+def _reads_report(node):
+    return any(isinstance(a, ast.Attribute) and a.attr in ("violations", "ok")
+               for a in ast.walk(node))
+
+
+def _raises_a_report(function):
+    """Whether function raises on a Report: a raise that names a Report's
+    `violations` or `ok`, or one under an if or a for that does."""
+    raises = [r for r in ast.walk(function) if isinstance(r, ast.Raise)]
+    return any(_reads_report(r) for r in raises) or any(
+        _reads_report(node.test if isinstance(node, ast.If) else node.iter)
+        and any(isinstance(r, ast.Raise) for stmt in node.body for r in ast.walk(stmt))
+        for node in ast.walk(function) if isinstance(node, (ast.If, ast.For)))
+
+
+def _load_path_breaches(path):
+    """The functions of path, nested ones included, that leave the one load
+    path: each *_from_json that does not call msset._load, and each other
+    function than _load that raises on a Report; as 'module.function'."""
+    return [
+        f"{path.stem}.{node.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and ((node.name.endswith("_from_json") and not _calls(node, "_load"))
+             or (node.name != "_load" and _raises_a_report(node)))
+    ]
+
+
+def test_every_loader_takes_the_one_load_path():
+    # each JSON loader parses and validates through msset._load, which
+    # alone turns a validator's first violation into a ValueError; the
+    # old id check beside the validators is gone
+    assert [hit for path in SOURCES for hit in _load_path_breaches(path)] == []
+    loaders = [node.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_json")]
+    assert len(loaders) == 5, loaders
+    assert [f"{path.name}:{line}" for path in SOURCES + TESTS
+            for line in _names(path, "_check_ids")] == []
+
+
+def test_load_path_scan_sees_loaders_and_raised_reports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def a_from_json(d):\n    return msset._load('a', parse, d, check)\n"
+        "def b_from_json(d):\n    def parse(d):\n        return _load('b', f, d)\n"
+        "    return parse(d)\n"
+        "def c_from_json(d):\n    return C(d)\n"
+        "def checked(x):\n    r = check(x)\n    if not r.ok:\n        raise ValueError(r)\n"
+        "def first(x):\n    for v in check(x).violations:\n        raise ValueError(v)\n"
+        "def merged(x):\n    return [v for v in check(x).violations]\n"
+        "def fuzz(n):\n    if n < 0:\n        raise ValueError(n)\n    return check(n).ok\n"
+        "def raw(x):\n    raise ValueError(check(x).violations[0])\n"
+        "def _load(what, parse, data, validate):\n"
+        "    if validate(data).violations:\n        raise ValueError(what)\n"
+    )
+    assert _load_path_breaches(path) == [
+        "mod.c_from_json", "mod.checked", "mod.first", "mod.raw"]

@@ -1331,10 +1331,33 @@ def test_validate_category_reports_ids_that_are_not_strings(C, bad):
     # _product makes, stay valid (test_category_tables_are_read_only)
     rep = T.validate_category(C)
     assert rep.violations == [f"id {x!r} is not a string" for x in bad]
-    # in the loaders' wording
+    # the loader rejects C's tables in its wording
     with pytest.raises(ValueError) as info:
-        T._check_ids("category", T._category_ids(C))
-    assert str(info.value) == f"category: {rep.violations[0]}"
+        T.category_from_json(_category_doc(C))
+    more = f" (and {len(bad) - 1} more)" if len(bad) > 1 else ""
+    assert str(info.value) == f"category: {rep.violations[0]}{more}"
+
+
+def _category_doc(C):
+    """C's tables in the loader's layout, unsorted, so ids of mixed kinds
+    pass through as they are."""
+    return {"objects": list(C.objects),
+            "morphisms": {f: list(ends) for f, ends in C.morphisms.items()},
+            "identity": dict(C.identity),
+            "compose": [[f, g, h] for (f, g), h in C.compose.items()]}
+
+
+def _two_category_doc(D):
+    """D's tables in the twocat/1 layout, unsorted; see `_category_doc`."""
+    def key(names):
+        return "|".join(map(str, names))
+
+    return {"schema": "twocat/1", "objects": list(D.objects),
+            "hom": {key(k): _category_doc(H) for k, H in D.hom.items()},
+            **{name: {key(k): [[*pair, h] for pair, h in t.items()]
+                      for k, t in getattr(D, name).items()}
+               for name in ("hcompose1", "hcompose2")},
+            "unit1": dict(D.unit1)}
 
 
 def _idempotent_on(t):
@@ -1384,10 +1407,10 @@ def test_validate_2cat_reports_ids_that_are_not_strings(D, bad):
     # raised TypeError from a sort of ids that do not compare
     rep = T.validate_2cat(D)
     assert rep.violations == [f"id {x!r} is not a string" for x in bad]
-    # in the loader's wording
+    # the loader rejects D's tables in its wording
     with pytest.raises(ValueError) as info:
-        T._check_ids("twocat/1", T._two_category_ids(D))
-    assert str(info.value) == f"twocat/1: {rep.violations[0]}"
+        T.two_category_from_json(_two_category_doc(D))
+    assert str(info.value).startswith(f"twocat/1: {rep.violations[0]}")
     assert T.validate_2cat(_discrete_2cat(("a", "b"))).ok
 
 
@@ -2047,3 +2070,30 @@ def test_two_category_json_rejects_ids_that_are_not_strings(damage):
     damage(data)
     with pytest.raises(ValueError, match="is not a string"):
         T.two_category_from_json(data)
+
+
+def test_category_json_rejects_a_category_missing_a_composite():
+    # it loaded, and enumerate_functors of it then raised KeyError
+    data = T.category_to_json(T.ordinal(2))
+    data["compose"].remove(["0>1", "1>2", "0>2"])
+    with pytest.raises(ValueError) as info:
+        T.category_from_json(data)
+    assert str(info.value).startswith("category: compose undefined on (0>1, 1>2)")
+
+
+def test_two_category_json_rejects_a_missing_horizontal_composition():
+    # it loaded, and rs_nerve of it then raised KeyError
+    data = T.two_category_to_json(T.suspend_category(T.ordinal(1)))
+    del data["hcompose1"]["bot|bot|top"]
+    with pytest.raises(ValueError) as info:
+        T.two_category_from_json(data)
+    assert str(info.value) == "twocat/1: hcompose missing at (bot,bot,top)"
+
+
+def test_two_category_json_rejects_a_hom_between_non_objects():
+    # validate_2cat raised KeyError on it, looking up its unit laws
+    data = T.two_category_to_json(T.suspend_category(T.ordinal(1)))
+    data["hom"]["zz|zz"] = data["hom"]["bot|bot"]
+    with pytest.raises(ValueError) as info:
+        T.two_category_from_json(data)
+    assert str(info.value) == "twocat/1: hom(zz,zz): not between two objects"
