@@ -46,9 +46,9 @@ def _plain(text: str):
 def parse_object(spec: str) -> twocat.Fin2Category:
     """Object mini-grammar: [m|k1,...,km], [m], C0|C1|C2, I, Sigma <spec>.
 
-    A shape or ordinal whose eager tables (`twocat.theta2_object_size`,
-    `twocat.ordinal_size`) would pass a nerve's default limit raises
-    ResourceLimitError before any is built."""
+    A shape or ordinal whose tables, once a nerve has read them all
+    (`twocat.theta2_object_size`, `twocat.ordinal_size`), would pass a
+    nerve's default limit raises ResourceLimitError before any is built."""
     text = spec.strip()
     if text.startswith("Sigma"):
         return twocat.suspend_category(_parse_1cat(text[len("Sigma"):]))

@@ -168,7 +168,8 @@ def validate_msset(X: MarkedSSet):
     """Exhaustive invariant check; returns a Report with witnesses.  In
     three stages, each run only if the ones before it found nothing: every
     id is a str; generators, faces and marks are well formed; and the
-    simplicial identities hold."""
+    simplicial identities d_i d_j = d_{j-1} d_i (i < j) hold, the faces
+    of faces read a dimension at a time through `_face_layer`."""
     if problems := _non_strings(itertools.chain(
             itertools.chain.from_iterable(X.gens.values()),
             (h for fs in X.faces.values() for h, _ in fs), X.marked)):
@@ -205,11 +206,16 @@ def validate_msset(X: MarkedSSet):
     if problems:
         return Report("msset", problems)
     for n, ids in X.gens.items():
-        for g in ids if n >= 2 else ():
-            ref = (g, ())
+        if n < 2:
+            continue
+        # the faces of each face, one layer at a time, once per distinct face
+        faces = [X.faces[g] for g in ids]
+        refs = list(dict.fromkeys(itertools.chain.from_iterable(faces)))
+        second = dict(zip(refs, _face_layer(X, refs, n - 1)))
+        for g, fs in zip(ids, faces):
             for j in range(n + 1):
                 for i in range(j):
-                    if X.face(X.face(ref, j), i) != X.face(X.face(ref, i), j - 1):
+                    if second[fs[j]][i] != second[fs[i]][j - 1]:
                         problems.append(f"simplicial identity fails: d_{i} d_{j} {g}")
     return Report("msset", problems)
 
@@ -696,6 +702,12 @@ class _Guard:
         """Charge k steps of one, in one call: past the limit this raises
         as the first of k calls of step() over it would, at limit + 1."""
         self.step(min(k, self.limit + 1 - self.count))
+
+    def step_times(self, n, k):
+        """Charge n steps of k, in one call: past the limit this raises as
+        the first of n calls of step(k) over it would."""
+        if k:
+            self.step(k * min(n, (self.limit - self.count) // k + 1))
 
 
 def _search(X: MarkedSSet, Y: MarkedSSet, guard, iso=False, vertices=None):

@@ -64,8 +64,8 @@ class FinCategory:
     @cached_property
     def thin(self):
         """Whether each (source, target) pair has at most one morphism:
-        as many groups in `homs` as morphisms."""
-        return len(self.homs) == len(self.morphisms)
+        as many distinct ends as morphisms."""
+        return len(set(self.morphisms.values())) == len(self.morphisms)
 
     @cached_property
     def plan(self):
@@ -127,6 +127,29 @@ class FinCategory:
         )
 
 
+class _ComposedOnRead(FinCategory):
+    """A FinCategory given, for compose, a function of no arguments that
+    returns the table: the first read of compose calls it and keeps the
+    table in the instance, where every later read (equality, `signature`,
+    the validators, JSON) finds that one table first.  Only this class
+    carries the hook, so reading compose of any other category costs
+    nothing more."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if callable(self.compose):
+            object.__setattr__(self, "_make_compose", self.compose)
+            object.__delattr__(self, "compose")
+
+    class _OnFirstRead:
+        def __get__(self, C, owner=None):
+            object.__setattr__(C, "compose", C._make_compose())
+            object.__delattr__(C, "_make_compose")
+            return C.compose
+
+    compose = _OnFirstRead()
+
+
 def _category_ids(C: FinCategory):
     """Every id C's tables name: the objects, the morphisms and their
     ends, the identities and the composable pairs and composites.  Ends
@@ -155,7 +178,8 @@ def validate_category(C: FinCategory) -> Report:
     """Whether C is a category, in three stages, each run only if the
     ones before it found nothing: every object and morphism id is an id,
     the objects, and the morphisms, are of one `_id_kind`, every
-    morphism's ends are objects and every object has an identity;
+    morphism's ends are objects and every object, and nothing else, has
+    an identity;
     compose is defined exactly on the composable pairs of morphisms,
     each time on a morphism with the right ends; and the unit and
     associativity laws hold.  So a missing or foreign entry is reported,
@@ -174,6 +198,9 @@ def validate_category(C: FinCategory) -> Report:
         i = C.identity.get(x)
         if i is None or C.morphisms.get(i) != (x, x):
             problems.append(f"{x}: bad identity")
+    objects = set(C.objects)
+    problems += [f"identity defined on {x!r}, not an object"
+                 for x in C.identity if x not in objects]
     if problems:
         return Report("category", problems)
     for pair in C.compose:
@@ -269,7 +296,7 @@ def terminal_category() -> FinCategory:
 
 
 def _enc(t) -> str:
-    return "(" + ",".join(str(a) for a in t) + ")"
+    return "(" + ",".join(map(str, t)) + ")"
 
 
 def _mid(a, b) -> str:
@@ -282,27 +309,38 @@ def _poset(ks):
     Returns (cells, names, mids, category). The cells are the coordinate
     tuples in itertools.product order; names[x] is the id of cell x and
     mids[x] maps the index y of each cell above x, in the same order, to
-    the id of the morphism x -> y.
+    the id of the morphism x -> y.  The category's compose table, the
+    largest of its tables, is built from mids on its first read.
     """
     cells = list(itertools.product(*(range(k + 1) for k in ks)))
-    index = {t: x for x, t in enumerate(cells)}
     names = [_enc(t) for t in cells]
-    mids = []
-    for a, name in zip(cells, names):
-        above = itertools.product(*(range(p, k + 1) for p, k in zip(a, ks)))
-        mids.append({y: name + ">" + names[y] for y in map(index.__getitem__, above)})
+    # ups[x]: the indices of the cells above x, in product order, made one
+    # factor at a time from the last: cell (c, x) of [k] x P has index
+    # c * |P| + x
+    ups = [[0]]
+    for k in reversed(ks):
+        n = len(ups)
+        ups = [[p * n + y for p in range(c, k + 1) for y in up]
+               for c in range(k + 1) for up in ups]
+    mids = [{y: name + ">" + names[y] for y in up} for name, up in zip(names, ups)]
     morphisms = {
         f: (names[x], names[y]) for x, row in enumerate(mids) for y, f in row.items()
     }
     identity = {name: mids[x][x] for x, name in enumerate(names)}
+    # read-only views of dicts that nothing else holds, so none is copied
+    views = map(MappingProxyType, (morphisms, identity))
+    return cells, names, mids, _ComposedOnRead(
+        tuple(names), *views, partial(_poset_compose, mids))
+
+
+def _poset_compose(mids):
+    """The compose table of `_poset`'s category, from its mids."""
     compose = {}
     for row in mids:
         for y, f in row.items():
             for z, g in mids[y].items():
                 compose[(f, g)] = row[z]
-    # read-only views of dicts that nothing else holds, so none is copied
-    views = map(MappingProxyType, (morphisms, identity, compose))
-    return cells, names, mids, FinCategory(tuple(names), *views)
+    return MappingProxyType(compose)
 
 
 def product_poset(ks) -> FinCategory:
@@ -360,7 +398,7 @@ def validate_functor(F: Functor) -> Report:
     morphism's image runs between the images of its ends, and identities
     and composites are preserved.  The last two are checked only once
     every image is sound, so a missing or foreign image is reported, never
-    looked up."""
+    looked up, and so is one that does not hash."""
     problems = []
     C, D = F.source, F.target
     for x in C.objects:
@@ -368,7 +406,7 @@ def validate_functor(F: Functor) -> Report:
             problems.append(f"{x}: image missing or not an object")
     for f, (a, b) in C.morphisms.items():
         g = F.mor_map.get(f)
-        if g not in D.morphisms:
+        if not _holds(D.morphisms, g):
             problems.append(f"{f}: image missing or not a morphism")
         elif D.morphisms[g] != (F.obj_map.get(a), F.obj_map.get(b)):
             problems.append(f"{f}: image has wrong endpoints")
@@ -381,6 +419,15 @@ def validate_functor(F: Functor) -> Report:
         if F.mor_map[h] != D.compose.get((F.mor_map[f], F.mor_map[g])):
             problems.append(f"composition not preserved on ({f}, {g})")
     return Report("functor", problems)
+
+
+def _holds(table, key) -> bool:
+    """Whether the mapping table has key: False, not TypeError, for a key
+    that does not hash, such as a list read from JSON."""
+    try:
+        return key in table
+    except TypeError:
+        return False
 
 
 def _product(A: FinCategory, B: FinCategory) -> FinCategory:
@@ -400,17 +447,13 @@ def _product(A: FinCategory, B: FinCategory) -> FinCategory:
     )
 
 
-def _object_maps(objs, ends, targets, nonempty, guard):
-    """Every map of objs into targets under which each pair (a, b) in ends
-    lands on a nonempty hom, as image tuples in lexicographic order.
-
-    nonempty holds the pairs of targets with a nonempty hom.  Up- and
-    down-set bitmasks over the positions in targets are built from it
-    once; objs[k]'s candidates are the AND of the masks its pairs to
-    objs[:k] select, and only those bits are walked, low to high, depth
-    first on an explicit stack.  The guard is charged len(targets) in one
-    step per search node: what trying each target in turn would cost.
-    """
+def _object_rules(objs, ends, targets, nonempty):
+    """(base, rules) of the search `_object_maps` and `_count_object_maps`
+    run: objs[k]'s candidates are the bits of base[k] (bit t for
+    targets[t]) that each masks[image of objs[other]] of (other, masks) in
+    rules[k] keeps.  The up- and down-set masks come from nonempty, the
+    pairs of targets with a nonempty hom; a pair (a, a) of ends leaves in
+    base only the targets with a nonempty hom to themselves."""
     pos = {y: t for t, y in enumerate(targets)}
     up, down = [0] * len(targets), [0] * len(targets)
     loops = 0  # the targets with a nonempty hom to themselves
@@ -420,29 +463,40 @@ def _object_maps(objs, ends, targets, nonempty, guard):
         if a == b:
             loops |= 1 << pos[a]
     index = {x: k for k, x in enumerate(objs)}
-    # per depth k, (earlier depth, masks) for each pair whose later end is
-    # objs[k]; (None, None) for a pair (objs[k], objs[k])
+    base = [(1 << len(targets)) - 1] * len(objs)
     rules = [[] for _ in objs]
     for a, b in ends:
         ka, kb = index[a], index[b]
         if ka == kb:
-            rules[ka].append((None, None))
+            base[ka] &= loops
         elif ka < kb:
             rules[kb].append((ka, up))
         else:
             rules[ka].append((kb, down))
+    return base, rules
+
+
+def _object_maps(objs, ends, targets, nonempty, guard):
+    """Every map of objs into targets under which each pair (a, b) in ends
+    lands on a nonempty hom, as image tuples in lexicographic order.
+
+    objs[k]'s candidates come from `_object_rules`, and only their bits
+    are walked, low to high, depth first on an explicit stack.  The guard
+    is charged len(targets) in one step per search node: what trying each
+    target in turn would cost.
+    """
     if not objs:
         return [()]
-    full = (1 << len(targets)) - 1
+    base, rules = _object_rules(objs, ends, targets, nonempty)
     images = [0] * len(objs)
     out = []
 
     def allowed(k):
         """The candidate bits of objs[k], given images[:k]; one guard step."""
         guard.step(len(targets))
-        mask = full
+        mask = base[k]
         for other, masks in rules[k]:
-            mask &= loops if masks is None else masks[images[other]]
+            mask &= masks[images[other]]
         return mask
 
     # pending[k]: the candidates of objs[k] not yet tried on this path
@@ -464,6 +518,49 @@ def _object_maps(objs, ends, targets, nonempty, guard):
     return out
 
 
+def _count_object_maps(objs, ends, targets, nonempty, guard):
+    """len(_object_maps(objs, ends, targets, nonempty, guard)), counted
+    one depth at a time without listing a map.  The states after depth k
+    map the images of the objects of objs[:k + 1] that a later pair reads
+    to the number of partial maps with them; a chain keeps one image.
+    The search's nodes, one per partial map of each depth but the last
+    and one for the root, are charged len(targets) each, a depth's in one
+    `step_times` call: every node costs the same, so it raises past the
+    limit at the step the search would.
+    """
+    if not objs:
+        return 1
+    base, rules = _object_rules(objs, ends, targets, nonempty)
+    read = {other: k for k, rule in enumerate(rules) for other, _ in rule}
+    images = [0] * len(objs)
+    states, kept = {(): 1}, ()  # kept: the depths a state's key gives
+    for k, rule in enumerate(rules):
+        guard.step_times(sum(states.values()), len(targets))
+        # a new state's key: the images of head_at, then objs[k]'s image
+        # when a later pair reads it
+        head_at, last = tuple([d for d in kept if read[d] > k]), k in read
+        new = {}
+        for key, n in states.items():
+            for d, t in zip(kept, key):
+                images[d] = t
+            mask = base[k]
+            for other, masks in rule:
+                mask &= masks[images[other]]
+            if not mask:
+                continue
+            head = tuple(map(images.__getitem__, head_at)) if head_at else ()
+            if not last:
+                new[head] = new.get(head, 0) + n * mask.bit_count()
+                continue
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                key = head + (low.bit_length() - 1,)
+                new[key] = new.get(key, 0) + n
+        states, kept = new, head_at + (k,) if last else head_at
+    return states.get((), 0)
+
+
 def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     """The complete, canonically ordered list of functors C -> D, each
     built when the call returns (unlike `_functors`, whose tables into a
@@ -480,44 +577,53 @@ def _functors(C, D, guard):
     key order of `enumerate_functors`, charging guard.  The functors over
     one object map share its obj_map; callers must not edit the tables.
 
-    C.plan gives the generators and composites, D.homs D's morphisms by
-    their ends, and D.thin the path taken.  Object images come from
-    `_object_maps`, with the ends of C's generators as the pairs that
-    must land on nonempty homs of D.  When D is thin the result is an
-    `_OnRead` sequence over those object images: `len` builds nothing,
+    C.plan gives the generators and composites, D.thin the path taken.
+    Object images are the maps `_object_maps` lists, with the ends of C's
+    generators as the pairs that must land on nonempty homs of D.  When D
+    is thin the result is an `_OnRead` sequence: its length comes from
+    `_count_object_maps`, which lists no object map, so `len` builds
+    nothing; the object maps are listed on the first read of a functor,
     and a functor's tables are built on its first read and kept.  The
     image of each morphism of C (identities, then generators, then
-    composites) is the one morphism between its ends' images, neither
-    D.identity nor D.compose is read, and the generators cost one guard
-    step of len(generators) per object map, charged during the call: what
-    trying the single candidate of each in turn would cost.  Otherwise the
-    result is a list: the generators are tried one by one, identities and
-    composites are derived through D's tables, and every relation
-    f;g = h of C.compose is checked.
+    composites) is the one morphism between its ends' images (D.homs),
+    neither D.identity nor D.compose is read, and the generators cost one
+    guard step of len(generators) per object map, charged during the
+    call: what trying the single candidate of each in turn would cost.
+    The steps are those of the listing, which on first read is charged to
+    a guard of its own.  Otherwise the result is a list: the generators
+    are tried one by one, identities and composites are derived through
+    D's tables, and every relation f;g = h of C.compose is checked.
     """
     gens, composites = C.plan
-    objs, homs = sorted(C.objects), D.homs
+    objs, targets = sorted(C.objects), sorted(D.objects)
     gen_ends = [C.morphisms[g] for g in gens]
-    maps = _object_maps(objs, gen_ends, sorted(D.objects), homs, guard)
     # In a thin D a morphism's image is the one morphism between its ends'
     # images, so both sides of a relation f;g = h agree; only a D that is
     # not thin needs the derivation and the check.
     if D.thin:
-        if gens:
-            # len(gens) per object map, in one call: past the limit this
-            # raises at the first object map over it, as a call per map would
-            k = len(gens)
-            guard.step(k * min(len(maps), (guard.limit - guard.count) // k + 1))
-        order = [C.identity[x] for x in C.objects] + gens + [f for f, _, _ in composites]
-        ends = [(f, *C.morphisms[f]) for f in order]
+        nonempty = D.morphisms.values()
+        n = _count_object_maps(objs, gen_ends, targets, nonempty, guard)
+        # len(gens) per object map: past the limit this raises at the first
+        # object map over it, as a step per map would
+        guard.step_times(n, len(gens))
+        # on the first read: the object maps, and each morphism of C with
+        # its ends, identities, then generators, then composites
+        maps, mor_ends = [], []
 
         def tables(t):
-            obj_map = dict(zip(objs, maps[t]))
-            return obj_map, {f: homs[(obj_map[a], obj_map[b])][0] for f, a, b in ends}
+            if not maps:
+                maps.extend(_object_maps(objs, gen_ends, targets, nonempty,
+                                         _Guard(guard.limit, guard.operation)))
+                order = [C.identity[x] for x in C.objects] + gens
+                order += [f for f, _, _ in composites]
+                mor_ends.extend((f, *C.morphisms[f]) for f in order)
+            obj_map, homs = dict(zip(objs, maps[t])), D.homs
+            return obj_map, {f: homs[(obj_map[a], obj_map[b])][0] for f, a, b in mor_ends}
 
-        return _OnRead(len(maps), tables)
+        return _OnRead(n, tables)
+    homs = D.homs
     results = []
-    for images in maps:
+    for images in _object_maps(objs, gen_ends, targets, homs, guard):
         obj_map = dict(zip(objs, images))
         lists = [homs[(obj_map[a], obj_map[b])] for a, b in gen_ends]
         # a depth-first search over the lists tries prod(len(lists[i]) for
@@ -843,7 +949,8 @@ def theta2_object(shape: Theta2Shape) -> Fin2Category:
 
     hom(i, j) is the poset [k_{i+1}] x ... x [k_j].  Its tables are built
     once per distinct slice ks[i:j] in a call, so homs with equal slices
-    are one shared FinCategory, as are hom(0, 1) and hom(1, 2) of [2|k,k].
+    are one shared FinCategory, as are hom(0, 1) and hom(1, 2) of [2|k,k];
+    each hom's compose table is built on its first read (`_poset`).
     The horizontal tables are read-only `_LazyTable`s: a table is built on
     first lookup, once per slice pair (ks[i:j], ks[j:l]), and shared by
     every triple (i, j, l) with that pair.  The segments (i, i + 1)
@@ -872,10 +979,11 @@ def theta2_object(shape: Theta2Shape) -> Fin2Category:
 
 
 def theta2_object_size(shape: Theta2Shape):
-    """Yield the entries `theta2_object(shape)` holds before any lookup in two
-    parts: one per object triple i <= j <= l and per element of the slice
-    ks[i:j] of each i <= j, from m alone; then each distinct slice's compose
-    table, so a guard charged part by part stops a huge m before that."""
+    """Yield the entries `theta2_object(shape)` holds once each hom's
+    compose table is read, as a nerve reads them all, in two parts: one per
+    object triple i <= j <= l and per element of the slice ks[i:j] of each
+    i <= j, from m alone; then each distinct slice's compose table, so a
+    guard charged part by part stops a huge m before that."""
     m, ks = shape.m, shape.ks
     yield ordinal_size(m) + math.comb(m + 2, 3)
     compose = {(): 1}  # each distinct slice of ks -> its poset's compose size
@@ -1063,9 +1171,11 @@ def validate_two_functor(F: TwoFunctor) -> Report:
 def _hom_failures(D, E, on_objects, pairs, hom_maps):
     """The violations of the hom tables {(x, y): (1-cell map, 2-cell map)}
     on pairs, each checked by `validate_functor` into the hom of E between
-    the images of x and y."""
+    the images of x and y; with an image that does not hash, that hom is
+    empty."""
     for x, y in pairs:
-        He = E.hom_at(on_objects.get(x), on_objects.get(y))
+        images = (on_objects.get(x), on_objects.get(y))
+        He = E.hom[images] if _holds(E.hom, images) else None
         if He is None:
             yield f"hom({x},{y}): target hom empty"
         elif (x, y) not in hom_maps:
@@ -1092,8 +1202,10 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     homs that are one object (as theta2_object's equal slices are) share
     one; each generating hom's `FinCategory.plan` is made once and kept
     in the hom, so any finite hom is a valid source.  Into a thin
-    target hom that sequence builds a hom functor's tables only when they
-    are read, so counting builds none.  One guard covers the whole call:
+    target hom that sequence has its length from `_count_object_maps`,
+    and lists its object images and builds a hom functor's tables only
+    when one is read, so counting lists and builds none, and reads no
+    compose table of E.  One guard covers the whole call:
     enumerating each sequence charges its steps once, each use of one
     charges its length, and each combination of hom functors charges one
     step.  Every combination of segment functors is a 2-functor, so those
@@ -1111,31 +1223,38 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     free = D.segments is not None
     gens = _generating_homs(D)
     objs = sorted(D.objects)
-    gen_homs = [D.hom_at(*pair) for pair in gens]
-    # ids of (generating hom, target hom) -> its functors' tables; D and E
-    # hold the homs for the call
+    index = {x: k for k, x in enumerate(objs)}
+    # per generating pair: its hom and the positions of its ends in objs
+    gen_at = [(D.hom[(a, b)], index[a], index[b]) for a, b in gens]
+    # ids of (generating hom, target hom) -> its functors' tables and their
+    # number; D and E hold the homs for the call
     gen_tables = {}
     # per object map: (on_objects, choice lists, None) when every
     # combination of one item per list is a 2-functor's tables on gens,
-    # and (on_objects, None, the tables that passed) otherwise
-    blocks = []
+    # and (on_objects, None, the tables that passed) otherwise; starts[b]
+    # is the index of block b's first 2-functor
+    blocks, starts = [], [0]
     for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
-        on_objects = dict(zip(objs, images))
-        choice_lists = []
-        for (a, b), H in zip(gens, gen_homs):
-            He = E.hom[(on_objects[a], on_objects[b])]
+        choice_lists, size = [], 1
+        for H, ka, kb in gen_at:
+            He = E.hom[(images[ka], images[kb])]
             key = (id(H), id(He))
-            fns = gen_tables.get(key)
-            if fns is None:
-                fns = gen_tables[key] = _functors(H, He, guard)
-            guard.step(len(fns))
-            if not fns:
+            found = gen_tables.get(key)
+            if found is None:
+                fns = _functors(H, He, guard)
+                found = gen_tables[key] = (fns, len(fns))
+            fns, n = found
+            guard.step(n)
+            if not n:
                 break
             choice_lists.append(fns)
+            size *= n
         else:
+            on_objects = dict(zip(objs, images))
             if free:
-                guard.step_each(math.prod(map(len, choice_lists)))
+                guard.step_each(size)
                 blocks.append((on_objects, choice_lists, None))
+                starts.append(starts[-1] + size)
                 continue
             passed = []
             for combo in itertools.product(*choice_lists):
@@ -1146,11 +1265,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
                     passed.append(tables)
             if passed:
                 blocks.append((on_objects, None, passed))
-    starts = list(itertools.accumulate(
-        (math.prod(map(len, lists)) if passed is None else len(passed)
-         for _, lists, passed in blocks),
-        initial=0,
-    ))
+                starts.append(starts[-1] + len(passed))
 
     def member(at):
         """The 2-functor at index at: its block by bisection over the

@@ -84,6 +84,11 @@ identity functors inline.
 raw_validate_2cat and raw_validate_two_functor check each law with a loop
 of their own and can raise on a table they have flagged; the library
 checks every functor law through validate_functor and reports instead.
+
+raw_simplicial_identity_failures checks d_i d_j = d_{j-1} d_i on every
+generator through the recursive MarkedSSet.face, twice per pair i < j;
+validate_msset reads the faces of faces a dimension at a time through
+_face_layer, once per distinct face.
 """
 
 import collections
@@ -1462,3 +1467,17 @@ def raw_validate_two_functor(F):
                                 f"horizontal 2-composition broken on ({a},{b})"
                             )
     return Report("2-functor", problems)
+
+
+def raw_simplicial_identity_failures(X):
+    """The last stage of validate_msset as it was: its violations, in its
+    order, for an X whose earlier stages pass."""
+    problems = []
+    for n, ids in X.gens.items():
+        for g in ids if n >= 2 else ():
+            ref = (g, ())
+            for j in range(n + 1):
+                for i in range(j):
+                    if X.face(X.face(ref, j), i) != X.face(X.face(ref, i), j - 1):
+                        problems.append(f"simplicial identity fails: d_{i} d_{j} {g}")
+    return problems

@@ -9,9 +9,11 @@ from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
+from theta2kit.suspension import suspend_marked
 
 from raw_oracles import (
-    raw_colimit, raw_is_mono, raw_map_by_vertices, raw_product_with_index)
+    raw_colimit, raw_is_mono, raw_map_by_vertices, raw_product_with_index,
+    raw_simplicial_identity_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -897,6 +899,22 @@ def test_validate_msset_negative_control():
         X.marked,
     )
     assert not M.validate_msset(broken).ok
+
+
+def test_simplicial_identities_by_layers_match_the_recursive_oracle():
+    # the same violations in the same order: none on nerves in each marking
+    # and on simplices, some on a nerve with two faces of a 3-simplex swapped
+    Xs = [N.nerve(T.theta2_object(T.Theta2Shape(*s)), bound=4, marking=marking)
+          for s in [(2, (1, 1)), (1, (2,)), (3, (1, 0, 1))]
+          for marking in ("rs", "duskin", "scaled")]
+    Xs += [M.standard_simplex(4), suspend_marked(M.standard_simplex(3))]
+    X = Xs[0]
+    g = next(g for g in X.gens_at(3) if len(set(X.faces[g][:2])) == 2)
+    d0, d1, *rest = X.faces[g]
+    Xs.append(M.MarkedSSet(X.bound, X.gens, {**X.faces, g: (d1, d0, *rest)}, X.marked))
+    for Y in Xs:
+        assert M.validate_msset(Y).violations == raw_simplicial_identity_failures(Y)
+    assert len(M.validate_msset(Xs[-1]).violations) > 1
 
 
 # ---------------------------------------------------------------------------

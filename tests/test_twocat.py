@@ -613,9 +613,10 @@ def test_counting_two_functors_into_thin_homs_builds_no_hom_functor_table(
 
     def recorded(*args):
         out = object_maps(*args)
-        # the images of hom functors, which only _functors asks for
+        # the images of hom functors, which only _functors' tables asks for,
+        # on the first read of a functor's tables
         caller = sys._getframe(1).f_code.co_name
-        return _ReadImages(out, reads) if caller == "_functors" else out
+        return _ReadImages(out, reads) if caller == "tables" else out
 
     monkeypatch.setattr(T, "_object_maps", recorded)
     D = T.theta2_object(T.Theta2Shape(*source))
@@ -962,6 +963,140 @@ def test_one_guard_covers_a_two_functor_enumeration(monkeypatch):
         with pytest.raises(ResourceLimitError) as e:
             T.enumerate_two_functors(D, E, limit=limit)
         assert e.value.operation == "enumerate_two_functors", limit
+
+
+def _thin_hom_pairs(D, E):
+    """Each (generating hom of D, hom of E) pair that enumerating D -> E
+    could count, once per pair of FinCategory objects."""
+    pairs = {}
+    for pair in T._generating_homs(D):
+        for He in E.hom.values():
+            pairs.setdefault((id(D.hom[pair]), id(He)), (D.hom[pair], He))
+    return list(pairs.values())
+
+
+def _count_and_listing(objs, ends, targets, nonempty, limit=5_000_000):
+    """(count, steps) of the counting pass and (len, steps) of the listing
+    on the same search, each under a guard of its own at limit, with the
+    error's steps in place of the count where one raises."""
+    out = []
+    for search in (T._count_object_maps, lambda *a: len(T._object_maps(*a))):
+        guard = T._Guard(limit, "op")
+        try:
+            out.append((search(objs, ends, targets, nonempty, guard), guard.count))
+        except ResourceLimitError as e:
+            out.append(("raised", e.steps))
+    return out
+
+
+def _hom_functor_search(C, D):
+    """The object search of C -> D's functors, as `_functors` runs it."""
+    gens, _ = C.plan
+    ends = [C.morphisms[g] for g in gens]
+    return sorted(C.objects), ends, sorted(D.objects), list(D.morphisms.values())
+
+
+def test_counted_two_functors_match_the_formula_without_listing_a_hom_functor(
+        monkeypatch):
+    # the grid i, j <= 3 of the hom-bijection check: no hom functor's object
+    # maps are listed, and the count is the fiber-product formula
+    listed = []
+    object_maps = T._object_maps
+
+    def recorded(*args):
+        listed.append(sys._getframe(1).f_code.co_name)
+        return object_maps(*args)
+
+    monkeypatch.setattr(T, "_object_maps", recorded)
+    sources = {(i, j): T.theta2_object(T.Theta2Shape(i, (j,) * i))
+               for i in range(4) for j in range(4)}
+    for shape in _shapes(3, 2):
+        E = T.theta2_object(shape)
+        objs = sorted(E.objects)
+        chains = [{pair: T.chain_count(H, j) for pair, H in E.hom.items()}
+                  for j in range(4)]
+        for (i, j), S in sources.items():
+            formula = sum(
+                math.prod(chains[j].get(pair, 0) for pair in zip(chain, chain[1:]))
+                for chain in itertools.product(objs, repeat=i + 1))
+            assert len(T.enumerate_two_functors(S, E)) == formula, (shape, i, j)
+    assert set(listed) == {"enumerate_two_functors"}
+
+
+def test_counted_hom_functors_match_the_listing_on_a_slice():
+    # every pair of homs of the cells [i|j,...,j] -> [2|2,1], [3|1,2,0] and
+    # [3|2,2,2], i, j <= 3: the count and the listing agree, steps too, and
+    # a 2-functor sequence reads as many members as its len
+    for shape in [(2, (2, 1)), (3, (1, 2, 0)), (3, (2, 2, 2))]:
+        E = T.theta2_object(T.Theta2Shape(*shape))
+        for i, j in itertools.product(range(1, 4), repeat=2):
+            S = T.theta2_object(T.Theta2Shape(i, (j,) * i))
+            for C, D in _thin_hom_pairs(S, E):
+                count, listing = _count_and_listing(*_hom_functor_search(C, D))
+                assert count == listing and count[0] > 0, (shape, i, j)
+            if i + j <= 3:
+                fs = T.enumerate_two_functors(S, E)
+                assert len(list(fs)) == len(fs)
+
+
+def _long_chain_search():
+    """The object search of [10|0,...,0] -> [1|1]: its objects sort as
+    "0", "1", "10", "2", ..., so the segment ("9", "10") reads a depth
+    placed before it, and the counting pass keeps more than one image."""
+    D = T.theta2_object(T.Theta2Shape(10, (0,) * 10))
+    E = T.theta2_object(_C2)
+    assert sorted(D.objects)[:4] == ["0", "1", "10", "2"]
+    return D, E, (sorted(D.objects), D.segments, sorted(E.objects), list(E.hom))
+
+
+@pytest.mark.parametrize("search", [
+    pytest.param(lambda: _long_chain_search()[2], id="[10|0,...,0] objects"),
+    pytest.param(lambda: _hom_functor_search(T.ordinal(3), _parallel_pair()),
+                 id="[3] -> u,v (not thin)"),
+    pytest.param(lambda: _hom_functor_search(T.free_iso(), T.free_iso()), id="I -> I"),
+    pytest.param(lambda: _hom_functor_search(T.product_poset((1, 1)), T.ordinal(2)),
+                 id="[1]x[1] -> [2]"),
+])
+def test_count_charges_the_guard_as_the_listing_does(search):
+    args = search()
+    (count, total), listing = _count_and_listing(*args)
+    assert (count, total) == listing and count > 1 and total > 3
+    for limit in range(total):
+        got, want = _count_and_listing(*args, limit=limit)
+        assert got == want and got[0] == "raised" and got[1] > limit, limit
+    assert _count_and_listing(*args, limit=total)[0] == (count, total)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: _long_chain_search()[:2], id="[10|0,...,0] -> [1|1]"),
+    pytest.param(lambda: (T.theta2_object(_C2), T.suspend_category(_parallel_pair())),
+                 id="[1|1] -> Sigma u,v (not thin)"),
+])
+def test_two_functor_guard_stops_where_the_listing_stops(case):
+    D, E = case()
+    _, steps, want, total = _eager_and_lazy(D, E)
+    assert steps == total and len(want) > 1
+    for limit in range(total):
+        with pytest.raises(ResourceLimitError) as got:
+            T.enumerate_two_functors(D, E, limit)
+        with pytest.raises(ResourceLimitError) as oracle:
+            raw_enumerate_two_functors(D, E, T._Guard(limit, "enumerate_two_functors"))
+        assert got.value.steps == oracle.value.steps > limit, limit
+    assert len(T.enumerate_two_functors(D, E, total)) == len(want)
+
+
+def test_counting_builds_no_compose_table_of_the_target():
+    # a poset's compose table is built on its first read; counting, and
+    # reading a 2-functor into thin homs, read none of the target's
+    S = T.theta2_object(T.Theta2Shape(2, (2, 2)))
+    E = T.theta2_object(T.Theta2Shape(3, (2, 1, 2)))
+    fs = T.enumerate_two_functors(S, E)
+    assert len(fs) > 100 and len(fs[len(fs) // 2].tables) == 2
+    assert not any("compose" in vars(H) for H in E.hom.values())
+    H = E.hom[("0", "3")]
+    sizes = map(T.ordinal_size, (2, 1, 2))  # [2] x [1] x [2]
+    assert len(H.compose) == math.prod(sizes) and H.compose is H.compose
+    assert "compose" in vars(H)
 
 
 # ---------------------------------------------------------------------------
@@ -1533,6 +1668,35 @@ def test_presentation_loader_names_a_bogus_image():
     data["arrows"][0]["functor"]["hom"]["0|1"]["one"]["(0)"] = "bogus"
     with pytest.raises(ValueError, match="not a 2-functor"):
         TH.presentation_from_json(data)
+
+
+def test_validators_report_an_image_that_does_not_hash():
+    # an object image read from JSON as a list used to escape the loader as
+    # TypeError("unhashable type: 'list'") from validate_two_functor
+    from theta2kit import theta as TH
+
+    cells = (TH.BoxCell(_C2), TH.BoxCell(_P11))
+    data = TH.presentation_to_json(
+        TH.Theta2Presentation(cells, ((0, 1, _first_two_functor(), (0,)),))
+    )
+    data["arrows"][0]["functor"]["on_objects"]["0"] = ["0"]
+    with pytest.raises(ValueError, match="not a 2-functor: 0: image not an object"):
+        TH.presentation_from_json(data)
+    F = _first_two_functor()
+    G = T.TwoFunctor(F.source, F.target, {**F.on_objects, "1": ["1"]}, F.tables)
+    assert T.validate_two_functor(G).violations == [
+        "1: image not an object", "hom(0,1): target hom empty"]
+    C = T.ordinal(1)
+    H = T.Functor(C, C, {"0": "0", "1": "1"}, {"0>0": "0>0", "1>1": "1>1", "0>1": ["0>1"]})
+    assert T.validate_functor(H).violations == ["0>1: image missing or not a morphism"]
+
+
+def test_category_loader_rejects_an_identity_on_a_non_object():
+    # the entry used to load, validate and be written back by category_to_json
+    data = T.category_to_json(T.ordinal(1))
+    data["identity"]["zz"] = "0>0"
+    with pytest.raises(ValueError, match="category: identity defined on 'zz', not an object"):
+        T.category_from_json(data)
 
 
 def _mutate(rng, tables, cells, check, count):
