@@ -701,7 +701,7 @@ class _Guard:
     def step_each(self, k):
         """Charge k steps of one, in one call: past the limit this raises
         as the first of k calls of step() over it would, at limit + 1."""
-        self.step(min(k, self.limit + 1 - self.count))
+        self.step_times(k, 1)
 
     def step_times(self, n, k):
         """Charge n steps of k, in one call: past the limit this raises as

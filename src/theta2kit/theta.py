@@ -431,10 +431,10 @@ def d_restriction(theta: Theta2Shape, i: int, j: int, limit=5_000_000):
     """Hom from [i|j,...,j] by enumeration and by the fiber-product
     count over chains of objects; returns (functors, formula count).  The
     functors are `enumerate_two_functors`' sequence: its len is a sum over
-    object maps of products of hom-functor counts, each counted one object
-    at a time without listing the hom functors' object images, so taking
-    it builds no 2-functor, no hom functor's tables and no compose table
-    of theta's homs."""
+    object maps of products of hom-functor counts, each counted by the
+    candidates that placed objects leave the others, without listing the
+    hom functors' object images, so taking it builds no 2-functor, no hom
+    functor's tables and no compose table of theta's homs."""
     for name, value in (("i", i), ("j", j)):
         _check_int(value, 0, f"d_restriction: {name}")
     shape = Theta2Shape(i, (j,) * i)

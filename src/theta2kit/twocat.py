@@ -448,12 +448,13 @@ def _product(A: FinCategory, B: FinCategory) -> FinCategory:
 
 
 def _object_rules(objs, ends, targets, nonempty):
-    """(base, rules) of the search `_object_maps` and `_count_object_maps`
-    run: objs[k]'s candidates are the bits of base[k] (bit t for
-    targets[t]) that each masks[image of objs[other]] of (other, masks) in
-    rules[k] keeps.  The up- and down-set masks come from nonempty, the
-    pairs of targets with a nonempty hom; a pair (a, a) of ends leaves in
-    base only the targets with a nonempty hom to themselves."""
+    """(base, later) of the search `_object_maps` and `_count_object_maps`
+    run: objs[k]'s candidates start as the bits of base[k] (bit t for
+    targets[t]), and placing objs[k] at t narrows those of each later
+    objs[j] of (j, masks) in later[k] to & masks[t].  The up- and down-set
+    masks come from nonempty, the pairs of targets with a nonempty hom; a
+    pair (a, a) of ends leaves in base only the targets with a nonempty
+    hom to themselves."""
     pos = {y: t for t, y in enumerate(targets)}
     up, down = [0] * len(targets), [0] * len(targets)
     loops = 0  # the targets with a nonempty hom to themselves
@@ -464,100 +465,91 @@ def _object_rules(objs, ends, targets, nonempty):
             loops |= 1 << pos[a]
     index = {x: k for k, x in enumerate(objs)}
     base = [(1 << len(targets)) - 1] * len(objs)
-    rules = [[] for _ in objs]
+    later = [[] for _ in objs]
     for a, b in ends:
         ka, kb = index[a], index[b]
         if ka == kb:
             base[ka] &= loops
         elif ka < kb:
-            rules[kb].append((ka, up))
+            later[ka].append((kb, up))
         else:
-            rules[ka].append((kb, down))
-    return base, rules
+            later[kb].append((ka, down))
+    return base, later
 
 
 def _object_maps(objs, ends, targets, nonempty, guard):
     """Every map of objs into targets under which each pair (a, b) in ends
     lands on a nonempty hom, as image tuples in lexicographic order.
 
-    objs[k]'s candidates come from `_object_rules`, and only their bits
-    are walked, low to high, depth first on an explicit stack.  The guard
-    is charged len(targets) in one step per search node: what trying each
-    target in turn would cost.
+    The candidates come from `_object_rules`, narrowed as each object is
+    placed, and only their bits are walked, low to high, depth first on
+    an explicit stack.  The guard is charged len(targets) in one step per
+    search node: what trying each target in turn would cost.
     """
     if not objs:
         return [()]
-    base, rules = _object_rules(objs, ends, targets, nonempty)
+    base, later = _object_rules(objs, ends, targets, nonempty)
     images = [0] * len(objs)
     out = []
-
-    def allowed(k):
-        """The candidate bits of objs[k], given images[:k]; one guard step."""
-        guard.step(len(targets))
-        mask = base[k]
-        for other, masks in rules[k]:
-            mask &= masks[images[other]]
-        return mask
-
-    # pending[k]: the candidates of objs[k] not yet tried on this path
-    pending = [allowed(0)] + [0] * (len(objs) - 1)
+    # left[k][j]: the candidates of objs[j], j >= k, once objs[:k] are
+    # placed on this path, less those of objs[k] already tried
+    left = [base] + [None] * (len(objs) - 1)
+    guard.step(len(targets))
     k = 0
     while k >= 0:
-        mask = pending[k]
+        cands = left[k]
+        mask = cands[k]
         if not mask:
             k -= 1
             continue
         low = mask & -mask
-        pending[k] = mask ^ low
-        images[k] = low.bit_length() - 1
+        cands[k] = mask ^ low
+        t = images[k] = low.bit_length() - 1
         if k + 1 == len(objs):
             out.append(tuple(targets[t] for t in images))
-        else:
-            k += 1
-            pending[k] = allowed(k)
+            continue
+        cands = cands[:]
+        for j, masks in later[k]:
+            cands[j] &= masks[t]
+        k += 1
+        left[k] = cands
+        guard.step(len(targets))
     return out
 
 
 def _count_object_maps(objs, ends, targets, nonempty, guard):
     """len(_object_maps(objs, ends, targets, nonempty, guard)), counted
     one depth at a time without listing a map.  The states after depth k
-    map the images of the objects of objs[:k + 1] that a later pair reads
-    to the number of partial maps with them; a chain keeps one image.
-    The search's nodes, one per partial map of each depth but the last
-    and one for the root, are charged len(targets) each, a depth's in one
-    `step_times` call: every node costs the same, so it raises past the
-    limit at the step the search would.
+    map the candidates left to objs[k + 1:] to the number of partial maps
+    that leave them, which have as many completions.  The search's nodes,
+    one per partial map of each depth but the last and one for the root,
+    are charged len(targets) each, a depth's in one `step_times` call:
+    every node costs the same, so it raises past the limit at the step
+    the search would.
     """
     if not objs:
         return 1
-    base, rules = _object_rules(objs, ends, targets, nonempty)
-    read = {other: k for k, rule in enumerate(rules) for other, _ in rule}
-    images = [0] * len(objs)
-    states, kept = {(): 1}, ()  # kept: the depths a state's key gives
-    for k, rule in enumerate(rules):
+    base, later = _object_rules(objs, ends, targets, nonempty)
+    states = {tuple(base): 1}
+    for k, rule in enumerate(later):
         guard.step_times(sum(states.values()), len(targets))
-        # a new state's key: the images of head_at, then objs[k]'s image
-        # when a later pair reads it
-        head_at, last = tuple([d for d in kept if read[d] > k]), k in read
         new = {}
-        for key, n in states.items():
-            for d, t in zip(kept, key):
-                images[d] = t
-            mask = base[k]
-            for other, masks in rule:
-                mask &= masks[images[other]]
-            if not mask:
-                continue
-            head = tuple(map(images.__getitem__, head_at)) if head_at else ()
-            if not last:
-                new[head] = new.get(head, 0) + n * mask.bit_count()
+        for left, n in states.items():
+            mask, rest = left[0], left[1:]
+            if not rule:
+                if mask:
+                    new[rest] = new.get(rest, 0) + n * mask.bit_count()
                 continue
             while mask:
                 low = mask & -mask
                 mask ^= low
-                key = head + (low.bit_length() - 1,)
+                t = low.bit_length() - 1
+                cands = list(rest)
+                for j, masks in rule:
+                    cands[j - k - 1] &= masks[t]
+                key = tuple(cands)
                 new[key] = new.get(key, 0) + n
-        states, kept = new, head_at + (k,) if last else head_at
+        states = new
     return states.get((), 0)
 
 
@@ -581,10 +573,10 @@ def _functors(C, D, guard):
     Object images are the maps `_object_maps` lists, with the ends of C's
     generators as the pairs that must land on nonempty homs of D.  When D
     is thin the result is an `_OnRead` sequence: its length comes from
-    `_count_object_maps`, which lists no object map, so `len` builds
-    nothing; the object maps are listed on the first read of a functor,
-    and a functor's tables are built on its first read and kept.  The
-    image of each morphism of C (identities, then generators, then
+    `_count_object_maps`, which counts the object maps by the candidates
+    they leave and lists none, so `len` builds nothing; the object maps
+    are listed on the first read of a functor, and a functor's tables
+    are built on its first read and kept.  The image of each morphism of C (identities, then generators, then
     composites) is the one morphism between its ends' images (D.homs),
     neither D.identity nor D.compose is read, and the generators cost one
     guard step of len(generators) per object map, charged during the
@@ -1203,9 +1195,10 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     one; each generating hom's `FinCategory.plan` is made once and kept
     in the hom, so any finite hom is a valid source.  Into a thin
     target hom that sequence has its length from `_count_object_maps`,
-    and lists its object images and builds a hom functor's tables only
-    when one is read, so counting lists and builds none, and reads no
-    compose table of E.  One guard covers the whole call:
+    which counts the object maps by the candidates they leave, and lists
+    its object images and builds a hom functor's tables only when one is
+    read, so counting lists and builds none, and reads no compose table
+    of E.  One guard covers the whole call:
     enumerating each sequence charges its steps once, each use of one
     charges its length, and each combination of hom functors charges one
     step.  Every combination of segment functors is a 2-functor, so those

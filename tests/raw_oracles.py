@@ -57,7 +57,12 @@ raw_enumerate_full tries every tuple of object images and enumerates the
 functors of every hom again for each; the library searches object images
 through the generating pairs and keeps one functor list per pair of homs.
 
-raw_enumerate_two_functors runs the library's search and builds every
+raw_object_maps finds object images depth first, each object's
+candidates read off the images of the earlier objects its generators
+join it to; the library narrows every later object's candidates as it
+places one, and counts object maps by the candidates they leave.
+
+raw_enumerate_two_functors runs raw_object_maps and builds every
 2-functor as it goes, charging a free source's combinations one step at a
 time; the library charges them together and builds each 2-functor when
 it is first read.
@@ -107,7 +112,7 @@ from theta2kit.theta import (
     BoxCell, PresentationMap, Theta2Presentation, _monotone_maps, representable)
 from theta2kit.twocat import (
     Functor, Theta2Shape, TwoFunctor, _functors, _generating_homs, _horizontal_failures,
-    _object_maps, _poset, enumerate_functors, enumerate_two_functors, shape_functor,
+    _poset, enumerate_functors, enumerate_two_functors, shape_functor,
     theta2_object, validate_category)
 
 
@@ -1060,6 +1065,62 @@ def raw_plan(C):
     return sorted(C.objects), atoms, atom_ends, identities, composites, relations
 
 
+def raw_object_maps(objs, ends, targets, nonempty, guard):
+    """Every map of objs into targets under which each pair (a, b) in ends
+    lands on a nonempty hom, in lexicographic order, found depth first
+    with backward rules: objs[k]'s candidates are the bits of base[k] (bit
+    t for targets[t]) that each masks[image of objs[other]] of (other,
+    masks) in rules[k] keeps, read when objs[k] is reached.  The guard is
+    charged len(targets) in one step per search node."""
+    if not objs:
+        return [()]
+    pos = {y: t for t, y in enumerate(targets)}
+    up, down = [0] * len(targets), [0] * len(targets)
+    loops = 0
+    for a, b in nonempty:
+        up[pos[a]] |= 1 << pos[b]
+        down[pos[b]] |= 1 << pos[a]
+        if a == b:
+            loops |= 1 << pos[a]
+    index = {x: k for k, x in enumerate(objs)}
+    base = [(1 << len(targets)) - 1] * len(objs)
+    rules = [[] for _ in objs]
+    for a, b in ends:
+        ka, kb = index[a], index[b]
+        if ka == kb:
+            base[ka] &= loops
+        elif ka < kb:
+            rules[kb].append((ka, up))
+        else:
+            rules[ka].append((kb, down))
+    images = [0] * len(objs)
+    out = []
+
+    def allowed(k):
+        guard.step(len(targets))
+        mask = base[k]
+        for other, masks in rules[k]:
+            mask &= masks[images[other]]
+        return mask
+
+    pending = [allowed(0)] + [0] * (len(objs) - 1)
+    k = 0
+    while k >= 0:
+        mask = pending[k]
+        if not mask:
+            k -= 1
+            continue
+        low = mask & -mask
+        pending[k] = mask ^ low
+        images[k] = low.bit_length() - 1
+        if k + 1 == len(objs):
+            out.append(tuple(targets[t] for t in images))
+        else:
+            k += 1
+            pending[k] = allowed(k)
+    return out
+
+
 def raw_functors(C, plan, D, guard):
     """twocat._functors as Functor objects, with C's `raw_plan` given and
     every image derived from D's identity and compose tables: into a thin
@@ -1092,7 +1153,7 @@ def raw_functors(C, plan, D, guard):
                 return None
         return mor_map
 
-    for images in _object_maps(objs, atom_ends, sorted(D.objects), homs, guard):
+    for images in raw_object_maps(objs, atom_ends, sorted(D.objects), homs, guard):
         obj_map = dict(zip(objs, images))
         if thin:
             guard.step(len(atoms))
@@ -1186,7 +1247,7 @@ def raw_enumerate_two_functors(D, E, guard):
     gen_homs = [D.hom_at(*pair) for pair in gens]
     gen_tables = {}
     results = []
-    for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
+    for images in raw_object_maps(objs, gens, sorted(E.objects), E.hom, guard):
         on_objects = dict(zip(objs, images))
         choice_lists = []
         for (a, b), H in zip(gens, gen_homs):

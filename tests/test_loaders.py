@@ -1,5 +1,7 @@
 """The loader contract: every JSON loader returns an object that its
-type's validator accepts, or raises ValueError, whatever the document."""
+type's validator accepts, or raises ValueError, whatever the document;
+and what loads survives the library's constructions on it, raising
+nothing but ValueError or ResourceLimitError."""
 
 import json
 
@@ -7,24 +9,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from theta2kit import msset as M, nerves as N, theta as TH, twocat as T
+from theta2kit.msset import ResourceLimitError
+
+
+def _survives(*calls):
+    """Run each call on a nerve cache of its own, so that no later test
+    reads a nerve built here; True unless one raises other than ValueError
+    or ResourceLimitError, which propagates."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(N, "_nerve_cache", {})
+        for call in calls:
+            try:
+                call()
+            except (ValueError, ResourceLimitError):
+                pass
+    return True
+
+
+def _two_category_ok(D):
+    return T.validate_2cat(D).ok and _survives(lambda: N.rs_nerve(D, 2, limit=2_000))
+
+
+def _msset_ok(X):
+    doc = M.msset_to_json(X)
+    return (M.validate_msset(X).ok and M.msset_to_json(M.msset_from_json(doc)) == doc
+            and _survives(*(lambda n=n: N.filler_counts(X, n, limit=2_000)
+                            for n in range(1, min(2, X.bound) + 1))))
 
 
 def _presentation_ok(W):
-    return all(T.validate_two_functor(F).ok for _, _, F, _ in W.arrows)
+    return (all(T.validate_two_functor(F).ok for _, _, F, _ in W.arrows)
+            and _survives(lambda: TH.apply_L(W, 2)))
 
 
 def _documents():
-    """name -> (a valid document, its loader, whether a loaded object is valid)."""
+    """name -> (a valid document, its loader, whether a loaded object is
+    valid and survives the constructions on it)."""
     shape = T.theta2_object(T.parse_shape("[2|1,0]"))
     return {
         "category": (T.category_to_json(T.ordinal(2)), T.category_from_json,
-                     lambda C: T.validate_category(C).ok),
+                     lambda C: T.validate_category(C).ok
+                     and _two_category_ok(T.as_two_category(C))),
         "twocat/1 [2|1,0]": (T.two_category_to_json(shape), T.two_category_from_json,
-                             lambda D: T.validate_2cat(D).ok),
+                             _two_category_ok),
         "twocat/1 Sigma I": (T.two_category_to_json(T.suspend_category(T.free_iso())),
-                             T.two_category_from_json, lambda D: T.validate_2cat(D).ok),
-        "msset/1": (M.msset_to_json(N.rs_nerve(shape, 3)), M.msset_from_json,
-                    lambda X: M.validate_msset(X).ok),
+                             T.two_category_from_json, _two_category_ok),
+        "msset/1": (M.msset_to_json(N.rs_nerve(shape, 3)), M.msset_from_json, _msset_ok),
         "theta/1": (TH.presentation_to_json(TH.vertical_segal(2).source),
                     TH.presentation_from_json, _presentation_ok),
     }

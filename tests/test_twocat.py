@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from functools import cached_property, partial
 
 import pytest
@@ -14,8 +15,9 @@ from theta2kit.msset import ResourceLimitError
 
 from raw_oracles import (
     raw_atoms, raw_enumerate_full, raw_enumerate_two_functors, raw_factorizations,
-    raw_fold_hom_maps, raw_functors, raw_plan, raw_suspension_decomposition,
-    raw_theta2_decomposition, raw_validate_2cat, raw_validate_two_functor)
+    raw_fold_hom_maps, raw_functors, raw_object_maps, raw_plan,
+    raw_suspension_decomposition, raw_theta2_decomposition, raw_validate_2cat,
+    raw_validate_two_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -976,11 +978,11 @@ def _thin_hom_pairs(D, E):
 
 
 def _count_and_listing(objs, ends, targets, nonempty, limit=5_000_000):
-    """(count, steps) of the counting pass and (len, steps) of the listing
-    on the same search, each under a guard of its own at limit, with the
-    error's steps in place of the count where one raises."""
+    """(count, steps) of the counting pass and (len, steps) of the oracle's
+    listing on the same search, each under a guard of its own at limit,
+    with the error's steps in place of the count where one raises."""
     out = []
-    for search in (T._count_object_maps, lambda *a: len(T._object_maps(*a))):
+    for search in (T._count_object_maps, lambda *a: len(raw_object_maps(*a))):
         guard = T._Guard(limit, "op")
         try:
             out.append((search(objs, ends, targets, nonempty, guard), guard.count))
@@ -1041,8 +1043,8 @@ def test_counted_hom_functors_match_the_listing_on_a_slice():
 
 def _long_chain_search():
     """The object search of [10|0,...,0] -> [1|1]: its objects sort as
-    "0", "1", "10", "2", ..., so the segment ("9", "10") reads a depth
-    placed before it, and the counting pass keeps more than one image."""
+    "0", "1", "10", "2", ..., so placing "10" narrows the candidates of
+    "9", eight depths on."""
     D = T.theta2_object(T.Theta2Shape(10, (0,) * 10))
     E = T.theta2_object(_C2)
     assert sorted(D.objects)[:4] == ["0", "1", "10", "2"]
@@ -1065,6 +1067,70 @@ def test_count_charges_the_guard_as_the_listing_does(search):
         got, want = _count_and_listing(*args, limit=limit)
         assert got == want and got[0] == "raised" and got[1] > limit, limit
     assert _count_and_listing(*args, limit=total)[0] == (count, total)
+
+
+def _searched(search, args, limit):
+    """(result, steps) of search under a guard of its own at limit, or
+    ("raised", operation, steps) where it raises."""
+    guard = T._Guard(limit, "op")
+    try:
+        return search(*args, guard), guard.count
+    except ResourceLimitError as e:
+        return "raised", e.operation, e.steps
+
+
+def test_object_searches_match_the_backward_rule_walk_on_random_searches():
+    # self-loops, repeated ends and pairs in both directions; each search is
+    # checked at limit 0, total - 1, total and a few limits between
+    rng = random.Random(37)
+    for _ in range(200):
+        objs = [f"o{k}" for k in range(rng.randint(0, 6))]
+        targets = [f"t{t}" for t in range(rng.randint(1, 5))]
+        ends = [(rng.choice(objs), rng.choice(objs))
+                for _ in range(rng.randint(0, 8) if objs else 0)]
+        nonempty = {(rng.choice(targets), rng.choice(targets))
+                    for _ in range(rng.randint(0, 12))}
+        args = objs, ends, targets, sorted(nonempty)
+        want, total = _searched(raw_object_maps, args, 10**9)
+        between = rng.randint(0, total), rng.randint(0, total)
+        for limit in {0, total - 1, total, *between} - {-1}:
+            expected = _searched(raw_object_maps, args, limit)
+            assert _searched(T._object_maps, args, limit) == expected, (args, limit)
+            if expected[0] != "raised":
+                expected = (len(expected[0]), total)
+            assert _searched(T._count_object_maps, args, limit) == expected, (args, limit)
+
+
+def _thin(objects, arrows):
+    """The category with one identity per object and one morphism a>b per
+    (a, b) in arrows, which no two compose to another but an identity."""
+    ids = {x: f"{x}>{x}" for x in objects}
+    up = {pair: f"{pair[0]}>{pair[1]}" for pair in arrows}
+    morphisms = {f: (x, x) for x, f in ids.items()} | {f: e for e, f in up.items()}
+    compose = {(f, f): f for f in ids.values()}
+    for (a, b), f in up.items():
+        compose[(ids[a], f)] = compose[(f, ids[b])] = f
+    return T.FinCategory(tuple(objects), morphisms, ids, compose)
+
+
+def test_counting_a_cone_keeps_few_states():
+    # nine objects below a top: the 4**9 partial maps of the objects below
+    # leave the top at most 16 candidate sets, and only those are kept
+    low = [str(k) for k in range(9)]
+    C = _thin(low + ["top"], [(x, "top") for x in low])
+    D = _thin(["0", "1", "2", "3"], [("0", "1")])
+    assert T.validate_category(C).ok and T.validate_category(D).ok
+    args = _hom_functor_search(C, D)
+    assert args[0][-1] == "top" and len(args[1]) == 9
+    guard = T._Guard(5_000_000, "op")
+    tracemalloc.start()
+    try:
+        n = T._count_object_maps(*args, guard)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (n, guard.count) == (515, 1_398_100)
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("case", [
