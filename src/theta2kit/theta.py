@@ -434,7 +434,10 @@ def d_restriction(theta: Theta2Shape, i: int, j: int, limit=5_000_000):
     object maps of products of hom-functor counts, each counted by the
     candidates that placed objects leave the others, without listing the
     hom functors' object images, so taking it builds no 2-functor, no hom
-    functor's tables and no compose table of theta's homs."""
+    functor's tables and no compose table of theta's homs.  E is theta's
+    own 2-category, built on theta's first `theta2_object` call and kept
+    on it, so a loop over (i, j) with one theta builds it once; the source
+    [i|j,...,j] is a new shape, built on each call."""
     for name, value in (("i", i), ("j", j)):
         _check_int(value, 0, f"d_restriction: {name}")
     shape = Theta2Shape(i, (j,) * i)

@@ -662,6 +662,10 @@ class _OnRead(Sequence):
 
 @dataclass(frozen=True)
 class Theta2Shape:
+    """The pasting shape [m|k_1,...,k_m].  Its 2-category is built on the
+    first `theta2_object(shape)` and kept on the instance; a copy or a
+    pickle carries (m, ks) alone, and builds its own."""
+
     m: int
     ks: tuple
 
@@ -675,6 +679,13 @@ class Theta2Shape:
 
     def __str__(self):
         return f"[{self.m}|{','.join(str(k) for k in self.ks)}]"
+
+    def __reduce__(self):
+        return type(self), (self.m, self.ks)
+
+    @cached_property
+    def _category(self):
+        return _build_theta2_object(self)
 
 
 def parse_shape(text: str) -> Theta2Shape:
@@ -938,6 +949,18 @@ def _hcompose2(built, pair):
 
 def theta2_object(shape: Theta2Shape) -> Fin2Category:
     """The pasting 2-category [m|k_1,...,k_m] with product-poset homs.
+
+    It is built once per shape instance and kept on it, so every call with
+    one instance returns the same object, with what was derived from it
+    (`signature`, `segments`, each hom's `homs` and `plan`, the tables
+    built on first read).  Equal shapes made separately are built
+    separately.  Every table is read-only; callers must not edit them.
+    See `_build_theta2_object` for the tables."""
+    return shape._category
+
+
+def _build_theta2_object(shape: Theta2Shape) -> Fin2Category:
+    """`theta2_object(shape)`, built anew on each call.
 
     hom(i, j) is the poset [k_{i+1}] x ... x [k_j].  Its tables are built
     once per distinct slice ks[i:j] in a call, so homs with equal slices

@@ -527,7 +527,9 @@ def test_nerve_rejects_an_id_shared_by_a_vertex_and_an_edge(variant):
 
 
 def test_nerve_rejects_an_id_shared_by_an_edge_and_a_triangle(monkeypatch):
-    # give the triangle of [2] the id of its edge 0 -> 1
+    # give the triangle of [2] the id of its edge 0 -> 1; a nerve of [2]
+    # cached by an earlier test would be returned unbuilt
+    monkeypatch.setattr(N, "_nerve_cache", {})
     key_fn = N._key_fn
     monkeypatch.setattr(N, "_key_fn", lambda raw, n: key_fn(
         (raw[0][:2], raw[1][:1], ()), 1) if n == 2 else key_fn(raw, n))

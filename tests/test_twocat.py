@@ -1,7 +1,9 @@
 import collections
+import copy
 import gc
 import itertools
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -730,6 +732,55 @@ def test_theta2_object_tables_are_read_only():
         inner = table[("0", "1", "2")]
         with pytest.raises(TypeError):
             inner[next(iter(inner))] = "()"
+
+
+def test_theta2_object_is_built_once_per_shape_instance():
+    for shape in _shapes(3, 2):
+        got = T.theta2_object(shape)
+        assert got is T.theta2_object(shape), shape
+        assert T.two_category_to_json(got) == T.two_category_to_json(
+            T._build_theta2_object(shape)), shape
+        # an equal shape made separately builds its own
+        twin = T.Theta2Shape(shape.m, shape.ks)
+        assert twin == shape and T.theta2_object(twin) is not got
+        assert T.theta2_object(twin).signature == got.signature, shape
+
+
+@pytest.mark.parametrize("copy_of", [
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+    pytest.param(lambda shape: pickle.loads(pickle.dumps(shape)), id="pickle"),
+])
+def test_shape_copies_carry_m_and_ks_alone(copy_of):
+    # the kept 2-category holds read-only views, which do not pickle
+    shape = T.Theta2Shape(2, (1, 2))
+    before = copy_of(shape)
+    built = T.theta2_object(shape)
+    after = copy_of(shape)
+    for twin in (before, after):
+        assert twin == shape and vars(twin) == {"m": 2, "ks": (1, 2)}
+        assert T.theta2_object(twin) is not built
+        assert T.theta2_object(twin).signature == built.signature
+
+
+def test_hom_bijection_builds_each_shape_once(monkeypatch):
+    from theta2kit import cli, theta as TH
+
+    built = []  # the shapes themselves, so that no two share an id
+    build = T._build_theta2_object
+    monkeypatch.setattr(T, "_build_theta2_object",
+                        lambda shape: built.append(shape) or build(shape))
+    theta = T.Theta2Shape(2, (1, 2))
+    for i in range(3):
+        for j in range(3):
+            TH.d_restriction(theta, i, j)
+    # theta once, and each cell's new source [i|j,...,j]
+    assert [s for s in built if s is theta] == [theta] and len(built) == 1 + 9
+    built.clear()
+    ((_, ok, _),) = cli.check_hom_bijection(2, 1, 2)
+    # 7 shapes [m|k_1,...,k_m], m <= 2, k <= 1, each with its 9 sources
+    assert ok and len(built) == 7 * (1 + 9)
+    assert set(collections.Counter(map(id, built)).values()) == {1}
 
 
 def test_theta2_object_shares_horizontal_tables_per_slice_pair():
