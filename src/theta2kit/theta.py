@@ -436,8 +436,12 @@ def d_restriction(theta: Theta2Shape, i: int, j: int, limit=5_000_000):
     hom functors' object images, so taking it builds no 2-functor, no hom
     functor's tables and no compose table of theta's homs.  E is theta's
     own 2-category, built on theta's first `theta2_object` call and kept
-    on it, so a loop over (i, j) with one theta builds it once; the source
-    [i|j,...,j] is a new shape, built on each call."""
+    on it, and E and each of its homs keep what the searches and
+    `chain_count` read of them as targets: their sorted objects, the
+    order masks of their nonempty homs and, per hom, its chain count per
+    j.  So a loop over (i, j) with one theta builds and derives those
+    once; the source [i|j,...,j] is a new shape, built on each call, and
+    an equal theta made separately shares nothing."""
     for name, value in (("i", i), ("j", j)):
         _check_int(value, 0, f"d_restriction: {name}")
     shape = Theta2Shape(i, (j,) * i)

@@ -27,7 +27,8 @@ from .msset import Report, _check_int, _check_json, _Guard, _json_value, _load, 
 class FinCategory:
     """A finite category given by its tables.  Plain-dict tables are
     copied into read-only views, so what is derived from them (`homs`,
-    `thin` and `plan`, each made on first read and kept) stays true."""
+    `thin`, `plan`, and as a target `_as_target` and `_chain_counts`,
+    each made on first read and kept) stays true."""
 
     objects: tuple
     morphisms: Mapping  # id -> (src, tgt)
@@ -66,6 +67,18 @@ class FinCategory:
         """Whether each (source, target) pair has at most one morphism:
         as many distinct ends as morphisms."""
         return len(set(self.morphisms.values())) == len(self.morphisms)
+
+    @cached_property
+    def _as_target(self):
+        """What the object searches into this category read of it: the
+        `_order_masks` of its sorted objects by the ends of its morphisms,
+        which are the keys of `homs`."""
+        return _order_masks(tuple(sorted(self.objects)), self.morphisms.values())
+
+    @cached_property
+    def _chain_counts(self):
+        """`chain_count(self, j)` by j, filled in as each is asked for."""
+        return {}
 
     @cached_property
     def plan(self):
@@ -352,10 +365,15 @@ def product_poset(ks) -> FinCategory:
 
 
 def chain_count(C: FinCategory, j: int) -> int:
-    """Number of composable j-chains (the classical nerve in dimension j)."""
+    """Number of composable j-chains (the classical nerve in dimension j).
+
+    Each count is kept on C, one entry per j (`FinCategory._chain_counts`),
+    so asking again of one instance only looks it up; an equal category
+    built separately counts its own."""
     _check_int(j, 0, "chain_count: j")
-    if j == 0:
-        return len(C.objects)
+    counts = C._chain_counts
+    if j in counts:
+        return counts[j]
     weights = {f: 1 for f in C.morphisms}
     for _ in range(j - 1):
         # chains of the current length ending at each object
@@ -363,7 +381,8 @@ def chain_count(C: FinCategory, j: int) -> int:
         for f, (_, b) in C.morphisms.items():
             ending[b] = ending.get(b, 0) + weights[f]
         weights = {g: ending.get(a, 0) for g, (a, _) in C.morphisms.items()}
-    return sum(weights.values())
+    counts[j] = sum(weights.values()) if j else len(C.objects)
+    return counts[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,22 +466,31 @@ def _product(A: FinCategory, B: FinCategory) -> FinCategory:
     )
 
 
-def _object_rules(objs, ends, targets, nonempty):
-    """(base, later) of the search `_object_maps` and `_count_object_maps`
-    run: objs[k]'s candidates start as the bits of base[k] (bit t for
-    targets[t]), and placing objs[k] at t narrows those of each later
-    objs[j] of (j, masks) in later[k] to & masks[t].  The up- and down-set
-    masks come from nonempty, the pairs of targets with a nonempty hom; a
-    pair (a, a) of ends leaves in base only the targets with a nonempty
-    hom to themselves."""
+def _order_masks(targets, nonempty):
+    """(targets, up, down, loops): what the object searches read of a
+    target.  Bit t stands for targets[t]: up[t] and down[t] hold the
+    targets that t has a nonempty hom to and from, and loops those with a
+    nonempty hom to themselves, read off nonempty, the pairs of targets
+    with a nonempty hom.  The masks are tuples, since a target keeps its
+    own (`_as_target`) for every search into it."""
     pos = {y: t for t, y in enumerate(targets)}
     up, down = [0] * len(targets), [0] * len(targets)
-    loops = 0  # the targets with a nonempty hom to themselves
+    loops = 0
     for a, b in nonempty:
         up[pos[a]] |= 1 << pos[b]
         down[pos[b]] |= 1 << pos[a]
         if a == b:
             loops |= 1 << pos[a]
+    return targets, tuple(up), tuple(down), loops
+
+
+def _object_rules(objs, ends, target):
+    """(base, later) of the search `_object_maps` and `_count_object_maps`
+    run into target, an `_order_masks`: objs[k]'s candidates start as the
+    bits of base[k], and placing objs[k] at t narrows those of each later
+    objs[j] of (j, masks) in later[k] to & masks[t], the up- or down-set
+    masks; a pair (a, a) of ends leaves in base only the loops."""
+    targets, up, down, loops = target
     index = {x: k for k, x in enumerate(objs)}
     base = [(1 << len(targets)) - 1] * len(objs)
     later = [[] for _ in objs]
@@ -477,9 +505,10 @@ def _object_rules(objs, ends, targets, nonempty):
     return base, later
 
 
-def _object_maps(objs, ends, targets, nonempty, guard):
-    """Every map of objs into targets under which each pair (a, b) in ends
-    lands on a nonempty hom, as image tuples in lexicographic order.
+def _object_maps(objs, ends, target, guard):
+    """Every map of objs into the targets of target, an `_order_masks`,
+    under which each pair (a, b) in ends lands on a nonempty hom, as image
+    tuples in lexicographic order.
 
     The candidates come from `_object_rules`, narrowed as each object is
     placed, and only their bits are walked, low to high, depth first on
@@ -488,7 +517,8 @@ def _object_maps(objs, ends, targets, nonempty, guard):
     """
     if not objs:
         return [()]
-    base, later = _object_rules(objs, ends, targets, nonempty)
+    targets = target[0]
+    base, later = _object_rules(objs, ends, target)
     images = [0] * len(objs)
     out = []
     # left[k][j]: the candidates of objs[j], j >= k, once objs[:k] are
@@ -517,8 +547,8 @@ def _object_maps(objs, ends, targets, nonempty, guard):
     return out
 
 
-def _count_object_maps(objs, ends, targets, nonempty, guard):
-    """len(_object_maps(objs, ends, targets, nonempty, guard)), counted
+def _count_object_maps(objs, ends, target, guard):
+    """len(_object_maps(objs, ends, target, guard)), counted
     one depth at a time without listing a map.  The states after depth k
     map the candidates left to objs[k + 1:] to the number of partial maps
     that leave them, which have as many completions.  The search's nodes,
@@ -529,7 +559,8 @@ def _count_object_maps(objs, ends, targets, nonempty, guard):
     """
     if not objs:
         return 1
-    base, later = _object_rules(objs, ends, targets, nonempty)
+    targets = target[0]
+    base, later = _object_rules(objs, ends, target)
     states = {tuple(base): 1}
     for k, rule in enumerate(later):
         guard.step_times(sum(states.values()), len(targets))
@@ -561,51 +592,58 @@ def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
     The functors over one object map share their obj_map; do not edit
     it."""
     guard = _Guard(limit, "enumerate_functors")
-    return [Functor(C, D, *tables) for tables in _functors(C, D, guard)]
+    return [Functor(C, D, *tables) for tables in _functors(C, D, guard, listed=True)]
 
 
-def _functors(C, D, guard):
+def _functors(C, D, guard, listed=False):
     """The functors C -> D as (obj_map, mor_map) tables, in the order and
     key order of `enumerate_functors`, charging guard.  The functors over
     one object map share its obj_map; callers must not edit the tables.
 
     C.plan gives the generators and composites, D.thin the path taken.
-    Object images are the maps `_object_maps` lists, with the ends of C's
-    generators as the pairs that must land on nonempty homs of D.  When D
-    is thin the result is an `_OnRead` sequence: its length comes from
-    `_count_object_maps`, which counts the object maps by the candidates
-    they leave and lists none, so `len` builds nothing; the object maps
-    are listed on the first read of a functor, and a functor's tables
-    are built on its first read and kept.  The image of each morphism of C (identities, then generators, then
-    composites) is the one morphism between its ends' images (D.homs),
-    neither D.identity nor D.compose is read, and the generators cost one
-    guard step of len(generators) per object map, charged during the
-    call: what trying the single candidate of each in turn would cost.
-    The steps are those of the listing, which on first read is charged to
-    a guard of its own.  Otherwise the result is a list: the generators
-    are tried one by one, identities and composites are derived through
-    D's tables, and every relation f;g = h of C.compose is checked.
+    Object images are the maps `_object_maps` lists into D's kept
+    `_as_target`, with the ends of C's generators as the pairs that must
+    land on nonempty homs of D.  When D is thin the result is an
+    `_OnRead` sequence, each functor's tables built on its first read.
+    Its length comes from `_count_object_maps`, which lists no object
+    map, and the object maps are listed on the first read, under a guard
+    of their own; but when listed is set (the caller reads every functor)
+    they are listed once, at the call, under guard.  The steps are the
+    listing's either way.  The image of each morphism of C (identities,
+    then generators, then composites) is the one morphism between its
+    ends' images (D.homs), neither D.identity nor D.compose is read, and
+    the generators cost one guard step of len(generators) per object
+    map, charged during the call: what trying the single candidate of
+    each in turn would cost.
+    Otherwise the result is a list: the generators are tried one by one,
+    identities and composites are derived through D's tables, and every
+    relation f;g = h of C.compose is checked.
     """
     gens, composites = C.plan
-    objs, targets = sorted(C.objects), sorted(D.objects)
+    objs, target = sorted(C.objects), D._as_target
     gen_ends = [C.morphisms[g] for g in gens]
     # In a thin D a morphism's image is the one morphism between its ends'
     # images, so both sides of a relation f;g = h agree; only a D that is
     # not thin needs the derivation and the check.
     if D.thin:
-        nonempty = D.morphisms.values()
-        n = _count_object_maps(objs, gen_ends, targets, nonempty, guard)
+        if listed:
+            maps = _object_maps(objs, gen_ends, target, guard)
+            n = len(maps)
+        else:
+            maps, n = None, _count_object_maps(objs, gen_ends, target, guard)
         # len(gens) per object map: past the limit this raises at the first
         # object map over it, as a step per map would
         guard.step_times(n, len(gens))
-        # on the first read: the object maps, and each morphism of C with
-        # its ends, identities, then generators, then composites
-        maps, mor_ends = [], []
+        # on the first read: each morphism of C with its ends, identities,
+        # then generators, then composites
+        mor_ends = []
 
         def tables(t):
-            if not maps:
-                maps.extend(_object_maps(objs, gen_ends, targets, nonempty,
-                                         _Guard(guard.limit, guard.operation)))
+            nonlocal maps
+            if maps is None:
+                maps = _object_maps(objs, gen_ends, target,
+                                    _Guard(guard.limit, guard.operation))
+            if not mor_ends:
                 order = [C.identity[x] for x in C.objects] + gens
                 order += [f for f, _, _ in composites]
                 mor_ends.extend((f, *C.morphisms[f]) for f in order)
@@ -615,7 +653,7 @@ def _functors(C, D, guard):
         return _OnRead(n, tables)
     homs = D.homs
     results = []
-    for images in _object_maps(objs, gen_ends, targets, homs, guard):
+    for images in _object_maps(objs, gen_ends, target, guard):
         obj_map = dict(zip(objs, images))
         lists = [homs[(obj_map[a], obj_map[b])] for a, b in gen_ends]
         # a depth-first search over the lists tries prod(len(lists[i]) for
@@ -729,10 +767,11 @@ class Fin2Category:
     hom maps object pairs with nonempty mapping category to a FinCategory
     whose objects are the 1-cells and whose morphisms are the 2-cells;
     hcompose1/hcompose2 give horizontal composition per object triple.
-    The tables are read-only, so `segments` and `signature`, derived once,
-    stay true: hom, unit1 and the plain-dict horizontal tables, outer and
-    inner, are copied into read-only views, one per inner table however
-    many triples share it.  `theta2_object`'s `_LazyTable`s are read-only.
+    The tables are read-only, so `segments`, `signature` and, as a
+    target, `_as_target`, derived once, stay true: hom, unit1 and the
+    plain-dict horizontal tables, outer and inner, are copied into
+    read-only views, one per inner table however many triples share it.
+    `theta2_object`'s `_LazyTable`s are read-only.
     """
 
     objects: tuple
@@ -776,6 +815,13 @@ class Fin2Category:
                 ):
                     return None
         return tuple(zip(chain, chain[1:]))
+
+    @cached_property
+    def _as_target(self):
+        """What the object search of `enumerate_two_functors` into this
+        2-category reads of it: the `_order_masks` of its sorted objects by
+        its nonempty homs."""
+        return _order_masks(tuple(sorted(self.objects)), self.hom)
 
     def hom_at(self, x, y):
         return self.hom.get((x, y))
@@ -1210,8 +1256,9 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     generating hom of D: D's segments when D is a free pasting scheme
     (`Fin2Category.segments`), and every nonempty hom of D, in sorted
     order, otherwise.
-    Object images come from `_object_maps`, with the generating pairs as
-    the pairs that must land on nonempty homs of E.  The functors from a
+    Object images come from `_object_maps` into E's kept `_as_target`,
+    with the generating pairs as the pairs that must land on nonempty
+    homs of E.  The functors from a
     generating hom to a target hom are enumerated once per call for each
     distinct pair of FinCategory objects, as a `_functors` sequence, so
     homs that are one object (as theta2_object's equal slices are) share
@@ -1250,7 +1297,7 @@ def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
     # and (on_objects, None, the tables that passed) otherwise; starts[b]
     # is the index of block b's first 2-functor
     blocks, starts = [], [0]
-    for images in _object_maps(objs, gens, sorted(E.objects), E.hom, guard):
+    for images in _object_maps(objs, gens, E._as_target, guard):
         choice_lists, size = [], 1
         for H, ka, kb in gen_at:
             He = E.hom[(images[ka], images[kb])]

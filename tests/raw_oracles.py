@@ -62,6 +62,10 @@ candidates read off the images of the earlier objects its generators
 join it to; the library narrows every later object's candidates as it
 places one, and counts object maps by the candidates they leave.
 
+raw_chain_count counts composable j-chains by the same dynamic
+programme as chain_count, anew on each call; the library keeps each count
+on the category, one entry per j.
+
 raw_enumerate_two_functors runs raw_object_maps and builds every
 2-functor as it goes, charging a free source's combinations one step at a
 time; the library charges them together and builds each 2-functor when
@@ -1063,6 +1067,20 @@ def raw_plan(C):
     ]
     atom_ends = [C.morphisms[f] for f in atoms]
     return sorted(C.objects), atoms, atom_ends, identities, composites, relations
+
+
+def raw_chain_count(C, j):
+    """The composable j-chains of C, counted by the number of chains of
+    each length that end at each object, kept nowhere."""
+    if j == 0:
+        return len(C.objects)
+    weights = {f: 1 for f in C.morphisms}
+    for _ in range(j - 1):
+        ending = {}
+        for f, (_, b) in C.morphisms.items():
+            ending[b] = ending.get(b, 0) + weights[f]
+        weights = {g: ending.get(a, 0) for g, (a, _) in C.morphisms.items()}
+    return sum(weights.values())
 
 
 def raw_object_maps(objs, ends, targets, nonempty, guard):

@@ -87,19 +87,67 @@ _ODD = st.one_of(
 )
 
 
+def _lists(data, path=()):
+    """The paths to every nonempty list in data."""
+    if isinstance(data, dict):
+        return [p for k, v in data.items() for p in _lists(v, (*path, k))]
+    if isinstance(data, list):
+        inner = [p for i, v in enumerate(data) for p in _lists(v, (*path, i))]
+        return [path, *inner] if data else inner
+    return []
+
+
+def _ids(doc):
+    """The str and int leaves of doc but its schema: the ids a swap
+    exchanges."""
+    return sorted({v for p in _leaves(doc) if p != ("schema",)
+                   if type(v := _get(doc, p)) in (str, int)}, key=repr)
+
+
+def _swap(data, a, b):
+    """data with the ids a and b exchanged wherever one is a leaf or a
+    dict key."""
+    if isinstance(data, dict):
+        return {_swap(k, a, b): _swap(v, a, b) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_swap(v, a, b) for v in data]
+    return b if data == a else a if data == b else data
+
+
+def _mutate(data, doc):
+    """doc after one to three mutations drawn from data: a leaf replaced by
+    an odd value or one of doc's own (which lets a damaged document get
+    past the parse), a list item deleted or duplicated, or two ids
+    exchanged throughout.  The last three mostly keep the document
+    loadable, so that what loads reaches the constructions."""
+    values = st.one_of(_ODD, st.sampled_from([_get(doc, p) for p in _leaves(doc)]))
+    ids = _ids(doc)
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["replace", "delete", "duplicate", "swap"]))
+        lists = _lists(doc)
+        if kind == "replace" or not lists:
+            path = data.draw(st.sampled_from(_leaves(doc)))
+            _get(doc, path[:-1])[path[-1]] = data.draw(values)
+        elif kind == "swap":
+            doc = _swap(doc, *data.draw(st.lists(st.sampled_from(ids), min_size=2,
+                                                  max_size=2, unique=True)))
+        else:
+            items = _get(doc, data.draw(st.sampled_from(lists)))
+            at = data.draw(st.integers(0, len(items) - 1))
+            if kind == "delete":
+                del items[at]
+            else:
+                items.insert(at, json.loads(json.dumps(items[at])))
+    return doc
+
+
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_each_loader_returns_a_valid_object_or_raises_value_error(name, data):
     doc, load, valid = DOCUMENTS[name]
-    leaves = _leaves(doc)
-    # replacements: odd values, and the document's own values, which are
-    # what lets a damaged document get past the parse
-    values = st.one_of(_ODD, st.sampled_from([_get(doc, p) for p in leaves]))
-    doc = json.loads(json.dumps(doc))
-    for path in data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3,
-                                   unique=True)):
-        _get(doc, path[:-1])[path[-1]] = data.draw(values)
+    doc = _mutate(data, doc)
     try:
         obj = load(doc)
     except ValueError:

@@ -348,6 +348,14 @@ def test_library_decides_freeness_in_twocat():
     assert _read_only_in_twocat("segments") == []
 
 
+def test_library_keeps_what_a_target_derives_in_twocat():
+    # a target's order masks and chain counts are kept on it and read in
+    # twocat alone; other modules reach them through its 2-functor
+    # constructors and chain_count
+    for name in ("_as_target", "_chain_counts"):
+        assert _read_only_in_twocat(name) == [], name
+
+
 def test_segments_scan_sees_every_read(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(

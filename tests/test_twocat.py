@@ -16,8 +16,8 @@ from theta2kit import twocat as T
 from theta2kit.msset import ResourceLimitError
 
 from raw_oracles import (
-    raw_atoms, raw_enumerate_full, raw_enumerate_two_functors, raw_factorizations,
-    raw_fold_hom_maps, raw_functors, raw_object_maps, raw_plan,
+    raw_atoms, raw_chain_count, raw_enumerate_full, raw_enumerate_two_functors,
+    raw_factorizations, raw_fold_hom_maps, raw_functors, raw_object_maps, raw_plan,
     raw_suspension_decomposition, raw_theta2_decomposition, raw_validate_2cat,
     raw_validate_two_functor)
 
@@ -86,6 +86,24 @@ def test_chain_count_free_iso():
     assert T.chain_count(I, 1) == 4
     # chains alternate freely: each next arrow is determined by its source
     assert T.chain_count(I, 2) == 8
+
+
+def test_chain_counts_are_kept_per_category_and_match_the_dp():
+    # every hom of the 40 shapes with m <= 3, k <= 2, j <= 3: the count is
+    # the uncached one cold and warm, kept once per j, and an equal hom
+    # built separately counts its own (homs with equal slices are one)
+    for shape in _shapes(3, 2):
+        homs = T.theta2_object(shape).hom
+        again, counted = T._build_theta2_object(shape).hom, set()
+        for pair, H in homs.items():
+            want = {j: raw_chain_count(H, j) for j in range(4)}
+            for j in (3, 0, 2, 1, 3, 0, 2, 1):
+                assert T.chain_count(H, j) == want[j], (shape, pair, j)
+            assert H._chain_counts == want
+            cold = again[pair]
+            assert ("_chain_counts" in vars(cold)) == (id(cold) in counted)
+            counted.add(id(cold))
+            assert [T.chain_count(cold, j) for j in range(4)] == list(want.values())
 
 
 def test_enumerate_functors_monotone_count():
@@ -591,6 +609,34 @@ def test_enumerate_functors_builds_every_functor():
     assert all(type(F) is T.Functor for F in fs)
 
 
+def test_enumerate_functors_lists_the_object_maps_once(monkeypatch):
+    # every functor is built, so the object maps into a thin target are
+    # listed once, under the call's guard, and not counted first
+    C, D = T.ordinal(3), T.product_poset((2, 2, 2))
+    calls = collections.Counter()
+    for name in ("_object_maps", "_count_object_maps"):
+        def recorded(*args, name=name, search=getattr(T, name)):
+            calls[name] += 1
+            return search(*args)
+
+        monkeypatch.setattr(T, name, recorded)
+    fs, steps = _functors_and_steps(C, D)
+    assert (calls["_count_object_maps"], calls["_object_maps"]) == (0, 1)
+    guard = T._Guard(2_000_000, "enumerate_functors")
+    want = _raw_functors(C, D, guard)
+    assert len(fs) == 3375 and steps == guard.count
+    assert _items((F.obj_map, F.mor_map) for F in fs) == _items(
+        (F.obj_map, F.mor_map) for F in want)
+    for limit in (0, 1, 23, steps // 2, steps - 1):
+        with pytest.raises(ResourceLimitError) as got:
+            T.enumerate_functors(C, D, limit)
+        with pytest.raises(ResourceLimitError) as oracle:
+            _raw_functors(C, D, T._Guard(limit, "enumerate_functors"))
+        assert got.value.operation == "enumerate_functors"
+        assert got.value.steps == oracle.value.steps > limit, limit
+    assert len(T.enumerate_functors(C, D, steps)) == 3375
+
+
 class _ReadImages(list):
     """A list of object images that records each read of its items."""
 
@@ -1028,25 +1074,35 @@ def _thin_hom_pairs(D, E):
     return list(pairs.values())
 
 
-def _count_and_listing(objs, ends, targets, nonempty, limit=5_000_000):
-    """(count, steps) of the counting pass and (len, steps) of the oracle's
-    listing on the same search, each under a guard of its own at limit,
-    with the error's steps in place of the count where one raises."""
+def _nonempty(D):
+    """The pairs of objects of D, a category or a 2-category, with a
+    nonempty hom, as the oracle's search reads them."""
+    return list(D.hom) if isinstance(D, T.Fin2Category) else list(D.morphisms.values())
+
+
+def _count_and_listing(objs, ends, D, limit=5_000_000):
+    """(count, steps) of the counting pass into D's kept order masks and
+    (len, steps) of the oracle's listing into D's objects and nonempty
+    homs, each under a guard of its own at limit, with the error's steps
+    in place of the count where one raises."""
     out = []
-    for search in (T._count_object_maps, lambda *a: len(raw_object_maps(*a))):
+    for search, target in ((T._count_object_maps, (D._as_target,)),
+                           (lambda *a: len(raw_object_maps(*a)),
+                            (sorted(D.objects), _nonempty(D)))):
         guard = T._Guard(limit, "op")
         try:
-            out.append((search(objs, ends, targets, nonempty, guard), guard.count))
+            out.append((search(objs, ends, *target, guard), guard.count))
         except ResourceLimitError as e:
             out.append(("raised", e.steps))
     return out
 
 
 def _hom_functor_search(C, D):
-    """The object search of C -> D's functors, as `_functors` runs it."""
+    """The object search of C -> D's functors, as `_functors` runs it: C's
+    sorted objects, the ends of its generators and the target D."""
     gens, _ = C.plan
     ends = [C.morphisms[g] for g in gens]
-    return sorted(C.objects), ends, sorted(D.objects), list(D.morphisms.values())
+    return sorted(C.objects), ends, D
 
 
 def test_counted_two_functors_match_the_formula_without_listing_a_hom_functor(
@@ -1097,9 +1153,9 @@ def _long_chain_search():
     "0", "1", "10", "2", ..., so placing "10" narrows the candidates of
     "9", eight depths on."""
     D = T.theta2_object(T.Theta2Shape(10, (0,) * 10))
-    E = T.theta2_object(_C2)
+    E = T.theta2_object(T.Theta2Shape(1, (1,)))
     assert sorted(D.objects)[:4] == ["0", "1", "10", "2"]
-    return D, E, (sorted(D.objects), D.segments, sorted(E.objects), list(E.hom))
+    return D, E, (sorted(D.objects), D.segments, E)
 
 
 @pytest.mark.parametrize("search", [
@@ -1111,13 +1167,17 @@ def _long_chain_search():
                  id="[1]x[1] -> [2]"),
 ])
 def test_count_charges_the_guard_as_the_listing_does(search):
-    args = search()
-    (count, total), listing = _count_and_listing(*args)
-    assert (count, total) == listing and count > 1 and total > 3
-    for limit in range(total):
-        got, want = _count_and_listing(*args, limit=limit)
-        assert got == want and got[0] == "raised" and got[1] > limit, limit
-    assert _count_and_listing(*args, limit=total)[0] == (count, total)
+    # twice on one target, then on an equal target built separately, whose
+    # order masks are made anew
+    args, again = search(), search()
+    assert again[2] is not args[2] and "_as_target" not in vars(again[2])
+    for args in (args, args, again):
+        (count, total), listing = _count_and_listing(*args)
+        assert (count, total) == listing and count > 1 and total > 3
+        for limit in range(total):
+            got, want = _count_and_listing(*args, limit=limit)
+            assert got == want and got[0] == "raised" and got[1] > limit, limit
+        assert _count_and_listing(*args, limit=total)[0] == (count, total)
 
 
 def _searched(search, args, limit):
@@ -1144,12 +1204,18 @@ def test_object_searches_match_the_backward_rule_walk_on_random_searches():
         args = objs, ends, targets, sorted(nonempty)
         want, total = _searched(raw_object_maps, args, 10**9)
         between = rng.randint(0, total), rng.randint(0, total)
-        for limit in {0, total - 1, total, *between} - {-1}:
-            expected = _searched(raw_object_maps, args, limit)
-            assert _searched(T._object_maps, args, limit) == expected, (args, limit)
-            if expected[0] != "raised":
-                expected = (len(expected[0]), total)
-            assert _searched(T._count_object_maps, args, limit) == expected, (args, limit)
+        oracle = {limit: _searched(raw_object_maps, args, limit)
+                  for limit in {0, total - 1, total, *between} - {-1}}
+        # twice on one target's masks, then on masks built separately
+        target = T._order_masks(targets, sorted(nonempty))
+        for kept in (target, target, T._order_masks(list(targets), sorted(nonempty))):
+            for limit, expected in oracle.items():
+                got = _searched(T._object_maps, (objs, ends, kept), limit)
+                assert got == expected, (args, limit)
+                if expected[0] != "raised":
+                    expected = (len(expected[0]), total)
+                got = _searched(T._count_object_maps, (objs, ends, kept), limit)
+                assert got == expected, (args, limit)
 
 
 def _thin(objects, arrows):
@@ -1171,12 +1237,13 @@ def test_counting_a_cone_keeps_few_states():
     C = _thin(low + ["top"], [(x, "top") for x in low])
     D = _thin(["0", "1", "2", "3"], [("0", "1")])
     assert T.validate_category(C).ok and T.validate_category(D).ok
-    args = _hom_functor_search(C, D)
-    assert args[0][-1] == "top" and len(args[1]) == 9
+    objs, ends, _ = _hom_functor_search(C, D)
+    assert objs[-1] == "top" and len(ends) == 9
+    target = D._as_target
     guard = T._Guard(5_000_000, "op")
     tracemalloc.start()
     try:
-        n = T._count_object_maps(*args, guard)
+        n = T._count_object_maps(objs, ends, target, guard)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
