@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import collections
 import hashlib
-import inspect
 import itertools
 import json
 import random
@@ -30,7 +29,7 @@ import time
 from . import msset, nerves, suspension, theta, twocat
 from .msset import ResourceLimitError
 
-_NERVE_LIMIT = inspect.signature(nerves.nerve).parameters["limit"].default
+_NERVE_LIMIT = msset.DEFAULT_LIMIT
 
 
 class SpecError(ValueError):
@@ -132,8 +131,7 @@ def cmd_lmap(args) -> int:
     kind = args.kind and args.kind.replace("-", "_")
     # a kind takes the flags its builder's parameters name (m is the number
     # of ks), a presentation none; any other exits 2 with lmap's usage
-    names = () if args.presentation or not kind else tuple(
-        inspect.signature(theta.cofibration_builder(kind)).parameters)
+    names = () if args.presentation or not kind else theta.cofibration_params(kind)
     if stray := args.given - (set() if args.presentation else {"kind", *names}):
         what = "--presentation" if args.presentation else f"--kind {args.kind}"
         args.parser.error(f"{what} takes no {' '.join('--' + d for d in sorted(stray))}")

@@ -13,10 +13,13 @@ with a point and a colimit with no arrows only rename generators.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+import operator
 
 DEFAULT_BOUND = 5
+# the default step limits: of nerves, boundary and 2-functor searches, and
+# of map and functor searches
+DEFAULT_LIMIT = 5_000_000
+DEFAULT_MAP_LIMIT = 2_000_000
 
 Word = tuple  # strictly decreasing degeneracy indices
 Ref = tuple  # (generator id, Word)
@@ -34,6 +37,45 @@ class ResourceLimitError(RuntimeError):
         self.operation = operation
         self.dimension = dimension
         self.steps = steps
+
+
+def _param_names(fn) -> tuple:
+    """The names of fn's positional parameters, in order."""
+    code = fn.__code__
+    return code.co_varnames[:code.co_argcount]
+
+
+class _Record:
+    """An immutable record.  Its fields are the parameters of its class's
+    `__init__`, which stores them in the instance dict; setting or
+    deleting any attribute then raises AttributeError.  Two records are
+    equal when they are of one class with equal fields, and `hash` is
+    that of the field tuple, a TypeError where a field does not hash;
+    `_values` reads that tuple at C speed.  A subclass that defines
+    `__eq__` gets no `hash`, as Python gives it none.  `cached_property`
+    writes to the instance dict, so it works."""
+
+    def __init_subclass__(cls):
+        cls._fields = _param_names(cls.__init__)[1:]
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def normal_word(word) -> bool:
@@ -67,27 +109,23 @@ def valid_words(gen_dim: int, n: int):
         yield combo
 
 
-@dataclass(frozen=True)
-class MarkedSSet:
+class MarkedSSet(_Record):
     """A marked simplicial set truncated at a dimension bound.
 
     gens maps each dimension to a sorted tuple of nondegenerate generator
     ids; faces maps each generator of dimension n >= 1 to its n+1 face
     references; marked holds the marked nondegenerate generators
-    (degenerate simplices are marked by convention).
+    (degenerate simplices are marked by convention).  Immutable, equal
+    when bound, gens, faces and marked are; `hash` raises TypeError, as
+    gens and faces are dicts.
     """
 
-    bound: int
-    gens: dict
-    faces: dict
-    marked: frozenset
-
-    def __post_init__(self):
+    def __init__(self, bound: int, gens: dict, faces: dict, marked: frozenset):
         dims = {}
-        for n, ids in self.gens.items():
+        for n, ids in gens.items():
             for g in ids:
                 dims[g] = n
-        object.__setattr__(self, "_dim", dims)
+        self.__dict__.update(bound=bound, gens=gens, faces=faces, marked=marked, _dim=dims)
 
     def dim_of(self, ref: Ref) -> int:
         return self._dim[ref[0]] + len(ref[1])
@@ -220,10 +258,13 @@ def validate_msset(X: MarkedSSet):
     return Report("msset", problems)
 
 
-@dataclass(frozen=True)
-class Report:
-    subject: str
-    violations: list
+class Report(_Record):
+    """The violations a validator found in its subject.  Immutable, equal
+    when subject and violations are; `hash` raises TypeError, as
+    violations is a list."""
+
+    def __init__(self, subject: str, violations: list):
+        self.__dict__.update(subject=subject, violations=violations)
 
     @property
     def ok(self) -> bool:
@@ -236,13 +277,13 @@ class Report:
         return f"{self.subject}: {len(self.violations)} violation(s)\n  {lines}"
 
 
-@dataclass(frozen=True)
-class MSSetMap:
-    """Marking-preserving simplicial map, given on nondegenerate generators."""
+class MSSetMap(_Record):
+    """Marking-preserving simplicial map, given on nondegenerate generators.
+    Immutable; equal when the assignments and the generators of source
+    and target are, and `hash` raises TypeError."""
 
-    source: MarkedSSet
-    target: MarkedSSet
-    assignment: dict
+    def __init__(self, source: MarkedSSet, target: MarkedSSet, assignment: dict):
+        self.__dict__.update(source=source, target=target, assignment=assignment)
 
     def apply(self, ref: Ref) -> Ref:
         g, w = ref
@@ -523,12 +564,6 @@ def product(X: MarkedSSet, Y: MarkedSSet) -> MarkedSSet:
     return product_with_index(X, Y)[0]
 
 
-def product_map(f: MSSetMap, g: MSSetMap) -> MSSetMap:
-    """The induced map f x g between the products."""
-    P, pairs = product_with_index(f.source, g.source)
-    return MSSetMap(P, product(f.target, g.target), _product_assignment(pairs, f, g))
-
-
 def _product_assignment(pairs, f: MSSetMap, g: MSSetMap):
     """The generator assignment of f x g, read off the generator pairs of
     its source product."""
@@ -771,7 +806,7 @@ def _search(X: MarkedSSet, Y: MarkedSSet, guard, iso=False, vertices=None):
             stack.append([candidates(len(stack)), 0])
 
 
-def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
+def enumerate_maps(X: MarkedSSet, Y: MarkedSSet, limit=DEFAULT_MAP_LIMIT):
     """All marking-preserving maps X -> Y, canonically ordered."""
     if _top_dim(X) > Y.bound:
         raise ValueError("X has generators above the bound of Y")
@@ -799,7 +834,7 @@ def is_iso(f: MSSetMap) -> bool:
             and all((g in X.marked) == (f.assignment[g][0] in Y.marked) for g in gens))
 
 
-def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=2_000_000):
+def find_iso(X: MarkedSSet, Y: MarkedSSet, limit=DEFAULT_MAP_LIMIT):
     """Search for an isomorphism of marked simplicial sets; None if absent.
 
     Raises ValueError if X or Y has a generator above the common bound.
@@ -825,7 +860,7 @@ def map_by_vertices(X: MarkedSSet, Y: MarkedSSet, vertex_images):
             raise ValueError(f"vertex {v} has no image")
         if Y._dim.get(vertex_images[v]) != 0:
             raise ValueError(f"vertex {v}: image {vertex_images[v]} is not a vertex")
-    guard = _Guard(2_000_000, "map_by_vertices")
+    guard = _Guard(DEFAULT_MAP_LIMIT, "map_by_vertices")
     maps = list(itertools.islice(_search(X, Y, guard, vertices=vertex_images), 2))
     if len(maps) != 1:
         found = "none" if not maps else "more than one"
@@ -909,6 +944,3 @@ def msset_from_json(data: dict) -> MarkedSSet:
     _check_int(data["bound"], 0, "msset/1: bound")
     return _load("msset/1", _msset, data, validate_msset)
 
-
-def msset_dumps(X: MarkedSSet) -> str:
-    return json.dumps(msset_to_json(X), indent=2, sort_keys=True)

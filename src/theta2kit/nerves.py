@@ -36,8 +36,8 @@ import operator
 from array import array
 
 from .msset import (
-    DEFAULT_BOUND, MarkedSSet, MSSetMap, _check_int, _face_layer, _Guard, degenerate,
-    empty_msset, rebound)
+    DEFAULT_BOUND, DEFAULT_LIMIT, MarkedSSet, MSSetMap, _check_int, _face_layer, _Guard,
+    degenerate, empty_msset, rebound)
 from .suspension import cone_ref, suspend_marked
 from .twocat import (
     Fin2Category, FinCategory, TwoFunctor, _copies, as_two_category, suspend_category)
@@ -382,7 +382,7 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_masks, prev_runs, prev_keys, n
 _nerve_cache = {}
 
 
-def _raw_nerve(D: Fin2Category, bound: int, limit=5_000_000):
+def _raw_nerve(D: Fin2Category, bound: int, limit=DEFAULT_LIMIT):
     """Yield, for each dimension n = 0..bound in turn, the raw n-simplices
     (degenerate ones included) in order, each with its faces as indices
     into dimension n-1 (a vertex has the face 0) and its degeneracy mask;
@@ -472,7 +472,7 @@ def _build(D: Fin2Category, layers, bound, marked_fn):
     return MarkedSSet(bound, gens, gen_faces, frozenset(marked))
 
 
-def _generator_raws(D: Fin2Category, bound, limit=5_000_000):
+def _generator_raws(D: Fin2Category, bound, limit=DEFAULT_LIMIT):
     """The raw simplices of the nerve of D that `_build` finds
     nondegenerate, those with mask 0, in order: one per generator, whose
     id is their key.  Each call walks the raw nerve; the nerve maps read
@@ -480,21 +480,29 @@ def _generator_raws(D: Fin2Category, bound, limit=5_000_000):
     return [x for layer in _raw_nerve(D, bound, limit) for x, _, mask in layer if not mask]
 
 
-def _ref(D: Fin2Category, x):
+def _identities(D: Fin2Category):
+    """D's identity 2-cells per hom, {(x, y): {1-cell: identity}}, which
+    `_ref` reads; a caller that maps many raws makes it once."""
+    return {k: H.identity for k, H in D.hom.items()}
+
+
+def _ref(D: Fin2Category, x, ident=None):
     """The reference of the raw simplex x of the nerve of D by
     Eilenberg-Zilber: s_i of the reference of d_{i+1} x for the least i
     with x == s_i d_{i+1} x, and (_key_fn(x, n), ()) if there is none.
-    A tuple that is no simplex of the nerve gets an id of no generator."""
+    A tuple that is no simplex of the nerve gets an id of no generator.
+    ident is `_identities(D)`, made here when not given."""
     n = len(x[0]) - 1
-    unit1, ident = D.unit1, {k: H.identity for k, H in D.hom.items()}
+    if ident is None:
+        ident = _identities(D)
     for i in range(n):
-        if _degeneracy_test(n, i)(x, unit1, ident):
+        if _degeneracy_test(n, i)(x, D.unit1, ident):
             keep = [a for a in range(n + 1) if a != i + 1]
             pidx, tidx = _pidx(n), _tidx(n)
             face = (tuple([x[0][a] for a in keep]),
                     tuple([x[1][pidx[p]] for p in itertools.combinations(keep, 2)]),
                     tuple([x[2][tidx[t]] for t in itertools.combinations(keep, 3)]))
-            return degenerate(_ref(D, face), i)
+            return degenerate(_ref(D, face, ident), i)
     return (_key_fn(x, n), ())
 
 
@@ -527,7 +535,7 @@ def _marking(D: Fin2Category, variant):
     return marked_fn
 
 
-def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=5_000_000):
+def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=DEFAULT_LIMIT):
     """The nerve of D with the marking rs, scaled or duskin (see `_marking`),
     built once per process for each `twocat/1` document of D (its
     `signature`), bound and marking; a cache hit runs no guard again."""
@@ -541,7 +549,7 @@ def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=5_000_000):
     return _nerve_cache[key]
 
 
-def _cached_raws(D: Fin2Category, bound, limit=5_000_000):
+def _cached_raws(D: Fin2Category, bound, limit=DEFAULT_LIMIT):
     """D's generator raws at bound (`_generator_raws`), walked once per
     process for D's document and bound and kept beside the nerves; its
     callers take D's nerve first, which checks bound and limit."""
@@ -551,22 +559,22 @@ def _cached_raws(D: Fin2Category, bound, limit=5_000_000):
     return _nerve_cache[key]
 
 
-def duskin_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
+def duskin_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=DEFAULT_LIMIT):
     """The nerve with no marking beyond degenerate simplices."""
     return nerve(D, "duskin", bound, limit)
 
 
-def rs_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
+def rs_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=DEFAULT_LIMIT):
     """Nerve marked at 2-simplices whose 2-cell is an identity."""
     return nerve(D, "rs", bound, limit)
 
 
-def scaled_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=5_000_000):
+def scaled_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=DEFAULT_LIMIT):
     """Nerve marked at 2-simplices whose 2-cell is invertible."""
     return nerve(D, "scaled", bound, limit)
 
 
-def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=5_000_000):
+def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=DEFAULT_LIMIT):
     """The simplicial map induced on nerves by a 2-functor; both nerves
     come from `nerve`, and the source's generator raws are walked once per
     process (`_cached_raws`).  See `_nerve_assignment`."""
@@ -580,14 +588,16 @@ def _nerve_assignment(F: TwoFunctor, raws, Y: MarkedSSet):
     to the reference of its image in Y, the nerve of F's target.  Raises
     ValueError, naming the generator, where that names no generator of Y."""
     on, hm, assignment = F.on_objects, F.hom_maps, {}
+    ident = _identities(F.target)
     for x in raws:
         verts, edges, tris = x
         n = len(verts) - 1
         try:
-            ref = _ref(F.target, (
+            image = (
                 tuple([on[v] for v in verts]),
                 tuple([hm[verts[i], verts[j]][0][f] for (i, j), f in zip(_pairs(n), edges)]),
-                tuple([hm[verts[i], verts[k]][1][m] for (i, _, k), m in zip(_triples(n), tris)])))
+                tuple([hm[verts[i], verts[k]][1][m] for (i, _, k), m in zip(_triples(n), tris)]))
+            ref = _ref(F.target, image, ident)
         except KeyError:  # the image names a cell, or a hom, the target lacks
             ref = (None, ())
         g = _key_fn(x, n)
@@ -617,8 +627,10 @@ def suspension_comparison(C: FinCategory, bound=DEFAULT_BOUND):
     bot, top = SC.objects
     unit = SC.unit1[top]
     ident = SC.hom[(top, top)].identity[unit]
+    idents = _identities(SC)
     # both list the bottom vertex first
-    assignment = {v: _ref(SC, ((x,), (), ())) for v, x in zip(SNC.vertices(), SC.objects)}
+    assignment = {v: _ref(SC, ((x,), (), ()), idents)
+                  for v, x in zip(SNC.vertices(), SC.objects)}
     for raw in raws:
         verts, edges, tris = raw
         n = len(verts) - 1
@@ -629,7 +641,7 @@ def suspension_comparison(C: FinCategory, bound=DEFAULT_BOUND):
                  tuple(edges[pidx[(m - k, m - j)]] if i == 0 else ident
                        for i, j, k in _triples(m)))
         cone, _ = cone_ref(NC.dim_of, (_key_fn(raw, n), ()))
-        assignment[cone] = _ref(SC, image)
+        assignment[cone] = _ref(SC, image, idents)
     return MSSetMap(SNC, N, assignment)
 
 
@@ -637,7 +649,7 @@ def suspension_comparison(C: FinCategory, bound=DEFAULT_BOUND):
 # coskeletality
 
 
-def compatible_boundaries(X: MarkedSSet, n: int, limit=5_000_000):
+def compatible_boundaries(X: MarkedSSet, n: int, limit=DEFAULT_LIMIT):
     """All (n+1)-tuples of (n-1)-simplices matching like a boundary.
 
     The tuples satisfy d_i sigma_j = d_{j-1} sigma_i for i < j; every
@@ -722,7 +734,7 @@ def _boundary_columns(X: MarkedSSet, n: int, limit):
     return cells, columns
 
 
-def filler_counts(X: MarkedSSet, n: int, limit=5_000_000):
+def filler_counts(X: MarkedSSet, n: int, limit=DEFAULT_LIMIT):
     """For each compatible boundary in dimension n, its number of fillers.
 
     A degenerate filler x = s_j y of b has d_j x = d_{j+1} x = y, so the

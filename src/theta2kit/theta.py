@@ -18,16 +18,16 @@ resolve here too.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from .msset import (
-    DEFAULT_BOUND, MarkedSSet, MSSetMap, colimit, enumerate_maps, product_with_index,
-    simplex_map, standard_simplex)
-from .msset import _check_int, _check_json, _Guard, _load, _product_assignment, _UnionFind
+    DEFAULT_BOUND, DEFAULT_LIMIT, DEFAULT_MAP_LIMIT, MarkedSSet, MSSetMap, colimit,
+    enumerate_maps, product_with_index, simplex_map, standard_simplex)
+from .msset import (
+    _check_int, _check_json, _Guard, _load, _param_names, _product_assignment, _Record,
+    _UnionFind)
 from .nerves import _cached_raws, _nerve_assignment, rs_nerve
 from .twocat import (
     Fin2Category, Theta2Shape, TwoFunctor, _fits, _functor_from_json, _functor_to_json,
@@ -35,13 +35,13 @@ from .twocat import (
     theta2_object)
 
 
-@dataclass(frozen=True)
-class BoxCell:
-    shape: Theta2Shape
-    level: int = 0
+class BoxCell(_Record):
+    """The box cell of a shape at a level.  Immutable; equal and hashed
+    by (shape, level)."""
 
-    def __post_init__(self):
-        _check_int(self.level, 0, "a box cell's level")
+    def __init__(self, shape: Theta2Shape, level: int = 0):
+        _check_int(level, 0, "a box cell's level")
+        self.__dict__.update(shape=shape, level=level)
 
 
 def _check_endpoint(i, cells):
@@ -69,41 +69,38 @@ def _check_leg(src: BoxCell, cells, j, F: TwoFunctor, lam):
         raise ValueError("level map image out of range")
 
 
-@dataclass(frozen=True)
-class Theta2Presentation:
+class Theta2Presentation(_Record):
     """A finite colimit diagram of box cells.
 
     arrows are tuples (src index, dst index, TwoFunctor between the
-    shapes, monotone vertex images between the levels).
+    shapes, monotone vertex images between the levels).  Immutable;
+    equal and hashed by (cells, arrows).
     """
 
-    cells: tuple
-    arrows: tuple = ()
-
-    def __post_init__(self):
-        for i, j, F, lam in self.arrows:
-            _check_endpoint(i, self.cells)
-            _check_leg(self.cells[i], self.cells, j, F, lam)
+    def __init__(self, cells: tuple, arrows: tuple = ()):
+        for i, j, F, lam in arrows:
+            _check_endpoint(i, cells)
+            _check_leg(cells[i], cells, j, F, lam)
+        self.__dict__.update(cells=cells, arrows=arrows)
 
 
 def representable(shape: Theta2Shape, level: int = 0) -> Theta2Presentation:
     return Theta2Presentation((BoxCell(shape, level),))
 
 
-@dataclass(frozen=True)
-class PresentationMap:
+class PresentationMap(_Record):
     """A map of presentations: per source cell, a target cell together
-    with a shape functor and a level map."""
+    with a shape functor and a level map, (target index, TwoFunctor,
+    level images) in cell_map.  Immutable; equal and hashed by (source,
+    target, cell_map)."""
 
-    source: Theta2Presentation
-    target: Theta2Presentation
-    cell_map: tuple  # per source cell: (target index, TwoFunctor, level images)
-
-    def __post_init__(self):
-        if len(self.cell_map) != len(self.source.cells):
+    def __init__(self, source: Theta2Presentation, target: Theta2Presentation,
+                 cell_map: tuple):
+        if len(cell_map) != len(source.cells):
             raise ValueError("cell map needs one entry per source cell")
-        for cell, (j, F, lam) in zip(self.source.cells, self.cell_map):
-            _check_leg(cell, self.target.cells, j, F, lam)
+        for cell, (j, F, lam) in zip(source.cells, cell_map):
+            _check_leg(cell, target.cells, j, F, lam)
+        self.__dict__.update(source=source, target=target, cell_map=cell_map)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +223,19 @@ def cofibration_builder(kind: str):
     return builders[kind]
 
 
+def cofibration_params(kind: str) -> tuple:
+    """The parameter names of kind's constructor (`cofibration_builder`)."""
+    return _param_names(cofibration_builder(kind))
+
+
 def elementary_cofibration(kind: str, *params) -> PresentationMap:
     """The elementary acyclic cofibration kind built from params, which
     must be the parameters its constructor takes; ValueError otherwise."""
-    build = cofibration_builder(kind)
-    names = tuple(inspect.signature(build).parameters)
+    names = cofibration_params(kind)
     if len(params) != len(names):
         raise ValueError(
             f"{kind} takes the parameters ({', '.join(names)}), not {params!r}")
-    return build(*params)
+    return cofibration_builder(kind)(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def _classes(W: Theta2Presentation, D: Fin2Category, ell, limit):
 
 
 def evaluate(W: Theta2Presentation, theta: Theta2Shape, ell: int = 0,
-             limit=5_000_000):
+             limit=DEFAULT_LIMIT):
     """The value of the presented Theta_2-set at (theta, [ell]): the least
     element of each class, sorted; see `_classes`."""
     _, _, canon = _classes(W, theta2_object(theta), ell, limit)
@@ -289,7 +290,7 @@ def evaluate(W: Theta2Presentation, theta: Theta2Shape, ell: int = 0,
 
 
 def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
-                 limit=5_000_000):
+                 limit=DEFAULT_LIMIT):
     """The induced function on evaluations, as a dict on class reps."""
     D = theta2_object(theta)
     src_fs, _, src_canon = _classes(P.source, D, ell, limit)
@@ -310,15 +311,15 @@ def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
 # the comparison functor L
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(_Record):
     """The L block of a box cell: its shape's 2-category and rs nerve, and
-    the product with its level's sharp simplex with the pairs."""
+    the product with its level's sharp simplex with the pairs.  Immutable;
+    equal by its four fields, and `hash` raises TypeError."""
 
-    category: Fin2Category
-    nerve: MarkedSSet
-    product: MarkedSSet
-    product_pairs: dict
+    def __init__(self, category: Fin2Category, nerve: MarkedSSet, product: MarkedSSet,
+                 product_pairs: dict):
+        self.__dict__.update(category=category, nerve=nerve, product=product,
+                             product_pairs=product_pairs)
 
 
 # The most simplices one block may list.  The largest block of the tests
@@ -416,7 +417,7 @@ def apply_L_map(P: PresentationMap, bound=DEFAULT_BOUND) -> MSSetMap:
 
 
 def apply_R_at(X: MarkedSSet, theta: Theta2Shape, ell: int = 0,
-               limit=2_000_000):
+               limit=DEFAULT_MAP_LIMIT):
     """Pointwise right adjoint: maps from the L-image of a box cell."""
     _check_int(limit, 0, "enumerate_maps: limit")
     block = _block({}, BoxCell(theta, ell), X.bound).product
@@ -427,7 +428,7 @@ def apply_R_at(X: MarkedSSet, theta: Theta2Shape, ell: int = 0,
 # hom restriction along d: (i, j) -> [i|j,...,j]
 
 
-def d_restriction(theta: Theta2Shape, i: int, j: int, limit=5_000_000):
+def d_restriction(theta: Theta2Shape, i: int, j: int, limit=DEFAULT_LIMIT):
     """Hom from [i|j,...,j] by enumeration and by the fiber-product
     count over chains of objects; returns (functors, formula count).  The
     functors are `enumerate_two_functors`' sequence: its len is a sum over

@@ -12,33 +12,36 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
 
-from .msset import Report, _check_int, _check_json, _Guard, _json_value, _load, _non_strings
+from .msset import (
+    DEFAULT_LIMIT, DEFAULT_MAP_LIMIT, Report, _check_int, _check_json, _Guard, _json_value,
+    _load, _non_strings, _Record)
 
 
 # ---------------------------------------------------------------------------
 # 1-categories
 
 
-@dataclass(frozen=True, eq=False)
-class FinCategory:
-    """A finite category given by its tables.  Plain-dict tables are
-    copied into read-only views, so what is derived from them (`homs`,
-    `thin`, `plan`, and as a target `_as_target` and `_chain_counts`,
-    each made on first read and kept) stays true."""
+def _read_only(table):
+    """A plain-dict table copied into a read-only view; any other as it is."""
+    return MappingProxyType(dict(table)) if isinstance(table, dict) else table
 
-    objects: tuple
-    morphisms: Mapping  # id -> (src, tgt)
-    identity: Mapping  # object -> morphism id
-    compose: Mapping  # (f, g) -> id of "f then g"
 
-    def __post_init__(self):
-        for name in ("morphisms", "identity", "compose"):
-            if isinstance(table := getattr(self, name), dict):
-                object.__setattr__(self, name, MappingProxyType(dict(table)))
+class FinCategory(_Record):
+    """A finite category given by its tables: morphisms maps each id to
+    (src, tgt), identity each object to a morphism id and compose each
+    pair (f, g) to the id of "f then g".  Plain-dict tables are copied
+    into read-only views, so what is derived from them (`homs`, `thin`,
+    `plan`, and as a target `_as_target` and `_chain_counts`, each made
+    on first read and kept) stays true.  Immutable; equal when the
+    objects, as sets, and the tables are, and `hash` raises TypeError."""
+
+    def __init__(self, objects: tuple, morphisms: Mapping, identity: Mapping,
+                 compose: Mapping):
+        self.__dict__.update(objects=objects, morphisms=_read_only(morphisms),
+                             identity=_read_only(identity), compose=_read_only(compose))
 
     def src(self, f):
         return self.morphisms[f][0]
@@ -148,17 +151,15 @@ class _ComposedOnRead(FinCategory):
     carries the hook, so reading compose of any other category costs
     nothing more."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if callable(self.compose):
-            object.__setattr__(self, "_make_compose", self.compose)
-            object.__delattr__(self, "compose")
+    def __init__(self, objects, morphisms, identity, compose):
+        super().__init__(objects, morphisms, identity, compose)
+        if callable(compose):
+            self.__dict__["_make_compose"] = self.__dict__.pop("compose")
 
     class _OnFirstRead:
         def __get__(self, C, owner=None):
-            object.__setattr__(C, "compose", C._make_compose())
-            object.__delattr__(C, "_make_compose")
-            return C.compose
+            table = C.__dict__["compose"] = C.__dict__.pop("_make_compose")()
+            return table
 
     compose = _OnFirstRead()
 
@@ -385,12 +386,13 @@ def chain_count(C: FinCategory, j: int) -> int:
     return counts[j]
 
 
-@dataclass(frozen=True, eq=False)
-class Functor:
-    source: FinCategory
-    target: FinCategory
-    obj_map: dict
-    mor_map: dict
+class Functor(_Record):
+    """A functor given by its object and morphism tables.  Immutable;
+    equal when the tables are (`key`), and `hash` raises TypeError."""
+
+    def __init__(self, source: FinCategory, target: FinCategory, obj_map: dict,
+                 mor_map: dict):
+        self.__dict__.update(source=source, target=target, obj_map=obj_map, mor_map=mor_map)
 
     def compose(self, other: "Functor") -> "Functor":
         """self followed by other."""
@@ -584,7 +586,7 @@ def _count_object_maps(objs, ends, target, guard):
     return states.get((), 0)
 
 
-def enumerate_functors(C: FinCategory, D: FinCategory, limit=2_000_000):
+def enumerate_functors(C: FinCategory, D: FinCategory, limit=DEFAULT_MAP_LIMIT):
     """The complete, canonically ordered list of functors C -> D, each
     built when the call returns (unlike `_functors`, whose tables into a
     thin D are built on first read).  Any finite category C is a valid
@@ -698,22 +700,19 @@ class _OnRead(Sequence):
 # 2-categories
 
 
-@dataclass(frozen=True)
-class Theta2Shape:
+class Theta2Shape(_Record):
     """The pasting shape [m|k_1,...,k_m].  Its 2-category is built on the
     first `theta2_object(shape)` and kept on the instance; a copy or a
-    pickle carries (m, ks) alone, and builds its own."""
+    pickle carries (m, ks) alone, and builds its own.  Immutable; equal
+    and hashed by (m, ks)."""
 
-    m: int
-    ks: tuple
-
-    def __post_init__(self):
-        _check_int(self.m, 0, "a shape's m")
-        if not isinstance(self.ks, (tuple, list)) or len(self.ks) != self.m:
-            raise ValueError(f"invalid shape [{self.m}|{self.ks}]")
-        for k in self.ks:
+    def __init__(self, m: int, ks: tuple):
+        _check_int(m, 0, "a shape's m")
+        if not isinstance(ks, (tuple, list)) or len(ks) != m:
+            raise ValueError(f"invalid shape [{m}|{ks}]")
+        for k in ks:
             _check_int(k, 0, "each k of a shape")
-        object.__setattr__(self, "ks", tuple(self.ks))
+        self.__dict__.update(m=m, ks=tuple(ks))
 
     def __str__(self):
         return f"[{self.m}|{','.join(str(k) for k in self.ks)}]"
@@ -760,33 +759,35 @@ def _copies(table, make):
     return {k: made[id(t)] for k, t in table.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class Fin2Category:
+class Fin2Category(_Record):
     """A finite 2-category given by hom-categories and horizontal tables.
 
     hom maps object pairs with nonempty mapping category to a FinCategory
     whose objects are the 1-cells and whose morphisms are the 2-cells;
-    hcompose1/hcompose2 give horizontal composition per object triple.
+    hcompose1/hcompose2 give horizontal composition per object triple,
+    (x, y, z) -> {(f, g): h} and {(alpha, beta): gamma}; unit1 maps each
+    object x to its unit 1-cell in hom(x, x).
     The tables are read-only, so `segments`, `signature` and, as a
     target, `_as_target`, derived once, stay true: hom, unit1 and the
     plain-dict horizontal tables, outer and inner, are copied into
     read-only views, one per inner table however many triples share it.
-    `theta2_object`'s `_LazyTable`s are read-only.
+    `theta2_object`'s `_LazyTable`s are read-only.  Immutable; equal and
+    hashed by identity.
     """
 
-    objects: tuple
-    hom: Mapping  # (x, y) -> FinCategory, nonempty pairs only
-    hcompose1: Mapping  # (x, y, z) -> Mapping {(f, g): h}
-    hcompose2: Mapping  # (x, y, z) -> Mapping {(alpha, beta): gamma}
-    unit1: Mapping  # x -> 1-cell id in hom(x, x)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for name in ("hcompose1", "hcompose2"):
-            if isinstance(table := getattr(self, name), dict):
-                object.__setattr__(self, name, MappingProxyType(
-                    _copies(table, lambda t: MappingProxyType(dict(t)))))
-        for name in ("hom", "unit1"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+    def __init__(self, objects: tuple, hom: Mapping, hcompose1: Mapping,
+                 hcompose2: Mapping, unit1: Mapping):
+        def copied(table):
+            if not isinstance(table, dict):
+                return table
+            return MappingProxyType(_copies(table, lambda t: MappingProxyType(dict(t))))
+
+        self.__dict__.update(
+            objects=objects, hom=MappingProxyType(dict(hom)), hcompose1=copied(hcompose1),
+            hcompose2=copied(hcompose2), unit1=MappingProxyType(dict(unit1)))
 
     @cached_property
     def segments(self):
@@ -1247,7 +1248,7 @@ def _hom_failures(D, E, on_objects, pairs, hom_maps):
                 yield f"hom({x},{y}): {v}"
 
 
-def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=5_000_000):
+def enumerate_two_functors(D: Fin2Category, E: Fin2Category, limit=DEFAULT_LIMIT):
     """All 2-functors D -> E, duplicate-free and canonically ordered, as a
     read-only `_OnRead` sequence whose members are fixed when the call
     returns.

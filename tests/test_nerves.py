@@ -185,6 +185,27 @@ def test_build_matches_from_raw(D):
     assert N._generator_raws(D, bound) == [x for x, (g, w) in normal.items() if not w]
 
 
+@pytest.mark.parametrize("D", [
+    pytest.param(T.theta2_object(T.Theta2Shape(2, (1, 1))), id="[2|1,1]"),
+    pytest.param(T.suspend_category(T.free_iso()), id="Sigma I"),
+])
+def test_ref_with_shared_identities_matches_from_raw_on_degenerate_raws(D):
+    # the callers that map many raws make D's identity tables once and
+    # pass them to _ref; on the degenerate raws of dimension >= 3, where
+    # _ref peels one degeneracy after another, it gives from_raw's reference
+    # with the shared tables and with its own
+    bound = 5
+    by_dim, _, _ = full_raw_nerve(D, bound)
+    ops = RawOps(D)
+    _, normal = from_raw(bound, by_dim, ops.face, ops.degenerate,
+                         N._marking(D, "duskin"), N._key_fn)
+    degenerate = {x: ref for x, ref in normal.items() if len(x[0]) > 3 and ref[1]}
+    assert max(len(w) for _, w in degenerate.values()) >= 3
+    idents = N._identities(D)
+    assert {x: N._ref(D, x, idents) for x in degenerate} == degenerate
+    assert {x: N._ref(D, x) for x in degenerate} == degenerate
+
+
 @pytest.mark.parametrize("D", _oracle_cases())
 def test_streamed_build_stops_where_the_held_layers_stop(D, monkeypatch):
     # a limit inside each dimension, the top one included, stops the

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import theta2kit
 
@@ -599,6 +602,60 @@ def test_environment_scan_sees_attribute_reads_and_imports(tmp_path):
         "z = os.path.join('a', 'b')\nenviron = {}\nfrom os import path, environ as e\n"
     )
     assert _environment_reads(path) == [2, 3, 7]
+
+
+# stdlib modules the package does not load: with the code that @dataclass
+# compiles per class, dataclasses and inspect (which it imports, with ast,
+# dis and tokenize) took about a quarter of a cold `import theta2kit`
+UNLOADED = ("dataclasses", "inspect")
+
+
+def _module_level_imports(path, modules):
+    """The lines of path, outside any function, that import one of modules
+    or a name from one: what runs on every import of path."""
+    found = []
+    stack = [ast.parse(path.read_text(), str(path))]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.partition(".")[0] in modules for name in names):
+                found.append(child.lineno)
+            stack.append(child)
+    return sorted(found)
+
+
+def test_library_imports_no_dataclasses_or_inspect():
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in _module_level_imports(path, UNLOADED)]
+    assert found == []
+
+
+def test_module_import_scan_sees_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import os, inspect as i\nfrom dataclasses import dataclass\n"
+        "import dataclasses.x\nif X:\n    import inspect\nclass C:\n"
+        "    from inspect import signature\ndef f():\n    import inspect\n"
+        "from .inspect import y\nimport inspection\ng = lambda: __import__('inspect')\n"
+    )
+    assert _module_level_imports(path, UNLOADED) == [1, 2, 3, 5, 7]
+
+
+def test_importing_the_package_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter, which no other test has imported anything into
+    src = str(pathlib.Path(theta2kit.__file__).parent.parent)
+    code = ("import sys, theta2kit, theta2kit.cli; "
+            f"print(theta2kit.__file__); print(sorted(set(sys.modules) & {set(UNLOADED)}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == [theta2kit.__file__, "[]"]
 
 
 def _calls(node, name):

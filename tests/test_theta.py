@@ -11,6 +11,7 @@ from theta2kit import twocat as T
 from theta2kit.cli import main
 
 from raw_oracles import (
+    msset_dumps,
     raw_collapse_functor,
     raw_colimit,
     raw_enumerate_maps,
@@ -324,8 +325,8 @@ def test_horizontal_maps_match_their_former_helpers():
                   id="vertical_completeness")])
 def test_vertical_L_maps_match_the_hand_built_diagram(make, raw):
     f, g = TH.apply_L_map(make(), 4), TH.apply_L_map(raw(), 4)
-    assert M.msset_dumps(f.source) == M.msset_dumps(g.source)
-    assert M.msset_dumps(f.target) == M.msset_dumps(g.target)
+    assert msset_dumps(f.source) == msset_dumps(g.source)
+    assert msset_dumps(f.target) == msset_dumps(g.target)
     assert list(f.assignment.items()) == list(g.assignment.items())
 
 
