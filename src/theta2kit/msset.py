@@ -7,7 +7,8 @@ are immutable after construction and all operations are pure.
 Products and colimits never list degenerate simplices: the generators of
 X x Y are the pairs (s_I x, s_J y) with I, J disjoint (Eilenberg-Zilber),
 and a colimit runs union-find on the generators of its nodes.  A product
-with a point and a colimit with no arrows only rename generators.
+with a point and a colimit with no arrows only rename generators; L's
+colimit spells a nerve's generators as point pairs, renaming each once.
 """
 
 from __future__ import annotations
@@ -464,6 +465,12 @@ def _pair_id(rx, ry):
     return f"<{gx}|{'.'.join(map(str, wx))}*{gy}|{'.'.join(map(str, wy))}>"
 
 
+def _point_pair_affixes(v, n):
+    """(head, tail): head + g + tail is the id of the pair of an
+    n-generator g with s_{n-1}...s_0 v, the n-simplex of the point v."""
+    return "<", _pair_id(("", ()), (v, tuple(range(n - 1, -1, -1))))[1:]
+
+
 def _pair_ref(rx, ry):
     """The reference in a product of the pair (rx, ry) of n-simplices.
 
@@ -529,7 +536,8 @@ def product_with_index(X: MarkedSSet, Y: MarkedSSet):
 
 
 def _product_with_point(X: MarkedSSet, v, bound):
-    """product_with_index(X, Y) for Y the point v up to bound: X renamed.
+    """product_with_index(X, Y) for Y the point v up to bound: X renamed,
+    as L's colimit spells a nerve (`_point_pair_affixes`) without it.
 
     The only n-simplex of Y is s_{n-1}...s_0 v, so the n-generators are
     its pairs with X's n-generators, and _pair_ref sends the pair of a
@@ -539,7 +547,8 @@ def _product_with_point(X: MarkedSSet, v, bound):
     refs = {}  # face of an X generator -> its reference
     for n in range(bound + 1):
         ry = (v, tuple(range(n - 1, -1, -1)))
-        ids = [_pair_id((g, ()), ry) for g in X.gens_at(n)]
+        head, tail = _point_pair_affixes(v, n)
+        ids = [head + g + tail for g in X.gens_at(n)]
         if len(set(ids)) < len(ids):
             raise ValueError(f"duplicate generator ids in dimension {n}")
         gens[n] = tuple(sorted(ids))
@@ -630,6 +639,25 @@ def colimit(nodes, arrows, bound=None):
     one member, and a mark iff some member is marked.  With no arrows
     every class is one generator (_coproduct).
     """
+    return _colimit(nodes, arrows, [None] * len(nodes), bound)
+
+
+def _class_ids(i, X, spell, bound):
+    """Per dimension n <= bound, node i's n-generators g, each mapped to
+    its id "i#s#" in a colimit, in the order of s: g where spell is None,
+    else head + g + tail for (head, tail) = spell(n)."""
+    out = []
+    for n in range(bound + 1):
+        head, tail = spell(n) if spell else ("", "")
+        spelled = [(head + g + tail, g) for g in X.gens_at(n)]
+        out.append({g: f"{i}#{s}#" for s, g in (sorted(spelled) if spell else spelled)})
+    return out
+
+
+def _colimit(nodes, arrows, spellings, bound):
+    """colimit(nodes, arrows, bound) with node i's generators spelled by
+    spellings[i] (`_class_ids`): the colimit of the nodes so renamed, each
+    leg read through the renaming, orders included."""
     if not nodes:
         raise ValueError("empty diagram")
     low = min(X.bound for X in nodes)
@@ -638,20 +666,19 @@ def colimit(nodes, arrows, bound=None):
     if bound > low:
         raise ValueError(f"colimit: bound {bound} exceeds the least node bound {low}")
     _check_arrows(nodes, arrows)
+    ids = [_class_ids(i, X, spell, bound) for i, (X, spell) in enumerate(zip(nodes, spellings))]
     if not arrows:
-        return _coproduct(nodes, bound)
+        return _coproduct(nodes, bound, ids)
     # per node, its generators' references in the colimit, filled per dimension
-    legs = [
-        MSSetMap(X, None, dict.fromkeys(g for n in range(bound + 1) for g in X.gens_at(n)))
-        for X in nodes
-    ]
+    legs = [MSSetMap(X, None, dict.fromkeys(g for dim in node for g in dim))
+            for X, node in zip(nodes, ids)]
     gens, faces, marked = {}, {}, set()
     for n in range(bound + 1):
         uf = _UnionFind()
-        uf.parent = {(i, g): (i, g) for i, X in enumerate(nodes) for g in X.gens_at(n)}
+        uf.parent = {(i, g): (i, g) for i, node in enumerate(ids) for g in node[n]}
         lowered = []
         for i, j, f in arrows:
-            for g in nodes[i].gens_at(n):
+            for g in ids[i][n]:
                 h, w = f.assignment[g]
                 if w:
                     lowered.append(((i, g), legs[j], (h, w)))
@@ -663,7 +690,7 @@ def colimit(nodes, arrows, bound=None):
         for elt, leg, ref in lowered:
             for i, g in classes.pop(uf.find(elt), ()):
                 legs[i].assignment[g] = leg.apply(ref)
-        named = sorted((min([f"{i}#{g}#" for i, g in elts]), elts) for elts in classes.values())
+        named = sorted((min([ids[i][n][g] for i, g in elts]), elts) for elts in classes.values())
         gens[n] = tuple([cid for cid, _ in named])
         for cid, elts in named:
             for i, g in elts:
@@ -677,14 +704,13 @@ def colimit(nodes, arrows, bound=None):
     return colim, [MSSetMap(X, colim, leg.assignment) for X, leg in zip(nodes, legs)]
 
 
-def _coproduct(nodes, bound):
-    """colimit(nodes, [], bound): each (i, g) is a class of its own, the
-    generator "i#g#" with g's faces renamed and g's mark."""
-    legs = [{g: (f"{i}#{g}#", ()) for n in range(bound + 1) for g in X.gens_at(n)}
-            for i, X in enumerate(nodes)]
+def _coproduct(nodes, bound, ids):
+    """colimit with no arrows, on the nodes' `_class_ids`: each (i, g) is
+    a class of its own, with g's faces renamed and g's mark."""
+    legs = [{g: (cid, ()) for dim in node for g, cid in dim.items()} for node in ids]
     gens, faces, marked = {}, {}, set()
     for n in range(bound + 1):
-        named = sorted((legs[i][g][0], i, g) for i, X in enumerate(nodes) for g in X.gens_at(n))
+        named = sorted((cid, i, g) for i, node in enumerate(ids) for g, cid in node[n].items())
         gens[n] = tuple([cid for cid, _, _ in named])
         for cid, i, g in named if n else ():
             leg = legs[i]

@@ -4,7 +4,9 @@ the comparison functor L.
 A presentation is a finite colimit diagram of box cells (shape, level),
 each denoting the representable of the shape times a standard simplex on
 the level.  L replaces every box cell by rs_nerve(shape) x Delta[level]#
-and takes the colimit of marked simplicial sets.
+and takes the colimit of marked simplicial sets.  A cell at level 0 is
+its nerve X itself, never X x Delta[0]#: the colimit spells each of its
+generators as its pair with the point, so each is renamed once.
 
 The vertical Segal and completeness maps are the suspensions V[1] of the
 Segal and completeness maps of Delta, as in Rezk's cartesian
@@ -20,14 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import partial
+from functools import cached_property, partial
 
 from .msset import (
-    DEFAULT_BOUND, DEFAULT_LIMIT, DEFAULT_MAP_LIMIT, MarkedSSet, MSSetMap, colimit,
-    enumerate_maps, product_with_index, simplex_map, standard_simplex)
+    DEFAULT_BOUND, DEFAULT_LIMIT, DEFAULT_MAP_LIMIT, MarkedSSet, MSSetMap, enumerate_maps,
+    product_with_index, simplex_map, standard_simplex)
 from .msset import (
-    _check_int, _check_json, _Guard, _load, _param_names, _product_assignment, _Record,
-    _UnionFind)
+    _check_int, _check_json, _colimit, _Guard, _load, _param_names,
+    _point_pair_affixes, _product_assignment, _Record, _UnionFind)
 from .nerves import _cached_raws, _nerve_assignment, rs_nerve
 from .twocat import (
     Fin2Category, Theta2Shape, TwoFunctor, _fits, _functor_from_json, _functor_to_json,
@@ -312,14 +314,24 @@ def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
 
 
 class _Block(_Record):
-    """The L block of a box cell: its shape's 2-category and rs nerve, and
-    the product with its level's sharp simplex with the pairs.  Immutable;
-    equal by its four fields, and `hash` raises TypeError."""
+    """The L block of a box cell: its shape's 2-category, rs nerve X and
+    level.  Its node in L's diagram is X at level 0, else the product X x
+    Delta[level]#, built with its pairs on first read, as is the renamed
+    product of a level-0 block, which only `apply_R_at` reads.  Immutable;
+    equal by its three fields, and `hash` raises TypeError."""
 
-    def __init__(self, category: Fin2Category, nerve: MarkedSSet, product: MarkedSSet,
-                 product_pairs: dict):
-        self.__dict__.update(category=category, nerve=nerve, product=product,
-                             product_pairs=product_pairs)
+    def __init__(self, category: Fin2Category, nerve: MarkedSSet, level: int):
+        self.__dict__.update(category=category, nerve=nerve, level=level)
+
+    @cached_property
+    def product(self):
+        """(X x Delta[level]#, the dict from its generator ids to their pairs)."""
+        S = standard_simplex(self.level, "sharp", bound=self.nerve.bound)
+        return product_with_index(self.nerve, S)
+
+    @property
+    def node(self) -> MarkedSSet:
+        return self.product[0] if self.level else self.nerve
 
 
 # The most simplices one block may list.  The largest block of the tests
@@ -347,8 +359,9 @@ def _block_sizes(X: MarkedSSet, level, bound):
 def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
     """cell's block, built on first use and kept in blocks, a dict that
     lives for one call.  Its nerve is the rs nerve, from the nerve cache
-    when it is there.  Its size is counted first: over _BLOCK_LIMIT
-    simplices it raises ResourceLimitError naming apply_L."""
+    when it is there.  Its size, that of its product, is counted first:
+    over _BLOCK_LIMIT simplices it raises ResourceLimitError naming
+    apply_L."""
     if cell not in blocks:
         D = theta2_object(cell.shape)
         X = rs_nerve(D, bound)
@@ -356,37 +369,48 @@ def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
         for n, size in enumerate(_block_sizes(X, cell.level, bound)):
             guard.dimension = n
             guard.step(size)
-        S = standard_simplex(cell.level, "sharp", bound=bound)
-        blocks[cell] = _Block(D, X, *product_with_index(X, S))
+        blocks[cell] = _Block(D, X, cell.level)
     return blocks[cell]
 
 
 def _block_map(blocks: dict, G: TwoFunctor, lam, src: BoxCell, dst: BoxCell,
                bound) -> MSSetMap:
-    """The map of blocks induced by the shape functor G and the level map
-    lam: G on the source nerve's generator raw simplices, walked once per
-    process (`nerves._cached_raws`), then the source's generator pairs."""
+    """The map of block nodes induced by the shape functor G and the level
+    map lam, by Eilenberg-Zilber.  nf is G on the source nerve's generator
+    raw simplices, walked once per process (`nerves._cached_raws`): the
+    map of level-0 blocks.  Into level 0 a pair (s_I x, s_J pt) goes to
+    nf(s_I x); into a level >= 1 a pair, or a level-0 generator g paired
+    with the point's simplex in g's dimension, goes through nf x Delta[lam]#."""
     a, b = _block(blocks, src, bound), _block(blocks, dst, bound)
     raws = _cached_raws(a.category, bound)
     nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, raws, b.nerve))
+    if not (src.level or dst.level):
+        return nf
     sf = simplex_map(src.level, dst.level, lam, "sharp", bound)
-    return MSSetMap(a.product, b.product, _product_assignment(a.product_pairs, nf, sf))
+    pairs = a.product[1] if src.level else {  # g with the point's one n-simplex
+        g: ((g, ()), pt) for n in range(bound + 1)
+        for pt in sf.source.all_simplices(n) for g in a.nerve.gens_at(n)}
+    if dst.level:
+        return MSSetMap(a.node, b.node, _product_assignment(pairs, nf, sf))
+    return MSSetMap(a.node, b.node, {gid: nf.apply(rx) for gid, (rx, _) in pairs.items()})
 
 
 def _L_diagram(W: Theta2Presentation, blocks: dict, bound):
-    """The nodes and arrows whose colimit is L(W)."""
-    nodes = [_block(blocks, cell, bound).product for cell in W.cells]
+    """The nodes, arrows and spellings whose `msset._colimit` is L(W): a
+    level-0 block's node is its nerve X, whose generators the colimit
+    spells as their pairs with the point, the ids of X x Delta[0]#."""
+    point = partial(_point_pair_affixes, standard_simplex(0, bound=0).vertices()[0])
+    nodes = [_block(blocks, cell, bound).node for cell in W.cells]
     arrows = [
         (i, j, _block_map(blocks, G, lam, W.cells[i], W.cells[j], bound))
         for i, j, G, lam in W.arrows
     ]
-    return nodes, arrows
+    return nodes, arrows, [None if cell.level else point for cell in W.cells]
 
 
 def apply_L(W: Theta2Presentation, bound=DEFAULT_BOUND):
     """L of a presentation: colimit of nerve-times-simplex blocks."""
-    nodes, arrows = _L_diagram(W, {}, bound)
-    return colimit(nodes, arrows, bound=bound)[0]
+    return _colimit(*_L_diagram(W, {}, bound), bound)[0]
 
 
 def apply_L_map(P: PresentationMap, bound=DEFAULT_BOUND) -> MSSetMap:
@@ -397,10 +421,10 @@ def apply_L_map(P: PresentationMap, bound=DEFAULT_BOUND) -> MSSetMap:
         (j, _block_map(blocks, G, lam, cell, P.target.cells[j], bound))
         for cell, (j, G, lam) in zip(P.source.cells, P.cell_map)
     ]
-    # every block map has been made: free the blocks' product pairs
+    # every block map has been made: free the blocks' products
     del blocks
-    src, src_legs = colimit(*src_diagram, bound=bound)
-    tgt, tgt_legs = colimit(*tgt_diagram, bound=bound)
+    src, src_legs = _colimit(*src_diagram, bound)
+    tgt, tgt_legs = _colimit(*tgt_diagram, bound)
     assignment = {}
     for i, leg in enumerate(src_legs):
         j, f = node_maps[i]
@@ -420,7 +444,7 @@ def apply_R_at(X: MarkedSSet, theta: Theta2Shape, ell: int = 0,
                limit=DEFAULT_MAP_LIMIT):
     """Pointwise right adjoint: maps from the L-image of a box cell."""
     _check_int(limit, 0, "enumerate_maps: limit")
-    block = _block({}, BoxCell(theta, ell), X.bound).product
+    block = _block({}, BoxCell(theta, ell), X.bound).product[0]
     return enumerate_maps(block, X, limit)
 
 

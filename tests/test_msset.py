@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import json
@@ -506,6 +507,42 @@ def test_arrow_free_colimit_is_a_coproduct(make, bound, monkeypatch):
     # nothing to join, so no union-find
     monkeypatch.setattr(M, "_UnionFind", None)
     assert_same_colimit(nodes, [], bound)
+
+
+def _renamed(X, spelled):
+    """X and the map from its generators to their ids, as they are or, if
+    spelled, renamed as the pairs of X x Delta[0]."""
+    if not spelled:
+        return X, {g: g for n in X.gens for g in X.gens_at(n)}
+    P, pairs = M.product_with_index(X, M.standard_simplex(0, bound=X.bound))
+    return P, {rx[0]: gid for gid, (rx, _) in pairs.items()}
+
+
+@pytest.mark.parametrize("spelled, arrows", [
+    pytest.param((True, False), [], id="no arrows"),
+    pytest.param((True, False, True), [(0, 1, "collapse"), (1, 2, "identity")],
+                 id="arrows between spelled and plain nodes"),
+])
+def test_spelled_colimit_is_the_colimit_of_the_renamed_nodes(spelled, arrows):
+    # a spelled node against its product with Delta[0], through the
+    # all-simplex oracle; the ids sort otherwise once renamed, and the
+    # collapse sends e! to s_0 a and a! to a
+    X = _renamed_out_of_order()
+    maps = {"identity": M.identity_map(X).assignment,
+            "collapse": dict(M.identity_map(X).assignment, **{"a!": ("a", ()), "e!": ("a", (0,))})}
+    renamed, names = zip(*(_renamed(X, s) for s in spelled))
+    assert list(names[0].values()) != sorted(names[0].values())
+    spell = functools.partial(M._point_pair_affixes, M.standard_simplex(0).vertices()[0])
+    P, legs = M._colimit([X] * len(spelled), [(i, j, M.MSSetMap(X, X, maps[f])) for i, j, f in arrows],
+                         [spell if s else None for s in spelled], None)
+    Q, oracle = raw_colimit(list(renamed), [
+        (i, j, M.MSSetMap(renamed[i], renamed[j], {
+            names[i][g]: (names[j][h], w) for g, (h, w) in maps[f].items()}))
+        for i, j, f in arrows])
+    assert_same_msset(P, Q)
+    for leg, want, name in zip(legs, oracle, names):
+        assert [(name[g], ref) for g, ref in leg.assignment.items()] == list(
+            want.assignment.items())
 
 
 @given(st.sets(st.integers(0, 6), max_size=4), st.sets(st.integers(0, 3), max_size=2))

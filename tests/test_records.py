@@ -41,8 +41,7 @@ def _presentation_map():
 
 def _block():
     D = T.theta2_object(T.Theta2Shape(1, (0,)))
-    X = M.standard_simplex(1, "sharp", bound=2)
-    return (D, X, *M.product_with_index(X, X))
+    return (D, M.standard_simplex(1, "sharp", bound=2), 1)
 
 
 # class, field names in constructor order, field values, equality, hashes
@@ -67,8 +66,7 @@ RECORDS = {
                            lambda: ((TH.BoxCell(T.Theta2Shape(0, ())),), ()), "value", True),
     "PresentationMap": (TH.PresentationMap, ("source", "target", "cell_map"),
                         _presentation_map, "value", True),
-    "_Block": (TH._Block, ("category", "nerve", "product", "product_pairs"), _block,
-               "value", False),
+    "_Block": (TH._Block, ("category", "nerve", "level"), _block, "value", False),
 }
 
 NAMES = sorted(RECORDS)
@@ -151,7 +149,8 @@ def test_shape_repr():
     (lambda: T.theta2_object(T.Theta2Shape(2, (1, 1))),
      ("segments", "signature", "_as_target")),
     (lambda: T.Theta2Shape(1, (1,)), ("_category",)),
-], ids=["FinCategory", "Fin2Category", "Theta2Shape"])
+    (lambda: TH._Block(*_block()), ("product",)),
+], ids=["FinCategory", "Fin2Category", "Theta2Shape", "_Block"])
 def test_cached_properties_are_kept_on_the_instance(make, names):
     obj = make()
     for name in names:

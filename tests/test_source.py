@@ -66,6 +66,17 @@ def test_library_has_no_assert():
     assert found == []
 
 
+# The most lines src/theta2kit may hold, as `wc -l` counts them.  A change
+# that removes lines lowers it; one that must raise it says by how many
+# and why in CHANGES.md.
+LINE_BUDGET = 4299
+
+
+def test_library_stays_within_its_line_budget():
+    lines = sum(path.read_text().count("\n") for path in SOURCES)
+    assert lines <= LINE_BUDGET, f"src/theta2kit has {lines} lines, over {LINE_BUDGET}"
+
+
 def test_library_has_no_new_module_state():
     # tables live on the objects that build them, never in module globals
     found = [name for path in SOURCES for name in _module_containers(path)]

@@ -8,7 +8,7 @@ from theta2kit import msset as M
 from theta2kit import nerves as N
 from theta2kit import theta as TH
 from theta2kit import twocat as T
-from theta2kit.cli import main
+from theta2kit.cli import _emit, _map_to_json, main
 
 from raw_oracles import (
     msset_dumps,
@@ -568,6 +568,41 @@ def test_block_builder_matches_with_level_maps():
         assert M.validate_map(f).ok
 
 
+def _level_one_into_level_zero_map():
+    """A point x Delta[1] glued to the end 1 of [1|0] at level 0 along the
+    constant level map (0, 0), into [1|1] at level 0: the arrow and the
+    point's cell map go from level 1 to level 0."""
+    glue = TH.shape_functor(POINT, EDGE, [1])
+    source = TH.Theta2Presentation(
+        (TH.BoxCell(EDGE, 0), TH.BoxCell(POINT, 1)), ((1, 0, glue, (0, 0)),))
+    bottom = TH.shape_functor(EDGE, CONE, [0, 1], [[(0,)]])
+    cell_map = ((0, bottom, (0,)), (0, TH.shape_functor(POINT, CONE, [1]), (0, 0)))
+    return TH.PresentationMap(source, TH.representable(CONE), cell_map)
+
+
+def test_block_builder_matches_from_level_one_into_level_zero():
+    # with _glued_leveled_map (level 0 into level 1) and the vertical
+    # Segal maps (level 0 into level 0), each kind of block map
+    f = assert_same_L_map(_level_one_into_level_zero_map())
+    assert M.validate_map(f).ok
+    assert f.source.counts()[:2] == (2, 1)
+
+
+@pytest.mark.parametrize("args, P", [
+    (["--kind", "vertical-segal", "--k", "2"], TH.vertical_segal(2)),
+    (["--kind", "horizontal-segal", "--ks", "1,0"], TH.horizontal_segal(2, (1, 0))),
+    (["--kind", "horizontal-completeness"], TH.horizontal_completeness()),
+], ids=["vertical segal 2", "horizontal segal 1,0", "horizontal completeness"])
+def test_lmap_writes_the_old_L_maps_bytes(args, P, tmp_path):
+    assert main(["lmap", *args, "--bound", "3", "--out", str(tmp_path / "new")]) == 0
+    old = _old_apply_L_map(P, 3)
+    for part, data in (("source", M.msset_to_json(old.source)),
+                       ("target", M.msset_to_json(old.target)), ("map", _map_to_json(old))):
+        _emit(data, tmp_path / f"old.{part}.json")
+        assert (tmp_path / f"new.{part}.json").read_bytes() == (
+            tmp_path / f"old.{part}.json").read_bytes()
+
+
 @pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize("shape", [POINT, EDGE, CONE, T.Theta2Shape(1, (2,)),
                                    T.Theta2Shape(2, (1, 0))] + [
@@ -580,7 +615,8 @@ def test_block_builder_matches_on_representables(shape, level):
     assert_same_msset(TH.apply_L(W, bound), _old_apply_L_with_legs(W, bound)[0])
 
 
-def test_block_builder_builds_each_block_once(monkeypatch):
+def _builds(monkeypatch, P):
+    """The nerves and products that apply_L_map(P) builds, sorted."""
     built = []
 
     def counting(name):
@@ -594,9 +630,20 @@ def test_block_builder_builds_each_block_once(monkeypatch):
 
     counting("rs_nerve")
     counting("product_with_index")
-    TH.apply_L_map(TH.vertical_segal(3), bound=4)
-    # one nerve and one product each for [1|1], [1|0] and [1|3]
-    assert sorted(built) == ["product_with_index"] * 3 + ["rs_nerve"] * 3
+    TH.apply_L_map(P, bound=4)
+    return sorted(built)
+
+
+def test_block_builder_builds_each_block_once(monkeypatch):
+    # one nerve each for [1|1], [1|0] and [1|3], all at level 0: no product
+    assert _builds(monkeypatch, TH.vertical_segal(3)) == ["rs_nerve"] * 3
+
+
+def test_block_builder_builds_each_level_one_product_once(monkeypatch):
+    # [1|0] x Delta[1] and [1|1] x Delta[1], each read by an arrow or the
+    # cell map and as a node, built once; the point at level 0 is its nerve
+    assert _builds(monkeypatch, _glued_leveled_map()) == (
+        ["product_with_index"] * 2 + ["rs_nerve"] * 3)
 
 
 def test_L_of_an_arrow_that_is_not_a_two_functor_raises():
