@@ -119,20 +119,56 @@ class MarkedSSet(_Record):
     (degenerate simplices are marked by convention).  Immutable, equal
     when bound, gens, faces and marked are; `hash` raises TypeError, as
     gens and faces are dicts.
+
+    A nerve may hold its top dimension, the bound, unspelled
+    (`_with_top`).  counts, marked_counts and generator_faces, and
+    gens_at, all_simplices and face below the top, leave it so; the first
+    read of gens, faces, marked or _dim (equality, repr and msset_to_json
+    among them) or of gens_at(bound) spells it, once.
     """
 
     def __init__(self, bound: int, gens: dict, faces: dict, marked: frozenset):
-        dims = {}
-        for n, ids in gens.items():
-            for g in ids:
-                dims[g] = n
-        self.__dict__.update(bound=bound, gens=gens, faces=faces, marked=marked, _dim=dims)
+        self.__dict__.update(bound=bound, _top=None)
+        self._name(gens, faces, marked)
+
+    @classmethod
+    def _with_top(cls, bound, gens, faces, marked, top):
+        """The set of gens, faces and marked, with top kept on it.  Where
+        gens lacks the bound, top holds it: top.count generators, marked
+        iff top.marked, with faces top.generator_faces(); top.spell(gens,
+        faces, marked) gives the three with it spelled."""
+        X = cls.__new__(cls)
+        X.__dict__.update(bound=bound, _top=top, _held=top, _gens=gens, _faces=faces,
+                          _marked=marked)
+        if bound in gens:
+            X._name(gens, faces, marked)
+        return X
+
+    def _name(self, gens, faces, marked):
+        dims = {g: n for n, ids in gens.items() for g in ids}
+        # the underscored ones are read by the reads that spell nothing
+        self.__dict__.update(gens=gens, faces=faces, marked=marked, _dim=dims,
+                             _held=None, _gens=gens, _faces=faces, _marked=marked)
+
+    def __getattr__(self, name):
+        # reached for a name the instance dict lacks: a named field of a
+        # set whose top is unspelled spells it
+        if name not in ("gens", "faces", "marked", "_dim") or "_gens" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._name(*self._held.spell(self._gens, self._faces, self._marked))
+        return self.__dict__[name]
 
     def dim_of(self, ref: Ref) -> int:
         return self._dim[ref[0]] + len(ref[1])
 
     def gens_at(self, n) -> tuple:
-        return self.gens.get(n, ())
+        return (self.gens if n == self.bound else self._gens).get(n, ())
+
+    def generator_faces(self, n):
+        """The face tuples of the n-generators, n >= 1, in no set order."""
+        if self._held and n == self.bound:
+            return self._held.generator_faces()
+        return map(self._faces.__getitem__, self._gens.get(n, ()))
 
     def all_simplices(self, n):
         """All simplices (as refs) in dimension n, degenerate ones included."""
@@ -146,7 +182,7 @@ class MarkedSSet(_Record):
     def face(self, ref: Ref, i: int) -> Ref:
         g, w = ref
         if not w:
-            return self.faces[g][i]
+            return self._faces[g][i]
         j = w[0]
         sub = (g, w[1:])
         if i == j or i == j + 1:
@@ -157,14 +193,18 @@ class MarkedSSet(_Record):
 
     def is_marked(self, ref: Ref) -> bool:
         g, w = ref
-        return bool(w) or g in self.marked
+        return bool(w) or g in self._marked
 
     def counts(self) -> tuple:
-        return tuple(len(self.gens_at(n)) for n in range(self.bound + 1))
+        top = self._held
+        return tuple(top.count if top and n == self.bound else len(self._gens.get(n, ()))
+                     for n in range(self.bound + 1))
 
     def marked_counts(self) -> tuple:
+        top = self._held
         return tuple(
-            sum(1 for g in self.gens_at(n) if g in self.marked)
+            top.count * top.marked if top and n == self.bound
+            else sum(1 for g in self._gens.get(n, ()) if g in self._marked)
             for n in range(self.bound + 1)
         )
 
@@ -184,10 +224,10 @@ def _face_layer(X: MarkedSSet, refs, n):
     out = []
     for g, w in refs:
         if not w:
-            out.append(X.faces[g])
+            out.append(X._faces[g])
             continue
         j, sub = w[0], (g, w[1:])
-        fs = below[sub] if len(w) > 1 else X.faces.get(g)
+        fs = below[sub] if len(w) > 1 else X._faces.get(g)
         out.append(tuple([
             degenerate(fs[i], j - 1) if i < j
             else sub if i <= j + 1 else degenerate(fs[i - 1], j)

@@ -15,12 +15,14 @@ generators, their faces and the degeneracies off those indices and
 masks as the simplices arrive.  A layer below the top is held only
 until the next one is made from it, and the top layer, the largest, is
 never held: `_raw_nerve` streams it into `_build` simplex by simplex,
-with no raw tuple for a degenerate one.
-Each process caches one built nerve per `twocat/1` document of D (its
-`signature`), bound and marking, and no raw layers; see `nerve`.  Beside
-them it keeps, per document and bound, the generator raw simplices,
-walked on the first nerve map out of D: a nerve map finds their images
+with no raw tuple for a degenerate one, nor from bound 3 on for another.
+There a nerve holds its top as face rows into the raw layer below it,
+which it keeps, and spells the top's ids on its first named read
+(`_RawLayers`, `MarkedSSet._with_top`).  A nerve keeps its generators'
+raw simplices, the top's as those rows; a nerve map finds their images
 by `_ref`, which tests any raw tuple for degeneracy (`_degeneracy_test`).
+Each process caches one built nerve per `twocat/1` document of D (its
+`signature`), bound and marking, and nothing else; see `nerve`.
 Nerve ids are spelled here alone (`_key_fn`, `_ref`, and `_pairs`,
 `_triples`, `_pidx`, `_tidx` for the layout of a raw simplex), so the
 comparison map into the nerve of a suspension 2-category lives here too.
@@ -271,7 +273,8 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_masks, prev_runs, prev_keys, n
     are filled for layer n+1: the runs (base index, x_n) -> (start, stop,
     cost) and the keys.  At the top layer nothing reads a degenerate
     simplex but its mask, so it is yielded as (None, None, mask), with no
-    raw tuple or faces built.
+    raw tuple or faces built, and from n = 3 on another one as (None,
+    faces, 0): its raw tuple is spelled from its faces (`_RawLayers`).
     """
     ones, thin, down, two_cells, hc1, unit1, ident = (
         tabs.ones, tabs.thin, tabs.down, tabs.two_cells, tabs.hc1, tabs.unit1, tabs.ident)
@@ -283,6 +286,7 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_masks, prev_runs, prev_keys, n
     # of the edge (0, n-1) in b and in y
     inner, high, last = (1 << (n - 1)) - 2, 1 << (n - 1), n - 2
     top = keys is None
+    rows = top and n >= 3  # a nondegenerate top simplex is its faces alone
     count = 0
     for bi, b in enumerate(prev):
         verts, edges, tris = b
@@ -365,14 +369,18 @@ def _extend(tabs: _Tables, prev, prev_faces, prev_masks, prev_runs, prev_keys, n
                         fy = prev_faces[yi * n:(yi + 1) * n]
                         subs = [prev_keys[(fb[i], fy[i - 1])] for i in range(1, n)]
                     if is_thin:
-                        phis = tuple([cells[(f, c)][0] for c in cs])
                         key = f
                         mid_faces = [s[f] for s in subs]
                     else:
                         key = (f, *phis)
                         mid_faces = [s[key[:i] + key[i + 1:]] for i, s in enumerate(subs, 1)]
+                    if rows:
+                        yield None, (yi, *mid_faces, bi), 0
+                        continue
                     if not top:
                         sub[key] = count - 1
+                    if is_thin:
+                        phis = tuple([cells[(f, c)][0] for c in cs])
                     yield ((xverts, head + (f,) + yedges, merge_t(tris + phis) + ytris),
                            (yi, *mid_faces, bi), dmask)
             if runs is not None:
@@ -392,7 +400,8 @@ def _raw_nerve(D: Fin2Category, bound: int, limit=DEFAULT_LIMIT):
     and kept only until the next one is made from it, its faces in an
     array and its masks in a list beside it (an n-simplex's mask has n
     bits, and n has no bound).  The top layer is never held: it is yielded
-    as `_extend` makes it, each degenerate simplex as (None, None, mask).
+    as `_extend` makes it, each degenerate simplex as (None, None, mask)
+    and, from bound 3 on, each other one as (None, faces, 0).
     """
     guard = _Guard(limit, "nerve")
     tabs = _Tables(D)
@@ -430,23 +439,31 @@ def _build(D: Fin2Category, layers, bound, marked_fn):
     mask, as `_raw_nerve` yields them.
 
     Each raw simplex is classified as it arrives: degenerate or not, and a
-    generator's id, faces and marking.  None is kept; only the references
-    of dimension n-1 are held while dimension n is read.  Gives what the
-    tests' oracle from_raw gives with the generic raw face and degeneracy
-    operators.
+    generator's id, faces and marking.  The generators' raw simplices are
+    kept (`_RawLayers`), and the references of dimension n-1 while
+    dimension n is read.  Gives what the tests' oracle from_raw gives
+    with the generic raw face and degeneracy operators.
     A simplex x is degenerate iff its mask is not 0, and then its
     reference is that of z = d_{i+1} x, degenerated by s_i, for the least
     i with x = s_i d_{i+1} x: the mask's lowest set bit (Eilenberg-Zilber).
     A generator's faces are the references at its face indices.
-    Generator ids are checked to be distinct on each dimension's sorted
-    list, and across dimensions by their count.
+    From bound 3 on the top is held as face rows into the raw layer below
+    it, kept with its references, until its first named read spells it
+    (`MarkedSSet._with_top`).  Generator ids are checked to be distinct on
+    each dimension's sorted list, and across dimensions by their count:
+    here, and for a top held as rows where it is spelled.
     """
-    gens, gen_faces, marked = {}, {}, set()
-    below = []
+    gens, gen_faces, marked, raws = {}, {}, set(), []
+    below = held = rows = None
     for n, layer in zip(range(bound + 1), layers, strict=True):
-        refs, ids = [], []
+        if n == bound >= 3:
+            rows = array("I", itertools.chain.from_iterable(
+                F for _, F, mask in layer if not mask))
+            continue
+        refs, ids, xs, whole = [], [], [], []
         keep = n < bound  # dimension n+1, if any, reads these references
         for x, F, mask in layer:
+            whole.append(x)
             if mask:
                 if keep:
                     i = (mask & -mask).bit_length() - 1
@@ -454,30 +471,80 @@ def _build(D: Fin2Category, layers, bound, marked_fn):
                 continue
             gid = _key_fn(x, n)
             ids.append(gid)
+            xs.append(x)
             if n >= 1:
                 gen_faces[gid] = tuple([below[k] for k in F])
                 if marked_fn(x, n):
                     marked.add(gid)
             if keep:
                 refs.append((gid, ()))
-        below = refs
+        below, held = refs, whole
+        raws.append(xs)
         ids.sort()
         _check_distinct(ids)
         gens[n] = tuple(ids)
-    # an id may also repeat across dimensions: a vertex named "a,b" has
-    # the id of an edge a -> b named ""
+    _check_across(gens, gen_faces)
+    top = _RawLayers(raws, held, below, rows, rows is not None and marked_fn(None, bound))
+    return MarkedSSet._with_top(bound, gens, gen_faces, frozenset(marked), top)
+
+
+def _check_across(gens, gen_faces):
+    """Raise ValueError on an id repeated across the dimensions of gens:
+    a vertex named "a,b" has the id of an edge a -> b named ""."""
     if (len(gen_faces) + len(gens[0]) < sum(map(len, gens.values()))
             or not gen_faces.keys().isdisjoint(gens[0])):
         _check_distinct(heapq.merge(*gens.values()))
-    return MarkedSSet(bound, gens, gen_faces, frozenset(marked))
 
 
-def _generator_raws(D: Fin2Category, bound, limit=DEFAULT_LIMIT):
-    """The raw simplices of the nerve of D that `_build` finds
-    nondegenerate, those with mask 0, in order: one per generator, whose
-    id is their key.  Each call walks the raw nerve; the nerve maps read
-    the raws through `_cached_raws`, which walks them once per process."""
-    return [x for layer in _raw_nerve(D, bound, limit) for x, _, mask in layer if not mask]
+class _RawLayers:
+    """What a nerve keeps of its raw simplices: per dimension, its
+    generators' raw simplices in order (`raws`), which the maps out of it
+    read.  From bound n = 3 on, `raws` stops below n, and the top, held
+    unspelled (`MarkedSSet._with_top`), is n+1 face indices per generator
+    in order (`rows`, flat) into the raw layer n-1 (`below`, with its
+    references `refs`), and one mark, which each marking decides from n
+    alone."""
+
+    def __init__(self, raws, below, refs, rows, marked):
+        self.raws, self.below, self.refs, self.rows = raws, below, refs, rows
+        self.n, self.marked = len(raws), marked
+        self.count = len(rows or ()) // (self.n + 1)
+
+    def generator_faces(self):
+        """The face tuples of the top's generators, in order."""
+        return zip(*[map(self.refs.__getitem__, self.rows)] * (self.n + 1))
+
+    def top_raws(self):
+        """The raw simplex x of each row, merged as `_extend` merges it:
+        from d_n x and d_0 x, with f_0n and phi_0(n-1)n read off d_1 x and
+        the phi_0jn, j <= n-2, off d_{n-1} x, all there as n >= 3."""
+        n, below = self.n, self.below
+        pidx, tidx = _pidx(n - 1), _tidx(n - 1)
+        f0n, last = pidx[(0, n - 1)], tidx[(0, n - 2, n - 1)]
+        inner = _getter([tidx[(0, j, n - 1)] for j in range(1, n - 1)])
+        merge_t = _merge_getter(n)
+        for F in zip(*[iter(self.rows)] * (n + 1)):
+            y, d1, b = below[F[0]], below[F[1]], below[F[n]]
+            phis = inner(below[F[n - 1]][2]) + (d1[2][last],)
+            yield ((b[0][0],) + y[0], b[1][:n - 1] + (d1[1][f0n],) + y[1],
+                   merge_t(b[2] + phis) + y[2])
+
+    def spell(self, gens, faces, marked):
+        """gens, faces and marked with the top's ids (`_key_fn`), checked
+        distinct in the top and across dimensions, faces and marks."""
+        n = self.n
+        ids = [_key_fn(x, n) for x in self.top_raws()]
+        top = dict(zip(ids, self.generator_faces()))
+        ids.sort()
+        _check_distinct(ids)
+        gens, faces = {**gens, n: tuple(ids)}, faces | top
+        _check_across(gens, faces)
+        return gens, faces, marked.union(ids) if self.marked else marked
+
+    def generator_raws(self):
+        """Each generator's raw simplex, whose key is its id, in order."""
+        top = () if self.rows is None else self.top_raws()
+        return itertools.chain(*self.raws, top)
 
 
 def _identities(D: Fin2Category):
@@ -517,7 +584,7 @@ def _marking(D: Fin2Category, variant):
     """Whether a nondegenerate raw n-simplex of the nerve of D is marked, as
     a function of (raw, n).  duskin marks none; rs and scaled mark every
     simplex above dimension 2, and a 2-simplex whose 2-cell is an
-    identity (rs) or invertible (scaled)."""
+    identity (rs) or invertible (scaled); above dimension 2 raw may be None."""
     if variant not in ("rs", "scaled", "duskin"):
         raise ValueError(
             f"unknown nerve variant {variant!r}; known: rs, scaled, duskin")
@@ -549,16 +616,6 @@ def nerve(D: Fin2Category, marking="rs", bound=DEFAULT_BOUND, limit=DEFAULT_LIMI
     return _nerve_cache[key]
 
 
-def _cached_raws(D: Fin2Category, bound, limit=DEFAULT_LIMIT):
-    """D's generator raws at bound (`_generator_raws`), walked once per
-    process for D's document and bound and kept beside the nerves; its
-    callers take D's nerve first, which checks bound and limit."""
-    key = (D.signature, bound)
-    if key not in _nerve_cache:
-        _nerve_cache[key] = tuple(_generator_raws(D, bound, limit))
-    return _nerve_cache[key]
-
-
 def duskin_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=DEFAULT_LIMIT):
     """The nerve with no marking beyond degenerate simplices."""
     return nerve(D, "duskin", bound, limit)
@@ -576,20 +633,20 @@ def scaled_nerve(D: Fin2Category, bound=DEFAULT_BOUND, limit=DEFAULT_LIMIT):
 
 def nerve_map(F: TwoFunctor, variant="rs", bound=DEFAULT_BOUND, limit=DEFAULT_LIMIT):
     """The simplicial map induced on nerves by a 2-functor; both nerves
-    come from `nerve`, and the source's generator raws are walked once per
-    process (`_cached_raws`).  See `_nerve_assignment`."""
+    come from `nerve`.  See `_nerve_assignment`."""
     X = nerve(F.source, variant, bound, limit)
     Y = nerve(F.target, variant, bound, limit)
-    return MSSetMap(X, Y, _nerve_assignment(F, _cached_raws(F.source, bound, limit), Y))
+    return MSSetMap(X, Y, _nerve_assignment(F, X, Y))
 
 
-def _nerve_assignment(F: TwoFunctor, raws, Y: MarkedSSet):
-    """F on the generator raw simplices of its source's nerve: each goes
-    to the reference of its image in Y, the nerve of F's target.  Raises
-    ValueError, naming the generator, where that names no generator of Y."""
+def _nerve_assignment(F: TwoFunctor, X: MarkedSSet, Y: MarkedSSet):
+    """F on the generator raw simplices of X, its source's nerve, which X
+    keeps (`_RawLayers.generator_raws`): each goes to the reference of its
+    image in Y, the nerve of F's target.  Raises ValueError, naming the
+    generator, where that names no generator of Y."""
     on, hm, assignment = F.on_objects, F.hom_maps, {}
     ident = _identities(F.target)
-    for x in raws:
+    for x in X._top.generator_raws():
         verts, edges, tris = x
         n = len(verts) - 1
         try:
@@ -620,9 +677,8 @@ def suspension_comparison(C: FinCategory, bound=DEFAULT_BOUND):
         # the nerve of C one dimension down has no simplices
         NC, raws = empty_msset(0), []
     else:
-        C2 = as_two_category(C)
-        NC = rebound(rs_nerve(C2, bound - 1), bound)
-        raws = _cached_raws(C2, bound - 1)
+        below = rs_nerve(as_two_category(C), bound - 1)
+        NC, raws = rebound(below, bound), below._top.generator_raws()
     SNC = suspend_marked(NC)
     bot, top = SC.objects
     unit = SC.unit1[top]
@@ -755,7 +811,7 @@ def filler_counts(X: MarkedSSet, n: int, limit=DEFAULT_LIMIT):
     _check_int(n, 1, "a filler dimension")
     if n > X.bound:
         raise ValueError(f"fillers in dimension {n} exceed bound {X.bound}")
-    fillers = collections.Counter(X.faces[g] for g in X.gens_at(n))
+    fillers = collections.Counter(X.generator_faces(n))
     cells, columns = _boundary_columns(X, n, limit)
     words = [w for _, w in cells]
     least = [min(w, default=n) for w in words]

@@ -30,7 +30,7 @@ from .msset import (
 from .msset import (
     _check_int, _check_json, _colimit, _Guard, _load, _param_names,
     _point_pair_affixes, _product_assignment, _Record, _UnionFind)
-from .nerves import _cached_raws, _nerve_assignment, rs_nerve
+from .nerves import _nerve_assignment, rs_nerve
 from .twocat import (
     Fin2Category, Theta2Shape, TwoFunctor, _fits, _functor_from_json, _functor_to_json,
     _shape_functor, chain_count, enumerate_two_functors, parse_shape, shape_functor,
@@ -314,14 +314,14 @@ def evaluate_map(P: PresentationMap, theta: Theta2Shape, ell: int = 0,
 
 
 class _Block(_Record):
-    """The L block of a box cell: its shape's 2-category, rs nerve X and
-    level.  Its node in L's diagram is X at level 0, else the product X x
+    """The L block of a box cell: its shape's rs nerve X and its level.
+    Its node in L's diagram is X at level 0, else the product X x
     Delta[level]#, built with its pairs on first read, as is the renamed
     product of a level-0 block, which only `apply_R_at` reads.  Immutable;
-    equal by its three fields, and `hash` raises TypeError."""
+    equal by its two fields, and `hash` raises TypeError."""
 
-    def __init__(self, category: Fin2Category, nerve: MarkedSSet, level: int):
-        self.__dict__.update(category=category, nerve=nerve, level=level)
+    def __init__(self, nerve: MarkedSSet, level: int):
+        self.__dict__.update(nerve=nerve, level=level)
 
     @cached_property
     def product(self):
@@ -363,27 +363,25 @@ def _block(blocks: dict, cell: BoxCell, bound) -> _Block:
     over _BLOCK_LIMIT simplices it raises ResourceLimitError naming
     apply_L."""
     if cell not in blocks:
-        D = theta2_object(cell.shape)
-        X = rs_nerve(D, bound)
+        X = rs_nerve(theta2_object(cell.shape), bound)
         guard = _Guard(_BLOCK_LIMIT, "apply_L")
         for n, size in enumerate(_block_sizes(X, cell.level, bound)):
             guard.dimension = n
             guard.step(size)
-        blocks[cell] = _Block(D, X, cell.level)
+        blocks[cell] = _Block(X, cell.level)
     return blocks[cell]
 
 
 def _block_map(blocks: dict, G: TwoFunctor, lam, src: BoxCell, dst: BoxCell,
                bound) -> MSSetMap:
     """The map of block nodes induced by the shape functor G and the level
-    map lam, by Eilenberg-Zilber.  nf is G on the source nerve's generator
-    raw simplices, walked once per process (`nerves._cached_raws`): the
-    map of level-0 blocks.  Into level 0 a pair (s_I x, s_J pt) goes to
+    map lam, by Eilenberg-Zilber.  nf is G on the generator raw simplices
+    that the source nerve keeps (`nerves._nerve_assignment`): the map of
+    level-0 blocks.  Into level 0 a pair (s_I x, s_J pt) goes to
     nf(s_I x); into a level >= 1 a pair, or a level-0 generator g paired
     with the point's simplex in g's dimension, goes through nf x Delta[lam]#."""
     a, b = _block(blocks, src, bound), _block(blocks, dst, bound)
-    raws = _cached_raws(a.category, bound)
-    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, raws, b.nerve))
+    nf = MSSetMap(a.nerve, b.nerve, _nerve_assignment(G, a.nerve, b.nerve))
     if not (src.level or dst.level):
         return nf
     sf = simplex_map(src.level, dst.level, lam, "sharp", bound)

@@ -164,10 +164,17 @@ MARKINGS = {
 }
 
 
-@pytest.mark.parametrize("D", _oracle_cases())
-def test_build_matches_from_raw(D):
-    # on the layers held whole, and on the layers _raw_nerve streams
-    bound = 4
+def _build_cases():
+    """The oracle cases at bound 4, and the shapes again at bound 3."""
+    cases = [pytest.param(p.values[0], 4, id=p.id) for p in _oracle_cases()]
+    return cases + [pytest.param(p.values[0], 3, id=f"{p.id} at 3")
+                    for p in _oracle_cases() if p.id.startswith("[")]
+
+
+@pytest.mark.parametrize("D, bound", _build_cases())
+def test_build_matches_from_raw(D, bound):
+    # on the layers held whole, and on the layers _raw_nerve streams; the
+    # top, held as face rows, is spelled by the comparison
     by_dim, faces, masks = full_raw_nerve(D, bound)
     ops = RawOps(D)
     for marking, mk in MARKINGS.items():
@@ -175,14 +182,20 @@ def test_build_matches_from_raw(D):
         for how, raw in (("held", layers(D, by_dim, faces, masks)),
                          ("streamed", N._raw_nerve(D, bound))):
             X = N._build(D, raw, bound, mk(D))
+            if (marking, how) == ("duskin", "streamed"):
+                # the fillers of the top, counted from its face rows
+                fillers = N.filler_counts(X, bound)
+                assert "gens" not in vars(X)
+                assert fillers == raw_filler_counts(X, bound)
             assert X.gens == Y.gens, (marking, how)
             assert X.faces == Y.faces, (marking, how)
             assert X.marked == Y.marked, (marking, how)
     # _ref on every raw simplex, degenerate ones included, is from_raw's
-    # normal map, and the generator raws are those it keeps, in its order
+    # normal map, and the generator raws that the nerve keeps, the top's
+    # spelled from its face rows, are those it keeps, in its order
     assert sum(map(len, by_dim.values())) == len(normal)
     assert {x: N._ref(D, x) for x in normal} == normal
-    assert N._generator_raws(D, bound) == [x for x, (g, w) in normal.items() if not w]
+    assert list(X._top.generator_raws()) == [x for x, (g, w) in normal.items() if not w]
 
 
 @pytest.mark.parametrize("D", [
@@ -274,21 +287,22 @@ def test_degeneracy_masks_match_the_oracle(D, monkeypatch):
     # _degeneracy_test, on the thin path and with every hom non-thin, so
     # that the rules on triangles run too
     bound = 4
-    for by_dim, _, masks in (full_raw_nerve(D, bound),
-                             _raw_nerve_checked(D, bound, monkeypatch)):
+    for by_dim, faces, masks in (full_raw_nerve(D, bound),
+                                 _raw_nerve_checked(D, bound, monkeypatch)):
         want = {n: [oracle_mask(D, x) for x in layer] for n, layer in by_dim.items()}
         assert masks == want
         # each layer has the simplex degenerate at every position (a
         # vertex's), so every rule is reached
         assert [functools.reduce(operator.or_, masks[n]) for n in by_dim] == [
             (1 << n) - 1 for n in by_dim]
-    # the streamed top layer gives the same masks, and no raw tuple or
-    # faces for a degenerate simplex
+    # the streamed top layer gives the same masks, no raw tuple or faces
+    # for a degenerate simplex, and the faces alone for another
     top = [list(layer) for layer in N._raw_nerve(D, bound)][bound]
     assert [m for _, _, m in top] == masks[bound]
     assert [(x, F) for x, F, m in top if m] == [(None, None)] * sum(map(bool, masks[bound]))
-    assert [x for x, _, m in top if not m] == [
-        x for x, m in zip(by_dim[bound], masks[bound]) if not m]
+    rows = zip(*[iter(faces[bound])] * (bound + 1))
+    assert [(x, F) for x, F, m in top if not m] == [
+        (None, F) for F, m in zip(rows, masks[bound]) if not m]
 
 
 def test_degenerate_top_simplices_of_the_grid_cell():
@@ -556,6 +570,40 @@ def test_nerve_rejects_an_id_shared_by_an_edge_and_a_triangle(monkeypatch):
         (raw[0][:2], raw[1][:1], ()), 1) if n == 2 else key_fn(raw, n))
     with pytest.raises(ValueError, match="duplicate generator id 0,1;"):
         N.rs_nerve(_ordinal_2cat(2), 2)
+    # give two 3-simplices of [4] one id: the top, held as face rows, is
+    # built and counted, and its first named read spells it and raises
+    monkeypatch.setattr(N, "_key_fn", lambda raw, n: key_fn(
+        (raw[0][:3], (), ()), 2) if n == 3 else key_fn(raw, n))
+    X = N.rs_nerve(_ordinal_2cat(4), 3)
+    assert X.counts() == (5, 10, 10, 5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate generator id 0,1,2;;"):
+            X.gens
+    # and an id a top generator shares with an edge
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    monkeypatch.setattr(N, "_key_fn", lambda raw, n: key_fn(
+        (raw[0][:2], raw[1][:1], ()), 1) if n == 3 else key_fn(raw, n))
+    X = N.rs_nerve(_ordinal_2cat(3), 3)
+    with pytest.raises(ValueError, match="duplicate generator id 0,1;"):
+        X.faces
+
+
+def test_a_nerve_spells_its_top_on_its_first_named_read(monkeypatch):
+    # counting generators and their fillers reads the top's face rows
+    # alone; a named read spells it, once
+    monkeypatch.setattr(N, "_nerve_cache", {})
+    spelled = []
+    spell = N._RawLayers.spell
+    monkeypatch.setattr(N._RawLayers, "spell", lambda *a: spelled.append(1) or spell(*a))
+    X = N.duskin_nerve(T.theta2_object(T.Theta2Shape(2, (1, 1))), 4)
+    assert X.counts() == (3, 8, 23, 67, 197)
+    assert X.marked_counts() == (0,) * 5
+    assert N.filler_counts(X, 4) and N.filler_counts(X, 3)
+    assert "gens" not in vars(X) and spelled == []
+    assert len(X.gens[4]) == 197 and spelled == [1]
+    # later named reads, equality and JSON among them, spell nothing
+    assert X.faces and X.gens_at(4) and repr(X) and M.msset_to_json(X)
+    assert X == X and X.marked == frozenset() and spelled == [1]
 
 
 def test_cocycle_condition_on_suspended_group():
@@ -683,6 +731,8 @@ def test_nerve_guard_leaves_no_cache_entry(monkeypatch):
 
 
 def test_generator_raws_are_walked_once_per_process(monkeypatch):
+    # the one walk of a raw nerve is its nerve's build, which keeps the
+    # generator raws that the maps out of it read
     monkeypatch.setattr(N, "_nerve_cache", {})
     walked = collections.Counter()
     raw_nerve = N._raw_nerve
@@ -700,32 +750,34 @@ def test_generator_raws_are_walked_once_per_process(monkeypatch):
 
     P = TH.horizontal_segal(2, (1, 1))
     TH.apply_L_map(P, bound=4)
-    first = raw_walks()
     # [2|1,1] from the spine [1|1] + [1|1] glued at a point: the block
-    # maps run out of [0] and [1|1], and each is walked once
+    # maps run out of [0] and [1|1], whose nerves were built
     sources = {(G.source.signature, 4) for _, _, G, _ in P.source.arrows}
     sources |= {(G.source.signature, 4) for _, G, _ in P.cell_map}
-    assert set(first) == sources and set(first.values()) == {1}
+    assert sources <= {(D.signature, 4) for D in built}
+    assert raw_walks() == {}
     TH.apply_L_map(P, bound=4)
-    assert raw_walks() == first
-    # a nerve map out of a shape whose nerve is built walks it once, in
-    # any marking
+    assert raw_walks() == {}
+    # a nerve map out of a shape builds its nerve once in each marking,
+    # and walks no raws beside
     F = T.identity_two_functor(T.theta2_object(T.Theta2Shape(2, (1, 1))))
     key = (F.source.signature, 4)
     for variant in ("rs", "rs", "duskin"):
         N.nerve_map(F, variant, bound=4)
-    assert raw_walks() == first + collections.Counter({key: 1})
+    assert raw_walks() == {} and walked[key] == 2
     # a cache hit still checks the limit, as nerve() does
     with pytest.raises(ValueError, match="nerve: limit"):
         N.nerve_map(F, bound=4, limit=2.5)
-    # the raws live in the cache: clearing it clears them, with no garbage
+    # the raws live on the cached nerves: clearing the cache clears them,
+    # with no garbage
+    assert all(isinstance(v, M.MarkedSSet) for v in N._nerve_cache.values())
     gc.collect()
     gc.disable()
     try:
         N._nerve_cache.clear()
         assert gc.collect() == 0
         N.nerve_map(F, bound=4)
-        assert raw_walks()[key] == 2
+        assert raw_walks() == {} and walked[key] == 3
         N._nerve_cache.clear()
         assert gc.collect() == 0
     finally:
@@ -866,16 +918,16 @@ def _grid_shapes(k):
 def _assert_nerve_maps_match_the_oracle(D, targets, bound):
     """The maps on nerves of every 2-functor from D into targets against
     raw_nerve_assignment.  Their assignment does not depend on the
-    marking: each one's is checked through _nerve_assignment on D's
-    generator raws, walked once, and the first 2-functor into each target
-    through nerve_map in all three markings, the nerves included."""
-    raws = N._generator_raws(D, bound)
+    marking: each one's is checked through _nerve_assignment on the
+    generator raws of D's rs nerve, and the first 2-functor into each
+    target through nerve_map in all three markings, the nerves included."""
+    S = N.rs_nerve(D, bound)
     for E in targets:
         fs = T.enumerate_two_functors(D, E)
         Y = N.rs_nerve(E, bound)
         for F in fs:
             want = raw_nerve_assignment(F, "rs", bound).assignment
-            assert list(N._nerve_assignment(F, raws, Y).items()) == list(want.items())
+            assert list(N._nerve_assignment(F, S, Y).items()) == list(want.items())
         for variant in MARKINGS:
             f = N.nerve_map(fs[0], variant, bound)
             want = raw_nerve_assignment(fs[0], variant, bound)

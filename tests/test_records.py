@@ -40,8 +40,7 @@ def _presentation_map():
 
 
 def _block():
-    D = T.theta2_object(T.Theta2Shape(1, (0,)))
-    return (D, M.standard_simplex(1, "sharp", bound=2), 1)
+    return (M.standard_simplex(1, "sharp", bound=2), 1)
 
 
 # class, field names in constructor order, field values, equality, hashes
@@ -66,7 +65,7 @@ RECORDS = {
                            lambda: ((TH.BoxCell(T.Theta2Shape(0, ())),), ()), "value", True),
     "PresentationMap": (TH.PresentationMap, ("source", "target", "cell_map"),
                         _presentation_map, "value", True),
-    "_Block": (TH._Block, ("category", "nerve", "level"), _block, "value", False),
+    "_Block": (TH._Block, ("nerve", "level"), _block, "value", False),
 }
 
 NAMES = sorted(RECORDS)
